@@ -34,7 +34,6 @@ from .simulator import (
     initial_state,
     run_campaign,
     sample_snapshot,
-    split_by_phase,
     step,
 )
 from .special import hyp2f1, pochhammer
@@ -72,7 +71,6 @@ __all__ = [
     "resolve_fading_bands",
     "run_campaign",
     "sample_snapshot",
-    "split_by_phase",
     "step",
     "__version__",
 ]

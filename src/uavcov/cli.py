@@ -6,8 +6,7 @@ exactly once, on the way in.  All file outputs are written atomically
 plot scripts can pin byte-stable layouts.
 
 Exit codes: 0 success, 1 validation-check failure, 2 input/configuration
-error.  The worker-pool width for sweeps and replications can be set with
-the UAVCOV_WORKERS environment variable.
+error.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -33,7 +31,6 @@ from .scenario import (
     scenario_to_dict,
 )
 from .simulator import run_campaign
-from .validation import run_validation
 
 COVERAGE_CSV_HEADER = "# uavcov coverage-table v1"
 HISTOGRAM_CSV_HEADER = "# uavcov histograms v1"
@@ -44,20 +41,15 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _workers() -> int | None:
-    raw = os.environ.get("UAVCOV_WORKERS")
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigurationError(f"UAVCOV_WORKERS must be an integer, got {raw!r}")
-
-
 def _apply_overrides(sc: Scenario, args) -> Scenario:
     doc = scenario_to_dict(sc)
     if getattr(args, "psi_db", None):
-        doc["psi_grid_db"] = [float(v) for v in args.psi_db.split(",")]
+        try:
+            doc["psi_grid_db"] = [float(v) for v in args.psi_db.split(",")]
+        except ValueError:
+            raise ConfigurationError(
+                f"--psi-db must be comma-separated numbers, got {args.psi_db!r}"
+            ) from None
     if getattr(args, "seed", None) is not None:
         doc["sim"]["seed"] = args.seed
     if getattr(args, "replications", None) is not None:
@@ -69,13 +61,15 @@ def _coverage_rows(sc: Scenario):
     net, fading = sc.network, sc.fading
     p_stay = derive_stay_probability(sc.mobility, net)
     psi_linear = sc.psi_grid_linear()
-    points = coverage_sweep(psi_linear, net, fading, p_stay, workers=_workers())
+    points = coverage_sweep(psi_linear, net, fading, p_stay)
     rows = []
     for psi_db, point in zip(sc.psi_grid_db, points):
         s0 = fading.serving_m * point.psi * net.serving_altitude**net.path_loss_exponent
         if point.error is None:
-            phi_st = phase_laplace_factor("static", s0, fading.interferer_m, net)
-            phi_mo = phase_laplace_factor("moving", s0, fading.interferer_m, net)
+            phi_st, phi_mo = point.phi_static, point.phi_moving
+            if phi_st is None:  # no interferers: coverage needed no phase factor
+                phi_st = phase_laplace_factor("static", s0, fading.interferer_m, net)
+                phi_mo = phase_laplace_factor("moving", s0, fading.interferer_m, net)
             status = "ok"
         else:
             phi_st = phi_mo = math.nan
@@ -146,7 +140,6 @@ def cmd_simulate(args) -> int:
         warmup_steps=sc.sim.warmup_steps, dt=sc.sim.dt, seed=sc.sim.seed,
         psi_grid=psi, stride=sc.sim.stride, replications=sc.sim.replications,
         chains=sc.sim.chains, boundary_rule=sc.sim.boundary_rule,
-        workers=_workers(),
     )
 
     if sc.fading.altitude_dependent:
@@ -178,6 +171,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    # Imported here: the suite pulls in scipy.stats, which no other command needs.
+    from .validation import run_validation
+
     sc = _apply_overrides(load_scenario(args.scenario), args)
     fault = 1e-3 if args.inject_fault == "phase-factor" else 0.0
     checks = run_validation(sc, fault_bias=fault)
@@ -205,7 +201,15 @@ def _set_by_dotted_path(doc: dict, dotted: str, value):
         raise ConfigurationError(f"unknown scenario field {dotted!r}")
     old = node[leaf]
     caster = type(old) if old is not None else float
-    node[leaf] = caster(value) if caster is not bool else value.lower() in ("1", "true")
+    if caster is bool:
+        node[leaf] = value.lower() in ("1", "true")
+        return
+    try:
+        node[leaf] = caster(value)
+    except ValueError:
+        raise ConfigurationError(
+            f"cannot set {dotted} to {value!r}: expected {caster.__name__}"
+        ) from None
 
 
 def cmd_sweep(args) -> int:
@@ -274,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_val, needs_out=False)
     p_val.add_argument(
         "--inject-fault", choices=["phase-factor"], default=None,
-        help="test hook: perturb the closed-form phase factor by 1e-3",
+        help="perturb the closed form by 1e-3 inside the closed-vs-quadrature "
+        "check, to show that the check fails",
     )
     p_val.set_defaults(func=cmd_validate)
 

@@ -141,8 +141,6 @@ class MobilityConfig:
             raise ConfigurationError(
                 f"need 0 <= dwell_min <= dwell_max, got [{self.dwell_min}, {self.dwell_max}]"
             )
-        if self.dwell_max == 0 and self.dwell_min == 0:
-            pass  # degenerate zero-dwell case is allowed: stay probability 0
         if not self.hop_range > 0:
             raise ConfigurationError(f"hop_range must be > 0, got {self.hop_range}")
         if self.stay_probability_override is not None and not (

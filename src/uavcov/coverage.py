@@ -14,19 +14,13 @@ boundary and happens exactly once there.
 from __future__ import annotations
 
 import math
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .config import FadingConfig, NetworkConfig
 from .errors import ConfigurationError, ConsistencyError
-from .interference import laplace_derivative_jet
+from .interference import laplace_jet_and_phase_factors
 
 __all__ = ["CoverageQuery", "SweepPoint", "coverage_probability", "coverage_sweep"]
-
-# Alternating-sum terms grow before cancelling; beyond this serving shape the
-# cancellation starts to eat meaningful precision.
-_CONDITIONING_M0 = 8
 
 _CLAMP_EPS = 1e-10
 
@@ -51,39 +45,52 @@ class CoverageQuery:
 
 def coverage_probability(query: CoverageQuery) -> float:
     """Probability that the user's SIR exceeds the query threshold."""
+    return _evaluate(query)[0]
+
+
+def _evaluate(query: CoverageQuery) -> tuple[float, float | None, float | None]:
+    """Coverage probability plus the static and moving phase factors at s0.
+
+    The phase factors are None when the network has no interferers: the
+    transform is then identically 1 and neither factor is evaluated.
+    """
     net, fading = query.network, query.fading
     m0 = int(fading.serving_m)
-    if m0 > _CONDITIONING_M0:
-        warnings.warn(
-            f"serving shape m0={m0} > {_CONDITIONING_M0}: the alternating "
-            "derivative sum is poorly conditioned at this order",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     s0 = m0 * query.psi * net.serving_altitude**net.path_loss_exponent
-    jet = laplace_derivative_jet(s0, m0 - 1, net, fading, query.stay_probability)
+    jet, phi_static, phi_moving = laplace_jet_and_phase_factors(
+        s0, m0 - 1, net, fading, query.stay_probability
+    )
     # jet.coeffs[k] = L^(k)(s0)/k!, so the sum telescopes to a plain
-    # polynomial evaluation at -s0; fsum keeps the cancellation exact.
+    # polynomial evaluation at -s0.  L_I is completely monotone, so every
+    # term s0^k (-1)^k L^(k)(s0)/k! is >= 0 and the sum does not cancel.
     p = math.fsum(jet.coeffs[k] * (-s0) ** k for k in range(m0))
     if p < 0.0 or p > 1.0:
         if -_CLAMP_EPS <= p < 0.0:
-            return 0.0
-        if 1.0 < p <= 1.0 + _CLAMP_EPS:
-            return 1.0
-        raise ConsistencyError(
-            f"coverage probability {p} outside [0, 1] by more than round-off "
-            f"(psi={query.psi}, m0={m0})"
-        )
-    return p
+            p = 0.0
+        elif 1.0 < p <= 1.0 + _CLAMP_EPS:
+            p = 1.0
+        else:
+            raise ConsistencyError(
+                f"coverage probability {p} outside [0, 1] by more than round-off "
+                f"(psi={query.psi}, m0={m0})"
+            )
+    return p, phi_static, phi_moving
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One row of a threshold sweep; error is None unless the point failed."""
+    """One row of a threshold sweep; error is None unless the point failed.
+
+    phi_static and phi_moving are the phase factors at the row's transform
+    argument s0, as evaluated for the coverage; they are None on failed rows
+    and when the network has no interferers.
+    """
 
     psi: float
     coverage: float
     error: str | None = None
+    phi_static: float | None = None
+    phi_moving: float | None = None
 
 
 def coverage_sweep(
@@ -91,26 +98,23 @@ def coverage_sweep(
     net: NetworkConfig,
     fading: FadingConfig,
     stay_probability: float,
-    workers: int | None = None,
 ) -> list[SweepPoint]:
     """Evaluate the coverage probability over a grid of linear thresholds.
 
-    Points are independent, so they may be fanned out to a thread pool;
-    output order always follows the input grid.  A failing point is reported
-    in its row instead of aborting the sweep.
+    Output order follows the input grid.  A failing point is reported in its
+    row instead of aborting the sweep.
     """
     psi_values = list(psi_values)
     if not psi_values:
         raise ConfigurationError("threshold grid must be non-empty")
-
-    def evaluate(psi: float) -> SweepPoint:
+    points = []
+    for psi in psi_values:
         try:
-            q = CoverageQuery(psi, net, fading, stay_probability)
-            return SweepPoint(psi, coverage_probability(q))
+            p, phi_static, phi_moving = _evaluate(
+                CoverageQuery(psi, net, fading, stay_probability)
+            )
         except Exception as exc:  # surfaced per-row by contract
-            return SweepPoint(psi, math.nan, error=f"{type(exc).__name__}: {exc}")
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(evaluate, psi_values))
-    return [evaluate(psi) for psi in psi_values]
+            points.append(SweepPoint(psi, math.nan, error=f"{type(exc).__name__}: {exc}"))
+        else:
+            points.append(SweepPoint(psi, p, phi_static=phi_static, phi_moving=phi_moving))
+    return points

@@ -58,7 +58,7 @@ __all__ = [
     "laplace_transform_phase_sum",
     "phase_factor_derivative",
     "laplace_derivative_jet",
-    "set_fault_bias",
+    "laplace_jet_and_phase_factors",
 ]
 
 # Quadrature tolerances.  The relative tolerance dominates: at large s the
@@ -67,21 +67,6 @@ __all__ = [
 _QUAD_EPSABS = 1e-300
 _QUAD_EPSREL = 1e-11
 _QUAD_LIMIT = 200
-
-# Test hook: additive perturbation applied to closed-form phase factors so a
-# validation run can prove the closed-form-vs-quadrature check has teeth.
-_FAULT_BIAS = 0.0
-
-
-def set_fault_bias(bias: float) -> None:
-    """Install an additive perturbation on the closed-form phase factor.
-
-    Only meant for fault-injection in validation flows; set back to 0.0 to
-    restore correct behaviour.
-    """
-    global _FAULT_BIAS
-    _FAULT_BIAS = float(bias)
-
 
 @dataclass(frozen=True)
 class SegmentScheme:
@@ -328,14 +313,15 @@ def phase_laplace_factor(
     m = int(m)
     if method == "quadrature" or (method == "auto" and net.path_loss_exponent != 2.0):
         return _quadrature_phase_factor(phase, s, m, net)
-    return _closed_phase_factor(phase, s, m, net) + _FAULT_BIAS
+    return _closed_phase_factor(phase, s, m, net)
 
 
-def _mixture_factor(s, net, fading, p_stay, method="auto"):
+def _phase_factors(s, net, fading, method="auto"):
     m = int(fading.interferer_m)
-    phi_static = phase_laplace_factor("static", s, m, net, method)
-    phi_moving = phase_laplace_factor("moving", s, m, net, method)
-    return p_stay * phi_static + (1.0 - p_stay) * phi_moving
+    return (
+        phase_laplace_factor("static", s, m, net, method),
+        phase_laplace_factor("moving", s, m, net, method),
+    )
 
 
 def laplace_transform(
@@ -353,7 +339,8 @@ def laplace_transform(
         return 1.0
     if s == 0.0:
         return 1.0
-    return _mixture_factor(s, net, fading, p_stay, method) ** M
+    phi_static, phi_moving = _phase_factors(s, net, fading, method)
+    return (p_stay * phi_static + (1.0 - p_stay) * phi_moving) ** M
 
 
 def laplace_transform_phase_sum(
@@ -375,9 +362,7 @@ def laplace_transform_phase_sum(
         return 1.0
     if s == 0.0:
         return 1.0
-    m = int(fading.interferer_m)
-    phi_static = phase_laplace_factor("static", s, m, net, method)
-    phi_moving = phase_laplace_factor("moving", s, m, net, method)
+    phi_static, phi_moving = _phase_factors(s, net, fading, method)
     return math.fsum(
         math.comb(M, n)
         * (p_stay * phi_static) ** n
@@ -410,12 +395,24 @@ def laplace_derivative_jet(
     fading: FadingConfig,
     p_stay: float,
 ) -> Jet:
-    """Taylor coefficients of L_I at s0 up to the given order.
+    """Taylor coefficients of L_I at s0 up to the given order."""
+    return laplace_jet_and_phase_factors(s0, order, net, fading, p_stay)[0]
+
+
+def laplace_jet_and_phase_factors(
+    s0: float,
+    order: int,
+    net: NetworkConfig,
+    fading: FadingConfig,
+    p_stay: float,
+) -> tuple[Jet, float | None, float | None]:
+    """Taylor jet of L_I at s0 plus the static and moving phase factors at s0.
 
     The order-0 coefficient takes the same evaluation path as
     laplace_transform so both agree exactly; higher coefficients come from
     the exact derivative integrals pushed through the M-th power by jet
-    algebra.
+    algebra.  With no interferers the jet is constant and no phase factor is
+    evaluated, so both factors come back as None.
     """
     if order < 0 or int(order) != order:
         raise DomainError(f"jet order must be a non-negative integer, got {order}")
@@ -424,11 +421,12 @@ def laplace_derivative_jet(
     order = int(order)
     M = net.n_interferers
     if M == 0:
-        return Jet.constant(1.0, order)
+        return Jet.constant(1.0, order), None, None
     m = int(fading.interferer_m)
 
+    phi_static, phi_moving = _phase_factors(s0, net, fading)
     coeffs = np.zeros(order + 1)
-    coeffs[0] = _mixture_factor(s0, net, fading, p_stay)
+    coeffs[0] = p_stay * phi_static + (1.0 - p_stay) * phi_moving
     for k in range(1, order + 1):
         try:
             dk = p_stay * phase_factor_derivative("static", s0, m, net, k) + (
@@ -441,4 +439,4 @@ def laplace_derivative_jet(
                 error_bound=exc.error_bound,
             ) from exc
         coeffs[k] = dk / math.factorial(k)
-    return Jet(coeffs) ** M
+    return Jet(coeffs) ** M, phi_static, phi_moving

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .config import FadingConfig, MobilityConfig, NetworkConfig
 from .errors import ConfigurationError, UnsupportedGeometryError
+from .simulator import BOUNDARY_RULES
 
 __all__ = ["SimParams", "Scenario", "scenario_from_dict", "scenario_to_dict",
            "load_scenario", "dump_scenario", "atomic_write_text"]
@@ -41,8 +42,8 @@ class SimParams:
             raise ConfigurationError("sim.dt_s must be > 0")
         if self.stride < 1 or self.replications < 1 or self.chains < 1:
             raise ConfigurationError("sim.stride, sim.replications, sim.chains must be >= 1")
-        if self.boundary_rule not in ("stay", "resample"):
-            raise ConfigurationError("sim.boundary_rule must be 'stay' or 'resample'")
+        if self.boundary_rule not in BOUNDARY_RULES:
+            raise ConfigurationError(f"sim.boundary_rule must be one of {BOUNDARY_RULES}")
 
 
 @dataclass(frozen=True)

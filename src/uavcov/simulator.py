@@ -42,12 +42,10 @@ __all__ = [
     "UavState",
     "SnapshotSample",
     "CampaignResult",
-    "PhaseSplit",
     "initial_state",
     "step",
     "sample_snapshot",
     "run_campaign",
-    "split_by_phase",
     "default_psi_grid",
 ]
 
@@ -241,25 +239,40 @@ def _interferer_shapes(altitude: np.ndarray, fading: FadingConfig, net: NetworkC
     return m
 
 
+def _snapshot(
+    state: UavState, chains: int, net: NetworkConfig, fading: FadingConfig, rng
+):
+    """Fading draws and SIR for `chains` equal-sized networks stored back to back.
+
+    The serving gains of all chains are drawn first, then the interferer
+    gains.  Returns (distances, serving gains, interferer gains, aggregate
+    interference per chain, SIR per chain); the SIR is infinite in a chain
+    with zero interference.
+    """
+    alpha = net.path_loss_exponent
+    m0 = fading.serving_m
+    g0 = rng.gamma(m0, 1.0 / m0, chains)
+    w = np.sqrt(state.altitude**2 + np.einsum("ij,ij->i", state.xy, state.xy))
+    m_i = _interferer_shapes(state.altitude, fading, net)
+    gains = rng.gamma(m_i, 1.0 / m_i)
+    interference = (gains * w**-alpha).reshape(chains, state.n // chains).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        sir = g0 * net.serving_altitude**-alpha / interference
+    return w, g0, gains, interference, sir
+
+
 def sample_snapshot(
     state: UavState, net: NetworkConfig, fading: FadingConfig, rng
 ) -> SnapshotSample:
     """Draw fading and evaluate the interference and SIR for one state."""
-    w = np.sqrt(state.altitude**2 + np.einsum("ij,ij->i", state.xy, state.xy))
-    m_i = _interferer_shapes(state.altitude, fading, net)
-    gains = rng.gamma(m_i, 1.0 / m_i) if state.n else np.empty(0)
-    g0 = float(rng.gamma(fading.serving_m, 1.0 / fading.serving_m))
-    alpha = net.path_loss_exponent
-    interference = float(np.sum(gains * w**-alpha)) if state.n else 0.0
-    signal = g0 * net.serving_altitude**-alpha
-    sir = signal / interference if interference > 0 else math.inf
+    w, g0, gains, interference, sir = _snapshot(state, 1, net, fading, rng)
     return SnapshotSample(
         distances=w,
         dwelling=~state.moving,
-        serving_gain=g0,
+        serving_gain=float(g0[0]),
         interferer_gains=gains,
-        interference=interference,
-        sir=sir,
+        interference=float(interference[0]),
+        sir=float(sir[0]),
     )
 
 
@@ -316,6 +329,11 @@ class CampaignResult:
             return math.nan
         return float(per_batch.std(ddof=1) / math.sqrt(nb))
 
+    def dwelling_count_pmf(self) -> np.ndarray:
+        """Empirical law of the number of dwelling interferers per snapshot."""
+        total = self.dwelling_count_hist.sum()
+        return self.dwelling_count_hist / total if total else self.dwelling_count_hist
+
     def mean_interior_hop_length(self) -> float:
         """Mean accepted hop length for hops started away from the edge."""
         return self.hop_length_sum / self.hop_count if self.hop_count else math.nan
@@ -338,8 +356,6 @@ def _run_replication(
 ) -> CampaignResult:
     rng = np.random.default_rng(rep_seed)
     M = net.n_interferers
-    alpha = net.path_loss_exponent
-    m0 = fading.serving_m
     state = initial_state(chains * M, net, mob, rng)
     for _ in range(warmup_steps):
         state = step(state, dt, rng, net, mob, boundary_rule)
@@ -355,7 +371,6 @@ def _run_replication(
     hop_count = 0
     interior_limit = max(net.radius - mob.hop_range, 0.0)
 
-    signal_scale = net.serving_altitude**-alpha
     for j in range(snapshots_per_chain):
         for _ in range(stride):
             prev_xy = state.xy
@@ -371,18 +386,8 @@ def _run_replication(
 
         b = j * n_batches // snapshots_per_chain
         dwelling = ~state.moving
-        g0 = rng.gamma(m0, 1.0 / m0, chains)
-        if M:
-            w = np.sqrt(state.altitude**2 + np.einsum("ij,ij->i", state.xy, state.xy))
-            m_i = _interferer_shapes(state.altitude, fading, net)
-            gains = rng.gamma(m_i, 1.0 / m_i)
-            interference = (gains * w**-alpha).reshape(chains, M).sum(axis=1)
-            with np.errstate(divide="ignore"):
-                sir = g0 * signal_scale / interference
-            n_dwell = dwelling.reshape(chains, M).sum(axis=1)
-        else:
-            sir = np.full(chains, np.inf)
-            n_dwell = np.zeros(chains, dtype=int)
+        w, _, _, _, sir = _snapshot(state, chains, net, fading, rng)
+        n_dwell = dwelling.reshape(chains, M).sum(axis=1)
 
         batch_success[b] += (sir[:, None] > psi_grid[None, :]).sum(axis=0)
         batch_snapshots[b] += chains
@@ -459,15 +464,13 @@ def run_campaign(
     n_batches: int = 20,
     max_kept_samples: int = 2_000_000,
     seeds=None,
-    workers: int | None = None,
 ) -> CampaignResult:
     """Run a full snapshot campaign and return merged tallies.
 
-    The campaign is split into `replications` independently seeded streams;
-    inside each, `chains` statistically independent copies of the network
-    evolve in lockstep for vectorization.  Snapshot counts round up to a
-    multiple of replications * chains.  Tally merging is associative, so
-    replications may be computed concurrently without changing the result.
+    The campaign is split into `replications` independently seeded streams,
+    run one after another; inside each, `chains` statistically independent
+    copies of the network evolve in lockstep for vectorization.  Snapshot
+    counts round up to a multiple of replications * chains.
     """
     if n_snapshots < 1:
         raise ConfigurationError("n_snapshots must be >= 1")
@@ -500,19 +503,13 @@ def run_campaign(
     nb_rep = max(1, min(round(n_batches / replications), per_chain))
     kept_quota = max_kept_samples // replications
 
-    def run_one(rs):
-        return _run_replication(
+    results = [
+        _run_replication(
             rs, net, fading, mob, per_chain, warmup_steps, dt, psi_grid,
             stride, chains, boundary_rule, nb_rep, kept_quota,
         )
-
-    if workers is not None and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, rep_seeds))
-    else:
-        results = [run_one(rs) for rs in rep_seeds]
+        for rs in rep_seeds
+    ]
 
     meta = {
         "seed": seed if seeds is None else None,
@@ -527,29 +524,3 @@ def run_campaign(
         "altitude_dependent": fading.altitude_dependent,
     }
     return _merge(results, meta)
-
-
-@dataclass(frozen=True)
-class PhaseSplit:
-    """Phase-conditioned empirical samples extracted from a campaign."""
-
-    static_distances: np.ndarray
-    moving_distances: np.ndarray
-    static_altitudes: np.ndarray
-    moving_altitudes: np.ndarray
-    dwelling_count_hist: np.ndarray
-
-    def dwelling_count_pmf(self) -> np.ndarray:
-        total = self.dwelling_count_hist.sum()
-        return self.dwelling_count_hist / total if total else self.dwelling_count_hist
-
-
-def split_by_phase(result: CampaignResult) -> PhaseSplit:
-    """Expose a campaign's samples conditioned on the mobility phase."""
-    return PhaseSplit(
-        static_distances=result.static_distances,
-        moving_distances=result.moving_distances,
-        static_altitudes=result.static_altitudes,
-        moving_altitudes=result.moving_altitudes,
-        dwelling_count_hist=result.dwelling_count_hist,
-    )

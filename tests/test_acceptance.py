@@ -18,7 +18,7 @@ from uavcov.interference import (
     laplace_transform_phase_sum,
     phase_laplace_factor,
 )
-from uavcov.simulator import run_campaign, split_by_phase
+from uavcov.simulator import run_campaign
 from uavcov.special import hyp2f1
 
 R, H = 40.0, 30.0
@@ -235,7 +235,7 @@ def test_criterion_9_steady_state_mobility(end_to_end_campaigns):
     frac = res.dwelling_fraction()
     se = res.dwelling_fraction_se()
     frac_ok = abs(frac - p_stay) <= 3 * se
-    pmf = split_by_phase(res).dwelling_count_pmf()
+    pmf = res.dwelling_count_pmf()
     ref = stats.binom.pmf(np.arange(6), 5, p_stay)
     tv = 0.5 * float(np.abs(pmf - ref).sum())
     ok = frac_ok and tv < 0.02

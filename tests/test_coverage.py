@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import pytest
 
 from uavcov.config import FadingConfig, NetworkConfig
 from uavcov.coverage import CoverageQuery, coverage_probability, coverage_sweep
 from uavcov.errors import ConfigurationError
+from uavcov.interference import laplace_derivative_jet, phase_laplace_factor
 
 P_STAY = 0.5005092550523872  # benchmark kinematics
 
@@ -75,10 +77,20 @@ class TestSweep:
         assert [p.psi for p in pts] == DB_GRID
         assert all(p.error is None for p in pts)
 
-    def test_workers_match_sequential(self):
-        seq = coverage_sweep(DB_GRID, net_with(), FadingConfig(2, 1), P_STAY)
-        par = coverage_sweep(DB_GRID, net_with(), FadingConfig(2, 1), P_STAY, workers=4)
-        assert [p.coverage for p in seq] == [p.coverage for p in par]
+    def test_points_carry_the_phase_factors_at_s0(self):
+        net, fading = net_with(), FadingConfig(2, 3)
+        pts = coverage_sweep([0.1, 10.0], net, fading, P_STAY)
+        for p in pts:
+            s0 = 2 * p.psi * net.serving_altitude**2
+            query = CoverageQuery(p.psi, net, fading, P_STAY)
+            assert p.coverage == coverage_probability(query)
+            assert p.phi_static == phase_laplace_factor("static", s0, 3, net)
+            assert p.phi_moving == phase_laplace_factor("moving", s0, 3, net)
+
+    def test_no_interferers_evaluates_no_phase_factor(self):
+        pts = coverage_sweep([1.0], net_with(M=0), FadingConfig(1, 1), P_STAY)
+        assert pts[0].coverage == 1.0
+        assert pts[0].phi_static is None and pts[0].phi_moving is None
 
     def test_per_point_errors_reported_inline(self):
         pts = coverage_sweep([1.0, -3.0, 2.0], net_with(), FadingConfig(1, 1), P_STAY)
@@ -94,7 +106,18 @@ class TestSweep:
         assert pts[0].coverage == pytest.approx(1.0, abs=1e-9)
 
 
-def test_large_serving_shape_warns():
-    q = CoverageQuery(1.0, net_with(), FadingConfig(9, 1), 0.5)
-    with pytest.warns(RuntimeWarning, match="conditioned"):
-        coverage_probability(q)
+@pytest.mark.parametrize("m0", [9, 12])
+def test_large_serving_shape_sum_has_no_cancellation(m0):
+    """L_I is completely monotone, so every term s0^k (-1)^k L^(k)(s0)/k! of
+    the coverage sum is >= 0: a large serving shape loses no precision to
+    cancellation and raises no warning."""
+    net, fading = net_with(M=4), FadingConfig(m0, 2)
+    for db in (-10, 10, 30):
+        psi = 10 ** (db / 10)
+        s0 = m0 * psi * net.serving_altitude**2
+        jet = laplace_derivative_jet(s0, m0 - 1, net, fading, 0.4)
+        assert all(jet.coeffs[k] * (-s0) ** k >= 0.0 for k in range(m0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = coverage_probability(CoverageQuery(psi, net, fading, 0.4))
+        assert 0.0 <= p <= 1.0

@@ -14,7 +14,6 @@ from uavcov.interference import (
     power_segment_integral,
     segment_scheme,
     shell_segment_integral,
-    set_fault_bias,
 )
 
 
@@ -173,15 +172,6 @@ class TestPhaseFactor:
             phase_laplace_factor("static", 1.0, 0, NET)
         with pytest.raises(DomainError):
             phase_laplace_factor("parked", 1.0, 1, NET)
-
-    def test_fault_hook_shifts_closed_form(self):
-        clean = phase_laplace_factor("static", 100.0, 1, NET)
-        set_fault_bias(1e-3)
-        try:
-            biased = phase_laplace_factor("static", 100.0, 1, NET)
-        finally:
-            set_fault_bias(0.0)
-        assert biased - clean == pytest.approx(1e-3, rel=1e-9)
 
 
 class TestLaplaceTransform:

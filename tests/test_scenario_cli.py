@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import uavcov
 from uavcov.cli import main
 from uavcov.errors import ConfigurationError, UnsupportedGeometryError
 from uavcov.scenario import (
@@ -120,6 +124,13 @@ class TestAnalyzeCommand:
         assert len(rows) == 1
         assert rows[0].startswith("0,1,")
 
+    def test_malformed_psi_override_is_input_error(self, scenario_path, tmp_path, capsys):
+        code = main(["analyze", "--scenario", scenario_path, "--out", str(tmp_path / "x.csv"),
+                     "--psi-db=1,abc"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "abc" in err
+
     def test_json_output(self, scenario_path, tmp_path):
         out_csv = tmp_path / "cov.csv"
         out_json = tmp_path / "cov.json"
@@ -205,6 +216,14 @@ class TestSweepCommand:
         assert "unknown scenario field" in capsys.readouterr().err
 
 
+    def test_uncastable_value_is_input_error(self, scenario_path, tmp_path, capsys):
+        code = main(["sweep", "--scenario", scenario_path, "--out", str(tmp_path / "y.csv"),
+                     "--param", "network.n_interferers", "--values", "2.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2.5" in err
+
+
 def test_init_writes_loadable_template(tmp_path):
     out = tmp_path / "template.json"
     assert main(["init", "--out", str(out)]) == 0
@@ -212,13 +231,13 @@ def test_init_writes_loadable_template(tmp_path):
     assert sc.network.radius == 40.0
 
 
-def test_worker_env_var_does_not_change_results(scenario_path, tmp_path, monkeypatch):
-    out_seq = tmp_path / "seq.csv"
-    assert main(["analyze", "--scenario", scenario_path, "--out", str(out_seq)]) == 0
-    monkeypatch.setenv("UAVCOV_WORKERS", "3")
-    out_par = tmp_path / "par.csv"
-    assert main(["analyze", "--scenario", scenario_path, "--out", str(out_par)]) == 0
-    assert out_seq.read_bytes() == out_par.read_bytes()
-    monkeypatch.setenv("UAVCOV_WORKERS", "many")
-    assert main(["analyze", "--scenario", scenario_path,
-                 "--out", str(tmp_path / "bad.csv")]) == 2
+def test_cli_import_leaves_out_the_validation_suite():
+    """Only `validate` needs the suite and the scipy.stats it imports."""
+    src = os.path.dirname(os.path.dirname(uavcov.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, uavcov.cli; "
+            "print([m for m in ('uavcov.validation', 'scipy.stats') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"

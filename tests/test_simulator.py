@@ -11,7 +11,6 @@ from uavcov.simulator import (
     initial_state,
     run_campaign,
     sample_snapshot,
-    split_by_phase,
     step,
 )
 
@@ -129,14 +128,6 @@ class TestCampaign:
             run_campaign(NET, FAD, MOB, 1000, warmup_steps=5, replications=2,
                          seeds=[1, 2, 3])
 
-    def test_parallel_merge_matches_sequential(self):
-        kwargs = dict(warmup_steps=30, seed=5, chains=4, replications=8)
-        seq = run_campaign(NET, FAD, MOB, 4000, **kwargs)
-        par = run_campaign(NET, FAD, MOB, 4000, workers=4, **kwargs)
-        assert np.array_equal(seq.batch_success, par.batch_success)
-        assert np.array_equal(seq.batch_snapshots, par.batch_snapshots)
-        assert seq.n_snapshots == par.n_snapshots
-
     def test_campaign_agrees_with_analysis_at_small_scale(self):
         res = run_campaign(NET, FAD, MOB, 60_000, warmup_steps=3000, seed=27,
                            chains=50, replications=2)
@@ -160,18 +151,17 @@ class TestSteadyState:
         assert abs(campaign.dwelling_fraction() - campaign.stay_probability) < 3 * se
 
     def test_dwelling_count_is_binomial(self, campaign):
-        pmf = split_by_phase(campaign).dwelling_count_pmf()
+        pmf = campaign.dwelling_count_pmf()
         ref = stats.binom.pmf(np.arange(3), 2, campaign.stay_probability)
         assert 0.5 * np.abs(pmf - ref).sum() < 0.02
 
     def test_dwelling_altitude_is_uniform(self, campaign):
-        split = split_by_phase(campaign)
-        ks = stats.kstest(split.static_altitudes,
+        ks = stats.kstest(campaign.static_altitudes,
                           lambda x: np.clip(x / NET.height, 0, 1)).statistic
         assert ks < 0.01
 
     def test_moving_altitude_matches_parabola(self, campaign):
-        h = split_by_phase(campaign).moving_altitudes[:30_000]
+        h = campaign.moving_altitudes[:30_000]
         edges = np.linspace(0.0, NET.height, 31)
         counts, _ = np.histogram(h, bins=edges)
         u = edges / NET.height
@@ -182,7 +172,7 @@ class TestSteadyState:
     def test_dwelling_distance_matches_closed_form(self, campaign):
         from uavcov.distributions import DistanceDistribution
 
-        w = split_by_phase(campaign).static_distances[:100_000]
+        w = campaign.static_distances[:100_000]
         dist = DistanceDistribution("static", NET.radius, NET.height)
         assert stats.kstest(w, dist.cdf).statistic < 0.01
 
