@@ -202,7 +202,12 @@ def _set_by_dotted_path(doc: dict, dotted: str, value):
     old = node[leaf]
     caster = type(old) if old is not None else float
     if caster is bool:
-        node[leaf] = value.lower() in ("1", "true")
+        flag = value.lower()
+        if flag not in ("true", "false", "1", "0"):
+            raise ConfigurationError(
+                f"cannot set {dotted} to {value!r}: expected true, false, 1 or 0"
+            )
+        node[leaf] = flag in ("true", "1")
         return
     try:
         node[leaf] = caster(value)

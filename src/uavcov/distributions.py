@@ -6,7 +6,9 @@ waypoint ("static" phase) the altitude is uniform on [0, H]; mid-leg
 ("moving" phase) it follows the parabolic steady-state law
 f(x) = 6x/H^2 - 6x^2/H^3.  The user-to-interferer distance is
 W = sqrt(h^2 + Z^2), whose cdf/pdf take a three-segment piecewise form with
-breakpoints at w = H and w = R (the case ordering requires H < R).
+breakpoints at w = H and w = R (the case ordering requires H < R).  The pdf
+pieces are written once, in plain arithmetic, and serve both the array pdf
+and the float integrands of the phase-factor quadrature.
 
 Sampling counterparts draw by inverse transform so that empirical and
 closed-form laws can be cross-validated at scale.
@@ -178,29 +180,42 @@ class DistanceDistribution:
         out = _clamp_unit(out)
         return float(out[0]) if scalar else out
 
-    def pdf(self, w):
-        w, scalar = self._checked(w)
+    def pdf_pieces(self):
+        """The pdf as (lo, hi, piece) on [0, H], [H, R] and [R, support_max].
+
+        Each piece is plain arithmetic, so it takes a float or a numpy array
+        alike; it holds the law only on its own segment.
+        """
         R, H = self.radius, self.height
         R2 = R * R
-        out = np.empty_like(w)
-
-        low = w < H
-        mid = (w >= H) & (w < R)
-        top = w >= R
         if self.phase == "static":
-            out[low] = 2.0 * w[low] ** 2 / (R2 * H)
-            out[mid] = 2.0 * w[mid] / R2
-            shell = np.sqrt(np.maximum(w[top] ** 2 - R2, 0.0))
-            out[top] = 2.0 * w[top] / R2 - 2.0 * w[top] * shell / (R2 * H)
+            def low(w):
+                return 2.0 * w * w / (R2 * H)
+
+            def top(w):
+                shell = (w * w - R2) ** 0.5
+                return 2.0 * w / R2 - 2.0 * w * shell / (R2 * H)
         else:
-            out[low] = -4.0 * w[low] ** 4 / (R2 * H**3) + 6.0 * w[low] ** 3 / (R2 * H * H)
-            out[mid] = 2.0 * w[mid] / R2
-            shell = np.maximum(w[top] ** 2 - R2, 0.0)
-            out[top] = (
-                2.0 * w[top] / R2
-                - 6.0 * w[top] * shell / (R2 * H * H)
-                + 4.0 * w[top] * shell**1.5 / (R2 * H**3)
-            )
+            def low(w):
+                return -4.0 * w**4 / (R2 * H**3) + 6.0 * w**3 / (R2 * H * H)
+
+            def top(w):
+                shell = w * w - R2
+                return (
+                    2.0 * w / R2
+                    - 6.0 * w * shell / (R2 * H * H)
+                    + 4.0 * w * shell**1.5 / (R2 * H**3)
+                )
+
+        def mid(w):
+            return 2.0 * w / R2
+
+        return ((0.0, H, low), (H, R, mid), (R, self.support_max, top))
+
+    def pdf(self, w):
+        w, scalar = self._checked(w)
+        (_, H, low), (_, R, mid), (_, _, top) = self.pdf_pieces()
+        out = np.piecewise(w, [w < H, (w >= H) & (w < R), w >= R], [low, mid, top])
         out = np.maximum(out, 0.0)
         return float(out[0]) if scalar else out
 

@@ -20,9 +20,11 @@ integrand binomially in l and integrating the three distance-law segments
                         y^(2/alpha - 1) (y^(2/alpha) - R^2)^(kappa/2) (1 + m y / s)^-l dy
 
 both reducible to Gauss hypergeometric terms.  For any other exponent the
-expectation is evaluated by adaptive quadrature with panels split at the
-distance-law kinks w = H and w = R; the same quadrature doubles as the
-independent cross-check of the closed forms.
+expectation is evaluated by adaptive quadrature, one integral per
+distance-law segment [0, H], [H, R] and [R, sqrt(R^2 + H^2)], each against
+that segment's pdf piece (DistanceDistribution.pdf_pieces), so the
+integrand is plain float arithmetic and no panel straddles a kink; the
+same quadrature doubles as the independent cross-check of the closed forms.
 
 Derivatives of L_I (needed by the gamma-fading coverage sum) are carried as
 jets: each phase factor's k-th derivative has the exact integral form
@@ -255,31 +257,42 @@ def _closed_phase_factor_expanded(phase: str, s: float, m: int, net: NetworkConf
 def _quadrature_phase_factor(
     phase: str, s: float, m: int, net: NetworkConfig, k: int = 0
 ) -> float:
-    """E_W[ W^(-alpha k) (1 + s W^-alpha / m)^-(m+k) ] by adaptive quadrature."""
+    """E_W[ W^(-alpha k) (1 + s W^-alpha / m)^-(m+k) ] by adaptive quadrature.
+
+    Each of the distance law's three segments [0, H], [H, R] and
+    [R, sqrt(R^2 + H^2)] is integrated on its own, against that segment's
+    pdf piece, so the integrand is float arithmetic with no kink inside a
+    panel.  The three values and their error estimates are summed, and the
+    summed error is held to 1e-8 relative.
+    """
     dist = DistanceDistribution(phase, net.radius, net.height)
     alpha = net.path_loss_exponent
 
-    def integrand(w):
+    def integrand(w, piece):
         wa = w**alpha
-        return dist.pdf(w) * wa ** (-k) * (1.0 + s / (m * wa)) ** (-(m + k))
+        return piece(w) * wa ** (-k) * (1.0 + s / (m * wa)) ** (-(m + k))
 
+    value = abserr = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, abserr = integrate.quad(
-                integrand,
-                0.0,
-                dist.support_max,
-                points=[net.height, net.radius],
-                limit=_QUAD_LIMIT,
-                epsabs=_QUAD_EPSABS,
-                epsrel=_QUAD_EPSREL,
-            )
-        except integrate.IntegrationWarning as exc:
-            raise NumericalError(
-                f"phase factor quadrature failed for phase={phase}, s={s}, m={m}, "
-                f"derivative order k={k}: {exc}"
-            ) from exc
+        for lo, hi, piece in dist.pdf_pieces():
+            try:
+                part, err = integrate.quad(
+                    integrand,
+                    lo,
+                    hi,
+                    args=(piece,),
+                    limit=_QUAD_LIMIT,
+                    epsabs=_QUAD_EPSABS,
+                    epsrel=_QUAD_EPSREL,
+                )
+            except integrate.IntegrationWarning as exc:
+                raise NumericalError(
+                    f"phase factor quadrature failed for phase={phase}, s={s}, m={m}, "
+                    f"derivative order k={k}, segment [{lo:g}, {hi:g}]: {exc}"
+                ) from exc
+            value += part
+            abserr += err
     if value != 0.0 and abserr / abs(value) > 1e-8:
         raise NumericalError(
             f"phase factor quadrature too inaccurate (rel err {abserr / abs(value):.2e}) "

@@ -86,6 +86,28 @@ def _field(section: dict, section_name: str, key: str, default=_REQUIRED):
     raise ConfigurationError(f"scenario is missing field {section_name}.{key}")
 
 
+def _integral(value, name: str) -> int:
+    """An integral JSON number as int; bools, fractions and strings are rejected."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
+def _int_field(section: dict, section_name: str, key: str, default=_REQUIRED) -> int:
+    return _integral(_field(section, section_name, key, default), f"{section_name}.{key}")
+
+
+def _bool_field(section: dict, section_name: str, key: str, default=_REQUIRED) -> bool:
+    value = _field(section, section_name, key, default)
+    if not isinstance(value, bool):
+        raise ConfigurationError(
+            f"{section_name}.{key} must be true or false, got {value!r}"
+        )
+    return value
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ConfigurationError("scenario document must be a JSON object")
@@ -101,16 +123,17 @@ def scenario_from_dict(doc: dict) -> Scenario:
         radius=float(_field(net_doc, "network", "radius_m")),
         height=float(_field(net_doc, "network", "height_m")),
         serving_altitude=float(_field(net_doc, "network", "serving_altitude_m")),
-        n_interferers=int(_field(net_doc, "network", "n_interferers")),
+        n_interferers=_int_field(net_doc, "network", "n_interferers"),
         path_loss_exponent=float(_field(net_doc, "network", "path_loss_exponent", 2.0)),
     )
     bands = _field(fad_doc, "fading", "bands", None)
     fading = FadingConfig(
-        serving_m=int(_field(fad_doc, "fading", "serving_m", 1)),
-        interferer_m=int(_field(fad_doc, "fading", "interferer_m", 1)),
-        altitude_dependent=bool(_field(fad_doc, "fading", "altitude_dependent", False)),
+        serving_m=_int_field(fad_doc, "fading", "serving_m", 1),
+        interferer_m=_int_field(fad_doc, "fading", "interferer_m", 1),
+        altitude_dependent=_bool_field(fad_doc, "fading", "altitude_dependent", False),
         bands=None if bands is None else tuple(
-            (float(lo), float(hi), int(m)) for lo, hi, m in bands
+            (float(lo), float(hi), _integral(m, f"fading.bands[{i}] shape"))
+            for i, (lo, hi, m) in enumerate(bands)
         ),
     )
     override = _field(mob_doc, "mobility", "stay_probability_override", None)
@@ -123,13 +146,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
         stay_probability_override=None if override is None else float(override),
     )
     sim = SimParams(
-        n_snapshots=int(_field(sim_doc, "sim", "n_snapshots", 200_000)),
-        warmup_steps=int(_field(sim_doc, "sim", "warmup_steps", 10_000)),
+        n_snapshots=_int_field(sim_doc, "sim", "n_snapshots", 200_000),
+        warmup_steps=_int_field(sim_doc, "sim", "warmup_steps", 10_000),
         dt=float(_field(sim_doc, "sim", "dt_s", 1.0)),
-        stride=int(_field(sim_doc, "sim", "stride", 10)),
-        seed=int(_field(sim_doc, "sim", "seed", 1)),
-        replications=int(_field(sim_doc, "sim", "replications", 2)),
-        chains=int(_field(sim_doc, "sim", "chains", 64)),
+        stride=_int_field(sim_doc, "sim", "stride", 10),
+        seed=_int_field(sim_doc, "sim", "seed", 1),
+        replications=_int_field(sim_doc, "sim", "replications", 2),
+        chains=_int_field(sim_doc, "sim", "chains", 64),
         boundary_rule=str(_field(sim_doc, "sim", "boundary_rule", "stay")),
     )
     psi = _field(doc, "scenario", "psi_grid_db")

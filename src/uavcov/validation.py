@@ -22,7 +22,7 @@ from .coverage import CoverageQuery, coverage_probability
 from .distributions import AltitudeDistribution, DistanceDistribution
 from .scenario import Scenario
 from .simulator import run_campaign
-from .special import hyp2f1
+from .special import _gauss_series, _large_z, _pfaff, hyp2f1
 
 __all__ = ["CheckResult", "run_validation"]
 
@@ -56,7 +56,9 @@ def _check_trivial_anchors(sc: Scenario) -> CheckResult:
 
 def _check_hyp2f1_consistency(sc: Scenario) -> CheckResult:
     # Gauss contiguous relation as an internal consistency check, plus the
-    # direct-series/Pfaff overlap agreement.
+    # agreement of neighbouring paths where both are valid: direct series
+    # vs Pfaff on (-1, -0.5], and Pfaff vs large-z on [-64, -8], the range
+    # the large-z path took over from Pfaff.
     worst = 0.0
     for a in (1, 2, 3):
         for b in (1.0, 1.5, 2.0, 2.5):
@@ -68,20 +70,27 @@ def _check_hyp2f1_consistency(sc: Scenario) -> CheckResult:
                 resid = c * (1 - z) * f - c * f_down + (c - b) * z * f_up
                 scale = max(abs(c * (1 - z) * f), abs(c * f_down), abs((c - b) * z * f_up))
                 worst = max(worst, abs(resid) / scale)
-    from .special import _gauss_series  # overlap: both series paths in-range
-
     overlap_worst = 0.0
     for a in (1, 2, 4):
         for b in (1.0, 2.5):
             for z in np.linspace(-0.95, -0.5, 7):
                 direct = _gauss_series(a, b, b + 1.0, float(z))
-                pfaff = (1.0 - z) ** (-a) * _gauss_series(a, 1.0, b + 1.0, z / (z - 1.0))
+                pfaff = _pfaff(a, b, b + 1.0, float(z))
                 overlap_worst = max(overlap_worst, abs(direct - pfaff) / abs(direct))
-    ok = worst <= 1e-9 and overlap_worst <= 1e-11
+    large_worst = 0.0
+    for a in (1, 2, 4):
+        for b in (1.0, 1.5, 2.5, 3.0):
+            for c in (b + 1.0, b + 2.0):
+                for z in np.linspace(-64.0, -8.0, 8):
+                    pfaff = _pfaff(a, b, c, float(z))
+                    large = _large_z(a, b, c, float(z))
+                    large_worst = max(large_worst, abs(large - pfaff) / pfaff)
+    ok = worst <= 1e-9 and overlap_worst <= 1e-11 and large_worst <= 1e-11
     return CheckResult(
         "hyp2f1-consistency",
         ok,
-        f"contiguous residual {worst:.2e} (<=1e-9), overlap {overlap_worst:.2e} (<=1e-11)",
+        f"contiguous residual {worst:.2e} (<=1e-9), series/Pfaff overlap "
+        f"{overlap_worst:.2e} (<=1e-11), Pfaff/large-z overlap {large_worst:.2e} (<=1e-11)",
     )
 
 

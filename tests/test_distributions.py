@@ -45,6 +45,19 @@ class TestClosedFormAnchors:
         assert dist.pdf(0.0) == 0.0
         assert dist.pdf(35.0) == pytest.approx(2 * 35 / 1600.0, rel=1e-14)
 
+    @pytest.mark.parametrize("phase", ["static", "moving"])
+    def test_pdf_float_and_array_inputs_agree_exactly(self, phase):
+        """Inside each segment and on the breakpoints w = H and w = R; the
+        pieces themselves take floats and arrays alike."""
+        dist = DistanceDistribution(phase, R, H)
+        w = np.array([1e-3, 7.0, H, 35.0, R, 45.0, dist.support_max])
+        as_array = dist.pdf(w)
+        assert [dist.pdf(float(x)) for x in w] == as_array.tolist()
+        for lo, hi, piece in dist.pdf_pieces():
+            inside = w[(w > lo) & (w < hi)]
+            floats = [piece(float(x)) for x in inside]
+            assert floats == pytest.approx(piece(inside).tolist(), rel=1e-14)
+
     def test_moving_cdf_values(self):
         dist = DistanceDistribution("moving", R, H)
         assert dist.cdf(0.0) == 0.0

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -7,9 +11,11 @@ from uavcov.config import FadingConfig, NetworkConfig
 from uavcov.errors import DomainError, NumericalError, UnsupportedGeometryError
 from uavcov.interference import (
     _closed_phase_factor_expanded,
+    _quadrature_phase_factor,
     laplace_derivative_jet,
     laplace_transform,
     laplace_transform_phase_sum,
+    phase_factor_derivative,
     phase_laplace_factor,
     power_segment_integral,
     segment_scheme,
@@ -246,3 +252,34 @@ class TestDerivativeJet:
         with pytest.raises(NumericalError) as info:
             laplace_derivative_jet(100.0, 2, NET, FadingConfig(1, 1), 0.5)
         assert "k=" in str(info.value)
+
+
+def _bench_oracle():
+    """Load bench/oracle.py, a 2D Gauss-Legendre oracle that imports nothing
+    from uavcov, by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
+def test_derivative_quadrature_matches_independent_oracle(alpha):
+    """Every derivative order up to 4 against a 2D integral over offset and
+    altitude that shares no code with the per-segment quadrature."""
+    oracle = _bench_oracle()
+    net = net_with(alpha=alpha)
+    geo = oracle.Geometry(net.radius, net.height, net.serving_altitude, alpha)
+    for m in (1, 2, 3):
+        for s in (1.0, 10.0, 1e3, 1e6):
+            ref = oracle.phase_derivatives(s, m, 4, geo)
+            for phase in ("static", "moving"):
+                for k in range(5):
+                    if k == 0:
+                        mine = _quadrature_phase_factor(phase, s, m, net)
+                    else:
+                        mine = phase_factor_derivative(phase, s, m, net, k)
+                    expected = ref[phase][k]
+                    assert abs(mine - expected) <= 1e-10 * abs(expected), (phase, m, s, k)

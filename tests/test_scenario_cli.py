@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import uavcov
-from uavcov.cli import main
+from uavcov.cli import _set_by_dotted_path, main
 from uavcov.errors import ConfigurationError, UnsupportedGeometryError
 from uavcov.scenario import (
     Scenario,
@@ -72,6 +72,43 @@ class TestScenarioDocument:
         with pytest.raises(UnsupportedGeometryError, match="height < radius"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("network", "n_interferers", 2.5),
+        ("network", "n_interferers", True),
+        ("fading", "serving_m", "2"),
+        ("fading", "interferer_m", 1.5),
+        ("sim", "n_snapshots", 2e4 + 0.5),
+        ("sim", "warmup_steps", False),
+        ("sim", "stride", "10"),
+        ("sim", "seed", 3.25),
+        ("sim", "replications", None),
+        ("sim", "chains", 16.5),
+    ])
+    def test_integer_fields_reject_non_integers(self, section, key, value):
+        doc = scenario_to_dict(small_scenario())
+        doc[section][key] = value
+        with pytest.raises(ConfigurationError, match=f"{section}.{key} must be an integer"):
+            scenario_from_dict(doc)
+
+    def test_band_shape_must_be_an_integer(self):
+        doc = scenario_to_dict(small_scenario())
+        doc["fading"]["bands"] = [[0.0, 10.0, 1], [10.0, 20.0, 2.5], [20.0, 30.0, 3]]
+        with pytest.raises(ConfigurationError, match=r"fading.bands\[1\] shape"):
+            scenario_from_dict(doc)
+
+    def test_integral_floats_load_as_integers(self):
+        doc = scenario_to_dict(small_scenario())
+        doc["network"]["n_interferers"] = 2.0
+        sc = scenario_from_dict(doc)
+        assert sc.network.n_interferers == 2 and type(sc.network.n_interferers) is int
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_altitude_flag_must_be_a_json_boolean(self, value):
+        doc = scenario_to_dict(small_scenario())
+        doc["fading"]["altitude_dependent"] = value
+        with pytest.raises(ConfigurationError, match="fading.altitude_dependent"):
+            scenario_from_dict(doc)
+
     def test_db_conversion_happens_here(self):
         sc = small_scenario()
         assert sc.psi_grid_linear() == pytest.approx([0.01, 0.1, 1.0, 10.0])
@@ -130,6 +167,21 @@ class TestAnalyzeCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "abc" in err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("network", "n_interferers", 2.5),
+        ("fading", "altitude_dependent", "false"),
+    ])
+    def test_mistyped_field_is_input_error(self, tmp_path, capsys, section, key, value):
+        doc = scenario_to_dict(small_scenario())
+        doc[section][key] = value
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps(doc))
+        code = main(["analyze", "--scenario", str(path), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{section}.{key}" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_json_output(self, scenario_path, tmp_path):
         out_csv = tmp_path / "cov.csv"
@@ -222,6 +274,20 @@ class TestSweepCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "2.5" in err
+
+
+    def test_boolean_values_parse_strictly(self, scenario_path, tmp_path, capsys):
+        doc = scenario_to_dict(small_scenario())
+        for value, parsed in (("TRUE", True), ("1", True), ("False", False), ("0", False)):
+            _set_by_dotted_path(doc, "fading.altitude_dependent", value)
+            assert doc["fading"]["altitude_dependent"] is parsed
+        out = tmp_path / "b.csv"
+        code = main(["sweep", "--scenario", scenario_path, "--out", str(out),
+                     "--param", "fading.altitude_dependent", "--values", "tru,yes,false"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'tru'" in err
+        assert not out.exists()
 
 
 def test_init_writes_loadable_template(tmp_path):

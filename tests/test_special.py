@@ -39,8 +39,8 @@ class TestAnchors:
 
 
 # Grid spanning all three dispatch regions, including the thresholds.
-_Z_GRID = [-1e-4, -0.3, -0.499, -0.501, -0.9, -1.0, -5.0, -30.0, -63.5,
-           -64.5, -300.0, -1e4, -7.5e5, -1e9]
+_Z_GRID = [-1e-4, -0.3, -0.499, -0.501, -0.9, -1.0, -5.0, -7.5, -8.5, -30.0,
+           -63.5, -64.5, -300.0, -1e4, -7.5e5, -1e9]
 _B_GRID = [1.0, 1.5, 2.0, 2.5, 3.5]
 
 
@@ -84,24 +84,18 @@ class TestInternalConsistency:
                 c = b + 1.0
                 for z in np.linspace(-0.95, -0.5, 10):
                     direct = special._gauss_series(a, b, c, float(z))
-                    pfaff = (1.0 - z) ** (-a) * special._gauss_series(
-                        a, 1.0, c, z / (z - 1.0)
-                    )
+                    pfaff = special._pfaff(a, b, c, float(z))
                     assert direct == pytest.approx(pfaff, rel=1e-11), (a, b, z)
 
     def test_pfaff_and_large_z_agree_on_overlap(self):
+        """Both paths are valid on the range the large-z path took over."""
         for a in (1, 2, 3):
             for b in _B_GRID:
-                c = b + 1.0
-                for z in (-40.0, -64.0, -100.0, -150.0):
-                    pfaff = (1.0 - z) ** (-a) * special._gauss_series(
-                        a, 1.0, c, z / (z - 1.0)
-                    )
-                    if abs(b - round(b)) < 1e-12:
-                        large = special._large_z_integer_b(a, int(round(b)), 0, z)
-                    else:
-                        large = special._large_z_connection(a, b, c, z)
-                    assert pfaff == pytest.approx(large, rel=1e-11), (a, b, z)
+                for c in (b + 1.0, b + 2.0):
+                    for z in (-8.0, -10.0, -16.0, -40.0, -64.0, -100.0, -150.0):
+                        pfaff = special._pfaff(a, b, c, z)
+                        large = special._large_z(a, b, c, z)
+                        assert pfaff == pytest.approx(large, rel=1e-11), (a, b, c, z)
 
     def test_bounded_and_monotone_in_magnitude(self):
         """With a >= 1 the value sits in (0, 1] and decays as |z| grows."""
