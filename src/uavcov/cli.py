@@ -132,6 +132,11 @@ def _histogram_lines(result) -> list[str]:
     return lines
 
 
+def _statistic(value: float) -> float | None:
+    """A summary statistic for JSON: None (null) where it is undefined (NaN)."""
+    return None if math.isnan(value) else value
+
+
 def cmd_simulate(args) -> int:
     sc = _apply_overrides(load_scenario(args.scenario), args)
     psi = np.asarray(sc.psi_grid_linear())
@@ -154,17 +159,19 @@ def cmd_simulate(args) -> int:
         "n_snapshots": result.n_snapshots,
         "psi_db": list(sc.psi_grid_db),
         "coverage": result.coverage().tolist(),
-        "coverage_se": result.coverage_se().tolist(),
+        "coverage_se": [_statistic(x) for x in result.coverage_se().tolist()],
         "analytical_coverage": analytical,
-        "dwelling_fraction": result.dwelling_fraction(),
-        "dwelling_fraction_se": result.dwelling_fraction_se(),
-        "mean_interior_hop_length": result.mean_interior_hop_length(),
+        "dwelling_fraction": _statistic(result.dwelling_fraction()),
+        "dwelling_fraction_se": _statistic(result.dwelling_fraction_se()),
+        "mean_interior_hop_length": _statistic(result.mean_interior_hop_length()),
         "dwelling_count_hist": result.dwelling_count_hist.tolist(),
         "meta": result.meta,
     }
     out_json = args.out + ".json"
     out_csv = args.out + "_histograms.csv"
-    atomic_write_text(out_json, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(
+        out_json, json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    )
     atomic_write_text(out_csv, "\n".join(_histogram_lines(result)) + "\n")
     print(f"wrote campaign summary to {out_json} and histograms to {out_csv}")
     return EXIT_OK

@@ -17,6 +17,13 @@ found ("resample") is also available, but it provably tilts the stationary
 horizontal law toward the interior (density proportional to the feasible
 proposal area); a regression test demonstrates that bias empirically.
 
+A campaign steps all its replications together, in place, as one state
+array with one contiguous block of interferers per replication.  Each
+replication keeps its own generator, and every draw is split by block in
+the order a one-replication run makes it, so each block reproduces its
+replication run alone bit for bit.  Containment is checked after warm-up
+and at every snapshot, not on every step.
+
 Snapshots taken every `stride` steps after warm-up record distances, phases
 and fading draws; per-threshold coverage tallies are kept in contiguous
 batches for batch-means standard errors.
@@ -98,18 +105,56 @@ class UavState:
             raise ConsistencyError("interferer altitude left [0, H]")
 
 
+class _Streams:
+    """One random generator per contiguous, equal-sized block of interferers.
+
+    Every draw is split by block: block r takes its share from generator r,
+    in the order a one-block run would draw it, so each block follows its
+    own stream whatever else is stepped beside it.
+    """
+
+    def __init__(self, rngs, n: int):
+        self.rngs = (rngs,) if isinstance(rngs, np.random.Generator) else tuple(rngs)
+        if not self.rngs or n % len(self.rngs):
+            raise ConfigurationError(
+                f"{n} interferers do not split into {len(self.rngs)} equal blocks"
+            )
+        self.edges = np.arange(len(self.rngs) + 1) * (n // len(self.rngs))
+
+    def draw(self, idx: np.ndarray, *draws) -> list[np.ndarray]:
+        """Call each draw(rng, k) for the sorted interferer indices idx.
+
+        Returns one array per draw, aligned with idx.  A block with no index
+        in idx draws nothing; a zero-size draw leaves a generator as it is.
+        """
+        if len(self.rngs) == 1 or not idx.size:
+            return [d(self.rngs[0], idx.size) for d in draws]
+        pos = idx.searchsorted(self.edges).tolist()
+        parts = [
+            [d(g, hi - lo) for d in draws]
+            for g, lo, hi in zip(self.rngs, pos, pos[1:]) if hi > lo
+        ]
+        return [np.concatenate(p) for p in zip(*parts)]
+
+
 def initial_state(n: int, net: NetworkConfig, mob: MobilityConfig, rng) -> UavState:
     """Launch n interferers uniformly in the cylinder, each starting a leg.
 
-    The initial phase choice washes out during warm-up; starting on a leg
-    toward a fresh waypoint keeps initialization order-independent.
+    `rng` is a generator, or a sequence of generators that each launch one
+    equal block of the n interferers.  The initial phase choice washes out
+    during warm-up; starting on a leg toward a fresh waypoint keeps
+    initialization order-independent.
     """
-    radius = net.radius * np.sqrt(rng.random(n))
-    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    u, theta, altitude, waypoint, speed = _Streams(rng, n).draw(
+        np.arange(n),
+        lambda g, k: g.random(k),
+        lambda g, k: g.uniform(0.0, 2.0 * math.pi, k),
+        lambda g, k: g.uniform(0.0, net.height, k),
+        lambda g, k: g.uniform(0.0, net.height, k),
+        lambda g, k: g.uniform(mob.speed_min, mob.speed_max, k),
+    )
+    radius = net.radius * np.sqrt(u)
     xy = np.column_stack((radius * np.cos(theta), radius * np.sin(theta)))
-    altitude = rng.uniform(0.0, net.height, n)
-    waypoint = rng.uniform(0.0, net.height, n)
-    speed = rng.uniform(mob.speed_min, mob.speed_max, n)
     return UavState(
         xy=xy,
         altitude=altitude,
@@ -120,7 +165,7 @@ def initial_state(n: int, net: NetworkConfig, mob: MobilityConfig, rng) -> UavSt
     )
 
 
-def _advance_vertical(state: UavState, dt: float, rng, net, mob) -> None:
+def _advance_vertical(state: UavState, dt: float, streams: _Streams, net, mob) -> None:
     """Consume dt of wall time in place, resolving phase changes exactly."""
     h, wp, v = state.altitude, state.waypoint, state.speed
     moving, rem = state.moving, state.dwell_remaining
@@ -131,65 +176,85 @@ def _advance_vertical(state: UavState, dt: float, rng, net, mob) -> None:
         if not active.any():
             return
 
-        mv = active & moving
-        if mv.any():
-            idx = np.flatnonzero(mv)
+        idx = (active & moving).nonzero()[0]
+        if idx.size:
             gap = wp[idx] - h[idx]
             t_arrive = np.abs(gap) / v[idx]
             tl = time_left[idx]
             hit = t_arrive <= tl
-            cruise = idx[~hit]
-            h[cruise] += np.sign(gap[~hit]) * v[cruise] * tl[~hit]
+            short = ~hit
+            cruise = idx[short]
+            h[cruise] += np.sign(gap[short]) * v[cruise] * tl[short]
             time_left[cruise] = 0.0
             arrive = idx[hit]
             h[arrive] = wp[arrive]
             time_left[arrive] = tl[hit] - t_arrive[hit]
             moving[arrive] = False
-            rem[arrive] = rng.uniform(mob.dwell_min, mob.dwell_max, arrive.size)
+            if arrive.size:
+                (rem[arrive],) = streams.draw(
+                    arrive, lambda g, k: g.uniform(mob.dwell_min, mob.dwell_max, k)
+                )
 
-        dw = (time_left > 0.0) & ~moving
-        if dw.any():
-            idx = np.flatnonzero(dw)
-            consumed = np.minimum(rem[idx], time_left[idx])
-            rem[idx] -= consumed
-            time_left[idx] -= consumed
-            expired = idx[rem[idx] <= 0.0]
+        idx = ((time_left > 0.0) & ~moving).nonzero()[0]
+        if idx.size:
+            left, tl = rem[idx], time_left[idx]
+            consumed = np.minimum(left, tl)
+            left -= consumed
+            rem[idx] = left
+            time_left[idx] = tl - consumed
+            expired = idx[left <= 0.0]
             if expired.size:
-                wp[expired] = rng.uniform(0.0, net.height, expired.size)
-                v[expired] = rng.uniform(mob.speed_min, mob.speed_max, expired.size)
+                wp[expired], v[expired] = streams.draw(
+                    expired,
+                    lambda g, k: g.uniform(0.0, net.height, k),
+                    lambda g, k: g.uniform(mob.speed_min, mob.speed_max, k),
+                )
                 moving[expired] = True
     raise ConsistencyError("vertical event resolution did not terminate")
 
 
-def _hop(state: UavState, rng, net: NetworkConfig, mob: MobilityConfig, rule: str) -> None:
-    """One spatial hop for every currently dwelling interferer, in place."""
-    idx = np.flatnonzero(~state.moving)
+def _hop(state: UavState, streams: _Streams, net: NetworkConfig, mob: MobilityConfig,
+         rule: str) -> tuple[float, int]:
+    """One spatial hop for every currently dwelling interferer, in place.
+
+    Returns the summed length and the number of the accepted hops that
+    started at least hop_range inside the disk edge (interior hops).
+    """
+    idx = (~state.moving).nonzero()[0]
     if idx.size == 0:
-        return
+        return 0.0, 0
 
-    def propose(k):
-        r = mob.hop_range * np.sqrt(rng.random(k))
-        th = rng.uniform(0.0, 2.0 * math.pi, k)
-        return np.column_stack((r * np.cos(th), r * np.sin(th)))
+    def propose(sel):
+        r, th = streams.draw(
+            sel,
+            lambda g, k: mob.hop_range * np.sqrt(g.random(k)),
+            lambda g, k: g.uniform(0.0, 2.0 * math.pi, k),
+        )
+        return r, np.column_stack((r * np.cos(th), r * np.sin(th)))
 
-    target = state.xy[idx] + propose(idx.size)
-    inside = np.einsum("ij,ij->i", target, target) <= net.radius**2
-    if rule == "stay":
-        ok = idx[inside]
-        state.xy[ok] = target[inside]
-        return
-    # resample: redraw for infeasible proposals, bounded retries, then stay
-    pending = np.flatnonzero(~inside)
-    for _ in range(_MAX_HOP_RETRIES):
-        if pending.size == 0:
-            break
-        retry = state.xy[idx[pending]] + propose(pending.size)
-        good = np.einsum("ij,ij->i", retry, retry) <= net.radius**2
-        target[pending[good]] = retry[good]
-        pending = pending[~good]
-    keep = np.ones(idx.size, dtype=bool)
-    keep[pending] = False  # retries exhausted: stay in place
+    start = state.xy[idx]
+    length, step_xy = propose(idx)
+    target = start + step_xy
+    keep = np.einsum("ij,ij->i", target, target) <= net.radius**2
+    if rule == "resample":
+        # redraw for infeasible proposals, bounded retries, then stay
+        pending = (~keep).nonzero()[0]
+        for _ in range(_MAX_HOP_RETRIES):
+            if pending.size == 0:
+                break
+            r, step_xy = propose(idx[pending])
+            retry = start[pending] + step_xy
+            good = np.einsum("ij,ij->i", retry, retry) <= net.radius**2
+            target[pending[good]] = retry[good]
+            length[pending[good]] = r[good]
+            pending = pending[~good]
+        keep[:] = True
+        keep[pending] = False  # retries exhausted: stay in place
     state.xy[idx[keep]] = target[keep]
+
+    interior_limit = max(net.radius - mob.hop_range, 0.0)
+    counted = keep & (np.hypot(start[:, 0], start[:, 1]) <= interior_limit)
+    return float(length[counted].sum()), int(np.count_nonzero(counted))
 
 
 def step(
@@ -199,21 +264,25 @@ def step(
     net: NetworkConfig,
     mob: MobilityConfig,
     boundary_rule: str = "stay",
-) -> UavState:
-    """Advance every interferer by dt and return the new state.
+) -> tuple[float, int]:
+    """Advance every interferer by dt, in place.
 
+    `rng` is a generator, or a sequence of generators, one per equal,
+    contiguous block of the state; each block draws only from its own.
     Vertical kinematics are resolved through phase changes exactly; each
     interferer dwelling at the end of the step performs one spatial hop.
+    Returns the summed length and the count of this step's accepted
+    interior hops (see `CampaignResult.mean_interior_hop_length`).
+    Containment is not checked here; callers check it where they observe
+    the state.
     """
     if not dt > 0:
         raise ConfigurationError(f"dt must be > 0, got {dt}")
     if boundary_rule not in BOUNDARY_RULES:
         raise ConfigurationError(f"boundary_rule must be one of {BOUNDARY_RULES}")
-    out = state.copy()
-    _advance_vertical(out, dt, rng, net, mob)
-    _hop(out, rng, net, mob, boundary_rule)
-    out.check_containment(net)
-    return out
+    streams = _Streams(rng, state.n)
+    _advance_vertical(state, dt, streams, net, mob)
+    return _hop(state, streams, net, mob, boundary_rule)
 
 
 @dataclass(frozen=True)
@@ -232,29 +301,34 @@ def _interferer_shapes(altitude: np.ndarray, fading: FadingConfig, net: NetworkC
     if not fading.altitude_dependent:
         return np.full(altitude.shape, float(fading.interferer_m))
     bands = resolve_fading_bands(fading, net)
-    m = np.empty(altitude.shape)
-    for low, high, shape in bands:
-        m[(altitude >= low) & (altitude < high)] = shape
-    m[altitude >= bands[-1][1]] = bands[-1][2]  # top edge closes the last band
-    return m
+    lows = np.array([low for low, _, _ in bands])
+    shapes = np.array([float(shape) for _, _, shape in bands])
+    # each altitude takes the band with the highest lower edge at or below
+    # it: band gaps within the tiling tolerance go to the band below them,
+    # and the top edge H closes the last band
+    return shapes[np.maximum(np.searchsorted(lows, altitude, side="right") - 1, 0)]
 
 
 def _snapshot(
-    state: UavState, chains: int, net: NetworkConfig, fading: FadingConfig, rng
+    state: UavState, chains: int, net: NetworkConfig, fading: FadingConfig, rngs
 ):
     """Fading draws and SIR for `chains` equal-sized networks stored back to back.
 
-    The serving gains of all chains are drawn first, then the interferer
-    gains.  Returns (distances, serving gains, interferer gains, aggregate
+    `rngs` holds one generator per equal block of chains.  Each generator
+    draws its block's serving gains, then its block's interferer gains.
+    Returns (distances, serving gains, interferer gains, aggregate
     interference per chain, SIR per chain); the SIR is infinite in a chain
     with zero interference.
     """
     alpha = net.path_loss_exponent
     m0 = fading.serving_m
-    g0 = rng.gamma(m0, 1.0 / m0, chains)
+    blocks = len(rngs)
+    g0 = np.concatenate([g.gamma(m0, 1.0 / m0, chains // blocks) for g in rngs])
     w = np.sqrt(state.altitude**2 + np.einsum("ij,ij->i", state.xy, state.xy))
     m_i = _interferer_shapes(state.altitude, fading, net)
-    gains = rng.gamma(m_i, 1.0 / m_i)
+    gains = np.concatenate(
+        [g.gamma(m, 1.0 / m) for g, m in zip(rngs, np.split(m_i, blocks))]
+    )
     interference = (gains * w**-alpha).reshape(chains, state.n // chains).sum(axis=1)
     with np.errstate(divide="ignore"):
         sir = g0 * net.serving_altitude**-alpha / interference
@@ -265,7 +339,7 @@ def sample_snapshot(
     state: UavState, net: NetworkConfig, fading: FadingConfig, rng
 ) -> SnapshotSample:
     """Draw fading and evaluate the interference and SIR for one state."""
-    w, g0, gains, interference, sir = _snapshot(state, 1, net, fading, rng)
+    w, g0, gains, interference, sir = _snapshot(state, 1, net, fading, (rng,))
     return SnapshotSample(
         distances=w,
         dwelling=~state.moving,
@@ -339,8 +413,8 @@ class CampaignResult:
         return self.hop_length_sum / self.hop_count if self.hop_count else math.nan
 
 
-def _run_replication(
-    rep_seed,
+def _run_lockstep(
+    rep_seeds,
     net: NetworkConfig,
     fading: FadingConfig,
     mob: MobilityConfig,
@@ -353,60 +427,60 @@ def _run_replication(
     boundary_rule: str,
     n_batches: int,
     kept_quota: int,
+    meta: dict,
 ) -> CampaignResult:
-    rng = np.random.default_rng(rep_seed)
+    """All replications stepped together, one block of `chains` networks each.
+
+    Block r draws only from the generator seeded with rep_seeds[r], so every
+    number it produces is the one a one-replication campaign with that seed
+    produces.  The result is laid out replication-major: `n_batches` batch
+    rows per replication, and each replication's kept samples (at most
+    `kept_quota`, rounded up to whole snapshots) in time order.
+    """
+    reps = len(rep_seeds)
     M = net.n_interferers
-    state = initial_state(chains * M, net, mob, rng)
+    block = chains * M
+    rngs = [np.random.default_rng(s) for s in rep_seeds]
+    state = initial_state(reps * block, net, mob, rngs)
     for _ in range(warmup_steps):
-        state = step(state, dt, rng, net, mob, boundary_rule)
+        step(state, dt, rngs, net, mob, boundary_rule)
+    state.check_containment(net)
 
     n_psi = psi_grid.size
-    batch_success = np.zeros((n_batches, n_psi))
-    batch_snapshots = np.zeros(n_batches)
-    batch_dwelling = np.zeros(n_batches)
+    batch_success = np.zeros((reps * n_batches, n_psi))
+    batch_snapshots = np.zeros(reps * n_batches)
+    batch_dwelling = np.zeros(reps * n_batches)
     dwelling_hist = np.zeros(M + 1)
-    kept_w, kept_h, kept_dwell = [], [], []
-    kept = 0
+    n_kept = min(snapshots_per_chain, -(-kept_quota // block)) if M else 0
+    kept_w = np.empty((reps, n_kept, block))
+    kept_h = np.empty((reps, n_kept, block))
+    kept_dwell = np.empty((reps, n_kept, block), dtype=bool)
     hop_sum = 0.0
     hop_count = 0
-    interior_limit = max(net.radius - mob.hop_range, 0.0)
+    first_rows = np.arange(reps) * n_batches
 
     for j in range(snapshots_per_chain):
         for _ in range(stride):
-            prev_xy = state.xy
-            state = step(state, dt, rng, net, mob, boundary_rule)
-            if M:
-                disp = np.hypot(
-                    state.xy[:, 0] - prev_xy[:, 0], state.xy[:, 1] - prev_xy[:, 1]
-                )
-                interior = np.hypot(prev_xy[:, 0], prev_xy[:, 1]) <= interior_limit
-                moved = (~state.moving) & (disp > 0.0) & interior
-                hop_sum += float(disp[moved].sum())
-                hop_count += int(moved.sum())
+            length, count = step(state, dt, rngs, net, mob, boundary_rule)
+            hop_sum += length
+            hop_count += count
+        state.check_containment(net)
 
-        b = j * n_batches // snapshots_per_chain
+        rows = first_rows + j * n_batches // snapshots_per_chain
         dwelling = ~state.moving
-        w, _, _, _, sir = _snapshot(state, chains, net, fading, rng)
-        n_dwell = dwelling.reshape(chains, M).sum(axis=1)
+        w, _, _, _, sir = _snapshot(state, reps * chains, net, fading, rngs)
+        n_dwell = dwelling.reshape(reps * chains, M).sum(axis=1)
 
-        batch_success[b] += (sir[:, None] > psi_grid[None, :]).sum(axis=0)
-        batch_snapshots[b] += chains
-        batch_dwelling[b] += int(dwelling.sum())
+        batch_success[rows] += (sir.reshape(reps, chains, 1) > psi_grid).sum(axis=1)
+        batch_snapshots[rows] += chains
+        batch_dwelling[rows] += dwelling.reshape(reps, block).sum(axis=1)
         dwelling_hist += np.bincount(n_dwell, minlength=M + 1)
-        if M and kept < kept_quota:
-            kept_w.append(w.copy())
-            kept_h.append(state.altitude.copy())
-            kept_dwell.append(dwelling.copy())
-            kept += w.size
+        if j < n_kept:
+            kept_w[:, j] = w.reshape(reps, block)
+            kept_h[:, j] = state.altitude.reshape(reps, block)
+            kept_dwell[:, j] = dwelling.reshape(reps, block)
 
-    if kept:
-        all_w = np.concatenate(kept_w)
-        all_h = np.concatenate(kept_h)
-        all_d = np.concatenate(kept_dwell)
-    else:
-        all_w = all_h = np.empty(0)
-        all_d = np.empty(0, dtype=bool)
-
+    all_w, all_h, all_d = kept_w.ravel(), kept_h.ravel(), kept_dwell.ravel()
     return CampaignResult(
         psi_grid=psi_grid,
         batch_success=batch_success,
@@ -421,30 +495,9 @@ def _run_replication(
         hop_count=hop_count,
         n_snapshots=int(batch_snapshots.sum()),
         stay_probability=derive_stay_probability(mob, net),
-        seed_info=(repr(rep_seed),),
-    )
-
-
-def _merge(results: list[CampaignResult], meta: dict) -> CampaignResult:
-    first = results[0]
-    merged = CampaignResult(
-        psi_grid=first.psi_grid,
-        batch_success=np.concatenate([r.batch_success for r in results]),
-        batch_snapshots=np.concatenate([r.batch_snapshots for r in results]),
-        batch_dwelling=np.concatenate([r.batch_dwelling for r in results]),
-        dwelling_count_hist=sum(r.dwelling_count_hist for r in results),
-        static_distances=np.concatenate([r.static_distances for r in results]),
-        moving_distances=np.concatenate([r.moving_distances for r in results]),
-        static_altitudes=np.concatenate([r.static_altitudes for r in results]),
-        moving_altitudes=np.concatenate([r.moving_altitudes for r in results]),
-        hop_length_sum=sum(r.hop_length_sum for r in results),
-        hop_count=sum(r.hop_count for r in results),
-        n_snapshots=sum(r.n_snapshots for r in results),
-        stay_probability=first.stay_probability,
-        seed_info=tuple(s for r in results for s in r.seed_info),
+        seed_info=tuple(repr(s) for s in rep_seeds),
         meta=meta,
     )
-    return merged
 
 
 def run_campaign(
@@ -468,8 +521,10 @@ def run_campaign(
     """Run a full snapshot campaign and return merged tallies.
 
     The campaign is split into `replications` independently seeded streams,
-    run one after another; inside each, `chains` statistically independent
-    copies of the network evolve in lockstep for vectorization.  Snapshot
+    each driving `chains` statistically independent copies of the network.
+    All replications are stepped together as one array, one contiguous
+    block per replication, with every draw split by block; each block's
+    numbers are those its replication gives when run alone.  Snapshot
     counts round up to a multiple of replications * chains.
     """
     if n_snapshots < 1:
@@ -501,16 +556,6 @@ def run_campaign(
     per_rep = math.ceil(n_snapshots / replications)
     per_chain = math.ceil(per_rep / chains)
     nb_rep = max(1, min(round(n_batches / replications), per_chain))
-    kept_quota = max_kept_samples // replications
-
-    results = [
-        _run_replication(
-            rs, net, fading, mob, per_chain, warmup_steps, dt, psi_grid,
-            stride, chains, boundary_rule, nb_rep, kept_quota,
-        )
-        for rs in rep_seeds
-    ]
-
     meta = {
         "seed": seed if seeds is None else None,
         "explicit_seeds": seeds,
@@ -523,4 +568,7 @@ def run_campaign(
         "requested_snapshots": n_snapshots,
         "altitude_dependent": fading.altitude_dependent,
     }
-    return _merge(results, meta)
+    return _run_lockstep(
+        rep_seeds, net, fading, mob, per_chain, warmup_steps, dt, psi_grid,
+        stride, chains, boundary_rule, nb_rep, max_kept_samples // replications, meta,
+    )

@@ -2,8 +2,9 @@
 
 Each check pits one evaluation route against an independent one: exact
 anchors, closed forms against adaptive quadrature, inverse-transform samples
-against closed-form laws, derivative jets against finite differences, and
-the analysis against the end-to-end simulation.  Scales are chosen so a full
+against closed-form laws, derivative jets against finite differences, the
+analysis against the end-to-end simulation, and the lockstep campaign
+against its replications run one at a time.  Scales are chosen so a full
 run stays well under a minute while keeping each comparison far away from
 its statistical noise floor.
 """
@@ -186,6 +187,44 @@ def _check_derivative_jet(sc: Scenario) -> CheckResult:
     )
 
 
+def _check_lockstep_replications(sc: Scenario) -> CheckResult:
+    # A campaign steps all its replications as one array, one block each;
+    # every block must give exactly what its replication gives run alone.
+    # Only the hop-length sum may differ, by summation order.
+    chains, per_chain, seeds = 4, 20, [sc.sim.seed, sc.sim.seed + 1]
+    quota = per_chain // 2 * chains * sc.network.n_interferers  # keep half the samples
+    common = dict(
+        warmup_steps=20, dt=sc.sim.dt, psi_grid=np.asarray(sc.psi_grid_linear()),
+        stride=sc.sim.stride, chains=chains, boundary_rule=sc.sim.boundary_rule,
+    )
+    args = (sc.network, sc.fading, sc.mobility)
+    both = run_campaign(*args, 2 * chains * per_chain, replications=2, seeds=seeds,
+                        n_batches=4, max_kept_samples=2 * quota, **common)
+    alone = [run_campaign(*args, chains * per_chain, seeds=[s], n_batches=2,
+                          max_kept_samples=quota, **common) for s in seeds]
+    mismatched = [
+        name for name in ("batch_success", "batch_snapshots", "batch_dwelling",
+                          "static_distances", "moving_distances",
+                          "static_altitudes", "moving_altitudes")
+        if not np.array_equal(getattr(both, name),
+                              np.concatenate([getattr(r, name) for r in alone]))
+    ]
+    if not np.array_equal(both.dwelling_count_hist, sum(r.dwelling_count_hist for r in alone)):
+        mismatched.append("dwelling_count_hist")
+    if both.hop_count != sum(r.hop_count for r in alone):
+        mismatched.append("hop_count")
+    hop_sum = sum(r.hop_length_sum for r in alone)
+    hop_gap = abs(both.hop_length_sum - hop_sum) / hop_sum if hop_sum else 0.0
+    ok = not mismatched and hop_gap <= 1e-12
+    detail = (f"mismatched {', '.join(mismatched)}; " if mismatched else
+              "batch rows, histogram and kept samples identical; ")
+    return CheckResult(
+        "lockstep-replications", ok,
+        f"2 replications x {chains} chains x {per_chain} snapshots vs each alone: "
+        f"{detail}hop-length sum gap {hop_gap:.1e} (<=1e-12)",
+    )
+
+
 def _check_analysis_vs_simulation(sc: Scenario) -> CheckResult:
     net, fading, mob = sc.network, sc.fading, sc.mobility
     if fading.altitude_dependent:
@@ -253,6 +292,7 @@ def run_validation(sc: Scenario, fault_bias: float = 0.0) -> list[CheckResult]:
         _check_closed_vs_quadrature(sc, fault_bias),
         _check_binomial_collapse(sc, rng),
         _check_derivative_jet(sc),
+        _check_lockstep_replications(sc),
     ]
     sim_check, campaign = _check_analysis_vs_simulation(sc)
     results.append(sim_check)

@@ -214,6 +214,45 @@ class TestSimulateCommand:
         assert hist_lines[0] == "# uavcov histograms v1"
         assert any(l.startswith("dwelling_count,") for l in hist_lines)
 
+    def test_undefined_statistics_are_null_in_strict_json(self, tmp_path):
+        """With no interferers the dwelling fraction and the hop length are
+        undefined, and one batch leaves the standard errors undefined: the
+        summary writes null for them, never a bare NaN."""
+        sc = small_scenario(
+            network=NetworkConfig(40.0, 30.0, 10.0, 0, 2.0),
+            sim=SimParams(n_snapshots=64, warmup_steps=5, seed=3, replications=1,
+                          chains=8),
+        )
+        path = tmp_path / "m0.json"
+        dump_scenario(sc, str(path))
+        out = tmp_path / "camp"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads((tmp_path / "camp.json").read_text(), parse_constant=reject)
+        assert doc["dwelling_fraction"] is None
+        assert doc["mean_interior_hop_length"] is None
+        assert doc["coverage"] == [1.0] * 4
+        assert doc["coverage_se"] == [0.0] * 4
+
+    def test_single_batch_leaves_standard_errors_null(self, tmp_path):
+        sc = small_scenario(sim=SimParams(n_snapshots=8, warmup_steps=5, seed=3,
+                                          replications=1, chains=8))
+        path = tmp_path / "one.json"
+        dump_scenario(sc, str(path))
+        out = tmp_path / "camp"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads((tmp_path / "camp.json").read_text(), parse_constant=reject)
+        assert doc["coverage_se"] == [None] * 4
+        assert doc["dwelling_fraction_se"] is None
+        assert 0.0 <= doc["dwelling_fraction"] <= 1.0
+
     def test_altitude_dependent_marks_analysis_na(self, tmp_path):
         sc = small_scenario(fading=FadingConfig(1, 1, altitude_dependent=True))
         path = tmp_path / "alt.json"
@@ -234,6 +273,7 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "[PASS]" in out and "[FAIL]" not in out
+        assert "[PASS] lockstep-replications" in out
 
     def test_injected_fault_fails_closed_vs_quadrature(self, tmp_path, capsys):
         sc = small_scenario(sim=SimParams(n_snapshots=30_000, warmup_steps=1000,

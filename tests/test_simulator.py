@@ -33,7 +33,8 @@ def single_uav(xy, altitude, moving, waypoint, speed, dwell_remaining) -> UavSta
 class TestStep:
     def test_dwelling_persists_and_hops(self, rng):
         state = single_uav((0.0, 0.0), 12.0, False, 12.0, 1.0, 5.0)
-        new = step(state, 1.0, rng, NET, MOB)
+        new = state.copy()
+        step(new, 1.0, rng, NET, MOB)
         assert not new.moving[0]
         assert new.dwell_remaining[0] == pytest.approx(4.0)
         assert new.altitude[0] == 12.0
@@ -42,7 +43,8 @@ class TestStep:
 
     def test_arrival_clamps_to_waypoint(self, rng):
         state = single_uav((0.0, 0.0), 10.0, True, 10.5, 2.0, 0.0)
-        new = step(state, 1.0, rng, NET, MOB)
+        new = state.copy()
+        step(new, 1.0, rng, NET, MOB)
         assert not new.moving[0]
         assert new.altitude[0] == 10.5
         # arrival took 0.25 s, so 0.75 s of the fresh dwell is already spent
@@ -51,14 +53,16 @@ class TestStep:
 
     def test_cruising_advances_by_speed_times_dt(self, rng):
         state = single_uav((0.0, 0.0), 5.0, True, 25.0, 3.0, 0.0)
-        new = step(state, 1.0, rng, NET, MOB)
+        new = state.copy()
+        step(new, 1.0, rng, NET, MOB)
         assert new.moving[0]
         assert new.altitude[0] == pytest.approx(8.0)
         assert np.array_equal(new.xy, state.xy)  # no hop while climbing
 
     def test_dwell_expiry_relaunches(self, rng):
         state = single_uav((0.0, 0.0), 12.0, False, 12.0, 1.0, 0.25)
-        new = step(state, 1.0, rng, NET, MOB)
+        new = state.copy()
+        step(new, 1.0, rng, NET, MOB)
         assert new.moving[0]
         assert 0.0 <= new.waypoint[0] <= NET.height
         assert MOB.speed_min <= new.speed[0] <= MOB.speed_max
@@ -69,11 +73,37 @@ class TestStep:
     def test_containment_over_long_run(self, rng):
         state = initial_state(300, NET, MOB, rng)
         for _ in range(300):
-            state = step(state, 1.0, rng, NET, MOB)  # check_containment is built in
+            step(state, 1.0, rng, NET, MOB)
+            state.check_containment(NET)  # callers check containment, not step
         radii = np.hypot(state.xy[:, 0], state.xy[:, 1])
         assert radii.max() <= NET.radius * (1 + 1e-12)
         assert state.altitude.min() >= 0.0
         assert state.altitude.max() <= NET.height
+
+    @pytest.mark.parametrize("rule", ["stay", "resample"])
+    def test_two_blocks_step_as_each_block_alone(self, rule):
+        """Block r of a two-block state draws only from generator r, so
+        stepping both together equals stepping each alone, bit for bit."""
+        seeds = (3, 4)
+        both = initial_state(80, NET, MOB, [np.random.default_rng(s) for s in seeds])
+        alone = [initial_state(40, NET, MOB, np.random.default_rng(s)) for s in seeds]
+        both_rngs = [np.random.default_rng(s + 10) for s in seeds]
+        alone_rngs = [np.random.default_rng(s + 10) for s in seeds]
+        tally = np.zeros(2)
+        for _ in range(60):
+            tally += step(both, 1.0, both_rngs, NET, MOB, boundary_rule=rule)
+            for block, g in zip(alone, alone_rngs):
+                tally -= step(block, 1.0, g, NET, MOB, boundary_rule=rule)
+        for name in ("xy", "altitude", "moving", "waypoint", "speed", "dwell_remaining"):
+            joined = np.concatenate([getattr(block, name) for block in alone])
+            assert np.array_equal(getattr(both, name), joined), name
+        assert tally[1] == 0  # hop count
+        assert abs(tally[0]) < 1e-9  # hop-length sum, up to summation order
+
+    def test_state_must_split_into_equal_blocks(self, rng):
+        state = initial_state(5, NET, MOB, rng)
+        with pytest.raises(ConfigurationError, match="equal blocks"):
+            step(state, 1.0, [rng, np.random.default_rng(1)], NET, MOB)
 
     def test_rejects_bad_dt_and_rule(self, rng):
         state = initial_state(1, NET, MOB, rng)
@@ -139,6 +169,60 @@ class TestCampaign:
         assert np.max(np.abs(res.coverage() - analytical)) < 0.02
 
 
+class TestLockstepReplications:
+    """Oracle for the lockstep campaign: each replication's block equals a
+    one-replication campaign with the same seed."""
+
+    SEEDS = (101, 202, 303)
+
+    @pytest.mark.parametrize("rule,fading", [
+        ("stay", FAD),
+        ("resample", FadingConfig(2, 1)),
+        ("stay", FadingConfig(1, 1, altitude_dependent=True)),
+    ], ids=["stay", "resample", "altitude-bands"])
+    def test_each_replication_matches_its_run_alone(self, rule, fading):
+        net = NetworkConfig(40.0, 30.0, 10.0, 3, 2.0)
+        common = dict(warmup_steps=100, seed=0, chains=5, stride=3, boundary_rule=rule)
+        lockstep = run_campaign(net, fading, MOB, 3 * 5 * 60, replications=3,
+                                seeds=self.SEEDS, n_batches=12,
+                                max_kept_samples=3 * 400, **common)
+        alone = [run_campaign(net, fading, MOB, 5 * 60, replications=1, seeds=[s],
+                              n_batches=4, max_kept_samples=400, **common)
+                 for s in self.SEEDS]
+        for name in ("batch_success", "batch_snapshots", "batch_dwelling",
+                     "static_distances", "moving_distances",
+                     "static_altitudes", "moving_altitudes"):
+            joined = np.concatenate([getattr(r, name) for r in alone])
+            assert np.array_equal(getattr(lockstep, name), joined), name
+        # the quota keeps whole snapshots: ceil(400 / 15) = 27 of 60 per replication
+        assert lockstep.static_distances.size + lockstep.moving_distances.size == 3 * 27 * 15
+        assert np.array_equal(lockstep.dwelling_count_hist,
+                              sum(r.dwelling_count_hist for r in alone))
+        assert lockstep.hop_count == sum(r.hop_count for r in alone) > 0
+        assert lockstep.hop_length_sum == pytest.approx(
+            sum(r.hop_length_sum for r in alone), rel=1e-12, abs=0)
+        assert lockstep.seed_info == tuple(s for r in alone for s in r.seed_info)
+
+    def test_one_in_place_step_per_time_step(self, monkeypatch):
+        import uavcov.simulator as simulator
+
+        widths = []
+        real_step = simulator.step
+
+        def counting_step(state, *args, **kwargs):
+            widths.append(state.n)
+            return real_step(state, *args, **kwargs)
+
+        def no_copy(self):
+            raise AssertionError("a campaign must step in place")
+
+        monkeypatch.setattr(simulator, "step", counting_step)
+        monkeypatch.setattr(UavState, "copy", no_copy)
+        run_campaign(NET, FAD, MOB, 3 * 5 * 4, warmup_steps=7, chains=5, stride=2,
+                     replications=3, seeds=self.SEEDS)
+        assert widths == [3 * 5 * NET.n_interferers] * (7 + 4 * 2)
+
+
 @pytest.fixture(scope="module")
 def campaign():
     return run_campaign(NET, FAD, MOB, 120_000, warmup_steps=3000, seed=97,
@@ -191,7 +275,7 @@ class TestBoundaryRules:
         mob = MobilityConfig(0.2, 10.0, 2.0, 6.0, 10.0)
         state = initial_state(n_uav, NET, mob, rng)
         for _ in range(n_steps):
-            state = step(state, 1.0, rng, NET, mob, boundary_rule=rule)
+            step(state, 1.0, rng, NET, mob, boundary_rule=rule)
         return np.hypot(state.xy[:, 0], state.xy[:, 1])
 
     def test_stay_rule_preserves_uniform_disk_law(self, rng):
@@ -212,7 +296,8 @@ class TestBoundaryRules:
     def test_resample_rule_still_contained(self, rng):
         state = initial_state(50, NET, MOB, rng)
         for _ in range(200):
-            state = step(state, 1.0, rng, NET, MOB, boundary_rule="resample")
+            step(state, 1.0, rng, NET, MOB, boundary_rule="resample")
+            state.check_containment(NET)
         assert np.hypot(state.xy[:, 0], state.xy[:, 1]).max() <= NET.radius
 
 
@@ -222,6 +307,22 @@ class TestAltitudeDependentFading:
         h = np.array([0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
         shapes = _interferer_shapes(h, fading, NET)
         assert shapes.tolist() == [1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 3.0]
+
+    def test_default_band_edges_open_the_upper_band(self):
+        fading = FadingConfig(1, 1, altitude_dependent=True)
+        h = np.array([NET.height / 3, 2 * NET.height / 3, NET.height])
+        h = np.concatenate((np.nextafter(h, -np.inf), h))
+        shapes = _interferer_shapes(h, fading, NET)
+        assert shapes.tolist() == [1.0, 2.0, 3.0, 2.0, 3.0, 3.0]
+
+    def test_altitudes_in_a_tolerated_gap_take_the_band_below(self):
+        bands = ((0.0, 10.0, 1), (10.00000002, 20.0, 2), (20.0, 30.0, 3))
+        fading = FadingConfig(1, 1, altitude_dependent=True, bands=bands)
+        h = np.array([0.0, 10.0, 10.00000001, 10.00000002, 19.999, 20.0, 30.0])
+        shapes = _interferer_shapes(h, fading, NET)
+        assert shapes.tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
+        gains = np.random.default_rng(1).gamma(shapes, 1.0 / shapes)
+        assert np.all(np.isfinite(gains)) and np.all(gains > 0)
 
     def test_plain_mode_uses_single_shape(self, rng):
         shapes = _interferer_shapes(np.array([1.0, 29.0]), FadingConfig(1, 2), NET)
