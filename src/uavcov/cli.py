@@ -151,7 +151,7 @@ def cmd_simulate(args) -> int:
         analytical = "n/a (simulation-only)"
     else:
         rows, _ = _coverage_rows(sc)
-        analytical = [r[2] for r in rows]
+        analytical = [_statistic(r[2]) for r in rows]
     summary = {
         "format": "uavcov campaign-summary v1",
         "scenario": scenario_to_dict(sc),

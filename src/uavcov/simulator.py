@@ -110,16 +110,22 @@ class _Streams:
 
     Every draw is split by block: block r takes its share from generator r,
     in the order a one-block run would draw it, so each block follows its
-    own stream whatever else is stepped beside it.
+    own stream whatever else is stepped beside it.  `blocks` holds each
+    generator with its range of the n interferers; `spans` splits any other
+    per-block count, such as a snapshot's chains, the same way.
     """
 
     def __init__(self, rngs, n: int):
         self.rngs = (rngs,) if isinstance(rngs, np.random.Generator) else tuple(rngs)
-        if not self.rngs or n % len(self.rngs):
-            raise ConfigurationError(
-                f"{n} interferers do not split into {len(self.rngs)} equal blocks"
-            )
-        self.edges = np.arange(len(self.rngs) + 1) * (n // len(self.rngs))
+        self.blocks = self.spans(n)
+
+    def spans(self, n: int) -> list[tuple[np.random.Generator, int, int]]:
+        """Each generator with the range [lo, hi) of its block of n items."""
+        blocks = len(self.rngs)
+        if not blocks or n % blocks:
+            raise ConfigurationError(f"{n} items do not split into {blocks} equal blocks")
+        size = n // blocks
+        return [(g, r * size, (r + 1) * size) for r, g in enumerate(self.rngs)]
 
     def draw(self, idx: np.ndarray, *draws) -> list[np.ndarray]:
         """Call each draw(rng, k) for the sorted interferer indices idx.
@@ -127,12 +133,12 @@ class _Streams:
         Returns one array per draw, aligned with idx.  A block with no index
         in idx draws nothing; a zero-size draw leaves a generator as it is.
         """
-        if len(self.rngs) == 1 or not idx.size:
-            return [d(self.rngs[0], idx.size) for d in draws]
-        pos = idx.searchsorted(self.edges).tolist()
+        if not idx.size:
+            return [d(self.rngs[0], 0) for d in draws]
+        ends = idx.searchsorted([hi for _, _, hi in self.blocks]).tolist()
         parts = [
-            [d(g, hi - lo) for d in draws]
-            for g, lo, hi in zip(self.rngs, pos, pos[1:]) if hi > lo
+            [d(g, b - a) for d in draws]
+            for (g, _, _), a, b in zip(self.blocks, [0] + ends, ends) if b > a
         ]
         return [np.concatenate(p) for p in zip(*parts)]
 
@@ -310,24 +316,26 @@ def _interferer_shapes(altitude: np.ndarray, fading: FadingConfig, net: NetworkC
 
 
 def _snapshot(
-    state: UavState, chains: int, net: NetworkConfig, fading: FadingConfig, rngs
+    state: UavState, chains: int, net: NetworkConfig, fading: FadingConfig, rng
 ):
     """Fading draws and SIR for `chains` equal-sized networks stored back to back.
 
-    `rngs` holds one generator per equal block of chains.  Each generator
-    draws its block's serving gains, then its block's interferer gains.
-    Returns (distances, serving gains, interferer gains, aggregate
-    interference per chain, SIR per chain); the SIR is infinite in a chain
-    with zero interference.
+    `rng` is a generator, or a sequence of generators, one per equal block
+    of chains (as for `step`).  Each generator draws its block's serving
+    gains, then its block's interferer gains.  Returns (distances, serving
+    gains, interferer gains, aggregate interference per chain, SIR per
+    chain); the SIR is infinite in a chain with zero interference.
     """
     alpha = net.path_loss_exponent
     m0 = fading.serving_m
-    blocks = len(rngs)
-    g0 = np.concatenate([g.gamma(m0, 1.0 / m0, chains // blocks) for g in rngs])
+    streams = _Streams(rng, state.n)
+    g0 = np.concatenate(
+        [g.gamma(m0, 1.0 / m0, hi - lo) for g, lo, hi in streams.spans(chains)]
+    )
     w = np.sqrt(state.altitude**2 + np.einsum("ij,ij->i", state.xy, state.xy))
     m_i = _interferer_shapes(state.altitude, fading, net)
     gains = np.concatenate(
-        [g.gamma(m, 1.0 / m) for g, m in zip(rngs, np.split(m_i, blocks))]
+        [g.gamma(m_i[lo:hi], 1.0 / m_i[lo:hi]) for g, lo, hi in streams.blocks]
     )
     interference = (gains * w**-alpha).reshape(chains, state.n // chains).sum(axis=1)
     with np.errstate(divide="ignore"):
@@ -339,7 +347,7 @@ def sample_snapshot(
     state: UavState, net: NetworkConfig, fading: FadingConfig, rng
 ) -> SnapshotSample:
     """Draw fading and evaluate the interference and SIR for one state."""
-    w, g0, gains, interference, sir = _snapshot(state, 1, net, fading, (rng,))
+    w, g0, gains, interference, sir = _snapshot(state, 1, net, fading, rng)
     return SnapshotSample(
         distances=w,
         dwelling=~state.moving,
@@ -413,93 +421,6 @@ class CampaignResult:
         return self.hop_length_sum / self.hop_count if self.hop_count else math.nan
 
 
-def _run_lockstep(
-    rep_seeds,
-    net: NetworkConfig,
-    fading: FadingConfig,
-    mob: MobilityConfig,
-    snapshots_per_chain: int,
-    warmup_steps: int,
-    dt: float,
-    psi_grid: np.ndarray,
-    stride: int,
-    chains: int,
-    boundary_rule: str,
-    n_batches: int,
-    kept_quota: int,
-    meta: dict,
-) -> CampaignResult:
-    """All replications stepped together, one block of `chains` networks each.
-
-    Block r draws only from the generator seeded with rep_seeds[r], so every
-    number it produces is the one a one-replication campaign with that seed
-    produces.  The result is laid out replication-major: `n_batches` batch
-    rows per replication, and each replication's kept samples (at most
-    `kept_quota`, rounded up to whole snapshots) in time order.
-    """
-    reps = len(rep_seeds)
-    M = net.n_interferers
-    block = chains * M
-    rngs = [np.random.default_rng(s) for s in rep_seeds]
-    state = initial_state(reps * block, net, mob, rngs)
-    for _ in range(warmup_steps):
-        step(state, dt, rngs, net, mob, boundary_rule)
-    state.check_containment(net)
-
-    n_psi = psi_grid.size
-    batch_success = np.zeros((reps * n_batches, n_psi))
-    batch_snapshots = np.zeros(reps * n_batches)
-    batch_dwelling = np.zeros(reps * n_batches)
-    dwelling_hist = np.zeros(M + 1)
-    n_kept = min(snapshots_per_chain, -(-kept_quota // block)) if M else 0
-    kept_w = np.empty((reps, n_kept, block))
-    kept_h = np.empty((reps, n_kept, block))
-    kept_dwell = np.empty((reps, n_kept, block), dtype=bool)
-    hop_sum = 0.0
-    hop_count = 0
-    first_rows = np.arange(reps) * n_batches
-
-    for j in range(snapshots_per_chain):
-        for _ in range(stride):
-            length, count = step(state, dt, rngs, net, mob, boundary_rule)
-            hop_sum += length
-            hop_count += count
-        state.check_containment(net)
-
-        rows = first_rows + j * n_batches // snapshots_per_chain
-        dwelling = ~state.moving
-        w, _, _, _, sir = _snapshot(state, reps * chains, net, fading, rngs)
-        n_dwell = dwelling.reshape(reps * chains, M).sum(axis=1)
-
-        batch_success[rows] += (sir.reshape(reps, chains, 1) > psi_grid).sum(axis=1)
-        batch_snapshots[rows] += chains
-        batch_dwelling[rows] += dwelling.reshape(reps, block).sum(axis=1)
-        dwelling_hist += np.bincount(n_dwell, minlength=M + 1)
-        if j < n_kept:
-            kept_w[:, j] = w.reshape(reps, block)
-            kept_h[:, j] = state.altitude.reshape(reps, block)
-            kept_dwell[:, j] = dwelling.reshape(reps, block)
-
-    all_w, all_h, all_d = kept_w.ravel(), kept_h.ravel(), kept_dwell.ravel()
-    return CampaignResult(
-        psi_grid=psi_grid,
-        batch_success=batch_success,
-        batch_snapshots=batch_snapshots,
-        batch_dwelling=batch_dwelling,
-        dwelling_count_hist=dwelling_hist,
-        static_distances=all_w[all_d],
-        moving_distances=all_w[~all_d],
-        static_altitudes=all_h[all_d],
-        moving_altitudes=all_h[~all_d],
-        hop_length_sum=hop_sum,
-        hop_count=hop_count,
-        n_snapshots=int(batch_snapshots.sum()),
-        stay_probability=derive_stay_probability(mob, net),
-        seed_info=tuple(repr(s) for s in rep_seeds),
-        meta=meta,
-    )
-
-
 def run_campaign(
     net: NetworkConfig,
     fading: FadingConfig,
@@ -553,22 +474,80 @@ def run_campaign(
     else:
         rep_seeds = np.random.SeedSequence(seed).spawn(replications)
 
-    per_rep = math.ceil(n_snapshots / replications)
-    per_chain = math.ceil(per_rep / chains)
-    nb_rep = max(1, min(round(n_batches / replications), per_chain))
-    meta = {
-        "seed": seed if seeds is None else None,
-        "explicit_seeds": seeds,
-        "warmup_steps": warmup_steps,
-        "dt": dt,
-        "stride": stride,
-        "replications": replications,
-        "chains": chains,
-        "boundary_rule": boundary_rule,
-        "requested_snapshots": n_snapshots,
-        "altitude_dependent": fading.altitude_dependent,
-    }
-    return _run_lockstep(
-        rep_seeds, net, fading, mob, per_chain, warmup_steps, dt, psi_grid,
-        stride, chains, boundary_rule, nb_rep, max_kept_samples // replications, meta,
+    reps = replications
+    per_chain = math.ceil(math.ceil(n_snapshots / reps) / chains)
+    nb_rep = max(1, min(round(n_batches / reps), per_chain))
+    M = net.n_interferers
+    block = chains * M
+    rngs = [np.random.default_rng(s) for s in rep_seeds]
+    state = initial_state(reps * block, net, mob, rngs)
+    for _ in range(warmup_steps):
+        step(state, dt, rngs, net, mob, boundary_rule)
+    state.check_containment(net)
+
+    n_psi = psi_grid.size
+    batch_success = np.zeros((reps * nb_rep, n_psi))
+    batch_snapshots = np.zeros(reps * nb_rep)
+    batch_dwelling = np.zeros(reps * nb_rep)
+    dwelling_hist = np.zeros(M + 1)
+    # each replication keeps its first snapshots, within its share of the
+    # quota rounded up to whole snapshots
+    n_kept = min(per_chain, -(-(max_kept_samples // reps) // block)) if M else 0
+    kept_w = np.empty((reps, n_kept, block))
+    kept_h = np.empty((reps, n_kept, block))
+    kept_dwell = np.empty((reps, n_kept, block), dtype=bool)
+    hop_sum = 0.0
+    hop_count = 0
+    first_rows = np.arange(reps) * nb_rep
+
+    for j in range(per_chain):
+        for _ in range(stride):
+            length, count = step(state, dt, rngs, net, mob, boundary_rule)
+            hop_sum += length
+            hop_count += count
+        state.check_containment(net)
+
+        rows = first_rows + j * nb_rep // per_chain
+        dwelling = ~state.moving
+        w, _, _, _, sir = _snapshot(state, reps * chains, net, fading, rngs)
+        n_dwell = dwelling.reshape(reps * chains, M).sum(axis=1)
+
+        batch_success[rows] += (sir.reshape(reps, chains, 1) > psi_grid).sum(axis=1)
+        batch_snapshots[rows] += chains
+        batch_dwelling[rows] += dwelling.reshape(reps, block).sum(axis=1)
+        dwelling_hist += np.bincount(n_dwell, minlength=M + 1)
+        if j < n_kept:
+            kept_w[:, j] = w.reshape(reps, block)
+            kept_h[:, j] = state.altitude.reshape(reps, block)
+            kept_dwell[:, j] = dwelling.reshape(reps, block)
+
+    # replication-major, as if each replication had run alone and been appended
+    all_w, all_h, all_d = kept_w.ravel(), kept_h.ravel(), kept_dwell.ravel()
+    return CampaignResult(
+        psi_grid=psi_grid,
+        batch_success=batch_success,
+        batch_snapshots=batch_snapshots,
+        batch_dwelling=batch_dwelling,
+        dwelling_count_hist=dwelling_hist,
+        static_distances=all_w[all_d],
+        moving_distances=all_w[~all_d],
+        static_altitudes=all_h[all_d],
+        moving_altitudes=all_h[~all_d],
+        hop_length_sum=hop_sum,
+        hop_count=hop_count,
+        n_snapshots=int(batch_snapshots.sum()),
+        stay_probability=derive_stay_probability(mob, net),
+        seed_info=tuple(repr(s) for s in rep_seeds),
+        meta={
+            "seed": seed if seeds is None else None,
+            "explicit_seeds": seeds,
+            "warmup_steps": warmup_steps,
+            "dt": dt,
+            "stride": stride,
+            "replications": replications,
+            "chains": chains,
+            "boundary_rule": boundary_rule,
+            "requested_snapshots": n_snapshots,
+            "altitude_dependent": fading.altitude_dependent,
+        },
     )

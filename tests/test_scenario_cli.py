@@ -253,6 +253,31 @@ class TestSimulateCommand:
         assert doc["dwelling_fraction_se"] is None
         assert 0.0 <= doc["dwelling_fraction"] <= 1.0
 
+    def test_failed_analysis_rows_are_null_in_strict_json(self, tmp_path):
+        """At 120 and 200 dB the phase-factor quadrature for this steep path
+        loss fails; the simulation still runs and its analytical column
+        writes null for those thresholds."""
+        sc = small_scenario(
+            network=NetworkConfig(40.0, 30.0, 10.0, 8, 7.5),
+            fading=FadingConfig(14, 6),
+            psi_grid_db=(0.0, 120.0, 200.0),
+            sim=SimParams(n_snapshots=256, warmup_steps=5, seed=3, replications=2,
+                          chains=8),
+        )
+        path = tmp_path / "steep.json"
+        dump_scenario(sc, str(path))
+        out = tmp_path / "camp"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads((tmp_path / "camp.json").read_text(), parse_constant=reject)
+        analytical = doc["analytical_coverage"]
+        assert analytical[1:] == [None, None]
+        assert 0.0 < analytical[0] < 1.0
+        assert (tmp_path / "camp_histograms.csv").exists()
+
     def test_altitude_dependent_marks_analysis_na(self, tmp_path):
         sc = small_scenario(fading=FadingConfig(1, 1, altitude_dependent=True))
         path = tmp_path / "alt.json"
