@@ -100,14 +100,16 @@ def cmd_analyze(args) -> int:
             "stay_probability": p_stay,
             "rows": [
                 {
-                    "psi_db": r[0], "psi_linear": r[1], "p_cov": r[2],
-                    "laplace_s": r[3], "phi_static": r[4], "phi_moving": r[5],
-                    "status": r[6],
+                    "psi_db": r[0], "psi_linear": r[1], "p_cov": _statistic(r[2]),
+                    "laplace_s": r[3], "phi_static": _statistic(r[4]),
+                    "phi_moving": _statistic(r[5]), "status": r[6],
                 }
                 for r in rows
             ],
         }
-        atomic_write_text(args.json, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        atomic_write_text(
+            args.json, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        )
     print(f"wrote coverage table for {len(rows)} thresholds to {args.out}")
     return EXIT_OK
 
@@ -178,7 +180,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # Imported here: the suite pulls in scipy.stats, which no other command needs.
+    # Imported here: the suite pulls in scipy, which no other command needs.
     from .validation import run_validation
 
     sc = _apply_overrides(load_scenario(args.scenario), args)

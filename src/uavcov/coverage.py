@@ -7,6 +7,10 @@ the interference I into derivatives of its Laplace transform:
     P_cov = sum_{k=0}^{m0-1} (-s0)^k / k! * d^k/ds^k L_I(s) |_{s=s0},
     s0 = m0 psi h0^alpha.
 
+The interference layer hands over each term (-s0)^k L_I^(k)(s0) / k!
+already formed (interference.laplace_jets), so the sum never forms (-s0)^k,
+which overflows a float at large thresholds.
+
 All thresholds here are linear-scale; dB conversion belongs to the CLI
 boundary and happens exactly once there.
 """
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 from .config import FadingConfig, NetworkConfig
 from .errors import ConfigurationError, ConsistencyError
-from .interference import laplace_jet_and_phase_factors
+from .interference import laplace_jets
 
 __all__ = ["CoverageQuery", "SweepPoint", "coverage_probability", "coverage_sweep"]
 
@@ -45,36 +49,45 @@ class CoverageQuery:
 
 def coverage_probability(query: CoverageQuery) -> float:
     """Probability that the user's SIR exceeds the query threshold."""
-    return _evaluate(query)[0]
+    (row,) = _evaluate([query.psi], query.network, query.fading, query.stay_probability)
+    if isinstance(row, Exception):
+        raise row
+    return row[0]
 
 
-def _evaluate(query: CoverageQuery) -> tuple[float, float | None, float | None]:
-    """Coverage probability plus the static and moving phase factors at s0.
+def _evaluate(psi_values, net: NetworkConfig, fading: FadingConfig, p_stay: float):
+    """Per linear threshold: (coverage, phi_static, phi_moving) or its error.
 
-    The phase factors are None when the network has no interferers: the
-    transform is then identically 1 and neither factor is evaluated.
+    All thresholds share one kernel pass (laplace_jets).  The phase factors
+    are those at s0, None when the network has no interferers: the transform
+    is then identically 1 and neither factor is evaluated.
     """
-    net, fading = query.network, query.fading
     m0 = int(fading.serving_m)
-    s0 = m0 * query.psi * net.serving_altitude**net.path_loss_exponent
-    jet, phi_static, phi_moving = laplace_jet_and_phase_factors(
-        s0, m0 - 1, net, fading, query.stay_probability
-    )
-    # jet.coeffs[k] = L^(k)(s0)/k!, so the sum telescopes to a plain
-    # polynomial evaluation at -s0.  L_I is completely monotone, so every
-    # term s0^k (-1)^k L^(k)(s0)/k! is >= 0 and the sum does not cancel.
-    p = math.fsum(jet.coeffs[k] * (-s0) ** k for k in range(m0))
-    if p < 0.0 or p > 1.0:
-        if -_CLAMP_EPS <= p < 0.0:
-            p = 0.0
-        elif 1.0 < p <= 1.0 + _CLAMP_EPS:
-            p = 1.0
-        else:
-            raise ConsistencyError(
-                f"coverage probability {p} outside [0, 1] by more than round-off "
-                f"(psi={query.psi}, m0={m0})"
-            )
-    return p, phi_static, phi_moving
+    h_alpha = net.serving_altitude**net.path_loss_exponent
+    rows = laplace_jets([m0 * psi * h_alpha for psi in psi_values], m0 - 1, net, fading,
+                        p_stay)
+    out = []
+    for psi, row in zip(psi_values, rows):
+        if isinstance(row, Exception):
+            out.append(row)
+            continue
+        # row[0][k] = (-s0)^k L^(k)(s0)/k!, so the coverage sum is their plain
+        # sum.  L_I is completely monotone, so every term is >= 0 and the sum
+        # does not cancel.
+        p = math.fsum(row[0])
+        if p < 0.0 or p > 1.0:
+            if -_CLAMP_EPS <= p < 0.0:
+                p = 0.0
+            elif 1.0 < p <= 1.0 + _CLAMP_EPS:
+                p = 1.0
+            else:
+                out.append(ConsistencyError(
+                    f"coverage probability {p} outside [0, 1] by more than round-off "
+                    f"(psi={psi}, m0={m0})"
+                ))
+                continue
+        out.append((p, row[1], row[2]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -101,20 +114,31 @@ def coverage_sweep(
 ) -> list[SweepPoint]:
     """Evaluate the coverage probability over a grid of linear thresholds.
 
-    Output order follows the input grid.  A failing point is reported in its
-    row instead of aborting the sweep.
+    Output order follows the input grid, and every valid threshold shares
+    one kernel pass.  A failing point is reported in its row instead of
+    aborting the sweep.
     """
     psi_values = list(psi_values)
     if not psi_values:
         raise ConfigurationError("threshold grid must be non-empty")
-    points = []
-    for psi in psi_values:
+    results, valid = [None] * len(psi_values), []
+    for i, psi in enumerate(psi_values):
         try:
-            p, phi_static, phi_moving = _evaluate(
-                CoverageQuery(psi, net, fading, stay_probability)
-            )
-        except Exception as exc:  # surfaced per-row by contract
-            points.append(SweepPoint(psi, math.nan, error=f"{type(exc).__name__}: {exc}"))
+            CoverageQuery(psi, net, fading, stay_probability)
+        except ConfigurationError as exc:
+            results[i] = exc
         else:
-            points.append(SweepPoint(psi, p, phi_static=phi_static, phi_moving=phi_moving))
+            valid.append(i)
+    try:
+        rows = _evaluate([psi_values[i] for i in valid], net, fading, stay_probability)
+    except Exception as exc:  # surfaced per-row by contract
+        rows = [exc] * len(valid)
+    for i, row in zip(valid, rows):
+        results[i] = row
+    points = []
+    for psi, row in zip(psi_values, results):
+        if isinstance(row, Exception):
+            points.append(SweepPoint(psi, math.nan, error=f"{type(row).__name__}: {row}"))
+        else:
+            points.append(SweepPoint(psi, row[0], phi_static=row[1], phi_moving=row[2]))
     return points

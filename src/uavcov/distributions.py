@@ -8,7 +8,8 @@ f(x) = 6x/H^2 - 6x^2/H^3.  The user-to-interferer distance is
 W = sqrt(h^2 + Z^2), whose cdf/pdf take a three-segment piecewise form with
 breakpoints at w = H and w = R (the case ordering requires H < R).  The pdf
 pieces are written once, in plain arithmetic, and serve both the array pdf
-and the float integrands of the phase-factor quadrature.
+and the nodes of the phase-factor kernel; the top piece is also written in
+v = sqrt(w^2 - R^2), where it is a polynomial (shell_piece).
 
 Sampling counterparts draw by inverse transform so that empirical and
 closed-form laws can be cross-validated at scale.
@@ -211,6 +212,23 @@ class DistanceDistribution:
             return 2.0 * w / R2
 
         return ((0.0, H, low), (H, R, mid), (R, self.support_max, top))
+
+    def shell_piece(self):
+        """The top piece pulled back through w = sqrt(R^2 + v^2), v in [0, H].
+
+        Returns the density of v, pdf(w) dw/dv = pdf(w) v / w, written out so
+        that it is a polynomial in v: it has no square-root kink at v = 0
+        (w = R), and it loses no digits to w^2 - R^2 near there.
+        """
+        R2, H = self.radius**2, self.height
+        if self.phase == "static":
+            def piece(v):
+                return 2.0 * v / R2 - 2.0 * v * v / (R2 * H)
+        else:
+            def piece(v):
+                return (2.0 * v / R2 - 6.0 * v**3 / (R2 * H * H)
+                        + 4.0 * v**4 / (R2 * H**3))
+        return piece
 
     def pdf(self, w):
         w, scalar = self._checked(w)

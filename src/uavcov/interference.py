@@ -19,35 +19,39 @@ integrand binomially in l and integrating the three distance-law segments
     shell segment:  ell/(alpha R^2) * int_{R^alpha}^{(R^2+H^2)^(alpha/2)}
                         y^(2/alpha - 1) (y^(2/alpha) - R^2)^(kappa/2) (1 + m y / s)^-l dy
 
-both reducible to Gauss hypergeometric terms.  For any other exponent the
-expectation is evaluated by adaptive quadrature, one integral per
-distance-law segment [0, H], [H, R] and [R, sqrt(R^2 + H^2)], each against
-that segment's pdf piece (DistanceDistribution.pdf_pieces), so the
-integrand is plain float arithmetic and no panel straddles a kink; the
-same quadrature doubles as the independent cross-check of the closed forms.
+both reducible to Gauss hypergeometric terms.
 
 Derivatives of L_I (needed by the gamma-fading coverage sum) are carried as
 jets: each phase factor's k-th derivative has the exact integral form
 
-    Phi^(k)(s) = (-1)^k (m)_k m^-k E_W[ W^(-alpha k) (1 + s W^-alpha / m)^-(m+k) ],
+    Phi^(k)(s) = (-1)^k (m)_k m^-k E_W[ W^(-alpha k) (1 + s W^-alpha / m)^-(m+k) ].
 
-evaluated by the same quadrature and assembled through truncated-series
-algebra into the M-th power.
+One vectorized Gauss-Legendre kernel (scaled_phase_jets) evaluates these
+for every threshold, both phases and every order in one numpy pass: fixed
+panels per distance-law segment [0, H], [H, R] and [R, sqrt(R^2 + H^2)]
+(the last mapped through w = sqrt(R^2 + v^2), which removes its
+square-root kink), graded geometrically toward the integrand's length scale
+(s/m)^(1/alpha), with an n-vs-2n-node error estimate held to 1e-10
+relative.  It carries the scaled coefficients (-s)^k Phi^(k)(s) / k!, which
+lie in [0, 1] for every s, and jet algebra raises their phase mixture to
+the M-th power.  For any exponent other than 2 the kernel also gives the
+phase factors themselves (order 0), and it is the production cross-check of
+the closed forms.  No scipy is imported here; its adaptive quadrature
+serves as the kernel's oracle in `validate` and the tests.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .config import FadingConfig, NetworkConfig
 from .distributions import PHASES, DistanceDistribution
 from .errors import DomainError, NumericalError, UnsupportedGeometryError
-from .special import hyp2f1, pochhammer
+from .special import hyp2f1
 from .taylor import Jet
 
 __all__ = [
@@ -58,17 +62,19 @@ __all__ = [
     "phase_laplace_factor",
     "laplace_transform",
     "laplace_transform_phase_sum",
-    "phase_factor_derivative",
+    "scaled_phase_jets",
+    "laplace_jets",
     "laplace_derivative_jet",
-    "laplace_jet_and_phase_factors",
 ]
 
-# Quadrature tolerances.  The relative tolerance dominates: at large s the
-# factors decay to ~1e-7 and the closed-form comparison is relative, so a
-# fixed absolute floor of 1e-12 would be far too loose there.
-_QUAD_EPSABS = 1e-300
-_QUAD_EPSREL = 1e-11
-_QUAD_LIMIT = 200
+# Gauss-Legendre kernel.  Each panel takes _GL_NODES nodes, and 2 * _GL_NODES
+# for the error estimate, which must stay within _GL_RTOL relative.  Panels
+# are graded geometrically, ceil(a(m + k) / _PANELS_PER_STEEPNESS) per
+# doubling, down to _GRADING doublings below the integrand's length scale.
+_GL_NODES = 16
+_GL_RTOL = 1e-10
+_PANELS_PER_STEEPNESS = 16
+_GRADING = 8
 
 @dataclass(frozen=True)
 class SegmentScheme:
@@ -254,53 +260,124 @@ def _closed_phase_factor_expanded(phase: str, s: float, m: int, net: NetworkConf
     return math.fsum(contributions)
 
 
-def _quadrature_phase_factor(
-    phase: str, s: float, m: int, net: NetworkConfig, k: int = 0
-) -> float:
-    """E_W[ W^(-alpha k) (1 + s W^-alpha / m)^-(m+k) ] by adaptive quadrature.
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss-Legendre nodes and weights on [0, 1], read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
-    Each of the distance law's three segments [0, H], [H, R] and
-    [R, sqrt(R^2 + H^2)] is integrated on its own, against that segment's
-    pdf piece, so the integrand is float arithmetic with no kink inside a
-    panel.  The three values and their error estimates are summed, and the
-    summed error is held to 1e-8 relative.
+
+def _panel_edges(s: float, m: int, order: int, net: NetworkConfig) -> np.ndarray:
+    """Panel edges on [0, sqrt(R^2 + H^2)] for the kernel at one s.
+
+    The integrand t^m u^k, t = m w^a / (m w^a + s), turns over around the
+    length scale (s/m)^(1/a) and is steep there in proportion to a(m + k),
+    so the edges are geometric, ceil(a(m + order) / _PANELS_PER_STEEPNESS)
+    per doubling, from the top of the support down to _GRADING doublings
+    below that scale (or below the top, when the scale lies beyond it).
+    H and R are edges too, since the pdf changes piece there.
     """
-    dist = DistanceDistribution(phase, net.radius, net.height)
-    alpha = net.path_loss_exponent
+    R, H, alpha = net.radius, net.height, net.path_loss_exponent
+    w_max = math.hypot(R, H)
+    per_doubling = math.ceil(alpha * (m + order) / _PANELS_PER_STEEPNESS)
+    scale = min((s / m) ** (1.0 / alpha), w_max)
+    lowest = math.floor(per_doubling * (math.log2(scale) - _GRADING))
+    highest = math.ceil(per_doubling * math.log2(w_max))
+    ladder = np.exp2(np.arange(lowest, highest) / per_doubling)
+    ladder = ladder[ladder < w_max]
+    return np.unique(np.concatenate(([0.0, H, R, w_max], ladder)))
 
-    def integrand(w, piece):
-        wa = w**alpha
-        return piece(w) * wa ** (-k) * (1.0 + s / (m * wa)) ** (-(m + k))
 
-    value = abserr = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        for lo, hi, piece in dist.pdf_pieces():
-            try:
-                part, err = integrate.quad(
-                    integrand,
-                    lo,
-                    hi,
-                    args=(piece,),
-                    limit=_QUAD_LIMIT,
-                    epsabs=_QUAD_EPSABS,
-                    epsrel=_QUAD_EPSREL,
-                )
-            except integrate.IntegrationWarning as exc:
-                raise NumericalError(
-                    f"phase factor quadrature failed for phase={phase}, s={s}, m={m}, "
-                    f"derivative order k={k}, segment [{lo:g}, {hi:g}]: {exc}"
-                ) from exc
-            value += part
-            abserr += err
-    if value != 0.0 and abserr / abs(value) > 1e-8:
-        raise NumericalError(
-            f"phase factor quadrature too inaccurate (rel err {abserr / abs(value):.2e}) "
-            f"for phase={phase}, s={s}, m={m}, k={k}",
-            partial=value,
-            error_bound=abserr,
-        )
-    return value
+def scaled_phase_jets(s, m: int, order: int, net: NetworkConfig):
+    """Scaled derivatives of both phase factors at every s, by Gauss-Legendre.
+
+    Returns (coeffs, failures).  coeffs[i, p, k] = (-s_i)^k Phi_p^(k)(s_i) / k!
+    for p = 0 (static) and 1 (moving) and k = 0..order, which by the
+    derivative formula of the module docstring is
+
+        C(m + k - 1, k) E_W[ t^m u^k ],  t = m W^a / (m W^a + s),  u = 1 - t.
+
+    Every node value C(m + k - 1, k) t^m u^k lies in [0, 1] (their sum over
+    all k is 1), so no coefficient can overflow however large s is; each
+    order is the previous one times u (m + k - 1) / k.  All rows, both
+    phases and all orders come from one pass over the nodes of every row's
+    panels (_panel_edges): the bottom two segments are integrated in w, the
+    top one in v = sqrt(w^2 - R^2) against DistanceDistribution.shell_piece,
+    where the integrand has no kink.
+
+    Each panel is integrated with n and with 2n nodes; the 2n value is kept
+    and their difference is its error estimate.  failures[i] is None, or a
+    NumericalError naming the phase, s, m and k of the first coefficient of
+    row i whose estimate exceeds _GL_RTOL relative.
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    m = int(m)
+    R, alpha = net.radius, net.path_loss_exponent
+    dists = [DistanceDistribution(phase, R, net.height) for phase in PHASES]
+    edges = [_panel_edges(float(si), m, order, net) for si in s]
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    row = np.repeat(np.arange(s.size), [e.size - 1 for e in edges])
+    top = lo >= R
+    # Top panels go to v; lo * lo - R^2 would lose digits next to R.
+    lo = np.where(top, np.sqrt(np.maximum(lo - R, 0.0) * (lo + R)), lo)
+    hi = np.where(top, np.sqrt(np.maximum(hi - R, 0.0) * (hi + R)), hi)
+
+    # Nodes of both rules side by side; bin 2i holds row i's n-node sum and
+    # bin 2i + 1 its 2n-node sum.
+    n = _GL_NODES
+    x = np.concatenate([_gauss_legendre(n)[0], _gauss_legendre(2 * n)[0]])
+    wx = np.concatenate([_gauss_legendre(n)[1], _gauss_legendre(2 * n)[1]])
+    level = np.repeat([0, 1], [n, 2 * n])
+    width = (hi - lo)[:, None]
+    y = (lo[:, None] + width * x).ravel()
+    weight = (width * wx).ravel()
+    bins = (2 * row[:, None] + level).ravel()
+    top = np.repeat(top, 3 * n)
+    seg = np.where(top, 2, np.where(y < net.height, 0, 1))
+    w_alpha = np.where(top, (R * R + y * y) ** (alpha / 2.0), y**alpha)
+    density = np.empty((2, y.size))
+    for p, dist in enumerate(dists):
+        pieces = [piece for _, _, piece in dist.pdf_pieces()[:2]] + [dist.shell_piece()]
+        for j, piece in enumerate(pieces):
+            on = seg == j
+            density[p, on] = piece(y[on]) * weight[on]
+
+    # t^m is taken relative to its value at the top of the support, where
+    # it is largest: the sums then keep their digits at any s, and only the
+    # final product with t_top^m may underflow (to a coefficient of 0).
+    # An infinite s gives NaN here, which the error test below reports.
+    w_alpha_top = (R * R + net.height**2) ** (alpha / 2.0)
+    denom_top = m * w_alpha_top + s
+    s_node = s[row].repeat(3 * n)
+    sums = np.empty((2 * s.size, 2, order + 1))
+    with np.errstate(invalid="ignore"):
+        denom = m * w_alpha + s_node
+        u = s_node / denom
+        g = (w_alpha / w_alpha_top * (denom_top[row].repeat(3 * n) / denom)) ** m
+        for k in range(order + 1):
+            if k:
+                g = g * u * ((m + k - 1) / k)
+            for p in range(2):
+                sums[:, p, k] = np.bincount(bins, density[p] * g, minlength=2 * s.size)
+    coarse, fine = sums[0::2], sums[1::2]
+    err = np.abs(fine - coarse)
+    bad = ~(err <= _GL_RTOL * fine)  # NaN counts as bad
+    t_top_m = (m * w_alpha_top / denom_top) ** m
+    coeffs = fine * t_top_m[:, None, None]
+    failures = [None] * s.size
+    for i, p, k in zip(*np.nonzero(bad)):
+        if failures[i] is None:
+            rel = err[i, p, k] / fine[i, p, k] if fine[i, p, k] else math.inf
+            failures[i] = NumericalError(
+                f"Gauss-Legendre estimate {rel:.2e} above {_GL_RTOL:g} relative for "
+                f"phase={PHASES[p]}, s={s[i]:.17g}, m={m}, derivative order k={k}",
+                partial=float(coeffs[i, p, k]),
+                error_bound=float(err[i, p, k] * t_top_m[i]),
+            )
+    return coeffs, failures
 
 
 def phase_laplace_factor(
@@ -308,9 +385,9 @@ def phase_laplace_factor(
 ) -> float:
     """Laplace transform at s of a single interferer's faded power, by phase.
 
-    method: "auto" uses the closed form when the exponent is 2 and quadrature
-    otherwise; "closed" and "quadrature" force a path (closed requires
-    exponent 2).
+    method: "auto" uses the closed form when the exponent is 2 and the
+    Gauss-Legendre kernel (scaled_phase_jets at order 0) otherwise; "closed"
+    and "quadrature" force a path (closed requires exponent 2).
     """
     if phase not in PHASES:
         raise DomainError(f"phase must be one of {PHASES}, got {phase!r}")
@@ -325,7 +402,10 @@ def phase_laplace_factor(
         return 1.0
     m = int(m)
     if method == "quadrature" or (method == "auto" and net.path_loss_exponent != 2.0):
-        return _quadrature_phase_factor(phase, s, m, net)
+        coeffs, (failure,) = scaled_phase_jets([s], m, 0, net)
+        if failure is not None:
+            raise failure
+        return float(coeffs[0, PHASES.index(phase), 0])
     return _closed_phase_factor(phase, s, m, net)
 
 
@@ -384,21 +464,44 @@ def laplace_transform_phase_sum(
     )
 
 
-def phase_factor_derivative(
-    phase: str, s: float, m: int, net: NetworkConfig, k: int
-) -> float:
-    """k-th derivative of the per-interferer phase factor at s > 0.
+def laplace_jets(s0, order: int, net: NetworkConfig, fading: FadingConfig, p_stay: float):
+    """Scaled Taylor jet of L_I and the two phase factors at every s0.
 
-    Differentiation under the integral sign is exact here; the resulting
-    expectation is evaluated by the same breakpoint-aware quadrature.
+    Returns one entry per s0: either (coeffs, phi_static, phi_moving), with
+    coeffs[k] = (-s0)^k L_I^(k)(s0) / k! for k = 0..order, or the
+    NumericalError of that s0 alone.  Every coeffs[k] is >= 0 (L_I is
+    completely monotone) and their sum is at most 1.  The mixture of the two
+    phases' scaled jets (scaled_phase_jets) is pushed through the M-th power
+    by jet algebra; the scaling commutes with that power.  For exponent 2
+    the order-0 factors take the closed form, as laplace_transform does, so
+    with order 0 no quadrature runs at all.  With no interferers the jet is
+    constant and no phase factor is evaluated: both come back as None.
     """
-    if k == 0:
-        return phase_laplace_factor(phase, s, m, net)
-    if s <= 0:
-        raise DomainError("phase factor derivatives need s > 0")
-    sign = (-1.0) ** k
-    coeff = pochhammer(float(m), k) / float(m) ** k
-    return sign * coeff * _quadrature_phase_factor(phase, s, int(m), net, k=k)
+    if order < 0 or int(order) != order:
+        raise DomainError(f"jet order must be a non-negative integer, got {order}")
+    if not 0 <= p_stay <= 1:
+        raise DomainError(f"stay probability must lie in [0, 1], got {p_stay}")
+    s0 = [float(s) for s in s0]
+    if any(not s > 0 for s in s0):
+        raise DomainError("Laplace jets need s0 > 0")
+    order, M, m = int(order), net.n_interferers, int(fading.interferer_m)
+    if M == 0 or not s0:
+        return [(Jet.constant(1.0, order).coeffs, None, None) for _ in s0]
+    closed = net.path_loss_exponent == 2.0
+    if closed and order == 0:
+        coeffs, failures = np.zeros((len(s0), 2, 1)), [None] * len(s0)
+    else:
+        coeffs, failures = scaled_phase_jets(s0, m, order, net)
+    mixes = p_stay * coeffs[:, 0] + (1.0 - p_stay) * coeffs[:, 1]
+    out = []
+    for s, c, mix, failure in zip(s0, coeffs, mixes, failures):
+        if failure is not None:
+            out.append(failure)
+            continue
+        phi_static, phi_moving = _phase_factors(s, net, fading) if closed else c[:, 0].tolist()
+        mix[0] = p_stay * phi_static + (1.0 - p_stay) * phi_moving
+        out.append(((Jet(mix) ** M).coeffs, phi_static, phi_moving))
+    return out
 
 
 def laplace_derivative_jet(
@@ -408,48 +511,12 @@ def laplace_derivative_jet(
     fading: FadingConfig,
     p_stay: float,
 ) -> Jet:
-    """Taylor coefficients of L_I at s0 up to the given order."""
-    return laplace_jet_and_phase_factors(s0, order, net, fading, p_stay)[0]
+    """Taylor coefficients L_I^(k)(s0) / k! of L_I at s0 up to the given order.
 
-
-def laplace_jet_and_phase_factors(
-    s0: float,
-    order: int,
-    net: NetworkConfig,
-    fading: FadingConfig,
-    p_stay: float,
-) -> tuple[Jet, float | None, float | None]:
-    """Taylor jet of L_I at s0 plus the static and moving phase factors at s0.
-
-    The order-0 coefficient takes the same evaluation path as
-    laplace_transform so both agree exactly; higher coefficients come from
-    the exact derivative integrals pushed through the M-th power by jet
-    algebra.  With no interferers the jet is constant and no phase factor is
-    evaluated, so both factors come back as None.
+    Unscaled from laplace_jets; a coefficient below the float range at a
+    very large s0 comes back as 0.
     """
-    if order < 0 or int(order) != order:
-        raise DomainError(f"jet order must be a non-negative integer, got {order}")
-    if not 0 <= p_stay <= 1:
-        raise DomainError(f"stay probability must lie in [0, 1], got {p_stay}")
-    order = int(order)
-    M = net.n_interferers
-    if M == 0:
-        return Jet.constant(1.0, order), None, None
-    m = int(fading.interferer_m)
-
-    phi_static, phi_moving = _phase_factors(s0, net, fading)
-    coeffs = np.zeros(order + 1)
-    coeffs[0] = p_stay * phi_static + (1.0 - p_stay) * phi_moving
-    for k in range(1, order + 1):
-        try:
-            dk = p_stay * phase_factor_derivative("static", s0, m, net, k) + (
-                1.0 - p_stay
-            ) * phase_factor_derivative("moving", s0, m, net, k)
-        except NumericalError as exc:
-            raise NumericalError(
-                f"phase factor derivative failed at order k={k}: {exc}",
-                partial=exc.partial,
-                error_bound=exc.error_bound,
-            ) from exc
-        coeffs[k] = dk / math.factorial(k)
-    return Jet(coeffs) ** M, phi_static, phi_moving
+    (row,) = laplace_jets([s0], order, net, fading, p_stay)
+    if isinstance(row, NumericalError):
+        raise row
+    return Jet(row[0] * np.power(-1.0 / s0, np.arange(order + 1)))

@@ -1,17 +1,19 @@
 """Reduced-scale cross-validation suite behind the `validate` subcommand.
 
 Each check pits one evaluation route against an independent one: exact
-anchors, closed forms against adaptive quadrature, inverse-transform samples
-against closed-form laws, derivative jets against finite differences, the
-analysis against the end-to-end simulation, and the lockstep campaign
-against its replications run one at a time.  Scales are chosen so a full
-run stays well under a minute while keeping each comparison far away from
-its statistical noise floor.
+anchors, closed forms against the Gauss-Legendre kernel, the kernel against
+scipy's adaptive quadrature, inverse-transform samples against closed-form
+laws, derivative jets against finite differences, the analysis against the
+end-to-end simulation, and the lockstep campaign against its replications
+run one at a time.  Scales are chosen so a full run stays well under a
+minute while keeping each comparison far away from its statistical noise
+floor.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +25,16 @@ from .coverage import CoverageQuery, coverage_probability
 from .distributions import AltitudeDistribution, DistanceDistribution
 from .scenario import Scenario
 from .simulator import run_campaign
+from .errors import NumericalError
 from .special import _gauss_series, _large_z, _pfaff, hyp2f1
 
-__all__ = ["CheckResult", "run_validation"]
+__all__ = ["CheckResult", "quad_phase_moment", "run_validation"]
+
+# Adaptive-quadrature oracle tolerances.  The relative tolerance dominates:
+# at large s the moments decay by many orders of magnitude.
+_QUAD_EPSABS = 1e-300
+_QUAD_EPSREL = 1e-11
+_QUAD_LIMIT = 200
 
 
 @dataclass(frozen=True)
@@ -33,6 +42,48 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+def quad_phase_moment(phase: str, s: float, m: int, net, k: int = 0) -> float:
+    """E_W[ W^(-alpha k) (1 + s W^-alpha / m)^-(m+k) ] by scipy's adaptive quadrature.
+
+    The oracle for the Gauss-Legendre kernel, which shares neither its
+    integrand form nor its rule: each of the distance law's three segments
+    [0, H], [H, R] and [R, sqrt(R^2 + H^2)] is integrated in w against that
+    segment's pdf piece, and the summed error estimate is held to 1e-8
+    relative.  Phi^(k)(s) = (-1)^k (m)_k m^-k times this moment.
+    """
+    dist = DistanceDistribution(phase, net.radius, net.height)
+    alpha = net.path_loss_exponent
+
+    def integrand(w, piece):
+        wa = w**alpha
+        return piece(w) * wa ** (-k) * (1.0 + s / (m * wa)) ** (-(m + k))
+
+    value = abserr = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        for lo, hi, piece in dist.pdf_pieces():
+            try:
+                part, err = integrate.quad(
+                    integrand, lo, hi, args=(piece,), limit=_QUAD_LIMIT,
+                    epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL,
+                )
+            except integrate.IntegrationWarning as exc:
+                raise NumericalError(
+                    f"phase factor quadrature failed for phase={phase}, s={s}, m={m}, "
+                    f"derivative order k={k}, segment [{lo:g}, {hi:g}]: {exc}"
+                ) from exc
+            value += part
+            abserr += err
+    if value != 0.0 and abserr / abs(value) > 1e-8:
+        raise NumericalError(
+            f"phase factor quadrature too inaccurate (rel err {abserr / abs(value):.2e}) "
+            f"for phase={phase}, s={s}, m={m}, k={k}",
+            partial=value,
+            error_bound=abserr,
+        )
+    return value
 
 
 def _check_trivial_anchors(sc: Scenario) -> CheckResult:
@@ -146,6 +197,42 @@ def _check_closed_vs_quadrature(sc: Scenario, fault_bias: float) -> CheckResult:
     return CheckResult(
         "closed-vs-quadrature", worst <= 1e-8, f"worst relative gap {worst:.2e} (<=1e-8)"
     )
+
+
+def _check_gl_vs_quad(sc: Scenario) -> CheckResult:
+    # The kernel's scaled coefficients (-s)^k Phi^(k)(s) / k! against
+    # C(m + k - 1, k) (s/m)^k times the adaptive-quadrature moment, at every
+    # threshold's s0, both phases and k up to max(m0 - 1, 2).
+    net, fading = sc.network, sc.fading
+    m, order = fading.interferer_m, max(fading.serving_m - 1, 2)
+    s0 = [fading.serving_m * psi * net.serving_altitude**net.path_loss_exponent
+          for psi in sc.psi_grid_linear()]
+    coeffs, failures = interference.scaled_phase_jets(s0, m, order, net)
+    worst, compared, skipped = 0.0, 0, []
+    for i, s in enumerate(s0):
+        if failures[i] is not None:
+            return CheckResult("gl-vs-quad", False, f"kernel failed: {failures[i]}")
+        for p, phase in enumerate(("static", "moving")):
+            for k in range(order + 1):
+                try:
+                    moment = quad_phase_moment(phase, s, m, net, k)
+                except NumericalError:
+                    skipped.append(f"{phase} s={s:.3g} k={k}")
+                    continue
+                got = coeffs[i, p, k]
+                if moment > 0.0:  # in logs: (s/m)^k alone may overflow
+                    expected = math.exp(math.log(math.comb(m + k - 1, k))
+                                        + k * math.log(s / m) + math.log(moment))
+                    gap = abs(got - expected) / expected
+                else:
+                    gap = abs(got)
+                worst = max(worst, gap)
+                compared += 1
+    detail = (f"worst relative gap {worst:.2e} (<=1e-9) over {compared} coefficients, "
+              f"k <= {order}")
+    if skipped:
+        detail += f"; quadrature failed, not compared: {', '.join(skipped)}"
+    return CheckResult("gl-vs-quad", worst <= 1e-9 and compared > 0, detail)
 
 
 def _check_binomial_collapse(sc: Scenario, rng: np.random.Generator) -> CheckResult:
@@ -290,6 +377,7 @@ def run_validation(sc: Scenario, fault_bias: float = 0.0) -> list[CheckResult]:
         _check_hyp2f1_consistency(sc),
         _check_distributions(sc, rng),
         _check_closed_vs_quadrature(sc, fault_bias),
+        _check_gl_vs_quad(sc),
         _check_binomial_collapse(sc, rng),
         _check_derivative_jet(sc),
         _check_lockstep_replications(sc),

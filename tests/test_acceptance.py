@@ -5,6 +5,8 @@ PASS/FAIL report lines.  The heavy Monte Carlo campaigns (criteria 6, 8, 9)
 are shared through module-scoped fixtures; total runtime is a few minutes.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -17,9 +19,11 @@ from uavcov.interference import (
     laplace_transform,
     laplace_transform_phase_sum,
     phase_laplace_factor,
+    scaled_phase_jets,
 )
 from uavcov.simulator import run_campaign
 from uavcov.special import hyp2f1
+from uavcov.validation import quad_phase_moment
 
 R, H = 40.0, 30.0
 MOBILITY = MobilityConfig(0.2, 10.0, 2.0, 6.0, 10.0)  # benchmark kinematics
@@ -243,3 +247,26 @@ def test_criterion_9_steady_state_mobility(end_to_end_campaigns):
            f"dwelling fraction {frac:.5f} vs {p_stay:.5f} "
            f"(|diff|={abs(frac - p_stay):.5f} <= 3SE={3 * se:.5f}); "
            f"phase-count TV {tv:.4f} (<0.02)")
+
+
+def test_criterion_10_kernel_vs_adaptive_quadrature():
+    """The Gauss-Legendre kernel, which carries every derivative order of the
+    analysis, against scipy's adaptive quadrature of each moment."""
+    worst, worst_at, count = 0.0, None, 0
+    s_values = np.logspace(-3, 6, 4)
+    for alpha in (2.0, 3.0, 4.0):
+        net = net_with(2, 10.0, alpha)
+        for m in (1, 2, 3, 4):
+            coeffs, failures = scaled_phase_jets(s_values, m, 4, net)
+            assert failures == [None] * s_values.size
+            for i, s in enumerate(s_values):
+                for p, phase in enumerate(("static", "moving")):
+                    for k in range(5):
+                        moment = quad_phase_moment(phase, float(s), m, net, k)
+                        expected = math.comb(m + k - 1, k) * (s / m) ** k * moment
+                        rel = abs(coeffs[i, p, k] - expected) / expected
+                        count += 1
+                        if rel > worst:
+                            worst, worst_at = rel, (alpha, phase, m, float(s), k)
+    report("10 gl-vs-quad", worst <= 1e-9,
+           f"worst rel gap {worst:.2e} at {worst_at} (tol 1e-9, {count} coefficients)")

@@ -121,3 +121,16 @@ def test_large_serving_shape_sum_has_no_cancellation(m0):
             warnings.simplefilter("error")
             p = coverage_probability(CoverageQuery(psi, net, fading, 0.4))
         assert 0.0 <= p <= 1.0
+
+
+def test_extreme_threshold_is_finite_or_a_typed_error():
+    """At 200 dB with a steep path loss, s0 ~ 4e28 and (-s0)^k overflows a
+    float from k = 11 on; the scaled jet never forms it.  The row gives a
+    finite coverage (0 here, as bench/oracle.py does) or a typed error."""
+    net, fading = NetworkConfig(40.0, 30.0, 10.0, 8, 7.5), FadingConfig(14, 6)
+    for point in coverage_sweep([1.0, 1e12, 1e20], net, fading, 0.5):
+        if point.error is None:
+            assert 0.0 <= point.coverage <= 1.0
+        else:
+            assert point.error.startswith(("NumericalError", "ConsistencyError"))
+    assert coverage_probability(CoverageQuery(1e20, net, fading, 0.5)) == 0.0

@@ -107,6 +107,17 @@ class TestLawStructure:
         assert total == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("phase", ["static", "moving"])
+    def test_shell_piece_is_the_top_piece_in_v(self, phase):
+        """shell_piece(v) = pdf(w) v / w with w = sqrt(R^2 + v^2), and it
+        carries the top segment's probability, 1 - cdf(R)."""
+        dist = DistanceDistribution(phase, R, H)
+        v = np.linspace(0.5, H - 0.5, 15)
+        w = np.sqrt(R * R + v * v)
+        assert dist.shell_piece()(v) == pytest.approx(dist.pdf(w) * v / w, rel=1e-12)
+        mass, _ = integrate.quad(dist.shell_piece(), 0.0, H)
+        assert mass == pytest.approx(1.0 - dist.cdf(R), rel=1e-13)
+
+    @pytest.mark.parametrize("phase", ["static", "moving"])
     def test_cdf_is_monotone(self, phase):
         dist = DistanceDistribution(phase, R, H)
         grid = np.linspace(0.0, dist.support_max, 400)

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -11,13 +12,12 @@ from uavcov.config import FadingConfig, NetworkConfig
 from uavcov.errors import DomainError, NumericalError, UnsupportedGeometryError
 from uavcov.interference import (
     _closed_phase_factor_expanded,
-    _quadrature_phase_factor,
     laplace_derivative_jet,
     laplace_transform,
     laplace_transform_phase_sum,
-    phase_factor_derivative,
     phase_laplace_factor,
     power_segment_integral,
+    scaled_phase_jets,
     segment_scheme,
     shell_segment_integral,
 )
@@ -247,8 +247,8 @@ class TestDerivativeJet:
         assert signs.tolist() == [1.0, -1.0, 1.0, -1.0]
 
     def test_quadrature_failure_names_offending_order(self, monkeypatch):
-        monkeypatch.setattr(interference, "_QUAD_EPSREL", 1e-60)
-        monkeypatch.setattr(interference, "_QUAD_LIMIT", 3)
+        # Two nodes per panel against four: the error estimate far exceeds 1e-10.
+        monkeypatch.setattr(interference, "_GL_NODES", 2)
         with pytest.raises(NumericalError) as info:
             laplace_derivative_jet(100.0, 2, NET, FadingConfig(1, 1), 0.5)
         assert "k=" in str(info.value)
@@ -265,21 +265,65 @@ def _bench_oracle():
     return module
 
 
-@pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
+# alpha: (interferer shapes, transform arguments, highest order, oracle nodes).
+# The steep case is the 0 dB row of alpha = 7.5, m0 = 14, m1 = 6, h0 = 10 m;
+# panel grading that ignores the steepness alpha (m + k) fails it.
+_ORACLE_CASES = {
+    2.0: ((1, 2, 3), (1.0, 10.0, 1e3, 1e6), 4, 16),
+    3.0: ((1, 2, 3), (1.0, 10.0, 1e3, 1e6), 4, 16),
+    4.0: ((1, 2, 3), (1.0, 10.0, 1e3, 1e6), 4, 16),
+    7.5: ((6,), (14 * 10**7.5,), 13, 32),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(_ORACLE_CASES))
 def test_derivative_quadrature_matches_independent_oracle(alpha):
-    """Every derivative order up to 4 against a 2D integral over offset and
-    altitude that shares no code with the per-segment quadrature."""
+    """Every scaled derivative (-s)^k Phi^(k)(s) / k! of the Gauss-Legendre
+    kernel against a 2D integral over offset and altitude that shares no
+    code with it."""
     oracle = _bench_oracle()
+    shapes, s_values, order, nodes = _ORACLE_CASES[alpha]
     net = net_with(alpha=alpha)
     geo = oracle.Geometry(net.radius, net.height, net.serving_altitude, alpha)
-    for m in (1, 2, 3):
-        for s in (1.0, 10.0, 1e3, 1e6):
-            ref = oracle.phase_derivatives(s, m, 4, geo)
-            for phase in ("static", "moving"):
-                for k in range(5):
-                    if k == 0:
-                        mine = _quadrature_phase_factor(phase, s, m, net)
-                    else:
-                        mine = phase_factor_derivative(phase, s, m, net, k)
-                    expected = ref[phase][k]
+    for m in shapes:
+        coeffs, failures = scaled_phase_jets(s_values, m, order, net)
+        assert failures == [None] * len(s_values)
+        for i, s in enumerate(s_values):
+            ref = oracle.phase_derivatives(s, m, order, geo, nodes=nodes)
+            for p, phase in enumerate(("static", "moving")):
+                for k in range(order + 1):
+                    expected = ref[phase][k] * (-s) ** k / math.factorial(k)
+                    mine = coeffs[i, p, k]
                     assert abs(mine - expected) <= 1e-10 * abs(expected), (phase, m, s, k)
+
+
+def test_kernel_coefficients_stay_in_unit_interval_at_any_threshold():
+    """Every scaled coefficient lies in [0, 1] and their sum over all orders
+    is 1, so nothing overflows even where s^k would; far out they underflow
+    to 0 without an error."""
+    net = net_with(M=8, alpha=7.5)
+    s_values = np.logspace(-6, 120, 43)
+    coeffs, failures = scaled_phase_jets(s_values, 6, 13, net)
+    assert failures == [None] * s_values.size
+    assert np.all((coeffs >= 0.0) & (coeffs <= 1.0))
+    assert np.all(coeffs.sum(axis=2) <= 1.0 + 1e-12)
+    assert coeffs[-1].max() == 0.0
+
+
+def test_failing_row_leaves_the_other_rows(monkeypatch):
+    """A row whose estimate fails carries its own NumericalError; the rows
+    around it keep their values."""
+    original = interference._panel_edges
+
+    def coarse_at_one_row(s, m, order, net):
+        edges = original(s, m, order, net)
+        return edges[[0, -1]] if s == 10.0 else edges  # one panel over the support
+
+    s_values = [1.0, 10.0, 100.0]
+    good, _ = scaled_phase_jets(s_values, 2, 3, NET)
+    monkeypatch.setattr(interference, "_panel_edges", coarse_at_one_row)
+    coeffs, failures = scaled_phase_jets(s_values, 2, 3, NET)
+    assert failures[0] is None and failures[2] is None
+    assert isinstance(failures[1], NumericalError)
+    assert "s=10" in str(failures[1]) and "m=2" in str(failures[1]) and "k=" in str(failures[1])
+    assert np.array_equal(coeffs[[0, 2]], good[[0, 2]])

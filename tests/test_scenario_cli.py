@@ -1,13 +1,18 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import uavcov
+import uavcov.cli as cli
+import uavcov.interference as interference
 from uavcov.cli import _set_by_dotted_path, main
-from uavcov.errors import ConfigurationError, UnsupportedGeometryError
+from uavcov.coverage import SweepPoint
+from uavcov.errors import ConfigurationError, NumericalError, UnsupportedGeometryError
 from uavcov.scenario import (
     Scenario,
     SimParams,
@@ -193,6 +198,32 @@ class TestAnalyzeCommand:
         assert len(doc["rows"]) == 4
 
 
+    def test_failed_rows_are_null_in_strict_json(self, scenario_path, tmp_path,
+                                                 monkeypatch):
+        """A row whose evaluation failed has no coverage or phase factors:
+        the JSON table writes null for them, never a bare NaN."""
+        sweep = cli.coverage_sweep
+
+        def last_row_fails(psi_values, *args):
+            points = sweep(psi_values, *args)
+            failed = SweepPoint(points[-1].psi, math.nan, error="NumericalError: planted")
+            return points[:-1] + [failed]
+
+        monkeypatch.setattr(cli, "coverage_sweep", last_row_fails)
+        out_json = tmp_path / "cov.json"
+        assert main(["analyze", "--scenario", scenario_path, "--out",
+                     str(tmp_path / "cov.csv"), "--json", str(out_json)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        rows = json.loads(out_json.read_text(), parse_constant=reject)["rows"]
+        assert [r["p_cov"] is None for r in rows] == [False, False, False, True]
+        assert rows[-1]["phi_static"] is None and rows[-1]["phi_moving"] is None
+        assert rows[-1]["status"].startswith("NumericalError")
+        assert all(0.0 < r["p_cov"] < 1.0 for r in rows[:-1])
+
+
 class TestSimulateCommand:
     def test_byte_identical_reruns(self, scenario_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -253,10 +284,18 @@ class TestSimulateCommand:
         assert doc["dwelling_fraction_se"] is None
         assert 0.0 <= doc["dwelling_fraction"] <= 1.0
 
-    def test_failed_analysis_rows_are_null_in_strict_json(self, tmp_path):
-        """At 120 and 200 dB the phase-factor quadrature for this steep path
-        loss fails; the simulation still runs and its analytical column
+    def test_failed_analysis_rows_are_null_in_strict_json(self, tmp_path, monkeypatch):
+        """A NumericalError planted in the kernel at 120 and 200 dB fails those
+        analysis rows; the simulation still runs and its analytical column
         writes null for those thresholds."""
+        kernel = interference.scaled_phase_jets
+
+        def failing_above_100_db(s, m, order, net):
+            coeffs, failures = kernel(s, m, order, net)
+            planted = NumericalError("planted kernel failure, derivative order k=1")
+            return coeffs, [planted if si > 1e17 else f for si, f in zip(s, failures)]
+
+        monkeypatch.setattr(interference, "scaled_phase_jets", failing_above_100_db)
         sc = small_scenario(
             network=NetworkConfig(40.0, 30.0, 10.0, 8, 7.5),
             fading=FadingConfig(14, 6),
@@ -362,13 +401,22 @@ def test_init_writes_loadable_template(tmp_path):
     assert sc.network.radius == 40.0
 
 
-def test_cli_import_leaves_out_the_validation_suite():
-    """Only `validate` needs the suite and the scipy.stats it imports."""
+def test_cli_import_leaves_out_the_validation_suite(tmp_path):
+    """Only `validate` needs the suite and scipy: importing the CLI loads
+    neither, and `analyze` runs where scipy cannot be imported at all."""
     src = os.path.dirname(os.path.dirname(uavcov.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, uavcov.cli; "
-            "print([m for m in ('uavcov.validation', 'scipy.stats') if m in sys.modules])")
+    code = ("import sys, uavcov.cli; print([m for m in ('uavcov.validation', "
+            "'scipy.stats', 'scipy') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert out.strip() == "[]"
+    baseline = Path(__file__).resolve().parents[1] / "scenarios" / "baseline.json"
+    out_csv = tmp_path / "cov.csv"
+    code = ("import sys; sys.modules['scipy'] = None; from uavcov.cli import main; "
+            f"sys.exit(main(['analyze', '--scenario', {str(baseline)!r}, "
+            f"'--out', {str(out_csv)!r}]))")
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                   text=True, check=True, timeout=120)
+    assert len(out_csv.read_text().splitlines()) == 2 + 11
