@@ -12,6 +12,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -261,7 +262,9 @@ def cmd_init(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="uavcov",
         description="Coverage analysis and simulation of a finite 3D mobile "
@@ -282,11 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="closed-form coverage table")
     add_common(p_an)
     p_an.add_argument("--json", default=None, help="also write a JSON table here")
-    p_an.set_defaults(func=cmd_analyze)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo campaign")
     add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_val = sub.add_parser("validate", help="cross-validation check suite")
     add_common(p_val, needs_out=False)
@@ -295,27 +296,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="perturb the closed form by 1e-3 inside the closed-vs-quadrature "
         "check, to show that the check fails",
     )
-    p_val.set_defaults(func=cmd_validate)
 
     p_sw = sub.add_parser("sweep", help="coverage tables over a scenario field")
     add_common(p_sw)
     p_sw.add_argument("--param", required=True,
                       help="dotted scenario field, e.g. network.n_interferers")
     p_sw.add_argument("--values", required=True, help="comma-separated values")
-    p_sw.set_defaults(func=cmd_sweep)
 
     p_init = sub.add_parser("init", help="write a template scenario")
     p_init.add_argument("--out", required=True)
-    p_init.set_defaults(func=cmd_init)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at call time, not stored in the once-built parser, so a
+    # handler replaced on this module later (a tracer does) is the one run
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (ConfigurationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

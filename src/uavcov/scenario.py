@@ -8,6 +8,7 @@ exactly, and scenario-level validation happens before any computation.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -63,6 +64,15 @@ class Scenario:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigurationError("psi_grid_db must be strictly increasing")
         object.__setattr__(self, "psi_grid_db", grid)
+        for db in grid:
+            try:
+                finite = math.isfinite(10.0 ** (db / 10.0))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ConfigurationError(
+                    f"psi_grid_db value {db!r} dB has no finite linear threshold"
+                )
         if not self.network.height < self.network.radius:
             raise UnsupportedGeometryError(
                 "scenario geometry unsupported: the piecewise distance laws and "

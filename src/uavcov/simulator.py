@@ -4,10 +4,15 @@ Each interferer alternates vertical waypoint legs (uniform waypoint in
 [0, H], per-leg speed uniform in [v_min, v_max]) with dwells (duration
 uniform in [dwell_min, dwell_max]) during which it makes one spatial hop per
 time step, uniform in a disk of radius hop_range around its current
-projection.  Kinematics are integrated exactly through phase changes inside
-each step, so the state observed on the dt grid is the true continuous-time
-state: phase fractions, altitude laws and distance laws then match their
-steady-state forms without discretization bias.
+projection.  The vertical state is kept in event time: each interferer
+stores where and when its current leg or dwell started and when its next
+event (arrival or dwell expiry) falls, and a step touches only the
+interferers with an event due, running each event at its exact time.  The
+altitude, linear in time along a leg, is worked out only where the state is
+observed (containment checks and snapshots).  So the state observed on the
+dt grid is the true continuous-time state: phase fractions, altitude laws
+and distance laws then match their steady-state forms without
+discretization bias.
 
 Spatial hops at the region edge follow a reject-the-proposal-and-stay rule
 by default.  That rule is a symmetric-proposal Metropolis move for the
@@ -21,8 +26,15 @@ A campaign steps all its replications together, in place, as one state
 array with one contiguous block of interferers per replication.  Each
 replication keeps its own generator, and every draw is split by block in
 the order a one-replication run makes it, so each block reproduces its
-replication run alone bit for bit.  Containment is checked after warm-up
-and at every snapshot, not on every step.
+replication run alone bit for bit.  At the top of every step each block
+draws one (block, 5) array of uniforms, whose columns are an interferer's
+dwell, waypoint, speed, hop radius and hop angle; its first dwell, first
+leg and its hop in the step come from there, so under "stay" a replication
+spends a fixed number of draws per step.  Only a third event of one
+interferer in one step (possible when dwell_min < dt) and "resample" retries
+draw more, per block and for just the interferers that need them.
+Containment is checked after warm-up and at every snapshot, not on every
+step.
 
 Snapshots taken every `stride` steps after warm-up record distances, phases
 and fading draws; per-threshold coverage tallies are kept in contiguous
@@ -58,40 +70,59 @@ __all__ = [
 
 BOUNDARY_RULES = ("stay", "resample")
 _MAX_HOP_RETRIES = 100
-_MAX_EVENT_PASSES = 10_000
+# columns of the uniforms each interferer draws at the top of every step
+_DWELL, _WAYPOINT, _SPEED, _HOP_RADIUS, _HOP_ANGLE = range(5)
 
 
 @dataclass
 class UavState:
     """Kinematic state of a batch of interferers (arrays share length n).
 
-    xy:              horizontal projection, shape (n, 2), norm <= R
-    altitude:        current altitude in [0, H], shape (n,)
-    moving:          True while on a vertical leg, shape (n,)
-    waypoint:        target altitude of the current/next leg, shape (n,)
-    speed:           speed of the current leg, shape (n,)
-    dwell_remaining: seconds of dwell left (meaningful while not moving)
+    The vertical state is kept in event time: it changes only at arrivals
+    and dwell expiries, and `altitude()` and `dwell_remaining()` work out
+    the observed values at the clock `t`.
+
+    xy:       horizontal projection, shape (n, 2), C-contiguous, norm <= R
+    h0:       altitude at the start t0 of the current leg or dwell
+    t0:       start time of the current leg or dwell
+    tev:      time of the next event (arrival or dwell expiry)
+    waypoint: target altitude of the current leg; equals h0 while dwelling
+    speed:    speed of the current leg (meaningful while moving)
+    moving:   True while on a vertical leg
+    t:        the clock, seconds since launch
     """
 
     xy: np.ndarray
-    altitude: np.ndarray
-    moving: np.ndarray
+    h0: np.ndarray
+    t0: np.ndarray
+    tev: np.ndarray
     waypoint: np.ndarray
     speed: np.ndarray
-    dwell_remaining: np.ndarray
+    moving: np.ndarray
+    t: float = 0.0
 
     @property
     def n(self) -> int:
-        return self.altitude.size
+        return self.h0.size
+
+    def altitude(self) -> np.ndarray:
+        """Altitude at the clock; a dwell has waypoint == h0, so it stays at h0."""
+        return self.h0 + np.sign(self.waypoint - self.h0) * self.speed * (self.t - self.t0)
+
+    def dwell_remaining(self) -> np.ndarray:
+        """Seconds of dwell left at the clock (0 while moving)."""
+        return np.where(self.moving, 0.0, self.tev - self.t)
 
     def copy(self) -> "UavState":
         return UavState(
             self.xy.copy(),
-            self.altitude.copy(),
-            self.moving.copy(),
+            self.h0.copy(),
+            self.t0.copy(),
+            self.tev.copy(),
             self.waypoint.copy(),
             self.speed.copy(),
-            self.dwell_remaining.copy(),
+            self.moving.copy(),
+            self.t,
         )
 
     def check_containment(self, net: NetworkConfig) -> None:
@@ -101,7 +132,8 @@ class UavState:
         r2 = np.einsum("ij,ij->i", self.xy, self.xy)
         if r2.max() > net.radius**2 * (1 + 1e-12):
             raise ConsistencyError("interferer escaped the disk region")
-        if self.altitude.min() < -1e-9 or self.altitude.max() > net.height * (1 + 1e-12):
+        altitude = self.altitude()
+        if altitude.min() < -1e-9 or altitude.max() > net.height * (1 + 1e-12):
             raise ConsistencyError("interferer altitude left [0, H]")
 
 
@@ -160,106 +192,108 @@ def initial_state(n: int, net: NetworkConfig, mob: MobilityConfig, rng) -> UavSt
         lambda g, k: g.uniform(mob.speed_min, mob.speed_max, k),
     )
     radius = net.radius * np.sqrt(u)
-    xy = np.column_stack((radius * np.cos(theta), radius * np.sin(theta)))
     return UavState(
-        xy=xy,
-        altitude=altitude,
-        moving=np.ones(n, dtype=bool),
+        xy=np.column_stack((radius * np.cos(theta), radius * np.sin(theta))),
+        h0=altitude,
+        t0=np.zeros(n),
+        tev=np.abs(waypoint - altitude) / speed,
         waypoint=waypoint,
         speed=speed,
-        dwell_remaining=np.zeros(n),
+        moving=np.ones(n, dtype=bool),
     )
 
 
-def _advance_vertical(state: UavState, dt: float, streams: _Streams, net, mob) -> None:
-    """Consume dt of wall time in place, resolving phase changes exactly."""
-    h, wp, v = state.altitude, state.waypoint, state.speed
-    moving, rem = state.moving, state.dwell_remaining
-    time_left = np.full(state.n, float(dt))
+def _advance_vertical(state: UavState, t_end: float, draw, net, mob) -> None:
+    """Run every arrival and dwell expiry due by t_end, in place, and set the clock.
 
-    for _ in range(_MAX_EVENT_PASSES):
-        active = time_left > 0.0
-        if not active.any():
-            return
-
-        idx = (active & moving).nonzero()[0]
-        if idx.size:
-            gap = wp[idx] - h[idx]
-            t_arrive = np.abs(gap) / v[idx]
-            tl = time_left[idx]
-            hit = t_arrive <= tl
-            short = ~hit
-            cruise = idx[short]
-            h[cruise] += np.sign(gap[short]) * v[cruise] * tl[short]
-            time_left[cruise] = 0.0
-            arrive = idx[hit]
-            h[arrive] = wp[arrive]
-            time_left[arrive] = tl[hit] - t_arrive[hit]
-            moving[arrive] = False
-            if arrive.size:
-                (rem[arrive],) = streams.draw(
-                    arrive, lambda g, k: g.uniform(mob.dwell_min, mob.dwell_max, k)
-                )
-
-        idx = ((time_left > 0.0) & ~moving).nonzero()[0]
-        if idx.size:
-            left, tl = rem[idx], time_left[idx]
-            consumed = np.minimum(left, tl)
-            left -= consumed
-            rem[idx] = left
-            time_left[idx] = tl - consumed
-            expired = idx[left <= 0.0]
-            if expired.size:
-                wp[expired], v[expired] = streams.draw(
-                    expired,
-                    lambda g, k: g.uniform(0.0, net.height, k),
-                    lambda g, k: g.uniform(mob.speed_min, mob.speed_max, k),
-                )
-                moving[expired] = True
-    raise ConsistencyError("vertical event resolution did not terminate")
+    Each pass takes the interferers whose next event is due and runs up to
+    two events of each: one dwell and one leg, in the order its phase sets.
+    An arrival dwells at the waypoint, then the expiry starts a leg from
+    there; an expiry starts a leg from the dwell altitude, then the arrival
+    dwells at the new waypoint.  The second event runs if it falls by t_end,
+    and the pass repeats for those whose next event is due too.
+    `draw(idx, p)` gives the uniforms of the p-th pass, at least three
+    columns (dwell, waypoint, speed) aligned with idx.
+    """
+    tev = state.tev
+    idx = (tev <= t_end).nonzero()[0]
+    p = 0
+    while idx.size:
+        u = draw(idx, p)
+        arriving = state.moving[idx]
+        start = tev[idx]
+        h = state.waypoint[idx]  # altitude at the first event: a dwell has waypoint == h0
+        waypoint = net.height * u[:, _WAYPOINT]
+        speed = mob.speed_min + (mob.speed_max - mob.speed_min) * u[:, _SPEED]
+        dwell = mob.dwell_min + (mob.dwell_max - mob.dwell_min) * u[:, _DWELL]
+        leg = np.abs(waypoint - h) / speed
+        mid = start + np.where(arriving, dwell, leg)
+        two = mid <= t_end
+        end = np.where(two, mid + np.where(arriving, leg, dwell), mid)
+        moving = arriving == two  # an arrival then an expiry ends on a leg
+        waypoint = np.where(arriving & ~two, h, waypoint)  # an arrival alone dwells at h
+        state.h0[idx] = np.where(moving, h, waypoint)
+        state.t0[idx] = np.where(two, mid, start)
+        tev[idx] = end
+        state.waypoint[idx] = waypoint
+        state.speed[idx] = speed
+        state.moving[idx] = moving
+        idx = idx[end <= t_end]
+        p += 1
+    state.t = t_end
 
 
-def _hop(state: UavState, streams: _Streams, net: NetworkConfig, mob: MobilityConfig,
-         rule: str) -> tuple[float, int]:
+def _unit(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) from one cos and one sin, cheaper than a complex exp."""
+    e = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=e.real)
+    np.sin(theta, out=e.imag)
+    return e
+
+
+def _hop(state: UavState, u: np.ndarray, streams: _Streams, net: NetworkConfig,
+         mob: MobilityConfig, rule: str) -> tuple[float, int]:
     """One spatial hop for every currently dwelling interferer, in place.
 
-    Returns the summed length and the number of the accepted hops that
-    started at least hop_range inside the disk edge (interior hops).
+    The first proposal comes from the step's hop columns of u; "resample"
+    retries draw afresh.  Returns the summed length and the number of the
+    accepted hops that started at least hop_range inside the disk edge
+    (interior hops).
     """
     idx = (~state.moving).nonzero()[0]
     if idx.size == 0:
         return 0.0, 0
 
-    def propose(sel):
-        r, th = streams.draw(
-            sel,
-            lambda g, k: mob.hop_range * np.sqrt(g.random(k)),
-            lambda g, k: g.uniform(0.0, 2.0 * math.pi, k),
-        )
-        return r, np.column_stack((r * np.cos(th), r * np.sin(th)))
-
-    start = state.xy[idx]
-    length, step_xy = propose(idx)
-    target = start + step_xy
-    keep = np.einsum("ij,ij->i", target, target) <= net.radius**2
+    z = state.xy.view(np.complex128)[:, 0]  # x + iy, a view of xy
+    start = z[idx]
+    uh = u.take(idx, axis=0)
+    length = mob.hop_range * np.sqrt(uh[:, _HOP_RADIUS])
+    target = _unit(2.0 * math.pi * uh[:, _HOP_ANGLE])
+    target *= length
+    target += start
+    keep = np.abs(target) <= net.radius
     if rule == "resample":
         # redraw for infeasible proposals, bounded retries, then stay
         pending = (~keep).nonzero()[0]
         for _ in range(_MAX_HOP_RETRIES):
             if pending.size == 0:
                 break
-            r, step_xy = propose(idx[pending])
-            retry = start[pending] + step_xy
-            good = np.einsum("ij,ij->i", retry, retry) <= net.radius**2
+            r, th = streams.draw(
+                idx[pending],
+                lambda g, k: mob.hop_range * np.sqrt(g.random(k)),
+                lambda g, k: g.uniform(0.0, 2.0 * math.pi, k),
+            )
+            retry = start[pending] + r * _unit(th)
+            good = np.abs(retry) <= net.radius
             target[pending[good]] = retry[good]
             length[pending[good]] = r[good]
             pending = pending[~good]
         keep[:] = True
         keep[pending] = False  # retries exhausted: stay in place
-    state.xy[idx[keep]] = target[keep]
+    z[idx[keep]] = target[keep]
 
     interior_limit = max(net.radius - mob.hop_range, 0.0)
-    counted = keep & (np.hypot(start[:, 0], start[:, 1]) <= interior_limit)
+    counted = keep & (np.abs(start) <= interior_limit)
     return float(length[counted].sum()), int(np.count_nonzero(counted))
 
 
@@ -275,6 +309,13 @@ def step(
 
     `rng` is a generator, or a sequence of generators, one per equal,
     contiguous block of the state; each block draws only from its own.
+    At the top of the step every block draws one (block, 5) array of
+    uniforms: dwell, waypoint, speed, hop radius and hop angle.  An
+    interferer's first arrival and first dwell expiry in the step and its
+    hop take their values from it.  Only a third or later event of one
+    interferer in one step (possible when dwell_min < dt) and "resample"
+    retries draw more, per block and for just the interferers that need
+    them, so each block's draws stay its own.
     Vertical kinematics are resolved through phase changes exactly; each
     interferer dwelling at the end of the step performs one spatial hop.
     Returns the summed length and the count of this step's accepted
@@ -287,8 +328,17 @@ def step(
     if boundary_rule not in BOUNDARY_RULES:
         raise ConfigurationError(f"boundary_rule must be one of {BOUNDARY_RULES}")
     streams = _Streams(rng, state.n)
-    _advance_vertical(state, dt, streams, net, mob)
-    return _hop(state, streams, net, mob, boundary_rule)
+    u = np.empty((state.n, 5))
+    for g, lo, hi in streams.blocks:
+        g.random(out=u[lo:hi])
+
+    def draw(idx, p):
+        if not p:
+            return u.take(idx, axis=0)
+        return streams.draw(idx, lambda g, k: g.random((k, 3)))[0]
+
+    _advance_vertical(state, state.t + dt, draw, net, mob)
+    return _hop(state, u, streams, net, mob, boundary_rule)
 
 
 @dataclass(frozen=True)
@@ -316,9 +366,12 @@ def _interferer_shapes(altitude: np.ndarray, fading: FadingConfig, net: NetworkC
 
 
 def _snapshot(
-    state: UavState, chains: int, net: NetworkConfig, fading: FadingConfig, rng
+    state: UavState, altitude: np.ndarray, chains: int, net: NetworkConfig,
+    fading: FadingConfig, rng,
 ):
     """Fading draws and SIR for `chains` equal-sized networks stored back to back.
+
+    `altitude` is the state's observed altitude, `state.altitude()`.
 
     `rng` is a generator, or a sequence of generators, one per equal block
     of chains (as for `step`).  Each generator draws its block's serving
@@ -332,8 +385,8 @@ def _snapshot(
     g0 = np.concatenate(
         [g.gamma(m0, 1.0 / m0, hi - lo) for g, lo, hi in streams.spans(chains)]
     )
-    w = np.sqrt(state.altitude**2 + np.einsum("ij,ij->i", state.xy, state.xy))
-    m_i = _interferer_shapes(state.altitude, fading, net)
+    w = np.sqrt(altitude**2 + np.einsum("ij,ij->i", state.xy, state.xy))
+    m_i = _interferer_shapes(altitude, fading, net)
     gains = np.concatenate(
         [g.gamma(m_i[lo:hi], 1.0 / m_i[lo:hi]) for g, lo, hi in streams.blocks]
     )
@@ -347,7 +400,7 @@ def sample_snapshot(
     state: UavState, net: NetworkConfig, fading: FadingConfig, rng
 ) -> SnapshotSample:
     """Draw fading and evaluate the interference and SIR for one state."""
-    w, g0, gains, interference, sir = _snapshot(state, 1, net, fading, rng)
+    w, g0, gains, interference, sir = _snapshot(state, state.altitude(), 1, net, fading, rng)
     return SnapshotSample(
         distances=w,
         dwelling=~state.moving,
@@ -509,7 +562,8 @@ def run_campaign(
 
         rows = first_rows + j * nb_rep // per_chain
         dwelling = ~state.moving
-        w, _, _, _, sir = _snapshot(state, reps * chains, net, fading, rngs)
+        altitude = state.altitude()
+        w, _, _, _, sir = _snapshot(state, altitude, reps * chains, net, fading, rngs)
         n_dwell = dwelling.reshape(reps * chains, M).sum(axis=1)
 
         batch_success[rows] += (sir.reshape(reps, chains, 1) > psi_grid).sum(axis=1)
@@ -518,7 +572,7 @@ def run_campaign(
         dwelling_hist += np.bincount(n_dwell, minlength=M + 1)
         if j < n_kept:
             kept_w[:, j] = w.reshape(reps, block)
-            kept_h[:, j] = state.altitude.reshape(reps, block)
+            kept_h[:, j] = altitude.reshape(reps, block)
             kept_dwell[:, j] = dwelling.reshape(reps, block)
 
     # replication-major, as if each replication had run alone and been appended

@@ -4,14 +4,16 @@ Each check pits one evaluation route against an independent one: exact
 anchors, closed forms against the Gauss-Legendre kernel, the kernel against
 scipy's adaptive quadrature, inverse-transform samples against closed-form
 laws, derivative jets against finite differences, the analysis against the
-end-to-end simulation, and the lockstep campaign against its replications
-run one at a time.  Scales are chosen so a full run stays well under a
+end-to-end simulation, the lockstep campaign against its replications
+run one at a time, and the event-time vertical kinematics against the
+time-stepped integrator they replaced.  Scales are chosen so a full run stays well under a
 minute while keeping each comparison far away from its statistical noise
 floor.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,17 +26,19 @@ from .config import derive_stay_probability
 from .coverage import CoverageQuery, coverage_probability
 from .distributions import AltitudeDistribution, DistanceDistribution
 from .scenario import Scenario
+from . import simulator
 from .simulator import run_campaign
-from .errors import NumericalError
+from .errors import ConsistencyError, NumericalError
 from .special import _gauss_series, _large_z, _pfaff, hyp2f1
 
-__all__ = ["CheckResult", "quad_phase_moment", "run_validation"]
+__all__ = ["CheckResult", "event_tape_gaps", "quad_phase_moment", "run_validation"]
 
 # Adaptive-quadrature oracle tolerances.  The relative tolerance dominates:
 # at large s the moments decay by many orders of magnitude.
 _QUAD_EPSABS = 1e-300
 _QUAD_EPSREL = 1e-11
 _QUAD_LIMIT = 200
+_MAX_EVENT_PASSES = 10_000
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,160 @@ def quad_phase_moment(phase: str, s: float, m: int, net, k: int = 0) -> float:
             error_bound=abserr,
         )
     return value
+
+
+def _time_left_vertical(h, moving, wp, v, rem, dt: float, dwell, leg) -> None:
+    """The time-stepped vertical integrator, in place: the reference for `simulator`.
+
+    It spends each interferer's dt of wall time pass after pass, with a
+    time-left mask over the whole width, on the arrays of altitude, phase,
+    waypoint, speed and residual dwell.  `dwell(idx)` gives the fresh dwell
+    of each arriving interferer and `leg(idx)` the (waypoint, speed) of each
+    one whose dwell expires.
+    """
+    time_left = np.full(h.size, float(dt))
+    for _ in range(_MAX_EVENT_PASSES):
+        active = time_left > 0.0
+        if not active.any():
+            return
+
+        idx = (active & moving).nonzero()[0]
+        if idx.size:
+            gap = wp[idx] - h[idx]
+            t_arrive = np.abs(gap) / v[idx]
+            tl = time_left[idx]
+            hit = t_arrive <= tl
+            short = ~hit
+            cruise = idx[short]
+            h[cruise] += np.sign(gap[short]) * v[cruise] * tl[short]
+            time_left[cruise] = 0.0
+            arrive = idx[hit]
+            h[arrive] = wp[arrive]
+            time_left[arrive] = tl[hit] - t_arrive[hit]
+            moving[arrive] = False
+            if arrive.size:
+                rem[arrive] = dwell(arrive)
+
+        idx = ((time_left > 0.0) & ~moving).nonzero()[0]
+        if idx.size:
+            left, tl = rem[idx], time_left[idx]
+            consumed = np.minimum(left, tl)
+            left -= consumed
+            rem[idx] = left
+            time_left[idx] = tl - consumed
+            expired = idx[left <= 0.0]
+            if expired.size:
+                wp[expired], v[expired] = leg(expired)
+                moving[expired] = True
+    raise ConsistencyError("vertical event resolution did not terminate")
+
+
+class _EventTape:
+    """Per-interferer sequences of uniforms that both vertical integrators read.
+
+    Interferer i's j-th dwell comes from u[i, j, 0] and its j-th leg from
+    the waypoint and speed uniforms u[i, j, 1:3], whichever integrator
+    (reader) asks and in whatever pass it asks; the tape grows as the
+    sequences are used.
+    """
+
+    def __init__(self, n: int, rng: np.random.Generator):
+        self.rng = rng
+        self.u = np.empty((n, 0, 3))
+        self.taken = np.zeros((2, 2, n), dtype=int)  # per reader: dwells, legs used
+
+    def peek(self, reader: int, kind: int, idx: np.ndarray) -> np.ndarray:
+        """The reader's next row of each interferer in idx, for kind 0 (dwell) or 1 (leg)."""
+        j = self.taken[reader, kind, idx]
+        while j.size and j.max() >= self.u.shape[1]:
+            self.u = np.concatenate([self.u, self.rng.random((self.u.shape[0], 8, 3))], axis=1)
+        return self.u[idx, j]
+
+    def take(self, reader: int, kind: int, idx: np.ndarray) -> np.ndarray:
+        row = self.peek(reader, kind, idx)
+        self.taken[reader, kind, idx] += 1
+        return row
+
+
+def event_tape_gaps(net, mob, n: int, steps: int, dt: float, seed: int) -> dict:
+    """Step n interferers with `simulator`'s event-time kinematics and with the
+    time-stepped reference, both reading one `_EventTape`, and compare them
+    after every step.
+
+    Returns the steps after which the phases or the per-interferer counts of
+    dwells and legs differ, the worst altitude and residual dwell gaps, the
+    number of events, and how many times the event-time integrator drew
+    afresh for an interferer in a repeat pass (a third or later event in
+    one step).
+    """
+    rng = np.random.default_rng(seed)
+    state = simulator.initial_state(n, net, mob, rng)
+    h, moving = state.altitude(), state.moving.copy()
+    wp, v, rem = state.waypoint.copy(), state.speed.copy(), state.dwell_remaining()
+    tape = _EventTape(n, rng)
+    repeats, last = 0, None
+
+    def settle():
+        # a pass runs the first event of each interferer it is given and the
+        # second only if that falls within the step; after two events the
+        # phase is back where it was.  Count what the last pass used.
+        nonlocal last
+        if last is not None:
+            idx, arriving = last
+            two = state.moving[idx] == arriving
+            tape.taken[0, 0, idx[arriving | two]] += 1
+            tape.taken[0, 1, idx[~arriving | two]] += 1
+            last = None
+
+    def draw(idx, p):
+        nonlocal repeats, last
+        settle()
+        last = idx, state.moving[idx]
+        repeats += idx.size if p else 0
+        u = tape.peek(0, 1, idx)
+        u[:, 0] = tape.peek(0, 0, idx)[:, 0]
+        return u
+
+    def dwell(idx):
+        return mob.dwell_min + (mob.dwell_max - mob.dwell_min) * tape.take(1, 0, idx)[:, 0]
+
+    def leg(idx):
+        u = tape.take(1, 1, idx)
+        return net.height * u[:, 1], mob.speed_min + (mob.speed_max - mob.speed_min) * u[:, 2]
+
+    phase_steps, h_gap, dwell_gap = [], 0.0, 0.0
+    for k in range(steps):
+        simulator._advance_vertical(state, state.t + dt, draw, net, mob)
+        settle()
+        _time_left_vertical(h, moving, wp, v, rem, dt, dwell, leg)
+        if not (np.array_equal(state.moving, moving)
+                and np.array_equal(tape.taken[0], tape.taken[1])):
+            phase_steps.append(k)
+        h_gap = max(h_gap, float(np.abs(state.altitude() - h).max()))
+        dwell_gap = max(dwell_gap, float(np.abs(state.dwell_remaining() - rem).max()))
+    return {"phase_steps": phase_steps, "altitude_gap": h_gap, "dwell_gap": dwell_gap,
+            "events": int(tape.taken[1].sum()), "repeats": repeats}
+
+
+def _check_event_tape(sc: Scenario) -> CheckResult:
+    # The scenario's kinematics, then dwells shorter than a step and none at
+    # all, which must give some interferers three or more events in one step.
+    mob = sc.mobility
+    mobs = {"scenario": mob,
+            "short-dwell": dataclasses.replace(mob, dwell_min=0.1 * sc.sim.dt,
+                                               dwell_max=0.6 * sc.sim.dt),
+            "zero-dwell": dataclasses.replace(mob, dwell_min=0.0, dwell_max=0.0)}
+    ok, parts = True, []
+    for name, m in mobs.items():
+        gaps = event_tape_gaps(sc.network, m, 64, 200, sc.sim.dt, sc.sim.seed)
+        ok &= (not gaps["phase_steps"] and gaps["altitude_gap"] <= 1e-9
+               and gaps["dwell_gap"] <= 1e-9 and (m is mob or gaps["repeats"] > 0))
+        parts.append(f"{name}: {len(gaps['phase_steps'])} steps with phase mismatches, "
+                     f"altitude gap {gaps['altitude_gap']:.1e}, dwell gap "
+                     f"{gaps['dwell_gap']:.1e} over {gaps['events']} events "
+                     f"({gaps['repeats']} repeat)")
+    return CheckResult("event-tape", ok, "64 interferers x 200 steps vs the time-stepped "
+                       "integrator (phases exact, gaps <=1e-9); " + "; ".join(parts))
 
 
 def _check_trivial_anchors(sc: Scenario) -> CheckResult:
@@ -381,6 +539,7 @@ def run_validation(sc: Scenario, fault_bias: float = 0.0) -> list[CheckResult]:
         _check_binomial_collapse(sc, rng),
         _check_derivative_jet(sc),
         _check_lockstep_replications(sc),
+        _check_event_tape(sc),
     ]
     sim_check, campaign = _check_analysis_vs_simulation(sc)
     results.append(sim_check)

@@ -23,7 +23,7 @@ from uavcov.interference import (
 )
 from uavcov.simulator import run_campaign
 from uavcov.special import hyp2f1
-from uavcov.validation import quad_phase_moment
+from uavcov.validation import event_tape_gaps, quad_phase_moment
 
 R, H = 40.0, 30.0
 MOBILITY = MobilityConfig(0.2, 10.0, 2.0, 6.0, 10.0)  # benchmark kinematics
@@ -270,3 +270,21 @@ def test_criterion_10_kernel_vs_adaptive_quadrature():
                             worst, worst_at = rel, (alpha, phase, m, float(s), k)
     report("10 gl-vs-quad", worst <= 1e-9,
            f"worst rel gap {worst:.2e} at {worst_at} (tol 1e-9, {count} coefficients)")
+
+
+@pytest.mark.parametrize("dwell", [(2.0, 6.0), (0.1, 0.6), (0.0, 0.0)],
+                         ids=["benchmark", "short-dwell", "zero-dwell"])
+def test_criterion_11_event_tape(dwell):
+    """The event-time vertical kinematics against the time-stepped
+    integrator they replaced, both reading one per-interferer tape of
+    (dwell, waypoint, speed) draws.  Dwells shorter than the 1 s step give
+    interferers three or more events in one step."""
+    mob = MobilityConfig(MOBILITY.speed_min, MOBILITY.speed_max, *dwell, MOBILITY.hop_range)
+    gaps = event_tape_gaps(net_with(2, 10.0), mob, n=500, steps=1000, dt=1.0, seed=11)
+    ok = (not gaps["phase_steps"] and gaps["altitude_gap"] <= 1e-9
+          and gaps["dwell_gap"] <= 1e-9 and (dwell[0] >= 1.0 or gaps["repeats"] > 0))
+    report(f"11 event-tape ({dwell[0]:g}-{dwell[1]:g} s dwell)", ok,
+           f"{len(gaps['phase_steps'])} steps with phase mismatches (exact), altitude gap "
+           f"{gaps['altitude_gap']:.1e} and dwell gap {gaps['dwell_gap']:.1e} (<=1e-9) "
+           f"over 500 interferers x 1000 steps, {gaps['events']} events, "
+           f"{gaps['repeats']} drawn in a repeat pass")

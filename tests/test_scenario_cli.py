@@ -173,6 +173,27 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "abc" in err
 
+    @pytest.mark.parametrize("psi_db", ["4000", "0,nan"])
+    def test_threshold_without_finite_linear_value_is_input_error(
+            self, scenario_path, tmp_path, capsys, psi_db):
+        code = main(["analyze", "--scenario", scenario_path, "--out", str(tmp_path / "x.csv"),
+                     f"--psi-db={psi_db}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and psi_db.split(",")[-1] in err
+
+    def test_calls_in_one_process_parse_independently(self, scenario_path, tmp_path):
+        """The parser is built once per process; a failed parse leaves
+        nothing behind for the next call."""
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--scenario", scenario_path, "--out", str(tmp_path / "x.csv"),
+                  "--psi-db", "0", "--seed", "not-a-number"])
+        assert exc.value.code == 2
+        out = tmp_path / "cov.csv"
+        assert main(["analyze", "--scenario", scenario_path, "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()[2:]) == 4  # the scenario's grid
+        assert cli.build_parser() is cli.build_parser()
+
     @pytest.mark.parametrize("section,key,value", [
         ("network", "n_interferers", 2.5),
         ("fading", "altitude_dependent", "false"),

@@ -20,14 +20,46 @@ FAD = FadingConfig(1, 1)
 
 
 def single_uav(xy, altitude, moving, waypoint, speed, dwell_remaining) -> UavState:
+    """One interferer at clock 0, its leg or dwell starting now."""
+    tev = abs(waypoint - altitude) / speed if moving else dwell_remaining
     return UavState(
         xy=np.array([xy], dtype=float),
-        altitude=np.array([altitude], dtype=float),
-        moving=np.array([moving]),
+        h0=np.array([altitude], dtype=float),
+        t0=np.zeros(1),
+        tev=np.array([tev], dtype=float),
         waypoint=np.array([waypoint], dtype=float),
         speed=np.array([speed], dtype=float),
-        dwell_remaining=np.array([dwell_remaining], dtype=float),
+        moving=np.array([moving]),
     )
+
+
+STATE_FIELDS = ("xy", "h0", "t0", "tev", "waypoint", "speed", "moving")
+
+
+def assert_blocks_step_as_each_alone(mob, rule, steps=60):
+    """Block r of a two-block state draws only from generator r, so
+    stepping both together equals stepping each alone, bit for bit."""
+    seeds = (3, 4)
+    both = initial_state(80, NET, mob, [np.random.default_rng(s) for s in seeds])
+    alone = [initial_state(40, NET, mob, np.random.default_rng(s)) for s in seeds]
+    both_rngs = [np.random.default_rng(s + 10) for s in seeds]
+    alone_rngs = [np.random.default_rng(s + 10) for s in seeds]
+    tally = np.zeros(2)
+    for _ in range(steps):
+        tally += step(both, 1.0, both_rngs, NET, mob, boundary_rule=rule)
+        for block, g in zip(alone, alone_rngs):
+            tally -= step(block, 1.0, g, NET, mob, boundary_rule=rule)
+    for name in STATE_FIELDS:
+        joined = np.concatenate([getattr(block, name) for block in alone])
+        assert np.array_equal(getattr(both, name), joined), name
+    for name in ("altitude", "dwell_remaining"):
+        joined = np.concatenate([getattr(block, name)() for block in alone])
+        assert np.array_equal(getattr(both, name)(), joined), name
+    assert both.t == alone[0].t == alone[1].t
+    assert tally[1] == 0  # hop count
+    assert abs(tally[0]) < 1e-9  # hop-length sum, up to summation order
+    for a, b in zip(both_rngs, alone_rngs):
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestStep:
@@ -36,8 +68,8 @@ class TestStep:
         new = state.copy()
         step(new, 1.0, rng, NET, MOB)
         assert not new.moving[0]
-        assert new.dwell_remaining[0] == pytest.approx(4.0)
-        assert new.altitude[0] == 12.0
+        assert new.dwell_remaining()[0] == pytest.approx(4.0)
+        assert new.altitude()[0] == 12.0
         hop = np.hypot(*(new.xy[0] - state.xy[0]))
         assert 0.0 < hop <= MOB.hop_range
 
@@ -46,9 +78,9 @@ class TestStep:
         new = state.copy()
         step(new, 1.0, rng, NET, MOB)
         assert not new.moving[0]
-        assert new.altitude[0] == 10.5
+        assert new.altitude()[0] == 10.5
         # arrival took 0.25 s, so 0.75 s of the fresh dwell is already spent
-        drawn_dwell = new.dwell_remaining[0] + 0.75
+        drawn_dwell = new.dwell_remaining()[0] + 0.75
         assert MOB.dwell_min <= drawn_dwell <= MOB.dwell_max
 
     def test_cruising_advances_by_speed_times_dt(self, rng):
@@ -56,7 +88,7 @@ class TestStep:
         new = state.copy()
         step(new, 1.0, rng, NET, MOB)
         assert new.moving[0]
-        assert new.altitude[0] == pytest.approx(8.0)
+        assert new.altitude()[0] == pytest.approx(8.0)
         assert np.array_equal(new.xy, state.xy)  # no hop while climbing
 
     def test_dwell_expiry_relaunches(self, rng):
@@ -67,7 +99,7 @@ class TestStep:
         assert 0.0 <= new.waypoint[0] <= NET.height
         assert MOB.speed_min <= new.speed[0] <= MOB.speed_max
         # 0.25 s of dwell then 0.75 s of climbing at the fresh speed
-        gap = abs(new.altitude[0] - 12.0)
+        gap = abs(new.altitude()[0] - 12.0)
         assert gap == pytest.approx(0.75 * new.speed[0], rel=1e-12) or not new.moving[0]
 
     def test_containment_over_long_run(self, rng):
@@ -77,28 +109,32 @@ class TestStep:
             state.check_containment(NET)  # callers check containment, not step
         radii = np.hypot(state.xy[:, 0], state.xy[:, 1])
         assert radii.max() <= NET.radius * (1 + 1e-12)
-        assert state.altitude.min() >= 0.0
-        assert state.altitude.max() <= NET.height
+        assert state.altitude().min() >= 0.0
+        assert state.altitude().max() <= NET.height
 
     @pytest.mark.parametrize("rule", ["stay", "resample"])
     def test_two_blocks_step_as_each_block_alone(self, rule):
-        """Block r of a two-block state draws only from generator r, so
-        stepping both together equals stepping each alone, bit for bit."""
-        seeds = (3, 4)
-        both = initial_state(80, NET, MOB, [np.random.default_rng(s) for s in seeds])
-        alone = [initial_state(40, NET, MOB, np.random.default_rng(s)) for s in seeds]
-        both_rngs = [np.random.default_rng(s + 10) for s in seeds]
-        alone_rngs = [np.random.default_rng(s + 10) for s in seeds]
-        tally = np.zeros(2)
-        for _ in range(60):
-            tally += step(both, 1.0, both_rngs, NET, MOB, boundary_rule=rule)
-            for block, g in zip(alone, alone_rngs):
-                tally -= step(block, 1.0, g, NET, MOB, boundary_rule=rule)
-        for name in ("xy", "altitude", "moving", "waypoint", "speed", "dwell_remaining"):
-            joined = np.concatenate([getattr(block, name) for block in alone])
-            assert np.array_equal(getattr(both, name), joined), name
-        assert tally[1] == 0  # hop count
-        assert abs(tally[0]) < 1e-9  # hop-length sum, up to summation order
+        assert_blocks_step_as_each_alone(MOB, rule)
+
+    @pytest.mark.parametrize("dwell", [(0.1, 0.6), (0.0, 0.0)], ids=["short", "zero"])
+    def test_repeat_events_step_as_each_block_alone(self, dwell):
+        """Dwells shorter than dt give some interferers a third event in a
+        step, which draws afresh for just those interferers."""
+        mob = MobilityConfig(0.2, 10.0, *dwell, 10.0)
+        assert_blocks_step_as_each_alone(mob, "stay")
+
+    def test_fixed_draw_budget_per_step(self):
+        """With dwell_min >= dt under "stay", a step draws exactly one
+        (block, 5) array of uniforms per block, whatever the phases."""
+        seeds, block, k = (5, 6), 40, 25
+        state = initial_state(2 * block, NET, MOB, [np.random.default_rng(s) for s in seeds])
+        rngs = [np.random.default_rng(s) for s in seeds]
+        for _ in range(k):
+            step(state, 1.0, rngs, NET, MOB)
+        for s, g in zip(seeds, rngs):
+            fresh = np.random.default_rng(s)
+            fresh.random(k * block * 5)
+            assert g.bit_generator.state == fresh.bit_generator.state
 
     def test_state_must_split_into_equal_blocks(self, rng):
         state = initial_state(5, NET, MOB, rng)
