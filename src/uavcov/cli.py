@@ -144,10 +144,9 @@ def cmd_simulate(args) -> int:
     sc = _apply_overrides(load_scenario(args.scenario), args)
     psi = np.asarray(sc.psi_grid_linear())
     result = run_campaign(
-        sc.network, sc.fading, sc.mobility, sc.sim.n_snapshots,
-        warmup_steps=sc.sim.warmup_steps, dt=sc.sim.dt, seed=sc.sim.seed,
-        psi_grid=psi, stride=sc.sim.stride, replications=sc.sim.replications,
-        chains=sc.sim.chains, boundary_rule=sc.sim.boundary_rule,
+        sc.network, sc.fading, sc.mobility, sc.sim.n_snapshots, dt=sc.sim.dt,
+        seed=sc.sim.seed, psi_grid=psi, stride=sc.sim.stride,
+        replications=sc.sim.replications, chains=sc.sim.chains,
     )
 
     if sc.fading.altitude_dependent:

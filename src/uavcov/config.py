@@ -16,7 +16,9 @@ __all__ = [
     "FadingConfig",
     "MobilityConfig",
     "derive_stay_probability",
+    "kinematic_stay_probability",
     "resolve_fading_bands",
+    "simulated_stay_probability",
 ]
 
 
@@ -120,9 +122,11 @@ class MobilityConfig:
     speed_min, speed_max:  vertical leg speed bounds (m/s, 0 < min < max)
     dwell_min, dwell_max:  waypoint dwell time bounds (s, 0 <= min <= max)
     hop_range:             radius of the uniform spatial hop disk (m, > 0)
-    stay_probability_override:  when set, used verbatim instead of the value
-                           derived from the dwell/speed kinematics; lets the
-                           stay probability be swept independently
+    stay_probability_override:  when set, the analysis uses it verbatim instead
+                           of the value derived from the dwell/speed
+                           kinematics, so the stay probability can be swept
+                           independently; a simulation runs the kinematics
+                           and rejects an override that differs from them
     """
 
     speed_min: float
@@ -172,16 +176,33 @@ class MobilityConfig:
         return self.hop_range / 1.5
 
 
-def derive_stay_probability(mob: MobilityConfig, net: NetworkConfig) -> float:
+def kinematic_stay_probability(mob: MobilityConfig, net: NetworkConfig) -> float:
     """Long-run fraction of time an interferer spends dwelling at a waypoint.
 
     Ratio of the mean dwell time to the mean cycle time (dwell + vertical
-    leg).  An explicit override on the mobility config wins.
+    leg), p = E[D] / (E[D] + E[L/V]), whatever the override says.
     """
-    if mob.stay_probability_override is not None:
-        return mob.stay_probability_override
     e_dwell = mob.mean_dwell_time
     e_travel = mob.mean_travel_time(net.height)
     if e_dwell == 0:
         return 0.0
     return e_dwell / (e_dwell + e_travel)
+
+
+def derive_stay_probability(mob: MobilityConfig, net: NetworkConfig) -> float:
+    """The stay probability of the analysis: the override when set, else the kinematic one."""
+    if mob.stay_probability_override is not None:
+        return mob.stay_probability_override
+    return kinematic_stay_probability(mob, net)
+
+
+def simulated_stay_probability(mob: MobilityConfig, net: NetworkConfig) -> float:
+    """The kinematic stay probability, which a simulation runs at; an
+    override that differs from it cannot be simulated and is rejected."""
+    p = kinematic_stay_probability(mob, net)
+    if mob.stay_probability_override not in (None, p):
+        raise ConfigurationError(
+            f"stay_probability_override {mob.stay_probability_override!r} differs from the "
+            f"kinematic stay probability {p!r} that the mobility process simulates"
+        )
+    return p

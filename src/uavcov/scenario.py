@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .config import FadingConfig, MobilityConfig, NetworkConfig
 from .errors import ConfigurationError, UnsupportedGeometryError
-from .simulator import BOUNDARY_RULES
 
 __all__ = ["SimParams", "Scenario", "scenario_from_dict", "scenario_to_dict",
            "load_scenario", "dump_scenario", "atomic_write_text"]
@@ -26,25 +25,19 @@ class SimParams:
     """Monte Carlo campaign sizing and seeding."""
 
     n_snapshots: int = 200_000
-    warmup_steps: int = 10_000
     dt: float = 1.0
     stride: int = 10
     seed: int = 1
     replications: int = 2
     chains: int = 64
-    boundary_rule: str = "stay"
 
     def __post_init__(self):
         if self.n_snapshots < 1:
             raise ConfigurationError("sim.n_snapshots must be >= 1")
-        if self.warmup_steps < 0:
-            raise ConfigurationError("sim.warmup_steps must be >= 0")
         if not self.dt > 0:
             raise ConfigurationError("sim.dt_s must be > 0")
         if self.stride < 1 or self.replications < 1 or self.chains < 1:
             raise ConfigurationError("sim.stride, sim.replications, sim.chains must be >= 1")
-        if self.boundary_rule not in BOUNDARY_RULES:
-            raise ConfigurationError(f"sim.boundary_rule must be one of {BOUNDARY_RULES}")
 
 
 @dataclass(frozen=True)
@@ -155,15 +148,17 @@ def scenario_from_dict(doc: dict) -> Scenario:
         hop_range=float(_field(mob_doc, "mobility", "hop_range_m")),
         stay_probability_override=None if override is None else float(override),
     )
+    # sim.warmup_steps is no longer read: campaigns start in the stationary law
+    rule = _field(sim_doc, "sim", "boundary_rule", "stay")
+    if rule != "stay":
+        raise ConfigurationError(f"sim.boundary_rule must be \"stay\", got {rule!r}")
     sim = SimParams(
         n_snapshots=_int_field(sim_doc, "sim", "n_snapshots", 200_000),
-        warmup_steps=_int_field(sim_doc, "sim", "warmup_steps", 10_000),
         dt=float(_field(sim_doc, "sim", "dt_s", 1.0)),
         stride=_int_field(sim_doc, "sim", "stride", 10),
         seed=_int_field(sim_doc, "sim", "seed", 1),
         replications=_int_field(sim_doc, "sim", "replications", 2),
         chains=_int_field(sim_doc, "sim", "chains", 64),
-        boundary_rule=str(_field(sim_doc, "sim", "boundary_rule", "stay")),
     )
     psi = _field(doc, "scenario", "psi_grid_db")
     return Scenario(network, fading, mobility, tuple(float(v) for v in psi), sim)
@@ -197,13 +192,11 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "psi_grid_db": list(sc.psi_grid_db),
         "sim": {
             "n_snapshots": sc.sim.n_snapshots,
-            "warmup_steps": sc.sim.warmup_steps,
             "dt_s": sc.sim.dt,
             "stride": sc.sim.stride,
             "seed": sc.sim.seed,
             "replications": sc.sim.replications,
             "chains": sc.sim.chains,
-            "boundary_rule": sc.sim.boundary_rule,
         },
     }
 

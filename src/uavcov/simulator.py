@@ -14,31 +14,32 @@ dt grid is the true continuous-time state: phase fractions, altitude laws
 and distance laws then match their steady-state forms without
 discretization bias.
 
-Spatial hops at the region edge follow a reject-the-proposal-and-stay rule
-by default.  That rule is a symmetric-proposal Metropolis move for the
-uniform target, so the horizontal law stays exactly uniform on the disk, as
-the analytical distance laws assume.  Redrawing until a feasible hop is
-found ("resample") is also available, but it provably tilts the stationary
-horizontal law toward the interior (density proportional to the feasible
-proposal area); a regression test demonstrates that bias empirically.
+Interferers start in the stationary law of this process, drawn exactly
+(Palm calculus: Le Boudec & Vojnovic, INFOCOM 2005; Navidi & Camp, IEEE TMC
+2004), so a campaign takes snapshots from its first step, with no warm-up.
+
+A spatial hop that would leave the region is rejected and the interferer
+stays put.  That is a symmetric-proposal Metropolis move for the uniform
+target, so the horizontal law stays exactly uniform on the disk, as the
+analytical distance laws assume.
 
 A campaign steps all its replications together, in place, as one state
 array with one contiguous block of interferers per replication.  Each
 replication keeps its own generator, and every draw is split by block in
 the order a one-replication run makes it, so each block reproduces its
-replication run alone bit for bit.  At the top of every step each block
-draws one (block, 5) array of uniforms, whose columns are an interferer's
-dwell, waypoint, speed, hop radius and hop angle; its first dwell, first
-leg and its hop in the step come from there, so under "stay" a replication
-spends a fixed number of draws per step.  Only a third event of one
-interferer in one step (possible when dwell_min < dt) and "resample" retries
-draw more, per block and for just the interferers that need them.
-Containment is checked after warm-up and at every snapshot, not on every
-step.
+replication run alone bit for bit.  The launch draws one (block, 9) array of
+uniforms per block, and at the top of every step each block draws one
+(block, 5) array, whose columns are an interferer's dwell, waypoint, speed,
+hop radius and hop angle; its first dwell, first leg and its hop in the
+step come from there, so a replication spends a fixed number of draws per
+step.  Only a third event of one interferer in one step (possible when
+dwell_min < dt) draws more, per block and for just the interferers that
+need them.  Containment is checked at launch and at every snapshot, not on
+every step.
 
-Snapshots taken every `stride` steps after warm-up record distances, phases
-and fading draws; per-threshold coverage tallies are kept in contiguous
-batches for batch-means standard errors.
+Snapshots taken every `stride` steps record distances, phases and fading
+draws; per-threshold coverage tallies are kept in contiguous batches for
+batch-means standard errors.
 """
 
 from __future__ import annotations
@@ -52,9 +53,11 @@ from .config import (
     FadingConfig,
     MobilityConfig,
     NetworkConfig,
-    derive_stay_probability,
+    kinematic_stay_probability,
     resolve_fading_bands,
+    simulated_stay_probability,
 )
+from .distributions import smoothstep_inverse
 from .errors import ConfigurationError, ConsistencyError
 
 __all__ = [
@@ -68,8 +71,6 @@ __all__ = [
     "default_psi_grid",
 ]
 
-BOUNDARY_RULES = ("stay", "resample")
-_MAX_HOP_RETRIES = 100
 # columns of the uniforms each interferer draws at the top of every step
 _DWELL, _WAYPOINT, _SPEED, _HOP_RADIUS, _HOP_ANGLE = range(5)
 
@@ -149,6 +150,7 @@ class _Streams:
 
     def __init__(self, rngs, n: int):
         self.rngs = (rngs,) if isinstance(rngs, np.random.Generator) else tuple(rngs)
+        self.n = n
         self.blocks = self.spans(n)
 
     def spans(self, n: int) -> list[tuple[np.random.Generator, int, int]]:
@@ -159,47 +161,64 @@ class _Streams:
         size = n // blocks
         return [(g, r * size, (r + 1) * size) for r, g in enumerate(self.rngs)]
 
-    def draw(self, idx: np.ndarray, *draws) -> list[np.ndarray]:
-        """Call each draw(rng, k) for the sorted interferer indices idx.
+    def uniforms(self, cols: int) -> np.ndarray:
+        """An (n, cols) array of uniforms; each block fills its rows from its own generator."""
+        u = np.empty((self.n, cols))
+        for g, lo, hi in self.blocks:
+            g.random(out=u[lo:hi])
+        return u
 
-        Returns one array per draw, aligned with idx.  A block with no index
-        in idx draws nothing; a zero-size draw leaves a generator as it is.
+    def draw(self, idx: np.ndarray, cols: int) -> np.ndarray:
+        """(idx.size, cols) uniforms for the sorted, non-empty interferer indices idx.
+
+        Each block draws the rows of its own indices in idx, and a block
+        with none draws nothing.
         """
-        if not idx.size:
-            return [d(self.rngs[0], 0) for d in draws]
         ends = idx.searchsorted([hi for _, _, hi in self.blocks]).tolist()
-        parts = [
-            [d(g, b - a) for d in draws]
-            for (g, _, _), a, b in zip(self.blocks, [0] + ends, ends) if b > a
-        ]
-        return [np.concatenate(p) for p in zip(*parts)]
+        return np.concatenate([g.random((b - a, cols)) for (g, _, _), a, b
+                               in zip(self.blocks, [0] + ends, ends) if b > a])
 
 
 def initial_state(n: int, net: NetworkConfig, mob: MobilityConfig, rng) -> UavState:
-    """Launch n interferers uniformly in the cylinder, each starting a leg.
+    """Draw n interferers from the stationary law of the mobility process.
 
-    `rng` is a generator, or a sequence of generators that each launch one
-    equal block of the n interferers.  The initial phase choice washes out
-    during warm-up; starting on a leg toward a fresh waypoint keeps
-    initialization order-independent.
+    `rng` is a generator, or a sequence of generators, one per equal block
+    of the n interferers; each block fills one (block, 9) array of uniforms
+    from its own.  The state is taken at t = 0 with every leg or dwell
+    starting then (t0 = 0).  Under the stationary law, which is the law at
+    every later observation too:
+
+    - the phase is dwelling with the kinematic probability
+      p = E[D] / (E[D] + E[L/V]) (never the override);
+    - a dweller sits at an altitude uniform on [0, H] with residual dwell
+      U D*, where D* = sqrt(d_min^2 + U'(d_max^2 - d_min^2)) is the
+      length-biased dwell;
+    - a mover sits on a leg chosen in proportion to its duration |b - a| / v,
+      at a uniform point of it: its altitude is H smoothstep_inverse(U) (the
+      parabolic law), it heads up or down on a fair coin to a waypoint
+      uniform on the far side, [h, H] or [0, h], and its speed
+      v_min (v_max / v_min)^U has density proportional to 1/v;
+    - the horizontal projection is uniform on the disk, independent of the
+      vertical state, which the reject-and-stay hop keeps invariant.
     """
-    u, theta, altitude, waypoint, speed = _Streams(rng, n).draw(
-        np.arange(n),
-        lambda g, k: g.random(k),
-        lambda g, k: g.uniform(0.0, 2.0 * math.pi, k),
-        lambda g, k: g.uniform(0.0, net.height, k),
-        lambda g, k: g.uniform(0.0, net.height, k),
-        lambda g, k: g.uniform(mob.speed_min, mob.speed_max, k),
-    )
-    radius = net.radius * np.sqrt(u)
+    u = _Streams(rng, n).uniforms(9)
+    dwell_u, height_u, residual_u, biased_u, up_u, far_u, speed_u, radius_u, angle_u = u.T
+    dwelling = dwell_u < kinematic_stay_probability(mob, net)
+    H = net.height
+    altitude = np.where(dwelling, H * height_u, H * smoothstep_inverse(height_u))
+    lo2, hi2 = mob.dwell_min**2, mob.dwell_max**2
+    residual = residual_u * np.sqrt(lo2 + biased_u * (hi2 - lo2))
+    waypoint = np.where(up_u < 0.5, altitude + (H - altitude) * far_u, altitude * far_u)
+    speed = mob.speed_min * (mob.speed_max / mob.speed_min) ** speed_u
+    radius, theta = net.radius * np.sqrt(radius_u), 2.0 * math.pi * angle_u
     return UavState(
         xy=np.column_stack((radius * np.cos(theta), radius * np.sin(theta))),
         h0=altitude,
         t0=np.zeros(n),
-        tev=np.abs(waypoint - altitude) / speed,
-        waypoint=waypoint,
+        tev=np.where(dwelling, residual, np.abs(waypoint - altitude) / speed),
+        waypoint=np.where(dwelling, altitude, waypoint),
         speed=speed,
-        moving=np.ones(n, dtype=bool),
+        moving=~dwelling,
     )
 
 
@@ -251,14 +270,14 @@ def _unit(theta: np.ndarray) -> np.ndarray:
     return e
 
 
-def _hop(state: UavState, u: np.ndarray, streams: _Streams, net: NetworkConfig,
-         mob: MobilityConfig, rule: str) -> tuple[float, int]:
+def _hop(state: UavState, u: np.ndarray, net: NetworkConfig,
+         mob: MobilityConfig) -> tuple[float, int]:
     """One spatial hop for every currently dwelling interferer, in place.
 
-    The first proposal comes from the step's hop columns of u; "resample"
-    retries draw afresh.  Returns the summed length and the number of the
-    accepted hops that started at least hop_range inside the disk edge
-    (interior hops).
+    The proposal comes from the step's hop columns of u; one that would
+    leave the disk is rejected and the interferer stays put.  Returns the
+    summed length and the number of the accepted hops that started at least
+    hop_range inside the disk edge (interior hops).
     """
     idx = (~state.moving).nonzero()[0]
     if idx.size == 0:
@@ -272,24 +291,6 @@ def _hop(state: UavState, u: np.ndarray, streams: _Streams, net: NetworkConfig,
     target *= length
     target += start
     keep = np.abs(target) <= net.radius
-    if rule == "resample":
-        # redraw for infeasible proposals, bounded retries, then stay
-        pending = (~keep).nonzero()[0]
-        for _ in range(_MAX_HOP_RETRIES):
-            if pending.size == 0:
-                break
-            r, th = streams.draw(
-                idx[pending],
-                lambda g, k: mob.hop_range * np.sqrt(g.random(k)),
-                lambda g, k: g.uniform(0.0, 2.0 * math.pi, k),
-            )
-            retry = start[pending] + r * _unit(th)
-            good = np.abs(retry) <= net.radius
-            target[pending[good]] = retry[good]
-            length[pending[good]] = r[good]
-            pending = pending[~good]
-        keep[:] = True
-        keep[pending] = False  # retries exhausted: stay in place
     z[idx[keep]] = target[keep]
 
     interior_limit = max(net.radius - mob.hop_range, 0.0)
@@ -297,14 +298,8 @@ def _hop(state: UavState, u: np.ndarray, streams: _Streams, net: NetworkConfig,
     return float(length[counted].sum()), int(np.count_nonzero(counted))
 
 
-def step(
-    state: UavState,
-    dt: float,
-    rng,
-    net: NetworkConfig,
-    mob: MobilityConfig,
-    boundary_rule: str = "stay",
-) -> tuple[float, int]:
+def step(state: UavState, dt: float, rng, net: NetworkConfig,
+         mob: MobilityConfig) -> tuple[float, int]:
     """Advance every interferer by dt, in place.
 
     `rng` is a generator, or a sequence of generators, one per equal,
@@ -313,9 +308,9 @@ def step(
     uniforms: dwell, waypoint, speed, hop radius and hop angle.  An
     interferer's first arrival and first dwell expiry in the step and its
     hop take their values from it.  Only a third or later event of one
-    interferer in one step (possible when dwell_min < dt) and "resample"
-    retries draw more, per block and for just the interferers that need
-    them, so each block's draws stay its own.
+    interferer in one step (possible when dwell_min < dt) draws more, per
+    block and for just the interferers that need them, so each block's
+    draws stay its own.
     Vertical kinematics are resolved through phase changes exactly; each
     interferer dwelling at the end of the step performs one spatial hop.
     Returns the summed length and the count of this step's accepted
@@ -325,20 +320,14 @@ def step(
     """
     if not dt > 0:
         raise ConfigurationError(f"dt must be > 0, got {dt}")
-    if boundary_rule not in BOUNDARY_RULES:
-        raise ConfigurationError(f"boundary_rule must be one of {BOUNDARY_RULES}")
     streams = _Streams(rng, state.n)
-    u = np.empty((state.n, 5))
-    for g, lo, hi in streams.blocks:
-        g.random(out=u[lo:hi])
+    u = streams.uniforms(5)
 
     def draw(idx, p):
-        if not p:
-            return u.take(idx, axis=0)
-        return streams.draw(idx, lambda g, k: g.random((k, 3)))[0]
+        return streams.draw(idx, 3) if p else u.take(idx, axis=0)
 
     _advance_vertical(state, state.t + dt, draw, net, mob)
-    return _hop(state, u, streams, net, mob, boundary_rule)
+    return _hop(state, u, net, mob)
 
 
 @dataclass(frozen=True)
@@ -479,7 +468,6 @@ def run_campaign(
     fading: FadingConfig,
     mob: MobilityConfig,
     n_snapshots: int,
-    warmup_steps: int = 10_000,
     dt: float = 1.0,
     seed: int = 0,
     *,
@@ -487,7 +475,6 @@ def run_campaign(
     stride: int = 10,
     replications: int = 1,
     chains: int = 64,
-    boundary_rule: str = "stay",
     n_batches: int = 20,
     max_kept_samples: int = 2_000_000,
     seeds=None,
@@ -498,17 +485,15 @@ def run_campaign(
     each driving `chains` statistically independent copies of the network.
     All replications are stepped together as one array, one contiguous
     block per replication, with every draw split by block; each block's
-    numbers are those its replication gives when run alone.  Snapshot
-    counts round up to a multiple of replications * chains.
+    numbers are those its replication gives when run alone.  The network
+    starts in its stationary law, so snapshots begin with the first
+    stride.  Snapshot counts round up to a multiple of replications * chains.
     """
     if n_snapshots < 1:
         raise ConfigurationError("n_snapshots must be >= 1")
-    if warmup_steps < 0:
-        raise ConfigurationError("warmup_steps must be >= 0")
     if stride < 1 or replications < 1 or chains < 1:
         raise ConfigurationError("stride, replications and chains must be >= 1")
-    if boundary_rule not in BOUNDARY_RULES:
-        raise ConfigurationError(f"boundary_rule must be one of {BOUNDARY_RULES}")
+    p_stay = simulated_stay_probability(mob, net)
     psi_grid = default_psi_grid() if psi_grid is None else np.asarray(psi_grid, dtype=float)
     if psi_grid.size == 0:
         raise ConfigurationError("psi_grid must be non-empty")
@@ -534,8 +519,6 @@ def run_campaign(
     block = chains * M
     rngs = [np.random.default_rng(s) for s in rep_seeds]
     state = initial_state(reps * block, net, mob, rngs)
-    for _ in range(warmup_steps):
-        step(state, dt, rngs, net, mob, boundary_rule)
     state.check_containment(net)
 
     n_psi = psi_grid.size
@@ -555,7 +538,7 @@ def run_campaign(
 
     for j in range(per_chain):
         for _ in range(stride):
-            length, count = step(state, dt, rngs, net, mob, boundary_rule)
+            length, count = step(state, dt, rngs, net, mob)
             hop_sum += length
             hop_count += count
         state.check_containment(net)
@@ -590,17 +573,15 @@ def run_campaign(
         hop_length_sum=hop_sum,
         hop_count=hop_count,
         n_snapshots=int(batch_snapshots.sum()),
-        stay_probability=derive_stay_probability(mob, net),
+        stay_probability=p_stay,
         seed_info=tuple(repr(s) for s in rep_seeds),
         meta={
             "seed": seed if seeds is None else None,
             "explicit_seeds": seeds,
-            "warmup_steps": warmup_steps,
             "dt": dt,
             "stride": stride,
             "replications": replications,
             "chains": chains,
-            "boundary_rule": boundary_rule,
             "requested_snapshots": n_snapshots,
             "altitude_dependent": fading.altitude_dependent,
         },

@@ -4,9 +4,10 @@ Each check pits one evaluation route against an independent one: exact
 anchors, closed forms against the Gauss-Legendre kernel, the kernel against
 scipy's adaptive quadrature, inverse-transform samples against closed-form
 laws, derivative jets against finite differences, the analysis against the
-end-to-end simulation, the lockstep campaign against its replications
-run one at a time, and the event-time vertical kinematics against the
-time-stepped integrator they replaced.  Scales are chosen so a full run stays well under a
+end-to-end simulation, the stationary launch against the closed-form
+stationary laws, the lockstep campaign against its replications run one at
+a time, and the event-time vertical kinematics against the time-stepped
+integrator they replaced.  Scales are chosen so a full run stays well under a
 minute while keeping each comparison far away from its statistical noise
 floor.
 """
@@ -22,7 +23,9 @@ import numpy as np
 from scipy import integrate, stats
 
 from . import interference
-from .config import derive_stay_probability
+from .config import (
+    derive_stay_probability, kinematic_stay_probability, simulated_stay_probability,
+)
 from .coverage import CoverageQuery, coverage_probability
 from .distributions import AltitudeDistribution, DistanceDistribution
 from .scenario import Scenario
@@ -31,7 +34,8 @@ from .simulator import run_campaign
 from .errors import ConsistencyError, NumericalError
 from .special import _gauss_series, _large_z, _pfaff, hyp2f1
 
-__all__ = ["CheckResult", "event_tape_gaps", "quad_phase_moment", "run_validation"]
+__all__ = ["CheckResult", "check_stationary_start", "event_tape_gaps", "quad_phase_moment",
+           "run_validation"]
 
 # Adaptive-quadrature oracle tolerances.  The relative tolerance dominates:
 # at large s the moments decay by many orders of magnitude.
@@ -39,6 +43,8 @@ _QUAD_EPSABS = 1e-300
 _QUAD_EPSREL = 1e-11
 _QUAD_LIMIT = 200
 _MAX_EVENT_PASSES = 10_000
+# smallest KS p-value the stationary launch may show against a closed-form law
+_STATIONARY_KS_PMIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -438,10 +444,8 @@ def _check_lockstep_replications(sc: Scenario) -> CheckResult:
     # Only the hop-length sum may differ, by summation order.
     chains, per_chain, seeds = 4, 20, [sc.sim.seed, sc.sim.seed + 1]
     quota = per_chain // 2 * chains * sc.network.n_interferers  # keep half the samples
-    common = dict(
-        warmup_steps=20, dt=sc.sim.dt, psi_grid=np.asarray(sc.psi_grid_linear()),
-        stride=sc.sim.stride, chains=chains, boundary_rule=sc.sim.boundary_rule,
-    )
+    common = dict(dt=sc.sim.dt, psi_grid=np.asarray(sc.psi_grid_linear()),
+                  stride=sc.sim.stride, chains=chains)
     args = (sc.network, sc.fading, sc.mobility)
     both = run_campaign(*args, 2 * chains * per_chain, replications=2, seeds=seeds,
                         n_batches=4, max_kept_samples=2 * quota, **common)
@@ -472,20 +476,17 @@ def _check_lockstep_replications(sc: Scenario) -> CheckResult:
 
 def _check_analysis_vs_simulation(sc: Scenario) -> CheckResult:
     net, fading, mob = sc.network, sc.fading, sc.mobility
-    if fading.altitude_dependent:
+    psi = np.asarray(sc.psi_grid_linear())
+    result = run_campaign(
+        net, fading, mob, min(sc.sim.n_snapshots, 200_000), dt=sc.sim.dt,
+        seed=sc.sim.seed, psi_grid=psi, stride=sc.sim.stride,
+        replications=sc.sim.replications, chains=sc.sim.chains,
+    )
+    if fading.altitude_dependent:  # the campaign still feeds steady-state-mobility
         return CheckResult(
             "analysis-vs-simulation", True,
             "skipped: altitude-dependent fading is simulation-only",
-        ), None
-    psi = np.asarray(sc.psi_grid_linear())
-    n_snap = min(sc.sim.n_snapshots, 200_000)
-    result = run_campaign(
-        net, fading, mob, n_snap,
-        warmup_steps=min(sc.sim.warmup_steps, 4000),
-        dt=sc.sim.dt, seed=sc.sim.seed, psi_grid=psi, stride=sc.sim.stride,
-        replications=sc.sim.replications, chains=sc.sim.chains,
-        boundary_rule=sc.sim.boundary_rule,
-    )
+        ), result
     analytical = np.array([
         coverage_probability(CoverageQuery(float(p), net, fading, result.stay_probability))
         for p in psi
@@ -502,8 +503,70 @@ def _check_analysis_vs_simulation(sc: Scenario) -> CheckResult:
     ), result
 
 
+def check_stationary_start(state, net, mob, group: int) -> CheckResult:
+    """Hold a launched state to the closed-form stationary laws, at step 0.
+
+    Consecutive groups of `group` interferers form one network.  Checks the
+    dwelling fraction against the kinematic stay probability (4 SE), the
+    per-network dwelling count against Binomial(group, p) (TV < 0.02), and
+    by KS (p-value >= 1e-3) per phase the altitude and distance against
+    `distributions.py`, the moving speeds against ln(v/v_min)/ln(v_max/v_min),
+    the residual dwells against the equilibrium residual of the dwell law,
+    (1/E[D]) int_0^x P(D > y) dy, and the remaining leg length against
+    U L*, L*/H ~ Beta(2, 2), whose cdf is 1 - (1 - x/H)^3.
+    """
+    H, n = net.height, state.n
+    p = kinematic_stay_probability(mob, net)
+    dwelling = ~state.moving
+    frac = float(dwelling.mean())
+    frac_tol = 4 * math.sqrt(p * (1 - p) / n)
+    counts = dwelling.reshape(-1, group).sum(axis=1)
+    pmf = np.bincount(counts, minlength=group + 1) / counts.size
+    tv = 0.5 * float(np.abs(pmf - stats.binom.pmf(np.arange(group + 1), group, p)).sum())
+
+    a, b = mob.dwell_min, mob.dwell_max
+    log_span = math.log(mob.speed_max / mob.speed_min)
+
+    def residual_cdf(x):
+        over = np.clip(x - a, 0.0, b - a)
+        tail = over - over**2 / (2 * (b - a)) if b > a else 0.0
+        return np.clip((np.minimum(x, a) + tail) / mob.mean_dwell_time, 0.0, 1.0)
+
+    altitude = state.altitude()
+    w = np.sqrt(altitude**2 + np.einsum("ij,ij->i", state.xy, state.xy))
+    moving = state.moving
+    laws = {}
+    for phase, sel in (("static", dwelling), ("moving", moving)):
+        laws[f"{phase} altitude"] = (altitude[sel], AltitudeDistribution(phase, H).cdf)
+        laws[f"{phase} distance"] = (
+            w[sel], DistanceDistribution(phase, net.radius, H).cdf)
+    laws["speed"] = (state.speed[moving],
+                     lambda v: np.clip(np.log(v / mob.speed_min) / log_span, 0.0, 1.0))
+    laws["residual dwell"] = (state.dwell_remaining()[dwelling], residual_cdf)
+    laws["remaining leg"] = (np.abs(state.waypoint - state.h0)[moving],
+                             lambda x: 1.0 - (1.0 - np.clip(x / H, 0.0, 1.0)) ** 3)
+    pvalues = {name: float(stats.kstest(x, cdf).pvalue)
+               for name, (x, cdf) in laws.items() if x.size}
+    ok = (abs(frac - p) <= frac_tol and tv < 0.02
+          and min(pvalues.values()) >= _STATIONARY_KS_PMIN)
+    return CheckResult(
+        "stationary-start", ok,
+        f"{n} interferers at step 0: dwelling {frac:.4f} vs {p:.4f} (4SE {frac_tol:.4f}), "
+        f"phase-count TV {tv:.4f} (<0.02), KS p-values (>={_STATIONARY_KS_PMIN:g}) "
+        + ", ".join(f"{k} {v:.3f}" for k, v in pvalues.items()),
+    )
+
+
+def _check_stationary_start(sc: Scenario) -> CheckResult:
+    group = max(sc.network.n_interferers, 1)
+    n = group * -(-100_000 // group)
+    state = simulator.initial_state(n, sc.network, sc.mobility,
+                                    np.random.default_rng(sc.sim.seed))
+    return check_stationary_start(state, sc.network, sc.mobility, group)
+
+
 def _check_steady_state(sc: Scenario, result) -> CheckResult:
-    if result is None or result.n_interferers == 0:
+    if result.n_interferers == 0:
         return CheckResult("steady-state-mobility", True, "skipped: no interferers simulated")
     p_stay = result.stay_probability
     frac = result.dwelling_fraction()
@@ -528,7 +591,10 @@ def run_validation(sc: Scenario, fault_bias: float = 0.0) -> list[CheckResult]:
 
     `fault_bias` is added to the closed form inside the closed-vs-quadrature
     check only, to show that the check fails on a wrong closed form.
+    A stay-probability override the simulation cannot honour is rejected
+    before any check runs.
     """
+    simulated_stay_probability(sc.mobility, sc.network)
     rng = np.random.default_rng(sc.sim.seed)
     results = [
         _check_trivial_anchors(sc),
@@ -540,6 +606,7 @@ def run_validation(sc: Scenario, fault_bias: float = 0.0) -> list[CheckResult]:
         _check_derivative_jet(sc),
         _check_lockstep_replications(sc),
         _check_event_tape(sc),
+        _check_stationary_start(sc),
     ]
     sim_check, campaign = _check_analysis_vs_simulation(sc)
     results.append(sim_check)

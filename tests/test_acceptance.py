@@ -21,9 +21,9 @@ from uavcov.interference import (
     phase_laplace_factor,
     scaled_phase_jets,
 )
-from uavcov.simulator import run_campaign
+from uavcov.simulator import initial_state, run_campaign
 from uavcov.special import hyp2f1
-from uavcov.validation import event_tape_gaps, quad_phase_moment
+from uavcov.validation import check_stationary_start, event_tape_gaps, quad_phase_moment
 
 R, H = 40.0, 30.0
 MOBILITY = MobilityConfig(0.2, 10.0, 2.0, 6.0, 10.0)  # benchmark kinematics
@@ -70,7 +70,7 @@ def end_to_end_campaigns():
     for M, m0, m1, h0 in END_TO_END_CONFIGS:
         campaigns[(M, m0, m1, h0)] = run_campaign(
             net_with(M, h0), FadingConfig(m0, m1), MOBILITY,
-            n_snapshots=1_000_000, warmup_steps=10_000, dt=1.0,
+            n_snapshots=1_000_000, dt=1.0,
             seed=415 + M + 10 * m0 + int(h0),
             psi_grid=psi, stride=10, replications=4, chains=125,
         )
@@ -217,7 +217,7 @@ def test_criterion_8_altitude_fading_sandwich(p_stay):
     psi = 10 ** (psi_db / 10)
     res = run_campaign(
         net_with(2, 10.0), FadingConfig(1, 1, altitude_dependent=True), MOBILITY,
-        n_snapshots=600_000, warmup_steps=10_000, dt=1.0, seed=888,
+        n_snapshots=600_000, dt=1.0, seed=888,
         psi_grid=psi, stride=10, replications=4, chains=125,
     )
     low = analytical_curve(psi, 2, 1, 1, 10.0, p_stay)   # interferer shape 1
@@ -288,3 +288,12 @@ def test_criterion_11_event_tape(dwell):
            f"{gaps['altitude_gap']:.1e} and dwell gap {gaps['dwell_gap']:.1e} (<=1e-9) "
            f"over 500 interferers x 1000 steps, {gaps['events']} events, "
            f"{gaps['repeats']} drawn in a repeat pass")
+
+
+def test_criterion_12_stationary_start():
+    """The launch every campaign starts from, at step 0, against the
+    closed-form stationary laws: 1e6 interferers in networks of 5."""
+    net = net_with(5, 10.0)
+    state = initial_state(1_000_000, net, MOBILITY, np.random.default_rng(12))
+    result = check_stationary_start(state, net, MOBILITY, 5)
+    report("12 stationary-start", result.passed, result.detail)

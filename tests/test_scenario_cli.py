@@ -30,7 +30,7 @@ def small_scenario(**over) -> Scenario:
         fading=FadingConfig(1, 1),
         mobility=MobilityConfig(0.2, 10.0, 2.0, 6.0, 10.0),
         psi_grid_db=(-20.0, -10.0, 0.0, 10.0),
-        sim=SimParams(n_snapshots=20_000, warmup_steps=400, seed=3,
+        sim=SimParams(n_snapshots=20_000, seed=3,
                       replications=2, chains=16),
     )
     kwargs.update(over)
@@ -83,7 +83,6 @@ class TestScenarioDocument:
         ("fading", "serving_m", "2"),
         ("fading", "interferer_m", 1.5),
         ("sim", "n_snapshots", 2e4 + 0.5),
-        ("sim", "warmup_steps", False),
         ("sim", "stride", "10"),
         ("sim", "seed", 3.25),
         ("sim", "replications", None),
@@ -94,6 +93,13 @@ class TestScenarioDocument:
         doc[section][key] = value
         with pytest.raises(ConfigurationError, match=f"{section}.{key} must be an integer"):
             scenario_from_dict(doc)
+
+    def test_retired_sim_fields_still_load(self):
+        """Documents written before campaigns started in the stationary law
+        carry sim.warmup_steps and sim.boundary_rule "stay"; both load."""
+        doc = scenario_to_dict(small_scenario())
+        doc["sim"].update(warmup_steps=10_000, boundary_rule="stay")
+        assert scenario_from_dict(doc) == small_scenario()
 
     def test_band_shape_must_be_an_integer(self):
         doc = scenario_to_dict(small_scenario())
@@ -272,7 +278,7 @@ class TestSimulateCommand:
         summary writes null for them, never a bare NaN."""
         sc = small_scenario(
             network=NetworkConfig(40.0, 30.0, 10.0, 0, 2.0),
-            sim=SimParams(n_snapshots=64, warmup_steps=5, seed=3, replications=1,
+            sim=SimParams(n_snapshots=64, seed=3, replications=1,
                           chains=8),
         )
         path = tmp_path / "m0.json"
@@ -290,7 +296,7 @@ class TestSimulateCommand:
         assert doc["coverage_se"] == [0.0] * 4
 
     def test_single_batch_leaves_standard_errors_null(self, tmp_path):
-        sc = small_scenario(sim=SimParams(n_snapshots=8, warmup_steps=5, seed=3,
+        sc = small_scenario(sim=SimParams(n_snapshots=8, seed=3,
                                           replications=1, chains=8))
         path = tmp_path / "one.json"
         dump_scenario(sc, str(path))
@@ -321,7 +327,7 @@ class TestSimulateCommand:
             network=NetworkConfig(40.0, 30.0, 10.0, 8, 7.5),
             fading=FadingConfig(14, 6),
             psi_grid_db=(0.0, 120.0, 200.0),
-            sim=SimParams(n_snapshots=256, warmup_steps=5, seed=3, replications=2,
+            sim=SimParams(n_snapshots=256, seed=3, replications=2,
                           chains=8),
         )
         path = tmp_path / "steep.json"
@@ -338,6 +344,17 @@ class TestSimulateCommand:
         assert 0.0 < analytical[0] < 1.0
         assert (tmp_path / "camp_histograms.csv").exists()
 
+    def test_retired_sim_fields_run(self, tmp_path):
+        doc = scenario_to_dict(small_scenario(sim=SimParams(n_snapshots=64, seed=3,
+                                                            replications=1, chains=8)))
+        doc["sim"].update(warmup_steps=10_000, boundary_rule="stay")
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "c")]) == 0
+        summary = json.loads((tmp_path / "c.json").read_text())
+        assert "warmup_steps" not in summary["meta"]
+        assert "warmup_steps" not in summary["scenario"]["sim"]
+
     def test_altitude_dependent_marks_analysis_na(self, tmp_path):
         sc = small_scenario(fading=FadingConfig(1, 1, altitude_dependent=True))
         path = tmp_path / "alt.json"
@@ -350,8 +367,8 @@ class TestSimulateCommand:
 
 class TestValidateCommand:
     def test_default_scenario_passes(self, tmp_path, capsys):
-        sc = small_scenario(sim=SimParams(n_snapshots=60_000, warmup_steps=2000,
-                                          seed=5, replications=2, chains=50))
+        sc = small_scenario(sim=SimParams(n_snapshots=60_000, seed=5, replications=2,
+                                          chains=50))
         path = tmp_path / "v.json"
         dump_scenario(sc, str(path))
         code = main(["validate", "--scenario", str(path)])
@@ -359,10 +376,22 @@ class TestValidateCommand:
         assert code == 0, out
         assert "[PASS]" in out and "[FAIL]" not in out
         assert "[PASS] lockstep-replications" in out
+        assert "[PASS] stationary-start" in out
+
+    def test_altitude_fading_scenario_checks_steady_state_mobility(self, capsys):
+        """The mobility law does not depend on fading, so the campaign runs
+        and is checked even where the analytical comparison is skipped."""
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "altitude_fading.json"
+        code = main(["validate", "--scenario", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        line = next(l for l in out.splitlines() if "steady-state-mobility" in l)
+        assert line.startswith("[PASS] steady-state-mobility: dwelling"), line
+        assert "[PASS] analysis-vs-simulation: skipped" in out
 
     def test_injected_fault_fails_closed_vs_quadrature(self, tmp_path, capsys):
-        sc = small_scenario(sim=SimParams(n_snapshots=30_000, warmup_steps=1000,
-                                          seed=5, replications=2, chains=50))
+        sc = small_scenario(sim=SimParams(n_snapshots=30_000, seed=5, replications=2,
+                                          chains=50))
         path = tmp_path / "v.json"
         dump_scenario(sc, str(path))
         code = main(["validate", "--scenario", str(path),
@@ -370,6 +399,52 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "[FAIL] closed-vs-quadrature" in out
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_stay_probability_override_the_kinematics_cannot_give_is_input_error(
+        tmp_path, capsys, command):
+    """A simulation runs the kinematic stay probability; an override that
+    differs from it would be reported next to a dwelling fraction that
+    contradicts it, so it is rejected, naming both values."""
+    from uavcov.config import kinematic_stay_probability
+
+    sc = small_scenario(
+        mobility=MobilityConfig(0.2, 10.0, 2.0, 6.0, 10.0, stay_probability_override=0.9),
+        sim=SimParams(n_snapshots=64, seed=3, replications=1, chains=8))
+    path = tmp_path / "override.json"
+    dump_scenario(sc, str(path))
+    args = ["--scenario", str(path)] + (["--out", str(tmp_path / "c")]
+                                        if command == "simulate" else [])
+    assert main([command] + args) == 2
+    err = capsys.readouterr().err
+    p = kinematic_stay_probability(sc.mobility, sc.network)
+    assert err.startswith("error:") and "0.9" in err and repr(p) in err
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_simulate_reports_the_kinematic_stay_probability(tmp_path):
+    from uavcov.config import kinematic_stay_probability
+
+    mob = MobilityConfig(0.2, 10.0, 2.0, 6.0, 10.0)
+    p = kinematic_stay_probability(mob, NetworkConfig(40.0, 30.0, 10.0, 2, 2.0))
+    sc = small_scenario(
+        mobility=MobilityConfig(0.2, 10.0, 2.0, 6.0, 10.0, stay_probability_override=p),
+        sim=SimParams(n_snapshots=64, seed=3, replications=1, chains=8))
+    path = tmp_path / "same.json"
+    dump_scenario(sc, str(path))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "c")]) == 0
+    assert json.loads((tmp_path / "c.json").read_text())["stay_probability"] == p
+
+
+def test_boundary_rule_other_than_stay_is_input_error(tmp_path, capsys):
+    doc = scenario_to_dict(small_scenario())
+    doc["sim"]["boundary_rule"] = "resample"
+    path = tmp_path / "resample.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sim.boundary_rule" in err and "'resample'" in err
 
 
 class TestSweepCommand:
@@ -424,7 +499,8 @@ def test_init_writes_loadable_template(tmp_path):
 
 def test_cli_import_leaves_out_the_validation_suite(tmp_path):
     """Only `validate` needs the suite and scipy: importing the CLI loads
-    neither, and `analyze` runs where scipy cannot be imported at all."""
+    neither, and `analyze` and `simulate` run where scipy cannot be
+    imported at all."""
     src = os.path.dirname(os.path.dirname(uavcov.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -441,3 +517,12 @@ def test_cli_import_leaves_out_the_validation_suite(tmp_path):
     subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                    text=True, check=True, timeout=120)
     assert len(out_csv.read_text().splitlines()) == 2 + 11
+    small = tmp_path / "small.json"
+    dump_scenario(small_scenario(sim=SimParams(n_snapshots=64, seed=3, replications=2,
+                                               chains=8)), str(small))
+    code = ("import sys; sys.modules['scipy'] = None; from uavcov.cli import main; "
+            f"sys.exit(main(['simulate', '--scenario', {str(small)!r}, "
+            f"'--out', {str(tmp_path / 'camp')!r}]))")
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                   text=True, check=True, timeout=120)
+    assert json.loads((tmp_path / "camp.json").read_text())["n_snapshots"] == 64

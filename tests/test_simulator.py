@@ -13,6 +13,7 @@ from uavcov.simulator import (
     sample_snapshot,
     step,
 )
+from uavcov.validation import check_stationary_start
 
 NET = NetworkConfig(40.0, 30.0, 10.0, 2, 2.0)
 MOB = MobilityConfig(0.2, 10.0, 2.0, 6.0, 10.0)
@@ -36,7 +37,7 @@ def single_uav(xy, altitude, moving, waypoint, speed, dwell_remaining) -> UavSta
 STATE_FIELDS = ("xy", "h0", "t0", "tev", "waypoint", "speed", "moving")
 
 
-def assert_blocks_step_as_each_alone(mob, rule, steps=60):
+def assert_blocks_step_as_each_alone(mob, steps=60):
     """Block r of a two-block state draws only from generator r, so
     stepping both together equals stepping each alone, bit for bit."""
     seeds = (3, 4)
@@ -46,9 +47,9 @@ def assert_blocks_step_as_each_alone(mob, rule, steps=60):
     alone_rngs = [np.random.default_rng(s + 10) for s in seeds]
     tally = np.zeros(2)
     for _ in range(steps):
-        tally += step(both, 1.0, both_rngs, NET, mob, boundary_rule=rule)
+        tally += step(both, 1.0, both_rngs, NET, mob)
         for block, g in zip(alone, alone_rngs):
-            tally -= step(block, 1.0, g, NET, mob, boundary_rule=rule)
+            tally -= step(block, 1.0, g, NET, mob)
     for name in STATE_FIELDS:
         joined = np.concatenate([getattr(block, name) for block in alone])
         assert np.array_equal(getattr(both, name), joined), name
@@ -112,19 +113,18 @@ class TestStep:
         assert state.altitude().min() >= 0.0
         assert state.altitude().max() <= NET.height
 
-    @pytest.mark.parametrize("rule", ["stay", "resample"])
-    def test_two_blocks_step_as_each_block_alone(self, rule):
-        assert_blocks_step_as_each_alone(MOB, rule)
+    def test_two_blocks_step_as_each_block_alone(self):
+        assert_blocks_step_as_each_alone(MOB)
 
     @pytest.mark.parametrize("dwell", [(0.1, 0.6), (0.0, 0.0)], ids=["short", "zero"])
     def test_repeat_events_step_as_each_block_alone(self, dwell):
         """Dwells shorter than dt give some interferers a third event in a
         step, which draws afresh for just those interferers."""
         mob = MobilityConfig(0.2, 10.0, *dwell, 10.0)
-        assert_blocks_step_as_each_alone(mob, "stay")
+        assert_blocks_step_as_each_alone(mob)
 
     def test_fixed_draw_budget_per_step(self):
-        """With dwell_min >= dt under "stay", a step draws exactly one
+        """With dwell_min >= dt, a step draws exactly one
         (block, 5) array of uniforms per block, whatever the phases."""
         seeds, block, k = (5, 6), 40, 25
         state = initial_state(2 * block, NET, MOB, [np.random.default_rng(s) for s in seeds])
@@ -145,8 +145,6 @@ class TestStep:
         state = initial_state(1, NET, MOB, rng)
         with pytest.raises(ConfigurationError):
             step(state, 0.0, rng, NET, MOB)
-        with pytest.raises(ConfigurationError):
-            step(state, 1.0, rng, NET, MOB, boundary_rule="wrap")
 
 
 class TestSnapshot:
@@ -175,27 +173,27 @@ class TestSnapshot:
 class TestCampaign:
     def test_no_interferers_always_covered(self):
         net0 = NetworkConfig(40.0, 30.0, 10.0, 0, 2.0)
-        res = run_campaign(net0, FAD, MOB, 2000, warmup_steps=10, seed=3, chains=8)
+        res = run_campaign(net0, FAD, MOB, 2000, seed=3, chains=8)
         assert np.all(res.coverage() == 1.0)
 
     def test_deterministic_given_seed(self):
-        a = run_campaign(NET, FAD, MOB, 4000, warmup_steps=50, seed=11, chains=8,
+        a = run_campaign(NET, FAD, MOB, 4000, seed=11, chains=8,
                          replications=2)
-        b = run_campaign(NET, FAD, MOB, 4000, warmup_steps=50, seed=11, chains=8,
+        b = run_campaign(NET, FAD, MOB, 4000, seed=11, chains=8,
                          replications=2)
         assert np.array_equal(a.batch_success, b.batch_success)
         assert np.array_equal(a.dwelling_count_hist, b.dwelling_count_hist)
 
     def test_seed_reuse_rejected(self):
         with pytest.raises(ConfigurationError, match="distinct"):
-            run_campaign(NET, FAD, MOB, 1000, warmup_steps=5, replications=2,
+            run_campaign(NET, FAD, MOB, 1000, replications=2,
                          seeds=[7, 7])
         with pytest.raises(ConfigurationError):
-            run_campaign(NET, FAD, MOB, 1000, warmup_steps=5, replications=2,
+            run_campaign(NET, FAD, MOB, 1000, replications=2,
                          seeds=[1, 2, 3])
 
     def test_campaign_agrees_with_analysis_at_small_scale(self):
-        res = run_campaign(NET, FAD, MOB, 60_000, warmup_steps=3000, seed=27,
+        res = run_campaign(NET, FAD, MOB, 60_000, seed=27,
                            chains=50, replications=2)
         psi = res.psi_grid
         analytical = np.array([
@@ -211,14 +209,14 @@ class TestLockstepReplications:
 
     SEEDS = (101, 202, 303)
 
-    @pytest.mark.parametrize("rule,fading", [
-        ("stay", FAD),
-        ("resample", FadingConfig(2, 1)),
-        ("stay", FadingConfig(1, 1, altitude_dependent=True)),
-    ], ids=["stay", "resample", "altitude-bands"])
-    def test_each_replication_matches_its_run_alone(self, rule, fading):
+    @pytest.mark.parametrize("fading", [
+        FAD,
+        FadingConfig(2, 1),
+        FadingConfig(1, 1, altitude_dependent=True),
+    ], ids=["stay", "serving-shape-2", "altitude-bands"])
+    def test_each_replication_matches_its_run_alone(self, fading):
         net = NetworkConfig(40.0, 30.0, 10.0, 3, 2.0)
-        common = dict(warmup_steps=100, seed=0, chains=5, stride=3, boundary_rule=rule)
+        common = dict(seed=0, chains=5, stride=3)
         lockstep = run_campaign(net, fading, MOB, 3 * 5 * 60, replications=3,
                                 seeds=self.SEEDS, n_batches=12,
                                 max_kept_samples=3 * 400, **common)
@@ -254,14 +252,14 @@ class TestLockstepReplications:
 
         monkeypatch.setattr(simulator, "step", counting_step)
         monkeypatch.setattr(UavState, "copy", no_copy)
-        run_campaign(NET, FAD, MOB, 3 * 5 * 4, warmup_steps=7, chains=5, stride=2,
+        run_campaign(NET, FAD, MOB, 3 * 5 * 4, chains=5, stride=2,
                      replications=3, seeds=self.SEEDS)
-        assert widths == [3 * 5 * NET.n_interferers] * (7 + 4 * 2)
+        assert widths == [3 * 5 * NET.n_interferers] * (4 * 2)
 
 
 @pytest.fixture(scope="module")
 def campaign():
-    return run_campaign(NET, FAD, MOB, 120_000, warmup_steps=3000, seed=97,
+    return run_campaign(NET, FAD, MOB, 120_000, seed=97,
                         chains=60, replications=2)
 
 
@@ -306,35 +304,87 @@ class TestSteadyState:
 
 
 class TestBoundaryRules:
-    def final_radii(self, rule, rng, n_uav=20_000, n_steps=400):
-        """Independent samples: many parallel walkers, final positions only."""
-        mob = MobilityConfig(0.2, 10.0, 2.0, 6.0, 10.0)
-        state = initial_state(n_uav, NET, mob, rng)
-        for _ in range(n_steps):
-            step(state, 1.0, rng, NET, mob, boundary_rule=rule)
-        return np.hypot(state.xy[:, 0], state.xy[:, 1])
-
     def test_stay_rule_preserves_uniform_disk_law(self, rng):
         """Reject-and-stay is Metropolis for the uniform law: the horizontal
-        radius keeps the cdf (r/R)^2.  KS noise floor at 2e4 iid samples is
-        about 0.010."""
-        radii = self.final_radii("stay", rng)
+        radius keeps the cdf (r/R)^2 over many parallel walkers' final
+        positions.  KS noise floor at 2e4 iid samples is about 0.010."""
+        state = initial_state(20_000, NET, MOB, rng)
+        for _ in range(400):
+            step(state, 1.0, rng, NET, MOB)
+        radii = np.hypot(state.xy[:, 0], state.xy[:, 1])
         ks = stats.kstest(radii, lambda r: np.clip((r / NET.radius) ** 2, 0, 1))
         assert ks.statistic < 0.015
 
-    def test_resample_rule_biases_toward_interior(self, rng):
-        """Redraw-until-feasible weights the stationary law by the feasible
-        proposal area, measurably depleting the boundary band."""
-        radii = self.final_radii("resample", rng)
-        ks = stats.kstest(radii, lambda r: np.clip((r / NET.radius) ** 2, 0, 1))
-        assert ks.statistic > 0.04  # roughly 0.06-0.07 at equilibrium
 
-    def test_resample_rule_still_contained(self, rng):
-        state = initial_state(50, NET, MOB, rng)
-        for _ in range(200):
-            step(state, 1.0, rng, NET, MOB, boundary_rule="resample")
-            state.check_containment(NET)
-        assert np.hypot(state.xy[:, 0], state.xy[:, 1]).max() <= NET.radius
+def _relaunch_legs(state, idx):
+    """Restart the legs of idx at the clock after their waypoint or speed changed."""
+    state.tev[idx] = np.abs(state.waypoint[idx] - state.h0[idx]) / state.speed[idx]
+
+
+def _uniform_speed(state, g):
+    idx = state.moving.nonzero()[0]
+    state.speed[idx] = g.uniform(MOB.speed_min, MOB.speed_max, idx.size)
+    _relaunch_legs(state, idx)
+
+
+def _raw_dwell(state, g):
+    idx = (~state.moving).nonzero()[0]
+    state.tev[idx] = g.uniform(MOB.dwell_min, MOB.dwell_max, idx.size)
+
+
+def _waypoint_ignoring_altitude(state, g):
+    idx = state.moving.nonzero()[0]
+    state.waypoint[idx] = g.uniform(0.0, NET.height, idx.size)
+    _relaunch_legs(state, idx)
+
+
+def _uniform_moving_altitude(state, g):
+    idx = state.moving.nonzero()[0]
+    up = state.waypoint[idx] > state.h0[idx]
+    h = g.uniform(0.0, NET.height, idx.size)
+    far = g.random(idx.size)
+    state.h0[idx] = h
+    state.waypoint[idx] = np.where(up, h + (NET.height - h) * far, h * far)
+    _relaunch_legs(state, idx)
+
+
+class TestStationaryStart:
+    """`initial_state` draws the stationary law exactly; the stationary-start
+    check passes on it and fails on each planted mutation of the sampler,
+    applied here to a copy of a correct launch."""
+
+    @pytest.fixture(scope="class")
+    def launched(self):
+        return initial_state(100_000, NET, MOB, np.random.default_rng(8))
+
+    def test_launch_passes(self, launched):
+        result = check_stationary_start(launched, NET, MOB, NET.n_interferers)
+        assert result.passed, result.detail
+
+    @pytest.mark.parametrize("mutate", [
+        _uniform_speed, _raw_dwell, _waypoint_ignoring_altitude, _uniform_moving_altitude,
+    ], ids=["uniform-speed", "raw-dwell", "waypoint-ignoring-altitude",
+            "uniform-moving-altitude"])
+    def test_mutated_launch_fails(self, launched, mutate):
+        state = launched.copy()
+        mutate(state, np.random.default_rng(9))
+        result = check_stationary_start(state, NET, MOB, NET.n_interferers)
+        assert not result.passed, result.detail
+
+    def test_launch_draws_one_block_array_per_generator(self):
+        seeds, block = (5, 6), 40
+        both = initial_state(2 * block, NET, MOB, [np.random.default_rng(s) for s in seeds])
+        for r, s in enumerate(seeds):
+            g = np.random.default_rng(s)
+            alone = initial_state(block, NET, MOB, g)
+            for name in STATE_FIELDS:
+                part = getattr(both, name)[r * block:(r + 1) * block]
+                assert np.array_equal(part, getattr(alone, name)), name
+            fresh = np.random.default_rng(s)
+            fresh.random(block * 9)
+            assert g.bit_generator.state == fresh.bit_generator.state
+        assert np.all(both.t0 == 0.0) and both.t == 0.0
+        both.check_containment(NET)
 
 
 class TestAltitudeDependentFading:
