@@ -11,37 +11,41 @@ transform collapses to
 
     L_I(s) = [ p_stay Phi_static(s) + (1 - p_stay) Phi_moving(s) ]^M.
 
-For path-loss exponent 2 the phase factors have closed forms: expanding the
-integrand binomially in l and integrating the three distance-law segments
-(after the substitution y = w^alpha) yields sums of two primitive integrals,
-
-    power segment:  ell/(alpha R^2) * int_a^b y^(kappa/alpha - 1) (1 + m y / s)^-l dy
-    shell segment:  ell/(alpha R^2) * int_{R^alpha}^{(R^2+H^2)^(alpha/2)}
-                        y^(2/alpha - 1) (y^(2/alpha) - R^2)^(kappa/2) (1 + m y / s)^-l dy
-
-both reducible to Gauss hypergeometric terms.
-
 Derivatives of L_I (needed by the gamma-fading coverage sum) are carried as
 jets: each phase factor's k-th derivative has the exact integral form
 
     Phi^(k)(s) = (-1)^k (m)_k m^-k E_W[ W^(-alpha k) (1 + s W^-alpha / m)^-(m+k) ].
 
-One vectorized Gauss-Legendre kernel (scaled_phase_jets) evaluates these
-for every threshold, both phases and every order in one numpy pass: fixed
-panels per distance-law segment [0, H], [H, R] and [R, sqrt(R^2 + H^2)]
-(the last mapped through w = sqrt(R^2 + v^2), which removes its
-square-root kink), graded geometrically toward the integrand's length scale
-(s/m)^(1/alpha), with an n-vs-2n-node error estimate held to 1e-10
-relative.  It carries the scaled coefficients (-s)^k Phi^(k)(s) / k!, which
-lie in [0, 1] for every s, and jet algebra raises their phase mixture to
-the M-th power.  For any exponent other than 2 the kernel also gives the
-phase factors themselves (order 0), and it is the production cross-check of
-the closed forms.  No scipy is imported here; its adaptive quadrature
-serves as the kernel's oracle in `validate` and the tests.
+One vectorized Gauss-Legendre kernel (scaled_phase_jets) is the only
+production evaluator of these, at every exponent and every order k >= 0,
+the phase factors themselves included (k = 0).  It integrates fixed panels
+per distance-law segment [0, H], [H, R] and [R, sqrt(R^2 + H^2)] (the last
+mapped through w = sqrt(R^2 + v^2), which removes its square-root kink),
+graded geometrically toward the integrand's length scale (s/m)^(1/alpha),
+with an n-vs-2n-node error estimate held to 1e-10 relative.  It carries
+the scaled coefficients (-s)^k Phi^(k)(s) / k!, which lie in [0, 1] for
+every s, and J.C.P. Miller's power-series recurrence raises their phase
+mixture to the M-th power.
+
+For path-loss exponent 2 the phase factors also have closed forms, kept as
+the kernel's oracle (method="closed"): expanding the integrand binomially
+in l and integrating the three distance-law segments (after the
+substitution y = w^alpha) yields sums of two primitive integrals,
+
+    power segment:  ell/(alpha R^2) * int_a^b y^(kappa/alpha - 1) (1 + m y / s)^-l dy
+    shell segment:  ell/(alpha R^2) * int_{R^alpha}^{(R^2+H^2)^(alpha/2)}
+                        y^(2/alpha - 1) (y^(2/alpha) - R^2)^(kappa/2) (1 + m y / s)^-l dy
+
+both reducible to Gauss hypergeometric terms.  The kernel is the more
+accurate of the two: against bench/oracle.py at R/H = 100/5 it stays
+within 8e-15 relative, where hyp2f1's alternating sums cost the closed form
+up to 5e-11 at m = 12.  No scipy is imported here; its adaptive quadrature
+serves as the kernel's oracle for k >= 1 in `validate` and the tests.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -71,10 +75,13 @@ __all__ = [
 # for the error estimate, which must stay within _GL_RTOL relative.  Panels
 # are graded geometrically, ceil(a(m + k) / _PANELS_PER_STEEPNESS) per
 # doubling, down to _GRADING doublings below the integrand's length scale.
+# Rows share a pass _ROWS_PER_PASS at a time, which bounds a pass's arrays to
+# about 150 KB: each row adds about 70 KB.
 _GL_NODES = 16
 _GL_RTOL = 1e-10
 _PANELS_PER_STEEPNESS = 16
 _GRADING = 8
+_ROWS_PER_PASS = 2
 
 @dataclass(frozen=True)
 class SegmentScheme:
@@ -242,7 +249,7 @@ def _closed_phase_factor_expanded(phase: str, s: float, m: int, net: NetworkConf
     """Literal alternating-binomial closed form (test oracle for the algebra).
 
     Numerically safe only while the sum does not cancel severely, i.e. for
-    s well below ~R^alpha * 1e4; the production path collapses the sum.
+    s well below ~R^alpha * 1e4; _closed_phase_factor collapses the sum.
     """
     scheme = segment_scheme(net)
     power, shell = _phase_segments(phase, scheme)
@@ -260,11 +267,38 @@ def _closed_phase_factor_expanded(phase: str, s: float, m: int, net: NetworkConf
     return math.fsum(contributions)
 
 
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p_prev, p = 1.0, x
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n Gauss-Legendre nodes and weights on [0, 1], read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    """n Gauss-Legendre nodes and weights on [0, 1], read-only.
+
+    Each root x of P_n in [0, 1) comes from Newton's iteration started at
+    Tricomi's estimate (Hale & Townsend, SIAM J. Sci. Comput. 35(2), 2013)
+    and gives the nodes (1 -+ x) / 2, each with weight
+    1 / ((1 - x^2) P_n'(x)^2).  Plain floats: no eigensolver runs.
+    """
+    nodes, weights = [0.0] * n, [0.0] * n
+    for i in range((n + 1) // 2):
+        x = 0.0 if 2 * i + 1 == n else math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p, slope = _legendre(n, x)
+            step = p / slope
+            x -= step
+            if abs(step) <= 1e-15:
+                break
+        else:
+            raise NumericalError(f"Gauss-Legendre root {i} of P_{n} did not converge")
+        _, slope = _legendre(n, x)
+        nodes[i], nodes[n - 1 - i] = 0.5 * (1.0 - x), 0.5 * (1.0 + x)
+        weights[i] = weights[n - 1 - i] = 1.0 / ((1.0 - x * x) * slope * slope)
+    nodes, weights = np.array(nodes), np.array(weights)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -285,9 +319,8 @@ def _panel_edges(s: float, m: int, order: int, net: NetworkConfig) -> np.ndarray
     scale = min((s / m) ** (1.0 / alpha), w_max)
     lowest = math.floor(per_doubling * (math.log2(scale) - _GRADING))
     highest = math.ceil(per_doubling * math.log2(w_max))
-    ladder = np.exp2(np.arange(lowest, highest) / per_doubling)
-    ladder = ladder[ladder < w_max]
-    return np.unique(np.concatenate(([0.0, H, R, w_max], ladder)))
+    ladder = (math.exp2(j / per_doubling) for j in range(lowest, highest))
+    return np.array(sorted({0.0, H, R, w_max, *(w for w in ladder if w < w_max)}))
 
 
 def scaled_phase_jets(s, m: int, order: int, net: NetworkConfig):
@@ -301,11 +334,13 @@ def scaled_phase_jets(s, m: int, order: int, net: NetworkConfig):
 
     Every node value C(m + k - 1, k) t^m u^k lies in [0, 1] (their sum over
     all k is 1), so no coefficient can overflow however large s is; each
-    order is the previous one times u (m + k - 1) / k.  All rows, both
-    phases and all orders come from one pass over the nodes of every row's
-    panels (_panel_edges): the bottom two segments are integrated in w, the
-    top one in v = sqrt(w^2 - R^2) against DistanceDistribution.shell_piece,
-    where the integrand has no kink.
+    order is the previous one times u (m + k - 1) / k.  Both phases and all
+    orders come from one pass over the nodes of a row's panels
+    (_panel_edges): the bottom two segments are integrated in w, the top one
+    in v = sqrt(w^2 - R^2) against DistanceDistribution.shell_piece, where
+    the integrand has no kink.  Rows share a pass _ROWS_PER_PASS at a time,
+    which bounds the working set; a row's value does not depend on the rows
+    that share its pass.
 
     Each panel is integrated with n and with 2n nodes; the 2n value is kept
     and their difference is its error estimate.  failures[i] is None, or a
@@ -314,16 +349,41 @@ def scaled_phase_jets(s, m: int, order: int, net: NetworkConfig):
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     m = int(m)
-    R, alpha = net.radius, net.path_loss_exponent
-    dists = [DistanceDistribution(phase, R, net.height) for phase in PHASES]
-    edges = [_panel_edges(float(si), m, order, net) for si in s]
-    lo = np.concatenate([e[:-1] for e in edges])
-    hi = np.concatenate([e[1:] for e in edges])
-    row = np.repeat(np.arange(s.size), [e.size - 1 for e in edges])
-    top = lo >= R
+    dists = [DistanceDistribution(phase, net.radius, net.height) for phase in PHASES]
+    pieces = [[piece for _, _, piece in dist.pdf_pieces()[:2]] + [dist.shell_piece()]
+              for dist in dists]
+    coeffs, failures = np.empty((s.size, 2, order + 1)), []
+    for start in range(0, s.size, _ROWS_PER_PASS):
+        rows = slice(start, start + _ROWS_PER_PASS)
+        coeffs[rows], more = _kernel_pass(s[rows], m, order, net, pieces)
+        failures += more
+    return coeffs, failures
+
+
+def _pass_nodes(s: np.ndarray, m: int, order: int, net: NetworkConfig, pieces):
+    """The nodes of a kernel pass: per node its bin, its row's s, w^alpha and
+    each phase's pdf times quadrature weight.  Kept apart from _kernel_pass,
+    so that the panel and node arrays are freed before its arithmetic runs.
+    """
+    R, H, alpha = net.radius, net.height, net.path_loss_exponent
+    # Panels grouped by pdf piece ([0, H], [H, R], [R, top]), each row's in
+    # ascending order within a group: every piece is then one contiguous run
+    # of nodes, and each bin below still sums its row's panels bottom up.
+    edges = [_panel_edges(si, m, order, net).tolist() for si in s.tolist()]
+    cuts = [(0, bisect.bisect_left(e, H), bisect.bisect_left(e, R), len(e) - 1)
+            for e in edges]
+    lo, hi, row, ends = [], [], [], []
+    for j in range(3):
+        for i, (e, c) in enumerate(zip(edges, cuts)):
+            lo += e[c[j]:c[j + 1]]
+            hi += e[c[j] + 1:c[j + 1] + 1]
+            row += [i] * (c[j + 1] - c[j])
+        ends.append(len(lo))
+    lo, hi, row = np.array(lo), np.array(hi), np.array(row)
+    top = slice(ends[1], None)
     # Top panels go to v; lo * lo - R^2 would lose digits next to R.
-    lo = np.where(top, np.sqrt(np.maximum(lo - R, 0.0) * (lo + R)), lo)
-    hi = np.where(top, np.sqrt(np.maximum(hi - R, 0.0) * (hi + R)), hi)
+    lo[top] = np.sqrt(np.maximum(lo[top] - R, 0.0) * (lo[top] + R))
+    hi[top] = np.sqrt(np.maximum(hi[top] - R, 0.0) * (hi[top] + R))
 
     # Nodes of both rules side by side; bin 2i holds row i's n-node sum and
     # bin 2i + 1 its 2n-node sum.
@@ -335,28 +395,32 @@ def scaled_phase_jets(s, m: int, order: int, net: NetworkConfig):
     y = (lo[:, None] + width * x).ravel()
     weight = (width * wx).ravel()
     bins = (2 * row[:, None] + level).ravel()
-    top = np.repeat(top, 3 * n)
-    seg = np.where(top, 2, np.where(y < net.height, 0, 1))
-    w_alpha = np.where(top, (R * R + y * y) ** (alpha / 2.0), y**alpha)
+    runs = [slice(3 * n * a, 3 * n * b) for a, b in zip([0] + ends, ends)]
+    w_alpha = np.empty_like(y)
+    w_alpha[: runs[2].start] = y[: runs[2].start] ** alpha
+    w_alpha[runs[2]] = (R * R + y[runs[2]] * y[runs[2]]) ** (alpha / 2.0)
     density = np.empty((2, y.size))
-    for p, dist in enumerate(dists):
-        pieces = [piece for _, _, piece in dist.pdf_pieces()[:2]] + [dist.shell_piece()]
-        for j, piece in enumerate(pieces):
-            on = seg == j
-            density[p, on] = piece(y[on]) * weight[on]
+    for p, phase_pieces in enumerate(pieces):
+        for run, pdf in zip(runs, phase_pieces):
+            density[p, run] = pdf(y[run]) * weight[run]
+    return bins, s[row].repeat(3 * n), w_alpha, density
 
+
+def _kernel_pass(s: np.ndarray, m: int, order: int, net: NetworkConfig, pieces):
+    """scaled_phase_jets for the rows s, given each phase's pdf pieces."""
+    R, alpha = net.radius, net.path_loss_exponent
+    bins, s_node, w_alpha, density = _pass_nodes(s, m, order, net, pieces)
     # t^m is taken relative to its value at the top of the support, where
     # it is largest: the sums then keep their digits at any s, and only the
     # final product with t_top^m may underflow (to a coefficient of 0).
     # An infinite s gives NaN here, which the error test below reports.
     w_alpha_top = (R * R + net.height**2) ** (alpha / 2.0)
     denom_top = m * w_alpha_top + s
-    s_node = s[row].repeat(3 * n)
     sums = np.empty((2 * s.size, 2, order + 1))
     with np.errstate(invalid="ignore"):
         denom = m * w_alpha + s_node
         u = s_node / denom
-        g = (w_alpha / w_alpha_top * (denom_top[row].repeat(3 * n) / denom)) ** m
+        g = (w_alpha / w_alpha_top * (denom_top[bins // 2] / denom)) ** m
         for k in range(order + 1):
             if k:
                 g = g * u * ((m + k - 1) / k)
@@ -385,9 +449,10 @@ def phase_laplace_factor(
 ) -> float:
     """Laplace transform at s of a single interferer's faded power, by phase.
 
-    method: "auto" uses the closed form when the exponent is 2 and the
-    Gauss-Legendre kernel (scaled_phase_jets at order 0) otherwise; "closed"
-    and "quadrature" force a path (closed requires exponent 2).
+    method: "auto" and "quadrature" take the Gauss-Legendre kernel
+    (scaled_phase_jets at order 0) at every exponent; "closed" takes the
+    hyp2f1 closed form, which exists for exponent 2 only and serves as the
+    kernel's oracle.
     """
     if phase not in PHASES:
         raise DomainError(f"phase must be one of {PHASES}, got {phase!r}")
@@ -401,12 +466,12 @@ def phase_laplace_factor(
     if s == 0.0:
         return 1.0
     m = int(m)
-    if method == "quadrature" or (method == "auto" and net.path_loss_exponent != 2.0):
-        coeffs, (failure,) = scaled_phase_jets([s], m, 0, net)
-        if failure is not None:
-            raise failure
-        return float(coeffs[0, PHASES.index(phase), 0])
-    return _closed_phase_factor(phase, s, m, net)
+    if method == "closed":
+        return _closed_phase_factor(phase, s, m, net)
+    coeffs, (failure,) = scaled_phase_jets([s], m, 0, net)
+    if failure is not None:
+        raise failure
+    return float(coeffs[0, PHASES.index(phase), 0])
 
 
 def _phase_factors(s, net, fading, method="auto"):
@@ -464,18 +529,36 @@ def laplace_transform_phase_sum(
     )
 
 
+def _series_power(a: list[float], n: int) -> list[float]:
+    """Taylor coefficients of f^n from those a of f, truncated at len(a).
+
+    J.C.P. Miller's recurrence, from f (f^n)' = n f' f^n:
+    b_k = sum_{j=1..k} ((n + 1) j - k) a_j b_(k-j) / (k a_0).  Scaling
+    coefficient k by (-s0)^k commutes with it, so scaled jets go through
+    as they are.  Once a_0^n leaves the normal float range (a transform
+    below ~1e-290) the recurrence loses digits; an a_0 of 0 gives 0s.
+    """
+    if a[0] == 0.0:
+        return [0.0] * len(a) if n > 1 else list(a)
+    b = [a[0] ** n]
+    for k in range(1, len(a)):
+        b.append(sum(((n + 1) * j - k) * a[j] * b[k - j] for j in range(1, k + 1))
+                 / (k * a[0]))
+    return b
+
+
 def laplace_jets(s0, order: int, net: NetworkConfig, fading: FadingConfig, p_stay: float):
     """Scaled Taylor jet of L_I and the two phase factors at every s0.
 
     Returns one entry per s0: either (coeffs, phi_static, phi_moving), with
     coeffs[k] = (-s0)^k L_I^(k)(s0) / k! for k = 0..order, or the
     NumericalError of that s0 alone.  Every coeffs[k] is >= 0 (L_I is
-    completely monotone) and their sum is at most 1.  The mixture of the two
-    phases' scaled jets (scaled_phase_jets) is pushed through the M-th power
-    by jet algebra; the scaling commutes with that power.  For exponent 2
-    the order-0 factors take the closed form, as laplace_transform does, so
-    with order 0 no quadrature runs at all.  With no interferers the jet is
-    constant and no phase factor is evaluated: both come back as None.
+    completely monotone) and their sum is at most 1.  The Gauss-Legendre
+    kernel (scaled_phase_jets) gives both phases' scaled jets at every
+    exponent, the phase factors being their order-0 terms; their mixture
+    goes through the M-th power by _series_power.  With no interferers the
+    jet is constant and no phase factor is evaluated: both come back as
+    None.
     """
     if order < 0 or int(order) != order:
         raise DomainError(f"jet order must be a non-negative integer, got {order}")
@@ -486,21 +569,15 @@ def laplace_jets(s0, order: int, net: NetworkConfig, fading: FadingConfig, p_sta
         raise DomainError("Laplace jets need s0 > 0")
     order, M, m = int(order), net.n_interferers, int(fading.interferer_m)
     if M == 0 or not s0:
-        return [(Jet.constant(1.0, order).coeffs, None, None) for _ in s0]
-    closed = net.path_loss_exponent == 2.0
-    if closed and order == 0:
-        coeffs, failures = np.zeros((len(s0), 2, 1)), [None] * len(s0)
-    else:
-        coeffs, failures = scaled_phase_jets(s0, m, order, net)
-    mixes = p_stay * coeffs[:, 0] + (1.0 - p_stay) * coeffs[:, 1]
+        return [([1.0] + [0.0] * order, None, None) for _ in s0]
+    coeffs, failures = scaled_phase_jets(s0, m, order, net)
     out = []
-    for s, c, mix, failure in zip(s0, coeffs, mixes, failures):
+    for (static, moving), failure in zip(coeffs.tolist(), failures):
         if failure is not None:
             out.append(failure)
             continue
-        phi_static, phi_moving = _phase_factors(s, net, fading) if closed else c[:, 0].tolist()
-        mix[0] = p_stay * phi_static + (1.0 - p_stay) * phi_moving
-        out.append(((Jet(mix) ** M).coeffs, phi_static, phi_moving))
+        mix = [p_stay * a + (1.0 - p_stay) * b for a, b in zip(static, moving)]
+        out.append((_series_power(mix, M), static[0], moving[0]))
     return out
 
 
@@ -519,4 +596,4 @@ def laplace_derivative_jet(
     (row,) = laplace_jets([s0], order, net, fading, p_stay)
     if isinstance(row, NumericalError):
         raise row
-    return Jet(row[0] * np.power(-1.0 / s0, np.arange(order + 1)))
+    return Jet(np.array(row[0]) * np.power(-1.0 / s0, np.arange(order + 1)))

@@ -1,5 +1,9 @@
 """Gauss hypergeometric evaluation on the domain the closed forms need.
 
+The exponent-2 closed forms of the phase factors are the oracle of the
+Gauss-Legendre kernel (interference.phase_laplace_factor with
+method="closed"): no production result goes through this module.
+
 Every use in this package has the shape 2F1(l, b; c; z) with l a non-negative
 integer, b a positive (half-)integer, c = b + 1 (c = b + 2 is also accepted so
 the Gauss contiguous identity can be checked), and real z <= 0.  On that

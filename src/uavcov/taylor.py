@@ -4,6 +4,10 @@ A jet stores the coefficients f(s0)/0!, f'(s0)/1!, ..., f^(K)(s0)/K! of a
 function at an expansion point.  Sums, products and integer powers follow
 exact truncated power-series algebra, so pushing per-term derivative
 information through an M-fold product costs no extra differentiation.
+
+The analysis itself raises its jets to the M-th power with plain floats
+(interference._series_power); a Jet carries the result of
+interference.laplace_derivative_jet.
 """
 
 from __future__ import annotations

@@ -349,17 +349,24 @@ def _check_closed_vs_quadrature(sc: Scenario, fault_bias: float) -> CheckResult:
             "closed-vs-quadrature", True,
             "skipped: no closed form for this path-loss exponent",
         )
+    # A log grid over shapes 1..3 and the scenario's, then the s0 of every
+    # threshold at the scenario's shape: the factors `analyze` prints.
+    fading = sc.fading
+    points = [(m, float(s)) for m in sorted({1, fading.interferer_m, 3})
+              for s in np.logspace(-2, 6, 15)]
+    points += [(fading.interferer_m, fading.serving_m * psi * net.serving_altitude**2)
+               for psi in sc.psi_grid_linear()]
     worst = 0.0
-    shapes = sorted({1, sc.fading.interferer_m, 3})
     for phase in ("static", "moving"):
-        for m in shapes:
-            for s in np.logspace(-2, 6, 15):
-                closed = interference.phase_laplace_factor(phase, float(s), m, net, "closed")
-                closed += fault_bias
-                quad = interference.phase_laplace_factor(phase, float(s), m, net, "quadrature")
-                worst = max(worst, abs(closed - quad) / quad)
+        for m, s in points:
+            closed = interference.phase_laplace_factor(phase, s, m, net, "closed")
+            closed += fault_bias
+            quad = interference.phase_laplace_factor(phase, s, m, net, "quadrature")
+            worst = max(worst, abs(closed - quad) / quad)
     return CheckResult(
-        "closed-vs-quadrature", worst <= 1e-8, f"worst relative gap {worst:.2e} (<=1e-8)"
+        "closed-vs-quadrature", worst <= 1e-8,
+        f"worst relative gap {worst:.2e} (<=1e-8) over a log grid and the "
+        f"{len(sc.psi_grid_db)} thresholds' s0",
     )
 
 

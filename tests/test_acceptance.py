@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 from uavcov.config import FadingConfig, MobilityConfig, NetworkConfig, derive_stay_probability
-from uavcov.coverage import CoverageQuery, coverage_probability
+from uavcov.coverage import CoverageQuery, coverage_probability, coverage_sweep
 from uavcov.distributions import AltitudeDistribution, DistanceDistribution
 from uavcov.interference import (
     laplace_derivative_jet,
@@ -297,3 +297,32 @@ def test_criterion_12_stationary_start():
     state = initial_state(1_000_000, net, MOBILITY, np.random.default_rng(12))
     result = check_stationary_start(state, net, MOBILITY, 5)
     report("12 stationary-start", result.passed, result.detail)
+
+
+def test_criterion_13_kernel_coverage_vs_closed_form(p_stay):
+    """At exponent 2 and serving shape 1 the coverage is L_I(s0) =
+    (p Phi_static(s0) + (1 - p) Phi_moving(s0))^M, with the phase factors
+    from the Gauss-Legendre kernel.  Built from the hyp2f1 closed forms
+    instead, it must agree to 1e-12 relative: the reference-table case on a
+    0.5 dB grid, and every (m1, h0) pair of the benchmark's closed-form
+    workload on an 81-point grid with M = 8."""
+    ref = REFERENCE_PARAMS
+    cases = [(ref["M"], ref["m1"], ref["h0"], stay, np.linspace(-20.0, 30.0, 101))
+             for stay in REFERENCE_TABLE]
+    cases += [(8, m1, h0, p_stay, np.linspace(-20.0, 30.0, 81))
+              for m1 in (1, 2, 3) for h0 in (5.0, 10.0, 30.0)]
+    worst, worst_at, count = 0.0, None, 0
+    for M, m1, h0, stay, psi_db in cases:
+        net = net_with(M, h0)
+        for point in coverage_sweep(10 ** (psi_db / 10), net, FadingConfig(1, m1), stay):
+            s0 = point.psi * h0**2
+            static, moving = (phase_laplace_factor(phase, s0, m1, net, "closed")
+                              for phase in ("static", "moving"))
+            expected = (stay * static + (1.0 - stay) * moving) ** M
+            rel = abs(point.coverage - expected) / expected
+            count += 1
+            if rel > worst:
+                worst, worst_at = rel, (M, m1, h0, float(point.psi))
+    report("13 kernel-vs-closed-coverage", worst <= 1e-12,
+           f"worst rel gap {worst:.2e} at (M, m1, h0, psi) = {worst_at} "
+           f"(tol 1e-12, {count} thresholds)")

@@ -155,7 +155,7 @@ class TestPhaseFactor:
 
     @pytest.mark.parametrize("phase", ["static", "moving"])
     def test_collapsed_matches_expanded_binomial_sum(self, phase):
-        """The production path pre-collapses the alternating binomial sum;
+        """The closed form pre-collapses the alternating binomial sum;
         the literal expanded sum must agree where it is well conditioned."""
         for m in (1, 2, 3):
             for s in np.logspace(-1, 3.5, 8):
@@ -178,6 +178,21 @@ class TestPhaseFactor:
             phase_laplace_factor("static", 1.0, 0, NET)
         with pytest.raises(DomainError):
             phase_laplace_factor("parked", 1.0, 1, NET)
+
+
+    @pytest.mark.parametrize("m", [2, 8, 12])
+    def test_matches_independent_oracle_on_a_wide_flat_cylinder(self, m):
+        """R/H = 100/5 at exponent 2: the factors analyze prints against
+        bench/oracle.py at 64 nodes, to 1e-13.  The hyp2f1 closed form
+        misses by 3e-13 (m = 2) to 5e-11 (m = 12) on this grid."""
+        oracle = _bench_oracle()
+        net = NetworkConfig(100.0, 5.0, 10.0, 2, 2.0)
+        geo = oracle.Geometry(net.radius, net.height, net.serving_altitude, 2.0)
+        for s in np.logspace(-3, 9, 13):
+            ref = oracle.phase_derivatives(float(s), m, 0, geo, nodes=64)
+            for phase in ("static", "moving"):
+                got = phase_laplace_factor(phase, float(s), m, net)
+                assert abs(got - ref[phase][0]) <= 1e-13 * ref[phase][0], (phase, s)
 
 
 class TestLaplaceTransform:
@@ -295,6 +310,16 @@ def test_derivative_quadrature_matches_independent_oracle(alpha):
                     expected = ref[phase][k] * (-s) ** k / math.factorial(k)
                     mine = coeffs[i, p, k]
                     assert abs(mine - expected) <= 1e-10 * abs(expected), (phase, m, s, k)
+
+
+@pytest.mark.parametrize("n", [2, 16, 32])
+def test_gauss_legendre_rule_matches_numpy(n):
+    """Nodes and weights from Newton's iteration against numpy's
+    eigenvalue-based leggauss, both mapped to [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    nodes, weights = interference._gauss_legendre(n)
+    assert np.max(np.abs(nodes - 0.5 * (x + 1.0))) <= 1e-15
+    assert np.max(np.abs(weights - 0.5 * w)) <= 1e-15
 
 
 def test_kernel_coefficients_stay_in_unit_interval_at_any_threshold():

@@ -526,3 +526,25 @@ def test_cli_import_leaves_out_the_validation_suite(tmp_path):
     subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                    text=True, check=True, timeout=120)
     assert json.loads((tmp_path / "camp.json").read_text())["n_snapshots"] == 64
+
+
+def test_analysis_loads_neither_masked_arrays_nor_polynomials(tmp_path):
+    """The kernel finds its Gauss-Legendre rules without numpy's eigensolver
+    (numpy.polynomial, which starts OpenBLAS) and its panel edges without
+    np.unique (numpy.ma): `analyze` at exponent 3, where every row goes
+    through the kernel, loads neither."""
+    src = os.path.dirname(os.path.dirname(uavcov.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    path = tmp_path / "alpha3.json"
+    dump_scenario(small_scenario(network=NetworkConfig(40.0, 30.0, 10.0, 2, 3.0),
+                                 fading=FadingConfig(2, 2)), str(path))
+    code = ("import sys; from uavcov.cli import main; "
+            f"code = main(['analyze', '--scenario', {str(path)!r}, "
+            f"'--out', {str(tmp_path / 'cov.csv')!r}]); "
+            "print([m for m in ('numpy.ma', 'numpy.polynomial') if m in sys.modules]); "
+            "sys.exit(code)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip().splitlines()[-1] == "[]"
+    assert len((tmp_path / "cov.csv").read_text().splitlines()) == 2 + 4
