@@ -20,9 +20,8 @@ import sys
 import numpy as np
 
 from .config import derive_stay_probability
-from .coverage import coverage_sweep
+from .coverage import coverage_sweep, transform_argument
 from .errors import ConfigurationError, DomainError
-from .interference import phase_laplace_factor
 from .scenario import (
     Scenario,
     atomic_write_text,
@@ -65,13 +64,9 @@ def _coverage_rows(sc: Scenario):
     points = coverage_sweep(psi_linear, net, fading, p_stay)
     rows = []
     for psi_db, point in zip(sc.psi_grid_db, points):
-        s0 = fading.serving_m * point.psi * net.serving_altitude**net.path_loss_exponent
+        s0 = transform_argument(point.psi, net, fading)
         if point.error is None:
-            phi_st, phi_mo = point.phi_static, point.phi_moving
-            if phi_st is None:  # no interferers: coverage needed no phase factor
-                phi_st = phase_laplace_factor("static", s0, fading.interferer_m, net)
-                phi_mo = phase_laplace_factor("moving", s0, fading.interferer_m, net)
-            status = "ok"
+            phi_st, phi_mo, status = point.phi_static, point.phi_moving, "ok"
         else:
             phi_st = phi_mo = math.nan
             status = point.error.replace(",", ";")
@@ -102,7 +97,7 @@ def cmd_analyze(args) -> int:
             "rows": [
                 {
                     "psi_db": r[0], "psi_linear": r[1], "p_cov": _statistic(r[2]),
-                    "laplace_s": r[3], "phi_static": _statistic(r[4]),
+                    "laplace_s": _statistic(r[3]), "phi_static": _statistic(r[4]),
                     "phi_moving": _statistic(r[5]), "status": r[6],
                 }
                 for r in rows
@@ -136,8 +131,8 @@ def _histogram_lines(result) -> list[str]:
 
 
 def _statistic(value: float) -> float | None:
-    """A summary statistic for JSON: None (null) where it is undefined (NaN)."""
-    return None if math.isnan(value) else value
+    """A number for strict JSON: None (null) where it is NaN or infinite."""
+    return value if math.isfinite(value) else None
 
 
 def cmd_simulate(args) -> int:

@@ -24,7 +24,8 @@ from .config import FadingConfig, NetworkConfig
 from .errors import ConfigurationError, ConsistencyError
 from .interference import laplace_jets
 
-__all__ = ["CoverageQuery", "SweepPoint", "coverage_probability", "coverage_sweep"]
+__all__ = ["CoverageQuery", "SweepPoint", "coverage_probability", "coverage_sweep",
+           "transform_argument"]
 
 _CLAMP_EPS = 1e-10
 
@@ -47,6 +48,12 @@ class CoverageQuery:
             )
 
 
+def transform_argument(psi: float, net: NetworkConfig, fading: FadingConfig) -> float:
+    """s0 = m0 psi h0^alpha, where the coverage sum at linear threshold psi
+    evaluates L_I and its derivatives."""
+    return fading.serving_m * psi * net.serving_altitude**net.path_loss_exponent
+
+
 def coverage_probability(query: CoverageQuery) -> float:
     """Probability that the user's SIR exceeds the query threshold."""
     (row,) = _evaluate([query.psi], query.network, query.fading, query.stay_probability)
@@ -59,13 +66,11 @@ def _evaluate(psi_values, net: NetworkConfig, fading: FadingConfig, p_stay: floa
     """Per linear threshold: (coverage, phi_static, phi_moving) or its error.
 
     All thresholds share one kernel pass (laplace_jets).  The phase factors
-    are those at s0, None when the network has no interferers: the transform
-    is then identically 1 and neither factor is evaluated.
+    are those at s0, with or without interferers.
     """
     m0 = int(fading.serving_m)
-    h_alpha = net.serving_altitude**net.path_loss_exponent
-    rows = laplace_jets([m0 * psi * h_alpha for psi in psi_values], m0 - 1, net, fading,
-                        p_stay)
+    rows = laplace_jets([transform_argument(psi, net, fading) for psi in psi_values],
+                        m0 - 1, net, fading, p_stay)
     out = []
     for psi, row in zip(psi_values, rows):
         if isinstance(row, Exception):
@@ -95,8 +100,8 @@ class SweepPoint:
     """One row of a threshold sweep; error is None unless the point failed.
 
     phi_static and phi_moving are the phase factors at the row's transform
-    argument s0, as evaluated for the coverage; they are None on failed rows
-    and when the network has no interferers.
+    argument s0, as evaluated for the coverage (also when the network has
+    no interferers); they are None on failed rows only.
     """
 
     psi: float

@@ -53,24 +53,22 @@ def _clamp_unit(p: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def smoothstep_inverse(p, tol: float = 1e-12) -> np.ndarray:
-    """Solve 3u^2 - 2u^3 = p for u in [0, 1] by bisection (vectorized).
+def smoothstep_inverse(p) -> np.ndarray:
+    """Solve 3u^2 - 2u^3 = p for u in [0, 1] in closed form (vectorized).
 
-    The left side is strictly increasing on [0, 1], so the root is unique;
-    bisection is branch-free and exact to the requested tolerance.
+    The left side is strictly increasing on [0, 1], so the root is unique.
+    With q = min(p, 1 - p) the triple-angle identity gives
+    u = 2 sin(phi) cos(phi - pi/6), phi = arcsin(sqrt(q)) / 3, which loses
+    no digits as q -> 0; the symmetry u(p) = 1 - u(1 - p) covers p > 1/2,
+    where 1 - p is exact.
     """
     p = np.asarray(p, dtype=float)
     if p.size and (p.min() < 0 or p.max() > 1):
         raise DomainError("smoothstep_inverse expects probabilities in [0, 1]")
-    lo = np.zeros_like(p)
-    hi = np.ones_like(p)
-    # |hi - lo| halves per iteration; 43 iterations reach 1e-13 < tol.
-    for _ in range(int(math.ceil(math.log2(1.0 / tol))) + 3):
-        mid = 0.5 * (lo + hi)
-        below = mid * mid * (3.0 - 2.0 * mid) < p
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    upper = p > 0.5
+    phi = np.arcsin(np.sqrt(np.where(upper, 1.0 - p, p))) / 3.0
+    u = 2.0 * np.sin(phi) * np.cos(phi - np.pi / 6.0)
+    return np.where(upper, 1.0 - u, u)
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,15 @@ graded geometrically toward the integrand's length scale (s/m)^(1/alpha),
 with an n-vs-2n-node error estimate held to 1e-10 relative.  It carries
 the scaled coefficients (-s)^k Phi^(k)(s) / k!, which lie in [0, 1] for
 every s, and J.C.P. Miller's power-series recurrence raises their phase
-mixture to the M-th power.
+mixture to the M-th power.  laplace_jets is that one pass for a whole grid
+of s; phase_laplace_factor, laplace_transform and laplace_derivative_jet
+read one of its rows.
 
 For path-loss exponent 2 the phase factors also have closed forms, kept as
-the kernel's oracle (method="closed"): expanding the integrand binomially
-in l and integrating the three distance-law segments (after the
-substitution y = w^alpha) yields sums of two primitive integrals,
+the kernel's oracle (closed_phase_factor, which no production path calls):
+expanding the integrand binomially in l and integrating the three
+distance-law segments (after the substitution y = w^alpha) yields sums of
+two primitive integrals,
 
     power segment:  ell/(alpha R^2) * int_a^b y^(kappa/alpha - 1) (1 + m y / s)^-l dy
     shell segment:  ell/(alpha R^2) * int_{R^alpha}^{(R^2+H^2)^(alpha/2)}
@@ -64,6 +67,7 @@ __all__ = [
     "power_segment_integral",
     "shell_segment_integral",
     "phase_laplace_factor",
+    "closed_phase_factor",
     "laplace_transform",
     "laplace_transform_phase_sum",
     "scaled_phase_jets",
@@ -210,12 +214,23 @@ def _phase_segments(phase: str, scheme: SegmentScheme):
     return power, shell
 
 
-def _closed_phase_factor(phase: str, s: float, m: int, net: NetworkConfig) -> float:
-    """Closed form of the phase factor with the binomial sum pre-collapsed.
+def _check_factor_args(phase: str, s: float, m: int, net: NetworkConfig) -> None:
+    if phase not in PHASES:
+        raise DomainError(f"phase must be one of {PHASES}, got {phase!r}")
+    if s < 0:
+        raise DomainError(f"transform argument must be >= 0, got s={s}")
+    if int(m) != m or m < 1:
+        raise DomainError(f"fading shape must be a positive integer, got {m}")
+    segment_scheme(net)  # geometry guard
 
-    The expanded form sums C(m, l) (-1)^l over segment integrals; at large s
-    those O(1) terms cancel down to residuals as small as ~1e-8, destroying
-    double precision.  Collapsing the sum first,
+
+def closed_phase_factor(phase: str, s: float, m: int, net: NetworkConfig) -> float:
+    """The phase factor by its hyp2f1 closed form, exponent 2 only.
+
+    The oracle of phase_laplace_factor's kernel; no production path calls
+    it.  The expanded form sums C(m, l) (-1)^l over segment integrals; at
+    large s those O(1) terms cancel down to residuals as small as ~1e-8,
+    destroying double precision.  Collapsing the sum first,
 
         sum_l C(m,l) (-1)^l (1 + c y)^-l = (c y)^m (1 + c y)^-m,  c = m/s,
 
@@ -223,6 +238,11 @@ def _closed_phase_factor(phase: str, s: float, m: int, net: NetworkConfig) -> fl
     the shell factor), leaving the same primitive integrals evaluated without
     any large-scale cancellation.
     """
+    _check_factor_args(phase, s, m, net)
+    _require_alpha2(net)
+    if s == 0.0:
+        return 1.0
+    m = int(m)
     scheme = segment_scheme(net)
     R2 = net.radius**2
     c = m / s
@@ -249,7 +269,7 @@ def _closed_phase_factor_expanded(phase: str, s: float, m: int, net: NetworkConf
     """Literal alternating-binomial closed form (test oracle for the algebra).
 
     Numerically safe only while the sum does not cancel severely, i.e. for
-    s well below ~R^alpha * 1e4; _closed_phase_factor collapses the sum.
+    s well below ~R^alpha * 1e4; closed_phase_factor collapses the sum.
     """
     scheme = segment_scheme(net)
     power, shell = _phase_segments(phase, scheme)
@@ -444,83 +464,51 @@ def _kernel_pass(s: np.ndarray, m: int, order: int, net: NetworkConfig, pieces):
     return coeffs, failures
 
 
-def phase_laplace_factor(
-    phase: str, s: float, m: int, net: NetworkConfig, method: str = "auto"
-) -> float:
+def phase_laplace_factor(phase: str, s: float, m: int, net: NetworkConfig) -> float:
     """Laplace transform at s of a single interferer's faded power, by phase.
 
-    method: "auto" and "quadrature" take the Gauss-Legendre kernel
-    (scaled_phase_jets at order 0) at every exponent; "closed" takes the
-    hyp2f1 closed form, which exists for exponent 2 only and serves as the
-    kernel's oracle.
+    The order-0 term of the Gauss-Legendre kernel (scaled_phase_jets), at
+    every exponent; closed_phase_factor is its exponent-2 oracle.
     """
-    if phase not in PHASES:
-        raise DomainError(f"phase must be one of {PHASES}, got {phase!r}")
-    if s < 0:
-        raise DomainError(f"transform argument must be >= 0, got s={s}")
-    if int(m) != m or m < 1:
-        raise DomainError(f"fading shape must be a positive integer, got {m}")
-    if method not in ("auto", "closed", "quadrature"):
-        raise DomainError(f"unknown method {method!r}")
-    segment_scheme(net)  # geometry guard applies to every path
+    _check_factor_args(phase, s, m, net)
     if s == 0.0:
         return 1.0
-    m = int(m)
-    if method == "closed":
-        return _closed_phase_factor(phase, s, m, net)
-    coeffs, (failure,) = scaled_phase_jets([s], m, 0, net)
+    coeffs, (failure,) = scaled_phase_jets([s], int(m), 0, net)
     if failure is not None:
         raise failure
     return float(coeffs[0, PHASES.index(phase), 0])
 
 
-def _phase_factors(s, net, fading, method="auto"):
-    m = int(fading.interferer_m)
-    return (
-        phase_laplace_factor("static", s, m, net, method),
-        phase_laplace_factor("moving", s, m, net, method),
-    )
-
-
-def laplace_transform(
-    s: float,
-    net: NetworkConfig,
-    fading: FadingConfig,
-    p_stay: float,
-    method: str = "auto",
-) -> float:
-    """L_I(s) for M interferers: the phase mixture raised to the M-th power."""
+def _order_zero_row(s: float, net: NetworkConfig, fading: FadingConfig, p_stay: float):
+    """laplace_jets' order-0 row at one s >= 0: ([L_I(s)], phi_static, phi_moving)."""
     if not 0 <= p_stay <= 1:
         raise DomainError(f"stay probability must lie in [0, 1], got {p_stay}")
-    M = net.n_interferers
-    if M == 0:
-        return 1.0
     if s == 0.0:
-        return 1.0
-    phi_static, phi_moving = _phase_factors(s, net, fading, method)
-    return (p_stay * phi_static + (1.0 - p_stay) * phi_moving) ** M
+        return [1.0], 1.0, 1.0
+    (row,) = laplace_jets([s], 0, net, fading, p_stay)
+    if isinstance(row, NumericalError):
+        raise row
+    return row
+
+
+def laplace_transform(s: float, net: NetworkConfig, fading: FadingConfig, p_stay: float) -> float:
+    """L_I(s) for M interferers: the phase mixture raised to the M-th power."""
+    return _order_zero_row(s, net, fading, p_stay)[0][0]
 
 
 def laplace_transform_phase_sum(
-    s: float,
-    net: NetworkConfig,
-    fading: FadingConfig,
-    p_stay: float,
-    method: str = "auto",
+    s: float, net: NetworkConfig, fading: FadingConfig, p_stay: float
 ) -> float:
     """L_I(s) as the explicit sum over the number of dwelling interferers.
 
     Mathematically identical to laplace_transform by the binomial theorem;
-    kept as an independently structured oracle for tests.
+    it shares the phase factors but not the M-th power, so it stays an
+    independently structured oracle for that power.
     """
-    if not 0 <= p_stay <= 1:
-        raise DomainError(f"stay probability must lie in [0, 1], got {p_stay}")
-    M = net.n_interferers
-    if M == 0:
-        return 1.0
+    _, phi_static, phi_moving = _order_zero_row(s, net, fading, p_stay)
     if s == 0.0:
-        return 1.0
-    phi_static, phi_moving = _phase_factors(s, net, fading, method)
+        return 1.0  # exactly: the binomial terms of p and 1 - p need not sum to 1
+    M = net.n_interferers
     return math.fsum(
         math.comb(M, n)
         * (p_stay * phi_static) ** n
@@ -532,19 +520,29 @@ def laplace_transform_phase_sum(
 def _series_power(a: list[float], n: int) -> list[float]:
     """Taylor coefficients of f^n from those a of f, truncated at len(a).
 
-    J.C.P. Miller's recurrence, from f (f^n)' = n f' f^n:
-    b_k = sum_{j=1..k} ((n + 1) j - k) a_j b_(k-j) / (k a_0).  Scaling
-    coefficient k by (-s0)^k commutes with it, so scaled jets go through
-    as they are.  Once a_0^n leaves the normal float range (a transform
-    below ~1e-290) the recurrence loses digits; an a_0 of 0 gives 0s.
+    J.C.P. Miller's recurrence, from f (f^n)' = n f' f^n, on f / a_0, which
+    starts at 1: b_k = sum_{j=1..k} ((n + 1) j - k) a_j b_(k-j) / (k a_0).
+    a_0^n is applied last, as scale * 2^shift: frexp's mantissa of a_0, in
+    [1/2, 1), is raised at most 1021 times per step, so each step's power
+    lies in [2^-1021, 1], and the running product is renormalized by frexp
+    after every step.  So no power overflows, and no intermediate leaves the
+    normal float range before the final ldexp, however large n is and
+    however small a_0^n is.  Scaling coefficient k by (-s0)^k commutes with
+    all this, so scaled jets go through as they are.  An a_0 of 0 gives 0s.
     """
     if a[0] == 0.0:
         return [0.0] * len(a) if n > 1 else list(a)
-    b = [a[0] ** n]
+    b = [1.0]
     for k in range(1, len(a)):
         b.append(sum(((n + 1) * j - k) * a[j] * b[k - j] for j in range(1, k + 1))
                  / (k * a[0]))
-    return b
+    mantissa, exponent = math.frexp(a[0])
+    scale, shift, left = 1.0, n * exponent, n
+    while left:
+        step = min(left, 1021)
+        scale, e = math.frexp(scale * mantissa**step)
+        shift, left = shift + e, left - step
+    return [math.ldexp(x * scale, shift) for x in b]
 
 
 def laplace_jets(s0, order: int, net: NetworkConfig, fading: FadingConfig, p_stay: float):
@@ -553,12 +551,12 @@ def laplace_jets(s0, order: int, net: NetworkConfig, fading: FadingConfig, p_sta
     Returns one entry per s0: either (coeffs, phi_static, phi_moving), with
     coeffs[k] = (-s0)^k L_I^(k)(s0) / k! for k = 0..order, or the
     NumericalError of that s0 alone.  Every coeffs[k] is >= 0 (L_I is
-    completely monotone) and their sum is at most 1.  The Gauss-Legendre
-    kernel (scaled_phase_jets) gives both phases' scaled jets at every
-    exponent, the phase factors being their order-0 terms; their mixture
-    goes through the M-th power by _series_power.  With no interferers the
-    jet is constant and no phase factor is evaluated: both come back as
-    None.
+    completely monotone) and their sum is at most 1.  One Gauss-Legendre
+    kernel pass (scaled_phase_jets) gives both phases' scaled jets at every
+    s0 and exponent, the phase factors being their order-0 terms; their
+    mixture goes through the M-th power by _series_power.  The pass runs at
+    every M: with no interferers the jet is the constant [1, 0, ...], and
+    the phase factors are still those at s0.
     """
     if order < 0 or int(order) != order:
         raise DomainError(f"jet order must be a non-negative integer, got {order}")
@@ -568,8 +566,6 @@ def laplace_jets(s0, order: int, net: NetworkConfig, fading: FadingConfig, p_sta
     if any(not s > 0 for s in s0):
         raise DomainError("Laplace jets need s0 > 0")
     order, M, m = int(order), net.n_interferers, int(fading.interferer_m)
-    if M == 0 or not s0:
-        return [([1.0] + [0.0] * order, None, None) for _ in s0]
     coeffs, failures = scaled_phase_jets(s0, m, order, net)
     out = []
     for (static, moving), failure in zip(coeffs.tolist(), failures):
@@ -577,7 +573,8 @@ def laplace_jets(s0, order: int, net: NetworkConfig, fading: FadingConfig, p_sta
             out.append(failure)
             continue
         mix = [p_stay * a + (1.0 - p_stay) * b for a, b in zip(static, moving)]
-        out.append((_series_power(mix, M), static[0], moving[0]))
+        jet = _series_power(mix, M) if M else [1.0] + [0.0] * order
+        out.append((jet, static[0], moving[0]))
     return out
 
 

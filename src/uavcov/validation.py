@@ -26,7 +26,7 @@ from . import interference
 from .config import (
     derive_stay_probability, kinematic_stay_probability, simulated_stay_probability,
 )
-from .coverage import CoverageQuery, coverage_probability
+from .coverage import CoverageQuery, coverage_probability, coverage_sweep, transform_argument
 from .distributions import AltitudeDistribution, DistanceDistribution
 from .scenario import Scenario
 from . import simulator
@@ -354,14 +354,13 @@ def _check_closed_vs_quadrature(sc: Scenario, fault_bias: float) -> CheckResult:
     fading = sc.fading
     points = [(m, float(s)) for m in sorted({1, fading.interferer_m, 3})
               for s in np.logspace(-2, 6, 15)]
-    points += [(fading.interferer_m, fading.serving_m * psi * net.serving_altitude**2)
+    points += [(fading.interferer_m, transform_argument(psi, net, fading))
                for psi in sc.psi_grid_linear()]
     worst = 0.0
     for phase in ("static", "moving"):
         for m, s in points:
-            closed = interference.phase_laplace_factor(phase, s, m, net, "closed")
-            closed += fault_bias
-            quad = interference.phase_laplace_factor(phase, s, m, net, "quadrature")
+            closed = interference.closed_phase_factor(phase, s, m, net) + fault_bias
+            quad = interference.phase_laplace_factor(phase, s, m, net)
             worst = max(worst, abs(closed - quad) / quad)
     return CheckResult(
         "closed-vs-quadrature", worst <= 1e-8,
@@ -376,8 +375,7 @@ def _check_gl_vs_quad(sc: Scenario) -> CheckResult:
     # threshold's s0, both phases and k up to max(m0 - 1, 2).
     net, fading = sc.network, sc.fading
     m, order = fading.interferer_m, max(fading.serving_m - 1, 2)
-    s0 = [fading.serving_m * psi * net.serving_altitude**net.path_loss_exponent
-          for psi in sc.psi_grid_linear()]
+    s0 = [transform_argument(psi, net, fading) for psi in sc.psi_grid_linear()]
     coeffs, failures = interference.scaled_phase_jets(s0, m, order, net)
     worst, compared, skipped = 0.0, 0, []
     for i, s in enumerate(s0):
@@ -427,7 +425,7 @@ def _check_derivative_jet(sc: Scenario) -> CheckResult:
     net, fading = sc.network, sc.fading
     p_stay = derive_stay_probability(sc.mobility, net)
     psi_mid = sc.psi_grid_linear()[len(sc.psi_grid_db) // 2]
-    s0 = max(fading.serving_m * psi_mid * net.serving_altitude**net.path_loss_exponent, 1.0)
+    s0 = max(transform_argument(psi_mid, net, fading), 1.0)
     jet = interference.laplace_derivative_jet(s0, 2, net, fading, p_stay)
 
     def L(s):
@@ -494,10 +492,12 @@ def _check_analysis_vs_simulation(sc: Scenario) -> CheckResult:
             "analysis-vs-simulation", True,
             "skipped: altitude-dependent fading is simulation-only",
         ), result
-    analytical = np.array([
-        coverage_probability(CoverageQuery(float(p), net, fading, result.stay_probability))
-        for p in psi
-    ])
+    points = coverage_sweep(psi.tolist(), net, fading, result.stay_probability)
+    failed = [p.error for p in points if p.error is not None]
+    if failed:
+        return CheckResult("analysis-vs-simulation", False,
+                           f"analysis failed: {failed[0]}"), result
+    analytical = np.array([p.coverage for p in points])
     gap = np.abs(result.coverage() - analytical)
     tol = np.maximum(0.015, 5 * np.nan_to_num(result.coverage_se(), nan=0.0))
     worst = float((gap - tol).max())

@@ -15,6 +15,7 @@ from uavcov.config import FadingConfig, MobilityConfig, NetworkConfig, derive_st
 from uavcov.coverage import CoverageQuery, coverage_probability, coverage_sweep
 from uavcov.distributions import AltitudeDistribution, DistanceDistribution
 from uavcov.interference import (
+    closed_phase_factor,
     laplace_derivative_jet,
     laplace_transform,
     laplace_transform_phase_sum,
@@ -102,8 +103,8 @@ def test_criterion_2_closed_form_vs_quadrature():
     for phase in ("static", "moving"):
         for m in (1, 2, 3):
             for s in np.logspace(-2, 6, 50):
-                closed = phase_laplace_factor(phase, float(s), m, net, "closed")
-                quad = phase_laplace_factor(phase, float(s), m, net, "quadrature")
+                closed = closed_phase_factor(phase, float(s), m, net)
+                quad = phase_laplace_factor(phase, float(s), m, net)
                 rel = abs(closed - quad) / quad
                 if rel > worst:
                     worst, worst_at = rel, (phase, m, float(s))
@@ -316,7 +317,7 @@ def test_criterion_13_kernel_coverage_vs_closed_form(p_stay):
         net = net_with(M, h0)
         for point in coverage_sweep(10 ** (psi_db / 10), net, FadingConfig(1, m1), stay):
             s0 = point.psi * h0**2
-            static, moving = (phase_laplace_factor(phase, s0, m1, net, "closed")
+            static, moving = (closed_phase_factor(phase, s0, m1, net)
                               for phase in ("static", "moving"))
             expected = (stay * static + (1.0 - stay) * moving) ** M
             rel = abs(point.coverage - expected) / expected

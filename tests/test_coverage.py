@@ -87,10 +87,11 @@ class TestSweep:
             assert p.phi_static == phase_laplace_factor("static", s0, 3, net)
             assert p.phi_moving == phase_laplace_factor("moving", s0, 3, net)
 
-    def test_no_interferers_evaluates_no_phase_factor(self):
+    def test_no_interferers_still_carries_the_phase_factors(self):
         pts = coverage_sweep([1.0], net_with(M=0), FadingConfig(1, 1), P_STAY)
+        (two,) = coverage_sweep([1.0], net_with(M=2), FadingConfig(1, 1), P_STAY)
         assert pts[0].coverage == 1.0
-        assert pts[0].phi_static is None and pts[0].phi_moving is None
+        assert (pts[0].phi_static, pts[0].phi_moving) == (two.phi_static, two.phi_moving)
 
     def test_per_point_errors_reported_inline(self):
         pts = coverage_sweep([1.0, -3.0, 2.0], net_with(), FadingConfig(1, 1), P_STAY)

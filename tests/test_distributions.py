@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -176,3 +177,18 @@ class TestSampling:
         assert np.max(np.abs(3 * u**2 - 2 * u**3 - p)) < 1e-9
         with pytest.raises(DomainError):
             smoothstep_inverse([1.5])
+
+    def test_smoothstep_inverse_matches_mpmath(self):
+        """Against the root at 60 digits, found in the rescaled unknowns
+        u = sqrt(q) v, q = min(p, 1 - p), where it stays of order one."""
+        p = np.concatenate([[0.0, 1.0, 0.5, 1e-300, 1e-16, 1.0 - 1e-16],
+                            np.linspace(0.0, 1.0, 101), np.logspace(-300, -1, 60),
+                            1.0 - np.logspace(-16, -1, 30)])
+        u = smoothstep_inverse(p)
+        with mpmath.workdps(60):
+            for pi, ui in zip(p.tolist(), u.tolist()):
+                q = min(mpmath.mpf(pi), 1 - mpmath.mpf(pi))
+                r = mpmath.sqrt(q)
+                v = mpmath.findroot(lambda v: 3 * v**2 - 2 * r * v**3 - 1, 1 / mpmath.sqrt(3))
+                ref = r * v if pi <= 0.5 else 1 - r * v
+                assert abs(ui - ref) <= 1e-15, pi

@@ -1,6 +1,8 @@
 import importlib.util
+import itertools
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,9 @@ from uavcov.config import FadingConfig, NetworkConfig
 from uavcov.errors import DomainError, NumericalError, UnsupportedGeometryError
 from uavcov.interference import (
     _closed_phase_factor_expanded,
+    closed_phase_factor,
     laplace_derivative_jet,
+    laplace_jets,
     laplace_transform,
     laplace_transform_phase_sum,
     phase_laplace_factor,
@@ -149,8 +153,8 @@ class TestPhaseFactor:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_closed_matches_quadrature(self, phase, m):
         for s in np.logspace(-2, 6, 9):
-            closed = phase_laplace_factor(phase, float(s), m, NET, "closed")
-            quad = phase_laplace_factor(phase, float(s), m, NET, "quadrature")
+            closed = closed_phase_factor(phase, float(s), m, NET)
+            quad = phase_laplace_factor(phase, float(s), m, NET)
             assert abs(closed - quad) / quad <= 1e-8
 
     @pytest.mark.parametrize("phase", ["static", "moving"])
@@ -159,17 +163,14 @@ class TestPhaseFactor:
         the literal expanded sum must agree where it is well conditioned."""
         for m in (1, 2, 3):
             for s in np.logspace(-1, 3.5, 8):
-                collapsed = phase_laplace_factor(phase, float(s), m, NET, "closed")
+                collapsed = closed_phase_factor(phase, float(s), m, NET)
                 expanded = _closed_phase_factor_expanded(phase, float(s), m, NET)
                 assert collapsed == pytest.approx(expanded, rel=1e-11)
 
     def test_general_exponent_uses_quadrature(self):
         net3 = net_with(alpha=3.0)
-        val = phase_laplace_factor("static", 100.0, 2, net3)
-        ref = phase_laplace_factor("static", 100.0, 2, net3, "quadrature")
-        assert val == ref
         with pytest.raises(DomainError):
-            phase_laplace_factor("static", 100.0, 2, net3, "closed")
+            closed_phase_factor("static", 100.0, 2, net3)
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
@@ -202,6 +203,12 @@ class TestLaplaceTransform:
     def test_unit_at_zero(self):
         assert laplace_transform(0.0, NET, FadingConfig(1, 1), 0.4) == 1.0
 
+    def test_many_interferers_at_a_vanishing_argument(self):
+        """2000 interferers at s = 1e-30: every factor rounds to about 1, and
+        so must their 2000th power (the scaling by a_0^M must not underflow)."""
+        L = laplace_transform(1e-30, net_with(M=2000), FadingConfig(1, 1), 0.5)
+        assert L == pytest.approx(1.0, abs=1e-9)
+
     def test_phase_sum_equals_power_form(self, rng):
         for M in range(1, 11):
             net = net_with(M=M)
@@ -223,6 +230,71 @@ class TestLaplaceTransform:
     def test_stay_probability_validated(self):
         with pytest.raises(DomainError):
             laplace_transform(1.0, NET, FadingConfig(1, 1), 1.2)
+
+
+def exact_power(a, n):
+    """Taylor coefficients of f^n, truncated at len(a), in rational arithmetic."""
+    def times(f, g):
+        return [sum(f[j] * g[k - j] for j in range(k + 1)) for k in range(len(f))]
+
+    a = [Fraction(x) for x in a]
+    out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    while n:
+        if n & 1:
+            out = times(out, a)
+        a, n = times(a, a), n >> 1
+    return out
+
+
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 7.5])
+def test_jet_matches_exact_power_of_the_phase_mixture(alpha):
+    """The M-th power of the kernel's phase mixture, coefficient by
+    coefficient, against the same mixture raised exactly, to 1e-13 relative
+    wherever the exact value lies in the normal float range.  At m1 = 6 and
+    s0 = 1e10..1e12 a_0^8 falls to ~1e-280, below where the recurrence may
+    start from it."""
+    p = 0.4
+    for m, s0, (M, order) in itertools.product(
+            (1, 3, 6), (1e-3, 1.0, 1e4, 1e8, 1e10, 1e12), ((8, 5), (3, 13))):
+        net = net_with(M=M, alpha=alpha)
+        coeffs, (failure,) = scaled_phase_jets([s0], m, order, net)
+        if failure is not None:
+            continue
+        static, moving = coeffs[0].tolist()
+        mix = [p * a + (1.0 - p) * b for a, b in zip(static, moving)]
+        (row,) = laplace_jets([s0], order, net, FadingConfig(1, m), p)
+        for k, (got, exact) in enumerate(zip(row[0], exact_power(mix, M))):
+            if exact >= Fraction(sys.float_info.min):
+                assert abs(Fraction(got) - exact) <= Fraction(1e-13) * exact, (m, s0, M, k)
+
+
+@pytest.mark.parametrize("n", [1022, 1500, 4000])
+@pytest.mark.parametrize("a", [[0.62, 0.62, 0.31, 0.05], [0.9, 0.09, 0.004, 1e-4],
+                               [1.0000000000000007, 1e-3, 1e-6, 1e-9]])
+def test_series_power_of_many_factors_matches_exact_power(a, n):
+    """Thousands of factors: a_0^n may fall far below the float range (0.62^4000
+    ~ 1e-830) or sit just above 1, and no intermediate may overflow on the way.
+    Every coefficient is the exact one to 1e-13 relative, or to the smallest
+    subnormal where the exact one lies below the normal range."""
+    got = interference._series_power(a, n)
+    for k, exact in enumerate(exact_power(a, n)):
+        tol = Fraction(1e-13) * abs(exact) + Fraction(2.0**-1074)
+        assert abs(Fraction(got[k]) - exact) <= tol, (n, k, got[k], float(exact))
+
+
+def test_thousands_of_interferers_give_a_finite_jet_at_every_threshold():
+    """4000 interferers over s0 = 1e-3..1e9: wherever the phase mixture's a_0
+    lies, the jet is a row of finite coefficients in [0, 1], never an
+    OverflowError, and coverage_sweep computes every row."""
+    from uavcov.coverage import coverage_sweep
+
+    net, fading = net_with(M=4000), FadingConfig(1, 2)
+    s0 = np.logspace(-3, 9, 97)
+    for row in laplace_jets(s0, 3, net, fading, 0.5):
+        jet, _, _ = row
+        assert all(0.0 <= c <= 1.0 for c in jet)
+    for point in coverage_sweep(np.logspace(-6, 6, 49), net, FadingConfig(3, 2), 0.5):
+        assert point.error is None and 0.0 <= point.coverage <= 1.0, point
 
 
 class TestDerivativeJet:

@@ -37,6 +37,21 @@ def small_scenario(**over) -> Scenario:
     return Scenario(**kwargs)
 
 
+BASELINE = Path(__file__).resolve().parents[1] / "scenarios" / "baseline.json"
+
+
+def baseline_with(tmp_path, n_interferers) -> str:
+    doc = json.loads(BASELINE.read_text())
+    doc["network"]["n_interferers"] = n_interferers
+    path = tmp_path / f"baseline_{n_interferers}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def reject(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
 @pytest.fixture
 def scenario_path(tmp_path):
     path = tmp_path / "scenario.json"
@@ -249,6 +264,46 @@ class TestAnalyzeCommand:
         assert rows[-1]["phi_static"] is None and rows[-1]["phi_moving"] is None
         assert rows[-1]["status"].startswith("NumericalError")
         assert all(0.0 < r["p_cov"] < 1.0 for r in rows[:-1])
+
+
+    def test_overflowing_transform_argument_is_null_in_strict_json(self, tmp_path):
+        """At 3080 dB the threshold is finite but s0 = m0 psi h0^alpha is
+        not: the row fails, and the JSON table writes null for its s0."""
+        out_json = tmp_path / "cov.json"
+        assert main(["analyze", "--scenario", str(BASELINE), "--out", str(tmp_path / "cov.csv"),
+                     "--json", str(out_json), "--psi-db", "0,3080"]) == 0
+        rows = json.loads(out_json.read_text(), parse_constant=reject)["rows"]
+        assert rows[0]["laplace_s"] == 100.0 and rows[0]["status"] == "ok"
+        assert rows[1]["laplace_s"] is None and rows[1]["p_cov"] is None
+        assert rows[1]["status"].startswith("NumericalError")
+
+
+class TestOneKernelPass:
+    """`analyze` takes every number it prints from one kernel pass."""
+
+    @pytest.mark.parametrize("n_interferers", [2, 0])
+    def test_analyze_calls_the_kernel_once(self, tmp_path, monkeypatch, n_interferers):
+        kernel, calls = interference.scaled_phase_jets, []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(interference, "scaled_phase_jets", counted)
+        out = tmp_path / "cov.csv"
+        assert main(["analyze", "--scenario", baseline_with(tmp_path, n_interferers),
+                     "--out", str(out)]) == 0
+        assert len(calls) == 1
+        rows = [r.split(",") for r in out.read_text().strip().splitlines()[2:]]
+        assert len(rows) == 11 and all(r[-1] == "ok" for r in rows)
+
+    def test_no_interferers_overflowing_transform_argument_is_a_failed_row(self, tmp_path):
+        out = tmp_path / "cov.csv"
+        assert main(["analyze", "--scenario", baseline_with(tmp_path, 0), "--out", str(out),
+                     "--psi-db", "0,3080"]) == 0
+        rows = [r.split(",") for r in out.read_text().strip().splitlines()[2:]]
+        assert rows[0][2] == "1" and rows[0][-1] == "ok"
+        assert rows[1][3] == "inf" and rows[1][-1].startswith("NumericalError")
 
 
 class TestSimulateCommand:
