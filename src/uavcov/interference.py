@@ -26,8 +26,9 @@ with an n-vs-2n-node error estimate held to 1e-10 relative.  It carries
 the scaled coefficients (-s)^k Phi^(k)(s) / k!, which lie in [0, 1] for
 every s, and J.C.P. Miller's power-series recurrence raises their phase
 mixture to the M-th power.  laplace_jets is that one pass for a whole grid
-of s; phase_laplace_factor, laplace_transform and laplace_derivative_jet
-read one of its rows.
+of s, whose rows share one table of their distinct panels' nodes (the
+panels of every s come from one geometric ladder); phase_laplace_factor,
+laplace_transform and laplace_derivative_jet read one of its rows.
 
 For path-loss exponent 2 the phase factors also have closed forms, kept as
 the kernel's oracle (closed_phase_factor, which no production path calls):
@@ -48,8 +49,8 @@ serves as the kernel's oracle for k >= 1 in `validate` and the tests.
 
 from __future__ import annotations
 
-import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,13 +80,15 @@ __all__ = [
 # for the error estimate, which must stay within _GL_RTOL relative.  Panels
 # are graded geometrically, ceil(a(m + k) / _PANELS_PER_STEEPNESS) per
 # doubling, down to _GRADING doublings below the integrand's length scale.
-# Rows share a pass _ROWS_PER_PASS at a time, which bounds a pass's arrays to
-# about 150 KB: each row adds about 70 KB.
+# Rows share a pass _ROWS_PER_PASS at a time.  A pass's arrays take about
+# 80 bytes per node, 48 nodes per panel: about 270 KB for four 16-panel rows
+# (exponent 2, m = 1) and 1.2 MB for four 71-panel rows (exponent 4, m = 6,
+# order 9).
 _GL_NODES = 16
 _GL_RTOL = 1e-10
 _PANELS_PER_STEEPNESS = 16
 _GRADING = 8
-_ROWS_PER_PASS = 2
+_ROWS_PER_PASS = 4
 
 @dataclass(frozen=True)
 class SegmentScheme:
@@ -358,9 +361,12 @@ def scaled_phase_jets(s, m: int, order: int, net: NetworkConfig):
     orders come from one pass over the nodes of a row's panels
     (_panel_edges): the bottom two segments are integrated in w, the top one
     in v = sqrt(w^2 - R^2) against DistanceDistribution.shell_piece, where
-    the integrand has no kink.  Rows share a pass _ROWS_PER_PASS at a time,
-    which bounds the working set; a row's value does not depend on the rows
-    that share its pass.
+    the integrand has no kink.  The rows of one call share a table of their
+    distinct panels, each panel's nodes built once (_panel_nodes) when a row
+    first needs it; rows go through the arithmetic _ROWS_PER_PASS at a time,
+    gathering their panels' nodes from the table.  A row sums its nodes in
+    the same order whatever rows share its call or its pass, so its value
+    is bit for bit the one it has alone.
 
     Each panel is integrated with n and with 2n nodes; the 2n value is kept
     and their difference is its error estimate.  failures[i] is None, or a
@@ -372,64 +378,66 @@ def scaled_phase_jets(s, m: int, order: int, net: NetworkConfig):
     dists = [DistanceDistribution(phase, net.radius, net.height) for phase in PHASES]
     pieces = [[piece for _, _, piece in dist.pdf_pieces()[:2]] + [dist.shell_piece()]
               for dist in dists]
+    # The panel table: panel (lo, hi) keeps w^alpha and each phase's pdf
+    # times weight at its nodes in column index[(lo, hi)] of table[0],
+    # table[1] and table[2].
+    index, table = {}, np.empty((3, 0, 3 * _GL_NODES))
+    level = np.repeat([0, 1], [_GL_NODES, 2 * _GL_NODES])  # bin 2i: n nodes, 2i + 1: 2n
     coeffs, failures = np.empty((s.size, 2, order + 1)), []
     for start in range(0, s.size, _ROWS_PER_PASS):
-        rows = slice(start, start + _ROWS_PER_PASS)
-        coeffs[rows], more = _kernel_pass(s[rows], m, order, net, pieces)
+        rows = s[start:start + _ROWS_PER_PASS]
+        panels = [list(itertools.pairwise(_panel_edges(si, m, order, net).tolist()))
+                  for si in rows.tolist()]
+        new = sorted(set().union(*panels).difference(index))
+        if new:
+            index.update(zip(new, range(len(index), len(index) + len(new))))
+            table = np.concatenate([table, _panel_nodes(new, net, pieces)], axis=1)
+        row = np.repeat(np.arange(rows.size), [len(row_panels) for row_panels in panels])
+        columns = [index[panel] for row_panels in panels for panel in row_panels]
+        nodes = table[:, columns].reshape(3, -1)
+        coeffs[start:start + rows.size], more = _kernel_pass(
+            rows, m, order, net, (2 * row[:, None] + level).ravel(), nodes[0], nodes[1:])
         failures += more
     return coeffs, failures
 
 
-def _pass_nodes(s: np.ndarray, m: int, order: int, net: NetworkConfig, pieces):
-    """The nodes of a kernel pass: per node its bin, its row's s, w^alpha and
-    each phase's pdf times quadrature weight.  Kept apart from _kernel_pass,
-    so that the panel and node arrays are freed before its arithmetic runs.
+def _panel_nodes(panels, net: NetworkConfig, pieces):
+    """Table columns for (lo, hi) panels: w^alpha (out[0]) and each phase's
+    pdf times quadrature weight (out[1], out[2]) at a panel's n + 2n nodes.
+    The panels come sorted by position, so each pdf piece ([0, H], [H, R],
+    [R, top]) is one run of them.
     """
     R, H, alpha = net.radius, net.height, net.path_loss_exponent
-    # Panels grouped by pdf piece ([0, H], [H, R], [R, top]), each row's in
-    # ascending order within a group: every piece is then one contiguous run
-    # of nodes, and each bin below still sums its row's panels bottom up.
-    edges = [_panel_edges(si, m, order, net).tolist() for si in s.tolist()]
-    cuts = [(0, bisect.bisect_left(e, H), bisect.bisect_left(e, R), len(e) - 1)
-            for e in edges]
-    lo, hi, row, ends = [], [], [], []
-    for j in range(3):
-        for i, (e, c) in enumerate(zip(edges, cuts)):
-            lo += e[c[j]:c[j + 1]]
-            hi += e[c[j] + 1:c[j + 1] + 1]
-            row += [i] * (c[j + 1] - c[j])
-        ends.append(len(lo))
-    lo, hi, row = np.array(lo), np.array(hi), np.array(row)
+    lo, hi = np.array(panels).T
+    ends = [*np.searchsorted(lo, [H, R]).tolist(), lo.size]
     top = slice(ends[1], None)
     # Top panels go to v; lo * lo - R^2 would lose digits next to R.
     lo[top] = np.sqrt(np.maximum(lo[top] - R, 0.0) * (lo[top] + R))
     hi[top] = np.sqrt(np.maximum(hi[top] - R, 0.0) * (hi[top] + R))
 
-    # Nodes of both rules side by side; bin 2i holds row i's n-node sum and
-    # bin 2i + 1 its 2n-node sum.
+    # Nodes of both rules side by side, the n-node rule first.
     n = _GL_NODES
     x = np.concatenate([_gauss_legendre(n)[0], _gauss_legendre(2 * n)[0]])
     wx = np.concatenate([_gauss_legendre(n)[1], _gauss_legendre(2 * n)[1]])
-    level = np.repeat([0, 1], [n, 2 * n])
     width = (hi - lo)[:, None]
     y = (lo[:, None] + width * x).ravel()
     weight = (width * wx).ravel()
-    bins = (2 * row[:, None] + level).ravel()
     runs = [slice(3 * n * a, 3 * n * b) for a, b in zip([0] + ends, ends)]
-    w_alpha = np.empty_like(y)
-    w_alpha[: runs[2].start] = y[: runs[2].start] ** alpha
-    w_alpha[runs[2]] = (R * R + y[runs[2]] * y[runs[2]]) ** (alpha / 2.0)
-    density = np.empty((2, y.size))
-    for p, phase_pieces in enumerate(pieces):
+    out = np.empty((3, y.size))
+    out[0, : runs[2].start] = y[: runs[2].start] ** alpha
+    out[0, runs[2]] = (R * R + y[runs[2]] * y[runs[2]]) ** (alpha / 2.0)
+    for p, phase_pieces in enumerate(pieces, start=1):
         for run, pdf in zip(runs, phase_pieces):
-            density[p, run] = pdf(y[run]) * weight[run]
-    return bins, s[row].repeat(3 * n), w_alpha, density
+            out[p, run] = pdf(y[run]) * weight[run]
+    return out.reshape(3, -1, 3 * n)
 
 
-def _kernel_pass(s: np.ndarray, m: int, order: int, net: NetworkConfig, pieces):
-    """scaled_phase_jets for the rows s, given each phase's pdf pieces."""
+def _kernel_pass(s: np.ndarray, m: int, order: int, net: NetworkConfig, bins, w_alpha,
+                 density):
+    """scaled_phase_jets for the rows s, given their nodes: each node's bin,
+    w^alpha and each phase's pdf times quadrature weight."""
     R, alpha = net.radius, net.path_loss_exponent
-    bins, s_node, w_alpha, density = _pass_nodes(s, m, order, net, pieces)
+    s_node = s[bins // 2]
     # t^m is taken relative to its value at the top of the support, where
     # it is largest: the sums then keep their digits at any s, and only the
     # final product with t_top^m may underflow (to a coefficient of 0).

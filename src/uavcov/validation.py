@@ -2,7 +2,8 @@
 
 Each check pits one evaluation route against an independent one: exact
 anchors, closed forms against the Gauss-Legendre kernel, the kernel against
-scipy's adaptive quadrature, inverse-transform samples against closed-form
+scipy's adaptive quadrature, each row of a batched kernel call against the
+same threshold alone, inverse-transform samples against closed-form
 laws, derivative jets against finite differences, the analysis against the
 end-to-end simulation, the stationary launch against the closed-form
 stationary laws, the lockstep campaign against its replications run one at
@@ -34,8 +35,8 @@ from .simulator import run_campaign
 from .errors import ConsistencyError, NumericalError
 from .special import _gauss_series, _large_z, _pfaff, hyp2f1
 
-__all__ = ["CheckResult", "check_stationary_start", "event_tape_gaps", "quad_phase_moment",
-           "run_validation"]
+__all__ = ["CheckResult", "check_stationary_start", "event_tape_gaps", "kernel_rows_apart",
+           "quad_phase_moment", "run_validation"]
 
 # Adaptive-quadrature oracle tolerances.  The relative tolerance dominates:
 # at large s the moments decay by many orders of magnitude.
@@ -404,6 +405,32 @@ def _check_gl_vs_quad(sc: Scenario) -> CheckResult:
     return CheckResult("gl-vs-quad", worst <= 1e-9 and compared > 0, detail)
 
 
+def kernel_rows_apart(s_values, m: int, order: int, net) -> list[float]:
+    """The thresholds whose row of one batched kernel call is not, bit for
+    bit, the kernel called at that threshold alone (which builds its own
+    panel table): coefficients and failure alike."""
+    coeffs, failures = interference.scaled_phase_jets(s_values, m, order, net)
+    apart = []
+    for s, row, failure in zip(s_values, coeffs, failures):
+        alone, (alone_failure,) = interference.scaled_phase_jets([s], m, order, net)
+        if alone.tobytes() != row.tobytes() or str(alone_failure) != str(failure):
+            apart.append(float(s))
+    return apart
+
+
+def _check_kernel_batch_vs_row(sc: Scenario) -> CheckResult:
+    # The rows of one kernel call share a table of panels; each threshold's
+    # s0 must give the same bits there as alone, at k up to max(m0 - 1, 2).
+    net, fading = sc.network, sc.fading
+    m, order = fading.interferer_m, max(fading.serving_m - 1, 2)
+    s0 = [transform_argument(psi, net, fading) for psi in sc.psi_grid_linear()]
+    apart = kernel_rows_apart(s0, m, order, net)
+    detail = f"{len(apart)} of {len(s0)} rows differ from their threshold alone (bit for bit)"
+    if apart:
+        detail += f", first at s={apart[0]:.17g}"
+    return CheckResult("kernel-batch-vs-row", not apart, detail)
+
+
 def _check_binomial_collapse(sc: Scenario, rng: np.random.Generator) -> CheckResult:
     net, fading = sc.network, sc.fading
     worst = 0.0
@@ -609,6 +636,7 @@ def run_validation(sc: Scenario, fault_bias: float = 0.0) -> list[CheckResult]:
         _check_distributions(sc, rng),
         _check_closed_vs_quadrature(sc, fault_bias),
         _check_gl_vs_quad(sc),
+        _check_kernel_batch_vs_row(sc),
         _check_binomial_collapse(sc, rng),
         _check_derivative_jet(sc),
         _check_lockstep_replications(sc),

@@ -12,7 +12,9 @@ import pytest
 from scipy import stats
 
 from uavcov.config import FadingConfig, MobilityConfig, NetworkConfig, derive_stay_probability
-from uavcov.coverage import CoverageQuery, coverage_probability, coverage_sweep
+from uavcov.coverage import (
+    CoverageQuery, coverage_probability, coverage_sweep, transform_argument,
+)
 from uavcov.distributions import AltitudeDistribution, DistanceDistribution
 from uavcov.interference import (
     closed_phase_factor,
@@ -24,7 +26,9 @@ from uavcov.interference import (
 )
 from uavcov.simulator import initial_state, run_campaign
 from uavcov.special import hyp2f1
-from uavcov.validation import check_stationary_start, event_tape_gaps, quad_phase_moment
+from uavcov.validation import (
+    check_stationary_start, event_tape_gaps, kernel_rows_apart, quad_phase_moment,
+)
 
 R, H = 40.0, 30.0
 MOBILITY = MobilityConfig(0.2, 10.0, 2.0, 6.0, 10.0)  # benchmark kinematics
@@ -327,3 +331,23 @@ def test_criterion_13_kernel_coverage_vs_closed_form(p_stay):
     report("13 kernel-vs-closed-coverage", worst <= 1e-12,
            f"worst rel gap {worst:.2e} at (M, m1, h0, psi) = {worst_at} "
            f"(tol 1e-12, {count} thresholds)")
+
+
+def test_criterion_14_kernel_batch_vs_row():
+    """The rows of one Gauss-Legendre kernel call share a table of panels.
+    Every row of a batched call against the kernel at that threshold alone,
+    bit for bit: the closed-form workload's grid (m1 in 1..3, h0 in
+    {5, 10, 30}, 81 points) at exponent 2 and order 0, then at exponents 3
+    and 4 and order 4."""
+    psi = 10 ** (np.linspace(-20.0, 30.0, 81) / 10)
+    apart, count = [], 0
+    for alpha, order in ((2.0, 0), (3.0, 4), (4.0, 4)):
+        for m1 in (1, 2, 3):
+            for h0 in (5.0, 10.0, 30.0):
+                net = net_with(8, h0, alpha)
+                s0 = [transform_argument(p, net, FadingConfig(1, m1)) for p in psi]
+                apart += [(alpha, m1, h0, s) for s in kernel_rows_apart(s0, m1, order, net)]
+                count += len(s0)
+    report("14 kernel-batch-vs-row", not apart,
+           f"{len(apart)} of {count} rows differ from their threshold alone (bit for bit)"
+           + (f", first at (alpha, m1, h0, s0) = {apart[0]}" if apart else ""))

@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -424,3 +425,39 @@ def test_failing_row_leaves_the_other_rows(monkeypatch):
     assert isinstance(failures[1], NumericalError)
     assert "s=10" in str(failures[1]) and "m=2" in str(failures[1]) and "k=" in str(failures[1])
     assert np.array_equal(coeffs[[0, 2]], good[[0, 2]])
+
+
+def test_rows_do_not_depend_on_the_rest_of_the_call():
+    """Each call builds its own table of panels, yet a row comes out as the
+    same bits whichever thresholds share its call: the rows of a shuffled
+    grid and of a sub-grid equal those of the full grid."""
+    net = net_with(alpha=3.0)
+    s_values = np.logspace(-3, 7, 41)
+    full, full_failures = scaled_phase_jets(s_values, 3, 4, net)
+    assert full_failures == [None] * s_values.size
+    shuffle = np.random.default_rng(3).permutation(s_values.size)
+    shuffled, _ = scaled_phase_jets(s_values[shuffle], 3, 4, net)
+    assert shuffled.tobytes() == full[shuffle].tobytes()
+    sub = slice(5, 30, 3)
+    part, _ = scaled_phase_jets(s_values[sub], 3, 4, net)
+    assert part.tobytes() == full[sub].tobytes()
+
+
+@pytest.mark.parametrize("alpha, m, order", [(2.0, 3, 3), (4.0, 6, 9), (2.0, 1, 0)])
+def test_kernel_working_set_does_not_grow_with_the_grid(alpha, m, order):
+    """Beyond its output the kernel holds one table of the call's distinct
+    panels and one pass of rows, so its peak memory does not grow with the
+    number of thresholds (numpy reports its buffers to tracemalloc)."""
+    def extra_bytes(n):
+        s_values = np.logspace(-3, 9, n)
+        tracemalloc.start()
+        try:
+            coeffs, failures = scaled_phase_jets(s_values, m, order, net_with(alpha=alpha))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - coeffs.nbytes - sys.getsizeof(failures)
+
+    large, small = extra_bytes(20_000), extra_bytes(2_000)
+    assert large <= 1.5e6, large
+    assert abs(large - small) <= 0.25e6, (large, small)
