@@ -26,9 +26,12 @@ with an n-vs-2n-node error estimate held to 1e-10 relative.  It carries
 the scaled coefficients (-s)^k Phi^(k)(s) / k!, which lie in [0, 1] for
 every s, and J.C.P. Miller's power-series recurrence raises their phase
 mixture to the M-th power.  laplace_jets is that one pass for a whole grid
-of s, whose rows share one table of their distinct panels' nodes (the
-panels of every s come from one geometric ladder); phase_laplace_factor,
-laplace_transform and laplace_derivative_jet read one of its rows.
+of s.  The panels of every s come from one geometric ladder and depend on
+s only through the ladder's lowest rung, its bottom, so a call builds each
+distinct bottom's edges once and one table of its distinct panels' nodes,
+and its rows gather theirs from that table in passes of up to a fixed
+number of nodes; phase_laplace_factor, laplace_transform and
+laplace_derivative_jet read one of its rows.
 
 For path-loss exponent 2 the phase factors also have closed forms, kept as
 the kernel's oracle (closed_phase_factor, which no production path calls):
@@ -80,15 +83,16 @@ __all__ = [
 # for the error estimate, which must stay within _GL_RTOL relative.  Panels
 # are graded geometrically, ceil(a(m + k) / _PANELS_PER_STEEPNESS) per
 # doubling, down to _GRADING doublings below the integrand's length scale.
-# Rows share a pass _ROWS_PER_PASS at a time.  A pass's arrays take about
-# 80 bytes per node, 48 nodes per panel: about 270 KB for four 16-panel rows
-# (exponent 2, m = 1) and 1.2 MB for four 71-panel rows (exponent 4, m = 6,
-# order 9).
+# A pass takes consecutive rows up to _NODE_BUDGET nodes (48 per panel); a
+# row above it goes alone.  A full pass peaks at 85-90 bytes per node beyond
+# the output, the rows' bottoms and the panel table, about 0.7 MB (measured
+# with tracemalloc at (exponent, m, order) = (2, 1, 0), (2, 3, 3) and
+# (4, 6, 9)).
 _GL_NODES = 16
 _GL_RTOL = 1e-10
 _PANELS_PER_STEEPNESS = 16
 _GRADING = 8
-_ROWS_PER_PASS = 4
+_NODE_BUDGET = 8192
 
 @dataclass(frozen=True)
 class SegmentScheme:
@@ -334,7 +338,9 @@ def _panel_edges(s: float, m: int, order: int, net: NetworkConfig) -> np.ndarray
     so the edges are geometric, ceil(a(m + order) / _PANELS_PER_STEEPNESS)
     per doubling, from the top of the support down to _GRADING doublings
     below that scale (or below the top, when the scale lies beyond it).
-    H and R are edges too, since the pdf changes piece there.
+    H and R are edges too, since the pdf changes piece there.  The oracle
+    of _panel_plan, which builds the same edges once per ladder bottom; no
+    production path calls it.
     """
     R, H, alpha = net.radius, net.height, net.path_loss_exponent
     w_max = math.hypot(R, H)
@@ -344,6 +350,43 @@ def _panel_edges(s: float, m: int, order: int, net: NetworkConfig) -> np.ndarray
     highest = math.ceil(per_doubling * math.log2(w_max))
     ladder = (math.exp2(j / per_doubling) for j in range(lowest, highest))
     return np.array(sorted({0.0, H, R, w_max, *(w for w in ladder if w < w_max)}))
+
+
+def _ladder_edges(ladder: list[int], per_doubling: int, net: NetworkConfig):
+    """The panel edges of each ladder bottom (ascending): _panel_edges' edges
+    at every s whose ladder starts there, built once from the bottom."""
+    R, H = net.radius, net.height
+    w_max = math.hypot(R, H)
+    highest = math.ceil(per_doubling * math.log2(w_max))
+    rungs = [w for w in (math.exp2(j / per_doubling) for j in range(ladder[0], highest))
+             if w < w_max]
+    return [sorted({0.0, H, R, w_max, *rungs[bottom - ladder[0]:]}) for bottom in ladder]
+
+
+def _panel_plan(s: np.ndarray, m: int, order: int, net: NetworkConfig):
+    """The panels of one kernel call: (row_sets, ladder, panels, columns).
+
+    A row's edges (_panel_edges) depend on its s only through the lowest
+    rung of the geometric ladder, its bottom, computed here by the same
+    float expression.  ladder holds the distinct bottoms ascending and
+    row_sets[i] the position of row i's bottom in it; panels are the call's
+    distinct (lo, hi) panels sorted by position, and columns[j] the indices
+    into panels of the panels of bottom ladder[j], ascending.
+    """
+    alpha = net.path_loss_exponent
+    w_max = math.hypot(net.radius, net.height)
+    per_doubling = math.ceil(alpha * (m + order) / _PANELS_PER_STEEPNESS)
+    bottoms = np.fromiter(
+        (math.floor(per_doubling * (math.log2(min((si / m) ** (1.0 / alpha), w_max)) - _GRADING))
+         for si in map(float, s)), np.int64, s.size)
+    ladder = np.sort(bottoms)
+    ladder = ladder[np.append(True, ladder[1:] != ladder[:-1])]
+    edge_sets = [list(itertools.pairwise(edges))
+                 for edges in _ladder_edges(ladder.tolist(), per_doubling, net)]
+    panels = sorted(set().union(*edge_sets))
+    index = {panel: i for i, panel in enumerate(panels)}
+    columns = [[index[panel] for panel in edges] for edges in edge_sets]
+    return np.searchsorted(ladder, bottoms), ladder, panels, columns
 
 
 def scaled_phase_jets(s, m: int, order: int, net: NetworkConfig):
@@ -358,15 +401,17 @@ def scaled_phase_jets(s, m: int, order: int, net: NetworkConfig):
     Every node value C(m + k - 1, k) t^m u^k lies in [0, 1] (their sum over
     all k is 1), so no coefficient can overflow however large s is; each
     order is the previous one times u (m + k - 1) / k.  Both phases and all
-    orders come from one pass over the nodes of a row's panels
-    (_panel_edges): the bottom two segments are integrated in w, the top one
-    in v = sqrt(w^2 - R^2) against DistanceDistribution.shell_piece, where
-    the integrand has no kink.  The rows of one call share a table of their
-    distinct panels, each panel's nodes built once (_panel_nodes) when a row
-    first needs it; rows go through the arithmetic _ROWS_PER_PASS at a time,
-    gathering their panels' nodes from the table.  A row sums its nodes in
-    the same order whatever rows share its call or its pass, so its value
-    is bit for bit the one it has alone.
+    orders come from one pass over the nodes of a row's panels: the bottom
+    two segments are integrated in w, the top one in v = sqrt(w^2 - R^2)
+    against DistanceDistribution.shell_piece, where the integrand has no
+    kink.  A row's panels are fixed by its ladder bottom (_panel_plan): each
+    distinct bottom's edges are built once, and the call's distinct panels
+    go into one table, built by a single _panel_nodes call.  Rows go through
+    the arithmetic in passes of consecutive rows holding at most
+    _NODE_BUDGET nodes (a row above it goes alone), each row gathering its
+    panels' nodes from the table.  A row sums its nodes in the same order
+    whatever rows share its call or its pass, so its value is bit for bit
+    the one it has alone.
 
     Each panel is integrated with n and with 2n nodes; the 2n value is kept
     and their difference is its error estimate.  failures[i] is None, or a
@@ -378,26 +423,31 @@ def scaled_phase_jets(s, m: int, order: int, net: NetworkConfig):
     dists = [DistanceDistribution(phase, net.radius, net.height) for phase in PHASES]
     pieces = [[piece for _, _, piece in dist.pdf_pieces()[:2]] + [dist.shell_piece()]
               for dist in dists]
-    # The panel table: panel (lo, hi) keeps w^alpha and each phase's pdf
-    # times weight at its nodes in column index[(lo, hi)] of table[0],
-    # table[1] and table[2].
-    index, table = {}, np.empty((3, 0, 3 * _GL_NODES))
-    level = np.repeat([0, 1], [_GL_NODES, 2 * _GL_NODES])  # bin 2i: n nodes, 2i + 1: 2n
     coeffs, failures = np.empty((s.size, 2, order + 1)), []
-    for start in range(0, s.size, _ROWS_PER_PASS):
-        rows = s[start:start + _ROWS_PER_PASS]
-        panels = [list(itertools.pairwise(_panel_edges(si, m, order, net).tolist()))
-                  for si in rows.tolist()]
-        new = sorted(set().union(*panels).difference(index))
-        if new:
-            index.update(zip(new, range(len(index), len(index) + len(new))))
-            table = np.concatenate([table, _panel_nodes(new, net, pieces)], axis=1)
-        row = np.repeat(np.arange(rows.size), [len(row_panels) for row_panels in panels])
-        columns = [index[panel] for row_panels in panels for panel in row_panels]
-        nodes = table[:, columns].reshape(3, -1)
+    if not s.size:
+        return coeffs, failures
+    row_sets, _, panels, columns = _panel_plan(s, m, order, net)
+    # Column c of table[0], table[1] and table[2] holds w^alpha and each
+    # phase's pdf times weight at the nodes of panels[c].
+    table = _panel_nodes(panels, net, pieces)
+    budget = _NODE_BUDGET // (3 * _GL_NODES)  # in panels
+    most_rows = max(1, budget // min(map(len, columns)))
+    level = np.repeat([0, 1], [_GL_NODES, 2 * _GL_NODES])  # bin 2i: n nodes, 2i + 1: 2n
+    start = 0
+    while start < s.size:
+        pass_columns, counts = [], []
+        for j in row_sets[start:start + most_rows].tolist():
+            if counts and len(pass_columns) + len(columns[j]) > budget:
+                break
+            pass_columns += columns[j]
+            counts.append(len(columns[j]))
+        rows = s[start:start + len(counts)]
+        row = np.repeat(np.arange(rows.size), counts)
+        nodes = table.take(pass_columns, axis=1).reshape(3, -1)
         coeffs[start:start + rows.size], more = _kernel_pass(
             rows, m, order, net, (2 * row[:, None] + level).ravel(), nodes[0], nodes[1:])
         failures += more
+        start += rows.size
     return coeffs, failures
 
 
@@ -441,11 +491,13 @@ def _kernel_pass(s: np.ndarray, m: int, order: int, net: NetworkConfig, bins, w_
     # t^m is taken relative to its value at the top of the support, where
     # it is largest: the sums then keep their digits at any s, and only the
     # final product with t_top^m may underflow (to a coefficient of 0).
-    # An infinite s gives NaN here, which the error test below reports.
+    # An infinite s gives NaN here, and a vanishing s with a steep exponent
+    # can overflow or divide by 0 next to w = 0 (inf or NaN); the error test
+    # below reports either as the row's failure.
     w_alpha_top = (R * R + net.height**2) ** (alpha / 2.0)
     denom_top = m * w_alpha_top + s
     sums = np.empty((2 * s.size, 2, order + 1))
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         denom = m * w_alpha + s_node
         u = s_node / denom
         g = (w_alpha / w_alpha_top * (denom_top[bins // 2] / denom)) ** m

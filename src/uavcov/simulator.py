@@ -343,8 +343,10 @@ class SnapshotSample:
 
 
 def _interferer_shapes(altitude: np.ndarray, fading: FadingConfig, net: NetworkConfig):
+    """The Nakagami shape of each interferer at `altitude`: one float for
+    all of them when fading does not depend on altitude, else an array."""
     if not fading.altitude_dependent:
-        return np.full(altitude.shape, float(fading.interferer_m))
+        return float(fading.interferer_m)
     bands = resolve_fading_bands(fading, net)
     lows = np.array([low for low, _, _ in bands])
     shapes = np.array([float(shape) for _, _, shape in bands])
@@ -375,10 +377,11 @@ def _snapshot(
         [g.gamma(m0, 1.0 / m0, hi - lo) for g, lo, hi in streams.spans(chains)]
     )
     w = np.sqrt(altitude**2 + np.einsum("ij,ij->i", state.xy, state.xy))
-    m_i = _interferer_shapes(altitude, fading, net)
-    gains = np.concatenate(
-        [g.gamma(m_i[lo:hi], 1.0 / m_i[lo:hi]) for g, lo, hi in streams.blocks]
-    )
+    gains = np.empty(state.n)
+    for g, lo, hi in streams.blocks:
+        # A scalar shape draws the same numbers as an array of it, faster.
+        m_i = _interferer_shapes(altitude[lo:hi], fading, net)
+        gains[lo:hi] = g.gamma(m_i, 1.0 / m_i, hi - lo)
     interference = (gains * w**-alpha).reshape(chains, state.n // chains).sum(axis=1)
     with np.errstate(divide="ignore"):
         sir = g0 * net.serving_altitude**-alpha / interference

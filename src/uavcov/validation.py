@@ -3,7 +3,8 @@
 Each check pits one evaluation route against an independent one: exact
 anchors, closed forms against the Gauss-Legendre kernel, the kernel against
 scipy's adaptive quadrature, each row of a batched kernel call against the
-same threshold alone, inverse-transform samples against closed-form
+same threshold alone, the panels the kernel's shared table gives each row
+against that row's own edges, inverse-transform samples against closed-form
 laws, derivative jets against finite differences, the analysis against the
 end-to-end simulation, the stationary launch against the closed-form
 stationary laws, the lockstep campaign against its replications run one at
@@ -16,6 +17,7 @@ floor.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,7 +38,7 @@ from .errors import ConsistencyError, NumericalError
 from .special import _gauss_series, _large_z, _pfaff, hyp2f1
 
 __all__ = ["CheckResult", "check_stationary_start", "event_tape_gaps", "kernel_rows_apart",
-           "quad_phase_moment", "run_validation"]
+           "ladder_rows_apart", "quad_phase_moment", "run_validation"]
 
 # Adaptive-quadrature oracle tolerances.  The relative tolerance dominates:
 # at large s the moments decay by many orders of magnitude.
@@ -431,6 +433,33 @@ def _check_kernel_batch_vs_row(sc: Scenario) -> CheckResult:
     return CheckResult("kernel-batch-vs-row", not apart, detail)
 
 
+def ladder_rows_apart(s_values, m: int, order: int, net) -> list[float]:
+    """The thresholds whose panels in one kernel call's shared table (rows
+    mapped to their ladder bottom's edge set) are not the panels of
+    _panel_edges built at that threshold alone."""
+    row_sets, _, panels, columns = interference._panel_plan(
+        np.asarray(s_values, dtype=float), m, order, net)
+    apart = []
+    for s, j in zip(s_values, row_sets.tolist()):
+        alone = itertools.pairwise(interference._panel_edges(s, m, order, net).tolist())
+        if [panels[c] for c in columns[j]] != list(alone):
+            apart.append(float(s))
+    return apart
+
+
+def _check_ladder_vs_row_edges(sc: Scenario) -> CheckResult:
+    # One kernel call builds each ladder bottom's edges once; every
+    # threshold's s0 must get the panels its own edges give.
+    net, fading = sc.network, sc.fading
+    m, order = fading.interferer_m, max(fading.serving_m - 1, 2)
+    s0 = [transform_argument(psi, net, fading) for psi in sc.psi_grid_linear()]
+    apart = ladder_rows_apart(s0, m, order, net)
+    detail = f"{len(apart)} of {len(s0)} rows get panels other than their own edges'"
+    if apart:
+        detail += f", first at s={apart[0]:.17g}"
+    return CheckResult("ladder-vs-row-edges", not apart, detail)
+
+
 def _check_binomial_collapse(sc: Scenario, rng: np.random.Generator) -> CheckResult:
     net, fading = sc.network, sc.fading
     worst = 0.0
@@ -637,6 +666,7 @@ def run_validation(sc: Scenario, fault_bias: float = 0.0) -> list[CheckResult]:
         _check_closed_vs_quadrature(sc, fault_bias),
         _check_gl_vs_quad(sc),
         _check_kernel_batch_vs_row(sc),
+        _check_ladder_vs_row_edges(sc),
         _check_binomial_collapse(sc, rng),
         _check_derivative_jet(sc),
         _check_lockstep_replications(sc),

@@ -27,7 +27,8 @@ from uavcov.interference import (
 from uavcov.simulator import initial_state, run_campaign
 from uavcov.special import hyp2f1
 from uavcov.validation import (
-    check_stationary_start, event_tape_gaps, kernel_rows_apart, quad_phase_moment,
+    check_stationary_start, event_tape_gaps, kernel_rows_apart, ladder_rows_apart,
+    quad_phase_moment,
 )
 
 R, H = 40.0, 30.0
@@ -350,4 +351,23 @@ def test_criterion_14_kernel_batch_vs_row():
                 count += len(s0)
     report("14 kernel-batch-vs-row", not apart,
            f"{len(apart)} of {count} rows differ from their threshold alone (bit for bit)"
+           + (f", first at (alpha, m1, h0, s0) = {apart[0]}" if apart else ""))
+
+
+def test_criterion_15_ladder_vs_row_edges():
+    """One kernel call builds each distinct ladder bottom's panel edges
+    once.  Every row's panels in the call's shared table against the
+    panels of its own edges built alone (_panel_edges), on criterion 14's
+    grid."""
+    psi = 10 ** (np.linspace(-20.0, 30.0, 81) / 10)
+    apart, count = [], 0
+    for alpha, order in ((2.0, 0), (3.0, 4), (4.0, 4)):
+        for m1 in (1, 2, 3):
+            for h0 in (5.0, 10.0, 30.0):
+                net = net_with(8, h0, alpha)
+                s0 = [transform_argument(p, net, FadingConfig(1, m1)) for p in psi]
+                apart += [(alpha, m1, h0, s) for s in ladder_rows_apart(s0, m1, order, net)]
+                count += len(s0)
+    report("15 ladder-vs-row-edges", not apart,
+           f"{len(apart)} of {count} rows get panels other than their own edges'"
            + (f", first at (alpha, m1, h0, s0) = {apart[0]}" if apart else ""))

@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -411,20 +412,75 @@ def test_kernel_coefficients_stay_in_unit_interval_at_any_threshold():
 def test_failing_row_leaves_the_other_rows(monkeypatch):
     """A row whose estimate fails carries its own NumericalError; the rows
     around it keep their values."""
-    original = interference._panel_edges
+    original = interference._ladder_edges
+    _, (bottom_at_10,), _, _ = interference._panel_plan(np.array([10.0]), 2, 3, NET)
 
-    def coarse_at_one_row(s, m, order, net):
-        edges = original(s, m, order, net)
-        return edges[[0, -1]] if s == 10.0 else edges  # one panel over the support
+    def coarse_at_one_row(ladder, per_doubling, net):
+        edge_sets = original(ladder, per_doubling, net)
+        # one panel over the support for the rows whose bottom is that of s = 10
+        return [[edges[0], edges[-1]] if bottom == bottom_at_10 else edges
+                for bottom, edges in zip(ladder, edge_sets)]
 
     s_values = [1.0, 10.0, 100.0]
     good, _ = scaled_phase_jets(s_values, 2, 3, NET)
-    monkeypatch.setattr(interference, "_panel_edges", coarse_at_one_row)
+    monkeypatch.setattr(interference, "_ladder_edges", coarse_at_one_row)
     coeffs, failures = scaled_phase_jets(s_values, 2, 3, NET)
     assert failures[0] is None and failures[2] is None
     assert isinstance(failures[1], NumericalError)
     assert "s=10" in str(failures[1]) and "m=2" in str(failures[1]) and "k=" in str(failures[1])
     assert np.array_equal(coeffs[[0, 2]], good[[0, 2]])
+
+
+@pytest.mark.parametrize("alpha, m, order, s_values", [
+    (2.0, 1, 0, np.logspace(-3, 9, 400)),
+    (3.0, 3, 4, np.logspace(-3, 7, 41)),
+    (7.5, 6, 13, np.array([1e-3, 1e-30, 1.0, 1e-30, 1e-30, 10.0])),  # 1e-30: 249 panels
+])
+def test_one_panel_table_and_passes_within_the_node_budget(monkeypatch, alpha, m, order,
+                                                           s_values):
+    """A call builds its panel table with a single _panel_nodes call, and
+    cuts its rows into passes of consecutive rows holding at most
+    _NODE_BUDGET nodes, each filled until the next row would not fit; only
+    a row alone may exceed the budget.  The rows keep their values."""
+    net = net_with(alpha=alpha)
+    expected, _ = scaled_phase_jets(s_values, m, order, net)
+    tables, passes = [], []
+
+    def counting_nodes(*args):
+        tables.append(args)
+        return panel_nodes(*args)
+
+    def recording_pass(s, m, order, net, bins, *rest):
+        passes.append((s.size, bins.size, int(np.count_nonzero(bins < 2))))
+        return kernel_pass(s, m, order, net, bins, *rest)
+
+    panel_nodes, kernel_pass = interference._panel_nodes, interference._kernel_pass
+    monkeypatch.setattr(interference, "_panel_nodes", counting_nodes)
+    monkeypatch.setattr(interference, "_kernel_pass", recording_pass)
+    coeffs, _ = scaled_phase_jets(s_values, m, order, net)
+    assert coeffs.tobytes() == expected.tobytes()
+    assert len(tables) == 1
+    budget = interference._NODE_BUDGET
+    assert sum(rows for rows, _, _ in passes) == s_values.size
+    assert all(nodes <= budget or rows == 1 for rows, nodes, _ in passes), passes
+    for (_, nodes, _), (_, _, first_row) in itertools.pairwise(passes):
+        assert nodes + first_row > budget, passes
+    if alpha == 7.5:
+        assert [rows for rows, nodes, _ in passes if nodes > budget] == [1, 1, 1]
+
+
+def test_vanishing_threshold_fails_its_row_without_a_warning():
+    """At exponent 7.5, m = 6 and order 13, s = 1e-300 overflows next to
+    w = 0.  The row fails alone with a NumericalError and numpy warns of
+    nothing; its neighbours keep their bits."""
+    net = net_with(M=8, alpha=7.5)
+    good, _ = scaled_phase_jets([1e-3, 1.0], 6, 13, net)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coeffs, failures = scaled_phase_jets([1e-3, 1e-300, 1.0], 6, 13, net)
+    assert failures[0] is None and failures[2] is None
+    assert isinstance(failures[1], NumericalError) and "s=1e-300" in str(failures[1])
+    assert coeffs[[0, 2]].tobytes() == good.tobytes()
 
 
 def test_rows_do_not_depend_on_the_rest_of_the_call():

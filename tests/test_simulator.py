@@ -8,6 +8,7 @@ from uavcov.errors import ConfigurationError
 from uavcov.simulator import (
     UavState,
     _interferer_shapes,
+    _snapshot,
     initial_state,
     run_campaign,
     sample_snapshot,
@@ -162,6 +163,24 @@ class TestSnapshot:
         snap = sample_snapshot(initial_state(0, net0, MOB, rng), net0, FAD, rng)
         assert snap.interference == 0.0
         assert np.isinf(snap.sir)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_scalar_shape_gains_equal_the_array_shape_draw(self, m):
+        """Without altitude bands a block draws its interferer gains with
+        one scalar shape: bit for bit the array-shape draw gamma(m_i, 1/m_i),
+        each generator left where that draw leaves it."""
+        net = NetworkConfig(40.0, 30.0, 10.0, 64, 2.0)
+        state = initial_state(128, net, MOB, np.random.default_rng(0))
+        rngs = [np.random.default_rng(seed) for seed in (1, 2)]
+        refs = [np.random.default_rng(seed) for seed in (1, 2)]
+        _, _, gains, _, _ = _snapshot(state, state.altitude(), 2, net, FadingConfig(1, m), rngs)
+        expected = []
+        for g in refs:
+            g.gamma(1, 1.0, 1)  # the block's serving gain comes first
+            shapes = np.full(64, float(m))
+            expected.append(g.gamma(shapes, 1.0 / shapes))
+        assert gains.tobytes() == np.concatenate(expected).tobytes()
+        assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in refs]
 
     def test_gains_have_unit_mean(self, rng):
         for m in (1, 2, 3):
@@ -412,4 +431,4 @@ class TestAltitudeDependentFading:
 
     def test_plain_mode_uses_single_shape(self, rng):
         shapes = _interferer_shapes(np.array([1.0, 29.0]), FadingConfig(1, 2), NET)
-        assert shapes.tolist() == [2.0, 2.0]
+        assert type(shapes) is float and shapes == 2.0
