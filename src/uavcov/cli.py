@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,19 +43,22 @@ EXIT_INPUT_ERROR = 2
 
 
 def _apply_overrides(sc: Scenario, args) -> Scenario:
-    doc = scenario_to_dict(sc)
-    if getattr(args, "psi_db", None):
+    """sc with the command line's --psi-db, --seed and --replications; sc
+    itself when none is given.  Scenario and SimParams check the result."""
+    changes = {}
+    psi_db = getattr(args, "psi_db", None)
+    if psi_db:
         try:
-            doc["psi_grid_db"] = [float(v) for v in args.psi_db.split(",")]
+            changes["psi_grid_db"] = tuple(float(v) for v in psi_db.split(","))
         except ValueError:
             raise ConfigurationError(
-                f"--psi-db must be comma-separated numbers, got {args.psi_db!r}"
+                f"--psi-db must be comma-separated numbers, got {psi_db!r}"
             ) from None
-    if getattr(args, "seed", None) is not None:
-        doc["sim"]["seed"] = args.seed
-    if getattr(args, "replications", None) is not None:
-        doc["sim"]["replications"] = args.replications
-    return scenario_from_dict(doc)
+    sim_changes = {name: getattr(args, name) for name in ("seed", "replications")
+                   if getattr(args, name, None) is not None}
+    if sim_changes:
+        changes["sim"] = replace(sc.sim, **sim_changes)
+    return replace(sc, **changes) if changes else sc
 
 
 def _coverage_rows(sc: Scenario):

@@ -21,17 +21,18 @@ production evaluator of these, at every exponent and every order k >= 0,
 the phase factors themselves included (k = 0).  It integrates fixed panels
 per distance-law segment [0, H], [H, R] and [R, sqrt(R^2 + H^2)] (the last
 mapped through w = sqrt(R^2 + v^2), which removes its square-root kink),
-graded geometrically toward the integrand's length scale (s/m)^(1/alpha),
-with an n-vs-2n-node error estimate held to 1e-10 relative.  It carries
-the scaled coefficients (-s)^k Phi^(k)(s) / k!, which lie in [0, 1] for
-every s, and J.C.P. Miller's power-series recurrence raises their phase
-mixture to the M-th power.  laplace_jets is that one pass for a whole grid
-of s.  The panels of every s come from one geometric ladder and depend on
-s only through the ladder's lowest rung, its bottom, so a call builds each
-distinct bottom's edges once and one table of its distinct panels' nodes,
-and its rows gather theirs from that table in passes of up to a fixed
-number of nodes; phase_laplace_factor, laplace_transform and
-laplace_derivative_jet read one of its rows.
+graded geometrically toward the integrand's length scale (s/m)^(1/alpha)
+down to two doublings below it, with a 12-vs-24-node error estimate held
+to 1e-10 relative (36 nodes per panel).  It carries the scaled
+coefficients (-s)^k Phi^(k)(s) / k!, which lie in [0, 1] for every s, and
+J.C.P. Miller's power-series recurrence raises their phase mixture to the
+M-th power, both as arrays over the grid.  laplace_jets is that one pass
+for a whole grid of s.  The panels of every s come from one geometric
+ladder and depend on s only through the ladder's lowest rung, its bottom,
+so a call builds each distinct bottom's edges once and one table of its
+distinct panels' nodes, and its rows gather theirs from that table in
+passes of up to a fixed number of nodes; phase_laplace_factor,
+laplace_transform and laplace_derivative_jet read one of its rows.
 
 For path-loss exponent 2 the phase factors also have closed forms, kept as
 the kernel's oracle (closed_phase_factor, which no production path calls):
@@ -45,7 +46,7 @@ two primitive integrals,
 
 both reducible to Gauss hypergeometric terms.  The kernel is the more
 accurate of the two: against bench/oracle.py at R/H = 100/5 it stays
-within 8e-15 relative, where hyp2f1's alternating sums cost the closed form
+within 9e-15 relative, where hyp2f1's alternating sums cost the closed form
 up to 5e-11 at m = 12.  No scipy is imported here; its adaptive quadrature
 serves as the kernel's oracle for k >= 1 in `validate` and the tests.
 """
@@ -83,15 +84,16 @@ __all__ = [
 # for the error estimate, which must stay within _GL_RTOL relative.  Panels
 # are graded geometrically, ceil(a(m + k) / _PANELS_PER_STEEPNESS) per
 # doubling, down to _GRADING doublings below the integrand's length scale.
-# A pass takes consecutive rows up to _NODE_BUDGET nodes (48 per panel); a
-# row above it goes alone.  A full pass peaks at 85-90 bytes per node beyond
-# the output, the rows' bottoms and the panel table, about 0.7 MB (measured
-# with tracemalloc at (exponent, m, order) = (2, 1, 0), (2, 3, 3) and
-# (4, 6, 9)).
-_GL_NODES = 16
+# _PANELS_PER_STEEPNESS must move with _GL_NODES, so that each node covers
+# the same steepness: 12 nodes at 16 per unit miss 1e-10 at m = 12.  A pass
+# takes consecutive rows up to _NODE_BUDGET nodes (36 per panel); a row above
+# it goes alone.  A full pass peaks at 80-84 bytes per node beyond the
+# output, the rows' bottoms and the panel table, about 0.7 MB (measured with
+# tracemalloc at (exponent, m, order) = (2, 1, 0), (2, 3, 3) and (4, 6, 9)).
+_GL_NODES = 12
 _GL_RTOL = 1e-10
-_PANELS_PER_STEEPNESS = 16
-_GRADING = 8
+_PANELS_PER_STEEPNESS = 12
+_GRADING = 2
 _NODE_BUDGET = 8192
 
 @dataclass(frozen=True)
@@ -413,10 +415,11 @@ def scaled_phase_jets(s, m: int, order: int, net: NetworkConfig):
     whatever rows share its call or its pass, so its value is bit for bit
     the one it has alone.
 
-    Each panel is integrated with n and with 2n nodes; the 2n value is kept
-    and their difference is its error estimate.  failures[i] is None, or a
-    NumericalError naming the phase, s, m and k of the first coefficient of
-    row i whose estimate exceeds _GL_RTOL relative.
+    Each panel is integrated with n = _GL_NODES and with 2n nodes; the 2n
+    value is kept and their difference is its error estimate.  failures[i]
+    is None, or a NumericalError naming the phase, s, m and k of the first
+    coefficient of row i whose estimate exceeds _GL_RTOL relative.  The
+    order-0 coefficients, the phase factors, are bounded by 1.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     m = int(m)
@@ -511,6 +514,11 @@ def _kernel_pass(s: np.ndarray, m: int, order: int, net: NetworkConfig, bins, w_
     bad = ~(err <= _GL_RTOL * fine)  # NaN counts as bad
     t_top_m = (m * w_alpha_top / denom_top) ** m
     coeffs = fine * t_top_m[:, None, None]
+    # Phi = E_W[t^m] <= 1 exactly: t lies in [0, 1] and the pdf integrates
+    # to 1.  Rounding in the weights and node values (g up to 1 + 6 ulp) can
+    # put it a few ulp above 1 at vanishing s, which a million interferers
+    # raise beyond the coverage's round-off clamp; so it is bounded by 1.
+    np.minimum(coeffs[:, :, 0], 1.0, out=coeffs[:, :, 0])
     failures = [None] * s.size
     for i, p, k in zip(*np.nonzero(bad)):
         if failures[i] is None:
@@ -577,8 +585,9 @@ def laplace_transform_phase_sum(
     )
 
 
-def _series_power(a: list[float], n: int) -> list[float]:
-    """Taylor coefficients of f^n from those a of f, truncated at len(a).
+def _series_power(a: np.ndarray, n: int) -> np.ndarray:
+    """Taylor coefficients of f^n from those of f, for each row of a
+    (rows, order + 1), truncated at order.
 
     J.C.P. Miller's recurrence, from f (f^n)' = n f' f^n, on f / a_0, which
     starts at 1: b_k = sum_{j=1..k} ((n + 1) j - k) a_j b_(k-j) / (k a_0).
@@ -588,21 +597,29 @@ def _series_power(a: list[float], n: int) -> list[float]:
     after every step.  So no power overflows, and no intermediate leaves the
     normal float range before the final ldexp, however large n is and
     however small a_0^n is.  Scaling coefficient k by (-s0)^k commutes with
-    all this, so scaled jets go through as they are.  An a_0 of 0 gives 0s.
+    all this, so scaled jets go through as they are.  A row whose a_0 is 0
+    gives 0s (itself at n = 1), and a row of NaNs stays NaN.
     """
-    if a[0] == 0.0:
-        return [0.0] * len(a) if n > 1 else list(a)
-    b = [1.0]
-    for k in range(1, len(a)):
-        b.append(sum(((n + 1) * j - k) * a[j] * b[k - j] for j in range(1, k + 1))
-                 / (k * a[0]))
-    mantissa, exponent = math.frexp(a[0])
-    scale, shift, left = 1.0, n * exponent, n
-    while left:
-        step = min(left, 1021)
-        scale, e = math.frexp(scale * mantissa**step)
-        shift, left = shift + e, left - step
-    return [math.ldexp(x * scale, shift) for x in b]
+    a0 = a[:, 0]
+    b = np.empty_like(a)
+    b[:, 0] = 1.0
+    mantissa, exponent = np.frexp(a0)
+    scale, shift, left = np.ones_like(a0), n * exponent.astype(np.int64), n
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows with a_0 = 0 are reset below
+        for k in range(1, a.shape[1]):
+            acc = 0.0
+            for j in range(1, k + 1):
+                acc = acc + ((n + 1) * j - k) * a[:, j] * b[:, k - j]
+            b[:, k] = acc / (k * a0)
+        while left:
+            step = min(left, 1021)
+            # Python's float power, correctly rounded where numpy's may be 1 ulp off
+            scale, e = np.frexp(scale * np.array([x**step for x in mantissa.tolist()]))
+            shift, left = shift + e, left - step
+        out = np.ldexp(b * scale[:, None], shift[:, None])
+    vanishing = a0 == 0.0
+    out[vanishing] = a[vanishing] if n == 1 else 0.0
+    return out
 
 
 def laplace_jets(s0, order: int, net: NetworkConfig, fading: FadingConfig, p_stay: float):
@@ -614,28 +631,28 @@ def laplace_jets(s0, order: int, net: NetworkConfig, fading: FadingConfig, p_sta
     completely monotone) and their sum is at most 1.  One Gauss-Legendre
     kernel pass (scaled_phase_jets) gives both phases' scaled jets at every
     s0 and exponent, the phase factors being their order-0 terms; their
-    mixture goes through the M-th power by _series_power.  The pass runs at
-    every M: with no interferers the jet is the constant [1, 0, ...], and
-    the phase factors are still those at s0.
+    mixture, one (rows, order + 1) array for the grid, goes through the M-th
+    power by _series_power.  The pass runs at every M: with no interferers
+    the jet is the constant [1, 0, ...], and the phase factors are still
+    those at s0.
     """
     if order < 0 or int(order) != order:
         raise DomainError(f"jet order must be a non-negative integer, got {order}")
     if not 0 <= p_stay <= 1:
         raise DomainError(f"stay probability must lie in [0, 1], got {p_stay}")
-    s0 = [float(s) for s in s0]
-    if any(not s > 0 for s in s0):
+    s0 = np.atleast_1d(np.asarray(s0, dtype=float))
+    if not np.all(s0 > 0):
         raise DomainError("Laplace jets need s0 > 0")
     order, M, m = int(order), net.n_interferers, int(fading.interferer_m)
     coeffs, failures = scaled_phase_jets(s0, m, order, net)
-    out = []
-    for (static, moving), failure in zip(coeffs.tolist(), failures):
-        if failure is not None:
-            out.append(failure)
-            continue
-        mix = [p_stay * a + (1.0 - p_stay) * b for a, b in zip(static, moving)]
-        jet = _series_power(mix, M) if M else [1.0] + [0.0] * order
-        out.append((jet, static[0], moving[0]))
-    return out
+    if M:
+        jets = _series_power(p_stay * coeffs[:, 0] + (1.0 - p_stay) * coeffs[:, 1], M)
+    else:
+        jets = np.zeros((s0.size, order + 1))
+        jets[:, 0] = 1.0
+    return [(jet, static, moving) if failure is None else failure
+            for jet, (static, moving), failure
+            in zip(jets.tolist(), coeffs[:, :, 0].tolist(), failures)]
 
 
 def laplace_derivative_jet(

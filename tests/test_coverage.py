@@ -102,6 +102,14 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             coverage_sweep([], net_with(), FadingConfig(1, 1), P_STAY)
 
+    def test_a_million_interferers_at_a_vanishing_threshold(self):
+        """The phase factors are at most 1, so at s0 = 1e-30 a million
+        interferers leave the coverage at exactly 1.  A factor rounded to
+        1 + 7e-16 would raise it to 1 + 7e-10, beyond round-off."""
+        (point,) = coverage_sweep([1e-32], net_with(M=10**6), FadingConfig(1, 1), P_STAY)
+        assert point.error is None and point.coverage == 1.0
+        assert point.phi_static <= 1.0 and point.phi_moving <= 1.0
+
     def test_singleton_vanishing_threshold(self):
         pts = coverage_sweep([1e-10], net_with(), FadingConfig(1, 1), P_STAY)
         assert pts[0].coverage == pytest.approx(1.0, abs=1e-9)

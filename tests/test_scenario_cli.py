@@ -1,8 +1,10 @@
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -186,6 +188,21 @@ class TestAnalyzeCommand:
         rows = out.read_text().strip().splitlines()[2:]
         assert len(rows) == 1
         assert rows[0].startswith("0,1,")
+
+    def test_overrides_rebuild_the_scenario_only_when_given(self):
+        """With no --psi-db, --seed or --replications the loaded scenario
+        comes back as it is; each override alone gives the scenario with
+        just that field replaced."""
+        sc = small_scenario()
+        assert cli._apply_overrides(sc, argparse.Namespace()) is sc
+        unset = dict(psi_db=None, seed=None, replications=None)
+        assert cli._apply_overrides(sc, argparse.Namespace(**unset)) is sc
+        for override, expected in (
+                ({"psi_db": "-5,2.5"}, replace(sc, psi_grid_db=(-5.0, 2.5))),
+                ({"seed": 9}, replace(sc, sim=replace(sc.sim, seed=9))),
+                ({"replications": 4}, replace(sc, sim=replace(sc.sim, replications=4)))):
+            got = cli._apply_overrides(sc, argparse.Namespace(**{**unset, **override}))
+            assert got == expected and got is not sc, override
 
     def test_malformed_psi_override_is_input_error(self, scenario_path, tmp_path, capsys):
         code = main(["analyze", "--scenario", scenario_path, "--out", str(tmp_path / "x.csv"),
