@@ -20,8 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import FadingConfig, NetworkConfig
-from .errors import ConfigurationError, ConsistencyError
+from .errors import ConfigurationError, ConsistencyError, DomainError
 from .interference import laplace_jets
 
 __all__ = ["CoverageQuery", "SweepPoint", "coverage_probability", "coverage_sweep",
@@ -66,11 +68,19 @@ def _evaluate(psi_values, net: NetworkConfig, fading: FadingConfig, p_stay: floa
     """Per linear threshold: (coverage, phi_static, phi_moving) or its error.
 
     All thresholds share one kernel pass (laplace_jets).  The phase factors
-    are those at s0, with or without interferers.
+    are those at s0, with or without interferers.  A threshold so small
+    that s0 / m rounds to 0 has no length scale to integrate at; it fails
+    alone, and the other rows are those of the grid without it.
     """
     m0 = int(fading.serving_m)
-    rows = laplace_jets([transform_argument(psi, net, fading) for psi in psi_values],
-                        m0 - 1, net, fading, p_stay)
+    s0 = np.array([transform_argument(psi, net, fading) for psi in psi_values])
+    kept = s0 / fading.interferer_m > 0.0
+    rows = laplace_jets(s0[kept], m0 - 1, net, fading, p_stay)
+    if not kept.all():
+        computed = iter(rows)
+        rows = [next(computed) if ok else DomainError(
+                    f"threshold psi={psi!r} gives s0={s!r}, whose s0/m underflows to 0")
+                for psi, s, ok in zip(psi_values, s0.tolist(), kept.tolist())]
     out = []
     for psi, row in zip(psi_values, rows):
         if isinstance(row, Exception):

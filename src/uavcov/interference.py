@@ -640,10 +640,10 @@ def laplace_jets(s0, order: int, net: NetworkConfig, fading: FadingConfig, p_sta
         raise DomainError(f"jet order must be a non-negative integer, got {order}")
     if not 0 <= p_stay <= 1:
         raise DomainError(f"stay probability must lie in [0, 1], got {p_stay}")
-    s0 = np.atleast_1d(np.asarray(s0, dtype=float))
-    if not np.all(s0 > 0):
-        raise DomainError("Laplace jets need s0 > 0")
     order, M, m = int(order), net.n_interferers, int(fading.interferer_m)
+    s0 = np.atleast_1d(np.asarray(s0, dtype=float))
+    if not np.all(s0 / m > 0):
+        raise DomainError("Laplace jets need s0 > 0, with s0/m above the float range's bottom")
     coeffs, failures = scaled_phase_jets(s0, m, order, net)
     if M:
         jets = _series_power(p_stay * coeffs[:, 0] + (1.0 - p_stay) * coeffs[:, 1], M)

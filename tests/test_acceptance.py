@@ -1,34 +1,28 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
 Run as `pytest tests/test_acceptance.py -v -rA` to see the per-criterion
-PASS/FAIL report lines.  The heavy Monte Carlo campaigns (criteria 6, 8, 9)
-are shared through module-scoped fixtures; total runtime is a few minutes.
+PASS/FAIL report lines.  Criteria 1-6, 9-12, 14 and 15 call the functions
+of `uavcov.validation` that `uavcov validate` runs at a reduced scale, here
+at the gate's full grids, sizes, seeds and tolerances.  The four
+1e6-snapshot campaigns of criteria 6 and 9 are shared through a
+module-scoped fixture; criterion 8 runs its own.  The module takes about
+30 s on two cores.
 """
-
-import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from uavcov.config import FadingConfig, MobilityConfig, NetworkConfig, derive_stay_probability
 from uavcov.coverage import (
     CoverageQuery, coverage_probability, coverage_sweep, transform_argument,
 )
-from uavcov.distributions import AltitudeDistribution, DistanceDistribution
-from uavcov.interference import (
-    closed_phase_factor,
-    laplace_derivative_jet,
-    laplace_transform,
-    laplace_transform_phase_sum,
-    phase_laplace_factor,
-    scaled_phase_jets,
-)
+from uavcov.interference import closed_phase_factor
 from uavcov.simulator import initial_state, run_campaign
-from uavcov.special import hyp2f1
 from uavcov.validation import (
-    check_stationary_start, event_tape_gaps, kernel_rows_apart, ladder_rows_apart,
-    quad_phase_moment,
+    check_analysis_vs_simulation, check_binomial_collapse, check_closed_vs_quadrature,
+    check_derivative_jet, check_distribution_laws, check_gl_vs_quad, check_kernel_batch_vs_row,
+    check_ladder_vs_row_edges, check_stationary_start, check_steady_state_mobility,
+    check_trivial_anchors, event_tape_gaps,
 )
 
 R, H = 40.0, 30.0
@@ -84,108 +78,39 @@ def end_to_end_campaigns():
 
 
 def test_criterion_1_trivial_anchors(p_stay):
-    fading = FadingConfig(2, 1)
-    checks = {
-        "L_I(0)": laplace_transform(0.0, net_with(3, 10.0), fading, p_stay) == 1.0,
-        "P_cov(M=0)": coverage_probability(
-            CoverageQuery(2.0, net_with(0, 10.0), fading, p_stay)) == 1.0,
-        "2F1(a=0)": hyp2f1(0, 1.5, 2.5, -9.0) == 1.0,
-        "2F1(z=0)": hyp2f1(4, 2.5, 3.5, 0.0) == 1.0,
-    }
-    for phase in ("static", "moving"):
-        dist = DistanceDistribution(phase, R, H)
-        checks[f"F_{phase}(0)"] = dist.cdf(0.0) == 0.0
-        checks[f"F_{phase}(max)"] = dist.cdf(dist.support_max) == 1.0
-    bad = [k for k, ok in checks.items() if not ok]
-    report("1 trivial-anchors", not bad, f"{len(checks)} exact identities" +
-           (f"; failed: {bad}" if bad else ""))
+    result = check_trivial_anchors(net_with(3, 10.0), FadingConfig(2, 1), p_stay)
+    report("1 trivial-anchors", result.passed, result.detail)
 
 
 def test_criterion_2_closed_form_vs_quadrature():
-    net = net_with(2, 10.0)
-    worst = 0.0
-    worst_at = None
-    for phase in ("static", "moving"):
-        for m in (1, 2, 3):
-            for s in np.logspace(-2, 6, 50):
-                closed = closed_phase_factor(phase, float(s), m, net)
-                quad = phase_laplace_factor(phase, float(s), m, net)
-                rel = abs(closed - quad) / quad
-                if rel > worst:
-                    worst, worst_at = rel, (phase, m, float(s))
-    report("2 closed-vs-quadrature", worst <= 1e-8,
-           f"worst rel gap {worst:.2e} at {worst_at} (tol 1e-8, 300 points)")
+    points = [(m, float(s)) for m in (1, 2, 3) for s in np.logspace(-2, 6, 50)]
+    result = check_closed_vs_quadrature(net_with(2, 10.0), points)
+    report("2 closed-vs-quadrature", result.passed, result.detail)
 
 
 def test_criterion_3_binomial_collapse():
-    rng = np.random.default_rng(77)
-    fading = FadingConfig(1, 2)
-    worst = 0.0
-    for M in range(1, 11):
-        net = net_with(M, 10.0)
-        for _ in range(20):
-            s = float(10 ** rng.uniform(-2, 5))
-            p = float(rng.uniform(0.0, 1.0))
-            power = laplace_transform(s, net, fading, p)
-            summed = laplace_transform_phase_sum(s, net, fading, p)
-            worst = max(worst, abs(power - summed) / power)
-    report("3 binomial-collapse", worst <= 1e-13,
-           f"worst rel gap {worst:.2e} over M=1..10 x 20 points (tol 1e-13)")
+    result = check_binomial_collapse(net_with(1, 10.0), FadingConfig(1, 2), 10, 20, (-2, 5), 77)
+    report("3 binomial-collapse", result.passed, result.detail)
 
 
 def test_criterion_4_jet_derivatives(p_stay):
-    net = net_with(2, 10.0)
-    worst = 0.0
-    for m1 in (1, 2, 3):
-        fading = FadingConfig(1, m1)
-        L = lambda s: laplace_transform(s, net, fading, p_stay)
-        for s0 in (10.0, 100.0, 1000.0):
-            jet = laplace_derivative_jet(s0, 2, net, fading, p_stay)
-            d1 = 1e-5 * s0
-            fd1 = (L(s0 + d1) - L(s0 - d1)) / (2 * d1)
-            d2 = 3e-4 * s0
-            fd2 = (L(s0 + d2) - 2 * L(s0) + L(s0 - d2)) / d2**2
-            worst = max(worst,
-                        abs(jet.derivative(1) - fd1) / abs(fd1),
-                        abs(jet.derivative(2) - fd2) / abs(fd2))
-    report("4 jet-derivatives", worst <= 1e-5,
-           f"worst rel gap vs central differences {worst:.2e} (tol 1e-5, k in {{1,2}})")
+    cases = [(FadingConfig(1, m1), s0) for m1 in (1, 2, 3) for s0 in (10.0, 100.0, 1000.0)]
+    result = check_derivative_jet(net_with(2, 10.0), p_stay, cases)
+    report("4 jet-derivatives", result.passed, result.detail)
 
 
 def test_criterion_5_distribution_oracle():
-    rng = np.random.default_rng(2718)
-    n = 1_000_000
-    worst_ks = 0.0
-    for phase in ("static", "moving"):
-        dist = DistanceDistribution(phase, R, H)
-        ks = stats.kstest(dist.sample(n, rng), dist.cdf).statistic
-        worst_ks = max(worst_ks, ks)
-    alt = AltitudeDistribution("moving", H)
-    draws = alt.sample(n, rng)
-    edges = np.linspace(0.0, H, 31)
-    counts, _ = np.histogram(draws, bins=edges)
-    expected = np.diff(alt.cdf(edges)) * n
-    pvalue = stats.chisquare(counts, expected).pvalue
-    ok = worst_ks < 0.005 and pvalue > 0.01
-    report("5 distribution-oracle", ok,
-           f"KS {worst_ks:.5f} (<0.005) at 1e6/phase; altitude chi2 p={pvalue:.3f} (>0.01)")
+    result = check_distribution_laws(net_with(2, 10.0), 1_000_000, 2718, ks_max=0.005)
+    report("5 distribution-oracle", result.passed, result.detail)
 
 
 def test_criterion_6_analysis_vs_simulation(end_to_end_campaigns, p_stay):
-    psi = np.array([10 ** (d / 10) for d in END_TO_END_PSI_DB])
-    lines = []
-    worst_gap = 0.0
-    for (M, m0, m1, h0), res in end_to_end_campaigns.items():
-        analytical = analytical_curve(psi, M, m0, m1, h0, p_stay)
-        gap = np.abs(res.coverage() - analytical)
-        se = res.coverage_se()
-        worst_gap = max(worst_gap, float(gap.max()))
-        lines.append(
-            f"(M={M},m0={m0},m1={m1},h0={h0:g}): max|sim-ana|={gap.max():.4f}, "
-            f"max SE={np.nanmax(se):.4f}"
-        )
+    result = check_analysis_vs_simulation(
+        [(net_with(M, h0), FadingConfig(m0, m1), res)
+         for (M, m0, m1, h0), res in end_to_end_campaigns.items()], floor=0.01, k_se=0)
 
     # qualitative orderings on the same grid
+    psi = np.array([10 ** (d / 10) for d in END_TO_END_PSI_DB])
     base = end_to_end_campaigns[(2, 1, 1, 10.0)].coverage()
     more = end_to_end_campaigns[(5, 1, 1, 10.0)].coverage()
     high = end_to_end_campaigns[(2, 1, 1, 20.0)].coverage()
@@ -196,11 +121,9 @@ def test_criterion_6_analysis_vs_simulation(end_to_end_campaigns, p_stay):
     ana_high = analytical_curve(psi, 2, 1, 1, 20.0, p_stay)
     order_ok &= bool(np.all(ana_more < ana_base) and np.all(ana_high < ana_base)
                      and np.all(np.diff(ana_base) < 0))
-    ok = worst_gap <= 0.01 and order_ok
-    report("6 analysis-vs-simulation", ok,
-           f"worst |sim-ana| {worst_gap:.4f} (tol 0.01) over 4 configs x 1e6 "
-           f"snapshots; orderings in M, serving altitude, threshold "
-           f"{'hold' if order_ok else 'VIOLATED'}; " + "; ".join(lines))
+    report("6 analysis-vs-simulation", result.passed and order_ok,
+           f"orderings in M, serving altitude, threshold "
+           f"{'hold' if order_ok else 'VIOLATED'}; {result.detail}")
 
 
 def test_criterion_7_reference_table_reproduction():
@@ -241,41 +164,16 @@ def test_criterion_8_altitude_fading_sandwich(p_stay):
 
 def test_criterion_9_steady_state_mobility(end_to_end_campaigns):
     res = end_to_end_campaigns[(5, 1, 1, 10.0)]  # M=5 gives a rich count law
-    p_stay = res.stay_probability
-    frac = res.dwelling_fraction()
-    se = res.dwelling_fraction_se()
-    frac_ok = abs(frac - p_stay) <= 3 * se
-    pmf = res.dwelling_count_pmf()
-    ref = stats.binom.pmf(np.arange(6), 5, p_stay)
-    tv = 0.5 * float(np.abs(pmf - ref).sum())
-    ok = frac_ok and tv < 0.02
-    report("9 steady-state-mobility", ok,
-           f"dwelling fraction {frac:.5f} vs {p_stay:.5f} "
-           f"(|diff|={abs(frac - p_stay):.5f} <= 3SE={3 * se:.5f}); "
-           f"phase-count TV {tv:.4f} (<0.02)")
+    result = check_steady_state_mobility(res, MOBILITY, k_se=3, floor=0.0)
+    report("9 steady-state-mobility", result.passed, result.detail)
 
 
 def test_criterion_10_kernel_vs_adaptive_quadrature():
     """The Gauss-Legendre kernel, which carries every derivative order of the
     analysis, against scipy's adaptive quadrature of each moment."""
-    worst, worst_at, count = 0.0, None, 0
-    s_values = np.logspace(-3, 6, 4)
-    for alpha in (2.0, 3.0, 4.0):
-        net = net_with(2, 10.0, alpha)
-        for m in (1, 2, 3, 4):
-            coeffs, failures = scaled_phase_jets(s_values, m, 4, net)
-            assert failures == [None] * s_values.size
-            for i, s in enumerate(s_values):
-                for p, phase in enumerate(("static", "moving")):
-                    for k in range(5):
-                        moment = quad_phase_moment(phase, float(s), m, net, k)
-                        expected = math.comb(m + k - 1, k) * (s / m) ** k * moment
-                        rel = abs(coeffs[i, p, k] - expected) / expected
-                        count += 1
-                        if rel > worst:
-                            worst, worst_at = rel, (alpha, phase, m, float(s), k)
-    report("10 gl-vs-quad", worst <= 1e-9,
-           f"worst rel gap {worst:.2e} at {worst_at} (tol 1e-9, {count} coefficients)")
+    result = check_gl_vs_quad([(net_with(2, 10.0, alpha), m, np.logspace(-3, 6, 4))
+                               for alpha in (2.0, 3.0, 4.0) for m in (1, 2, 3, 4)], 4)
+    report("10 gl-vs-quad", result.passed, result.detail)
 
 
 @pytest.mark.parametrize("dwell", [(2.0, 6.0), (0.1, 0.6), (0.0, 0.0)],
@@ -334,40 +232,32 @@ def test_criterion_13_kernel_coverage_vs_closed_form(p_stay):
            f"(tol 1e-12, {count} thresholds)")
 
 
-def test_criterion_14_kernel_batch_vs_row():
-    """The rows of one Gauss-Legendre kernel call share a table of panels.
-    Every row of a batched call against the kernel at that threshold alone,
-    bit for bit: the closed-form workload's grid (m1 in 1..3, h0 in
-    {5, 10, 30}, 81 points) at exponent 2 and order 0, then at exponents 3
-    and 4 and order 4."""
+def kernel_grid():
+    """Criteria 14 and 15's (net, m1, order, s0 values): the closed-form
+    workload's grid (m1 in 1..3, h0 in {5, 10, 30}, 81 points, M = 8) at
+    exponent 2 and order 0, then at exponents 3 and 4 and order 4."""
     psi = 10 ** (np.linspace(-20.0, 30.0, 81) / 10)
-    apart, count = [], 0
+    cases = []
     for alpha, order in ((2.0, 0), (3.0, 4), (4.0, 4)):
         for m1 in (1, 2, 3):
             for h0 in (5.0, 10.0, 30.0):
                 net = net_with(8, h0, alpha)
                 s0 = [transform_argument(p, net, FadingConfig(1, m1)) for p in psi]
-                apart += [(alpha, m1, h0, s) for s in kernel_rows_apart(s0, m1, order, net)]
-                count += len(s0)
-    report("14 kernel-batch-vs-row", not apart,
-           f"{len(apart)} of {count} rows differ from their threshold alone (bit for bit)"
-           + (f", first at (alpha, m1, h0, s0) = {apart[0]}" if apart else ""))
+                cases.append((net, m1, order, s0))
+    return cases
+
+
+def test_criterion_14_kernel_batch_vs_row():
+    """The rows of one Gauss-Legendre kernel call share a table of panels.
+    Every row of a batched call against the kernel at that threshold alone,
+    bit for bit."""
+    result = check_kernel_batch_vs_row(kernel_grid())
+    report("14 kernel-batch-vs-row", result.passed, result.detail)
 
 
 def test_criterion_15_ladder_vs_row_edges():
     """One kernel call builds each distinct ladder bottom's panel edges
     once.  Every row's panels in the call's shared table against the
-    panels of its own edges built alone (_panel_edges), on criterion 14's
-    grid."""
-    psi = 10 ** (np.linspace(-20.0, 30.0, 81) / 10)
-    apart, count = [], 0
-    for alpha, order in ((2.0, 0), (3.0, 4), (4.0, 4)):
-        for m1 in (1, 2, 3):
-            for h0 in (5.0, 10.0, 30.0):
-                net = net_with(8, h0, alpha)
-                s0 = [transform_argument(p, net, FadingConfig(1, m1)) for p in psi]
-                apart += [(alpha, m1, h0, s) for s in ladder_rows_apart(s0, m1, order, net)]
-                count += len(s0)
-    report("15 ladder-vs-row-edges", not apart,
-           f"{len(apart)} of {count} rows get panels other than their own edges'"
-           + (f", first at (alpha, m1, h0, s0) = {apart[0]}" if apart else ""))
+    panels of its own edges built alone (_panel_edges)."""
+    result = check_ladder_vs_row_edges(kernel_grid())
+    report("15 ladder-vs-row-edges", result.passed, result.detail)

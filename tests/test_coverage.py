@@ -4,9 +4,11 @@ import warnings
 import pytest
 
 from uavcov.config import FadingConfig, NetworkConfig
-from uavcov.coverage import CoverageQuery, coverage_probability, coverage_sweep
-from uavcov.errors import ConfigurationError
-from uavcov.interference import laplace_derivative_jet, phase_laplace_factor
+from uavcov.coverage import (
+    CoverageQuery, coverage_probability, coverage_sweep, transform_argument,
+)
+from uavcov.errors import ConfigurationError, DomainError
+from uavcov.interference import laplace_derivative_jet, laplace_jets, phase_laplace_factor
 
 P_STAY = 0.5005092550523872  # benchmark kinematics
 
@@ -109,6 +111,21 @@ class TestSweep:
         (point,) = coverage_sweep([1e-32], net_with(M=10**6), FadingConfig(1, 1), P_STAY)
         assert point.error is None and point.coverage == 1.0
         assert point.phi_static <= 1.0 and point.phi_moving <= 1.0
+
+    @pytest.mark.parametrize("net, fading, tiny", [
+        (NetworkConfig(40.0, 30.0, 0.5, 8, 7.5), FadingConfig(1, 2), 1e-322),  # s0 = 0
+        (NetworkConfig(40.0, 30.0, 1.0, 8, 2.0), FadingConfig(1, 6), 1e-323),  # s0/m = 0
+    ])
+    def test_underflowing_threshold_fails_alone(self, net, fading, tiny):
+        """A threshold whose s0, or s0/m, rounds to 0 fails in its own row
+        with a typed error naming it; the other rows are, bit for bit, the
+        rows of the grid without it."""
+        pts = coverage_sweep([1.0, tiny, 2.0], net, fading, 0.5)
+        assert [pts[0], pts[2]] == coverage_sweep([1.0, 2.0], net, fading, 0.5)
+        assert pts[0].error is None and pts[2].error is None
+        assert pts[1].error.startswith("DomainError") and f"psi={tiny!r}" in pts[1].error
+        with pytest.raises(DomainError):
+            laplace_jets([transform_argument(tiny, net, fading)], 0, net, fading, 0.5)
 
     def test_singleton_vanishing_threshold(self):
         pts = coverage_sweep([1e-10], net_with(), FadingConfig(1, 1), P_STAY)

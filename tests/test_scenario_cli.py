@@ -450,6 +450,20 @@ class TestValidateCommand:
         assert "[PASS] lockstep-replications" in out
         assert "[PASS] stationary-start" in out
 
+    @pytest.mark.parametrize("name", ["baseline", "altitude_fading"])
+    def test_shipped_scenario_passes_every_check_in_order(self, name, capsys):
+        path = Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json"
+        code = main(["validate", "--scenario", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0, lines
+        checks = ["trivial-anchors", "hyp2f1-consistency", "distribution-laws",
+                  "closed-vs-quadrature", "gl-vs-quad", "kernel-batch-vs-row",
+                  "ladder-vs-row-edges", "binomial-collapse", "derivative-jet",
+                  "lockstep-replications", "event-tape", "stationary-start",
+                  "analysis-vs-simulation", "steady-state-mobility"]
+        assert [line.split(":")[0] for line in lines] == [f"[PASS] {c}" for c in checks] + [
+            "all 14 checks passed"]
+
     def test_altitude_fading_scenario_checks_steady_state_mobility(self, capsys):
         """The mobility law does not depend on fading, so the campaign runs
         and is checked even where the analytical comparison is skipped."""
