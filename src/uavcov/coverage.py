@@ -67,7 +67,7 @@ def coverage_probability(query: CoverageQuery) -> float:
 def _evaluate(psi_values, net: NetworkConfig, fading: FadingConfig, p_stay: float):
     """Per linear threshold: (coverage, phi_static, phi_moving) or its error.
 
-    All thresholds share one kernel pass (laplace_jets).  The phase factors
+    All thresholds share one kernel call (laplace_jets).  The phase factors
     are those at s0, with or without interferers.  A threshold so small
     that s0 / m rounds to 0 has no length scale to integrate at; it fails
     alone, and the other rows are those of the grid without it.
@@ -130,7 +130,7 @@ def coverage_sweep(
     """Evaluate the coverage probability over a grid of linear thresholds.
 
     Output order follows the input grid, and every valid threshold shares
-    one kernel pass.  A failing point is reported in its row instead of
+    one kernel call.  A failing point is reported in its row instead of
     aborting the sweep.
     """
     psi_values = list(psi_values)

@@ -7,9 +7,11 @@ waypoint ("static" phase) the altitude is uniform on [0, H]; mid-leg
 f(x) = 6x/H^2 - 6x^2/H^3.  The user-to-interferer distance is
 W = sqrt(h^2 + Z^2), whose cdf/pdf take a three-segment piecewise form with
 breakpoints at w = H and w = R (the case ordering requires H < R).  The pdf
-pieces are written once, in plain arithmetic, and serve both the array pdf
-and the nodes of the phase-factor kernel; the top piece is also written in
-v = sqrt(w^2 - R^2), where it is a polynomial (shell_piece).
+pieces are written in plain arithmetic and serve both the array pdf and the
+phase-factor quadrature oracle.  The phase-factor kernel reads the same law
+as polynomial coefficients (piece_polynomials, held to the pieces by the
+tests), with the top piece written in v = sqrt(w^2 - R^2), where it is a
+polynomial.
 
 Sampling counterparts draw by inverse transform so that empirical and
 closed-form laws can be cross-validated at scale.
@@ -211,22 +213,24 @@ class DistanceDistribution:
 
         return ((0.0, H, low), (H, R, mid), (R, self.support_max, top))
 
-    def shell_piece(self):
-        """The top piece pulled back through w = sqrt(R^2 + v^2), v in [0, H].
+    def piece_polynomials(self):
+        """The pdf pieces as polynomials: (low, mid, shell), each the
+        coefficients of x^0..x^4.
 
-        Returns the density of v, pdf(w) dw/dv = pdf(w) v / w, written out so
-        that it is a polynomial in v: it has no square-root kink at v = 0
-        (w = R), and it loses no digits to w^2 - R^2 near there.
+        low and mid are the [0, H] and [H, R] pieces in x = w.  shell is the
+        top piece pulled back through w = sqrt(R^2 + v^2), in x = v on
+        [0, H]: the density of v, pdf(w) dw/dv = pdf(w) v / w.  In v it has
+        no square-root kink at v = 0 (w = R), and it loses no digits to
+        w^2 - R^2 near there.  They hold the law of pdf_pieces, in the form
+        the phase-factor kernel evaluates at its nodes.
         """
         R2, H = self.radius**2, self.height
+        mid = (0.0, 2.0 / R2, 0.0, 0.0, 0.0)
         if self.phase == "static":
-            def piece(v):
-                return 2.0 * v / R2 - 2.0 * v * v / (R2 * H)
-        else:
-            def piece(v):
-                return (2.0 * v / R2 - 6.0 * v**3 / (R2 * H * H)
-                        + 4.0 * v**4 / (R2 * H**3))
-        return piece
+            return ((0.0, 0.0, 2.0 / (R2 * H), 0.0, 0.0), mid,
+                    (0.0, 2.0 / R2, -2.0 / (R2 * H), 0.0, 0.0))
+        return ((0.0, 0.0, 0.0, 6.0 / (R2 * H * H), -4.0 / (R2 * H**3)), mid,
+                (0.0, 2.0 / R2, 0.0, -6.0 / (R2 * H * H), 4.0 / (R2 * H**3)))
 
     def pdf(self, w):
         w, scalar = self._checked(w)

@@ -26,12 +26,14 @@ down to two doublings below it, with a 12-vs-24-node error estimate held
 to 1e-10 relative (36 nodes per panel).  It carries the scaled
 coefficients (-s)^k Phi^(k)(s) / k!, which lie in [0, 1] for every s, and
 J.C.P. Miller's power-series recurrence raises their phase mixture to the
-M-th power, both as arrays over the grid.  laplace_jets is that one pass
-for a whole grid of s.  The panels of every s come from one geometric
-ladder and depend on s only through the ladder's lowest rung, its bottom,
-so a call builds each distinct bottom's edges once and one table of its
-distinct panels' nodes, and its rows gather theirs from that table in
-passes of up to a fixed number of nodes; phase_laplace_factor,
+M-th power, both as arrays over the thresholds.  laplace_jets is that one
+kernel call for a whole grid of s.  The panels of every s come from one
+geometric ladder and depend on s only through the ladder's lowest rung,
+its bottom, so a call builds each distinct bottom's edges once and one
+table of its distinct panels' nodes.  The thresholds of one bottom share
+every node, so they go through the arithmetic together, as grids of rows
+by nodes (all derivative orders in one array) of up to a fixed number of
+node values, each row summing its own nodes; phase_laplace_factor,
 laplace_transform and laplace_derivative_jet read one of its rows.
 
 For path-loss exponent 2 the phase factors also have closed forms, kept as
@@ -85,11 +87,13 @@ __all__ = [
 # are graded geometrically, ceil(a(m + k) / _PANELS_PER_STEEPNESS) per
 # doubling, down to _GRADING doublings below the integrand's length scale.
 # _PANELS_PER_STEEPNESS must move with _GL_NODES, so that each node covers
-# the same steepness: 12 nodes at 16 per unit miss 1e-10 at m = 12.  A pass
-# takes consecutive rows up to _NODE_BUDGET nodes (36 per panel); a row above
-# it goes alone.  A full pass peaks at 80-84 bytes per node beyond the
-# output, the rows' bottoms and the panel table, about 0.7 MB (measured with
-# tracemalloc at (exponent, m, order) = (2, 1, 0), (2, 3, 3) and (4, 6, 9)).
+# the same steepness: 12 nodes at 16 per unit miss 1e-10 at m = 12.  A grid
+# takes rows of one ladder bottom up to _NODE_BUDGET node values, counted
+# over every derivative order (36 nodes per panel); a row above it goes
+# alone.  A full grid peaks at 33-48 bytes per node value beyond the output,
+# the index of the rows by bottom and the panel table, at most about 0.4 MB
+# (measured with tracemalloc at (exponent, m, order) = (2, 1, 0), (2, 3, 3)
+# and (4, 6, 9)).
 _GL_NODES = 12
 _GL_RTOL = 1e-10
 _PANELS_PER_STEEPNESS = 12
@@ -332,6 +336,16 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=None)
+def _rule_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n- and 2n-node Gauss-Legendre rules on [0, 1] side by side, the
+    n-node rule first: (nodes, weights), read-only."""
+    (x, wx), (x2, wx2) = _gauss_legendre(n), _gauss_legendre(2 * n)
+    nodes, weights = np.concatenate([x, x2]), np.concatenate([wx, wx2])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _panel_edges(s: float, m: int, order: int, net: NetworkConfig) -> np.ndarray:
     """Panel edges on [0, sqrt(R^2 + H^2)] for the kernel at one s.
 
@@ -360,9 +374,10 @@ def _ladder_edges(ladder: list[int], per_doubling: int, net: NetworkConfig):
     R, H = net.radius, net.height
     w_max = math.hypot(R, H)
     highest = math.ceil(per_doubling * math.log2(w_max))
-    rungs = [w for w in (math.exp2(j / per_doubling) for j in range(ladder[0], highest))
+    lowest = min(ladder, default=highest)
+    rungs = [w for w in (math.exp2(j / per_doubling) for j in range(lowest, highest))
              if w < w_max]
-    return [sorted({0.0, H, R, w_max, *rungs[bottom - ladder[0]:]}) for bottom in ladder]
+    return [sorted({0.0, H, R, w_max, *rungs[bottom - lowest:]}) for bottom in ladder]
 
 
 def _panel_plan(s: np.ndarray, m: int, order: int, net: NetworkConfig):
@@ -371,24 +386,26 @@ def _panel_plan(s: np.ndarray, m: int, order: int, net: NetworkConfig):
     A row's edges (_panel_edges) depend on its s only through the lowest
     rung of the geometric ladder, its bottom, computed here by the same
     float expression.  ladder holds the distinct bottoms ascending and
-    row_sets[i] the position of row i's bottom in it; panels are the call's
-    distinct (lo, hi) panels sorted by position, and columns[j] the indices
-    into panels of the panels of bottom ladder[j], ascending.
+    row_sets[i] the position of row i's bottom in it, or -1 where s_i/m is
+    not above 0, so that row has no length scale and no ladder; panels are
+    the call's distinct (lo, hi) panels sorted by position, and columns[j]
+    the indices into panels of the panels of bottom ladder[j], ascending.
     """
     alpha = net.path_loss_exponent
     w_max = math.hypot(net.radius, net.height)
     per_doubling = math.ceil(alpha * (m + order) / _PANELS_PER_STEEPNESS)
-    bottoms = np.fromiter(
-        (math.floor(per_doubling * (math.log2(min((si / m) ** (1.0 / alpha), w_max)) - _GRADING))
-         for si in map(float, s)), np.int64, s.size)
-    ladder = np.sort(bottoms)
-    ladder = ladder[np.append(True, ladder[1:] != ladder[:-1])]
+    bottoms = [math.floor(per_doubling * (math.log2(min((si / m) ** (1.0 / alpha), w_max))
+                                          - _GRADING)) if si / m > 0 else None
+               for si in map(float, s)]
+    ladder = sorted(set(bottoms) - {None})
     edge_sets = [list(itertools.pairwise(edges))
-                 for edges in _ladder_edges(ladder.tolist(), per_doubling, net)]
+                 for edges in _ladder_edges(ladder, per_doubling, net)]
     panels = sorted(set().union(*edge_sets))
     index = {panel: i for i, panel in enumerate(panels)}
     columns = [[index[panel] for panel in edges] for edges in edge_sets]
-    return np.searchsorted(ladder, bottoms), ladder, panels, columns
+    position = {None: -1} | {bottom: j for j, bottom in enumerate(ladder)}
+    row_sets = np.fromiter(map(position.__getitem__, bottoms), int, len(bottoms))
+    return row_sets, ladder, panels, columns
 
 
 def scaled_phase_jets(s, m: int, order: int, net: NetworkConfig):
@@ -403,133 +420,158 @@ def scaled_phase_jets(s, m: int, order: int, net: NetworkConfig):
     Every node value C(m + k - 1, k) t^m u^k lies in [0, 1] (their sum over
     all k is 1), so no coefficient can overflow however large s is; each
     order is the previous one times u (m + k - 1) / k.  Both phases and all
-    orders come from one pass over the nodes of a row's panels: the bottom
-    two segments are integrated in w, the top one in v = sqrt(w^2 - R^2)
-    against DistanceDistribution.shell_piece, where the integrand has no
-    kink.  A row's panels are fixed by its ladder bottom (_panel_plan): each
-    distinct bottom's edges are built once, and the call's distinct panels
-    go into one table, built by a single _panel_nodes call.  Rows go through
-    the arithmetic in passes of consecutive rows holding at most
-    _NODE_BUDGET nodes (a row above it goes alone), each row gathering its
-    panels' nodes from the table.  A row sums its nodes in the same order
-    whatever rows share its call or its pass, so its value is bit for bit
+    orders come from the same nodes: the bottom two segments are integrated
+    in w, the top one in v = sqrt(w^2 - R^2), where the pdf is a polynomial
+    (DistanceDistribution.piece_polynomials) with no kink.  A row's panels
+    are fixed by its ladder bottom (_panel_plan): each distinct bottom's
+    edges are built once, and the call's distinct panels go into one table,
+    built by a single _panel_nodes call.  The rows of one bottom share all
+    their nodes, so they go through the arithmetic as (rows, order + 1,
+    nodes) grids of at most _NODE_BUDGET node values (a row above it goes
+    alone), each taking that bottom's table columns once (_grid_sums).  A
+    row sums its own nodes by contiguous reductions, in the same order
+    whatever rows share its call or its grid, so its value is bit for bit
     the one it has alone.
 
     Each panel is integrated with n = _GL_NODES and with 2n nodes; the 2n
     value is kept and their difference is its error estimate.  failures[i]
     is None, or a NumericalError naming the phase, s, m and k of the first
-    coefficient of row i whose estimate exceeds _GL_RTOL relative.  The
-    order-0 coefficients, the phase factors, are bounded by 1.
+    coefficient of row i whose estimate exceeds _GL_RTOL relative, or a
+    DomainError naming s and m where s/m is not above 0 (its coefficients
+    are NaN).  The order-0 coefficients, the phase factors, are bounded
+    by 1.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     m = int(m)
-    dists = [DistanceDistribution(phase, net.radius, net.height) for phase in PHASES]
-    pieces = [[piece for _, _, piece in dist.pdf_pieces()[:2]] + [dist.shell_piece()]
-              for dist in dists]
-    coeffs, failures = np.empty((s.size, 2, order + 1)), []
+    coeffs, failures = np.empty((s.size, 2, order + 1)), [None] * s.size
     if not s.size:
         return coeffs, failures
     row_sets, _, panels, columns = _panel_plan(s, m, order, net)
-    # Column c of table[0], table[1] and table[2] holds w^alpha and each
-    # phase's pdf times weight at the nodes of panels[c].
-    table = _panel_nodes(panels, net, pieces)
-    budget = _NODE_BUDGET // (3 * _GL_NODES)  # in panels
-    most_rows = max(1, budget // min(map(len, columns)))
-    level = np.repeat([0, 1], [_GL_NODES, 2 * _GL_NODES])  # bin 2i: n nodes, 2i + 1: 2n
-    start = 0
-    while start < s.size:
-        pass_columns, counts = [], []
-        for j in row_sets[start:start + most_rows].tolist():
-            if counts and len(pass_columns) + len(columns[j]) > budget:
-                break
-            pass_columns += columns[j]
-            counts.append(len(columns[j]))
-        rows = s[start:start + len(counts)]
-        row = np.repeat(np.arange(rows.size), counts)
-        nodes = table.take(pass_columns, axis=1).reshape(3, -1)
-        coeffs[start:start + rows.size], more = _kernel_pass(
-            rows, m, order, net, (2 * row[:, None] + level).ravel(), nodes[0], nodes[1:])
-        failures += more
-        start += rows.size
+    by_bottom = np.argsort(row_sets, kind="stable")
+    # by_bottom[bounds[j]:bounds[j + 1]] are the rows of ladder bottom j;
+    # the rows before bounds[0] have none.
+    bounds = np.searchsorted(row_sets, np.arange(len(columns) + 1), sorter=by_bottom).tolist()
+    del row_sets  # by_bottom is the one array per row that the call keeps
+    for i in by_bottom[:bounds[0]].tolist():
+        coeffs[i] = math.nan
+        failures[i] = DomainError(
+            f"Gauss-Legendre kernel needs s/m > 0, got s={s[i]:.17g}, m={m}")
+    if not columns:
+        return coeffs, failures
+    w_alpha_top = (net.radius * net.radius + net.height**2) ** (net.path_loss_exponent / 2.0)
+    m_w_alpha_top = m * w_alpha_top
+    table = _panel_nodes(panels, m, w_alpha_top, net)
+    ratios = np.array([[(m + k - 1) / k] for k in range(1, order + 1)])
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for j, cols in enumerate(columns):
+            rows = by_bottom[bounds[j]:bounds[j + 1]]
+            # Bottom j's nodes: its panels' n-rule nodes, then their 2n-rule ones.
+            nodes = table.take(cols, axis=2).reshape(4, -1)
+            most = max(1, _NODE_BUDGET // ((order + 1) * nodes.shape[1]))
+            for start in range(0, rows.size, most):
+                _grid_sums(rows[start:start + most], s, m, ratios, m_w_alpha_top, nodes, coeffs,
+                           failures)
+        # The sums are relative to t^m at the top of the support (see
+        # _grid_sums): scale them back, _NODE_BUDGET rows at a time.
+        # Phi = E_W[t^m] <= 1 exactly: t lies in [0, 1] and the pdf
+        # integrates to 1.  Rounding in the weights and node values (g up to
+        # 1 + 6 ulp) can put it a few ulp above 1 at vanishing s, which a
+        # million interferers raise beyond the coverage's round-off clamp; so
+        # it is bounded by 1.
+        for start in range(0, s.size, _NODE_BUDGET):
+            block = coeffs[start:start + _NODE_BUDGET]
+            block *= ((m_w_alpha_top / (m_w_alpha_top + s[start:start + _NODE_BUDGET])) ** m
+                      )[:, None, None]
+            np.minimum(block[:, :, 0], 1.0, out=block[:, :, 0])
     return coeffs, failures
 
 
-def _panel_nodes(panels, net: NetworkConfig, pieces):
-    """Table columns for (lo, hi) panels: w^alpha (out[0]) and each phase's
-    pdf times quadrature weight (out[1], out[2]) at a panel's n + 2n nodes.
-    The panels come sorted by position, so each pdf piece ([0, H], [H, R],
-    [R, top]) is one run of them.
+def _panel_nodes(panels, m: int, w_alpha_top: float, net: NetworkConfig):
+    """The panel table at the nodes of the (lo, hi) panels: m w^alpha
+    (out[0]), w^alpha relative to w_alpha_top (out[1]) and each phase's
+    pdf times quadrature weight (out[2], out[3]).  One column per panel,
+    the n-node rule's nodes in rows 0..n-1 and the 2n-node rule's in rows
+    n..3n-1.  The panels come sorted by position, so each pdf piece ([0, H],
+    [H, R], [R, top]) is one run of them.
     """
     R, H, alpha = net.radius, net.height, net.path_loss_exponent
-    lo, hi = np.array(panels).T
-    ends = [*np.searchsorted(lo, [H, R]).tolist(), lo.size]
+    edges = np.array(panels)
+    ends = np.searchsorted(edges[:, 0], [H, R]).tolist()
     top = slice(ends[1], None)
     # Top panels go to v; lo * lo - R^2 would lose digits next to R.
-    lo[top] = np.sqrt(np.maximum(lo[top] - R, 0.0) * (lo[top] + R))
-    hi[top] = np.sqrt(np.maximum(hi[top] - R, 0.0) * (hi[top] + R))
+    edges[top] = np.sqrt((edges[top] - R) * (edges[top] + R))
+    lo, hi = edges[:, :1], edges[:, 1:]
 
-    # Nodes of both rules side by side, the n-node rule first.
-    n = _GL_NODES
-    x = np.concatenate([_gauss_legendre(n)[0], _gauss_legendre(2 * n)[0]])
-    wx = np.concatenate([_gauss_legendre(n)[1], _gauss_legendre(2 * n)[1]])
-    width = (hi - lo)[:, None]
-    y = (lo[:, None] + width * x).ravel()
-    weight = (width * wx).ravel()
-    runs = [slice(3 * n * a, 3 * n * b) for a, b in zip([0] + ends, ends)]
-    out = np.empty((3, y.size))
-    out[0, : runs[2].start] = y[: runs[2].start] ** alpha
-    out[0, runs[2]] = (R * R + y[runs[2]] * y[runs[2]]) ** (alpha / 2.0)
-    for p, phase_pieces in enumerate(pieces, start=1):
-        for run, pdf in zip(runs, phase_pieces):
-            out[p, run] = pdf(y[run]) * weight[run]
-    return out.reshape(3, -1, 3 * n)
+    # Nodes of both rules side by side, the n-node rule first: (panels, 3n).
+    x, wx = _rule_pair(_GL_NODES)
+    width = hi - lo
+    y = lo + width * x
+    w2 = y * y
+    w2[top] += R * R  # w^2 = R^2 + v^2
+    w_alpha = w2 ** (alpha / 2.0)
+    out = np.empty((4, *y.shape))
+    np.multiply(m, w_alpha, out=out[0])
+    np.divide(w_alpha, w_alpha_top, out=out[1])
+    # Both phases' pdf by Horner's rule, each node taking the coefficients
+    # of its piece: polys[power, phase, piece].
+    polys = np.array([DistanceDistribution(phase, R, H).piece_polynomials() for phase in PHASES])
+    per_piece = [x.size * ends[0], x.size * (ends[1] - ends[0]), x.size * (lo.size - ends[1])]
+    coef = np.repeat(polys.transpose(2, 0, 1), per_piece, axis=2)
+    pdf, y = coef[-1], y.ravel()
+    for c in coef[-2::-1]:
+        pdf = pdf * y + c
+    np.multiply(pdf.reshape(2, lo.size, x.size), width * wx, out=out[2:])
+    return out.transpose(0, 2, 1).copy()
 
 
-def _kernel_pass(s: np.ndarray, m: int, order: int, net: NetworkConfig, bins, w_alpha,
-                 density):
-    """scaled_phase_jets for the rows s, given their nodes: each node's bin,
-    w^alpha and each phase's pdf times quadrature weight."""
-    R, alpha = net.radius, net.path_loss_exponent
-    s_node = s[bins // 2]
-    # t^m is taken relative to its value at the top of the support, where
-    # it is largest: the sums then keep their digits at any s, and only the
-    # final product with t_top^m may underflow (to a coefficient of 0).
-    # An infinite s gives NaN here, and a vanishing s with a steep exponent
-    # can overflow or divide by 0 next to w = 0 (inf or NaN); the error test
-    # below reports either as the row's failure.
-    w_alpha_top = (R * R + net.height**2) ** (alpha / 2.0)
-    denom_top = m * w_alpha_top + s
-    sums = np.empty((2 * s.size, 2, order + 1))
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        denom = m * w_alpha + s_node
-        u = s_node / denom
-        g = (w_alpha / w_alpha_top * (denom_top[bins // 2] / denom)) ** m
-        for k in range(order + 1):
-            if k:
-                g = g * u * ((m + k - 1) / k)
-            for p in range(2):
-                sums[:, p, k] = np.bincount(bins, density[p] * g, minlength=2 * s.size)
-    coarse, fine = sums[0::2], sums[1::2]
+def _grid_sums(rows, s: np.ndarray, m: int, ratios, m_w_alpha_top: float, nodes, coeffs,
+               failures):
+    """scaled_phase_jets' sums relative to t_top^m into coeffs[rows], and
+    failures[rows], for rows of one ladder bottom, given its nodes (the
+    table rows of _panel_nodes, the n-rule's nodes before the 2n-rule's).
+    The rows and the orders k = 0..len(ratios) form one (rows, orders,
+    nodes) grid; order k is order k - 1 times u ratios[k - 1], with
+    u = s / (m w^alpha + s) and ratios[k - 1] = (m + k - 1) / k.
+
+    t^m is taken relative to its value at the top of the support, where it
+    is largest: the sums then keep their digits at any s, and only the
+    final product with t_top^m may underflow (to a coefficient of 0).  Runs
+    with floating-point warnings off: an infinite s gives NaN here, and a
+    vanishing s with a steep exponent can overflow or divide by 0 next to
+    w = 0 (inf or NaN); the error test reports either as the row's failure.
+    """
+    m_w_alpha, w_rel, density = nodes[0], nodes[1], nodes[2:]
+    block = w_rel.size // 3
+    s_rows = s[rows]
+    denom_top = m_w_alpha_top + s_rows
+    grid = np.empty((rows.size, ratios.size + 1, w_rel.size))
+    denom = m_w_alpha + s_rows[:, None]
+    g = np.divide(denom_top[:, None], denom, out=grid[:, 0])
+    g *= w_rel
+    g **= m
+    if ratios.size:
+        np.divide(s_rows[:, None, None] * ratios, denom[:, None], out=grid[:, 1:])
+        for k in range(1, ratios.size + 1):
+            grid[:, k] *= grid[:, k - 1]
+    # Sums over the three blocks of n nodes: the n-rule's, then the 2n-rule's two halves.
+    sums = (grid[:, None] * density[:, None]).reshape(rows.size, 2, -1, 3, block).sum(axis=-1)
+    coarse, fine = sums[..., 0], sums[..., 1] + sums[..., 2]
+    coeffs[rows] = fine
     err = np.abs(fine - coarse)
-    bad = ~(err <= _GL_RTOL * fine)  # NaN counts as bad
-    t_top_m = (m * w_alpha_top / denom_top) ** m
-    coeffs = fine * t_top_m[:, None, None]
-    # Phi = E_W[t^m] <= 1 exactly: t lies in [0, 1] and the pdf integrates
-    # to 1.  Rounding in the weights and node values (g up to 1 + 6 ulp) can
-    # put it a few ulp above 1 at vanishing s, which a million interferers
-    # raise beyond the coverage's round-off clamp; so it is bounded by 1.
-    np.minimum(coeffs[:, :, 0], 1.0, out=coeffs[:, :, 0])
-    failures = [None] * s.size
-    for i, p, k in zip(*np.nonzero(bad)):
-        if failures[i] is None:
+    good = err <= _GL_RTOL * fine  # NaN counts as bad
+    if good.all():
+        return
+    for i, p, k in zip(*np.nonzero(~good)):
+        row = int(rows[i])
+        if failures[row] is None:
             rel = err[i, p, k] / fine[i, p, k] if fine[i, p, k] else math.inf
-            failures[i] = NumericalError(
+            t_top_m = (m_w_alpha_top / denom_top[i]) ** m
+            failures[row] = NumericalError(
                 f"Gauss-Legendre estimate {rel:.2e} above {_GL_RTOL:g} relative for "
-                f"phase={PHASES[p]}, s={s[i]:.17g}, m={m}, derivative order k={k}",
-                partial=float(coeffs[i, p, k]),
-                error_bound=float(err[i, p, k] * t_top_m[i]),
+                f"phase={PHASES[p]}, s={s_rows[i]:.17g}, m={m}, derivative order k={k}",
+                partial=float(fine[i, p, k] * t_top_m),
+                error_bound=float(err[i, p, k] * t_top_m),
             )
-    return coeffs, failures
 
 
 def phase_laplace_factor(phase: str, s: float, m: int, net: NetworkConfig) -> float:
@@ -629,10 +671,10 @@ def laplace_jets(s0, order: int, net: NetworkConfig, fading: FadingConfig, p_sta
     coeffs[k] = (-s0)^k L_I^(k)(s0) / k! for k = 0..order, or the
     NumericalError of that s0 alone.  Every coeffs[k] is >= 0 (L_I is
     completely monotone) and their sum is at most 1.  One Gauss-Legendre
-    kernel pass (scaled_phase_jets) gives both phases' scaled jets at every
+    kernel call (scaled_phase_jets) gives both phases' scaled jets at every
     s0 and exponent, the phase factors being their order-0 terms; their
     mixture, one (rows, order + 1) array for the grid, goes through the M-th
-    power by _series_power.  The pass runs at every M: with no interferers
+    power by _series_power.  The kernel runs at every M: with no interferers
     the jet is the constant [1, 0, ...], and the phase factors are still
     those at s0.
     """

@@ -109,14 +109,26 @@ class TestLawStructure:
 
     @pytest.mark.parametrize("phase", ["static", "moving"])
     def test_shell_piece_is_the_top_piece_in_v(self, phase):
-        """shell_piece(v) = pdf(w) v / w with w = sqrt(R^2 + v^2), and it
-        carries the top segment's probability, 1 - cdf(R)."""
+        """The shell polynomial of piece_polynomials, at v, is pdf(w) v / w
+        with w = sqrt(R^2 + v^2), and it carries the top segment's
+        probability, 1 - cdf(R)."""
         dist = DistanceDistribution(phase, R, H)
+        shell = np.polynomial.Polynomial(dist.piece_polynomials()[2])
         v = np.linspace(0.5, H - 0.5, 15)
         w = np.sqrt(R * R + v * v)
-        assert dist.shell_piece()(v) == pytest.approx(dist.pdf(w) * v / w, rel=1e-12)
-        mass, _ = integrate.quad(dist.shell_piece(), 0.0, H)
+        assert shell(v) == pytest.approx(dist.pdf(w) * v / w, rel=1e-12)
+        mass, _ = integrate.quad(shell, 0.0, H)
         assert mass == pytest.approx(1.0 - dist.cdf(R), rel=1e-13)
+
+    @pytest.mark.parametrize("phase", ["static", "moving"])
+    def test_low_and_mid_polynomials_are_the_pdf_pieces(self, phase):
+        """The [0, H] and [H, R] polynomials of piece_polynomials are the
+        pdf pieces on their segments."""
+        dist = DistanceDistribution(phase, R, H)
+        pieces = dist.pdf_pieces()
+        for (lo, hi, piece), coeffs in zip(pieces[:2], dist.piece_polynomials()[:2]):
+            w = np.linspace(lo, hi, 17)
+            assert np.polynomial.Polynomial(coeffs)(w) == pytest.approx(piece(w), rel=1e-14)
 
     @pytest.mark.parametrize("phase", ["static", "moving"])
     def test_cdf_is_monotone(self, phase):

@@ -12,6 +12,7 @@ import pytest
 from scipy import integrate
 
 import uavcov.interference as interference
+import uavcov.validation as validation
 from uavcov.config import FadingConfig, NetworkConfig
 from uavcov.errors import DomainError, NumericalError, UnsupportedGeometryError
 from uavcov.interference import (
@@ -534,42 +535,86 @@ def test_failing_row_leaves_the_other_rows(monkeypatch):
     assert np.array_equal(coeffs[[0, 2]], good[[0, 2]])
 
 
-@pytest.mark.parametrize("alpha, m, order, s_values", [
-    (2.0, 1, 0, np.logspace(-3, 9, 400)),
-    (3.0, 3, 4, np.logspace(-3, 7, 41)),
-    (7.5, 6, 13, np.array([1e-3, 1e-30, 1.0, 1e-30, 1e-30, 10.0])),  # 1e-30: over the budget
-])
-def test_one_panel_table_and_passes_within_the_node_budget(monkeypatch, alpha, m, order,
-                                                           s_values):
-    """A call builds its panel table with a single _panel_nodes call, and
-    cuts its rows into passes of consecutive rows holding at most
-    _NODE_BUDGET nodes, each filled until the next row would not fit; only
-    a row alone may exceed the budget.  The rows keep their values."""
-    net = net_with(alpha=alpha)
-    expected, _ = scaled_phase_jets(s_values, m, order, net)
-    tables, passes = [], []
+def _recorded_grids(monkeypatch, s_values, m, order, net):
+    """One kernel call with its _panel_nodes calls and its grids recorded:
+    (coeffs, tables, grids), each grid as (rows, node values per row)."""
+    tables, grids = [], []
+    panel_nodes, grid_sums = interference._panel_nodes, interference._grid_sums
 
     def counting_nodes(*args):
         tables.append(args)
         return panel_nodes(*args)
 
-    def recording_pass(s, m, order, net, bins, *rest):
-        passes.append((s.size, bins.size, int(np.count_nonzero(bins < 2))))
-        return kernel_pass(s, m, order, net, bins, *rest)
+    def recording_grid(rows, s, m, ratios, *rest):
+        nodes = rest[1]
+        grids.append((rows.tolist(), (ratios.size + 1) * nodes.shape[1]))
+        return grid_sums(rows, s, m, ratios, *rest)
 
-    panel_nodes, kernel_pass = interference._panel_nodes, interference._kernel_pass
     monkeypatch.setattr(interference, "_panel_nodes", counting_nodes)
-    monkeypatch.setattr(interference, "_kernel_pass", recording_pass)
+    monkeypatch.setattr(interference, "_grid_sums", recording_grid)
     coeffs, _ = scaled_phase_jets(s_values, m, order, net)
+    monkeypatch.undo()
+    return coeffs, tables, grids
+
+
+@pytest.mark.parametrize("alpha, m, order, s_values", [
+    (2.0, 1, 0, np.logspace(-3, 9, 400)),
+    (3.0, 3, 4, np.logspace(-3, 7, 41)),
+    (7.5, 6, 13, np.array([1e-3, 1e-30, 1.0, 1e-30, 1e-30, 10.0])),  # 1e-30: over the budget
+])
+def test_one_panel_table_and_grids_within_the_node_budget(monkeypatch, alpha, m, order,
+                                                          s_values):
+    """A call builds its panel table with a single _panel_nodes call.  Each
+    grid holds rows of one ladder bottom and at most _NODE_BUDGET node
+    values (rows x orders x nodes), filled until the next row of its bottom
+    would not fit; only a row alone may exceed the budget.  Every row goes
+    through exactly one grid, and the rows keep their values."""
+    net = net_with(alpha=alpha)
+    expected, _ = scaled_phase_jets(s_values, m, order, net)
+    coeffs, tables, grids = _recorded_grids(monkeypatch, s_values, m, order, net)
     assert coeffs.tobytes() == expected.tobytes()
     assert len(tables) == 1
     budget = interference._NODE_BUDGET
-    assert sum(rows for rows, _, _ in passes) == s_values.size
-    assert all(nodes <= budget or rows == 1 for rows, nodes, _ in passes), passes
-    for (_, nodes, _), (_, _, first_row) in itertools.pairwise(passes):
-        assert nodes + first_row > budget, passes
-    if alpha == 7.5:
-        assert [rows for rows, nodes, _ in passes if nodes > budget] == [1, 1, 1]
+    row_sets = interference._panel_plan(s_values, m, order, net)[0]
+    assert sorted(i for rows, _ in grids for i in rows) == list(range(s_values.size))
+    for rows, per_row in grids:
+        assert len(set(row_sets[rows].tolist())) == 1, grids
+        assert len(rows) * per_row <= budget or len(rows) == 1, grids
+    for (rows, per_row), (after, _) in itertools.pairwise(grids):
+        if row_sets[rows[0]] == row_sets[after[0]]:  # not the last grid of its bottom
+            assert (len(rows) + 1) * per_row > budget, grids
+    if alpha == 7.5:  # the 1e-30 rows are among those over the budget alone
+        over = [s_values[rows].tolist() for rows, per_row in grids if per_row > budget]
+        assert over.count([1e-30]) == 3, grids
+
+
+def test_rows_of_one_bottom_over_several_grids_equal_their_threshold_alone(monkeypatch):
+    """300 thresholds close enough to share one ladder bottom fill several
+    grids; each row is, bit for bit, the kernel at its threshold alone."""
+    net = net_with(alpha=3.0)
+    s_values = np.linspace(50.0, 50.5, 300)
+    assert len(interference._panel_plan(s_values, 3, 4, net)[1]) == 1
+    _, _, grids = _recorded_grids(monkeypatch, s_values, 3, 4, net)
+    assert len(grids) > 3
+    assert validation.kernel_rows_apart(s_values, 3, 4, net) == []
+
+
+def test_threshold_with_vanishing_s_over_m_fails_its_row_alone():
+    """s/m = 0 (1e-323 / 6 rounds to 0) leaves the row no length scale: it
+    fails with a DomainError naming s and m, and the other rows are those
+    of a call without it.  phase_laplace_factor raises that error."""
+    net = NetworkConfig(40.0, 30.0, 1.0, 8, 2.0)
+    good, _ = scaled_phase_jets([1.0, 2.0], 6, 0, net)
+    coeffs, failures = scaled_phase_jets([1.0, 1e-323, 2.0], 6, 0, net)
+    assert failures[0] is None and failures[2] is None
+    assert isinstance(failures[1], DomainError)
+    assert "s=9.8813129168249309e-324" in str(failures[1]) and "m=6" in str(failures[1])
+    assert coeffs[[0, 2]].tobytes() == good.tobytes()
+    assert np.isnan(coeffs[1]).all()
+    (_,), (only,) = scaled_phase_jets([1e-323], 6, 0, net)
+    assert isinstance(only, DomainError)
+    with pytest.raises(DomainError, match="m=6"):
+        phase_laplace_factor("static", 1e-323, 6, net)
 
 
 def test_vanishing_threshold_fails_its_row_without_a_warning():
@@ -605,8 +650,9 @@ def test_rows_do_not_depend_on_the_rest_of_the_call():
 @pytest.mark.parametrize("alpha, m, order", [(2.0, 3, 3), (4.0, 6, 9), (2.0, 1, 0)])
 def test_kernel_working_set_does_not_grow_with_the_grid(alpha, m, order):
     """Beyond its output the kernel holds one table of the call's distinct
-    panels and one pass of rows, so its peak memory does not grow with the
-    number of thresholds (numpy reports its buffers to tracemalloc)."""
+    panels, one grid of rows and one index per row, so its peak memory
+    grows with the number of thresholds by little more than that index
+    (numpy reports its buffers to tracemalloc)."""
     def extra_bytes(n):
         s_values = np.logspace(-3, 9, n)
         tracemalloc.start()
