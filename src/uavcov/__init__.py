@@ -12,7 +12,7 @@ from .config import (
     derive_stay_probability,
     resolve_fading_bands,
 )
-from .coverage import CoverageQuery, SweepPoint, coverage_probability, coverage_sweep
+from .coverage import SweepPoint, coverage_sweep
 from .distributions import AltitudeDistribution, DistanceDistribution
 from .errors import (
     ConfigurationError,
@@ -21,12 +21,7 @@ from .errors import (
     NumericalError,
     UnsupportedGeometryError,
 )
-from .interference import (
-    laplace_derivative_jet,
-    laplace_transform,
-    laplace_transform_phase_sum,
-    phase_laplace_factor,
-)
+from .interference import laplace_jets
 from .simulator import (
     CampaignResult,
     UavState,
@@ -37,7 +32,6 @@ from .simulator import (
     step,
 )
 from .special import hyp2f1, pochhammer
-from .taylor import Jet
 
 __version__ = "0.1.0"
 
@@ -46,27 +40,21 @@ __all__ = [
     "CampaignResult",
     "ConfigurationError",
     "ConsistencyError",
-    "CoverageQuery",
     "DistanceDistribution",
     "DomainError",
     "FadingConfig",
-    "Jet",
     "MobilityConfig",
     "NetworkConfig",
     "NumericalError",
     "SweepPoint",
     "UavState",
     "UnsupportedGeometryError",
-    "coverage_probability",
     "coverage_sweep",
     "default_psi_grid",
     "derive_stay_probability",
     "hyp2f1",
     "initial_state",
-    "laplace_derivative_jet",
-    "laplace_transform",
-    "laplace_transform_phase_sum",
-    "phase_laplace_factor",
+    "laplace_jets",
     "pochhammer",
     "resolve_fading_bands",
     "run_campaign",

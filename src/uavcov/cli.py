@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import derive_stay_probability
-from .coverage import coverage_sweep, transform_argument
+from .coverage import coverage_sweep
 from .errors import ConfigurationError, DomainError
 from .scenario import (
     Scenario,
@@ -62,19 +62,16 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
 
 
 def _coverage_rows(sc: Scenario):
-    net, fading = sc.network, sc.fading
-    p_stay = derive_stay_probability(sc.mobility, net)
-    psi_linear = sc.psi_grid_linear()
-    points = coverage_sweep(psi_linear, net, fading, p_stay)
+    p_stay = derive_stay_probability(sc.mobility, sc.network)
+    points = coverage_sweep(sc.psi_grid_linear(), sc.network, sc.fading, p_stay)
     rows = []
     for psi_db, point in zip(sc.psi_grid_db, points):
-        s0 = transform_argument(point.psi, net, fading)
         if point.error is None:
             phi_st, phi_mo, status = point.phi_static, point.phi_moving, "ok"
         else:
             phi_st = phi_mo = math.nan
             status = point.error.replace(",", ";")
-        rows.append((psi_db, point.psi, point.coverage, s0, phi_st, phi_mo, status))
+        rows.append((psi_db, point.psi, point.coverage, point.s0, phi_st, phi_mo, status))
     return rows, p_stay
 
 

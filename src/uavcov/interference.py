@@ -33,8 +33,9 @@ its bottom, so a call builds each distinct bottom's edges once and one
 table of its distinct panels' nodes.  The thresholds of one bottom share
 every node, so they go through the arithmetic together, as grids of rows
 by nodes (all derivative orders in one array) of up to a fixed number of
-node values, each row summing its own nodes; phase_laplace_factor,
-laplace_transform and laplace_derivative_jet read one of its rows.
+node values, each row summing its own nodes.  scaled_phase_jets is the
+one evaluator of the phase factors and laplace_jets the one evaluator of
+L_I and its jets; nothing evaluates them one threshold at a time.
 
 For path-loss exponent 2 the phase factors also have closed forms, kept as
 the kernel's oracle (closed_phase_factor, which no production path calls):
@@ -66,20 +67,15 @@ from .config import FadingConfig, NetworkConfig
 from .distributions import PHASES, DistanceDistribution
 from .errors import DomainError, NumericalError, UnsupportedGeometryError
 from .special import hyp2f1
-from .taylor import Jet
 
 __all__ = [
     "SegmentScheme",
     "segment_scheme",
     "power_segment_integral",
     "shell_segment_integral",
-    "phase_laplace_factor",
     "closed_phase_factor",
-    "laplace_transform",
-    "laplace_transform_phase_sum",
     "scaled_phase_jets",
     "laplace_jets",
-    "laplace_derivative_jet",
 ]
 
 # Gauss-Legendre kernel.  Each panel takes _GL_NODES nodes, and 2 * _GL_NODES
@@ -240,10 +236,11 @@ def _check_factor_args(phase: str, s: float, m: int, net: NetworkConfig) -> None
 def closed_phase_factor(phase: str, s: float, m: int, net: NetworkConfig) -> float:
     """The phase factor by its hyp2f1 closed form, exponent 2 only.
 
-    The oracle of phase_laplace_factor's kernel; no production path calls
-    it.  The expanded form sums C(m, l) (-1)^l over segment integrals; at
-    large s those O(1) terms cancel down to residuals as small as ~1e-8,
-    destroying double precision.  Collapsing the sum first,
+    The oracle of the kernel's order-0 terms (scaled_phase_jets); no
+    production path calls it.  The expanded form sums C(m, l) (-1)^l over
+    segment integrals; at large s those O(1) terms cancel down to residuals
+    as small as ~1e-8, destroying double precision.  Collapsing the sum
+    first,
 
         sum_l C(m,l) (-1)^l (1 + c y)^-l = (c y)^m (1 + c y)^-m,  c = m/s,
 
@@ -574,59 +571,6 @@ def _grid_sums(rows, s: np.ndarray, m: int, ratios, m_w_alpha_top: float, nodes,
             )
 
 
-def phase_laplace_factor(phase: str, s: float, m: int, net: NetworkConfig) -> float:
-    """Laplace transform at s of a single interferer's faded power, by phase.
-
-    The order-0 term of the Gauss-Legendre kernel (scaled_phase_jets), at
-    every exponent; closed_phase_factor is its exponent-2 oracle.
-    """
-    _check_factor_args(phase, s, m, net)
-    if s == 0.0:
-        return 1.0
-    coeffs, (failure,) = scaled_phase_jets([s], int(m), 0, net)
-    if failure is not None:
-        raise failure
-    return float(coeffs[0, PHASES.index(phase), 0])
-
-
-def _order_zero_row(s: float, net: NetworkConfig, fading: FadingConfig, p_stay: float):
-    """laplace_jets' order-0 row at one s >= 0: ([L_I(s)], phi_static, phi_moving)."""
-    if not 0 <= p_stay <= 1:
-        raise DomainError(f"stay probability must lie in [0, 1], got {p_stay}")
-    if s == 0.0:
-        return [1.0], 1.0, 1.0
-    (row,) = laplace_jets([s], 0, net, fading, p_stay)
-    if isinstance(row, NumericalError):
-        raise row
-    return row
-
-
-def laplace_transform(s: float, net: NetworkConfig, fading: FadingConfig, p_stay: float) -> float:
-    """L_I(s) for M interferers: the phase mixture raised to the M-th power."""
-    return _order_zero_row(s, net, fading, p_stay)[0][0]
-
-
-def laplace_transform_phase_sum(
-    s: float, net: NetworkConfig, fading: FadingConfig, p_stay: float
-) -> float:
-    """L_I(s) as the explicit sum over the number of dwelling interferers.
-
-    Mathematically identical to laplace_transform by the binomial theorem;
-    it shares the phase factors but not the M-th power, so it stays an
-    independently structured oracle for that power.
-    """
-    _, phi_static, phi_moving = _order_zero_row(s, net, fading, p_stay)
-    if s == 0.0:
-        return 1.0  # exactly: the binomial terms of p and 1 - p need not sum to 1
-    M = net.n_interferers
-    return math.fsum(
-        math.comb(M, n)
-        * (p_stay * phi_static) ** n
-        * ((1.0 - p_stay) * phi_moving) ** (M - n)
-        for n in range(M + 1)
-    )
-
-
 def _series_power(a: np.ndarray, n: int) -> np.ndarray:
     """Taylor coefficients of f^n from those of f, for each row of a
     (rows, order + 1), truncated at order.
@@ -668,15 +612,15 @@ def laplace_jets(s0, order: int, net: NetworkConfig, fading: FadingConfig, p_sta
     """Scaled Taylor jet of L_I and the two phase factors at every s0.
 
     Returns one entry per s0: either (coeffs, phi_static, phi_moving), with
-    coeffs[k] = (-s0)^k L_I^(k)(s0) / k! for k = 0..order, or the
-    NumericalError of that s0 alone.  Every coeffs[k] is >= 0 (L_I is
-    completely monotone) and their sum is at most 1.  One Gauss-Legendre
-    kernel call (scaled_phase_jets) gives both phases' scaled jets at every
-    s0 and exponent, the phase factors being their order-0 terms; their
-    mixture, one (rows, order + 1) array for the grid, goes through the M-th
-    power by _series_power.  The kernel runs at every M: with no interferers
-    the jet is the constant [1, 0, ...], and the phase factors are still
-    those at s0.
+    coeffs[k] = (-s0)^k L_I^(k)(s0) / k! for k = 0..order, or the kernel's
+    error for that s0 alone: a NumericalError, or a DomainError where s0/m
+    is not above 0.  Every coeffs[k] is >= 0 (L_I is completely monotone)
+    and their sum is at most 1.  One Gauss-Legendre kernel call
+    (scaled_phase_jets) gives both phases' scaled jets at every s0 and
+    exponent, the phase factors being their order-0 terms; their mixture,
+    one (rows, order + 1) array for the grid, goes through the M-th power by
+    _series_power.  The kernel runs at every M: with no interferers the jet
+    is the constant [1, 0, ...], and the phase factors are still those at s0.
     """
     if order < 0 or int(order) != order:
         raise DomainError(f"jet order must be a non-negative integer, got {order}")
@@ -684,8 +628,6 @@ def laplace_jets(s0, order: int, net: NetworkConfig, fading: FadingConfig, p_sta
         raise DomainError(f"stay probability must lie in [0, 1], got {p_stay}")
     order, M, m = int(order), net.n_interferers, int(fading.interferer_m)
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
-    if not np.all(s0 / m > 0):
-        raise DomainError("Laplace jets need s0 > 0, with s0/m above the float range's bottom")
     coeffs, failures = scaled_phase_jets(s0, m, order, net)
     if M:
         jets = _series_power(p_stay * coeffs[:, 0] + (1.0 - p_stay) * coeffs[:, 1], M)
@@ -695,21 +637,3 @@ def laplace_jets(s0, order: int, net: NetworkConfig, fading: FadingConfig, p_sta
     return [(jet, static, moving) if failure is None else failure
             for jet, (static, moving), failure
             in zip(jets.tolist(), coeffs[:, :, 0].tolist(), failures)]
-
-
-def laplace_derivative_jet(
-    s0: float,
-    order: int,
-    net: NetworkConfig,
-    fading: FadingConfig,
-    p_stay: float,
-) -> Jet:
-    """Taylor coefficients L_I^(k)(s0) / k! of L_I at s0 up to the given order.
-
-    Unscaled from laplace_jets; a coefficient below the float range at a
-    very large s0 comes back as 0.
-    """
-    (row,) = laplace_jets([s0], order, net, fading, p_stay)
-    if isinstance(row, NumericalError):
-        raise row
-    return Jet(np.array(row[0]) * np.power(-1.0 / s0, np.arange(order + 1)))

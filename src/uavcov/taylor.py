@@ -5,9 +5,9 @@ function at an expansion point.  Sums, products and integer powers follow
 exact truncated power-series algebra, so pushing per-term derivative
 information through an M-fold product costs no extra differentiation.
 
-The analysis itself raises its jets to the M-th power with plain floats
-(interference._series_power); a Jet carries the result of
-interference.laplace_derivative_jet.
+The analysis raises its jets to the M-th power with plain floats
+(interference._series_power); no module of the package uses Jet, and
+only the benchmark's tracer (bench/tracing.py) imports it.
 """
 
 from __future__ import annotations

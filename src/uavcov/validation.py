@@ -23,7 +23,6 @@ full scale.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 import warnings
@@ -36,7 +35,7 @@ from . import interference
 from .config import (
     derive_stay_probability, kinematic_stay_probability, simulated_stay_probability,
 )
-from .coverage import CoverageQuery, coverage_probability, coverage_sweep, transform_argument
+from .coverage import coverage_sweep, transform_argument
 from .distributions import AltitudeDistribution, DistanceDistribution
 from .scenario import Scenario
 from . import simulator
@@ -46,10 +45,10 @@ from .special import _gauss_series, _large_z, _pfaff, hyp2f1
 
 __all__ = ["CheckResult", "check_analysis_vs_simulation", "check_binomial_collapse",
            "check_closed_vs_quadrature", "check_derivative_jet", "check_distribution_laws",
-           "check_gl_vs_quad", "check_kernel_batch_vs_row", "check_ladder_vs_row_edges",
-           "check_stationary_start", "check_steady_state_mobility",
-           "check_trivial_anchors", "event_tape_gaps", "kernel_rows_apart",
-           "ladder_rows_apart", "quad_phase_moment", "run_validation"]
+           "check_event_tape", "check_gl_vs_quad", "check_kernel_batch_vs_row",
+           "check_ladder_vs_row_edges", "check_stationary_start",
+           "check_steady_state_mobility", "check_trivial_anchors", "event_tape_gaps",
+           "kernel_rows_apart", "ladder_rows_apart", "quad_phase_moment", "run_validation"]
 
 # Adaptive-quadrature oracle tolerances.  The relative tolerance dominates:
 # at large s the moments decay by many orders of magnitude.
@@ -243,36 +242,34 @@ def event_tape_gaps(net, mob, n: int, steps: int, dt: float, seed: int) -> dict:
             "events": int(tape.taken[1].sum()), "repeats": repeats}
 
 
-def _check_event_tape(sc: Scenario) -> CheckResult:
-    # The scenario's kinematics, then dwells shorter than a step and none at
-    # all, which must give some interferers three or more events in one step.
-    mob = sc.mobility
-    mobs = {"scenario": mob,
-            "short-dwell": dataclasses.replace(mob, dwell_min=0.1 * sc.sim.dt,
-                                               dwell_max=0.6 * sc.sim.dt),
-            "zero-dwell": dataclasses.replace(mob, dwell_min=0.0, dwell_max=0.0)}
+def check_event_tape(net, cases, n: int, steps: int, dt: float, seed: int) -> CheckResult:
+    """The event-time vertical kinematics against the time-stepped reference
+    (event_tape_gaps), n interferers over `steps` steps of dt, for each
+    (name, mobility, must_repeat) of cases: phases and dwell and leg counts
+    equal after every step, altitude and residual dwell gaps within 1e-9,
+    and, where must_repeat is set, some interferer drawn afresh in a repeat
+    pass."""
     ok, parts = True, []
-    for name, m in mobs.items():
-        gaps = event_tape_gaps(sc.network, m, 64, 200, sc.sim.dt, sc.sim.seed)
+    for name, mob, must_repeat in cases:
+        gaps = event_tape_gaps(net, mob, n, steps, dt, seed)
         ok &= (not gaps["phase_steps"] and gaps["altitude_gap"] <= 1e-9
-               and gaps["dwell_gap"] <= 1e-9 and (m is mob or gaps["repeats"] > 0))
+               and gaps["dwell_gap"] <= 1e-9 and (gaps["repeats"] > 0 or not must_repeat))
         parts.append(f"{name}: {len(gaps['phase_steps'])} steps with phase mismatches, "
                      f"altitude gap {gaps['altitude_gap']:.1e}, dwell gap "
                      f"{gaps['dwell_gap']:.1e} over {gaps['events']} events "
                      f"({gaps['repeats']} repeat)")
-    return CheckResult("event-tape", ok, "64 interferers x 200 steps vs the time-stepped "
+    return CheckResult("event-tape", ok, f"{n} interferers x {steps} steps vs the time-stepped "
                        "integrator (phases exact, gaps <=1e-9); " + "; ".join(parts))
 
 
 def check_trivial_anchors(net, fading, p_stay: float) -> CheckResult:
-    """Exact identities: L_I(0) = 1 on net, coverage 1 with net's interferers
-    removed, 2F1 = 1 at a = 0 and at z = 0, and each phase's distance cdf 0
-    at 0 and 1 at the top of its support."""
+    """Exact identities: coverage 1 with net's interferers removed, 2F1 = 1
+    at a = 0 and at z = 0, and each phase's distance cdf 0 at 0 and 1 at the
+    top of its support."""
     no_interferers = dataclasses.replace(net, n_interferers=0)
+    (point,) = coverage_sweep([2.0], no_interferers, fading, p_stay)
     checks = {
-        "L_I(0)": interference.laplace_transform(0.0, net, fading, p_stay) == 1.0,
-        "P_cov(M=0)": coverage_probability(
-            CoverageQuery(2.0, no_interferers, fading, p_stay)) == 1.0,
+        "P_cov(M=0)": point.coverage == 1.0,
         "2F1(a=0)": hyp2f1(0, 1.5, 2.5, -9.0) == 1.0,
         "2F1(z=0)": hyp2f1(4, 2.5, 3.5, 0.0) == 1.0,
     }
@@ -368,11 +365,20 @@ def check_closed_vs_quadrature(net, points, fault_bias: float = 0.0) -> CheckRes
             "closed-vs-quadrature", True,
             "skipped: no closed form for this path-loss exponent",
         )
+    # One kernel call per shape; each row is, bit for bit, its threshold alone.
+    kernel = {}
+    for m in {m for m, _ in points}:
+        s_values = [s for shape, s in points if shape == m]
+        coeffs, failures = interference.scaled_phase_jets(s_values, m, 0, net)
+        failed = [failure for failure in failures if failure is not None]
+        if failed:
+            return CheckResult("closed-vs-quadrature", False, f"kernel failed: {failed[0]}")
+        kernel.update(zip([(m, s) for s in s_values], coeffs[:, :, 0].tolist()))
     worst, worst_at = 0.0, None
-    for phase in ("static", "moving"):
+    for p, phase in enumerate(("static", "moving")):
         for m, s in points:
             closed = interference.closed_phase_factor(phase, s, m, net) + fault_bias
-            quad = interference.phase_laplace_factor(phase, s, m, net)
+            quad = kernel[m, s][p]
             if abs(closed - quad) / quad > worst:
                 worst, worst_at = abs(closed - quad) / quad, (phase, m, s)
     return CheckResult(
@@ -470,12 +476,26 @@ def _rows_apart_check(name: str, rows_apart, cases, what: str) -> CheckResult:
                        + (f", first at (alpha, m1, h0, s0) = {apart[0]}" if apart else ""))
 
 
+def _laplace_transform_phase_sum(phi_static: float, phi_moving: float, M: int,
+                                 p_stay: float) -> float:
+    """L_I as the explicit sum over the number n of dwelling interferers,
+    from the two phase factors: the binomial theorem makes it the M-th power
+    of their mixture, which it shares no arithmetic with."""
+    return math.fsum(
+        math.comb(M, n)
+        * (p_stay * phi_static) ** n
+        * ((1.0 - p_stay) * phi_moving) ** (M - n)
+        for n in range(M + 1)
+    )
+
+
 def check_binomial_collapse(net, fading, max_m: int, per_m: int, log10_s,
                             seed: int) -> CheckResult:
-    """L_I as the M-th power of the phase mixture against the explicit
-    binomial sum over the dwelling count, to 1e-13 relative, for net with
-    M = 1..max_m interferers at per_m points each: s log-uniform over
-    10^log10_s and the stay probability uniform on [0, 1]."""
+    """L_I from laplace_jets, the M-th power of the phase mixture, against
+    the explicit binomial sum over the dwelling count of the same row's
+    phase factors, to 1e-13 relative, for net with M = 1..max_m interferers
+    at per_m points each: s log-uniform over 10^log10_s and the stay
+    probability uniform on [0, 1]."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for M in range(1, max_m + 1):
@@ -483,8 +503,11 @@ def check_binomial_collapse(net, fading, max_m: int, per_m: int, log10_s,
         for _ in range(per_m):
             s = float(10 ** rng.uniform(*log10_s))
             p = float(rng.uniform(0.0, 1.0))
-            power = interference.laplace_transform(s, trial_net, fading, p)
-            summed = interference.laplace_transform_phase_sum(s, trial_net, fading, p)
+            (row,) = interference.laplace_jets([s], 0, trial_net, fading, p)
+            if isinstance(row, Exception):
+                return CheckResult("binomial-collapse", False, f"kernel failed: {row}")
+            (power,), phi_static, phi_moving = row
+            summed = _laplace_transform_phase_sum(phi_static, phi_moving, M, p)
             worst = max(worst, abs(power - summed) / power)
     return CheckResult(
         "binomial-collapse", worst <= 1e-13,
@@ -493,20 +516,25 @@ def check_binomial_collapse(net, fading, max_m: int, per_m: int, log10_s,
 
 
 def check_derivative_jet(net, p_stay: float, cases) -> CheckResult:
-    """The kernel's jet of L_I against central differences of L_I at every
+    """L_I' and L_I'' from the kernel's order-2 jet of L_I against central
+    differences of L_I, all taken from one order-0 call, at every
     (fading, s0) of cases, steps 1e-5 s0 for k = 1 and 3e-4 s0 for k = 2,
     to 1e-5 relative."""
     gaps = []
     for fading, s0 in cases:
-        jet = interference.laplace_derivative_jet(s0, 2, net, fading, p_stay)
-        L = functools.partial(interference.laplace_transform, net=net, fading=fading,
-                              p_stay=p_stay)
-        h1 = 1e-5 * s0
-        fd1 = (L(s0 + h1) - L(s0 - h1)) / (2 * h1)
-        h2 = 3e-4 * s0
-        fd2 = (L(s0 + h2) - 2 * L(s0) + L(s0 - h2)) / h2**2
-        gaps.append((abs(jet.derivative(1) - fd1) / abs(fd1),
-                     abs(jet.derivative(2) - fd2) / abs(fd2)))
+        h1, h2 = 1e-5 * s0, 3e-4 * s0
+        rows = (interference.laplace_jets([s0], 2, net, fading, p_stay)
+                + interference.laplace_jets([s0 + h1, s0 - h1, s0 + h2, s0, s0 - h2], 0, net,
+                                            fading, p_stay))
+        failed = [row for row in rows if isinstance(row, Exception)]
+        if failed:
+            return CheckResult("derivative-jet", False, f"kernel failed: {failed[0]}")
+        # The jet's coefficient k is (-s0)^k L_I^(k)(s0) / k!.
+        (_, c1, c2), (up1,), (down1,), (up2,), (mid,), (down2,) = [row[0] for row in rows]
+        inv = -1.0 / s0
+        fd1 = (up1 - down1) / (2 * h1)
+        fd2 = (up2 - 2 * mid + down2) / h2**2
+        gaps.append((abs(c1 * inv - fd1) / abs(fd1), abs(c2 * inv**2 * 2 - fd2) / abs(fd2)))
     r1, r2 = np.max(gaps, axis=0)  # NaN propagates
     return CheckResult(
         "derivative-jet", bool(r1 <= 1e-5 and r2 <= 1e-5),
@@ -704,7 +732,14 @@ def run_validation(sc: Scenario, fault_bias: float = 0.0) -> list[CheckResult]:
         check_binomial_collapse(net, fading, 6, 4, (-1, 4), sim.seed),
         check_derivative_jet(net, p_stay, [(fading, max(s0[len(s0) // 2], 1.0))]),
         _check_lockstep_replications(sc),
-        _check_event_tape(sc),
+        # the scenario's kinematics, then dwells shorter than a step and none
+        # at all, which must give some interferers three or more events in one step
+        check_event_tape(net, [
+            ("scenario", mob, False),
+            ("short-dwell", dataclasses.replace(mob, dwell_min=0.1 * sim.dt,
+                                                dwell_max=0.6 * sim.dt), True),
+            ("zero-dwell", dataclasses.replace(mob, dwell_min=0.0, dwell_max=0.0), True),
+        ], 64, 200, sim.dt, sim.seed),
         _check_stationary_start(sc),
         check_analysis_vs_simulation([(net, fading, campaign)], floor=0.015, k_se=5),
         check_steady_state_mobility(campaign, mob, k_se=4, floor=0.01),

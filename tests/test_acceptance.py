@@ -13,16 +13,14 @@ import numpy as np
 import pytest
 
 from uavcov.config import FadingConfig, MobilityConfig, NetworkConfig, derive_stay_probability
-from uavcov.coverage import (
-    CoverageQuery, coverage_probability, coverage_sweep, transform_argument,
-)
+from uavcov.coverage import coverage_sweep, transform_argument
 from uavcov.interference import closed_phase_factor
 from uavcov.simulator import initial_state, run_campaign
 from uavcov.validation import (
     check_analysis_vs_simulation, check_binomial_collapse, check_closed_vs_quadrature,
-    check_derivative_jet, check_distribution_laws, check_gl_vs_quad, check_kernel_batch_vs_row,
-    check_ladder_vs_row_edges, check_stationary_start, check_steady_state_mobility,
-    check_trivial_anchors, event_tape_gaps,
+    check_derivative_jet, check_distribution_laws, check_event_tape, check_gl_vs_quad,
+    check_kernel_batch_vs_row, check_ladder_vs_row_edges, check_stationary_start,
+    check_steady_state_mobility, check_trivial_anchors,
 )
 
 R, H = 40.0, 30.0
@@ -52,10 +50,9 @@ def report(criterion, passed, detail):
 
 
 def analytical_curve(psis, M, m0, m1, h0, p_stay):
-    net, fading = net_with(M, h0), FadingConfig(m0, m1)
-    return np.array([
-        coverage_probability(CoverageQuery(float(p), net, fading, p_stay)) for p in psis
-    ])
+    points = coverage_sweep(psis, net_with(M, h0), FadingConfig(m0, m1), p_stay)
+    assert all(p.error is None for p in points), points
+    return np.array([p.coverage for p in points])
 
 
 @pytest.fixture(scope="module")
@@ -131,10 +128,10 @@ def test_criterion_7_reference_table_reproduction():
     net, fading = net_with(p["M"], p["h0"]), FadingConfig(p["m0"], p["m1"])
     worst = 0.0
     for stay, row in REFERENCE_TABLE.items():
-        for db, target in zip((-20, -10, 0, 10, 20, 30), row):
-            value = coverage_probability(
-                CoverageQuery(10 ** (db / 10), net, fading, stay))
-            worst = max(worst, abs(value - target) / target)
+        points = coverage_sweep([10 ** (db / 10) for db in (-20, -10, 0, 10, 20, 30)],
+                                net, fading, stay)
+        for point, target in zip(points, row):
+            worst = max(worst, abs(point.coverage - target) / target)
     # three significant figures demands rel error below 5e-4
     report("7 reference-table", worst <= 5e-4,
            f"recovered params {p}; worst rel dev {worst:.2e} over 12 table "
@@ -176,22 +173,19 @@ def test_criterion_10_kernel_vs_adaptive_quadrature():
     report("10 gl-vs-quad", result.passed, result.detail)
 
 
-@pytest.mark.parametrize("dwell", [(2.0, 6.0), (0.1, 0.6), (0.0, 0.0)],
+@pytest.mark.parametrize("dwell, must_repeat", [((2.0, 6.0), False), ((0.1, 0.6), True),
+                                                ((0.0, 0.0), True)],
                          ids=["benchmark", "short-dwell", "zero-dwell"])
-def test_criterion_11_event_tape(dwell):
+def test_criterion_11_event_tape(dwell, must_repeat):
     """The event-time vertical kinematics against the time-stepped
     integrator they replaced, both reading one per-interferer tape of
-    (dwell, waypoint, speed) draws.  Dwells shorter than the 1 s step give
-    interferers three or more events in one step."""
+    (dwell, waypoint, speed) draws.  Dwells shorter than the 1 s step must
+    give interferers three or more events in one step."""
     mob = MobilityConfig(MOBILITY.speed_min, MOBILITY.speed_max, *dwell, MOBILITY.hop_range)
-    gaps = event_tape_gaps(net_with(2, 10.0), mob, n=500, steps=1000, dt=1.0, seed=11)
-    ok = (not gaps["phase_steps"] and gaps["altitude_gap"] <= 1e-9
-          and gaps["dwell_gap"] <= 1e-9 and (dwell[0] >= 1.0 or gaps["repeats"] > 0))
-    report(f"11 event-tape ({dwell[0]:g}-{dwell[1]:g} s dwell)", ok,
-           f"{len(gaps['phase_steps'])} steps with phase mismatches (exact), altitude gap "
-           f"{gaps['altitude_gap']:.1e} and dwell gap {gaps['dwell_gap']:.1e} (<=1e-9) "
-           f"over 500 interferers x 1000 steps, {gaps['events']} events, "
-           f"{gaps['repeats']} drawn in a repeat pass")
+    name = f"{dwell[0]:g}-{dwell[1]:g} s dwell"
+    result = check_event_tape(net_with(2, 10.0), [(name, mob, must_repeat)],
+                              n=500, steps=1000, dt=1.0, seed=11)
+    report(f"11 event-tape ({name})", result.passed, result.detail)
 
 
 def test_criterion_12_stationary_start():

@@ -4,11 +4,9 @@ import warnings
 import pytest
 
 from uavcov.config import FadingConfig, NetworkConfig
-from uavcov.coverage import (
-    CoverageQuery, coverage_probability, coverage_sweep, transform_argument,
-)
+from uavcov.coverage import coverage_sweep, transform_argument
 from uavcov.errors import ConfigurationError, DomainError
-from uavcov.interference import laplace_derivative_jet, laplace_jets, phase_laplace_factor
+from uavcov.interference import laplace_jets, scaled_phase_jets
 
 P_STAY = 0.5005092550523872  # benchmark kinematics
 
@@ -18,8 +16,9 @@ def net_with(M=2, h0=10.0):
 
 
 def curve(psis, M=2, h0=10.0, m0=1, m1=1, p_stay=P_STAY):
-    net, fading = net_with(M, h0), FadingConfig(m0, m1)
-    return [coverage_probability(CoverageQuery(p, net, fading, p_stay)) for p in psis]
+    points = coverage_sweep(psis, net_with(M, h0), FadingConfig(m0, m1), p_stay)
+    assert all(p.error is None for p in points)
+    return [p.coverage for p in points]
 
 
 DB_GRID = [10 ** (d / 10) for d in range(-20, 31, 5)]
@@ -27,18 +26,21 @@ DB_GRID = [10 ** (d / 10) for d in range(-20, 31, 5)]
 
 class TestAnchors:
     def test_no_interferers_gives_one(self):
-        q = CoverageQuery(7.0, net_with(M=0), FadingConfig(3, 1), 0.5)
-        assert coverage_probability(q) == 1.0
+        (point,) = coverage_sweep([7.0], net_with(M=0), FadingConfig(3, 1), 0.5)
+        assert point.coverage == 1.0
 
     def test_vanishing_threshold_gives_one(self):
-        q = CoverageQuery(1e-9, net_with(), FadingConfig(2, 1), 0.5)
-        assert coverage_probability(q) == pytest.approx(1.0, abs=1e-9)
+        (point,) = coverage_sweep([1e-9], net_with(), FadingConfig(2, 1), 0.5)
+        assert point.coverage == pytest.approx(1.0, abs=1e-9)
 
     def test_query_validation(self):
-        with pytest.raises(ConfigurationError):
-            CoverageQuery(0.0, net_with(), FadingConfig(1, 1), 0.5)
-        with pytest.raises(ConfigurationError):
-            CoverageQuery(1.0, net_with(), FadingConfig(1, 1), -0.1)
+        """A threshold not above 0 fails its own row; a stay probability
+        outside [0, 1] rejects the whole sweep."""
+        (point,) = coverage_sweep([0.0], net_with(), FadingConfig(1, 1), 0.5)
+        assert point.error == "ConfigurationError: SIR threshold must be > 0 (linear), got 0.0"
+        assert math.isnan(point.coverage) and point.s0 == 0.0
+        with pytest.raises(ConfigurationError, match="stay probability"):
+            coverage_sweep([1.0], net_with(), FadingConfig(1, 1), -0.1)
 
 
 class TestTrends:
@@ -80,14 +82,17 @@ class TestSweep:
         assert all(p.error is None for p in pts)
 
     def test_points_carry_the_phase_factors_at_s0(self):
+        """Each row carries its s0 = m0 psi h0^alpha, and the phase factors
+        at s0, bit for bit the kernel's at that threshold alone; its
+        coverage is that of the threshold swept alone."""
         net, fading = net_with(), FadingConfig(2, 3)
         pts = coverage_sweep([0.1, 10.0], net, fading, P_STAY)
         for p in pts:
-            s0 = 2 * p.psi * net.serving_altitude**2
-            query = CoverageQuery(p.psi, net, fading, P_STAY)
-            assert p.coverage == coverage_probability(query)
-            assert p.phi_static == phase_laplace_factor("static", s0, 3, net)
-            assert p.phi_moving == phase_laplace_factor("moving", s0, 3, net)
+            assert p.s0 == 2 * p.psi * net.serving_altitude**2
+            (alone,) = coverage_sweep([p.psi], net, fading, P_STAY)
+            assert p.coverage == alone.coverage
+            coeffs, _ = scaled_phase_jets([p.s0], 3, 0, net)
+            assert [p.phi_static, p.phi_moving] == coeffs[0, :, 0].tolist()
 
     def test_no_interferers_still_carries_the_phase_factors(self):
         pts = coverage_sweep([1.0], net_with(M=0), FadingConfig(1, 1), P_STAY)
@@ -118,14 +123,17 @@ class TestSweep:
     ])
     def test_underflowing_threshold_fails_alone(self, net, fading, tiny):
         """A threshold whose s0, or s0/m, rounds to 0 fails in its own row
-        with a typed error naming it; the other rows are, bit for bit, the
-        rows of the grid without it."""
+        with the kernel's typed error naming its s0; the other rows are, bit
+        for bit, the rows of the grid without it.  laplace_jets returns that
+        error in the row instead of raising it."""
         pts = coverage_sweep([1.0, tiny, 2.0], net, fading, 0.5)
         assert [pts[0], pts[2]] == coverage_sweep([1.0, 2.0], net, fading, 0.5)
         assert pts[0].error is None and pts[2].error is None
-        assert pts[1].error.startswith("DomainError") and f"psi={tiny!r}" in pts[1].error
-        with pytest.raises(DomainError):
-            laplace_jets([transform_argument(tiny, net, fading)], 0, net, fading, 0.5)
+        s0 = transform_argument(tiny, net, fading)
+        assert pts[1].s0 == s0
+        assert pts[1].error.startswith("DomainError") and f"s={s0:.17g}," in pts[1].error
+        (row,) = laplace_jets([s0], 0, net, fading, 0.5)
+        assert isinstance(row, DomainError) and f"s={s0:.17g}," in str(row)
 
     def test_singleton_vanishing_threshold(self):
         pts = coverage_sweep([1e-10], net_with(), FadingConfig(1, 1), P_STAY)
@@ -141,12 +149,12 @@ def test_large_serving_shape_sum_has_no_cancellation(m0):
     for db in (-10, 10, 30):
         psi = 10 ** (db / 10)
         s0 = m0 * psi * net.serving_altitude**2
-        jet = laplace_derivative_jet(s0, m0 - 1, net, fading, 0.4)
-        assert all(jet.coeffs[k] * (-s0) ** k >= 0.0 for k in range(m0))
+        (row,) = laplace_jets([s0], m0 - 1, net, fading, 0.4)
+        assert all(c >= 0.0 for c in row[0])  # c_k = (-s0)^k L^(k)(s0) / k!
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            p = coverage_probability(CoverageQuery(psi, net, fading, 0.4))
-        assert 0.0 <= p <= 1.0
+            (point,) = coverage_sweep([psi], net, fading, 0.4)
+        assert point.error is None and 0.0 <= point.coverage <= 1.0
 
 
 def test_extreme_threshold_is_finite_or_a_typed_error():
@@ -154,9 +162,10 @@ def test_extreme_threshold_is_finite_or_a_typed_error():
     float from k = 11 on; the scaled jet never forms it.  The row gives a
     finite coverage (0 here, as bench/oracle.py does) or a typed error."""
     net, fading = NetworkConfig(40.0, 30.0, 10.0, 8, 7.5), FadingConfig(14, 6)
-    for point in coverage_sweep([1.0, 1e12, 1e20], net, fading, 0.5):
+    points = coverage_sweep([1.0, 1e12, 1e20], net, fading, 0.5)
+    for point in points:
         if point.error is None:
             assert 0.0 <= point.coverage <= 1.0
         else:
             assert point.error.startswith(("NumericalError", "ConsistencyError"))
-    assert coverage_probability(CoverageQuery(1e20, net, fading, 0.5)) == 0.0
+    assert points[2].coverage == 0.0

@@ -18,11 +18,7 @@ from uavcov.errors import DomainError, NumericalError, UnsupportedGeometryError
 from uavcov.interference import (
     _closed_phase_factor_expanded,
     closed_phase_factor,
-    laplace_derivative_jet,
     laplace_jets,
-    laplace_transform,
-    laplace_transform_phase_sum,
-    phase_laplace_factor,
     power_segment_integral,
     scaled_phase_jets,
     segment_scheme,
@@ -32,6 +28,26 @@ from uavcov.interference import (
 
 def net_with(M=2, h0=10.0, alpha=2.0):
     return NetworkConfig(40.0, 30.0, h0, M, alpha)
+
+
+def phase_factors(s_values, m, net):
+    """(static, moving) phase factors at every s, from one kernel call;
+    a failed row raises its error."""
+    coeffs, failures = scaled_phase_jets(s_values, m, 0, net)
+    for failure in failures:
+        if failure is not None:
+            raise failure
+    return coeffs[:, :, 0].tolist()
+
+
+def transform(s_values, net, fading, p_stay):
+    """L_I at every s, from one order-0 laplace_jets call; a failed row
+    raises its error."""
+    rows = laplace_jets(s_values, 0, net, fading, p_stay)
+    for row in rows:
+        if isinstance(row, Exception):
+            raise row
+    return [row[0][0] for row in rows]
 
 
 NET = net_with()
@@ -71,7 +87,7 @@ class TestSegmentScheme:
         with pytest.raises(UnsupportedGeometryError):
             segment_scheme(tall)
         with pytest.raises(UnsupportedGeometryError):
-            phase_laplace_factor("static", 1.0, 1, tall)
+            closed_phase_factor("static", 1.0, 1, tall)
 
 
 class TestPowerSegmentIntegral:
@@ -141,24 +157,21 @@ class TestShellSegmentIntegral:
 
 
 class TestPhaseFactor:
-    def test_unit_at_zero(self):
-        for phase in ("static", "moving"):
-            assert phase_laplace_factor(phase, 0.0, 3, NET) == 1.0
-
     @pytest.mark.parametrize("phase", ["static", "moving"])
     def test_monotone_non_increasing(self, phase):
-        values = [phase_laplace_factor(phase, s, 1, NET)
-                  for s in np.logspace(-2, 7, 30)]
+        p = ("static", "moving").index(phase)
+        values = [row[p] for row in phase_factors(np.logspace(-2, 7, 30), 1, NET)]
         assert all(x >= y for x, y in zip(values, values[1:]))
         assert all(0 < v <= 1 for v in values)
 
     @pytest.mark.parametrize("phase", ["static", "moving"])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_closed_matches_quadrature(self, phase, m):
-        for s in np.logspace(-2, 6, 9):
-            closed = closed_phase_factor(phase, float(s), m, NET)
-            quad = phase_laplace_factor(phase, float(s), m, NET)
-            assert abs(closed - quad) / quad <= 1e-8
+        p = ("static", "moving").index(phase)
+        s_values = np.logspace(-2, 6, 9)
+        for s, row in zip(s_values.tolist(), phase_factors(s_values, m, NET)):
+            closed = closed_phase_factor(phase, s, m, NET)
+            assert abs(closed - row[p]) / row[p] <= 1e-8
 
     @pytest.mark.parametrize("phase", ["static", "moving"])
     def test_collapsed_matches_expanded_binomial_sum(self, phase):
@@ -177,11 +190,11 @@ class TestPhaseFactor:
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
-            phase_laplace_factor("static", -1.0, 1, NET)
+            closed_phase_factor("static", -1.0, 1, NET)
         with pytest.raises(DomainError):
-            phase_laplace_factor("static", 1.0, 0, NET)
+            closed_phase_factor("static", 1.0, 0, NET)
         with pytest.raises(DomainError):
-            phase_laplace_factor("parked", 1.0, 1, NET)
+            closed_phase_factor("parked", 1.0, 1, NET)
 
 
     @pytest.mark.parametrize("m", [2, 8, 12])
@@ -192,61 +205,65 @@ class TestPhaseFactor:
         oracle = _bench_oracle()
         net = NetworkConfig(100.0, 5.0, 10.0, 2, 2.0)
         geo = oracle.Geometry(net.radius, net.height, net.serving_altitude, 2.0)
-        for s in np.logspace(-3, 9, 13):
-            ref = oracle.phase_derivatives(float(s), m, 0, geo, nodes=64)
-            for phase in ("static", "moving"):
-                got = phase_laplace_factor(phase, float(s), m, net)
+        s_values = np.logspace(-3, 9, 13)
+        for s, row in zip(s_values.tolist(), phase_factors(s_values, m, net)):
+            ref = oracle.phase_derivatives(s, m, 0, geo, nodes=64)
+            for phase, got in zip(("static", "moving"), row):
                 assert abs(got - ref[phase][0]) <= 1e-13 * ref[phase][0], (phase, s)
 
 
 class TestLaplaceTransform:
     def test_no_interferers(self):
-        assert laplace_transform(5.0, net_with(M=0), FadingConfig(1, 1), 0.4) == 1.0
-
-    def test_unit_at_zero(self):
-        assert laplace_transform(0.0, NET, FadingConfig(1, 1), 0.4) == 1.0
+        assert transform([5.0], net_with(M=0), FadingConfig(1, 1), 0.4) == [1.0]
 
     def test_many_interferers_at_a_vanishing_argument(self):
         """2000 interferers at s = 1e-30: every factor rounds to about 1, and
         so must their 2000th power (the scaling by a_0^M must not underflow)."""
-        L = laplace_transform(1e-30, net_with(M=2000), FadingConfig(1, 1), 0.5)
+        (L,) = transform([1e-30], net_with(M=2000), FadingConfig(1, 1), 0.5)
         assert L == pytest.approx(1.0, abs=1e-9)
 
     def test_phase_sum_equals_power_form(self, rng):
+        """L_I of a laplace_jets row against the binomial sum over the
+        dwelling count of that row's phase factors."""
         for M in range(1, 11):
             net = net_with(M=M)
             for _ in range(3):
                 s = float(10 ** rng.uniform(-1, 4))
                 p = float(rng.uniform(0, 1))
                 fading = FadingConfig(1, int(rng.integers(1, 4)))
-                power = laplace_transform(s, net, fading, p)
-                summed = laplace_transform_phase_sum(s, net, fading, p)
+                ((power,), static, moving), = laplace_jets([s], 0, net, fading, p)
+                summed = validation._laplace_transform_phase_sum(static, moving, M, p)
                 assert abs(power - summed) / power <= 1e-13
 
     def test_monotone_and_bounded(self):
-        fading = FadingConfig(1, 2)
-        vals = [laplace_transform(s, NET, fading, 0.5)
-                for s in np.logspace(-2, 6, 50)]
+        vals = transform(np.logspace(-2, 6, 50), NET, FadingConfig(1, 2), 0.5)
         assert all(0 < v <= 1 for v in vals)
         assert all(x >= y for x, y in zip(vals, vals[1:]))
 
     def test_stay_probability_validated(self):
         with pytest.raises(DomainError):
-            laplace_transform(1.0, NET, FadingConfig(1, 1), 1.2)
+            laplace_jets([1.0], 0, NET, FadingConfig(1, 1), 1.2)
 
 
 def exact_power(a, n):
-    """Taylor coefficients of f^n, truncated at len(a), in rational arithmetic."""
+    """Taylor coefficients of f^n, truncated at len(a), exactly.
+
+    Every float is an integer over a power of 2, so the coefficients are
+    integers A_j over one common 2^D; f^n is then the integer polynomial
+    (sum A_j x^j)^n over 2^(nD), and no rational arithmetic runs until the
+    final Fractions."""
     def times(f, g):
         return [sum(f[j] * g[k - j] for j in range(k + 1)) for k in range(len(f))]
 
-    a = [Fraction(x) for x in a]
-    out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    D = max(Fraction(x).denominator.bit_length() - 1 for x in a)
+    base = [int(Fraction(x) * 2**D) for x in a]
+    out = [1] + [0] * (len(a) - 1)
+    denominator = 2 ** (n * D)
     while n:
         if n & 1:
-            out = times(out, a)
-        a, n = times(a, a), n >> 1
-    return out
+            out = times(out, base)
+        base, n = times(base, base), n >> 1
+    return [Fraction(c, denominator) for c in out]
 
 
 @pytest.mark.parametrize("alpha", [2.0, 3.0, 7.5])
@@ -330,47 +347,49 @@ def test_thousands_of_interferers_give_a_finite_jet_at_every_threshold():
 
 
 class TestDerivativeJet:
+    """laplace_jets' scaled jet, c_k = (-s0)^k L_I^(k)(s0) / k!."""
+
     def test_order_zero_equals_transform(self):
-        fading = FadingConfig(1, 1)
-        jet = laplace_derivative_jet(100.0, 0, NET, fading, 0.5)
-        assert jet.value == laplace_transform(100.0, NET, fading, 0.5)
+        """At order 0 the jet is L_I(s0), the M-th power of the mixture of
+        the row's own phase factors."""
+        ((L,), static, moving), = laplace_jets([100.0], 0, NET, FadingConfig(1, 1), 0.5)
+        assert L == pytest.approx((0.5 * static + 0.5 * moving) ** 2, rel=1e-15)
 
     def test_no_interferers_is_constant_one(self):
-        jet = laplace_derivative_jet(3.0, 4, net_with(M=0), FadingConfig(1, 1), 0.5)
-        assert jet.coeffs.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+        (row,) = laplace_jets([3.0], 4, net_with(M=0), FadingConfig(1, 1), 0.5)
+        assert row[0] == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("m_i,p_stay", [(1, 0.5), (2, 0.3), (3, 0.9)])
     def test_first_derivative_matches_finite_difference(self, m_i, p_stay):
         fading = FadingConfig(1, m_i)
         s0 = 100.0
-        jet = laplace_derivative_jet(s0, 1, NET, fading, p_stay)
+        ((_, c1), _, _), = laplace_jets([s0], 1, NET, fading, p_stay)
         delta = 1e-5 * s0
-        fd = (laplace_transform(s0 + delta, NET, fading, p_stay)
-              - laplace_transform(s0 - delta, NET, fading, p_stay)) / (2 * delta)
-        assert jet.derivative(1) == pytest.approx(fd, rel=1e-5)
+        up, down = transform([s0 + delta, s0 - delta], NET, fading, p_stay)
+        assert -c1 / s0 == pytest.approx((up - down) / (2 * delta), rel=1e-5)
 
     def test_second_derivative_matches_finite_difference(self):
         fading = FadingConfig(1, 1)
         s0 = 200.0
-        jet = laplace_derivative_jet(s0, 2, NET, fading, 0.5)
+        ((_, _, c2), _, _), = laplace_jets([s0], 2, NET, fading, 0.5)
         delta = 3e-4 * s0
-        L = lambda s: laplace_transform(s, NET, fading, 0.5)
-        fd = (L(s0 + delta) - 2 * L(s0) + L(s0 - delta)) / delta**2
-        assert jet.derivative(2) == pytest.approx(fd, rel=1e-5)
+        up, mid, down = transform([s0 + delta, s0, s0 - delta], NET, fading, 0.5)
+        fd = (up - 2 * mid + down) / delta**2
+        assert 2 * c2 / s0**2 == pytest.approx(fd, rel=1e-5)
 
     def test_single_interferer_rayleigh_signs_alternate(self):
         """One interferer with unit shape: the transform is completely
-        monotone, so Taylor coefficients alternate in sign through order 3."""
-        jet = laplace_derivative_jet(50.0, 3, net_with(M=1), FadingConfig(1, 1), 0.5)
-        signs = np.sign(jet.coeffs)
+        monotone, so Taylor coefficients alternate in sign through order 3,
+        and every scaled coefficient is positive."""
+        (row,) = laplace_jets([50.0], 3, net_with(M=1), FadingConfig(1, 1), 0.5)
+        signs = np.sign(np.array(row[0]) * (-1.0) ** np.arange(4))
         assert signs.tolist() == [1.0, -1.0, 1.0, -1.0]
 
     def test_quadrature_failure_names_offending_order(self, monkeypatch):
         # Two nodes per panel against four: the error estimate far exceeds 1e-10.
         monkeypatch.setattr(interference, "_GL_NODES", 2)
-        with pytest.raises(NumericalError) as info:
-            laplace_derivative_jet(100.0, 2, NET, FadingConfig(1, 1), 0.5)
-        assert "k=" in str(info.value)
+        (row,) = laplace_jets([100.0], 2, NET, FadingConfig(1, 1), 0.5)
+        assert isinstance(row, NumericalError) and "k=" in str(row)
 
 
 def _bench_oracle():
@@ -602,7 +621,7 @@ def test_rows_of_one_bottom_over_several_grids_equal_their_threshold_alone(monke
 def test_threshold_with_vanishing_s_over_m_fails_its_row_alone():
     """s/m = 0 (1e-323 / 6 rounds to 0) leaves the row no length scale: it
     fails with a DomainError naming s and m, and the other rows are those
-    of a call without it.  phase_laplace_factor raises that error."""
+    of a call without it.  laplace_jets returns that error in the row."""
     net = NetworkConfig(40.0, 30.0, 1.0, 8, 2.0)
     good, _ = scaled_phase_jets([1.0, 2.0], 6, 0, net)
     coeffs, failures = scaled_phase_jets([1.0, 1e-323, 2.0], 6, 0, net)
@@ -613,8 +632,8 @@ def test_threshold_with_vanishing_s_over_m_fails_its_row_alone():
     assert np.isnan(coeffs[1]).all()
     (_,), (only,) = scaled_phase_jets([1e-323], 6, 0, net)
     assert isinstance(only, DomainError)
-    with pytest.raises(DomainError, match="m=6"):
-        phase_laplace_factor("static", 1e-323, 6, net)
+    (row,) = laplace_jets([1e-323], 0, net, FadingConfig(1, 6), 0.5)
+    assert isinstance(row, DomainError) and "m=6" in str(row)
 
 
 def test_vanishing_threshold_fails_its_row_without_a_warning():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -265,7 +266,8 @@ class TestAnalyzeCommand:
 
         def last_row_fails(psi_values, *args):
             points = sweep(psi_values, *args)
-            failed = SweepPoint(points[-1].psi, math.nan, error="NumericalError: planted")
+            failed = SweepPoint(points[-1].psi, math.nan, points[-1].s0,
+                                error="NumericalError: planted")
             return points[:-1] + [failed]
 
         monkeypatch.setattr(cli, "coverage_sweep", last_row_fails)
@@ -285,10 +287,14 @@ class TestAnalyzeCommand:
 
     def test_overflowing_transform_argument_is_null_in_strict_json(self, tmp_path):
         """At 3080 dB the threshold is finite but s0 = m0 psi h0^alpha is
-        not: the row fails, and the JSON table writes null for its s0."""
+        not: the row fails, the JSON table writes null for its s0, and
+        nothing warns on the way."""
         out_json = tmp_path / "cov.json"
-        assert main(["analyze", "--scenario", str(BASELINE), "--out", str(tmp_path / "cov.csv"),
-                     "--json", str(out_json), "--psi-db", "0,3080"]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--scenario", str(BASELINE), "--out",
+                         str(tmp_path / "cov.csv"), "--json", str(out_json),
+                         "--psi-db", "0,3080"]) == 0
         rows = json.loads(out_json.read_text(), parse_constant=reject)["rows"]
         assert rows[0]["laplace_s"] == 100.0 and rows[0]["status"] == "ok"
         assert rows[1]["laplace_s"] is None and rows[1]["p_cov"] is None
@@ -585,13 +591,13 @@ def test_init_writes_loadable_template(tmp_path):
 
 def test_cli_import_leaves_out_the_validation_suite(tmp_path):
     """Only `validate` needs the suite and scipy: importing the CLI loads
-    neither, and `analyze` and `simulate` run where scipy cannot be
-    imported at all."""
+    neither, nor the unused jet arithmetic (uavcov.taylor), and `analyze`
+    and `simulate` run where scipy cannot be imported at all."""
     src = os.path.dirname(os.path.dirname(uavcov.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, uavcov.cli; print([m for m in ('uavcov.validation', "
-            "'scipy.stats', 'scipy') if m in sys.modules])")
+            "'uavcov.taylor', 'scipy.stats', 'scipy') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert out.strip() == "[]"

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from uavcov.config import FadingConfig, MobilityConfig, NetworkConfig
-from uavcov.coverage import CoverageQuery, coverage_probability
+from uavcov.coverage import coverage_sweep
 from uavcov.errors import ConfigurationError
 from uavcov.simulator import (
     UavState,
@@ -214,11 +214,9 @@ class TestCampaign:
     def test_campaign_agrees_with_analysis_at_small_scale(self):
         res = run_campaign(NET, FAD, MOB, 60_000, seed=27,
                            chains=50, replications=2)
-        psi = res.psi_grid
-        analytical = np.array([
-            coverage_probability(CoverageQuery(float(p), NET, FAD, res.stay_probability))
-            for p in psi
-        ])
+        points = coverage_sweep(res.psi_grid.tolist(), NET, FAD, res.stay_probability)
+        assert all(p.error is None for p in points)
+        analytical = np.array([p.coverage for p in points])
         assert np.max(np.abs(res.coverage() - analytical)) < 0.02
 
 
