@@ -12,7 +12,7 @@ from .config import (
     derive_stay_probability,
     resolve_fading_bands,
 )
-from .coverage import SweepPoint, coverage_sweep
+from .coverage import Sweep, coverage_sweep
 from .distributions import AltitudeDistribution, DistanceDistribution
 from .errors import (
     ConfigurationError,
@@ -46,7 +46,7 @@ __all__ = [
     "MobilityConfig",
     "NetworkConfig",
     "NumericalError",
-    "SweepPoint",
+    "Sweep",
     "UavState",
     "UnsupportedGeometryError",
     "coverage_sweep",

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 
@@ -61,35 +62,24 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
     return replace(sc, **changes) if changes else sc
 
 
-def _coverage_rows(sc: Scenario):
+def _coverage_columns(sc: Scenario):
+    """The coverage table of sc as columns of plain values (psi_db,
+    psi_linear, p_cov, laplace_s, phi_static, phi_moving, status), from one
+    coverage sweep, and the stay probability it ran at."""
     p_stay = derive_stay_probability(sc.mobility, sc.network)
-    points = coverage_sweep(sc.psi_grid_linear(), sc.network, sc.fading, p_stay)
-    rows = []
-    for psi_db, point in zip(sc.psi_grid_db, points):
-        if point.error is None:
-            phi_st, phi_mo, status = point.phi_static, point.phi_moving, "ok"
-        else:
-            phi_st = phi_mo = math.nan
-            status = point.error.replace(",", ";")
-        rows.append((psi_db, point.psi, point.coverage, point.s0, phi_st, phi_mo, status))
-    return rows, p_stay
-
-
-def _write_coverage_csv(path: str, rows) -> None:
-    lines = [COVERAGE_CSV_HEADER,
-             "psi_db,psi_linear,p_cov,laplace_s,phi_static,phi_moving,status"]
-    for psi_db, psi, cov, s0, phi_st, phi_mo, status in rows:
-        lines.append(
-            f"{psi_db:.10g},{psi:.12g},{cov:.12g},{s0:.12g},"
-            f"{phi_st:.12g},{phi_mo:.12g},{status}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    sweep = coverage_sweep(sc.psi_grid_linear(), sc.network, sc.fading, p_stay)
+    status = ["ok" if error is None else error.replace(",", ";") for error in sweep.errors]
+    return (sc.psi_grid_db, sweep.psi.tolist(), sweep.coverage.tolist(), sweep.s0.tolist(),
+            sweep.phi_static.tolist(), sweep.phi_moving.tolist(), status), p_stay
 
 
 def cmd_analyze(args) -> int:
     sc = _apply_overrides(load_scenario(args.scenario), args)
-    rows, p_stay = _coverage_rows(sc)
-    _write_coverage_csv(args.out, rows)
+    columns, p_stay = _coverage_columns(sc)
+    lines = map("%.10g,%.12g,%.12g,%.12g,%.12g,%.12g,%s".__mod__, zip(*columns))
+    atomic_write_text(args.out, "\n".join([
+        COVERAGE_CSV_HEADER, "psi_db,psi_linear,p_cov,laplace_s,phi_static,phi_moving,status",
+        *lines]) + "\n")
     if args.json:
         doc = {
             "format": "uavcov coverage-table v1",
@@ -97,17 +87,17 @@ def cmd_analyze(args) -> int:
             "stay_probability": p_stay,
             "rows": [
                 {
-                    "psi_db": r[0], "psi_linear": r[1], "p_cov": _statistic(r[2]),
-                    "laplace_s": _statistic(r[3]), "phi_static": _statistic(r[4]),
-                    "phi_moving": _statistic(r[5]), "status": r[6],
+                    "psi_db": psi_db, "psi_linear": psi, "p_cov": _statistic(cov),
+                    "laplace_s": _statistic(s0), "phi_static": _statistic(phi_st),
+                    "phi_moving": _statistic(phi_mo), "status": status,
                 }
-                for r in rows
+                for psi_db, psi, cov, s0, phi_st, phi_mo, status in zip(*columns)
             ],
         }
         atomic_write_text(
             args.json, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
         )
-    print(f"wrote coverage table for {len(rows)} thresholds to {args.out}")
+    print(f"wrote coverage table for {len(columns[0])} thresholds to {args.out}")
     return EXIT_OK
 
 
@@ -148,8 +138,8 @@ def cmd_simulate(args) -> int:
     if sc.fading.altitude_dependent:
         analytical = "n/a (simulation-only)"
     else:
-        rows, _ = _coverage_rows(sc)
-        analytical = [_statistic(r[2]) for r in rows]
+        columns, _ = _coverage_columns(sc)
+        analytical = list(map(_statistic, columns[2]))
     summary = {
         "format": "uavcov campaign-summary v1",
         "scenario": scenario_to_dict(sc),
@@ -231,10 +221,9 @@ def cmd_sweep(args) -> int:
     for value in values:
         doc = scenario_to_dict(sc)
         _set_by_dotted_path(doc, args.param, value)
-        variant = scenario_from_dict(doc)
-        rows, _ = _coverage_rows(variant)
-        for psi_db, psi, cov, _s0, _st, _mo, status in rows:
-            lines.append(f"{args.param},{value},{psi_db:.10g},{psi:.12g},{cov:.12g},{status}")
+        psi_db, psi, cov, _, _, _, status = _coverage_columns(scenario_from_dict(doc))[0]
+        lines += map("%s,%s,%.10g,%.12g,%.12g,%s".__mod__,
+                     zip(repeat(args.param), repeat(value), psi_db, psi, cov, status))
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote sweep over {args.param} ({len(values)} values) to {args.out}")
     return EXIT_OK

@@ -27,7 +27,7 @@ from .config import FadingConfig, NetworkConfig
 from .errors import ConfigurationError, ConsistencyError
 from .interference import laplace_jets
 
-__all__ = ["SweepPoint", "coverage_sweep", "transform_argument"]
+__all__ = ["Sweep", "coverage_sweep", "transform_argument"]
 
 _CLAMP_EPS = 1e-10
 
@@ -39,21 +39,22 @@ def transform_argument(psi, net: NetworkConfig, fading: FadingConfig):
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    """One row of a threshold sweep; error is None unless the point failed.
+class Sweep:
+    """A threshold sweep as columns, one row per threshold of the grid.
 
-    s0 is the row's transform argument, also on failed rows.  phi_static
-    and phi_moving are the phase factors at s0, as evaluated for the
-    coverage (also when the network has no interferers); they are None on
-    failed rows only.
+    psi, coverage, s0 (the transform argument, also on failed rows),
+    phi_static and phi_moving (the phase factors at s0, as evaluated for
+    the coverage, also when the network has no interferers) are float
+    arrays; coverage and the phase factors are NaN on failed rows.
+    errors[i] is None, or the text of row i's error.
     """
 
-    psi: float
-    coverage: float
-    s0: float
-    error: str | None = None
-    phi_static: float | None = None
-    phi_moving: float | None = None
+    psi: np.ndarray
+    coverage: np.ndarray
+    s0: np.ndarray
+    phi_static: np.ndarray
+    phi_moving: np.ndarray
+    errors: list[str | None]
 
 
 def coverage_sweep(
@@ -61,7 +62,7 @@ def coverage_sweep(
     net: NetworkConfig,
     fading: FadingConfig,
     stay_probability: float,
-) -> list[SweepPoint]:
+) -> Sweep:
     """The coverage probability at every linear threshold of a grid.
 
     Output order follows the input grid, and every threshold above 0 goes
@@ -78,26 +79,35 @@ def coverage_sweep(
     with np.errstate(over="ignore"):  # an s0 beyond the float range is inf and fails its row
         s0 = transform_argument(psi, net, fading)
     valid = psi > 0
+    every = np.count_nonzero(valid) == psi.size
     m0 = int(fading.serving_m)
-    rows = iter(laplace_jets(s0[valid], m0 - 1, net, fading, stay_probability))
-    points = []
-    for x, s, ok in zip(psi_values, s0.tolist(), valid.tolist()):
-        row = next(rows) if ok else ConfigurationError(
-            f"SIR threshold must be > 0 (linear), got {x}")
-        if not isinstance(row, Exception):
-            # row[0][k] = (-s0)^k L^(k)(s0)/k!, so the coverage sum is their
-            # plain sum.  L_I is completely monotone, so every term is >= 0
-            # and the sum does not cancel.
-            p = math.fsum(row[0])
-            if -_CLAMP_EPS <= p < 0.0:
-                p = 0.0
-            elif 1.0 < p <= 1.0 + _CLAMP_EPS:
-                p = 1.0
-            elif p < 0.0 or p > 1.0:
-                row = ConsistencyError(f"coverage probability {p} outside [0, 1] by more "
-                                       f"than round-off (psi={x}, m0={m0})")
-        if isinstance(row, Exception):
-            points.append(SweepPoint(x, math.nan, s, error=f"{type(row).__name__}: {row}"))
-        else:
-            points.append(SweepPoint(x, p, s, phi_static=row[1], phi_moving=row[2]))
-    return points
+    jets, phi, failures = laplace_jets(s0 if every else s0[valid], m0 - 1, net, fading,
+                                       stay_probability)
+    # jets[i, k] = (-s0)^k L^(k)(s0)/k!, so the coverage sum is their plain
+    # sum, exactly rounded.  L_I is completely monotone, so every term is
+    # >= 0 and the sum does not cancel.  Failed rows are NaN and stay so.
+    sums = list(map(math.fsum, jets.tolist()))
+    coverage = np.array(sums, dtype=float)
+    # min and max pass over NaN unless it comes first, which only sends the
+    # grid through the array check below.
+    if sums and not 0.0 <= min(sums) <= max(sums) <= 1.0:
+        outside = np.flatnonzero((coverage < -_CLAMP_EPS) | (coverage > 1.0 + _CLAMP_EPS))
+        grid_rows = np.flatnonzero(valid)
+        for i in outside.tolist():
+            failures[i] = ConsistencyError(
+                f"coverage probability {sums[i]} outside [0, 1] by more than round-off "
+                f"(psi={psi_values[grid_rows[i]]}, m0={m0})")
+        coverage[outside] = phi[outside] = math.nan
+        np.minimum(coverage, 1.0, out=coverage)  # within round-off of [0, 1]: onto it
+        np.maximum(coverage, 0.0, out=coverage)
+    errors = [None if failure is None else f"{type(failure).__name__}: {failure}"
+              for failure in failures]
+    if not every:  # a threshold not above 0 fails its row without a kernel call
+        spread = np.full((psi.size, 3), math.nan)
+        spread[valid, 0], spread[valid, 1:] = coverage, phi
+        coverage, phi = spread[:, 0], spread[:, 1:]
+        kernel_errors = iter(errors)
+        errors = [next(kernel_errors) if ok else
+                  f"ConfigurationError: SIR threshold must be > 0 (linear), got {x}"
+                  for x, ok in zip(psi_values, valid.tolist())]
+    return Sweep(psi, coverage, s0, phi[:, 0], phi[:, 1], errors)

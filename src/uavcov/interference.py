@@ -353,8 +353,11 @@ def _panel_edges(s: float, m: int, order: int, net: NetworkConfig) -> np.ndarray
     below that scale (or below the top, when the scale lies beyond it).
     H and R are edges too, since the pdf changes piece there.  The oracle
     of _panel_plan, which builds the same edges once per ladder bottom; no
-    production path calls it.
+    production path calls it.  Where s/m is not above 0 there is no length
+    scale and no ladder: it raises the kernel's DomainError for that s.
     """
+    if not s / m > 0:
+        raise _no_length_scale(s, m)
     R, H, alpha = net.radius, net.height, net.path_loss_exponent
     w_max = math.hypot(R, H)
     per_doubling = math.ceil(alpha * (m + order) / _PANELS_PER_STEEPNESS)
@@ -363,6 +366,11 @@ def _panel_edges(s: float, m: int, order: int, net: NetworkConfig) -> np.ndarray
     highest = math.ceil(per_doubling * math.log2(w_max))
     ladder = (math.exp2(j / per_doubling) for j in range(lowest, highest))
     return np.array(sorted({0.0, H, R, w_max, *(w for w in ladder if w < w_max)}))
+
+
+def _no_length_scale(s: float, m: int) -> DomainError:
+    """The error of a row whose s/m is not above 0, which has no ladder."""
+    return DomainError(f"Gauss-Legendre kernel needs s/m > 0, got s={s:.17g}, m={m}")
 
 
 def _ladder_edges(ladder: list[int], per_doubling: int, net: NetworkConfig):
@@ -451,8 +459,7 @@ def scaled_phase_jets(s, m: int, order: int, net: NetworkConfig):
     del row_sets  # by_bottom is the one array per row that the call keeps
     for i in by_bottom[:bounds[0]].tolist():
         coeffs[i] = math.nan
-        failures[i] = DomainError(
-            f"Gauss-Legendre kernel needs s/m > 0, got s={s[i]:.17g}, m={m}")
+        failures[i] = _no_length_scale(s[i], m)
     if not columns:
         return coeffs, failures
     w_alpha_top = (net.radius * net.radius + net.height**2) ** (net.path_loss_exponent / 2.0)
@@ -611,16 +618,17 @@ def _series_power(a: np.ndarray, n: int) -> np.ndarray:
 def laplace_jets(s0, order: int, net: NetworkConfig, fading: FadingConfig, p_stay: float):
     """Scaled Taylor jet of L_I and the two phase factors at every s0.
 
-    Returns one entry per s0: either (coeffs, phi_static, phi_moving), with
-    coeffs[k] = (-s0)^k L_I^(k)(s0) / k! for k = 0..order, or the kernel's
-    error for that s0 alone: a NumericalError, or a DomainError where s0/m
-    is not above 0.  Every coeffs[k] is >= 0 (L_I is completely monotone)
-    and their sum is at most 1.  One Gauss-Legendre kernel call
-    (scaled_phase_jets) gives both phases' scaled jets at every s0 and
-    exponent, the phase factors being their order-0 terms; their mixture,
-    one (rows, order + 1) array for the grid, goes through the M-th power by
-    _series_power.  The kernel runs at every M: with no interferers the jet
-    is the constant [1, 0, ...], and the phase factors are still those at s0.
+    Returns (jets, phi, failures), one row per s0.  jets[i, k] =
+    (-s0_i)^k L_I^(k)(s0_i) / k! for k = 0..order, and phi[i] holds the
+    static and moving phase factors at s0_i.  failures[i] is None, or the
+    kernel's error for s0_i alone: a NumericalError, or a DomainError where
+    s0_i/m is not above 0; that row of jets and phi is NaN.  Every jets[i, k]
+    is >= 0 (L_I is completely monotone) and their sum is at most 1.  One
+    Gauss-Legendre kernel call (scaled_phase_jets) gives both phases' scaled
+    jets at every s0 and exponent, the phase factors being their order-0
+    terms; their mixture goes through the M-th power by _series_power.  The
+    kernel runs at every M: with no interferers the jet is the constant
+    [1, 0, ...], and the phase factors are still those at s0.
     """
     if order < 0 or int(order) != order:
         raise DomainError(f"jet order must be a non-negative integer, got {order}")
@@ -634,6 +642,8 @@ def laplace_jets(s0, order: int, net: NetworkConfig, fading: FadingConfig, p_sta
     else:
         jets = np.zeros((s0.size, order + 1))
         jets[:, 0] = 1.0
-    return [(jet, static, moving) if failure is None else failure
-            for jet, (static, moving), failure
-            in zip(jets.tolist(), coeffs[:, :, 0].tolist(), failures)]
+    phi = coeffs[:, :, 0]
+    failed = [i for i, failure in enumerate(failures) if failure is not None]
+    if failed:
+        jets[failed] = phi[failed] = math.nan
+    return jets, phi, failures

@@ -40,7 +40,7 @@ from .distributions import AltitudeDistribution, DistanceDistribution
 from .scenario import Scenario
 from . import simulator
 from .simulator import run_campaign
-from .errors import ConsistencyError, NumericalError
+from .errors import ConsistencyError, DomainError, NumericalError
 from .special import _gauss_series, _large_z, _pfaff, hyp2f1
 
 __all__ = ["CheckResult", "check_analysis_vs_simulation", "check_binomial_collapse",
@@ -267,9 +267,9 @@ def check_trivial_anchors(net, fading, p_stay: float) -> CheckResult:
     at a = 0 and at z = 0, and each phase's distance cdf 0 at 0 and 1 at the
     top of its support."""
     no_interferers = dataclasses.replace(net, n_interferers=0)
-    (point,) = coverage_sweep([2.0], no_interferers, fading, p_stay)
+    sweep = coverage_sweep([2.0], no_interferers, fading, p_stay)
     checks = {
-        "P_cov(M=0)": point.coverage == 1.0,
+        "P_cov(M=0)": sweep.coverage.tolist() == [1.0],
         "2F1(a=0)": hyp2f1(0, 1.5, 2.5, -9.0) == 1.0,
         "2F1(z=0)": hyp2f1(4, 2.5, 3.5, 0.0) == 1.0,
     }
@@ -444,8 +444,11 @@ def ladder_rows_apart(s_values, m: int, order: int, net) -> list[float]:
         np.asarray(s_values, dtype=float), m, order, net)
     apart = []
     for s, j in zip(s_values, row_sets.tolist()):
-        alone = itertools.pairwise(interference._panel_edges(s, m, order, net).tolist())
-        if [panels[c] for c in columns[j]] != list(alone):
+        try:
+            alone = list(itertools.pairwise(interference._panel_edges(s, m, order, net).tolist()))
+        except DomainError:  # s/m not above 0: no ladder, as row_sets must say
+            alone = None
+        if (None if j < 0 else [panels[c] for c in columns[j]]) != alone:
             apart.append(float(s))
     return apart
 
@@ -503,10 +506,10 @@ def check_binomial_collapse(net, fading, max_m: int, per_m: int, log10_s,
         for _ in range(per_m):
             s = float(10 ** rng.uniform(*log10_s))
             p = float(rng.uniform(0.0, 1.0))
-            (row,) = interference.laplace_jets([s], 0, trial_net, fading, p)
-            if isinstance(row, Exception):
-                return CheckResult("binomial-collapse", False, f"kernel failed: {row}")
-            (power,), phi_static, phi_moving = row
+            jets, phi, (failure,) = interference.laplace_jets([s], 0, trial_net, fading, p)
+            if failure is not None:
+                return CheckResult("binomial-collapse", False, f"kernel failed: {failure}")
+            ((power,),), ((phi_static, phi_moving),) = jets.tolist(), phi.tolist()
             summed = _laplace_transform_phase_sum(phi_static, phi_moving, M, p)
             worst = max(worst, abs(power - summed) / power)
     return CheckResult(
@@ -523,14 +526,15 @@ def check_derivative_jet(net, p_stay: float, cases) -> CheckResult:
     gaps = []
     for fading, s0 in cases:
         h1, h2 = 1e-5 * s0, 3e-4 * s0
-        rows = (interference.laplace_jets([s0], 2, net, fading, p_stay)
-                + interference.laplace_jets([s0 + h1, s0 - h1, s0 + h2, s0, s0 - h2], 0, net,
-                                            fading, p_stay))
-        failed = [row for row in rows if isinstance(row, Exception)]
+        jet, _, jet_failures = interference.laplace_jets([s0], 2, net, fading, p_stay)
+        steps, _, step_failures = interference.laplace_jets(
+            [s0 + h1, s0 - h1, s0 + h2, s0, s0 - h2], 0, net, fading, p_stay)
+        failed = [f for f in jet_failures + step_failures if f is not None]
         if failed:
             return CheckResult("derivative-jet", False, f"kernel failed: {failed[0]}")
         # The jet's coefficient k is (-s0)^k L_I^(k)(s0) / k!.
-        (_, c1, c2), (up1,), (down1,), (up2,), (mid,), (down2,) = [row[0] for row in rows]
+        (_, c1, c2), = jet.tolist()
+        up1, down1, up2, mid, down2 = steps[:, 0].tolist()
         inv = -1.0 / s0
         fd1 = (up1 - down1) / (2 * h1)
         fd2 = (up2 - 2 * mid + down2) / h2**2
@@ -592,12 +596,12 @@ def check_analysis_vs_simulation(cases, floor: float, k_se: float) -> CheckResul
     for net, fading, result in cases:
         label = (f"M={net.n_interferers},m0={fading.serving_m},m1={fading.interferer_m},"
                  f"h0={net.serving_altitude:g}")
-        points = coverage_sweep(result.psi_grid.tolist(), net, fading, result.stay_probability)
-        failed = [p.error for p in points if p.error is not None]
+        sweep = coverage_sweep(result.psi_grid.tolist(), net, fading, result.stay_probability)
+        failed = [error for error in sweep.errors if error is not None]
         if failed:
             return CheckResult("analysis-vs-simulation", False,
                                f"analysis failed ({label}): {failed[0]}")
-        gap = np.abs(result.coverage() - [p.coverage for p in points])
+        gap = np.abs(result.coverage() - sweep.coverage)
         se = np.nan_to_num(result.coverage_se(), nan=0.0)
         tol = np.maximum(floor, k_se * se)
         ok &= bool((gap <= tol).all())

@@ -50,9 +50,9 @@ def report(criterion, passed, detail):
 
 
 def analytical_curve(psis, M, m0, m1, h0, p_stay):
-    points = coverage_sweep(psis, net_with(M, h0), FadingConfig(m0, m1), p_stay)
-    assert all(p.error is None for p in points), points
-    return np.array([p.coverage for p in points])
+    sweep = coverage_sweep(psis, net_with(M, h0), FadingConfig(m0, m1), p_stay)
+    assert sweep.errors == [None] * len(sweep.errors), sweep
+    return sweep.coverage
 
 
 @pytest.fixture(scope="module")
@@ -128,10 +128,10 @@ def test_criterion_7_reference_table_reproduction():
     net, fading = net_with(p["M"], p["h0"]), FadingConfig(p["m0"], p["m1"])
     worst = 0.0
     for stay, row in REFERENCE_TABLE.items():
-        points = coverage_sweep([10 ** (db / 10) for db in (-20, -10, 0, 10, 20, 30)],
-                                net, fading, stay)
-        for point, target in zip(points, row):
-            worst = max(worst, abs(point.coverage - target) / target)
+        sweep = coverage_sweep([10 ** (db / 10) for db in (-20, -10, 0, 10, 20, 30)],
+                               net, fading, stay)
+        for coverage, target in zip(sweep.coverage.tolist(), row):
+            worst = max(worst, abs(coverage - target) / target)
     # three significant figures demands rel error below 5e-4
     report("7 reference-table", worst <= 5e-4,
            f"recovered params {p}; worst rel dev {worst:.2e} over 12 table "
@@ -212,15 +212,16 @@ def test_criterion_13_kernel_coverage_vs_closed_form(p_stay):
     worst, worst_at, count = 0.0, None, 0
     for M, m1, h0, stay, psi_db in cases:
         net = net_with(M, h0)
-        for point in coverage_sweep(10 ** (psi_db / 10), net, FadingConfig(1, m1), stay):
-            s0 = point.psi * h0**2
+        sweep = coverage_sweep(10 ** (psi_db / 10), net, FadingConfig(1, m1), stay)
+        for psi, coverage in zip(sweep.psi.tolist(), sweep.coverage.tolist()):
+            s0 = psi * h0**2
             static, moving = (closed_phase_factor(phase, s0, m1, net)
                               for phase in ("static", "moving"))
             expected = (stay * static + (1.0 - stay) * moving) ** M
-            rel = abs(point.coverage - expected) / expected
+            rel = abs(coverage - expected) / expected
             count += 1
             if rel > worst:
-                worst, worst_at = rel, (M, m1, h0, float(point.psi))
+                worst, worst_at = rel, (M, m1, h0, psi)
     report("13 kernel-vs-closed-coverage", worst <= 1e-12,
            f"worst rel gap {worst:.2e} at (M, m1, h0, psi) = {worst_at} "
            f"(tol 1e-12, {count} thresholds)")

@@ -43,11 +43,11 @@ def phase_factors(s_values, m, net):
 def transform(s_values, net, fading, p_stay):
     """L_I at every s, from one order-0 laplace_jets call; a failed row
     raises its error."""
-    rows = laplace_jets(s_values, 0, net, fading, p_stay)
-    for row in rows:
-        if isinstance(row, Exception):
-            raise row
-    return [row[0][0] for row in rows]
+    jets, _, failures = laplace_jets(s_values, 0, net, fading, p_stay)
+    for failure in failures:
+        if failure is not None:
+            raise failure
+    return jets[:, 0].tolist()
 
 
 NET = net_with()
@@ -231,7 +231,8 @@ class TestLaplaceTransform:
                 s = float(10 ** rng.uniform(-1, 4))
                 p = float(rng.uniform(0, 1))
                 fading = FadingConfig(1, int(rng.integers(1, 4)))
-                ((power,), static, moving), = laplace_jets([s], 0, net, fading, p)
+                jets, phi, _ = laplace_jets([s], 0, net, fading, p)
+                ((power,),), ((static, moving),) = jets.tolist(), phi.tolist()
                 summed = validation._laplace_transform_phase_sum(static, moving, M, p)
                 assert abs(power - summed) / power <= 1e-13
 
@@ -282,8 +283,8 @@ def test_jet_matches_exact_power_of_the_phase_mixture(alpha):
             continue
         static, moving = coeffs[0].tolist()
         mix = [p * a + (1.0 - p) * b for a, b in zip(static, moving)]
-        (row,) = laplace_jets([s0], order, net, FadingConfig(1, m), p)
-        for k, (got, exact) in enumerate(zip(row[0], exact_power(mix, M))):
+        jets, _, _ = laplace_jets([s0], order, net, FadingConfig(1, m), p)
+        for k, (got, exact) in enumerate(zip(jets[0].tolist(), exact_power(mix, M))):
             if exact >= Fraction(sys.float_info.min):
                 assert abs(Fraction(got) - exact) <= Fraction(1e-13) * exact, (m, s0, M, k)
 
@@ -339,11 +340,12 @@ def test_thousands_of_interferers_give_a_finite_jet_at_every_threshold():
 
     net, fading = net_with(M=4000), FadingConfig(1, 2)
     s0 = np.logspace(-3, 9, 97)
-    for row in laplace_jets(s0, 3, net, fading, 0.5):
-        jet, _, _ = row
-        assert all(0.0 <= c <= 1.0 for c in jet)
-    for point in coverage_sweep(np.logspace(-6, 6, 49), net, FadingConfig(3, 2), 0.5):
-        assert point.error is None and 0.0 <= point.coverage <= 1.0, point
+    jets, _, failures = laplace_jets(s0, 3, net, fading, 0.5)
+    assert failures == [None] * s0.size
+    assert all(0.0 <= c <= 1.0 for c in jets.ravel().tolist())
+    sweep = coverage_sweep(np.logspace(-6, 6, 49), net, FadingConfig(3, 2), 0.5)
+    for coverage, error in zip(sweep.coverage.tolist(), sweep.errors):
+        assert error is None and 0.0 <= coverage <= 1.0, (coverage, error)
 
 
 class TestDerivativeJet:
@@ -352,18 +354,19 @@ class TestDerivativeJet:
     def test_order_zero_equals_transform(self):
         """At order 0 the jet is L_I(s0), the M-th power of the mixture of
         the row's own phase factors."""
-        ((L,), static, moving), = laplace_jets([100.0], 0, NET, FadingConfig(1, 1), 0.5)
+        jets, phi, _ = laplace_jets([100.0], 0, NET, FadingConfig(1, 1), 0.5)
+        ((L,),), ((static, moving),) = jets.tolist(), phi.tolist()
         assert L == pytest.approx((0.5 * static + 0.5 * moving) ** 2, rel=1e-15)
 
     def test_no_interferers_is_constant_one(self):
-        (row,) = laplace_jets([3.0], 4, net_with(M=0), FadingConfig(1, 1), 0.5)
-        assert row[0] == [1.0, 0.0, 0.0, 0.0, 0.0]
+        jets, _, _ = laplace_jets([3.0], 4, net_with(M=0), FadingConfig(1, 1), 0.5)
+        assert jets.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0]]
 
     @pytest.mark.parametrize("m_i,p_stay", [(1, 0.5), (2, 0.3), (3, 0.9)])
     def test_first_derivative_matches_finite_difference(self, m_i, p_stay):
         fading = FadingConfig(1, m_i)
         s0 = 100.0
-        ((_, c1), _, _), = laplace_jets([s0], 1, NET, fading, p_stay)
+        ((_, c1),) = laplace_jets([s0], 1, NET, fading, p_stay)[0].tolist()
         delta = 1e-5 * s0
         up, down = transform([s0 + delta, s0 - delta], NET, fading, p_stay)
         assert -c1 / s0 == pytest.approx((up - down) / (2 * delta), rel=1e-5)
@@ -371,7 +374,7 @@ class TestDerivativeJet:
     def test_second_derivative_matches_finite_difference(self):
         fading = FadingConfig(1, 1)
         s0 = 200.0
-        ((_, _, c2), _, _), = laplace_jets([s0], 2, NET, fading, 0.5)
+        ((_, _, c2),) = laplace_jets([s0], 2, NET, fading, 0.5)[0].tolist()
         delta = 3e-4 * s0
         up, mid, down = transform([s0 + delta, s0, s0 - delta], NET, fading, 0.5)
         fd = (up - 2 * mid + down) / delta**2
@@ -381,15 +384,15 @@ class TestDerivativeJet:
         """One interferer with unit shape: the transform is completely
         monotone, so Taylor coefficients alternate in sign through order 3,
         and every scaled coefficient is positive."""
-        (row,) = laplace_jets([50.0], 3, net_with(M=1), FadingConfig(1, 1), 0.5)
-        signs = np.sign(np.array(row[0]) * (-1.0) ** np.arange(4))
+        jets, _, _ = laplace_jets([50.0], 3, net_with(M=1), FadingConfig(1, 1), 0.5)
+        signs = np.sign(jets[0] * (-1.0) ** np.arange(4))
         assert signs.tolist() == [1.0, -1.0, 1.0, -1.0]
 
     def test_quadrature_failure_names_offending_order(self, monkeypatch):
         # Two nodes per panel against four: the error estimate far exceeds 1e-10.
         monkeypatch.setattr(interference, "_GL_NODES", 2)
-        (row,) = laplace_jets([100.0], 2, NET, FadingConfig(1, 1), 0.5)
-        assert isinstance(row, NumericalError) and "k=" in str(row)
+        _, _, (failure,) = laplace_jets([100.0], 2, NET, FadingConfig(1, 1), 0.5)
+        assert isinstance(failure, NumericalError) and "k=" in str(failure)
 
 
 def _bench_oracle():
@@ -632,8 +635,25 @@ def test_threshold_with_vanishing_s_over_m_fails_its_row_alone():
     assert np.isnan(coeffs[1]).all()
     (_,), (only,) = scaled_phase_jets([1e-323], 6, 0, net)
     assert isinstance(only, DomainError)
-    (row,) = laplace_jets([1e-323], 0, net, FadingConfig(1, 6), 0.5)
-    assert isinstance(row, DomainError) and "m=6" in str(row)
+    jets, phi, (failure,) = laplace_jets([1e-323], 0, net, FadingConfig(1, 6), 0.5)
+    assert isinstance(failure, DomainError) and "m=6" in str(failure)
+    assert np.isnan(jets).all() and np.isnan(phi).all()
+
+
+def test_threshold_without_a_ladder_agrees_only_with_the_row_edges_error(monkeypatch):
+    """A row whose s/m is not above 0 has no ladder bottom, and its own
+    edges (_panel_edges) raise the kernel's DomainError: ladder_rows_apart
+    counts it as agreeing, and as apart once _panel_edges builds edges
+    for it."""
+    net = NetworkConfig(40.0, 30.0, 1.0, 8, 2.0)
+    with pytest.raises(DomainError, match=r"needs s/m > 0, got s=0, m=6"):
+        interference._panel_edges(0.0, 6, 0, net)
+    s_values = [1.0, 0.0, 1e-323, 2.0]
+    assert validation.ladder_rows_apart(s_values, 6, 0, net) == []
+    edges = interference._panel_edges
+    monkeypatch.setattr(interference, "_panel_edges",
+                        lambda s, *args: edges(max(s, 1.0), *args))
+    assert validation.ladder_rows_apart(s_values, 6, 0, net) == [0.0, 1e-323]
 
 
 def test_vanishing_threshold_fails_its_row_without_a_warning():

@@ -8,13 +8,13 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import uavcov
 import uavcov.cli as cli
 import uavcov.interference as interference
 from uavcov.cli import _set_by_dotted_path, main
-from uavcov.coverage import SweepPoint
 from uavcov.errors import ConfigurationError, NumericalError, UnsupportedGeometryError
 from uavcov.scenario import (
     Scenario,
@@ -265,10 +265,12 @@ class TestAnalyzeCommand:
         sweep = cli.coverage_sweep
 
         def last_row_fails(psi_values, *args):
-            points = sweep(psi_values, *args)
-            failed = SweepPoint(points[-1].psi, math.nan, points[-1].s0,
-                                error="NumericalError: planted")
-            return points[:-1] + [failed]
+            swept = sweep(psi_values, *args)
+            failed = [np.append(column[:-1], math.nan) for column in
+                      (swept.coverage, swept.phi_static, swept.phi_moving)]
+            return replace(swept, coverage=failed[0], phi_static=failed[1],
+                           phi_moving=failed[2],
+                           errors=swept.errors[:-1] + ["NumericalError: planted"])
 
         monkeypatch.setattr(cli, "coverage_sweep", last_row_fails)
         out_json = tmp_path / "cov.json"
@@ -284,6 +286,29 @@ class TestAnalyzeCommand:
         assert rows[-1]["status"].startswith("NumericalError")
         assert all(0.0 < r["p_cov"] < 1.0 for r in rows[:-1])
 
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("baseline", []), ("altitude_fading", []),
+        ("baseline", ["--psi-db=-4000,0,3080"]),  # failed rows: s0 = 0 and s0 = inf
+    ])
+    def test_csv_and_json_tables_agree_row_for_row(self, name, overrides, tmp_path):
+        """The two writers of one table: the same psi_db and status, and
+        every number at the CSV's precision, null in the JSON where the CSV
+        has nan or inf."""
+        path = Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json"
+        out_csv, out_json = tmp_path / "cov.csv", tmp_path / "cov.json"
+        assert main(["analyze", "--scenario", str(path), "--out", str(out_csv),
+                     "--json", str(out_json), *overrides]) == 0
+        lines = out_csv.read_text().splitlines()
+        header, csv_rows = lines[1].split(","), [line.split(",") for line in lines[2:]]
+        json_rows = json.loads(out_json.read_text(), parse_constant=reject)["rows"]
+        assert len(csv_rows) == len(json_rows) > 0
+        for fields, row in zip(csv_rows, json_rows):
+            assert fields[0] == f"{row['psi_db']:.10g}" and fields[-1] == row["status"]
+            for key, field in zip(header[1:-1], fields[1:-1]):
+                value = row[key]
+                assert (field in ("nan", "inf")) if value is None else (
+                    field == f"{value:.12g}"), (key, field, value)
 
     def test_overflowing_transform_argument_is_null_in_strict_json(self, tmp_path):
         """At 3080 dB the threshold is finite but s0 = m0 psi h0^alpha is
@@ -480,6 +505,24 @@ class TestValidateCommand:
         line = next(l for l in out.splitlines() if "steady-state-mobility" in l)
         assert line.startswith("[PASS] steady-state-mobility: dwelling"), line
         assert "[PASS] analysis-vs-simulation: skipped" in out
+
+    def test_threshold_with_no_transform_argument_fails_its_checks(self, capsys):
+        """At -4000 dB the linear threshold, and its s0, round to 0: the
+        checks that evaluate the analysis there fail, each naming that row,
+        and every other check still runs and passes."""
+        code = main(["validate", "--scenario", str(BASELINE), "--psi-db=-4000,0,10"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1, lines
+        assert len(lines) == 15 and lines[-1] == "3/14 checks failed"
+        failed = {line.split(":")[0][len("[FAIL] "):]: line for line in lines
+                  if line.startswith("[FAIL] ")}
+        assert sorted(failed) == ["analysis-vs-simulation", "closed-vs-quadrature",
+                                  "gl-vs-quad"]
+        assert "needs s/m > 0, got s=0, m=1" in failed["closed-vs-quadrature"]
+        assert "needs s/m > 0, got s=0, m=1" in failed["gl-vs-quad"]
+        assert "must be > 0 (linear), got 0.0" in failed["analysis-vs-simulation"]
+        assert all(line.startswith("[PASS] ") for line in lines[:-1]
+                   if not line.startswith("[FAIL] "))
 
     def test_injected_fault_fails_closed_vs_quadrature(self, tmp_path, capsys):
         sc = small_scenario(sim=SimParams(n_snapshots=30_000, seed=5, replications=2,

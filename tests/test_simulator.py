@@ -214,10 +214,9 @@ class TestCampaign:
     def test_campaign_agrees_with_analysis_at_small_scale(self):
         res = run_campaign(NET, FAD, MOB, 60_000, seed=27,
                            chains=50, replications=2)
-        points = coverage_sweep(res.psi_grid.tolist(), NET, FAD, res.stay_probability)
-        assert all(p.error is None for p in points)
-        analytical = np.array([p.coverage for p in points])
-        assert np.max(np.abs(res.coverage() - analytical)) < 0.02
+        sweep = coverage_sweep(res.psi_grid.tolist(), NET, FAD, res.stay_probability)
+        assert sweep.errors == [None] * res.psi_grid.size
+        assert np.max(np.abs(res.coverage() - sweep.coverage)) < 0.02
 
 
 class TestLockstepReplications:
