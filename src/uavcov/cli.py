@@ -62,20 +62,24 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
     return replace(sc, **changes) if changes else sc
 
 
-def _coverage_columns(sc: Scenario):
-    """The coverage table of sc as columns of plain values (psi_db,
-    psi_linear, p_cov, laplace_s, phi_static, phi_moving, status), from one
-    coverage sweep, and the stay probability it ran at."""
+def _coverage(sc: Scenario):
+    """The coverage sweep over sc's threshold grid, and the stay probability
+    it ran at."""
     p_stay = derive_stay_probability(sc.mobility, sc.network)
-    sweep = coverage_sweep(sc.psi_grid_linear(), sc.network, sc.fading, p_stay)
-    status = ["ok" if error is None else error.replace(",", ";") for error in sweep.errors]
-    return (sc.psi_grid_db, sweep.psi.tolist(), sweep.coverage.tolist(), sweep.s0.tolist(),
-            sweep.phi_static.tolist(), sweep.phi_moving.tolist(), status), p_stay
+    return coverage_sweep(sc.psi_grid_linear(), sc.network, sc.fading, p_stay), p_stay
+
+
+def _status(sweep) -> list[str]:
+    """The status column of a coverage table: ok, or the row's error with
+    its commas turned into semicolons."""
+    return ["ok" if error is None else error.replace(",", ";") for error in sweep.errors]
 
 
 def cmd_analyze(args) -> int:
     sc = _apply_overrides(load_scenario(args.scenario), args)
-    columns, p_stay = _coverage_columns(sc)
+    sweep, p_stay = _coverage(sc)
+    columns = (sc.psi_grid_db, sweep.psi.tolist(), sweep.coverage.tolist(), sweep.s0.tolist(),
+               sweep.phi_static.tolist(), sweep.phi_moving.tolist(), _status(sweep))
     lines = map("%.10g,%.12g,%.12g,%.12g,%.12g,%.12g,%s".__mod__, zip(*columns))
     atomic_write_text(args.out, "\n".join([
         COVERAGE_CSV_HEADER, "psi_db,psi_linear,p_cov,laplace_s,phi_static,phi_moving,status",
@@ -138,8 +142,7 @@ def cmd_simulate(args) -> int:
     if sc.fading.altitude_dependent:
         analytical = "n/a (simulation-only)"
     else:
-        columns, _ = _coverage_columns(sc)
-        analytical = list(map(_statistic, columns[2]))
+        analytical = list(map(_statistic, _coverage(sc)[0].coverage.tolist()))
     summary = {
         "format": "uavcov campaign-summary v1",
         "scenario": scenario_to_dict(sc),
@@ -221,9 +224,11 @@ def cmd_sweep(args) -> int:
     for value in values:
         doc = scenario_to_dict(sc)
         _set_by_dotted_path(doc, args.param, value)
-        psi_db, psi, cov, _, _, _, status = _coverage_columns(scenario_from_dict(doc))[0]
+        point = scenario_from_dict(doc)
+        sweep = _coverage(point)[0]
         lines += map("%s,%s,%.10g,%.12g,%.12g,%s".__mod__,
-                     zip(repeat(args.param), repeat(value), psi_db, psi, cov, status))
+                     zip(repeat(args.param), repeat(value), point.psi_grid_db,
+                         sweep.psi.tolist(), sweep.coverage.tolist(), _status(sweep)))
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote sweep over {args.param} ({len(values)} values) to {args.out}")
     return EXIT_OK

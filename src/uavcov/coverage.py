@@ -38,7 +38,7 @@ def transform_argument(psi, net: NetworkConfig, fading: FadingConfig):
     return fading.serving_m * psi * net.serving_altitude**net.path_loss_exponent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sweep:
     """A threshold sweep as columns, one row per threshold of the grid.
 
@@ -46,7 +46,8 @@ class Sweep:
     phi_static and phi_moving (the phase factors at s0, as evaluated for
     the coverage, also when the network has no interferers) are float
     arrays; coverage and the phase factors are NaN on failed rows.
-    errors[i] is None, or the text of row i's error.
+    errors[i] is None, or the text of row i's error.  Sweeps compare by
+    identity; compare their columns for equal values.
     """
 
     psi: np.ndarray
@@ -65,9 +66,9 @@ def coverage_sweep(
 ) -> Sweep:
     """The coverage probability at every linear threshold of a grid.
 
-    Output order follows the input grid, and every threshold above 0 goes
-    through one kernel call.  A failing point (a threshold not above 0, or
-    the kernel's error for its s0 alone) is reported in its row instead of
+    Output order follows the input grid, and the whole grid goes through
+    one kernel call.  A failing point (a threshold not above 0, or the
+    kernel's error for its s0 alone) is reported in its row instead of
     aborting the sweep; the other rows are those of the grid without it.
     """
     psi_values = list(psi_values)
@@ -78,11 +79,10 @@ def coverage_sweep(
     psi = np.asarray(psi_values, dtype=float)
     with np.errstate(over="ignore"):  # an s0 beyond the float range is inf and fails its row
         s0 = transform_argument(psi, net, fading)
-    valid = psi > 0
-    every = np.count_nonzero(valid) == psi.size
     m0 = int(fading.serving_m)
-    jets, phi, failures = laplace_jets(s0 if every else s0[valid], m0 - 1, net, fading,
-                                       stay_probability)
+    # The kernel fails a row whose s0 is not above 0 by itself, and the
+    # other rows do not depend on which rows share the call.
+    jets, phi, failures = laplace_jets(s0, m0 - 1, net, fading, stay_probability)
     # jets[i, k] = (-s0)^k L^(k)(s0)/k!, so the coverage sum is their plain
     # sum, exactly rounded.  L_I is completely monotone, so every term is
     # >= 0 and the sum does not cancel.  Failed rows are NaN and stay so.
@@ -90,24 +90,16 @@ def coverage_sweep(
     coverage = np.array(sums, dtype=float)
     # min and max pass over NaN unless it comes first, which only sends the
     # grid through the array check below.
-    if sums and not 0.0 <= min(sums) <= max(sums) <= 1.0:
+    if not 0.0 <= min(sums) <= max(sums) <= 1.0:
         outside = np.flatnonzero((coverage < -_CLAMP_EPS) | (coverage > 1.0 + _CLAMP_EPS))
-        grid_rows = np.flatnonzero(valid)
         for i in outside.tolist():
             failures[i] = ConsistencyError(
                 f"coverage probability {sums[i]} outside [0, 1] by more than round-off "
-                f"(psi={psi_values[grid_rows[i]]}, m0={m0})")
+                f"(psi={psi_values[i]}, m0={m0})")
         coverage[outside] = phi[outside] = math.nan
         np.minimum(coverage, 1.0, out=coverage)  # within round-off of [0, 1]: onto it
         np.maximum(coverage, 0.0, out=coverage)
-    errors = [None if failure is None else f"{type(failure).__name__}: {failure}"
-              for failure in failures]
-    if not every:  # a threshold not above 0 fails its row without a kernel call
-        spread = np.full((psi.size, 3), math.nan)
-        spread[valid, 0], spread[valid, 1:] = coverage, phi
-        coverage, phi = spread[:, 0], spread[:, 1:]
-        kernel_errors = iter(errors)
-        errors = [next(kernel_errors) if ok else
-                  f"ConfigurationError: SIR threshold must be > 0 (linear), got {x}"
-                  for x, ok in zip(psi_values, valid.tolist())]
+    errors = [f"ConfigurationError: SIR threshold must be > 0 (linear), got {x}" if not ok
+              else None if failure is None else f"{type(failure).__name__}: {failure}"
+              for x, ok, failure in zip(psi_values, (psi > 0).tolist(), failures)]
     return Sweep(psi, coverage, s0, phi[:, 0], phi[:, 1], errors)

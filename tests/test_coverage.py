@@ -52,6 +52,14 @@ class TestAnchors:
         with pytest.raises(ConfigurationError, match="stay probability"):
             coverage_sweep([1.0], net_with(), FadingConfig(1, 1), -0.1)
 
+    def test_sweeps_compare_by_identity(self):
+        """== on two sweeps of several rows answers instead of raising on
+        the ambiguous truth value of an array comparison."""
+        sweep = coverage_sweep([1.0, 2.0], net_with(), FadingConfig(1, 1), 0.5)
+        again = coverage_sweep([1.0, 2.0], net_with(), FadingConfig(1, 1), 0.5)
+        assert sweep == sweep and sweep != again
+        assert rows_of(sweep, [0, 1]) == rows_of(again, [0, 1])
+
 
 class TestTrends:
     def test_decreasing_in_threshold(self):
