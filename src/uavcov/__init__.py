@@ -1,8 +1,11 @@
 """Coverage analysis of a ground user in a finite 3D mobile aerial network.
 
-Closed-form coverage probability under Nakagami fading and mixed vertical
-waypoint / spatial random-walk interferer mobility, together with a Monte
-Carlo simulator that acts as the independent end-to-end oracle.
+Coverage probability under Nakagami fading and mixed vertical waypoint /
+spatial random-walk interferer mobility, from the Laplace transform of the
+interference by a Gauss-Legendre kernel over the closed-form distance laws,
+together with a Monte Carlo simulator that acts as the independent
+end-to-end oracle.  The paper's hypergeometric closed form (exponent 2) is
+the kernel's oracle in uavcov.special, which this package does not import.
 """
 
 from .config import (
@@ -31,7 +34,6 @@ from .simulator import (
     sample_snapshot,
     step,
 )
-from .special import hyp2f1, pochhammer
 
 __version__ = "0.1.0"
 
@@ -52,10 +54,8 @@ __all__ = [
     "coverage_sweep",
     "default_psi_grid",
     "derive_stay_probability",
-    "hyp2f1",
     "initial_state",
     "laplace_jets",
-    "pochhammer",
     "resolve_fading_bands",
     "run_campaign",
     "sample_snapshot",

@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--psi-db", dest="psi_db", default=None,
                        help="comma-separated dB threshold grid override")
 
-    p_an = sub.add_parser("analyze", help="closed-form coverage table")
+    p_an = sub.add_parser("analyze", help="analytical coverage table (Gauss-Legendre kernel)")
     add_common(p_an)
     p_an.add_argument("--json", default=None, help="also write a JSON table here")
 

@@ -37,21 +37,11 @@ node values, each row summing its own nodes.  scaled_phase_jets is the
 one evaluator of the phase factors and laplace_jets the one evaluator of
 L_I and its jets; nothing evaluates them one threshold at a time.
 
-For path-loss exponent 2 the phase factors also have closed forms, kept as
-the kernel's oracle (closed_phase_factor, which no production path calls):
-expanding the integrand binomially in l and integrating the three
-distance-law segments (after the substitution y = w^alpha) yields sums of
-two primitive integrals,
-
-    power segment:  ell/(alpha R^2) * int_a^b y^(kappa/alpha - 1) (1 + m y / s)^-l dy
-    shell segment:  ell/(alpha R^2) * int_{R^alpha}^{(R^2+H^2)^(alpha/2)}
-                        y^(2/alpha - 1) (y^(2/alpha) - R^2)^(kappa/2) (1 + m y / s)^-l dy
-
-both reducible to Gauss hypergeometric terms.  The kernel is the more
-accurate of the two: against bench/oracle.py at R/H = 100/5 it stays
-within 9e-15 relative, where hyp2f1's alternating sums cost the closed form
-up to 5e-11 at m = 12.  No scipy is imported here; its adaptive quadrature
-serves as the kernel's oracle for k >= 1 in `validate` and the tests.
+At path-loss exponent 2 the phase factors also have the paper's Gauss
+hypergeometric closed forms.  uavcov.special keeps them as the kernel's
+oracle, off this module's path.  No scipy is imported here either; its
+adaptive quadrature serves as the kernel's oracle for k >= 1 in `validate`
+and the tests.
 """
 
 from __future__ import annotations
@@ -59,24 +49,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import FadingConfig, NetworkConfig
 from .distributions import PHASES, DistanceDistribution
-from .errors import DomainError, NumericalError, UnsupportedGeometryError
-from .special import hyp2f1
+from .errors import DomainError, NumericalError
 
-__all__ = [
-    "SegmentScheme",
-    "segment_scheme",
-    "power_segment_integral",
-    "shell_segment_integral",
-    "closed_phase_factor",
-    "scaled_phase_jets",
-    "laplace_jets",
-]
+__all__ = ["scaled_phase_jets", "laplace_jets"]
 
 # Gauss-Legendre kernel.  Each panel takes _GL_NODES nodes, and 2 * _GL_NODES
 # for the error estimate, which must stay within _GL_RTOL relative.  Panels
@@ -95,206 +75,6 @@ _GL_RTOL = 1e-10
 _PANELS_PER_STEEPNESS = 12
 _GRADING = 2
 _NODE_BUDGET = 8192
-
-@dataclass(frozen=True)
-class SegmentScheme:
-    """Integration breakpoints (in y = w^alpha) and segment coefficients.
-
-    Breakpoints are 0, H^alpha, R^alpha, (R^2+H^2)^(alpha/2); the
-    coefficients are the distance-law polynomial prefactors 2/H, 6/H^2,
-    4/H^3 and 6R^2/H^2 shared by the two phases.
-    """
-
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-    ell1: float
-    ell3: float
-    ell4: float
-    ell5: float
-
-    @property
-    def ell2(self) -> float:
-        return self.ell1
-
-
-def segment_scheme(net: NetworkConfig) -> SegmentScheme:
-    R, H, alpha = net.radius, net.height, net.path_loss_exponent
-    if not H < R:
-        raise UnsupportedGeometryError(
-            f"closed forms require height < radius (breakpoint ordering), got "
-            f"H={H}, R={R}"
-        )
-    return SegmentScheme(
-        a1=0.0,
-        a2=H**alpha,
-        a3=R**alpha,
-        a4=(R * R + H * H) ** (alpha / 2.0),
-        ell1=2.0 / H,
-        ell3=6.0 / H**2,
-        ell4=4.0 / H**3,
-        ell5=6.0 * R * R / H**2,
-    )
-
-
-def _require_alpha2(net: NetworkConfig):
-    if net.path_loss_exponent != 2.0:
-        raise DomainError(
-            "closed-form segment integrals are only available for path-loss "
-            f"exponent 2, got {net.path_loss_exponent}"
-        )
-
-
-def power_segment_integral(l, a, b, ell, kappa, s, m, net: NetworkConfig) -> float:
-    """Closed form of ell/(2 R^2) * int_a^b y^(kappa/2-1) (1 + m y/s)^-l dy.
-
-    Valid for exponent 2; the antiderivative is (ell/R^2) y^(kappa/2)/kappa *
-    2F1(l, kappa/2; kappa/2+1; -m y / s) evaluated at the endpoints.  The
-    lower endpoint contributes nothing when a = 0, and l = 0 collapses to the
-    plain power integral.
-    """
-    _require_alpha2(net)
-    if int(kappa) != kappa or kappa < 1:
-        raise DomainError(f"kappa must be a positive integer, got {kappa}")
-    if not 0 <= a < b:
-        raise DomainError(f"need 0 <= a < b, got a={a}, b={b}")
-    R2 = net.radius**2
-    half_k = kappa / 2.0
-    if l == 0:
-        return ell / R2 * (b**half_k - a**half_k) / kappa
-    if s == 0.0:
-        return 0.0  # integrand (1 + m y / s)^-l vanishes pointwise as s -> 0+
-    out = ell / R2 * b**half_k / kappa * hyp2f1(l, half_k, half_k + 1.0, -m * b / s)
-    if a > 0:
-        out -= ell / R2 * a**half_k / kappa * hyp2f1(l, half_k, half_k + 1.0, -m * a / s)
-    return out
-
-
-def shell_segment_integral(l, ell, kappa, s, m, net: NetworkConfig) -> float:
-    """Closed form of the outer-shell segment integral for exponent 2.
-
-    ell/(2 R^2) * int_{R^2}^{R^2+H^2} (y - R^2)^(kappa/2) (1 + m y/s)^-l dy
-      = ell H^(kappa+2) / ((kappa+2) R^2 (1 + m R^2/s)^l)
-        * 2F1(l, kappa/2+1; kappa/2+2; -H^2 / (R^2 + s/m)).
-
-    The s -> 0 limit is exact: 0 for l >= 1 (the prefactor denominator blows
-    up while the hypergeometric argument tends to the finite -H^2/R^2) and
-    the plain power integral for l = 0.
-    """
-    _require_alpha2(net)
-    if int(kappa) != kappa or kappa < 1 or kappa % 2 == 0:
-        raise DomainError(f"shell segment needs odd positive kappa, got {kappa}")
-    R2 = net.radius**2
-    H = net.height
-    base = ell * H ** (kappa + 2) / ((kappa + 2) * R2)
-    if l == 0:
-        return base
-    if s == 0.0:
-        return 0.0
-    z = -H * H / (R2 + s / m)
-    return base / (1.0 + m * R2 / s) ** l * hyp2f1(l, kappa / 2.0 + 1.0, kappa / 2.0 + 2.0, z)
-
-
-def _phase_segments(phase: str, scheme: SegmentScheme):
-    """Signed (a, b, ell, kappa) power segments and the (ell, kappa) shell term.
-
-    These mirror the distance-law pdf pieces after the y = w^alpha
-    substitution; the shell term carries the (y - R^2)^(kappa/2) factor of
-    the outermost pdf segment.
-    """
-    if phase == "static":
-        power = (
-            (1.0, scheme.a1, scheme.a2, scheme.ell1, 3),
-            (1.0, scheme.a2, scheme.a3, 2.0, 2),
-            (1.0, scheme.a3, scheme.a4, 2.0, 2),
-        )
-        shell = (-1.0, scheme.ell2, 1)
-    else:
-        power = (
-            (1.0, scheme.a1, scheme.a2, scheme.ell3, 4),
-            (-1.0, scheme.a1, scheme.a2, scheme.ell4, 5),
-            (1.0, scheme.a2, scheme.a3, 2.0, 2),
-            (1.0, scheme.a3, scheme.a4, 2.0, 2),
-            (-1.0, scheme.a3, scheme.a4, scheme.ell3, 4),
-            (1.0, scheme.a3, scheme.a4, scheme.ell5, 2),
-        )
-        shell = (1.0, scheme.ell4, 3)
-    return power, shell
-
-
-def _check_factor_args(phase: str, s: float, m: int, net: NetworkConfig) -> None:
-    if phase not in PHASES:
-        raise DomainError(f"phase must be one of {PHASES}, got {phase!r}")
-    if s < 0:
-        raise DomainError(f"transform argument must be >= 0, got s={s}")
-    if int(m) != m or m < 1:
-        raise DomainError(f"fading shape must be a positive integer, got {m}")
-    segment_scheme(net)  # geometry guard
-
-
-def closed_phase_factor(phase: str, s: float, m: int, net: NetworkConfig) -> float:
-    """The phase factor by its hyp2f1 closed form, exponent 2 only.
-
-    The oracle of the kernel's order-0 terms (scaled_phase_jets); no
-    production path calls it.  The expanded form sums C(m, l) (-1)^l over
-    segment integrals; at large s those O(1) terms cancel down to residuals
-    as small as ~1e-8, destroying double precision.  Collapsing the sum
-    first,
-
-        sum_l C(m,l) (-1)^l (1 + c y)^-l = (c y)^m (1 + c y)^-m,  c = m/s,
-
-    shifts the power-segment exponents by 2m (and binomially splits y^m over
-    the shell factor), leaving the same primitive integrals evaluated without
-    any large-scale cancellation.
-    """
-    _check_factor_args(phase, s, m, net)
-    _require_alpha2(net)
-    if s == 0.0:
-        return 1.0
-    m = int(m)
-    scheme = segment_scheme(net)
-    R2 = net.radius**2
-    c = m / s
-    power, shell = _phase_segments(phase, scheme)
-    contributions = []
-    for sign, a, b, ell, kappa in power:
-        contributions.append(
-            sign * c**m * power_segment_integral(m, a, b, ell, kappa + 2 * m, s, m, net)
-        )
-    shell_sign, shell_ell, shell_kappa = shell
-    # y^m = ((y - R^2) + R^2)^m expanded binomially over the shell factor.
-    for j in range(m + 1):
-        contributions.append(
-            shell_sign
-            * c**m
-            * math.comb(m, j)
-            * R2 ** (m - j)
-            * shell_segment_integral(m, shell_ell, shell_kappa + 2 * j, s, m, net)
-        )
-    return math.fsum(contributions)
-
-
-def _closed_phase_factor_expanded(phase: str, s: float, m: int, net: NetworkConfig) -> float:
-    """Literal alternating-binomial closed form (test oracle for the algebra).
-
-    Numerically safe only while the sum does not cancel severely, i.e. for
-    s well below ~R^alpha * 1e4; closed_phase_factor collapses the sum.
-    """
-    scheme = segment_scheme(net)
-    power, shell = _phase_segments(phase, scheme)
-    contributions = []
-    for l in range(m + 1):
-        outer = math.comb(m, l) * (-1.0) ** l
-        for sign, a, b, ell, kappa in power:
-            contributions.append(
-                outer * sign * power_segment_integral(l, a, b, ell, kappa, s, m, net)
-            )
-        shell_sign, shell_ell, shell_kappa = shell
-        contributions.append(
-            outer * shell_sign * shell_segment_integral(l, shell_ell, shell_kappa, s, m, net)
-        )
-    return math.fsum(contributions)
 
 
 def _legendre(n: int, x: float) -> tuple[float, float]:

@@ -1,21 +1,36 @@
-"""Gauss hypergeometric evaluation on the domain the closed forms need.
+"""The paper's closed form of the phase factors at path-loss exponent 2, and
+the Gauss hypergeometric function it reduces to.
 
-The exponent-2 closed forms of the phase factors
-(interference.closed_phase_factor) are the oracle of the Gauss-Legendre
-kernel: no production result goes through this module.
+This module is the Gauss-Legendre kernel's oracle (interference.
+scaled_phase_jets): no production result goes through it, and importing the
+CLI does not load it.  Only the `validate` checks and the tests call it.
 
-Every use in this package has the shape 2F1(l, b; c; z) with l a non-negative
-integer, b a positive (half-)integer, c = b + 1 (c = b + 2 is also accepted so
-the Gauss contiguous identity can be checked), and real z <= 0.  On that
+At exponent 2, expanding the phase factor's integrand binomially in l and
+integrating the three distance-law segments after the substitution y = w^2
+yields sums of two primitive integrals,
+
+    power segment:  ell/(2 R^2) * int_a^b y^(kappa/2 - 1) (1 + m y / s)^-l dy
+    shell segment:  ell/(2 R^2) * int_{R^2}^{R^2+H^2}
+                        (y - R^2)^(kappa/2) (1 + m y / s)^-l dy
+
+both Gauss hypergeometric terms.  The kernel is the more accurate of the
+two: against bench/oracle.py at R/H = 100/5 it stays within 9e-15
+relative, where the closed form misses by up to 4.6e-11 at m = 12.  That
+error comes from the integer-b large-z path below: its error of about
+1e-14 is amplified by cancellation in the segment sum (with mpmath's exact
+2F1 the closed form still sits 1.8-3.6e-13 from the oracle there).
+
+Every hyp2f1 call has the shape 2F1(l, b; c; z) with l a non-negative
+integer, b a positive (half-)integer, c = b + 1 (c = b + 2 is also accepted
+so the Gauss contiguous identity can be checked), and real z <= 0.  On that
 domain the function is positive, bounded by 1 for l >= 1, and decays
 algebraically as z -> -inf.
 
-Three evaluation paths cover the argument range:
+Two evaluation paths cover the argument range:
 
-* z in (-0.5, 0]: the defining Gauss series, geometric convergence.
-* z in (-8, -0.5]: Pfaff transformation
+* z in (-8, 0]: Pfaff transformation (Abramowitz & Stegun 15.3.5)
       2F1(a, b; c; z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)),
-  mapping the argument into [1/3, 8/9) where the transformed series has
+  mapping the argument into [0, 8/9) where the transformed series has
   all-positive terms (no cancellation); it needs at most ~520 terms
   (a = 12, b = 1/2).
 * z <= -8: the Pfaff-mapped argument approaches 1 and that series slows
@@ -30,40 +45,34 @@ Three evaluation paths cover the argument range:
   elementary integrals.
 
 Accuracy, measured against mpmath at 40 digits over a = 1..12,
-b in {0.5, 1, ..., 14.5}, c in {b+1, b+2} and z on [-64, -8] (steps of
-0.25 down to -20, then 2), at -0.3, -0.7, -2, -4, -6, -7, -7.75 and at
--64.5, -100, -300, -1e3, -1e4, -1e6: the worst relative error is 3.5e-12
-(a = 12, b = 8, c = b+2, z = -13.5), from cancellation in the integer-b
-finite form; for a <= 8 it is 8.7e-14.  With the Pfaff branch reaching
-down to -64 the worst on the same grid was 1.6e-12 (a = 12, b = 9,
-c = b+2, z = -100).  Over the same a, b and c, Pfaff and large-z agree to
-1.9e-12 at z = -8, -10, -16, -32 and -64.
+b in {0.5, 1, ..., 14.5}, c in {b+1, b+2} and z at ten points of
+(-0.5, 0] (-1e-6 to -0.4999), at -0.7, -2, -4, -6, -7, -7.75, on [-64, -8]
+(steps of 0.25 down to -20, then 2) and at -64.5, -100, -300, -1e3, -1e4,
+-1e6: the worst relative error is 3.5e-12 (a = 12, b = 8, c = b+2,
+z = -13.5), from cancellation in the integer-b finite form; for a <= 8 it
+is 8.7e-14.  The Pfaff path stays within 6.5e-15 on all of (-8, 0]; on
+(-0.5, 0] it reads 2.2e-15 where the defining series, whose terms
+alternate there, read 3.7e-12 (a = 12, b = 12, z = -0.4999).  With the
+Pfaff path reaching down to -64 the worst on the same grid was 1.6e-12
+(a = 12, b = 9, c = b+2, z = -100).  Over the same a, b and c, Pfaff and
+large-z agree to 1.9e-12 at z = -8, -10, -16, -32 and -64.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DomainError, NumericalError
+from .config import NetworkConfig
+from .distributions import PHASES
+from .errors import DomainError, NumericalError, UnsupportedGeometryError
 
-__all__ = ["hyp2f1", "pochhammer"]
+__all__ = ["closed_phase_factor", "hyp2f1"]
 
 SERIES_MAX_TERMS = 10_000
 SERIES_TOL = 1e-16
 
-# Dispatch thresholds between the three evaluation paths.
-_DIRECT_LIMIT = -0.5
+# Dispatch threshold between the two evaluation paths.
 _PFAFF_LIMIT = -8.0
-
-
-def pochhammer(x: float, k: int) -> float:
-    """Rising factorial x (x+1) ... (x+k-1); the empty product (k = 0) is 1."""
-    if k < 0 or int(k) != k:
-        raise DomainError(f"pochhammer order must be a non-negative integer, got {k}")
-    out = 1.0
-    for i in range(int(k)):
-        out *= x + i
-    return out
 
 
 def _gauss_series(a: float, b: float, c: float, z: float) -> float:
@@ -137,7 +146,7 @@ def _large_z_connection(l: int, b: float, c: float, z: float) -> float:
 
 
 def _pfaff(a: int, b: float, c: float, z: float) -> float:
-    """Pfaff transformation: an all-positive series at z/(z-1) in [1/3, 1)."""
+    """Pfaff transformation: an all-positive series at z/(z-1) in [0, 1)."""
     return (1.0 - z) ** (-a) * _gauss_series(a, c - b, c, z / (z - 1.0))
 
 
@@ -151,9 +160,9 @@ def _large_z(a: int, b: float, c: float, z: float) -> float:
 def hyp2f1(a: int, b: float, c: float, z: float) -> float:
     """Evaluate 2F1(a, b; c; z) for integer a >= 0, b > 0, c - b in {1, 2}, z <= 0.
 
-    Relative accuracy is as measured in the module docstring (worst 3.5e-12
-    at a = 12); raises NumericalError with the partial sum attached if a
-    series fails to converge within the iteration cap.
+    Relative accuracy is as measured in the module docstring; raises
+    NumericalError with the partial sum attached if a series fails to
+    converge within the iteration cap.
     """
     if a < 0 or int(a) != a:
         raise DomainError(f"first parameter must be a non-negative integer, got {a}")
@@ -168,8 +177,135 @@ def hyp2f1(a: int, b: float, c: float, z: float) -> float:
 
     if a == 0 or z == 0.0:
         return 1.0
-    if z > _DIRECT_LIMIT:
-        return _gauss_series(a, b, c, z)
     if z > _PFAFF_LIMIT:
         return _pfaff(a, b, c, z)
     return _large_z(a, b, c, z)
+
+
+def _power_segment_integral(l, a, b, ell, kappa, s, m, net: NetworkConfig) -> float:
+    """ell/(2 R^2) * int_a^b y^(kappa/2-1) (1 + m y/s)^-l dy, for 0 <= a < b
+    and s > 0.
+
+    The antiderivative is (ell/R^2) y^(kappa/2)/kappa * 2F1(l, kappa/2;
+    kappa/2+1; -m y / s), taken at the endpoints; the lower endpoint
+    contributes nothing when a = 0.
+    """
+    R2 = net.radius**2
+    half_k = kappa / 2.0
+    out = ell / R2 * b**half_k / kappa * hyp2f1(l, half_k, half_k + 1.0, -m * b / s)
+    if a > 0:
+        out -= ell / R2 * a**half_k / kappa * hyp2f1(l, half_k, half_k + 1.0, -m * a / s)
+    return out
+
+
+def _shell_segment_integral(l, ell, kappa, s, m, net: NetworkConfig) -> float:
+    """The outer-shell segment integral, for s > 0:
+
+    ell/(2 R^2) * int_{R^2}^{R^2+H^2} (y - R^2)^(kappa/2) (1 + m y/s)^-l dy
+      = ell H^(kappa+2) / ((kappa+2) R^2 (1 + m R^2/s)^l)
+        * 2F1(l, kappa/2+1; kappa/2+2; -H^2 / (R^2 + s/m)).
+    """
+    R2 = net.radius**2
+    H = net.height
+    base = ell * H ** (kappa + 2) / ((kappa + 2) * R2)
+    z = -H * H / (R2 + s / m)
+    return base / (1.0 + m * R2 / s) ** l * hyp2f1(l, kappa / 2.0 + 1.0, kappa / 2.0 + 2.0, z)
+
+
+def _phase_segments(phase: str, net: NetworkConfig):
+    """Signed (sign, a, b, ell, kappa) power segments and the (sign, ell,
+    kappa) shell term of one phase.
+
+    These mirror the distance-law pdf pieces after the y = w^2
+    substitution: breakpoints 0, H^2, R^2 and R^2 + H^2, and the pieces'
+    prefactors 2/H, 6/H^2, 4/H^3 and 6R^2/H^2.  The shell term carries the
+    (y - R^2)^(kappa/2) factor of the outermost pdf piece.
+    """
+    R, H = net.radius, net.height
+    a2, a3, a4 = H**2, R**2, R * R + H * H
+    if phase == "static":
+        power = ((1.0, 0.0, a2, 2.0 / H, 3), (1.0, a2, a3, 2.0, 2), (1.0, a3, a4, 2.0, 2))
+        return power, (-1.0, 2.0 / H, 1)
+    ell3, ell4 = 6.0 / H**2, 4.0 / H**3
+    power = (
+        (1.0, 0.0, a2, ell3, 4),
+        (-1.0, 0.0, a2, ell4, 5),
+        (1.0, a2, a3, 2.0, 2),
+        (1.0, a3, a4, 2.0, 2),
+        (-1.0, a3, a4, ell3, 4),
+        (1.0, a3, a4, 6.0 * R * R / H**2, 2),
+    )
+    return power, (1.0, ell4, 3)
+
+
+def closed_phase_factor(phase: str, s: float, m: int, net: NetworkConfig) -> float:
+    """The phase factor by its hyp2f1 closed form, exponent 2 only.
+
+    The oracle of the kernel's order-0 terms (scaled_phase_jets); no
+    production path calls it.  The expanded form sums C(m, l) (-1)^l over
+    segment integrals; at large s those O(1) terms cancel down to residuals
+    as small as ~1e-8, destroying double precision.  Collapsing the sum
+    first,
+
+        sum_l C(m,l) (-1)^l (1 + c y)^-l = (c y)^m (1 + c y)^-m,  c = m/s,
+
+    shifts the power-segment exponents by 2m (and binomially splits y^m over
+    the shell factor), leaving the same primitive integrals evaluated without
+    any large-scale cancellation.  Raises DomainError for an unknown phase,
+    s < 0, a shape m that is not a positive integer or an exponent other
+    than 2, and UnsupportedGeometryError unless H < R (the breakpoint
+    ordering).
+    """
+    if phase not in PHASES:
+        raise DomainError(f"phase must be one of {PHASES}, got {phase!r}")
+    if s < 0:
+        raise DomainError(f"transform argument must be >= 0, got s={s}")
+    if int(m) != m or m < 1:
+        raise DomainError(f"fading shape must be a positive integer, got {m}")
+    if not net.height < net.radius:
+        raise UnsupportedGeometryError(
+            f"closed forms require height < radius (breakpoint ordering), got "
+            f"H={net.height}, R={net.radius}"
+        )
+    if net.path_loss_exponent != 2.0:
+        raise DomainError(
+            "closed-form segment integrals are only available for path-loss "
+            f"exponent 2, got {net.path_loss_exponent}"
+        )
+    if s == 0.0:
+        return 1.0
+    m = int(m)
+    R2 = net.radius**2
+    c = m / s
+    power, (shell_sign, shell_ell, shell_kappa) = _phase_segments(phase, net)
+    contributions = [
+        sign * c**m * _power_segment_integral(m, a, b, ell, kappa + 2 * m, s, m, net)
+        for sign, a, b, ell, kappa in power
+    ]
+    # y^m = ((y - R^2) + R^2)^m expanded binomially over the shell factor.
+    contributions += [
+        shell_sign * c**m * math.comb(m, j) * R2 ** (m - j)
+        * _shell_segment_integral(m, shell_ell, shell_kappa + 2 * j, s, m, net)
+        for j in range(m + 1)
+    ]
+    return math.fsum(contributions)
+
+
+def _closed_phase_factor_expanded(phase: str, s: float, m: int, net: NetworkConfig) -> float:
+    """Literal alternating-binomial closed form (test oracle for the algebra).
+
+    Numerically safe only while the sum does not cancel severely, i.e. for
+    s well below ~R^alpha * 1e4; closed_phase_factor collapses the sum.
+    """
+    power, (shell_sign, shell_ell, shell_kappa) = _phase_segments(phase, net)
+    contributions = []
+    for l in range(m + 1):
+        outer = math.comb(m, l) * (-1.0) ** l
+        for sign, a, b, ell, kappa in power:
+            contributions.append(
+                outer * sign * _power_segment_integral(l, a, b, ell, kappa, s, m, net)
+            )
+        contributions.append(
+            outer * shell_sign * _shell_segment_integral(l, shell_ell, shell_kappa, s, m, net)
+        )
+    return math.fsum(contributions)

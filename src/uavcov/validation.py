@@ -41,12 +41,12 @@ from .scenario import Scenario
 from . import simulator
 from .simulator import run_campaign
 from .errors import ConsistencyError, DomainError, NumericalError
-from .special import _gauss_series, _large_z, _pfaff, hyp2f1
+from .special import _large_z, _pfaff, closed_phase_factor, hyp2f1
 
 __all__ = ["CheckResult", "check_analysis_vs_simulation", "check_binomial_collapse",
            "check_closed_vs_quadrature", "check_derivative_jet", "check_distribution_laws",
-           "check_event_tape", "check_gl_vs_quad", "check_kernel_batch_vs_row",
-           "check_ladder_vs_row_edges", "check_stationary_start",
+           "check_event_tape", "check_gl_vs_quad", "check_hyp2f1_consistency",
+           "check_kernel_batch_vs_row", "check_ladder_vs_row_edges", "check_stationary_start",
            "check_steady_state_mobility", "check_trivial_anchors", "event_tape_gaps",
            "kernel_rows_apart", "ladder_rows_apart", "quad_phase_moment", "run_validation"]
 
@@ -282,43 +282,32 @@ def check_trivial_anchors(net, fading, p_stay: float) -> CheckResult:
                        + (f"; failed: {bad}" if bad else " hold"))
 
 
-def _check_hyp2f1_consistency() -> CheckResult:
-    # Gauss contiguous relation as an internal consistency check, plus the
-    # agreement of neighbouring paths where both are valid: direct series
-    # vs Pfaff on (-1, -0.5], and Pfaff vs large-z on [-64, -8], the range
-    # the large-z path took over from Pfaff.
+def check_hyp2f1_consistency(contiguous, overlap) -> CheckResult:
+    """hyp2f1 against itself.  The Gauss contiguous relation
+    c(1 - z) F - c F(a - 1) + (c - b) z F(c + 1) = 0, F = 2F1(a, b; c; z),
+    at c = b + 1 and every (a, b, z) of the grid contiguous (a tuple of a,
+    b and z values), to 1e-9 of its largest term; and the Pfaff path
+    against the large-z path, both valid below the dispatch threshold, at
+    every (a, b, z) of the grid overlap with c in {b + 1, b + 2}, to 1e-11
+    relative."""
     worst = 0.0
-    for a in (1, 2, 3):
-        for b in (1.0, 1.5, 2.0, 2.5):
-            c = b + 1.0
-            for z in (-0.1, -0.45, -2.0, -10.0, -40.0):
-                f = hyp2f1(a, b, c, z)
-                f_down = hyp2f1(a - 1, b, c, z)
-                f_up = hyp2f1(a, b, c + 1.0, z)
-                resid = c * (1 - z) * f - c * f_down + (c - b) * z * f_up
-                scale = max(abs(c * (1 - z) * f), abs(c * f_down), abs((c - b) * z * f_up))
-                worst = max(worst, abs(resid) / scale)
-    overlap_worst = 0.0
-    for a in (1, 2, 4):
-        for b in (1.0, 2.5):
-            for z in np.linspace(-0.95, -0.5, 7):
-                direct = _gauss_series(a, b, b + 1.0, float(z))
-                pfaff = _pfaff(a, b, b + 1.0, float(z))
-                overlap_worst = max(overlap_worst, abs(direct - pfaff) / abs(direct))
+    for a, b, z in itertools.product(*contiguous):
+        c = b + 1.0
+        f = hyp2f1(a, b, c, z)
+        f_down = hyp2f1(a - 1, b, c, z)
+        f_up = hyp2f1(a, b, c + 1.0, z)
+        resid = c * (1 - z) * f - c * f_down + (c - b) * z * f_up
+        scale = max(abs(c * (1 - z) * f), abs(c * f_down), abs((c - b) * z * f_up))
+        worst = max(worst, abs(resid) / scale)
     large_worst = 0.0
-    for a in (1, 2, 4):
-        for b in (1.0, 1.5, 2.5, 3.0):
-            for c in (b + 1.0, b + 2.0):
-                for z in np.linspace(-64.0, -8.0, 8):
-                    pfaff = _pfaff(a, b, c, float(z))
-                    large = _large_z(a, b, c, float(z))
-                    large_worst = max(large_worst, abs(large - pfaff) / pfaff)
-    ok = worst <= 1e-9 and overlap_worst <= 1e-11 and large_worst <= 1e-11
+    for a, b, z in itertools.product(*overlap):
+        for c in (b + 1.0, b + 2.0):
+            pfaff = _pfaff(a, b, c, z)
+            large_worst = max(large_worst, abs(_large_z(a, b, c, z) - pfaff) / pfaff)
     return CheckResult(
-        "hyp2f1-consistency",
-        ok,
-        f"contiguous residual {worst:.2e} (<=1e-9), series/Pfaff overlap "
-        f"{overlap_worst:.2e} (<=1e-11), Pfaff/large-z overlap {large_worst:.2e} (<=1e-11)",
+        "hyp2f1-consistency", worst <= 1e-9 and large_worst <= 1e-11,
+        f"contiguous residual {worst:.2e} (<=1e-9), Pfaff/large-z overlap "
+        f"{large_worst:.2e} (<=1e-11)",
     )
 
 
@@ -377,7 +366,7 @@ def check_closed_vs_quadrature(net, points, fault_bias: float = 0.0) -> CheckRes
     worst, worst_at = 0.0, None
     for p, phase in enumerate(("static", "moving")):
         for m, s in points:
-            closed = interference.closed_phase_factor(phase, s, m, net) + fault_bias
+            closed = closed_phase_factor(phase, s, m, net) + fault_bias
             quad = kernel[m, s][p]
             if abs(closed - quad) / quad > worst:
                 worst, worst_at = abs(closed - quad) / quad, (phase, m, s)
@@ -727,7 +716,9 @@ def run_validation(sc: Scenario, fault_bias: float = 0.0) -> list[CheckResult]:
     )
     return [
         check_trivial_anchors(net, fading, p_stay),
-        _check_hyp2f1_consistency(),
+        check_hyp2f1_consistency(
+            ((1, 2, 3), (1.0, 1.5, 2.0, 2.5), (-0.1, -0.45, -2.0, -10.0, -40.0)),
+            ((1, 2, 4), (1.0, 1.5, 2.5, 3.0), np.linspace(-64.0, -8.0, 8).tolist())),
         check_distribution_laws(net, 100_000, sim.seed, ks_max=0.006),
         check_closed_vs_quadrature(net, closed_points + [(m, s) for s in s0], fault_bias),
         check_gl_vs_quad([(net, m, s0)], order),

