@@ -64,7 +64,13 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
 
 def _coverage(sc: Scenario):
     """The coverage sweep over sc's threshold grid, and the stay probability
-    it ran at."""
+    it ran at.  The analysis has no altitude-dependent fading: a scenario
+    with it is refused, not answered with the constant-shape curve."""
+    if sc.fading.altitude_dependent:
+        raise ConfigurationError(
+            "fading.altitude_dependent is simulation-only: the analysis cannot evaluate "
+            "it; run `simulate`, or set fading.altitude_dependent to false"
+        )
     p_stay = derive_stay_probability(sc.mobility, sc.network)
     return coverage_sweep(sc.psi_grid_linear(), sc.network, sc.fading, p_stay), p_stay
 

@@ -71,7 +71,8 @@ class FadingConfig:
     interferer_m:        integer shape shared by all interferer links (>= 1)
     altitude_dependent:  if True, the simulator draws each interferer's shape
                          from the band containing its current altitude
-                         (simulation-only mode; the analysis keeps interferer_m)
+                         (simulation-only mode: the analysis has no such
+                         curve, and the CLI's analyze and sweep refuse it)
     bands:               optional ((low, high, m), ...) altitude bands; when
                          None and altitude_dependent is set, equal thirds of
                          [0, H] with m = 1, 2, 3 are used

@@ -28,14 +28,15 @@ array with one contiguous block of interferers per replication.  Each
 replication keeps its own generator, and every draw is split by block in
 the order a one-replication run makes it, so each block reproduces its
 replication run alone bit for bit.  The launch draws one (block, 9) array of
-uniforms per block, and at the top of every step each block draws one
-(block, 5) array, whose columns are an interferer's dwell, waypoint, speed,
-hop radius and hop angle; its first dwell, first leg and its hop in the
-step come from there, so a replication spends a fixed number of draws per
-step.  Only a third event of one interferer in one step (possible when
-dwell_min < dt) draws more, per block and for just the interferers that
-need them.  Containment is checked at launch and at every snapshot, not on
-every step.
+uniforms per block.  The state then advances one snapshot stride of steps
+per call.  The vertical events of the whole stride run first, pass after
+pass; in each pass a block draws one (k, 3) array, whose columns are the
+dwell, waypoint and speed of the events of its k interferers that have one
+due.  Each event is put down at the first step end at or after its time,
+which gives every step's dwelling mask.  Then each block draws one
+(stride, block, 2) array of hop radii and angles, and step by step the
+interferers dwelling at its end hop.  Containment is checked at launch and
+at every snapshot, not on every step.
 
 Snapshots taken every `stride` steps record distances, phases and fading
 draws; per-threshold coverage tallies are kept in contiguous batches for
@@ -65,14 +66,15 @@ __all__ = [
     "SnapshotSample",
     "CampaignResult",
     "initial_state",
+    "advance",
     "step",
     "sample_snapshot",
     "run_campaign",
     "default_psi_grid",
 ]
 
-# columns of the uniforms each interferer draws at the top of every step
-_DWELL, _WAYPOINT, _SPEED, _HOP_RADIUS, _HOP_ANGLE = range(5)
+# columns of the uniforms an interferer draws for its events in one pass
+_DWELL, _WAYPOINT, _SPEED = range(3)
 
 
 @dataclass
@@ -126,16 +128,21 @@ class UavState:
             self.t,
         )
 
-    def check_containment(self, net: NetworkConfig) -> None:
-        """Hard geometric invariants: inside the disk, altitude in range."""
-        if self.n == 0:
-            return
+    def check_containment(self, net: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
+        """Hard geometric invariants: inside the disk, altitude in range.
+
+        Returns the squared horizontal radius and the altitude it checked,
+        for callers that observe the state.
+        """
         r2 = np.einsum("ij,ij->i", self.xy, self.xy)
+        altitude = self.altitude()
+        if self.n == 0:
+            return r2, altitude
         if r2.max() > net.radius**2 * (1 + 1e-12):
             raise ConsistencyError("interferer escaped the disk region")
-        altitude = self.altitude()
         if altitude.min() < -1e-9 or altitude.max() > net.height * (1 + 1e-12):
             raise ConsistencyError("interferer altitude left [0, H]")
+        return r2, altitude
 
 
 class _Streams:
@@ -166,6 +173,14 @@ class _Streams:
         u = np.empty((self.n, cols))
         for g, lo, hi in self.blocks:
             g.random(out=u[lo:hi])
+        return u
+
+    def stepwise(self, steps: int, cols: int) -> np.ndarray:
+        """A (blocks, steps, block, cols) array of uniforms; each block fills
+        its (steps, block, cols) share from its own generator."""
+        u = np.empty((len(self.rngs), steps, self.n // len(self.rngs), cols))
+        for g, share in zip(self.rngs, u):
+            g.random(out=share)
         return u
 
     def draw(self, idx: np.ndarray, cols: int) -> np.ndarray:
@@ -222,18 +237,26 @@ def initial_state(n: int, net: NetworkConfig, mob: MobilityConfig, rng) -> UavSt
     )
 
 
-def _advance_vertical(state: UavState, t_end: float, draw, net, mob) -> None:
-    """Run every arrival and dwell expiry due by t_end, in place, and set the clock.
+def _advance_vertical(state: UavState, ends: np.ndarray, draw, net, mob) -> np.ndarray:
+    """Run every arrival and dwell expiry due by ends[-1], in place, and set the clock there.
 
-    Each pass takes the interferers whose next event is due and runs up to
-    two events of each: one dwell and one leg, in the order its phase sets.
-    An arrival dwells at the waypoint, then the expiry starts a leg from
-    there; an expiry starts a leg from the dwell altitude, then the arrival
-    dwells at the new waypoint.  The second event runs if it falls by t_end,
-    and the pass repeats for those whose next event is due too.
+    `ends` holds the increasing end times of the steps to run.  Each pass
+    takes the interferers whose next event is due and runs up to two events
+    of each: one dwell and one leg, in the order its phase sets.  An arrival
+    dwells at the waypoint, then the expiry starts a leg from there; an
+    expiry starts a leg from the dwell altitude, then the arrival dwells at
+    the new waypoint.  The second event runs if it falls by ends[-1], and
+    the pass repeats for those whose next event is due too.
     `draw(idx, p)` gives the uniforms of the p-th pass, at least three
     columns (dwell, waypoint, speed) aligned with idx.
+
+    Returns the (ends.size + 1, n) dwelling masks: row 0 at the start, row j
+    after step j.  Every event flips its interferer's phase at the first
+    step end at or after its time, so an event at ends[j] counts in step j.
     """
+    t_end = ends[-1]
+    flips = np.zeros((ends.size + 1, state.n), dtype=bool)
+    flips[0] = ~state.moving
     tev = state.tev
     idx = (tev <= t_end).nonzero()[0]
     p = 0
@@ -257,9 +280,14 @@ def _advance_vertical(state: UavState, t_end: float, draw, net, mob) -> None:
         state.waypoint[idx] = waypoint
         state.speed[idx] = speed
         state.moving[idx] = moving
+        flips[ends.searchsorted(start) + 1, idx] ^= True
+        flips[ends.searchsorted(mid[two]) + 1, idx[two]] ^= True
         idx = idx[end <= t_end]
         p += 1
     state.t = t_end
+    for j in range(1, ends.size + 1):  # row by row: numpy accumulates along axis 0 slowly
+        flips[j] ^= flips[j - 1]
+    return flips
 
 
 def _unit(theta: np.ndarray) -> np.ndarray:
@@ -270,64 +298,69 @@ def _unit(theta: np.ndarray) -> np.ndarray:
     return e
 
 
-def _hop(state: UavState, u: np.ndarray, net: NetworkConfig,
-         mob: MobilityConfig) -> tuple[float, int]:
-    """One spatial hop for every currently dwelling interferer, in place.
+def _hop(state: UavState, dwelling: np.ndarray, u: np.ndarray, net: NetworkConfig,
+         mob: MobilityConfig) -> list[np.ndarray]:
+    """Step j's spatial hop for every interferer dwelling at its end, in place.
 
-    The proposal comes from the step's hop columns of u; one that would
-    leave the disk is rejected and the interferer stays put.  Returns the
-    summed length and the number of the accepted hops that started at least
-    hop_range inside the disk edge (interior hops).
+    `dwelling` holds one mask per step and `u` the (blocks, steps, block, 2)
+    proposal uniforms, hop radius and hop angle; a proposal that would leave
+    the disk is rejected and the interferer stays put.  Returns, per step,
+    the lengths of the accepted hops that started at least hop_range inside
+    the disk edge (interior hops).
     """
-    idx = (~state.moving).nonzero()[0]
-    if idx.size == 0:
-        return 0.0, 0
-
     z = state.xy.view(np.complex128)[:, 0]  # x + iy, a view of xy
-    start = z[idx]
-    uh = u.take(idx, axis=0)
-    length = mob.hop_range * np.sqrt(uh[:, _HOP_RADIUS])
-    target = _unit(2.0 * math.pi * uh[:, _HOP_ANGLE])
-    target *= length
-    target += start
-    keep = np.abs(target) <= net.radius
-    z[idx[keep]] = target[keep]
-
     interior_limit = max(net.radius - mob.hop_range, 0.0)
-    counted = keep & (np.abs(start) <= interior_limit)
-    return float(length[counted].sum()), int(np.count_nonzero(counted))
+    interior = []
+    for j, mask in enumerate(dwelling):
+        idx = mask.nonzero()[0]
+        start = z[idx]
+        uh = u[:, j].reshape(-1, 2).take(idx, axis=0)
+        length = mob.hop_range * np.sqrt(uh[:, 0])
+        target = _unit(2.0 * math.pi * uh[:, 1])
+        target *= length
+        target += start
+        keep = np.abs(target) <= net.radius
+        z[idx[keep]] = target[keep]
+        interior.append(length[keep & (np.abs(start) <= interior_limit)])
+    return interior
 
 
-def step(state: UavState, dt: float, rng, net: NetworkConfig,
-         mob: MobilityConfig) -> tuple[float, int]:
-    """Advance every interferer by dt, in place.
+def advance(state: UavState, steps: int, dt: float, rng, net: NetworkConfig,
+            mob: MobilityConfig) -> tuple[float, int]:
+    """Advance every interferer by `steps` steps of dt, in place.
 
     `rng` is a generator, or a sequence of generators, one per equal,
     contiguous block of the state; each block draws only from its own.
-    At the top of the step every block draws one (block, 5) array of
-    uniforms: dwell, waypoint, speed, hop radius and hop angle.  An
-    interferer's first arrival and first dwell expiry in the step and its
-    hop take their values from it.  Only a third or later event of one
-    interferer in one step (possible when dwell_min < dt) draws more, per
-    block and for just the interferers that need them, so each block's
-    draws stay its own.
-    Vertical kinematics are resolved through phase changes exactly; each
-    interferer dwelling at the end of the step performs one spatial hop.
-    Returns the summed length and the count of this step's accepted
-    interior hops (see `CampaignResult.mean_interior_hop_length`).
-    Containment is not checked here; callers check it where they observe
-    the state.
+    The step end times are the clock plus dt, added once per step.  The
+    vertical kinematics of all the steps are resolved through phase changes
+    exactly, pass after pass, each pass drawing one (k, 3) array of dwell,
+    waypoint and speed uniforms per block for its k interferers with an
+    event due.  Then each block draws one (steps, block, 2) array of hop
+    radius and angle uniforms, and in each step every interferer dwelling
+    at the step's end performs one spatial hop.
+    Returns the summed length and the count of the accepted interior hops
+    (see `CampaignResult.mean_interior_hop_length`).  Containment is not
+    checked here; callers check it where they observe the state.
     """
     if not dt > 0:
         raise ConfigurationError(f"dt must be > 0, got {dt}")
     streams = _Streams(rng, state.n)
-    u = streams.uniforms(5)
+    ends = np.empty(steps)
+    t = state.t
+    for j in range(steps):
+        t += dt
+        ends[j] = t
+    dwelling = _advance_vertical(state, ends, lambda idx, p: streams.draw(idx, 3), net, mob)
+    lengths = np.concatenate(_hop(state, dwelling[1:], streams.stepwise(steps, 2), net, mob))
+    return float(lengths.sum()), lengths.size
 
-    def draw(idx, p):
-        return streams.draw(idx, 3) if p else u.take(idx, axis=0)
 
-    _advance_vertical(state, state.t + dt, draw, net, mob)
-    return _hop(state, u, net, mob)
+def step(state: UavState, dt: float, rng, net: NetworkConfig,
+         mob: MobilityConfig) -> tuple[float, int]:
+    """Advance every interferer by one step of dt, in place: `advance` with
+    one step, so a block draws its event uniforms pass by pass, then one
+    (1, block, 2) array for its hops."""
+    return advance(state, 1, dt, rng, net, mob)
 
 
 @dataclass(frozen=True)
@@ -342,27 +375,30 @@ class SnapshotSample:
     sir: float
 
 
-def _interferer_shapes(altitude: np.ndarray, fading: FadingConfig, net: NetworkConfig):
-    """The Nakagami shape of each interferer at `altitude`: one float for
-    all of them when fading does not depend on altitude, else an array."""
+def _interferer_shapes(fading: FadingConfig, net: NetworkConfig):
+    """The map from altitudes to the Nakagami shape of each interferer there:
+    one float for all of them when fading does not depend on altitude, else
+    an array, from the band table resolved once here."""
     if not fading.altitude_dependent:
-        return float(fading.interferer_m)
+        m = float(fading.interferer_m)
+        return lambda altitude: m
     bands = resolve_fading_bands(fading, net)
     lows = np.array([low for low, _, _ in bands])
     shapes = np.array([float(shape) for _, _, shape in bands])
     # each altitude takes the band with the highest lower edge at or below
     # it: band gaps within the tiling tolerance go to the band below them,
     # and the top edge H closes the last band
-    return shapes[np.maximum(np.searchsorted(lows, altitude, side="right") - 1, 0)]
+    return lambda altitude: shapes[
+        np.maximum(np.searchsorted(lows, altitude, side="right") - 1, 0)]
 
 
-def _snapshot(
-    state: UavState, altitude: np.ndarray, chains: int, net: NetworkConfig,
-    fading: FadingConfig, rng,
-):
+def _snapshot(altitude: np.ndarray, r2: np.ndarray, chains: int, net: NetworkConfig,
+              serving_m: int, shapes, rng):
     """Fading draws and SIR for `chains` equal-sized networks stored back to back.
 
-    `altitude` is the state's observed altitude, `state.altitude()`.
+    `altitude` and `r2` are the interferers' observed altitudes and squared
+    horizontal radii, and `shapes` maps altitudes to Nakagami shapes
+    (`_interferer_shapes`).
 
     `rng` is a generator, or a sequence of generators, one per equal block
     of chains (as for `step`).  Each generator draws its block's serving
@@ -371,18 +407,17 @@ def _snapshot(
     chain); the SIR is infinite in a chain with zero interference.
     """
     alpha = net.path_loss_exponent
-    m0 = fading.serving_m
-    streams = _Streams(rng, state.n)
+    streams = _Streams(rng, altitude.size)
     g0 = np.concatenate(
-        [g.gamma(m0, 1.0 / m0, hi - lo) for g, lo, hi in streams.spans(chains)]
+        [g.gamma(serving_m, 1.0 / serving_m, hi - lo) for g, lo, hi in streams.spans(chains)]
     )
-    w = np.sqrt(altitude**2 + np.einsum("ij,ij->i", state.xy, state.xy))
-    gains = np.empty(state.n)
+    w = np.sqrt(altitude**2 + r2)
+    gains = np.empty(altitude.size)
     for g, lo, hi in streams.blocks:
         # A scalar shape draws the same numbers as an array of it, faster.
-        m_i = _interferer_shapes(altitude[lo:hi], fading, net)
+        m_i = shapes(altitude[lo:hi])
         gains[lo:hi] = g.gamma(m_i, 1.0 / m_i, hi - lo)
-    interference = (gains * w**-alpha).reshape(chains, state.n // chains).sum(axis=1)
+    interference = (gains * w**-alpha).reshape(chains, altitude.size // chains).sum(axis=1)
     with np.errstate(divide="ignore"):
         sir = g0 * net.serving_altitude**-alpha / interference
     return w, g0, gains, interference, sir
@@ -392,7 +427,9 @@ def sample_snapshot(
     state: UavState, net: NetworkConfig, fading: FadingConfig, rng
 ) -> SnapshotSample:
     """Draw fading and evaluate the interference and SIR for one state."""
-    w, g0, gains, interference, sir = _snapshot(state, state.altitude(), 1, net, fading, rng)
+    r2 = np.einsum("ij,ij->i", state.xy, state.xy)
+    w, g0, gains, interference, sir = _snapshot(
+        state.altitude(), r2, 1, net, fading.serving_m, _interferer_shapes(fading, net), rng)
     return SnapshotSample(
         distances=w,
         dwelling=~state.moving,
@@ -401,6 +438,15 @@ def sample_snapshot(
         interference=float(interference[0]),
         sir=float(sir[0]),
     )
+
+
+def _tally(sir: np.ndarray, psi_grid: np.ndarray) -> np.ndarray:
+    """For each row of `sir`, how many of its entries lie above each
+    threshold of `psi_grid`: exact counts from one sort and one searchsorted
+    per row.  An infinite SIR lies above every threshold."""
+    ranked = np.sort(sir, axis=1)
+    return ranked.shape[1] - np.array([row.searchsorted(psi_grid, side="right")
+                                       for row in ranked])
 
 
 def default_psi_grid() -> np.ndarray:
@@ -539,22 +585,22 @@ def run_campaign(
     hop_count = 0
     first_rows = np.arange(reps) * nb_rep
 
+    shapes = _interferer_shapes(fading, net)
     for j in range(per_chain):
-        for _ in range(stride):
-            length, count = step(state, dt, rngs, net, mob)
-            hop_sum += length
-            hop_count += count
-        state.check_containment(net)
+        length, count = advance(state, stride, dt, rngs, net, mob)
+        hop_sum += length
+        hop_count += count
+        r2, altitude = state.check_containment(net)
 
         rows = first_rows + j * nb_rep // per_chain
         dwelling = ~state.moving
-        altitude = state.altitude()
-        w, _, _, _, sir = _snapshot(state, altitude, reps * chains, net, fading, rngs)
+        w, _, _, _, sir = _snapshot(altitude, r2, reps * chains, net, fading.serving_m,
+                                    shapes, rngs)
         n_dwell = dwelling.reshape(reps * chains, M).sum(axis=1)
 
-        batch_success[rows] += (sir.reshape(reps, chains, 1) > psi_grid).sum(axis=1)
+        batch_success[rows] += _tally(sir.reshape(reps, chains), psi_grid)
         batch_snapshots[rows] += chains
-        batch_dwelling[rows] += dwelling.reshape(reps, block).sum(axis=1)
+        batch_dwelling[rows] += n_dwell.reshape(reps, chains).sum(axis=1)
         dwelling_hist += np.bincount(n_dwell, minlength=M + 1)
         if j < n_kept:
             kept_w[:, j] = w.reshape(reps, block)

@@ -8,8 +8,9 @@ against that row's own edges, inverse-transform samples against closed-form
 laws, derivative jets against finite differences, the analysis against the
 end-to-end simulation, the stationary launch against the closed-form
 stationary laws, the lockstep campaign against its replications run one at
-a time, and the event-time vertical kinematics against the time-stepped
-integrator they replaced.
+a time, the event-time vertical kinematics against the time-stepped
+integrator they replaced, and one snapshot stride of stepping in one call
+against the same steps one call each.
 
 A check is one function whose grid, sizes, seeds and tolerances are its
 arguments, and each seeded check draws from a generator of its own.
@@ -47,8 +48,9 @@ __all__ = ["CheckResult", "check_analysis_vs_simulation", "check_binomial_collap
            "check_closed_vs_quadrature", "check_derivative_jet", "check_distribution_laws",
            "check_event_tape", "check_gl_vs_quad", "check_hyp2f1_consistency",
            "check_kernel_batch_vs_row", "check_ladder_vs_row_edges", "check_stationary_start",
-           "check_steady_state_mobility", "check_trivial_anchors", "event_tape_gaps",
-           "kernel_rows_apart", "ladder_rows_apart", "quad_phase_moment", "run_validation"]
+           "check_steady_state_mobility", "check_stride_vs_steps", "check_trivial_anchors",
+           "event_tape_gaps", "kernel_rows_apart", "ladder_rows_apart", "quad_phase_moment",
+           "run_validation", "stride_vs_steps_gaps"]
 
 # Adaptive-quadrature oracle tolerances.  The relative tolerance dominates:
 # at large s the moments decay by many orders of magnitude.
@@ -182,6 +184,38 @@ class _EventTape:
         return row
 
 
+class _TapeReader:
+    """The `draw` of `simulator._advance_vertical` for one reader of an
+    `_EventTape`: each pass gets the reader's next leg row of each
+    interferer it runs, with the next dwell in the dwell column.  Call
+    `settle()` after every `_advance_vertical` call.  `repeats` counts the
+    rows handed out in repeat passes (p > 0).
+    """
+
+    def __init__(self, tape: _EventTape, reader: int, state):
+        self.tape, self.reader, self.state = tape, reader, state
+        self.last, self.repeats = None, 0
+
+    def __call__(self, idx, p):
+        self.settle()
+        self.last = idx, self.state.moving[idx]
+        self.repeats += idx.size if p else 0
+        u = self.tape.peek(self.reader, 1, idx)
+        u[:, 0] = self.tape.peek(self.reader, 0, idx)[:, 0]
+        return u
+
+    def settle(self):
+        # a pass runs the first event of each interferer it is given and the
+        # second only if that falls within the call; after two events the
+        # phase is back where it was.  Count what the last pass used.
+        if self.last is not None:
+            idx, arriving = self.last
+            two = self.state.moving[idx] == arriving
+            self.tape.taken[self.reader, 0, idx[arriving | two]] += 1
+            self.tape.taken[self.reader, 1, idx[~arriving | two]] += 1
+            self.last = None
+
+
 def event_tape_gaps(net, mob, n: int, steps: int, dt: float, seed: int) -> dict:
     """Step n interferers with `simulator`'s event-time kinematics and with the
     time-stepped reference, both reading one `_EventTape`, and compare them
@@ -198,28 +232,7 @@ def event_tape_gaps(net, mob, n: int, steps: int, dt: float, seed: int) -> dict:
     h, moving = state.altitude(), state.moving.copy()
     wp, v, rem = state.waypoint.copy(), state.speed.copy(), state.dwell_remaining()
     tape = _EventTape(n, rng)
-    repeats, last = 0, None
-
-    def settle():
-        # a pass runs the first event of each interferer it is given and the
-        # second only if that falls within the step; after two events the
-        # phase is back where it was.  Count what the last pass used.
-        nonlocal last
-        if last is not None:
-            idx, arriving = last
-            two = state.moving[idx] == arriving
-            tape.taken[0, 0, idx[arriving | two]] += 1
-            tape.taken[0, 1, idx[~arriving | two]] += 1
-            last = None
-
-    def draw(idx, p):
-        nonlocal repeats, last
-        settle()
-        last = idx, state.moving[idx]
-        repeats += idx.size if p else 0
-        u = tape.peek(0, 1, idx)
-        u[:, 0] = tape.peek(0, 0, idx)[:, 0]
-        return u
+    draw = _TapeReader(tape, 0, state)
 
     def dwell(idx):
         return mob.dwell_min + (mob.dwell_max - mob.dwell_min) * tape.take(1, 0, idx)[:, 0]
@@ -230,8 +243,8 @@ def event_tape_gaps(net, mob, n: int, steps: int, dt: float, seed: int) -> dict:
 
     phase_steps, h_gap, dwell_gap = [], 0.0, 0.0
     for k in range(steps):
-        simulator._advance_vertical(state, state.t + dt, draw, net, mob)
-        settle()
+        simulator._advance_vertical(state, np.array([state.t + dt]), draw, net, mob)
+        draw.settle()
         _time_left_vertical(h, moving, wp, v, rem, dt, dwell, leg)
         if not (np.array_equal(state.moving, moving)
                 and np.array_equal(tape.taken[0], tape.taken[1])):
@@ -239,7 +252,7 @@ def event_tape_gaps(net, mob, n: int, steps: int, dt: float, seed: int) -> dict:
         h_gap = max(h_gap, float(np.abs(state.altitude() - h).max()))
         dwell_gap = max(dwell_gap, float(np.abs(state.dwell_remaining() - rem).max()))
     return {"phase_steps": phase_steps, "altitude_gap": h_gap, "dwell_gap": dwell_gap,
-            "events": int(tape.taken[1].sum()), "repeats": repeats}
+            "events": int(tape.taken[1].sum()), "repeats": draw.repeats}
 
 
 def check_event_tape(net, cases, n: int, steps: int, dt: float, seed: int) -> CheckResult:
@@ -260,6 +273,75 @@ def check_event_tape(net, cases, n: int, steps: int, dt: float, seed: int) -> Ch
                      f"({gaps['repeats']} repeat)")
     return CheckResult("event-tape", ok, f"{n} interferers x {steps} steps vs the time-stepped "
                        "integrator (phases exact, gaps <=1e-9); " + "; ".join(parts))
+
+
+def stride_vs_steps_gaps(net, mob, n: int, stride: int, dt: float, seed: int) -> dict:
+    """Advance one launch of n interferers by `stride` steps of dt twice: with
+    one `_advance_vertical` call and one `_hop` call, as `simulator.advance`
+    makes them for a snapshot stride, and with `stride` one-step calls of
+    each, as `simulator.step` makes them.  Both read one `_EventTape` for
+    their vertical events and one array of hop proposals.
+
+    Returns the names of what differs bit for bit (the per-step dwelling
+    masks, each state field, movers' speeds, the per-step interior hop
+    lengths and the tape rows used), and the numbers of events, of interior hops and of rows the
+    one-step calls drew in repeat passes (a third or later event in one step).
+    """
+    rng = np.random.default_rng(seed)
+    whole = simulator.initial_state(n, net, mob, rng)
+    steps = whole.copy()
+    tape = _EventTape(n, rng)
+    proposals = rng.random((1, stride, n, 2))
+    ends, t = np.empty(stride), whole.t
+    for j in range(stride):
+        t += dt
+        ends[j] = t
+
+    draw = _TapeReader(tape, 0, whole)
+    masks = simulator._advance_vertical(whole, ends, draw, net, mob)[1:]
+    draw.settle()
+    hops = simulator._hop(whole, masks, proposals, net, mob)
+
+    draw = _TapeReader(tape, 1, steps)
+    step_masks, step_hops = [], []
+    for j in range(stride):
+        mask = simulator._advance_vertical(steps, np.array([steps.t + dt]), draw, net, mob)[1:]
+        draw.settle()
+        step_masks.append(mask[0])
+        step_hops += simulator._hop(steps, mask, proposals[:, j:j + 1], net, mob)
+
+    # a dweller's speed is the last one drawn for it, which means nothing
+    # and depends on how its events were grouped into passes
+    pairs = [("dwelling masks", masks, np.array(step_masks)), ("t", whole.t, steps.t),
+             *((name, getattr(whole, name), getattr(steps, name))
+               for name in ("xy", "h0", "t0", "tev", "waypoint", "moving")),
+             ("leg speeds", whole.speed * whole.moving, steps.speed * steps.moving),
+             ("interior hops", np.concatenate(hops), np.concatenate(step_hops)),
+             ("hops per step", [a.size for a in hops], [b.size for b in step_hops]),
+             ("tape rows", tape.taken[0], tape.taken[1])]
+    differ = [name for name, a, b in pairs
+              if np.shape(a) != np.shape(b) or np.asarray(a).tobytes() != np.asarray(b).tobytes()]
+    return {"differ": differ, "events": int(tape.taken[1].sum()),
+            "hops": sum(b.size for b in step_hops), "repeats": draw.repeats}
+
+
+def check_stride_vs_steps(net, cases, n: int, stride: int, dt: float, seed: int) -> CheckResult:
+    """One snapshot stride in one call against `stride` one-step calls
+    (stride_vs_steps_gaps), n interferers from one launch, for each
+    (name, mobility, must_repeat) of cases: the per-step dwelling masks,
+    the final state, the per-step interior hop lengths and the draws used
+    equal bit for bit, and, where must_repeat is set, some interferer drawn
+    afresh in a repeat pass of one step."""
+    ok, parts = True, []
+    for name, mob, must_repeat in cases:
+        gaps = stride_vs_steps_gaps(net, mob, n, stride, dt, seed)
+        ok &= not gaps["differ"] and (gaps["repeats"] > 0 or not must_repeat)
+        parts.append(f"{name}: " + (f"differ in {', '.join(gaps['differ'])}" if gaps["differ"]
+                                    else "identical")
+                     + f" over {gaps['events']} events, {gaps['hops']} interior hops "
+                     f"({gaps['repeats']} repeat)")
+    return CheckResult("stride-vs-steps", ok, f"{n} interferers, one {stride}-step call vs "
+                       f"{stride} one-step calls (bit for bit); " + "; ".join(parts))
 
 
 def check_trivial_anchors(net, fading, p_stay: float) -> CheckResult:
@@ -735,6 +817,12 @@ def run_validation(sc: Scenario, fault_bias: float = 0.0) -> list[CheckResult]:
                                                 dwell_max=0.6 * sim.dt), True),
             ("zero-dwell", dataclasses.replace(mob, dwell_min=0.0, dwell_max=0.0), True),
         ], 64, 200, sim.dt, sim.seed),
+        # the same two kinds of kinematics over one snapshot stride
+        check_stride_vs_steps(net, [
+            ("scenario", mob, False),
+            ("short-dwell", dataclasses.replace(mob, dwell_min=0.1 * sim.dt,
+                                                dwell_max=0.6 * sim.dt), True),
+        ], 256, sim.stride, sim.dt, sim.seed),
         _check_stationary_start(sc),
         check_analysis_vs_simulation([(net, fading, campaign)], floor=0.015, k_se=5),
         check_steady_state_mobility(campaign, mob, k_se=4, floor=0.01),

@@ -1,7 +1,7 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
 Run as `pytest tests/test_acceptance.py -v -rA` to see the per-criterion
-PASS/FAIL report lines.  Criteria 1-6, 9-12, 14 and 15 call the functions
+PASS/FAIL report lines.  Criteria 1-6, 9-12 and 14-16 call the functions
 of `uavcov.validation` that `uavcov validate` runs at a reduced scale, here
 at the gate's full grids, sizes, seeds and tolerances.  The four
 1e6-snapshot campaigns of criteria 6 and 9 are shared through a
@@ -20,7 +20,7 @@ from uavcov.validation import (
     check_analysis_vs_simulation, check_binomial_collapse, check_closed_vs_quadrature,
     check_derivative_jet, check_distribution_laws, check_event_tape, check_gl_vs_quad,
     check_kernel_batch_vs_row, check_ladder_vs_row_edges, check_stationary_start,
-    check_steady_state_mobility, check_trivial_anchors,
+    check_steady_state_mobility, check_stride_vs_steps, check_trivial_anchors,
 )
 
 R, H = 40.0, 30.0
@@ -256,3 +256,18 @@ def test_criterion_15_ladder_vs_row_edges():
     panels of its own edges built alone (_panel_edges)."""
     result = check_ladder_vs_row_edges(kernel_grid())
     report("15 ladder-vs-row-edges", result.passed, result.detail)
+
+
+@pytest.mark.parametrize("dwell, must_repeat", [((2.0, 6.0), False), ((0.1, 0.6), True),
+                                                ((0.0, 0.0), True)],
+                         ids=["benchmark", "short-dwell", "zero-dwell"])
+def test_criterion_16_stride_vs_steps(dwell, must_repeat):
+    """A campaign advances one snapshot stride per call.  One 40-step call
+    against 40 one-step calls from the same launch, both reading one tape of
+    event draws and one array of hop proposals, bit for bit.  Dwells shorter
+    than the 1 s step must give the one-step calls repeat passes."""
+    mob = MobilityConfig(MOBILITY.speed_min, MOBILITY.speed_max, *dwell, MOBILITY.hop_range)
+    name = f"{dwell[0]:g}-{dwell[1]:g} s dwell"
+    result = check_stride_vs_steps(net_with(2, 10.0), [(name, mob, must_repeat)],
+                                   n=5000, stride=40, dt=1.0, seed=16)
+    report(f"16 stride-vs-steps ({name})", result.passed, result.detail)

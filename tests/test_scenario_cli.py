@@ -288,7 +288,7 @@ class TestAnalyzeCommand:
 
 
     @pytest.mark.parametrize("name, overrides", [
-        ("baseline", []), ("altitude_fading", []),
+        ("baseline", []),
         ("baseline", ["--psi-db=-4000,0,3080"]),  # failed rows: s0 = 0 and s0 = inf
     ])
     def test_csv_and_json_tables_agree_row_for_row(self, name, overrides, tmp_path):
@@ -309,6 +309,22 @@ class TestAnalyzeCommand:
                 value = row[key]
                 assert (field in ("nan", "inf")) if value is None else (
                     field == f"{value:.12g}"), (key, field, value)
+
+    @pytest.mark.parametrize("command", [
+        ["analyze"],
+        ["sweep", "--param", "network.n_interferers", "--values", "2,3"],
+    ], ids=["analyze", "sweep"])
+    def test_altitude_dependent_fading_is_input_error(self, command, tmp_path, capsys):
+        """The analysis has no curve under altitude-dependent fading, so a
+        table of the constant-shape curve would be a wrong answer marked ok:
+        the command names the field, exits 2 and writes nothing."""
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "altitude_fading.json"
+        out = tmp_path / "cov.csv"
+        code = main([command[0], "--scenario", str(path), "--out", str(out), *command[1:]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fading.altitude_dependent" in err
+        assert not out.exists()
 
     def test_overflowing_transform_argument_is_null_in_strict_json(self, tmp_path):
         """At 3080 dB the threshold is finite but s0 = m0 psi h0^alpha is
@@ -490,10 +506,10 @@ class TestValidateCommand:
         checks = ["trivial-anchors", "hyp2f1-consistency", "distribution-laws",
                   "closed-vs-quadrature", "gl-vs-quad", "kernel-batch-vs-row",
                   "ladder-vs-row-edges", "binomial-collapse", "derivative-jet",
-                  "lockstep-replications", "event-tape", "stationary-start",
-                  "analysis-vs-simulation", "steady-state-mobility"]
+                  "lockstep-replications", "event-tape", "stride-vs-steps",
+                  "stationary-start", "analysis-vs-simulation", "steady-state-mobility"]
         assert [line.split(":")[0] for line in lines] == [f"[PASS] {c}" for c in checks] + [
-            "all 14 checks passed"]
+            "all 15 checks passed"]
 
     def test_altitude_fading_scenario_checks_steady_state_mobility(self, capsys):
         """The mobility law does not depend on fading, so the campaign runs
@@ -513,7 +529,7 @@ class TestValidateCommand:
         code = main(["validate", "--scenario", str(BASELINE), "--psi-db=-4000,0,10"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 1, lines
-        assert len(lines) == 15 and lines[-1] == "3/14 checks failed"
+        assert len(lines) == 16 and lines[-1] == "3/15 checks failed"
         failed = {line.split(":")[0][len("[FAIL] "):]: line for line in lines
                   if line.startswith("[FAIL] ")}
         assert sorted(failed) == ["analysis-vs-simulation", "closed-vs-quadrature",

@@ -9,12 +9,15 @@ from uavcov.simulator import (
     UavState,
     _interferer_shapes,
     _snapshot,
+    _tally,
+    advance,
+    default_psi_grid,
     initial_state,
     run_campaign,
     sample_snapshot,
     step,
 )
-from uavcov.validation import check_stationary_start
+from uavcov.validation import check_stationary_start, check_stride_vs_steps
 
 NET = NetworkConfig(40.0, 30.0, 10.0, 2, 2.0)
 MOB = MobilityConfig(0.2, 10.0, 2.0, 6.0, 10.0)
@@ -38,19 +41,23 @@ def single_uav(xy, altitude, moving, waypoint, speed, dwell_remaining) -> UavSta
 STATE_FIELDS = ("xy", "h0", "t0", "tev", "waypoint", "speed", "moving")
 
 
-def assert_blocks_step_as_each_alone(mob, steps=60):
+def assert_blocks_step_as_each_alone(mob, stride=1, steps=60):
     """Block r of a two-block state draws only from generator r, so
-    stepping both together equals stepping each alone, bit for bit."""
+    stepping both together equals stepping each alone, bit for bit, one
+    `advance` call of `stride` steps at a time (`step` when stride is 1)."""
     seeds = (3, 4)
     both = initial_state(80, NET, mob, [np.random.default_rng(s) for s in seeds])
     alone = [initial_state(40, NET, mob, np.random.default_rng(s)) for s in seeds]
     both_rngs = [np.random.default_rng(s + 10) for s in seeds]
     alone_rngs = [np.random.default_rng(s + 10) for s in seeds]
     tally = np.zeros(2)
-    for _ in range(steps):
-        tally += step(both, 1.0, both_rngs, NET, mob)
+    for _ in range(steps // stride):
+        if stride == 1:
+            tally += step(both, 1.0, both_rngs, NET, mob)
+        else:
+            tally += advance(both, stride, 1.0, both_rngs, NET, mob)
         for block, g in zip(alone, alone_rngs):
-            tally -= step(block, 1.0, g, NET, mob)
+            tally -= advance(block, stride, 1.0, g, NET, mob)
     for name in STATE_FIELDS:
         joined = np.concatenate([getattr(block, name) for block in alone])
         assert np.array_equal(getattr(both, name), joined), name
@@ -120,22 +127,42 @@ class TestStep:
     @pytest.mark.parametrize("dwell", [(0.1, 0.6), (0.0, 0.0)], ids=["short", "zero"])
     def test_repeat_events_step_as_each_block_alone(self, dwell):
         """Dwells shorter than dt give some interferers a third event in a
-        step, which draws afresh for just those interferers."""
+        step, which a further pass draws for just those interferers."""
         mob = MobilityConfig(0.2, 10.0, *dwell, 10.0)
         assert_blocks_step_as_each_alone(mob)
 
-    def test_fixed_draw_budget_per_step(self):
-        """With dwell_min >= dt, a step draws exactly one
-        (block, 5) array of uniforms per block, whatever the phases."""
-        seeds, block, k = (5, 6), 40, 25
-        state = initial_state(2 * block, NET, MOB, [np.random.default_rng(s) for s in seeds])
-        rngs = [np.random.default_rng(s) for s in seeds]
-        for _ in range(k):
-            step(state, 1.0, rngs, NET, MOB)
-        for s, g in zip(seeds, rngs):
-            fresh = np.random.default_rng(s)
-            fresh.random(k * block * 5)
-            assert g.bit_generator.state == fresh.bit_generator.state
+    @pytest.mark.parametrize("dwell", [(2.0, 6.0), (0.1, 0.6)], ids=["benchmark", "short"])
+    def test_strides_step_as_each_block_alone(self, dwell):
+        mob = MobilityConfig(0.2, 10.0, *dwell, 10.0)
+        assert_blocks_step_as_each_alone(mob, stride=6)
+
+    def test_stride_draws_pass_rows_then_one_hop_array(self):
+        """Per call, a block draws one (k, 3) array for the k of its
+        interferers that each vertical pass runs, then one
+        (stride, block, 2) array for its hops."""
+        class Recorder:
+            def __init__(self, seed):
+                self.g, self.shapes = np.random.default_rng(seed), []
+
+            def random(self, size=None, out=None):
+                self.shapes.append(size if out is None else out.shape)
+                return self.g.random(size, out=out)
+
+        block, stride = 40, 7
+        mob = MobilityConfig(0.2, 10.0, 0.1, 0.6, 10.0)  # several passes per stride
+        state = initial_state(2 * block, NET, mob, [np.random.default_rng(s) for s in (5, 6)])
+        rngs = [Recorder(s) for s in (5, 6)]
+        for _ in range(4):
+            due = (state.tev <= state.t + stride).reshape(2, block).sum(axis=1)
+            for rec in rngs:
+                rec.shapes.clear()
+            advance(state, stride, 1.0, rngs, NET, mob)
+            for rec, first in zip(rngs, due):
+                rows = [shape[0] for shape in rec.shapes[:-1]]
+                assert rec.shapes[-1] == (stride, block, 2)
+                assert [shape[1:] for shape in rec.shapes[:-1]] == [(3,)] * len(rows)
+                assert len(rows) > 1 and rows[0] == first
+                assert rows == sorted(rows, reverse=True) and rows[-1] > 0
 
     def test_state_must_split_into_equal_blocks(self, rng):
         state = initial_state(5, NET, MOB, rng)
@@ -173,7 +200,9 @@ class TestSnapshot:
         state = initial_state(128, net, MOB, np.random.default_rng(0))
         rngs = [np.random.default_rng(seed) for seed in (1, 2)]
         refs = [np.random.default_rng(seed) for seed in (1, 2)]
-        _, _, gains, _, _ = _snapshot(state, state.altitude(), 2, net, FadingConfig(1, m), rngs)
+        r2, altitude = state.check_containment(net)
+        _, _, gains, _, _ = _snapshot(altitude, r2, 2, net, 1,
+                                      _interferer_shapes(FadingConfig(1, m), net), rngs)
         expected = []
         for g in refs:
             g.gamma(1, 1.0, 1)  # the block's serving gain comes first
@@ -225,18 +254,19 @@ class TestLockstepReplications:
 
     SEEDS = (101, 202, 303)
 
-    @pytest.mark.parametrize("fading", [
-        FAD,
-        FadingConfig(2, 1),
-        FadingConfig(1, 1, altitude_dependent=True),
-    ], ids=["stay", "serving-shape-2", "altitude-bands"])
-    def test_each_replication_matches_its_run_alone(self, fading):
+    @pytest.mark.parametrize("fading, mob", [
+        (FAD, MOB),
+        (FadingConfig(2, 1), MOB),
+        (FadingConfig(1, 1, altitude_dependent=True), MOB),
+        (FAD, MobilityConfig(0.2, 10.0, 0.1, 0.6, 10.0)),
+    ], ids=["stay", "serving-shape-2", "altitude-bands", "short-dwell"])
+    def test_each_replication_matches_its_run_alone(self, fading, mob):
         net = NetworkConfig(40.0, 30.0, 10.0, 3, 2.0)
         common = dict(seed=0, chains=5, stride=3)
-        lockstep = run_campaign(net, fading, MOB, 3 * 5 * 60, replications=3,
+        lockstep = run_campaign(net, fading, mob, 3 * 5 * 60, replications=3,
                                 seeds=self.SEEDS, n_batches=12,
                                 max_kept_samples=3 * 400, **common)
-        alone = [run_campaign(net, fading, MOB, 5 * 60, replications=1, seeds=[s],
+        alone = [run_campaign(net, fading, mob, 5 * 60, replications=1, seeds=[s],
                               n_batches=4, max_kept_samples=400, **common)
                  for s in self.SEEDS]
         for name in ("batch_success", "batch_snapshots", "batch_dwelling",
@@ -253,24 +283,41 @@ class TestLockstepReplications:
             sum(r.hop_length_sum for r in alone), rel=1e-12, abs=0)
         assert lockstep.seed_info == tuple(s for r in alone for s in r.seed_info)
 
-    def test_one_in_place_step_per_time_step(self, monkeypatch):
+    def test_one_in_place_stride_call_per_snapshot(self, monkeypatch):
         import uavcov.simulator as simulator
 
-        widths = []
-        real_step = simulator.step
+        calls = []
+        real_advance = simulator.advance
 
-        def counting_step(state, *args, **kwargs):
-            widths.append(state.n)
-            return real_step(state, *args, **kwargs)
+        def counting_advance(state, steps, *args, **kwargs):
+            calls.append((state.n, steps))
+            return real_advance(state, steps, *args, **kwargs)
 
         def no_copy(self):
             raise AssertionError("a campaign must step in place")
 
-        monkeypatch.setattr(simulator, "step", counting_step)
+        def no_step(*args, **kwargs):
+            raise AssertionError("a campaign must advance a stride per call")
+
+        monkeypatch.setattr(simulator, "advance", counting_advance)
+        monkeypatch.setattr(simulator, "step", no_step)
         monkeypatch.setattr(UavState, "copy", no_copy)
         run_campaign(NET, FAD, MOB, 3 * 5 * 4, chains=5, stride=2,
                      replications=3, seeds=self.SEEDS)
-        assert widths == [3 * 5 * NET.n_interferers] * (4 * 2)
+        assert calls == [(3 * 5 * NET.n_interferers, 2)] * 4
+
+    def test_sort_tally_equals_the_broadcast_compare(self):
+        """The covered-snapshot counts per replication and threshold, from one
+        sort and searchsorted, against comparing every SIR with every
+        threshold; ties with a threshold and infinite SIRs included."""
+        psi = default_psi_grid()
+        sir = np.random.default_rng(8).lognormal(0.0, 3.0, (3, 40))
+        sir[0, :5] = np.inf
+        sir[1, 5:8] = psi[[0, 4, 10]]
+        sir[2] = np.inf
+        expected = (sir[:, :, None] > psi).sum(axis=1)
+        assert np.array_equal(_tally(sir, psi), expected)
+        assert _tally(sir, psi)[2].tolist() == [40] * psi.size
 
 
 @pytest.fixture(scope="module")
@@ -403,29 +450,56 @@ class TestStationaryStart:
         both.check_containment(NET)
 
 
+class TestStrideVsSteps:
+    """The oracle of `advance`: one stride call against its steps one call
+    each (validation.check_stride_vs_steps) passes on the simulator and
+    fails on a planted mutation of the event-to-step bookkeeping."""
+
+    CASES = [("benchmark", MOB, False),
+             ("short-dwell", MobilityConfig(0.2, 10.0, 0.1, 0.6, 10.0), True)]
+
+    def test_stride_call_equals_its_steps(self):
+        result = check_stride_vs_steps(NET, self.CASES, 300, 12, 1.0, 4)
+        assert result.passed, result.detail
+
+    def test_second_event_put_at_the_first_event_step_fails(self, monkeypatch):
+        import inspect
+        import uavcov.simulator as simulator
+
+        source = inspect.getsource(simulator._advance_vertical)
+        planted = source.replace("ends.searchsorted(mid[two])", "ends.searchsorted(start[two])")
+        assert planted != source
+        namespace = dict(vars(simulator))
+        exec(planted, namespace)
+        monkeypatch.setattr(simulator, "_advance_vertical", namespace["_advance_vertical"])
+        result = check_stride_vs_steps(NET, self.CASES, 300, 12, 1.0, 4)
+        assert not result.passed
+        assert "differ in dwelling masks" in result.detail
+
+
 class TestAltitudeDependentFading:
     def test_band_shapes_follow_altitude(self, rng):
         fading = FadingConfig(1, 1, altitude_dependent=True)
         h = np.array([0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
-        shapes = _interferer_shapes(h, fading, NET)
+        shapes = _interferer_shapes(fading, NET)(h)
         assert shapes.tolist() == [1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 3.0]
 
     def test_default_band_edges_open_the_upper_band(self):
         fading = FadingConfig(1, 1, altitude_dependent=True)
         h = np.array([NET.height / 3, 2 * NET.height / 3, NET.height])
         h = np.concatenate((np.nextafter(h, -np.inf), h))
-        shapes = _interferer_shapes(h, fading, NET)
+        shapes = _interferer_shapes(fading, NET)(h)
         assert shapes.tolist() == [1.0, 2.0, 3.0, 2.0, 3.0, 3.0]
 
     def test_altitudes_in_a_tolerated_gap_take_the_band_below(self):
         bands = ((0.0, 10.0, 1), (10.00000002, 20.0, 2), (20.0, 30.0, 3))
         fading = FadingConfig(1, 1, altitude_dependent=True, bands=bands)
         h = np.array([0.0, 10.0, 10.00000001, 10.00000002, 19.999, 20.0, 30.0])
-        shapes = _interferer_shapes(h, fading, NET)
+        shapes = _interferer_shapes(fading, NET)(h)
         assert shapes.tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
         gains = np.random.default_rng(1).gamma(shapes, 1.0 / shapes)
         assert np.all(np.isfinite(gains)) and np.all(gains > 0)
 
     def test_plain_mode_uses_single_shape(self, rng):
-        shapes = _interferer_shapes(np.array([1.0, 29.0]), FadingConfig(1, 2), NET)
+        shapes = _interferer_shapes(FadingConfig(1, 2), NET)(np.array([1.0, 29.0]))
         assert type(shapes) is float and shapes == 2.0
