@@ -311,10 +311,11 @@ def _hop(state: UavState, dwelling: np.ndarray, u: np.ndarray, net: NetworkConfi
     z = state.xy.view(np.complex128)[:, 0]  # x + iy, a view of xy
     interior_limit = max(net.radius - mob.hop_range, 0.0)
     interior = []
-    for j, mask in enumerate(dwelling):
+    # (steps, n, 2): a view with one block, one copy per call with more
+    for mask, uj in zip(dwelling, u.swapaxes(0, 1).reshape(dwelling.shape + (2,))):
         idx = mask.nonzero()[0]
         start = z[idx]
-        uh = u[:, j].reshape(-1, 2).take(idx, axis=0)
+        uh = uj.take(idx, axis=0)
         length = mob.hop_range * np.sqrt(uh[:, 0])
         target = _unit(2.0 * math.pi * uh[:, 1])
         target *= length
@@ -344,6 +345,8 @@ def advance(state: UavState, steps: int, dt: float, rng, net: NetworkConfig,
     """
     if not dt > 0:
         raise ConfigurationError(f"dt must be > 0, got {dt}")
+    if steps < 1:
+        raise ConfigurationError(f"steps must be >= 1, got {steps}")
     streams = _Streams(rng, state.n)
     ends = np.empty(steps)
     t = state.t
@@ -536,7 +539,11 @@ def run_campaign(
     block per replication, with every draw split by block; each block's
     numbers are those its replication gives when run alone.  The network
     starts in its stationary law, so snapshots begin with the first
-    stride.  Snapshot counts round up to a multiple of replications * chains.
+    stride.  Each snapshot takes one in-place `advance` call of `stride`
+    steps, in which a block draws its event uniforms pass by pass and then
+    one (stride, block, 2) array for its hops, followed by the snapshot's
+    fading draws.  Snapshot counts round up to a multiple of
+    replications * chains.
     """
     if n_snapshots < 1:
         raise ConfigurationError("n_snapshots must be >= 1")

@@ -173,6 +173,8 @@ class TestStep:
         state = initial_state(1, NET, MOB, rng)
         with pytest.raises(ConfigurationError):
             step(state, 0.0, rng, NET, MOB)
+        with pytest.raises(ConfigurationError, match="steps"):
+            advance(state, 0, 1.0, rng, NET, MOB)
 
 
 class TestSnapshot:
