@@ -28,6 +28,7 @@ from .interference import laplace_jets
 from .simulator import (
     CampaignResult,
     UavState,
+    advance,
     default_psi_grid,
     initial_state,
     run_campaign,
@@ -51,6 +52,7 @@ __all__ = [
     "Sweep",
     "UavState",
     "UnsupportedGeometryError",
+    "advance",
     "coverage_sweep",
     "default_psi_grid",
     "derive_stay_probability",
