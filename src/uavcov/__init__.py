@@ -32,8 +32,6 @@ from .simulator import (
     default_psi_grid,
     initial_state,
     run_campaign,
-    sample_snapshot,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -60,7 +58,5 @@ __all__ = [
     "laplace_jets",
     "resolve_fading_bands",
     "run_campaign",
-    "sample_snapshot",
-    "step",
     "__version__",
 ]

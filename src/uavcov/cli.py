@@ -230,7 +230,7 @@ def cmd_sweep(args) -> int:
     for value in values:
         doc = scenario_to_dict(sc)
         _set_by_dotted_path(doc, args.param, value)
-        point = scenario_from_dict(doc)
+        point = scenario_from_dict(doc, f"scenario with {args.param}={value}")
         sweep = _coverage(point)[0]
         lines += map("%s,%s,%.10g,%.12g,%.12g,%s".__mod__,
                      zip(repeat(args.param), repeat(value), point.psi_grid_db,

@@ -38,6 +38,8 @@ class SimParams:
             raise ConfigurationError("sim.dt_s must be > 0")
         if self.stride < 1 or self.replications < 1 or self.chains < 1:
             raise ConfigurationError("sim.stride, sim.replications, sim.chains must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"sim.seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,18 @@ def _bool_field(section: dict, section_name: str, key: str, default=_REQUIRED) -
     return value
 
 
-def scenario_from_dict(doc: dict) -> Scenario:
+def scenario_from_dict(doc: dict, source: str = "scenario") -> Scenario:
+    """The scenario a parsed document describes.  A field of the wrong type
+    or form raises ConfigurationError, naming `source`."""
+    try:
+        return _scenario_from_dict(doc)
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, ConfigurationError):
+            raise
+        raise ConfigurationError(f"{source} is malformed: {exc}") from exc
+
+
+def _scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ConfigurationError("scenario document must be a JSON object")
     for section in ("network", "fading", "mobility", "sim"):
@@ -209,12 +222,7 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigurationError(f"cannot read scenario {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"scenario {path!r} is not valid JSON: {exc}") from exc
-    try:
-        return scenario_from_dict(doc)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigurationError):
-            raise
-        raise ConfigurationError(f"scenario {path!r} is malformed: {exc}") from exc
+    return scenario_from_dict(doc, f"scenario {path!r}")
 
 
 def dump_scenario(sc: Scenario, path: str) -> None:
@@ -222,14 +230,18 @@ def dump_scenario(sc: Scenario, path: str) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temporary file in the target directory, then rename."""
+    """Write via a temporary file in the target directory, then rename; an
+    OSError on the way raises ConfigurationError and leaves no temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigurationError(f"cannot write output {path!r}: {exc}") from exc
         raise

@@ -63,12 +63,9 @@ from .errors import ConfigurationError, ConsistencyError
 
 __all__ = [
     "UavState",
-    "SnapshotSample",
     "CampaignResult",
     "initial_state",
     "advance",
-    "step",
-    "sample_snapshot",
     "run_campaign",
     "default_psi_grid",
 ]
@@ -358,26 +355,6 @@ def advance(state: UavState, steps: int, dt: float, rng, net: NetworkConfig,
     return float(lengths.sum()), lengths.size
 
 
-def step(state: UavState, dt: float, rng, net: NetworkConfig,
-         mob: MobilityConfig) -> tuple[float, int]:
-    """Advance every interferer by one step of dt, in place: `advance` with
-    one step, so a block draws its event uniforms pass by pass, then one
-    (1, block, 2) array for its hops."""
-    return advance(state, 1, dt, rng, net, mob)
-
-
-@dataclass(frozen=True)
-class SnapshotSample:
-    """One interference snapshot: per-interferer geometry plus fading draws."""
-
-    distances: np.ndarray      # (M,) user-to-interferer distances
-    dwelling: np.ndarray       # (M,) True where the interferer is dwelling
-    serving_gain: float
-    interferer_gains: np.ndarray
-    interference: float        # sum of g_i * w_i^-alpha
-    sir: float
-
-
 def _interferer_shapes(fading: FadingConfig, net: NetworkConfig):
     """The map from altitudes to the Nakagami shape of each interferer there:
     one float for all of them when fading does not depend on altitude, else
@@ -404,7 +381,7 @@ def _snapshot(altitude: np.ndarray, r2: np.ndarray, chains: int, net: NetworkCon
     (`_interferer_shapes`).
 
     `rng` is a generator, or a sequence of generators, one per equal block
-    of chains (as for `step`).  Each generator draws its block's serving
+    of chains (as for `advance`).  Each generator draws its block's serving
     gains, then its block's interferer gains.  Returns (distances, serving
     gains, interferer gains, aggregate interference per chain, SIR per
     chain); the SIR is infinite in a chain with zero interference.
@@ -424,23 +401,6 @@ def _snapshot(altitude: np.ndarray, r2: np.ndarray, chains: int, net: NetworkCon
     with np.errstate(divide="ignore"):
         sir = g0 * net.serving_altitude**-alpha / interference
     return w, g0, gains, interference, sir
-
-
-def sample_snapshot(
-    state: UavState, net: NetworkConfig, fading: FadingConfig, rng
-) -> SnapshotSample:
-    """Draw fading and evaluate the interference and SIR for one state."""
-    r2 = np.einsum("ij,ij->i", state.xy, state.xy)
-    w, g0, gains, interference, sir = _snapshot(
-        state.altitude(), r2, 1, net, fading.serving_m, _interferer_shapes(fading, net), rng)
-    return SnapshotSample(
-        distances=w,
-        dwelling=~state.moving,
-        serving_gain=float(g0[0]),
-        interferer_gains=gains,
-        interference=float(interference[0]),
-        sir=float(sir[0]),
-    )
 
 
 def _tally(sir: np.ndarray, psi_grid: np.ndarray) -> np.ndarray:

@@ -8,9 +8,9 @@ against that row's own edges, inverse-transform samples against closed-form
 laws, derivative jets against finite differences, the analysis against the
 end-to-end simulation, the stationary launch against the closed-form
 stationary laws, the lockstep campaign against its replications run one at
-a time, the event-time vertical kinematics against the time-stepped
-integrator they replaced, and one snapshot stride of stepping in one call
-against the same steps one call each.
+a time, and the simulator's kinematics, one snapshot stride per call as
+campaigns run them, against the time-stepped vertical integrator they
+replaced and a real-arithmetic hop, stepped once per step.
 
 A check is one function whose grid, sizes, seeds and tolerances are its
 arguments, and each seeded check draws from a generator of its own.
@@ -47,10 +47,10 @@ from .special import _large_z, _pfaff, closed_phase_factor, hyp2f1
 __all__ = ["CheckResult", "check_analysis_vs_simulation", "check_binomial_collapse",
            "check_closed_vs_quadrature", "check_derivative_jet", "check_distribution_laws",
            "check_event_tape", "check_gl_vs_quad", "check_hyp2f1_consistency",
-           "check_kernel_batch_vs_row", "check_ladder_vs_row_edges", "check_stationary_start",
-           "check_steady_state_mobility", "check_stride_vs_steps", "check_trivial_anchors",
-           "event_tape_gaps", "kernel_rows_apart", "ladder_rows_apart", "quad_phase_moment",
-           "run_validation", "stride_vs_steps_gaps"]
+           "check_kernel_batch_vs_row", "check_ladder_vs_row_edges",
+           "check_lockstep_replications", "check_stationary_start",
+           "check_steady_state_mobility", "check_trivial_anchors", "event_tape_gaps",
+           "kernel_rows_apart", "ladder_rows_apart", "quad_phase_moment", "run_validation"]
 
 # Adaptive-quadrature oracle tolerances.  The relative tolerance dominates:
 # at large s the moments decay by many orders of magnitude.
@@ -185,23 +185,20 @@ class _EventTape:
 
 
 class _TapeReader:
-    """The `draw` of `simulator._advance_vertical` for one reader of an
+    """The `draw` of `simulator._advance_vertical` for reader 0 of an
     `_EventTape`: each pass gets the reader's next leg row of each
     interferer it runs, with the next dwell in the dwell column.  Call
-    `settle()` after every `_advance_vertical` call.  `repeats` counts the
-    rows handed out in repeat passes (p > 0).
+    `settle()` after every `_advance_vertical` call.
     """
 
-    def __init__(self, tape: _EventTape, reader: int, state):
-        self.tape, self.reader, self.state = tape, reader, state
-        self.last, self.repeats = None, 0
+    def __init__(self, tape: _EventTape, state):
+        self.tape, self.state, self.last = tape, state, None
 
     def __call__(self, idx, p):
         self.settle()
         self.last = idx, self.state.moving[idx]
-        self.repeats += idx.size if p else 0
-        u = self.tape.peek(self.reader, 1, idx)
-        u[:, 0] = self.tape.peek(self.reader, 0, idx)[:, 0]
+        u = self.tape.peek(0, 1, idx)
+        u[:, 0] = self.tape.peek(0, 0, idx)[:, 0]
         return u
 
     def settle(self):
@@ -211,28 +208,49 @@ class _TapeReader:
         if self.last is not None:
             idx, arriving = self.last
             two = self.state.moving[idx] == arriving
-            self.tape.taken[self.reader, 0, idx[arriving | two]] += 1
-            self.tape.taken[self.reader, 1, idx[~arriving | two]] += 1
+            self.tape.taken[0, 0, idx[arriving | two]] += 1
+            self.tape.taken[0, 1, idx[~arriving | two]] += 1
             self.last = None
 
 
-def event_tape_gaps(net, mob, n: int, steps: int, dt: float, seed: int) -> dict:
-    """Step n interferers with `simulator`'s event-time kinematics and with the
-    time-stepped reference, both reading one `_EventTape`, and compare them
-    after every step.
+def _reference_hop(xy, dwelling, u, net, mob) -> np.ndarray:
+    """One step's spatial hops in real arithmetic, in place: the reference for
+    `simulator._hop`.  Each dweller proposes (x + r cos t, y + r sin t) from
+    its row of u, r = hop_range sqrt(u0) and t = 2 pi u1, and stays put if
+    that leaves the disk.  Returns the lengths of the accepted hops that
+    started at least hop_range inside the disk edge."""
+    idx = dwelling.nonzero()[0]
+    x, y = xy[idx, 0], xy[idx, 1]
+    r = mob.hop_range * np.sqrt(u[idx, 0])
+    theta = 2.0 * math.pi * u[idx, 1]
+    x1, y1 = x + r * np.cos(theta), y + r * np.sin(theta)
+    keep = np.hypot(x1, y1) <= net.radius
+    xy[idx[keep], 0] = x1[keep]
+    xy[idx[keep], 1] = y1[keep]
+    return r[keep & (np.hypot(x, y) <= max(net.radius - mob.hop_range, 0.0))]
 
-    Returns the steps after which the phases or the per-interferer counts of
-    dwells and legs differ, the worst altitude and residual dwell gaps, the
-    number of events, and how many times the event-time integrator drew
-    afresh for an interferer in a repeat pass (a third or later event in
-    one step).
+
+def event_tape_gaps(net, mob, n: int, steps: int, stride: int, dt: float, seed: int) -> dict:
+    """Move n interferers `steps` steps of dt as a campaign does, in calls of
+    `stride` steps to `simulator._advance_vertical` and `simulator._hop`, and
+    by the references stepped once per step: the time-stepped vertical
+    integrator and `_reference_hop`.  Both sides read one `_EventTape` for
+    their vertical events and one array of hop proposals.
+
+    Returns the steps whose dwelling masks or interior hop lengths differ,
+    the call ends at which the tape rows used or the positions differ, the
+    worst altitude and residual dwell gaps at call ends, the numbers of
+    events and interior hops, and how many times an interferer had three or
+    more events in one reference step.
     """
     rng = np.random.default_rng(seed)
     state = simulator.initial_state(n, net, mob, rng)
     h, moving = state.altitude(), state.moving.copy()
     wp, v, rem = state.waypoint.copy(), state.speed.copy(), state.dwell_remaining()
+    xy = state.xy.copy()
     tape = _EventTape(n, rng)
-    draw = _TapeReader(tape, 0, state)
+    proposals = rng.random((1, steps, n, 2))
+    draw = _TapeReader(tape, state)
 
     def dwell(idx):
         return mob.dwell_min + (mob.dwell_max - mob.dwell_min) * tape.take(1, 0, idx)[:, 0]
@@ -241,107 +259,64 @@ def event_tape_gaps(net, mob, n: int, steps: int, dt: float, seed: int) -> dict:
         u = tape.take(1, 1, idx)
         return net.height * u[:, 1], mob.speed_min + (mob.speed_max - mob.speed_min) * u[:, 2]
 
-    phase_steps, h_gap, dwell_gap = [], 0.0, 0.0
-    for k in range(steps):
-        simulator._advance_vertical(state, np.array([state.t + dt]), draw, net, mob)
+    gaps = dict(phase_steps=[], hop_steps=[], tape_calls=[], xy_calls=[], altitude_gap=0.0,
+                dwell_gap=0.0, hops=0, repeats=0)
+    for first in range(0, steps, stride):
+        ends, t = [], state.t
+        for _ in range(min(stride, steps - first)):  # the step ends `advance` makes
+            t += dt
+            ends.append(t)
+        masks = simulator._advance_vertical(state, np.array(ends), draw, net, mob)[1:]
         draw.settle()
-        _time_left_vertical(h, moving, wp, v, rem, dt, dwell, leg)
-        if not (np.array_equal(state.moving, moving)
-                and np.array_equal(tape.taken[0], tape.taken[1])):
-            phase_steps.append(k)
-        h_gap = max(h_gap, float(np.abs(state.altitude() - h).max()))
-        dwell_gap = max(dwell_gap, float(np.abs(state.dwell_remaining() - rem).max()))
-    return {"phase_steps": phase_steps, "altitude_gap": h_gap, "dwell_gap": dwell_gap,
-            "events": int(tape.taken[1].sum()), "repeats": draw.repeats}
+        hops = simulator._hop(state, masks, proposals[:, first:first + len(ends)], net, mob)
+        for j, mask, hop in zip(itertools.count(first), masks, hops):
+            events = tape.taken[1].sum(axis=0)
+            _time_left_vertical(h, moving, wp, v, rem, dt, dwell, leg)
+            gaps["repeats"] += int((tape.taken[1].sum(axis=0) - events >= 3).sum())
+            ref = _reference_hop(xy, ~moving, proposals[0, j], net, mob)
+            gaps["hops"] += ref.size
+            if not np.array_equal(mask, ~moving):
+                gaps["phase_steps"].append(j)
+            if hop.tobytes() != ref.tobytes():
+                gaps["hop_steps"].append(j)
+        if not np.array_equal(tape.taken[0], tape.taken[1]):
+            gaps["tape_calls"].append(first)
+        if state.xy.tobytes() != xy.tobytes():
+            gaps["xy_calls"].append(first)
+        gaps["altitude_gap"] = max(gaps["altitude_gap"], float(np.abs(state.altitude() - h).max()))
+        gaps["dwell_gap"] = max(gaps["dwell_gap"],
+                                float(np.abs(state.dwell_remaining() - rem).max()))
+    gaps["events"] = int(tape.taken[1].sum())
+    return gaps
 
 
-def check_event_tape(net, cases, n: int, steps: int, dt: float, seed: int) -> CheckResult:
-    """The event-time vertical kinematics against the time-stepped reference
-    (event_tape_gaps), n interferers over `steps` steps of dt, for each
-    (name, mobility, must_repeat) of cases: phases and dwell and leg counts
-    equal after every step, altitude and residual dwell gaps within 1e-9,
-    and, where must_repeat is set, some interferer drawn afresh in a repeat
-    pass."""
+def check_event_tape(net, cases, n: int, steps: int, stride: int, dt: float,
+                     seed: int) -> CheckResult:
+    """The simulator's kinematics as campaigns run them, in calls of `stride`
+    steps, against the time-stepped vertical integrator and a real-arithmetic
+    hop stepped once per step (event_tape_gaps), n interferers over `steps`
+    steps of dt, for each (name, mobility, must_repeat) of cases: per-step
+    phases and interior hop lengths equal, tape rows used and positions equal
+    at every call end, altitude and residual dwell gaps within 1e-9, and,
+    where must_repeat is set, some interferer with three or more events in
+    one step."""
     ok, parts = True, []
     for name, mob, must_repeat in cases:
-        gaps = event_tape_gaps(net, mob, n, steps, dt, seed)
-        ok &= (not gaps["phase_steps"] and gaps["altitude_gap"] <= 1e-9
-               and gaps["dwell_gap"] <= 1e-9 and (gaps["repeats"] > 0 or not must_repeat))
-        parts.append(f"{name}: {len(gaps['phase_steps'])} steps with phase mismatches, "
-                     f"altitude gap {gaps['altitude_gap']:.1e}, dwell gap "
-                     f"{gaps['dwell_gap']:.1e} over {gaps['events']} events "
-                     f"({gaps['repeats']} repeat)")
-    return CheckResult("event-tape", ok, f"{n} interferers x {steps} steps vs the time-stepped "
-                       "integrator (phases exact, gaps <=1e-9); " + "; ".join(parts))
-
-
-def stride_vs_steps_gaps(net, mob, n: int, stride: int, dt: float, seed: int) -> dict:
-    """Advance one launch of n interferers by `stride` steps of dt twice: with
-    one `_advance_vertical` call and one `_hop` call, as `simulator.advance`
-    makes them for a snapshot stride, and with `stride` one-step calls of
-    each, as `simulator.step` makes them.  Both read one `_EventTape` for
-    their vertical events and one array of hop proposals.
-
-    Returns the names of what differs bit for bit (the per-step dwelling
-    masks, each state field, movers' speeds, the per-step interior hop
-    lengths and the tape rows used), and the numbers of events, of interior hops and of rows the
-    one-step calls drew in repeat passes (a third or later event in one step).
-    """
-    rng = np.random.default_rng(seed)
-    whole = simulator.initial_state(n, net, mob, rng)
-    steps = whole.copy()
-    tape = _EventTape(n, rng)
-    proposals = rng.random((1, stride, n, 2))
-    ends, t = np.empty(stride), whole.t
-    for j in range(stride):
-        t += dt
-        ends[j] = t
-
-    draw = _TapeReader(tape, 0, whole)
-    masks = simulator._advance_vertical(whole, ends, draw, net, mob)[1:]
-    draw.settle()
-    hops = simulator._hop(whole, masks, proposals, net, mob)
-
-    draw = _TapeReader(tape, 1, steps)
-    step_masks, step_hops = [], []
-    for j in range(stride):
-        mask = simulator._advance_vertical(steps, np.array([steps.t + dt]), draw, net, mob)[1:]
-        draw.settle()
-        step_masks.append(mask[0])
-        step_hops += simulator._hop(steps, mask, proposals[:, j:j + 1], net, mob)
-
-    # a dweller's speed is the last one drawn for it, which means nothing
-    # and depends on how its events were grouped into passes
-    pairs = [("dwelling masks", masks, np.array(step_masks)), ("t", whole.t, steps.t),
-             *((name, getattr(whole, name), getattr(steps, name))
-               for name in ("xy", "h0", "t0", "tev", "waypoint", "moving")),
-             ("leg speeds", whole.speed * whole.moving, steps.speed * steps.moving),
-             ("interior hops", np.concatenate(hops), np.concatenate(step_hops)),
-             ("hops per step", [a.size for a in hops], [b.size for b in step_hops]),
-             ("tape rows", tape.taken[0], tape.taken[1])]
-    differ = [name for name, a, b in pairs
-              if np.shape(a) != np.shape(b) or np.asarray(a).tobytes() != np.asarray(b).tobytes()]
-    return {"differ": differ, "events": int(tape.taken[1].sum()),
-            "hops": sum(b.size for b in step_hops), "repeats": draw.repeats}
-
-
-def check_stride_vs_steps(net, cases, n: int, stride: int, dt: float, seed: int) -> CheckResult:
-    """One snapshot stride in one call against `stride` one-step calls
-    (stride_vs_steps_gaps), n interferers from one launch, for each
-    (name, mobility, must_repeat) of cases: the per-step dwelling masks,
-    the final state, the per-step interior hop lengths and the draws used
-    equal bit for bit, and, where must_repeat is set, some interferer drawn
-    afresh in a repeat pass of one step."""
-    ok, parts = True, []
-    for name, mob, must_repeat in cases:
-        gaps = stride_vs_steps_gaps(net, mob, n, stride, dt, seed)
-        ok &= not gaps["differ"] and (gaps["repeats"] > 0 or not must_repeat)
-        parts.append(f"{name}: " + (f"differ in {', '.join(gaps['differ'])}" if gaps["differ"]
-                                    else "identical")
-                     + f" over {gaps['events']} events, {gaps['hops']} interior hops "
-                     f"({gaps['repeats']} repeat)")
-    return CheckResult("stride-vs-steps", ok, f"{n} interferers, one {stride}-step call vs "
-                       f"{stride} one-step calls (bit for bit); " + "; ".join(parts))
+        gaps = event_tape_gaps(net, mob, n, steps, stride, dt, seed)
+        apart = [f"{len(gaps[key])} {what}" for key, what in (
+            ("phase_steps", "steps with phase mismatches"),
+            ("hop_steps", "steps with hop mismatches"),
+            ("tape_calls", "calls with tape-row mismatches"),
+            ("xy_calls", "calls with position mismatches")) if gaps[key]]
+        ok &= (not apart and gaps["altitude_gap"] <= 1e-9 and gaps["dwell_gap"] <= 1e-9
+               and (gaps["repeats"] > 0 or not must_repeat))
+        parts.append(f"{name}: {', '.join(apart) or 'phases, tape rows, xy and hops identical'}"
+                     f", altitude gap {gaps['altitude_gap']:.1e}, dwell gap "
+                     f"{gaps['dwell_gap']:.1e} over {gaps['events']} events, "
+                     f"{gaps['hops']} interior hops ({gaps['repeats']} with 3+ events in a step)")
+    return CheckResult("event-tape", ok, f"{n} interferers x {steps} steps in {stride}-step "
+                       "calls vs the time-stepped integrator and a real-arithmetic hop (phases, "
+                       "tape rows, xy and hops exact, gaps <=1e-9); " + "; ".join(parts))
 
 
 def check_trivial_anchors(net, fading, p_stay: float) -> CheckResult:
@@ -618,19 +593,24 @@ def check_derivative_jet(net, p_stay: float, cases) -> CheckResult:
     )
 
 
-def _check_lockstep_replications(sc: Scenario) -> CheckResult:
-    # A campaign steps all its replications as one array, one block each;
-    # every block must give exactly what its replication gives run alone.
-    # Only the hop-length sum may differ, by summation order.
-    chains, per_chain, seeds = 4, 20, [sc.sim.seed, sc.sim.seed + 1]
-    quota = per_chain // 2 * chains * sc.network.n_interferers  # keep half the samples
-    common = dict(dt=sc.sim.dt, psi_grid=np.asarray(sc.psi_grid_linear()),
-                  stride=sc.sim.stride, chains=chains)
-    args = (sc.network, sc.fading, sc.mobility)
-    both = run_campaign(*args, 2 * chains * per_chain, replications=2, seeds=seeds,
-                        n_batches=4, max_kept_samples=2 * quota, **common)
-    alone = [run_campaign(*args, chains * per_chain, seeds=[s], n_batches=2,
-                          max_kept_samples=quota, **common) for s in seeds]
+def check_lockstep_replications(net, fading, mob, seeds, per_chain: int, batches: int,
+                                quota: int, **campaign) -> CheckResult:
+    """One campaign stepping the replications of `seeds` together, one block
+    each, against each replication run alone with its seed: per_chain
+    snapshots of every chain, and per replication `batches` batches and a
+    kept-sample quota of `quota`; `campaign` (chains, and any of dt, stride
+    and psi_grid) goes to every run_campaign call.  The batch rows, the
+    dwelling histogram, the kept samples, the hop count and the seeds must
+    be equal, the kept samples the fewest whole snapshots that fill each
+    quota, some interior hops made where there can be any, and the
+    hop-length sums within 1e-12 relative (they may differ by summation
+    order)."""
+    reps, chains = len(seeds), campaign["chains"]
+    both = run_campaign(net, fading, mob, reps * chains * per_chain, replications=reps,
+                        seeds=seeds, n_batches=reps * batches,
+                        max_kept_samples=reps * quota, **campaign)
+    alone = [run_campaign(net, fading, mob, chains * per_chain, seeds=[s], n_batches=batches,
+                          max_kept_samples=quota, **campaign) for s in seeds]
     mismatched = [
         name for name in ("batch_success", "batch_snapshots", "batch_dwelling",
                           "static_distances", "moving_distances",
@@ -642,6 +622,14 @@ def _check_lockstep_replications(sc: Scenario) -> CheckResult:
         mismatched.append("dwelling_count_hist")
     if both.hop_count != sum(r.hop_count for r in alone):
         mismatched.append("hop_count")
+    if both.hop_count == 0 and net.n_interferers and mob.hop_range < net.radius:
+        mismatched.append("hop_count (no interior hops)")
+    if both.seed_info != tuple(s for r in alone for s in r.seed_info):
+        mismatched.append("seed_info")
+    block = chains * net.n_interferers
+    snapshots = min(per_chain, -(-quota // block)) if block else 0
+    if both.static_distances.size + both.moving_distances.size != reps * snapshots * block:
+        mismatched.append("kept-sample quota")
     hop_sum = sum(r.hop_length_sum for r in alone)
     hop_gap = abs(both.hop_length_sum - hop_sum) / hop_sum if hop_sum else 0.0
     ok = not mismatched and hop_gap <= 1e-12
@@ -649,7 +637,7 @@ def _check_lockstep_replications(sc: Scenario) -> CheckResult:
               "batch rows, histogram and kept samples identical; ")
     return CheckResult(
         "lockstep-replications", ok,
-        f"2 replications x {chains} chains x {per_chain} snapshots vs each alone: "
+        f"{reps} replications x {chains} chains x {per_chain} snapshots vs each alone: "
         f"{detail}hop-length sum gap {hop_gap:.1e} (<=1e-12)",
     )
 
@@ -744,14 +732,6 @@ def check_stationary_start(state, net, mob, group: int) -> CheckResult:
     )
 
 
-def _check_stationary_start(sc: Scenario) -> CheckResult:
-    group = max(sc.network.n_interferers, 1)
-    n = group * -(-100_000 // group)
-    state = simulator.initial_state(n, sc.network, sc.mobility,
-                                    np.random.default_rng(sc.sim.seed))
-    return check_stationary_start(state, sc.network, sc.mobility, group)
-
-
 def check_steady_state_mobility(result, mob, k_se: float, floor: float) -> CheckResult:
     """A campaign's mobility against its stationary law: the dwelling
     fraction against the stay probability within max(k_se SE, floor), the
@@ -796,6 +776,9 @@ def run_validation(sc: Scenario, fault_bias: float = 0.0) -> list[CheckResult]:
         psi_grid=np.asarray(psi), stride=sim.stride, replications=sim.replications,
         chains=sim.chains,
     )
+    group = max(net.n_interferers, 1)  # 1e5 interferers, whole networks
+    launch = simulator.initial_state(group * -(-100_000 // group), net, mob,
+                                     np.random.default_rng(sim.seed))
     return [
         check_trivial_anchors(net, fading, p_stay),
         check_hyp2f1_consistency(
@@ -808,7 +791,10 @@ def run_validation(sc: Scenario, fault_bias: float = 0.0) -> list[CheckResult]:
         check_ladder_vs_row_edges([(net, m, order, s0)]),
         check_binomial_collapse(net, fading, 6, 4, (-1, 4), sim.seed),
         check_derivative_jet(net, p_stay, [(fading, max(s0[len(s0) // 2], 1.0))]),
-        _check_lockstep_replications(sc),
+        # 2 replications x 4 chains x 20 snapshots, half the samples kept
+        check_lockstep_replications(
+            net, fading, mob, [sim.seed, sim.seed + 1], 20, 2, 10 * 4 * net.n_interferers,
+            chains=4, dt=sim.dt, stride=sim.stride, psi_grid=np.asarray(psi)),
         # the scenario's kinematics, then dwells shorter than a step and none
         # at all, which must give some interferers three or more events in one step
         check_event_tape(net, [
@@ -816,14 +802,8 @@ def run_validation(sc: Scenario, fault_bias: float = 0.0) -> list[CheckResult]:
             ("short-dwell", dataclasses.replace(mob, dwell_min=0.1 * sim.dt,
                                                 dwell_max=0.6 * sim.dt), True),
             ("zero-dwell", dataclasses.replace(mob, dwell_min=0.0, dwell_max=0.0), True),
-        ], 64, 200, sim.dt, sim.seed),
-        # the same two kinds of kinematics over one snapshot stride
-        check_stride_vs_steps(net, [
-            ("scenario", mob, False),
-            ("short-dwell", dataclasses.replace(mob, dwell_min=0.1 * sim.dt,
-                                                dwell_max=0.6 * sim.dt), True),
-        ], 256, sim.stride, sim.dt, sim.seed),
-        _check_stationary_start(sc),
+        ], 256, 200, sim.stride, sim.dt, sim.seed),
+        check_stationary_start(launch, net, mob, group),
         check_analysis_vs_simulation([(net, fading, campaign)], floor=0.015, k_se=5),
         check_steady_state_mobility(campaign, mob, k_se=4, floor=0.01),
     ]

@@ -1,7 +1,7 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
 Run as `pytest tests/test_acceptance.py -v -rA` to see the per-criterion
-PASS/FAIL report lines.  Criteria 1-6, 9-12 and 14-16 call the functions
+PASS/FAIL report lines.  Criteria 1-6, 9-12, 14 and 15 call the functions
 of `uavcov.validation` that `uavcov validate` runs at a reduced scale, here
 at the gate's full grids, sizes, seeds and tolerances.  The four
 1e6-snapshot campaigns of criteria 6 and 9 are shared through a
@@ -20,7 +20,7 @@ from uavcov.validation import (
     check_analysis_vs_simulation, check_binomial_collapse, check_closed_vs_quadrature,
     check_derivative_jet, check_distribution_laws, check_event_tape, check_gl_vs_quad,
     check_kernel_batch_vs_row, check_ladder_vs_row_edges, check_stationary_start,
-    check_steady_state_mobility, check_stride_vs_steps, check_trivial_anchors,
+    check_steady_state_mobility, check_trivial_anchors,
 )
 
 R, H = 40.0, 30.0
@@ -173,19 +173,27 @@ def test_criterion_10_kernel_vs_adaptive_quadrature():
     report("10 gl-vs-quad", result.passed, result.detail)
 
 
-@pytest.mark.parametrize("dwell, must_repeat", [((2.0, 6.0), False), ((0.1, 0.6), True),
-                                                ((0.0, 0.0), True)],
-                         ids=["benchmark", "short-dwell", "zero-dwell"])
-def test_criterion_11_event_tape(dwell, must_repeat):
-    """The event-time vertical kinematics against the time-stepped
-    integrator they replaced, both reading one per-interferer tape of
-    (dwell, waypoint, speed) draws.  Dwells shorter than the 1 s step must
-    give interferers three or more events in one step."""
+DWELL_CASES = (((2.0, 6.0), False, "benchmark"), ((0.1, 0.6), True, "short-dwell"),
+               ((0.0, 0.0), True, "zero-dwell"))
+
+
+@pytest.mark.parametrize("dwell, must_repeat, n, steps, stride, seed", [
+    pytest.param(dwell, must_repeat, *scale, id=name + suffix)
+    for scale, suffix in (((500, 1000, 1, 11), ""), ((5000, 40, 40, 16), "-stride-40"))
+    for dwell, must_repeat, name in DWELL_CASES])
+def test_criterion_11_event_tape(dwell, must_repeat, n, steps, stride, seed):
+    """The simulator's kinematics, in calls of `stride` steps as a campaign
+    makes them, against the time-stepped vertical integrator and a
+    real-arithmetic hop stepped once per step, both sides reading one
+    per-interferer tape of (dwell, waypoint, speed) draws and one array of
+    hop proposals: 1000 one-step calls, and one 40-step call.  Dwells
+    shorter than the 1 s step must give interferers three or more events in
+    one step."""
     mob = MobilityConfig(MOBILITY.speed_min, MOBILITY.speed_max, *dwell, MOBILITY.hop_range)
     name = f"{dwell[0]:g}-{dwell[1]:g} s dwell"
     result = check_event_tape(net_with(2, 10.0), [(name, mob, must_repeat)],
-                              n=500, steps=1000, dt=1.0, seed=11)
-    report(f"11 event-tape ({name})", result.passed, result.detail)
+                              n=n, steps=steps, stride=stride, dt=1.0, seed=seed)
+    report(f"11 event-tape ({name}, stride {stride})", result.passed, result.detail)
 
 
 def test_criterion_12_stationary_start():
@@ -258,16 +266,23 @@ def test_criterion_15_ladder_vs_row_edges():
     report("15 ladder-vs-row-edges", result.passed, result.detail)
 
 
-@pytest.mark.parametrize("dwell, must_repeat", [((2.0, 6.0), False), ((0.1, 0.6), True),
-                                                ((0.0, 0.0), True)],
-                         ids=["benchmark", "short-dwell", "zero-dwell"])
-def test_criterion_16_stride_vs_steps(dwell, must_repeat):
-    """A campaign advances one snapshot stride per call.  One 40-step call
-    against 40 one-step calls from the same launch, both reading one tape of
-    event draws and one array of hop proposals, bit for bit.  Dwells shorter
-    than the 1 s step must give the one-step calls repeat passes."""
-    mob = MobilityConfig(MOBILITY.speed_min, MOBILITY.speed_max, *dwell, MOBILITY.hop_range)
-    name = f"{dwell[0]:g}-{dwell[1]:g} s dwell"
-    result = check_stride_vs_steps(net_with(2, 10.0), [(name, mob, must_repeat)],
-                                   n=5000, stride=40, dt=1.0, seed=16)
-    report(f"16 stride-vs-steps ({name})", result.passed, result.detail)
+def test_every_check_runs_in_validate_and_in_the_tests():
+    """Each cross-check is one `check_*` function that both `validate` and
+    the tests call: every public check_* of uavcov.validation is called in
+    run_validation and in some module under tests/."""
+    import ast
+    import inspect
+    from pathlib import Path
+
+    import uavcov.validation as validation
+
+    def called(source):
+        return {getattr(node.func, "id", getattr(node.func, "attr", None))
+                for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)}
+
+    checks = {name for name in vars(validation) if name.startswith("check_")}
+    in_tests = set().union(*(called(path.read_text())
+                             for path in Path(__file__).parent.glob("*.py")))
+    assert checks == {name for name in validation.__all__ if name.startswith("check_")}
+    assert checks - called(inspect.getsource(validation.run_validation)) == set()
+    assert checks - in_tests == set()

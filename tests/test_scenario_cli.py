@@ -167,6 +167,15 @@ class TestAnalyzeCommand:
         rows = out.read_text().strip().splitlines()[2:]
         assert all(float(r.split(",")[2]) == 1.0 for r in rows)
 
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing-dir", "a-dir"])
+    def test_unwritable_output_is_input_error(self, scenario_path, tmp_path, capsys, out):
+        """A directory that does not exist, or a directory at the output
+        path: exit 2 naming the path, and no temporary file left behind."""
+        code = main(["analyze", "--scenario", scenario_path, "--out", str(tmp_path / out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output ")
+        assert list(tmp_path.rglob(".tmp-*.part")) == []
+
     def test_unreadable_scenario_is_input_error(self, tmp_path, capsys):
         code = main(["analyze", "--scenario", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x.csv")])
@@ -506,10 +515,10 @@ class TestValidateCommand:
         checks = ["trivial-anchors", "hyp2f1-consistency", "distribution-laws",
                   "closed-vs-quadrature", "gl-vs-quad", "kernel-batch-vs-row",
                   "ladder-vs-row-edges", "binomial-collapse", "derivative-jet",
-                  "lockstep-replications", "event-tape", "stride-vs-steps",
-                  "stationary-start", "analysis-vs-simulation", "steady-state-mobility"]
+                  "lockstep-replications", "event-tape", "stationary-start",
+                  "analysis-vs-simulation", "steady-state-mobility"]
         assert [line.split(":")[0] for line in lines] == [f"[PASS] {c}" for c in checks] + [
-            "all 15 checks passed"]
+            "all 14 checks passed"]
 
     def test_altitude_fading_scenario_checks_steady_state_mobility(self, capsys):
         """The mobility law does not depend on fading, so the campaign runs
@@ -529,7 +538,7 @@ class TestValidateCommand:
         code = main(["validate", "--scenario", str(BASELINE), "--psi-db=-4000,0,10"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 1, lines
-        assert len(lines) == 16 and lines[-1] == "3/15 checks failed"
+        assert len(lines) == 15 and lines[-1] == "3/14 checks failed"
         failed = {line.split(":")[0][len("[FAIL] "):]: line for line in lines
                   if line.startswith("[FAIL] ")}
         assert sorted(failed) == ["analysis-vs-simulation", "closed-vs-quadrature",
@@ -588,6 +597,22 @@ def test_simulate_reports_the_kinematic_stay_probability(tmp_path):
     assert json.loads((tmp_path / "c.json").read_text())["stay_probability"] == p
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_negative_seed_flag_is_input_error(scenario_path, tmp_path, capsys, command):
+    out = ["--out", str(tmp_path / "o")] if command == "simulate" else []
+    assert main([command, "--scenario", scenario_path, *out, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: sim.seed must be >= 0, got -1")
+
+
+def test_negative_seed_field_is_input_error(tmp_path, capsys):
+    doc = scenario_to_dict(small_scenario())
+    doc["sim"]["seed"] = -1
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: sim.seed must be >= 0, got -1")
+
+
 def test_boundary_rule_other_than_stay_is_input_error(tmp_path, capsys):
     doc = scenario_to_dict(small_scenario())
     doc["sim"]["boundary_rule"] = "resample"
@@ -610,6 +635,13 @@ class TestSweepCommand:
         assert len(rows) == 6
         by_value = {v: [float(r[4]) for r in rows if r[1] == v] for v in ("2", "5")}
         assert all(five <= two for two, five in zip(by_value["2"], by_value["5"]))
+
+    def test_malformed_value_is_input_error(self, scenario_path, tmp_path, capsys):
+        code = main(["sweep", "--scenario", scenario_path, "--out", str(tmp_path / "s.csv"),
+                     "--param", "fading.bands", "--values", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: scenario with fading.bands=1 is malformed: ")
 
     def test_unknown_field_is_input_error(self, scenario_path, tmp_path, capsys):
         code = main(["sweep", "--scenario", scenario_path,

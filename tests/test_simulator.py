@@ -14,10 +14,12 @@ from uavcov.simulator import (
     default_psi_grid,
     initial_state,
     run_campaign,
-    sample_snapshot,
-    step,
 )
-from uavcov.validation import check_stationary_start, check_stride_vs_steps
+from uavcov.validation import (
+    check_event_tape,
+    check_lockstep_replications,
+    check_stationary_start,
+)
 
 NET = NetworkConfig(40.0, 30.0, 10.0, 2, 2.0)
 MOB = MobilityConfig(0.2, 10.0, 2.0, 6.0, 10.0)
@@ -44,7 +46,7 @@ STATE_FIELDS = ("xy", "h0", "t0", "tev", "waypoint", "speed", "moving")
 def assert_blocks_step_as_each_alone(mob, stride=1, steps=60):
     """Block r of a two-block state draws only from generator r, so
     stepping both together equals stepping each alone, bit for bit, one
-    `advance` call of `stride` steps at a time (`step` when stride is 1)."""
+    `advance` call of `stride` steps at a time."""
     seeds = (3, 4)
     both = initial_state(80, NET, mob, [np.random.default_rng(s) for s in seeds])
     alone = [initial_state(40, NET, mob, np.random.default_rng(s)) for s in seeds]
@@ -52,10 +54,7 @@ def assert_blocks_step_as_each_alone(mob, stride=1, steps=60):
     alone_rngs = [np.random.default_rng(s + 10) for s in seeds]
     tally = np.zeros(2)
     for _ in range(steps // stride):
-        if stride == 1:
-            tally += step(both, 1.0, both_rngs, NET, mob)
-        else:
-            tally += advance(both, stride, 1.0, both_rngs, NET, mob)
+        tally += advance(both, stride, 1.0, both_rngs, NET, mob)
         for block, g in zip(alone, alone_rngs):
             tally -= advance(block, stride, 1.0, g, NET, mob)
     for name in STATE_FIELDS:
@@ -75,7 +74,7 @@ class TestStep:
     def test_dwelling_persists_and_hops(self, rng):
         state = single_uav((0.0, 0.0), 12.0, False, 12.0, 1.0, 5.0)
         new = state.copy()
-        step(new, 1.0, rng, NET, MOB)
+        advance(new, 1, 1.0, rng, NET, MOB)
         assert not new.moving[0]
         assert new.dwell_remaining()[0] == pytest.approx(4.0)
         assert new.altitude()[0] == 12.0
@@ -85,7 +84,7 @@ class TestStep:
     def test_arrival_clamps_to_waypoint(self, rng):
         state = single_uav((0.0, 0.0), 10.0, True, 10.5, 2.0, 0.0)
         new = state.copy()
-        step(new, 1.0, rng, NET, MOB)
+        advance(new, 1, 1.0, rng, NET, MOB)
         assert not new.moving[0]
         assert new.altitude()[0] == 10.5
         # arrival took 0.25 s, so 0.75 s of the fresh dwell is already spent
@@ -95,7 +94,7 @@ class TestStep:
     def test_cruising_advances_by_speed_times_dt(self, rng):
         state = single_uav((0.0, 0.0), 5.0, True, 25.0, 3.0, 0.0)
         new = state.copy()
-        step(new, 1.0, rng, NET, MOB)
+        advance(new, 1, 1.0, rng, NET, MOB)
         assert new.moving[0]
         assert new.altitude()[0] == pytest.approx(8.0)
         assert np.array_equal(new.xy, state.xy)  # no hop while climbing
@@ -103,7 +102,7 @@ class TestStep:
     def test_dwell_expiry_relaunches(self, rng):
         state = single_uav((0.0, 0.0), 12.0, False, 12.0, 1.0, 0.25)
         new = state.copy()
-        step(new, 1.0, rng, NET, MOB)
+        advance(new, 1, 1.0, rng, NET, MOB)
         assert new.moving[0]
         assert 0.0 <= new.waypoint[0] <= NET.height
         assert MOB.speed_min <= new.speed[0] <= MOB.speed_max
@@ -114,8 +113,8 @@ class TestStep:
     def test_containment_over_long_run(self, rng):
         state = initial_state(300, NET, MOB, rng)
         for _ in range(300):
-            step(state, 1.0, rng, NET, MOB)
-            state.check_containment(NET)  # callers check containment, not step
+            advance(state, 1, 1.0, rng, NET, MOB)
+            state.check_containment(NET)  # callers check containment, not advance
         radii = np.hypot(state.xy[:, 0], state.xy[:, 1])
         assert radii.max() <= NET.radius * (1 + 1e-12)
         assert state.altitude().min() >= 0.0
@@ -167,31 +166,32 @@ class TestStep:
     def test_state_must_split_into_equal_blocks(self, rng):
         state = initial_state(5, NET, MOB, rng)
         with pytest.raises(ConfigurationError, match="equal blocks"):
-            step(state, 1.0, [rng, np.random.default_rng(1)], NET, MOB)
+            advance(state, 1, 1.0, [rng, np.random.default_rng(1)], NET, MOB)
 
     def test_rejects_bad_dt_and_rule(self, rng):
         state = initial_state(1, NET, MOB, rng)
-        with pytest.raises(ConfigurationError):
-            step(state, 0.0, rng, NET, MOB)
+        with pytest.raises(ConfigurationError, match="dt"):
+            advance(state, 1, 0.0, rng, NET, MOB)
         with pytest.raises(ConfigurationError, match="steps"):
             advance(state, 0, 1.0, rng, NET, MOB)
 
 
 class TestSnapshot:
     def test_interference_identity(self, rng):
-        state = initial_state(5, NetworkConfig(40.0, 30.0, 10.0, 5, 2.0), MOB, rng)
-        snap = sample_snapshot(state, NetworkConfig(40.0, 30.0, 10.0, 5, 2.0), FAD, rng)
-        expected = float(np.sum(snap.interferer_gains * snap.distances**-2.0))
-        assert snap.interference == pytest.approx(expected, rel=1e-15)
-        assert snap.sir == pytest.approx(
-            snap.serving_gain * 10.0**-2.0 / snap.interference, rel=1e-15
-        )
+        net = NetworkConfig(40.0, 30.0, 10.0, 5, 2.0)
+        r2, altitude = initial_state(5, net, MOB, rng).check_containment(net)
+        w, g0, gains, interference, sir = _snapshot(
+            altitude, r2, 1, net, 1, _interferer_shapes(FAD, net), rng)
+        assert interference[0] == pytest.approx(np.sum(gains * w**-2.0), rel=1e-15)
+        assert sir[0] == pytest.approx(g0[0] * 10.0**-2.0 / interference[0], rel=1e-15)
 
     def test_empty_network_has_infinite_sir(self, rng):
         net0 = NetworkConfig(40.0, 30.0, 10.0, 0, 2.0)
-        snap = sample_snapshot(initial_state(0, net0, MOB, rng), net0, FAD, rng)
-        assert snap.interference == 0.0
-        assert np.isinf(snap.sir)
+        r2, altitude = initial_state(0, net0, MOB, rng).check_containment(net0)
+        _, _, _, interference, sir = _snapshot(
+            altitude, r2, 1, net0, 1, _interferer_shapes(FAD, net0), rng)
+        assert interference.tolist() == [0.0]
+        assert np.isinf(sir[0])
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_scalar_shape_gains_equal_the_array_shape_draw(self, m):
@@ -263,27 +263,12 @@ class TestLockstepReplications:
         (FAD, MobilityConfig(0.2, 10.0, 0.1, 0.6, 10.0)),
     ], ids=["stay", "serving-shape-2", "altitude-bands", "short-dwell"])
     def test_each_replication_matches_its_run_alone(self, fading, mob):
-        net = NetworkConfig(40.0, 30.0, 10.0, 3, 2.0)
-        common = dict(seed=0, chains=5, stride=3)
-        lockstep = run_campaign(net, fading, mob, 3 * 5 * 60, replications=3,
-                                seeds=self.SEEDS, n_batches=12,
-                                max_kept_samples=3 * 400, **common)
-        alone = [run_campaign(net, fading, mob, 5 * 60, replications=1, seeds=[s],
-                              n_batches=4, max_kept_samples=400, **common)
-                 for s in self.SEEDS]
-        for name in ("batch_success", "batch_snapshots", "batch_dwelling",
-                     "static_distances", "moving_distances",
-                     "static_altitudes", "moving_altitudes"):
-            joined = np.concatenate([getattr(r, name) for r in alone])
-            assert np.array_equal(getattr(lockstep, name), joined), name
-        # the quota keeps whole snapshots: ceil(400 / 15) = 27 of 60 per replication
-        assert lockstep.static_distances.size + lockstep.moving_distances.size == 3 * 27 * 15
-        assert np.array_equal(lockstep.dwelling_count_hist,
-                              sum(r.dwelling_count_hist for r in alone))
-        assert lockstep.hop_count == sum(r.hop_count for r in alone) > 0
-        assert lockstep.hop_length_sum == pytest.approx(
-            sum(r.hop_length_sum for r in alone), rel=1e-12, abs=0)
-        assert lockstep.seed_info == tuple(s for r in alone for s in r.seed_info)
+        # 3 replications x 5 chains x 60 snapshots; the quota of 400 samples
+        # keeps ceil(400 / 15) = 27 whole snapshots per replication
+        result = check_lockstep_replications(
+            NetworkConfig(40.0, 30.0, 10.0, 3, 2.0), fading, mob, self.SEEDS, 60, 4, 400,
+            chains=5, stride=3)
+        assert result.passed, result.detail
 
     def test_one_in_place_stride_call_per_snapshot(self, monkeypatch):
         import uavcov.simulator as simulator
@@ -298,11 +283,7 @@ class TestLockstepReplications:
         def no_copy(self):
             raise AssertionError("a campaign must step in place")
 
-        def no_step(*args, **kwargs):
-            raise AssertionError("a campaign must advance a stride per call")
-
         monkeypatch.setattr(simulator, "advance", counting_advance)
-        monkeypatch.setattr(simulator, "step", no_step)
         monkeypatch.setattr(UavState, "copy", no_copy)
         run_campaign(NET, FAD, MOB, 3 * 5 * 4, chains=5, stride=2,
                      replications=3, seeds=self.SEEDS)
@@ -375,7 +356,7 @@ class TestBoundaryRules:
         positions.  KS noise floor at 2e4 iid samples is about 0.010."""
         state = initial_state(20_000, NET, MOB, rng)
         for _ in range(400):
-            step(state, 1.0, rng, NET, MOB)
+            advance(state, 1, 1.0, rng, NET, MOB)
         radii = np.hypot(state.xy[:, 0], state.xy[:, 1])
         ks = stats.kstest(radii, lambda r: np.clip((r / NET.radius) ** 2, 0, 1))
         assert ks.statistic < 0.015
@@ -452,31 +433,43 @@ class TestStationaryStart:
         both.check_containment(NET)
 
 
-class TestStrideVsSteps:
-    """The oracle of `advance`: one stride call against its steps one call
-    each (validation.check_stride_vs_steps) passes on the simulator and
-    fails on a planted mutation of the event-to-step bookkeeping."""
+class TestEventTape:
+    """The oracle of `advance`: its stride calls against the time-stepped
+    vertical integrator and a real-arithmetic hop stepped once per step
+    (validation.check_event_tape) pass on the simulator and fail on planted
+    mutations of the event-to-step bookkeeping and of the hop."""
 
     CASES = [("benchmark", MOB, False),
              ("short-dwell", MobilityConfig(0.2, 10.0, 0.1, 0.6, 10.0), True)]
 
-    def test_stride_call_equals_its_steps(self):
-        result = check_stride_vs_steps(NET, self.CASES, 300, 12, 1.0, 4)
-        assert result.passed, result.detail
-
-    def test_second_event_put_at_the_first_event_step_fails(self, monkeypatch):
+    @staticmethod
+    def plant(monkeypatch, name, old, new):
         import inspect
         import uavcov.simulator as simulator
 
-        source = inspect.getsource(simulator._advance_vertical)
-        planted = source.replace("ends.searchsorted(mid[two])", "ends.searchsorted(start[two])")
+        source = inspect.getsource(getattr(simulator, name))
+        planted = source.replace(old, new)
         assert planted != source
         namespace = dict(vars(simulator))
         exec(planted, namespace)
-        monkeypatch.setattr(simulator, "_advance_vertical", namespace["_advance_vertical"])
-        result = check_stride_vs_steps(NET, self.CASES, 300, 12, 1.0, 4)
+        monkeypatch.setattr(simulator, name, namespace[name])
+
+    def test_stride_calls_match_the_time_stepped_reference(self):
+        result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
+        assert result.passed, result.detail
+
+    def test_second_event_put_at_the_first_event_step_fails(self, monkeypatch):
+        self.plant(monkeypatch, "_advance_vertical", "ends.searchsorted(mid[two])",
+                   "ends.searchsorted(start[two])")
+        result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
         assert not result.passed
-        assert "differ in dwelling masks" in result.detail
+        assert "steps with phase mismatches" in result.detail
+
+    def test_hop_length_without_its_square_root_fails(self, monkeypatch):
+        self.plant(monkeypatch, "_hop", "np.sqrt(uh[:, 0])", "uh[:, 0]")
+        result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
+        assert not result.passed
+        assert "steps with hop mismatches" in result.detail
 
 
 class TestAltitudeDependentFading:
