@@ -194,6 +194,9 @@ def cmd_validate(args) -> int:
 
 
 def _set_by_dotted_path(doc: dict, dotted: str, value):
+    """Set one number or flag of a scenario document from a swept string,
+    typed by the field; a table (the band table, the threshold grid) is not
+    sweepable."""
     parts = dotted.split(".")
     node = doc
     for key in parts[:-1]:
@@ -203,8 +206,11 @@ def _set_by_dotted_path(doc: dict, dotted: str, value):
     leaf = parts[-1]
     if not isinstance(node, dict) or leaf not in node:
         raise ConfigurationError(f"unknown scenario field {dotted!r}")
-    old = node[leaf]
-    caster = type(old) if old is not None else float
+    # Of the fields that may be null, the stay override holds a float and
+    # the band table a table: neither is typed by a null current value.
+    caster = float if dotted == "mobility.stay_probability_override" else type(node[leaf])
+    if caster not in (bool, int, float):
+        raise ConfigurationError(f"{dotted} is not sweepable: it holds a table, not a number")
     if caster is bool:
         flag = value.lower()
         if flag not in ("true", "false", "1", "0"):

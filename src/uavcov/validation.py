@@ -568,7 +568,7 @@ def check_derivative_jet(net, p_stay: float, cases) -> CheckResult:
     """L_I' and L_I'' from the kernel's order-2 jet of L_I against central
     differences of L_I, all taken from one order-0 call, at every
     (fading, s0) of cases, steps 1e-5 s0 for k = 1 and 3e-4 s0 for k = 2,
-    to 1e-5 relative."""
+    to 1e-5 relative (absolute where a difference is 0)."""
     gaps = []
     for fading, s0 in cases:
         h1, h2 = 1e-5 * s0, 3e-4 * s0
@@ -584,7 +584,10 @@ def check_derivative_jet(net, p_stay: float, cases) -> CheckResult:
         inv = -1.0 / s0
         fd1 = (up1 - down1) / (2 * h1)
         fd2 = (up2 - 2 * mid + down2) / h2**2
-        gaps.append((abs(c1 * inv - fd1) / abs(fd1), abs(c2 * inv**2 * 2 - fd2) / abs(fd2)))
+        # relative where a difference is nonzero; absolute where it is 0, as
+        # when L_I is identically 1 (no interferers)
+        gaps.append(tuple(abs(jet - fd) / (abs(fd) or 1.0)
+                          for jet, fd in ((c1 * inv, fd1), (c2 * inv**2 * 2, fd2))))
     r1, r2 = np.max(gaps, axis=0)  # NaN propagates
     return CheckResult(
         "derivative-jet", bool(r1 <= 1e-5 and r2 <= 1e-5),

@@ -179,16 +179,18 @@ DWELL_CASES = (((2.0, 6.0), False, "benchmark"), ((0.1, 0.6), True, "short-dwell
 
 @pytest.mark.parametrize("dwell, must_repeat, n, steps, stride, seed", [
     pytest.param(dwell, must_repeat, *scale, id=name + suffix)
-    for scale, suffix in (((500, 1000, 1, 11), ""), ((5000, 40, 40, 16), "-stride-40"))
+    for scale, suffix in (((500, 1000, 1, 11), ""), ((5000, 40, 40, 16), "-stride-40"),
+                          ((1000, 100, 10, 21), "-stride-10-chunked"))
     for dwell, must_repeat, name in DWELL_CASES])
 def test_criterion_11_event_tape(dwell, must_repeat, n, steps, stride, seed):
     """The simulator's kinematics, in calls of `stride` steps as a campaign
     makes them, against the time-stepped vertical integrator and a
     real-arithmetic hop stepped once per step, both sides reading one
     per-interferer tape of (dwell, waypoint, speed) draws and one array of
-    hop proposals: 1000 one-step calls, and one 40-step call.  Dwells
-    shorter than the 1 s step must give interferers three or more events in
-    one step."""
+    hop proposals: 1000 one-step calls, one 40-step call, and ten 10-step
+    calls of 1000 interferers, each hopped in chunks of 4, 4 and 2 steps.
+    Dwells shorter than the 1 s step must give interferers three or more
+    events in one step."""
     mob = MobilityConfig(MOBILITY.speed_min, MOBILITY.speed_max, *dwell, MOBILITY.hop_range)
     name = f"{dwell[0]:g}-{dwell[1]:g} s dwell"
     result = check_event_tape(net_with(2, 10.0), [(name, mob, must_repeat)],

@@ -289,6 +289,25 @@ class TestLockstepReplications:
                      replications=3, seeds=self.SEEDS)
         assert calls == [(3 * 5 * NET.n_interferers, 2)] * 4
 
+    def test_working_set_does_not_grow_with_the_snapshots(self):
+        """In the simulate layout (2 replications x 64 chains, M = 2) with a
+        small kept-sample quota, a campaign of 8N snapshots per chain peaks
+        at the traced memory of one of N: the SIR and dwelling-count buffer
+        holds a fixed number of snapshots (numpy reports its buffers to
+        tracemalloc)."""
+        import tracemalloc
+
+        peaks = []
+        for per_chain in (80, 640):
+            tracemalloc.start()
+            try:
+                run_campaign(NET, FAD, MOB, 2 * 64 * per_chain, seed=5, replications=2,
+                             chains=64, max_kept_samples=1000)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], peaks
+
     def test_sort_tally_equals_the_broadcast_compare(self):
         """The covered-snapshot counts per replication and threshold, from one
         sort and searchsorted, against comparing every SIR with every
@@ -467,6 +486,14 @@ class TestEventTape:
 
     def test_hop_length_without_its_square_root_fails(self, monkeypatch):
         self.plant(monkeypatch, "_hop", "np.sqrt(uh[:, 0])", "uh[:, 0]")
+        result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
+        assert not result.passed
+        assert "steps with hop mismatches" in result.detail
+
+    def test_chunk_proposals_shifted_by_one_step_fail(self, monkeypatch):
+        """Each step of a chunk must read its own step's proposal rows: here
+        300 interferers hop each 12-step call as one chunk."""
+        self.plant(monkeypatch, "_hop", "u[first * n:]", "np.roll(u, -n, axis=0)[first * n:]")
         result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
         assert not result.passed
         assert "steps with hop mismatches" in result.detail
