@@ -38,7 +38,9 @@ which gives every step's dwelling mask.  Then each block draws one
 dwelling at each step's end hop.  The steps hop in chunks of at most
 _HOP_BUDGET // n steps: a chunk gathers its dwellers' proposals and takes
 their lengths and offsets at once, and only the move from each step's
-positions runs step by step.  Containment is checked at launch and at every
+positions runs step by step.  An offset's unit vector comes from the
+tangent of the half angle (`_unit`), which numpy vectorizes, not from a
+cosine and a sine.  Containment is checked at launch and at every
 snapshot, not on every step.  A campaign builds its streams, the generators
 with their block and chain spans, once.
 
@@ -235,9 +237,9 @@ def initial_state(n: int, net: NetworkConfig, mob: MobilityConfig, rng) -> UavSt
     residual = residual_u * np.sqrt(lo2 + biased_u * (hi2 - lo2))
     waypoint = np.where(up_u < 0.5, altitude + (H - altitude) * far_u, altitude * far_u)
     speed = mob.speed_min * (mob.speed_max / mob.speed_min) ** speed_u
-    radius, theta = net.radius * np.sqrt(radius_u), 2.0 * math.pi * angle_u
+    xy = _unit(angle_u) * (net.radius * np.sqrt(radius_u))
     return UavState(
-        xy=np.column_stack((radius * np.cos(theta), radius * np.sin(theta))),
+        xy=xy.view(np.float64).reshape(n, 2),
         h0=altitude,
         t0=np.zeros(n),
         tev=np.where(dwelling, residual, np.abs(waypoint - altitude) / speed),
@@ -302,22 +304,31 @@ def _advance_vertical(state: UavState, ends: np.ndarray, draw, net, mob) -> np.n
     return flips
 
 
-def _unit(theta: np.ndarray) -> np.ndarray:
-    """exp(i theta) from one cos and one sin, cheaper than a complex exp."""
-    e = np.empty(theta.shape, dtype=np.complex128)
-    np.cos(theta, out=e.real)
-    np.sin(theta, out=e.imag)
+def _unit(u: np.ndarray) -> np.ndarray:
+    """exp(2 pi i u) from the tangent of the half angle, t = tan(pi u), as
+    ((1 - t^2) + 2it) / (1 + t^2).  numpy's tan runs vectorized, where cos
+    and sin run one element at a time, and each part is within 2.2e-16 of
+    cos and sin of 2 pi u, which rounds as twice pi u does.  The two parts
+    are divided as reals; a complex division would multiply by a rounded
+    reciprocal."""
+    t = np.tan(math.pi * u)
+    t2 = t * t
+    d = 1.0 + t2
+    e = np.empty(u.shape, dtype=np.complex128)
+    np.divide(1.0 - t2, d, out=e.real)
+    np.divide(2.0 * t, d, out=e.imag)
     return e
 
 
 # The most dwelling slots (steps x interferers) hopped as one chunk.  A
-# chunk's gather, sqrt and trig cost fewer numpy calls than step by step,
-# but a whole stride of a wide batch falls out of cache.  Measured per
-# 10-step `_hop` call, half the interferers dwelling (2 shared cores):
-# width 256, one chunk 153-163 us against 246-258 us step by step; width
-# 4096, one chunk 1.80-1.90 ms against 1.55-1.59 ms step by step, and two
-# steps per chunk 1.49-1.54 ms.
-_HOP_BUDGET = 4096
+# chunk's gather, sqrt and tangent cost fewer numpy calls than step by step,
+# but a whole stride of a wide batch falls out of cache.  Medians of
+# alternating 10-step `_hop` calls, half the interferers dwelling (2 shared
+# cores): width 256, one chunk 147 us against 279 us step by step; width
+# 4096, 990 us step by step, 892 us two steps per chunk and 1.33 ms as one
+# chunk.  Whole width-4096 campaigns ran about 4% faster at two steps per
+# chunk than at one, and no faster at three.
+_HOP_BUDGET = 8192
 
 
 def _hop(state: UavState, dwelling: np.ndarray, u: np.ndarray, net: NetworkConfig,
@@ -347,7 +358,7 @@ def _hop(state: UavState, dwelling: np.ndarray, u: np.ndarray, net: NetworkConfi
         flat = np.flatnonzero(masks)  # step s of the chunk, interferer i at s * n + i
         uh = u[first * n:].take(flat, axis=0)
         length = mob.hop_range * np.sqrt(uh[:, 0])
-        offset = _unit(2.0 * math.pi * uh[:, 1])
+        offset = _unit(uh[:, 1])
         offset *= length
         a = 0
         for s, b in enumerate(flat.searchsorted(row_ends[:len(masks)]).tolist()):

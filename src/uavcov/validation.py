@@ -213,21 +213,27 @@ class _TapeReader:
             self.last = None
 
 
-def _reference_hop(xy, dwelling, u, net, mob) -> np.ndarray:
+def _reference_hop(xy, dwelling, u, net, mob) -> tuple[np.ndarray, float]:
     """One step's spatial hops in real arithmetic, in place: the reference for
-    `simulator._hop`.  Each dweller proposes (x + r cos t, y + r sin t) from
-    its row of u, r = hop_range sqrt(u0) and t = 2 pi u1, and stays put if
-    that leaves the disk.  Returns the lengths of the accepted hops that
-    started at least hop_range inside the disk edge."""
+    `simulator._hop`.  Each dweller proposes (x + r c, y + r s) from its row
+    of u, with r = hop_range sqrt(u0) and the unit vector (c, s) of angle
+    2 pi u1 formed from t = tan(pi u1) as ((1 - t^2) / (1 + t^2),
+    2t / (1 + t^2)), and stays put if that leaves the disk.  Returns the
+    lengths of the accepted hops that started at least hop_range inside the
+    disk edge, and the largest gap of c and s from cos and sin of 2 pi u1."""
     idx = dwelling.nonzero()[0]
     x, y = xy[idx, 0], xy[idx, 1]
     r = mob.hop_range * np.sqrt(u[idx, 0])
+    t = np.tan(math.pi * u[idx, 1])
+    t2 = t * t
+    c, s = (1.0 - t2) / (1.0 + t2), 2.0 * t / (1.0 + t2)
     theta = 2.0 * math.pi * u[idx, 1]
-    x1, y1 = x + r * np.cos(theta), y + r * np.sin(theta)
+    gap = np.abs(np.concatenate((c - np.cos(theta), s - np.sin(theta)))).max(initial=0.0)
+    x1, y1 = x + r * c, y + r * s
     keep = np.hypot(x1, y1) <= net.radius
     xy[idx[keep], 0] = x1[keep]
     xy[idx[keep], 1] = y1[keep]
-    return r[keep & (np.hypot(x, y) <= max(net.radius - mob.hop_range, 0.0))]
+    return r[keep & (np.hypot(x, y) <= max(net.radius - mob.hop_range, 0.0))], float(gap)
 
 
 def event_tape_gaps(net, mob, n: int, steps: int, stride: int, dt: float, seed: int) -> dict:
@@ -239,9 +245,10 @@ def event_tape_gaps(net, mob, n: int, steps: int, stride: int, dt: float, seed: 
 
     Returns the steps whose dwelling masks or interior hop lengths differ,
     the call ends at which the tape rows used or the positions differ, the
-    worst altitude and residual dwell gaps at call ends, the numbers of
-    events and interior hops, and how many times an interferer had three or
-    more events in one reference step.
+    worst altitude and residual dwell gaps at call ends, the worst gap of the
+    reference's half-angle unit vectors from cos and sin over every proposal
+    it reads, the numbers of events and interior hops, and how many times an
+    interferer had three or more events in one reference step.
     """
     rng = np.random.default_rng(seed)
     state = simulator.initial_state(n, net, mob, rng)
@@ -260,7 +267,7 @@ def event_tape_gaps(net, mob, n: int, steps: int, stride: int, dt: float, seed: 
         return net.height * u[:, 1], mob.speed_min + (mob.speed_max - mob.speed_min) * u[:, 2]
 
     gaps = dict(phase_steps=[], hop_steps=[], tape_calls=[], xy_calls=[], altitude_gap=0.0,
-                dwell_gap=0.0, hops=0, repeats=0)
+                dwell_gap=0.0, unit_gap=0.0, hops=0, repeats=0)
     for first in range(0, steps, stride):
         ends, t = [], state.t
         for _ in range(min(stride, steps - first)):  # the step ends `advance` makes
@@ -273,7 +280,8 @@ def event_tape_gaps(net, mob, n: int, steps: int, stride: int, dt: float, seed: 
             events = tape.taken[1].sum(axis=0)
             _time_left_vertical(h, moving, wp, v, rem, dt, dwell, leg)
             gaps["repeats"] += int((tape.taken[1].sum(axis=0) - events >= 3).sum())
-            ref = _reference_hop(xy, ~moving, proposals[0, j], net, mob)
+            ref, unit_gap = _reference_hop(xy, ~moving, proposals[0, j], net, mob)
+            gaps["unit_gap"] = max(gaps["unit_gap"], unit_gap)
             gaps["hops"] += ref.size
             if not np.array_equal(mask, ~moving):
                 gaps["phase_steps"].append(j)
@@ -297,9 +305,10 @@ def check_event_tape(net, cases, n: int, steps: int, stride: int, dt: float,
     hop stepped once per step (event_tape_gaps), n interferers over `steps`
     steps of dt, for each (name, mobility, must_repeat) of cases: per-step
     phases and interior hop lengths equal, tape rows used and positions equal
-    at every call end, altitude and residual dwell gaps within 1e-9, and,
-    where must_repeat is set, some interferer with three or more events in
-    one step."""
+    at every call end, altitude and residual dwell gaps within 1e-9, the
+    hop's half-angle unit vectors within 1e-15 of cos and sin, and, where
+    must_repeat is set, some interferer with three or more events in one
+    step."""
     ok, parts = True, []
     for name, mob, must_repeat in cases:
         gaps = event_tape_gaps(net, mob, n, steps, stride, dt, seed)
@@ -309,14 +318,16 @@ def check_event_tape(net, cases, n: int, steps: int, stride: int, dt: float,
             ("tape_calls", "calls with tape-row mismatches"),
             ("xy_calls", "calls with position mismatches")) if gaps[key]]
         ok &= (not apart and gaps["altitude_gap"] <= 1e-9 and gaps["dwell_gap"] <= 1e-9
-               and (gaps["repeats"] > 0 or not must_repeat))
+               and gaps["unit_gap"] <= 1e-15 and (gaps["repeats"] > 0 or not must_repeat))
         parts.append(f"{name}: {', '.join(apart) or 'phases, tape rows, xy and hops identical'}"
                      f", altitude gap {gaps['altitude_gap']:.1e}, dwell gap "
-                     f"{gaps['dwell_gap']:.1e} over {gaps['events']} events, "
+                     f"{gaps['dwell_gap']:.1e} over {gaps['events']} events, unit-vector gap "
+                     f"{gaps['unit_gap']:.1e}, "
                      f"{gaps['hops']} interior hops ({gaps['repeats']} with 3+ events in a step)")
     return CheckResult("event-tape", ok, f"{n} interferers x {steps} steps in {stride}-step "
                        "calls vs the time-stepped integrator and a real-arithmetic hop (phases, "
-                       "tape rows, xy and hops exact, gaps <=1e-9); " + "; ".join(parts))
+                       "tape rows, xy and hops exact, gaps <=1e-9, unit-vector gap <=1e-15); "
+                       + "; ".join(parts))
 
 
 def check_trivial_anchors(net, fading, p_stay: float) -> CheckResult:

@@ -188,9 +188,10 @@ def test_criterion_11_event_tape(dwell, must_repeat, n, steps, stride, seed):
     real-arithmetic hop stepped once per step, both sides reading one
     per-interferer tape of (dwell, waypoint, speed) draws and one array of
     hop proposals: 1000 one-step calls, one 40-step call, and ten 10-step
-    calls of 1000 interferers, each hopped in chunks of 4, 4 and 2 steps.
-    Dwells shorter than the 1 s step must give interferers three or more
-    events in one step."""
+    calls of 1000 interferers, each hopped in chunks of 8 and 2 steps.  The
+    reference's half-angle unit vectors must lie within 1e-15 of cos and
+    sin, and dwells shorter than the 1 s step must give interferers three
+    or more events in one step."""
     mob = MobilityConfig(MOBILITY.speed_min, MOBILITY.speed_max, *dwell, MOBILITY.hop_range)
     name = f"{dwell[0]:g}-{dwell[1]:g} s dwell"
     result = check_event_tape(net_with(2, 10.0), [(name, mob, must_repeat)],

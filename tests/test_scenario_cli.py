@@ -1,4 +1,6 @@
 import argparse
+import copy
+import itertools
 import json
 import math
 import os
@@ -636,6 +638,47 @@ def test_boundary_rule_other_than_stay_is_input_error(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "c")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "sim.boundary_rule" in err and "'resample'" in err
+
+
+def edge_scenarios():
+    """The edge grid, each at a small n_snapshots: every combination of M in
+    {0, 1}, dwells of 2-6 s, 4-4 s and 0-0 s, h0 below H and at H, alpha in
+    {2, 4}, a stay override of none, 0 and 1, and a single threshold or the
+    pair of -3000 and 3000 dB."""
+    base = scenario_to_dict(small_scenario(
+        sim=SimParams(n_snapshots=8, seed=3, replications=1, chains=4)))
+    for M, dwell, h0, alpha, stay, psi_db in itertools.product(
+            (0, 1), ((2.0, 6.0), (4.0, 4.0), (0.0, 0.0)), (10.0, 30.0), (2.0, 4.0),
+            (None, 0.0, 1.0), ([0.0], [-3000.0, 3000.0])):
+        doc = copy.deepcopy(base)
+        doc["network"].update(n_interferers=M, serving_altitude_m=h0, path_loss_exponent=alpha)
+        doc["mobility"].update(dwell_min_s=dwell[0], dwell_max_s=dwell[1],
+                               stay_probability_override=stay)
+        doc["psi_grid_db"] = psi_db
+        yield f"M={M} dwell={dwell} h0={h0} alpha={alpha} stay={stay} psi_db={psi_db}", doc
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["analyze"], ["sweep", "--param", "network.n_interferers", "--values", "0,1"],
+], ids=["simulate", "analyze", "sweep"])
+def test_edge_grid_exits_0_or_with_an_input_error(tmp_path, capsys, command):
+    """Every scenario of the edge grid runs (exit 0) or is refused with an
+    `error:` line (exit 2); none ends in a traceback."""
+    path, out = tmp_path / "edge.json", str(tmp_path / "out")
+    codes, wrong = [], []
+    for name, doc in edge_scenarios():
+        path.write_text(json.dumps(doc))
+        try:
+            code = main([command[0], "--scenario", str(path), "--out", out, *command[1:]])
+        except Exception as exc:
+            wrong.append(f"{name}: {type(exc).__name__}: {exc}")
+            continue
+        err = capsys.readouterr().err
+        codes.append(code)
+        if code not in (0, 2) or (code == 2 and not err.startswith("error:")):
+            wrong.append(f"{name}: exit {code}, {err!r}")
+    assert not wrong, "\n".join(wrong)
+    assert 0 in codes
 
 
 class TestSweepCommand:

@@ -1,6 +1,12 @@
+import inspect
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
+
+import uavcov.simulator as simulator
+import uavcov.validation as validation
 
 from uavcov.config import FadingConfig, MobilityConfig, NetworkConfig
 from uavcov.coverage import coverage_sweep
@@ -176,6 +182,21 @@ class TestStep:
             advance(state, 0, 1.0, rng, NET, MOB)
 
 
+@pytest.mark.parametrize("u", [
+    np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53, 1e-300]),
+    np.random.default_rng(22).random(100_000),
+], ids=["edges", "random"])
+def test_hop_unit_vector_matches_cos_and_sin(u):
+    """The half-angle tangent form of exp(2 pi i u) stays finite, and each
+    part within 1e-15 of cos and sin of 2 pi u, up to u's ends and around
+    the quarter turns, where the tangent is 0, 1 or near its pole."""
+    e = simulator._unit(u)
+    assert np.isfinite(e.real).all() and np.isfinite(e.imag).all()
+    theta = 2.0 * math.pi * u
+    assert np.abs(e.real - np.cos(theta)).max() <= 1e-15
+    assert np.abs(e.imag - np.sin(theta)).max() <= 1e-15
+
+
 class TestSnapshot:
     def test_interference_identity(self, rng):
         net = NetworkConfig(40.0, 30.0, 10.0, 5, 2.0)
@@ -271,8 +292,6 @@ class TestLockstepReplications:
         assert result.passed, result.detail
 
     def test_one_in_place_stride_call_per_snapshot(self, monkeypatch):
-        import uavcov.simulator as simulator
-
         calls = []
         real_advance = simulator.advance
 
@@ -462,16 +481,13 @@ class TestEventTape:
              ("short-dwell", MobilityConfig(0.2, 10.0, 0.1, 0.6, 10.0), True)]
 
     @staticmethod
-    def plant(monkeypatch, name, old, new):
-        import inspect
-        import uavcov.simulator as simulator
-
-        source = inspect.getsource(getattr(simulator, name))
+    def plant(monkeypatch, name, old, new, module=simulator):
+        source = inspect.getsource(getattr(module, name))
         planted = source.replace(old, new)
         assert planted != source
-        namespace = dict(vars(simulator))
+        namespace = dict(vars(module))
         exec(planted, namespace)
-        monkeypatch.setattr(simulator, name, namespace[name])
+        monkeypatch.setattr(module, name, namespace[name])
 
     def test_stride_calls_match_the_time_stepped_reference(self):
         result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
@@ -489,6 +505,25 @@ class TestEventTape:
         result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
         assert not result.passed
         assert "steps with hop mismatches" in result.detail
+
+    def test_hop_angle_from_the_full_angle_tangent_fails(self, monkeypatch):
+        """tan(2 pi u) in place of tan(pi u) still draws a uniform angle,
+        but not the one the proposal's uniform names."""
+        self.plant(monkeypatch, "_unit", "np.tan(math.pi * u)", "np.tan(2.0 * math.pi * u)")
+        result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
+        assert not result.passed
+        assert "calls with position mismatches" in result.detail
+
+    def test_same_wrong_identity_on_both_sides_fails_on_the_unit_gap(self, monkeypatch):
+        """A wrong identity planted in the simulator and in the reference
+        alike keeps the tape exact; only the gap from cos and sin shows it."""
+        self.plant(monkeypatch, "_unit", "1.0 - t2", "1.0 - 0.5 * t2")
+        self.plant(monkeypatch, "_reference_hop", "1.0 - t2", "1.0 - 0.5 * t2",
+                   module=validation)
+        result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
+        assert not result.passed
+        assert "phases, tape rows, xy and hops identical" in result.detail
+        assert "mismatches" not in result.detail
 
     def test_chunk_proposals_shifted_by_one_step_fail(self, monkeypatch):
         """Each step of a chunk must read its own step's proposal rows: here
