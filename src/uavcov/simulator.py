@@ -33,12 +33,16 @@ per call.  The vertical events of the whole stride run first, pass after
 pass; in each pass a block draws one (k, 3) array, whose columns are the
 dwell, waypoint and speed of the events of its k interferers that have one
 due.  Each event is put down at the first step end at or after its time,
-which gives every step's dwelling mask.  Then each block draws one
+found without a search: a rounded estimate of the step from the event
+time, then one comparison with that step's end (`_event_rows`).  One
+parity count of all the events of a stride, by step and interferer, then
+gives every step's dwelling mask.  Then each block draws one
 (stride, block, 2) array of hop radii and angles, and the interferers
 dwelling at each step's end hop.  The steps hop in chunks of at most
 _HOP_BUDGET // n steps: a chunk gathers its dwellers' proposals and takes
 their lengths and offsets at once, and only the move from each step's
-positions runs step by step.  An offset's unit vector comes from the
+positions runs step by step, six numpy calls a step; the interior hop
+lengths are taken once per chunk.  An offset's unit vector comes from the
 tangent of the half angle (`_unit`), which numpy vectorizes, not from a
 cosine and a sine.  Containment is checked at launch and at every
 snapshot, not on every step.  A campaign builds its streams, the generators
@@ -249,30 +253,77 @@ def initial_state(n: int, net: NetworkConfig, mob: MobilityConfig, rng) -> UavSt
     )
 
 
+def _event_rows(t0: float, ends: np.ndarray):
+    """The step of each event time, without a search: returns place(x),
+    the index of the first entry of [-inf, ends] at or above each time x
+    (x >= t0 = the clock), so R, the first step j with x <= ends[j - 1],
+    or s + 1 past ends[-1], with s = ends.size.  `ends` is t0 plus dt added
+    once per step.
+
+    place(x) first estimates r = min(floor((x - o) / d), s + 1) in floats,
+    with d = (ends[-1] - t0) / s and o = t0 - d / 2, then adds one where
+    upper[r] < x, with upper = [-inf, ends, +inf].  That gives R exactly.
+    Proof: r is non-decreasing in x (each rounded operation is), r(t0) = 0
+    and r(ends[j - 1]) = j for every step j (below).  So for any x with
+    ends[R - 2] < x <= ends[R - 1] (t0 <= x <= ends[0] when R = 1), r is
+    R - 1 or R; past ends[-1] it is s or s + 1.  If r = R - 1,
+    upper[r] < x and one is added; if r = R, upper[r] >= x and none is.
+    Why r(ends[j - 1]) = j: with u = ulp(ends[-1]), each addition of dt
+    rounds by at most u / 2, so end j lies within j u of t0 + j d, and
+    rounding d, o, the subtraction and the division adds at most 2u +
+    (2j + 1) 2^-53 d.  So (ends[j - 1] - o) / d lies within (s + 2) u / d
+    + (2s + 1) 2^-53 of j + 1/2: at most 3/8 and a few ulps whenever
+    4 (s + 1) u < d, so under 1/2.  That is checked here, and a
+    ConsistencyError says that the clock has grown too large for its step
+    (with dt = 1, past about 10^14 s).
+    """
+    t_end, steps = float(ends[-1]), ends.size
+    step = (t_end - t0) / steps
+    if not 4 * (steps + 1) * math.ulp(t_end) < step:
+        raise ConsistencyError(f"steps of {step} s cannot be told apart at a clock of {t_end} s")
+    upper = np.empty(steps + 2)
+    upper[0], upper[1:-1], upper[-1] = -np.inf, ends, np.inf
+    origin = t0 - step / 2  # half a step back, so that the cast to int rounds to nearest
+
+    def place(times: np.ndarray) -> np.ndarray:
+        rows = times - origin
+        rows /= step
+        rows = np.minimum(rows, steps + 1, out=rows).astype(np.intp)
+        rows += upper.take(rows) < times
+        return rows
+
+    return place
+
+
 def _advance_vertical(state: UavState, ends: np.ndarray, draw, net, mob) -> np.ndarray:
     """Run every arrival and dwell expiry due by ends[-1], in place, and set the clock there.
 
-    `ends` holds the increasing end times of the steps to run.  Each pass
-    takes the interferers whose next event is due and runs up to two events
-    of each: one dwell and one leg, in the order its phase sets.  An arrival
-    dwells at the waypoint, then the expiry starts a leg from there; an
-    expiry starts a leg from the dwell altitude, then the arrival dwells at
-    the new waypoint.  The second event runs if it falls by ends[-1], and
-    the pass repeats for those whose next event is due too.
-    `draw(idx, p)` gives the uniforms of the p-th pass, at least three
-    columns (dwell, waypoint, speed) aligned with idx.
+    `ends` holds the increasing end times of the steps to run, the clock
+    plus dt added once per step.  Each pass takes the interferers whose next
+    event is due and runs up to two events of each: one dwell and one leg,
+    in the order its phase sets.  An arrival dwells at the waypoint, then
+    the expiry starts a leg from there; an expiry starts a leg from the
+    dwell altitude, then the arrival dwells at the new waypoint.  The second
+    event runs if it falls by ends[-1], and the pass repeats for those whose
+    next event is due too.  `draw(idx, p)` gives the uniforms of the p-th
+    pass, at least three columns (dwell, waypoint, speed) aligned with idx.
 
     Returns the (ends.size + 1, n) dwelling masks: row 0 at the start, row j
     after step j.  Every event flips its interferer's phase at the first
     step end at or after its time, so an event at ends[j] counts in step j.
+    Each pass places its first and second events at once (`_event_rows`:
+    a second event after ends[-1] lands in row ends.size + 1, which is
+    dropped) and keeps their keys row * n + interferer; one bincount of the
+    keys of all the passes gives each row's flips by parity, and the rows
+    are then XORed down.
     """
     t_end = ends[-1]
     n = state.n
-    flips = np.zeros((ends.size + 1, n), dtype=bool)
-    flips[0] = ~state.moving
-    flat = flips.reshape(-1)  # row j, interferer i at j * n + i: cheaper than 2-D fancy indexing
+    place = _event_rows(state.t, ends)
+    dwelling = ~state.moving
     tev = state.tev
     idx = (tev <= t_end).nonzero()[0]
+    keys = [idx[:0]]  # so that np.concatenate never sees an empty list
     p = 0
     while idx.size:
         u = draw(idx, p)
@@ -294,14 +345,22 @@ def _advance_vertical(state: UavState, ends: np.ndarray, draw, net, mob) -> np.n
         state.waypoint[idx] = waypoint
         state.speed[idx] = speed
         state.moving[idx] = moving
-        flat[(ends.searchsorted(start) + 1) * n + idx] ^= True
-        flat[(ends.searchsorted(mid[two]) + 1) * n + idx[two]] ^= True
-        idx = idx[end <= t_end]
+        rows = place(np.concatenate((start, mid)))  # the first events, then the second
+        rows *= n
+        first_second = rows.reshape(2, -1)
+        first_second += idx
+        keys.append(rows)
+        idx = idx.compress(end <= t_end)
         p += 1
     state.t = t_end
-    for j in range(1, ends.size + 1):  # row by row: numpy accumulates along axis 0 slowly
+    steps = ends.size
+    # each row's flips by parity: the low byte of a count keeps its low bit
+    flips = np.bitwise_and(np.bincount(np.concatenate(keys), minlength=(steps + 2) * n),
+                           1, dtype=np.uint8, casting="unsafe").view(bool).reshape(steps + 2, n)
+    flips[0] = dwelling
+    for j in range(1, steps + 1):  # row by row: numpy accumulates along axis 0 slowly
         flips[j] ^= flips[j - 1]
-    return flips
+    return flips[:steps + 1]
 
 
 def _unit(u: np.ndarray) -> np.ndarray:
@@ -332,7 +391,7 @@ _HOP_BUDGET = 8192
 
 
 def _hop(state: UavState, dwelling: np.ndarray, u: np.ndarray, net: NetworkConfig,
-         mob: MobilityConfig) -> list[np.ndarray]:
+         mob: MobilityConfig) -> np.ndarray:
     """Step j's spatial hop for every interferer dwelling at its end, in place.
 
     `dwelling` holds one mask per step and `u` the (blocks, steps, block, 2)
@@ -340,10 +399,12 @@ def _hop(state: UavState, dwelling: np.ndarray, u: np.ndarray, net: NetworkConfi
     the disk is rejected and the interferer stays put.  The steps run in
     chunks of at most _HOP_BUDGET // n steps: a chunk gathers its dwellers'
     proposals and works out their lengths and offsets at once, and then each
-    step of it in turn adds the offsets to the positions it starts from and
-    keeps those inside the disk.  Returns, per step, the lengths of the
-    accepted hops that started at least hop_range inside the disk edge
-    (interior hops).
+    step of it in turn takes the positions it starts from into the chunk's
+    buffer, adds the offsets, writes its keep test into the chunk's buffer
+    and moves the kept hops, six numpy calls a step.  Returns the lengths of
+    the accepted hops that started at least hop_range inside the disk edge
+    (interior hops), step after step, taken once per chunk from its keep
+    and start buffers.
     """
     z = state.xy.view(np.complex128)[:, 0]  # x + iy, a view of xy
     interior_limit = max(net.radius - mob.hop_range, 0.0)
@@ -360,17 +421,23 @@ def _hop(state: UavState, dwelling: np.ndarray, u: np.ndarray, net: NetworkConfi
         length = mob.hop_range * np.sqrt(uh[:, 0])
         offset = _unit(uh[:, 1])
         offset *= length
+        cols = flat // n  # then the interferer of each slot, in place
+        cols *= n
+        np.subtract(flat, cols, out=cols)
+        starts = np.empty_like(offset)
+        keep = np.empty(flat.size, dtype=bool)
         a = 0
-        for s, b in enumerate(flat.searchsorted(row_ends[:len(masks)]).tolist()):
-            idx = flat[a:b] - s * n
-            start = z.take(idx)
+        for b in flat.searchsorted(row_ends[:len(masks)]).tolist():
+            idx = cols[a:b]
+            start = z.take(idx, out=starts[a:b], mode="clip")  # idx is in range
             target = offset[a:b]
             target += start
-            keep = np.abs(target) <= net.radius
-            z[idx] = np.where(keep, target, start)  # a rejected hop stays put
-            interior.append(length[a:b][keep & (np.abs(start) <= interior_limit)])
+            kept = np.less_equal(np.abs(target), net.radius, out=keep[a:b])
+            z[idx] = np.where(kept, target, start)  # a rejected hop stays put
             a = b
-    return interior
+        keep &= np.abs(starts) <= interior_limit
+        interior.append(length.compress(keep))
+    return np.concatenate(interior)
 
 
 def advance(state: UavState, steps: int, dt: float, rng, net: NetworkConfig,
@@ -402,7 +469,7 @@ def advance(state: UavState, steps: int, dt: float, rng, net: NetworkConfig,
         t += dt
         ends[j] = t
     dwelling = _advance_vertical(state, ends, lambda idx, p: streams.draw(idx, 3), net, mob)
-    lengths = np.concatenate(_hop(state, dwelling[1:], streams.stepwise(steps, 2), net, mob))
+    lengths = _hop(state, dwelling[1:], streams.stepwise(steps, 2), net, mob)
     return float(lengths.sum()), lengths.size
 
 
@@ -414,13 +481,14 @@ def _interferer_shapes(fading: FadingConfig, net: NetworkConfig):
         m = float(fading.interferer_m)
         return lambda altitude: m
     bands = resolve_fading_bands(fading, net)
-    lows = np.array([low for low, _, _ in bands])
+    # the upper bands' lower edges, as a column, and a dtype that holds their count
+    edges = np.array([low for low, _, _ in bands[1:]], dtype=float)[:, None]
+    count = np.min_scalar_type(len(bands))
     shapes = np.array([float(shape) for _, _, shape in bands])
     # each altitude takes the band with the highest lower edge at or below
-    # it: band gaps within the tiling tolerance go to the band below them,
-    # and the top edge H closes the last band
-    return lambda altitude: shapes[
-        np.maximum(np.searchsorted(lows, altitude, side="right") - 1, 0)]
+    # it, counted without a search: band gaps within the tiling tolerance go
+    # to the band below them, and the top edge H closes the last band
+    return lambda altitude: shapes.take((edges <= altitude).sum(axis=0, dtype=count))
 
 
 def _snapshot(altitude: np.ndarray, r2: np.ndarray, chains: int, net: NetworkConfig,

@@ -243,11 +243,13 @@ def event_tape_gaps(net, mob, n: int, steps: int, stride: int, dt: float, seed: 
     integrator and `_reference_hop`.  Both sides read one `_EventTape` for
     their vertical events and one array of hop proposals.
 
-    Returns the steps whose dwelling masks or interior hop lengths differ,
-    the call ends at which the tape rows used or the positions differ, the
-    worst altitude and residual dwell gaps at call ends, the worst gap of the
-    reference's half-angle unit vectors from cos and sin over every proposal
-    it reads, the numbers of events and interior hops, and how many times an
+    Returns the steps whose dwelling masks or interior hop lengths differ
+    (a call's lengths from `_hop` are split at the reference's per-step
+    counts, the call's last step taking the rest), the call ends at which
+    the tape rows used or the positions differ, the worst altitude and
+    residual dwell gaps at call ends, the worst gap of the reference's
+    half-angle unit vectors from cos and sin over every proposal it reads,
+    the numbers of events and interior hops, and how many times an
     interferer had three or more events in one reference step.
     """
     rng = np.random.default_rng(seed)
@@ -276,7 +278,8 @@ def event_tape_gaps(net, mob, n: int, steps: int, stride: int, dt: float, seed: 
         masks = simulator._advance_vertical(state, np.array(ends), draw, net, mob)[1:]
         draw.settle()
         hops = simulator._hop(state, masks, proposals[:, first:first + len(ends)], net, mob)
-        for j, mask, hop in zip(itertools.count(first), masks, hops):
+        a, last = 0, first + len(masks) - 1
+        for j, mask in zip(itertools.count(first), masks):
             events = tape.taken[1].sum(axis=0)
             _time_left_vertical(h, moving, wp, v, rem, dt, dwell, leg)
             gaps["repeats"] += int((tape.taken[1].sum(axis=0) - events >= 3).sum())
@@ -285,8 +288,10 @@ def event_tape_gaps(net, mob, n: int, steps: int, stride: int, dt: float, seed: 
             gaps["hops"] += ref.size
             if not np.array_equal(mask, ~moving):
                 gaps["phase_steps"].append(j)
-            if hop.tobytes() != ref.tobytes():
+            b = a + ref.size if j < last else hops.size  # the last step takes the rest
+            if hops[a:b].tobytes() != ref.tobytes():
                 gaps["hop_steps"].append(j)
+            a = b
         if not np.array_equal(tape.taken[0], tape.taken[1]):
             gaps["tape_calls"].append(first)
         if state.xy.tobytes() != xy.tobytes():

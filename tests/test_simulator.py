@@ -8,9 +8,9 @@ from scipy import stats
 import uavcov.simulator as simulator
 import uavcov.validation as validation
 
-from uavcov.config import FadingConfig, MobilityConfig, NetworkConfig
+from uavcov.config import FadingConfig, MobilityConfig, NetworkConfig, resolve_fading_bands
 from uavcov.coverage import coverage_sweep
-from uavcov.errors import ConfigurationError
+from uavcov.errors import ConfigurationError, ConsistencyError
 from uavcov.simulator import (
     UavState,
     _interferer_shapes,
@@ -180,6 +180,36 @@ class TestStep:
             advance(state, 1, 0.0, rng, NET, MOB)
         with pytest.raises(ConfigurationError, match="steps"):
             advance(state, 0, 1.0, rng, NET, MOB)
+
+
+@pytest.mark.parametrize("dt", [1.0, 1e-3])
+@pytest.mark.parametrize("clock", [0.0, 1e6, 1e9])
+@pytest.mark.parametrize("steps", [1, 10, 255, 256, 1000])
+def test_event_rows_match_a_search_of_the_step_ends(steps, clock, dt):
+    """Each event time goes to the first step whose end is at or after it,
+    steps + 1 past the last end, exactly as a search of [-inf, ends] puts
+    it: at every end, one float either side of it, at the clock, just and
+    far past the last end, and at random times of the call."""
+    ends, t = np.empty(steps), clock
+    for j in range(steps):  # the step ends `advance` makes
+        t += dt
+        ends[j] = t
+    x = np.concatenate((
+        ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+        [clock, np.nextafter(clock, np.inf), np.nextafter(t, np.inf), t + dt / 2, t + 1e3 * dt,
+         1e300],
+        np.random.default_rng(steps).uniform(clock, t, 10_000)))
+    expected = np.concatenate(([-np.inf], ends)).searchsorted(x)
+    assert np.array_equal(simulator._event_rows(clock, ends)(x), expected)
+
+
+def test_a_clock_too_large_for_its_step_is_refused(rng):
+    """At t = 1e15 a float cannot tell steps of 1 s apart well enough to
+    place events on them."""
+    state = initial_state(4, NET, MOB, rng)
+    state.t = 1e15
+    with pytest.raises(ConsistencyError, match="cannot be told apart"):
+        advance(state, 10, 1.0, rng, NET, MOB)
 
 
 @pytest.mark.parametrize("u", [
@@ -494,8 +524,22 @@ class TestEventTape:
         assert result.passed, result.detail
 
     def test_second_event_put_at_the_first_event_step_fails(self, monkeypatch):
-        self.plant(monkeypatch, "_advance_vertical", "ends.searchsorted(mid[two])",
-                   "ends.searchsorted(start[two])")
+        self.plant(monkeypatch, "_advance_vertical", "np.concatenate((start, mid))",
+                   "np.concatenate((start, start))")
+        result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
+        assert not result.passed
+        assert "steps with phase mismatches" in result.detail
+
+    def test_one_300_step_call_matches_the_time_stepped_reference(self):
+        """Events placed among 300 step ends at once, and 300 interferers
+        hopping in chunks of 27 steps."""
+        result = check_event_tape(NET, self.CASES, 300, 300, 300, 1.0, 4)
+        assert result.passed, result.detail
+
+    def test_event_rows_without_their_correction_fail(self, monkeypatch):
+        """Without the correction, the rounded estimate alone puts about
+        half the events a step early."""
+        self.plant(monkeypatch, "_event_rows", "rows += upper.take(rows) < times", "pass")
         result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
         assert not result.passed
         assert "steps with phase mismatches" in result.detail
@@ -556,6 +600,28 @@ class TestAltitudeDependentFading:
         assert shapes.tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
         gains = np.random.default_rng(1).gamma(shapes, 1.0 / shapes)
         assert np.all(np.isfinite(gains)) and np.all(gains > 0)
+
+    @pytest.mark.parametrize("bands", [
+        None,
+        ((0.0, 10.0, 1), (10.00000002, 20.0, 2), (20.0, 30.0, 3)),
+        tuple((30.0 * k / 300, 30.0 * (k + 1) / 300, 1 + k % 7) for k in range(300)),
+    ], ids=["thirds", "tolerated-gap", "300-bands"])
+    def test_band_count_matches_a_search_of_the_lower_edges(self, bands):
+        """Counting the upper bands' lower edges at or below an altitude
+        picks the band a search of the lower edges picks, on random
+        altitudes and one float either side of every edge, with more bands
+        than a uint8 count holds."""
+        fading = FadingConfig(1, 1, altitude_dependent=True, bands=bands)
+        table = resolve_fading_bands(fading, NET)
+        lows = np.array([low for low, _, _ in table])
+        shapes = np.array([float(m) for _, _, m in table])
+        edges = np.array([edge for low, high, _ in table for edge in (low, high)])
+        h = np.concatenate((np.random.default_rng(3).uniform(0.0, NET.height, 100_000), edges,
+                            np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)))
+        expected = shapes[np.maximum(np.searchsorted(lows, h, side="right") - 1, 0)]
+        lookup = _interferer_shapes(fading, NET)
+        got = np.concatenate([lookup(part) for part in np.array_split(h, 50)])
+        assert np.array_equal(got, expected)
 
     def test_plain_mode_uses_single_shape(self, rng):
         shapes = _interferer_shapes(FadingConfig(1, 2), NET)(np.array([1.0, 29.0]))
