@@ -22,6 +22,14 @@ __all__ = [
 ]
 
 
+def _require_finite(config, *names: str):
+    """Raise ConfigurationError for the first named field that is not finite."""
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Geometry and population of the interference region.
@@ -40,6 +48,8 @@ class NetworkConfig:
     path_loss_exponent: float = 2.0
 
     def __post_init__(self):
+        _require_finite(self, "radius", "height", "serving_altitude", "n_interferers",
+                        "path_loss_exponent")
         if not self.radius > 0:
             raise ConfigurationError(f"radius must be > 0, got {self.radius}")
         if not self.height > 0:
@@ -84,13 +94,14 @@ class FadingConfig:
     bands: tuple[tuple[float, float, int], ...] | None = None
 
     def __post_init__(self):
+        _require_finite(self, "serving_m", "interferer_m")
         for name, m in (("serving_m", self.serving_m), ("interferer_m", self.interferer_m)):
             if int(m) != m or m < 1:
                 raise ConfigurationError(f"{name} must be a positive integer, got {m}")
         if self.bands is not None:
             object.__setattr__(self, "bands", tuple(tuple(b) for b in self.bands))
             for low, high, m in self.bands:
-                if int(m) != m or m < 1:
+                if not math.isfinite(m) or int(m) != m or m < 1:
                     raise ConfigurationError(f"band shape must be a positive integer, got {m}")
                 if not low < high:
                     raise ConfigurationError(f"band interval [{low}, {high}) is empty")
@@ -138,6 +149,7 @@ class MobilityConfig:
     stay_probability_override: float | None = None
 
     def __post_init__(self):
+        _require_finite(self, "speed_min", "speed_max", "dwell_min", "dwell_max", "hop_range")
         if not 0 < self.speed_min < self.speed_max:
             raise ConfigurationError(
                 f"need 0 < speed_min < speed_max, got [{self.speed_min}, {self.speed_max}]"

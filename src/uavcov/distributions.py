@@ -1,20 +1,19 @@
 """Closed-form altitude and 3D distance laws of an interferer, by mobility phase.
 
-An interferer sits at horizontal offset Z (norm of a uniform point on the
-disk of radius R, so f_Z(z) = 2z/R^2) and altitude h.  While parked at a
-waypoint ("static" phase) the altitude is uniform on [0, H]; mid-leg
-("moving" phase) it follows the parabolic steady-state law
-f(x) = 6x/H^2 - 6x^2/H^3.  The user-to-interferer distance is
-W = sqrt(h^2 + Z^2), whose cdf/pdf take a three-segment piecewise form with
-breakpoints at w = H and w = R (the case ordering requires H < R).  The pdf
-pieces are written in plain arithmetic and serve both the array pdf and the
-phase-factor quadrature oracle.  The phase-factor kernel reads the same law
-as polynomial coefficients (piece_polynomials, held to the pieces by the
-tests), with the top piece written in v = sqrt(w^2 - R^2), where it is a
-polynomial.
+An interferer's altitude h is uniform on [0, H] while parked at a waypoint
+("static" phase) and follows the stationary random-waypoint parabola
+f(x) = 6x/H^2 - 6x^2/H^3 mid-leg ("moving" phase).  Its horizontal offset Z
+is the norm of a uniform point on the disk of radius R, independent of h.
+The one phase-specific datum is _ALTITUDE_CDF, each phase's altitude cdf
+F_h as coefficients in u = x/H; every law here is derived from it.  With
+v = sqrt(max(w^2 - R^2, 0)) the distance W = sqrt(h^2 + Z^2) has
 
-Sampling counterparts draw by inverse transform so that empirical and
-closed-form laws can be cross-validated at scale.
+    f_W(w) = (2w/R^2) [F_h(min(w, H)) - F_h(v)],
+
+three polynomial pieces with breakpoints w = H and w = R (the order needs
+H < R), the top one in v (piece_polynomials, the kernel's form).  The cdf
+pieces are their antiderivatives.  The samplers draw by inverse transform
+through their own closed forms, so they cross-validate the table at scale.
 """
 
 from __future__ import annotations
@@ -33,7 +32,10 @@ __all__ = [
     "smoothstep_inverse",
 ]
 
-PHASES = ("static", "moving")
+# Each phase's altitude cdf on [0, H]: coefficients of u^0, u^1, ... in u = x/H.
+# Uniform while dwelling; the random-waypoint parabola's 3u^2 - 2u^3 mid-leg.
+_ALTITUDE_CDF = {"static": (0.0, 1.0), "moving": (0.0, 0.0, 3.0, -2.0)}
+PHASES = tuple(_ALTITUDE_CDF)
 
 # Round-off smaller than this is clamped at the [0, 1] probability boundary;
 # anything larger is a genuine bug and raises instead.
@@ -55,6 +57,20 @@ def _clamp_unit(p: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
+def _horner(coeffs, x):
+    """sum_j coeffs[j] x^j by Horner's rule: plain arithmetic, so floats and
+    arrays alike."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _antiderivative(coeffs) -> tuple:
+    """The coefficients of the antiderivative that vanishes at 0."""
+    return (0.0, *(c / (j + 1) for j, c in enumerate(coeffs)))
+
+
 def smoothstep_inverse(p) -> np.ndarray:
     """Solve 3u^2 - 2u^3 = p for u in [0, 1] in closed form (vectorized).
 
@@ -65,7 +81,7 @@ def smoothstep_inverse(p) -> np.ndarray:
     where 1 - p is exact.
     """
     p = np.asarray(p, dtype=float)
-    if p.size and (p.min() < 0 or p.max() > 1):
+    if p.size and not (p.min() >= 0 and p.max() <= 1):  # NaN fails both
         raise DomainError("smoothstep_inverse expects probabilities in [0, 1]")
     upper = p > 0.5
     phi = np.arcsin(np.sqrt(np.where(upper, 1.0 - p, p))) / 3.0
@@ -85,23 +101,22 @@ class AltitudeDistribution:
         if not self.height > 0:
             raise DomainError(f"height must be > 0, got {self.height}")
 
-    def pdf(self, x):
+    def _checked(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        H = self.height
-        inside = (x >= 0) & (x <= H)
-        if self.phase == "static":
-            out = np.where(inside, 1.0 / H, 0.0)
-        else:
-            out = np.where(inside, 6.0 * x / H**2 - 6.0 * x**2 / H**3, 0.0)
+        if np.isnan(x).any():
+            raise DomainError("altitude must not be NaN")
+        return x
+
+    def pdf(self, x):
+        x = self._checked(x)
+        H, coeffs = self.height, _ALTITUDE_CDF[self.phase]
+        slope = _horner([j * c for j, c in enumerate(coeffs)][1:], x / H) / H
+        out = np.where((x >= 0) & (x <= H), slope, 0.0)
         return out if out.ndim else float(out)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        u = np.clip(x / self.height, 0.0, 1.0)
-        if self.phase == "static":
-            out = u
-        else:
-            out = u * u * (3.0 - 2.0 * u)
+        x = self._checked(x)
+        out = _horner(_ALTITUDE_CDF[self.phase], np.clip(x / self.height, 0.0, 1.0))
         return out if out.ndim else float(out)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -141,101 +156,55 @@ class DistanceDistribution:
         scalar = np.ndim(w) == 0
         w = np.atleast_1d(np.asarray(w, dtype=float))
         wmax = self.support_max
-        if w.size and (w.min() < 0 or w.max() > wmax * (1 + 1e-12)):
+        if w.size and not (w.min() >= 0 and w.max() <= wmax * (1 + 1e-12)):  # NaN fails both
             raise DomainError(
                 f"distance outside support [0, {wmax}]: range [{w.min()}, {w.max()}]"
             )
         return np.minimum(w, wmax), scalar
 
+    def _shell_offset(self, w: np.ndarray) -> np.ndarray:
+        """v = sqrt(max(w^2 - R^2, 0)), from (w - R)(w + R) for the digits near R."""
+        R = self.radius
+        return np.sqrt(np.maximum((w - R) * (w + R), 0.0))
+
     def cdf(self, w):
+        """The antiderivatives of piece_polynomials' pieces; the top one is 1
+        minus the shell's integral from v to H, so cdf(support_max) is 1."""
         w, scalar = self._checked(w)
         R, H = self.radius, self.height
-        R2 = R * R
-        out = np.empty_like(w)
-
-        low = w < H
-        mid = (w >= H) & (w < R)
-        top = w >= R
-        if self.phase == "static":
-            out[low] = (2.0 / 3.0) * w[low] ** 3 / (R2 * H)
-            out[mid] = w[mid] ** 2 / R2 - H * H / (3.0 * R2)
-            shell = w[top] ** 2 - R2
-            out[top] = (
-                w[top] ** 2 / R2
-                - H * H / (3.0 * R2)
-                - (2.0 / 3.0) * shell**1.5 / (R2 * H)
-            )
-        else:
-            out[low] = (
-                -(4.0 / 5.0) * w[low] ** 5 / (R2 * H**3)
-                + (3.0 / 2.0) * w[low] ** 4 / (R2 * H * H)
-            )
-            out[mid] = w[mid] ** 2 / R2 - 0.3 * H * H / R2
-            shell = w[top] ** 2 - R2
-            out[top] = (
-                w[top] ** 2 / R2
-                - 0.3 * H * H / R2
-                - 1.5 * shell**2 / (R2 * H * H)
-                + 0.8 * shell**2.5 / (R2 * H**3)
-            )
+        low, mid, shell = map(_antiderivative, self.piece_polynomials())
+        low_H, mid_H, shell_H = _horner(low, H), _horner(mid, H), _horner(shell, H)
+        out = np.piecewise(w, [w < H, (w >= H) & (w < R), w >= R], [
+            lambda x: _horner(low, x),
+            lambda x: low_H + (_horner(mid, x) - mid_H),
+            lambda x: 1.0 - (shell_H - _horner(shell, self._shell_offset(x)))])
         out = _clamp_unit(out)
         return float(out[0]) if scalar else out
 
-    def pdf_pieces(self):
-        """The pdf as (lo, hi, piece) on [0, H], [H, R] and [R, support_max].
-
-        Each piece is plain arithmetic, so it takes a float or a numpy array
-        alike; it holds the law only on its own segment.
-        """
-        R, H = self.radius, self.height
-        R2 = R * R
-        if self.phase == "static":
-            def low(w):
-                return 2.0 * w * w / (R2 * H)
-
-            def top(w):
-                shell = (w * w - R2) ** 0.5
-                return 2.0 * w / R2 - 2.0 * w * shell / (R2 * H)
-        else:
-            def low(w):
-                return -4.0 * w**4 / (R2 * H**3) + 6.0 * w**3 / (R2 * H * H)
-
-            def top(w):
-                shell = w * w - R2
-                return (
-                    2.0 * w / R2
-                    - 6.0 * w * shell / (R2 * H * H)
-                    + 4.0 * w * shell**1.5 / (R2 * H**3)
-                )
-
-        def mid(w):
-            return 2.0 * w / R2
-
-        return ((0.0, H, low), (H, R, mid), (R, self.support_max, top))
-
     def piece_polynomials(self):
         """The pdf pieces as polynomials: (low, mid, shell), each the
-        coefficients of x^0..x^4.
+        coefficients of x^0..x^4 (F_h is at most cubic).
 
-        low and mid are the [0, H] and [H, R] pieces in x = w.  shell is the
-        top piece pulled back through w = sqrt(R^2 + v^2), in x = v on
-        [0, H]: the density of v, pdf(w) dw/dv = pdf(w) v / w.  In v it has
-        no square-root kink at v = 0 (w = R), and it loses no digits to
-        w^2 - R^2 near there.  They hold the law of pdf_pieces, in the form
-        the phase-factor kernel evaluates at its nodes.
+        low = (2x/R^2) F_h(x), whose x^(k+1) coefficient is 2 c_k / (R^2 H^k)
+        for F_h's u^k coefficient c_k, and mid = 2x/R^2 are the [0, H] and
+        [H, R] pieces in x = w.  shell = mid - low is the top piece pulled
+        back through w = sqrt(R^2 + v^2), in x = v on [0, H]: the density of
+        v, pdf(w) v / w.  In v it has no square-root kink at v = 0 (w = R)
+        and loses no digits to w^2 - R^2 near there.
         """
         R2, H = self.radius**2, self.height
+        low = [0.0] * 5
+        for k, c in enumerate(_ALTITUDE_CDF[self.phase]):
+            # R^2 H^k in the hand-written forms' order: the paper's phases keep their bits
+            low[k + 1] = 2.0 * c / (R2 * H * H ** (k - 1))
         mid = (0.0, 2.0 / R2, 0.0, 0.0, 0.0)
-        if self.phase == "static":
-            return ((0.0, 0.0, 2.0 / (R2 * H), 0.0, 0.0), mid,
-                    (0.0, 2.0 / R2, -2.0 / (R2 * H), 0.0, 0.0))
-        return ((0.0, 0.0, 0.0, 6.0 / (R2 * H * H), -4.0 / (R2 * H**3)), mid,
-                (0.0, 2.0 / R2, 0.0, -6.0 / (R2 * H * H), 4.0 / (R2 * H**3)))
+        return tuple(low), mid, tuple(a - b for a, b in zip(mid, low))
 
     def pdf(self, w):
         w, scalar = self._checked(w)
-        (_, H, low), (_, R, mid), (_, _, top) = self.pdf_pieces()
-        out = np.piecewise(w, [w < H, (w >= H) & (w < R), w >= R], [low, mid, top])
+        H, F = self.height, _ALTITUDE_CDF[self.phase]
+        out = 2.0 * w / self.radius**2 * (_horner(F, np.minimum(w, H) / H)
+                                          - _horner(F, self._shell_offset(w) / H))
         out = np.maximum(out, 0.0)
         return float(out[0]) if scalar else out
 

@@ -23,19 +23,21 @@ per distance-law segment [0, H], [H, R] and [R, sqrt(R^2 + H^2)] (the last
 mapped through w = sqrt(R^2 + v^2), which removes its square-root kink),
 graded geometrically toward the integrand's length scale (s/m)^(1/alpha)
 down to two doublings below it, with a 12-vs-24-node error estimate held
-to 1e-10 relative (36 nodes per panel).  It carries the scaled
-coefficients (-s)^k Phi^(k)(s) / k!, which lie in [0, 1] for every s, and
-J.C.P. Miller's power-series recurrence raises their phase mixture to the
-M-th power, both as arrays over the thresholds.  laplace_jets is that one
-kernel call for a whole grid of s.  The panels of every s come from one
-geometric ladder and depend on s only through the ladder's lowest rung,
-its bottom, so a call builds each distinct bottom's edges once and one
-table of its distinct panels' nodes.  The thresholds of one bottom share
-every node, so they go through the arithmetic together, as grids of rows
-by nodes (all derivative orders in one array) of up to a fixed number of
-node values, each row summing its own nodes.  scaled_phase_jets is the
-one evaluator of the phase factors and laplace_jets the one evaluator of
-L_I and its jets; nothing evaluates them one threshold at a time.
+to 1e-10 relative (36 nodes per panel), against polynomial pdf pieces
+derived from the altitude law (DistanceDistribution.piece_polynomials).
+It carries the scaled coefficients (-s)^k Phi^(k)(s) / k!, which lie in
+[0, 1] for every s, and J.C.P. Miller's power-series recurrence raises
+their phase mixture to the M-th power, both as arrays over the thresholds.
+laplace_jets is that one kernel call for a whole grid of s.  The panels of
+every s come from one geometric ladder and depend on s only through the
+ladder's lowest rung, its bottom, so a call builds each distinct bottom's
+edges once and one table of its distinct panels' nodes.  The thresholds of
+one bottom share every node, so they go through the arithmetic together,
+as grids of rows by nodes (all derivative orders in one array) of up to a
+fixed number of node values, each row summing its own nodes.
+scaled_phase_jets is the one evaluator of the phase factors and
+laplace_jets the one evaluator of L_I and its jets; nothing evaluates them
+one threshold at a time.
 
 At path-loss exponent 2 the phase factors also have the paper's Gauss
 hypergeometric closed forms.  uavcov.special keeps them as the kernel's
@@ -123,39 +125,14 @@ def _rule_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _panel_edges(s: float, m: int, order: int, net: NetworkConfig) -> np.ndarray:
-    """Panel edges on [0, sqrt(R^2 + H^2)] for the kernel at one s.
-
-    The integrand t^m u^k, t = m w^a / (m w^a + s), turns over around the
-    length scale (s/m)^(1/a) and is steep there in proportion to a(m + k),
-    so the edges are geometric, ceil(a(m + order) / _PANELS_PER_STEEPNESS)
-    per doubling, from the top of the support down to _GRADING doublings
-    below that scale (or below the top, when the scale lies beyond it).
-    H and R are edges too, since the pdf changes piece there.  The oracle
-    of _panel_plan, which builds the same edges once per ladder bottom; no
-    production path calls it.  Where s/m is not above 0 there is no length
-    scale and no ladder: it raises the kernel's DomainError for that s.
-    """
-    if not s / m > 0:
-        raise _no_length_scale(s, m)
-    R, H, alpha = net.radius, net.height, net.path_loss_exponent
-    w_max = math.hypot(R, H)
-    per_doubling = math.ceil(alpha * (m + order) / _PANELS_PER_STEEPNESS)
-    scale = min((s / m) ** (1.0 / alpha), w_max)
-    lowest = math.floor(per_doubling * (math.log2(scale) - _GRADING))
-    highest = math.ceil(per_doubling * math.log2(w_max))
-    ladder = (math.exp2(j / per_doubling) for j in range(lowest, highest))
-    return np.array(sorted({0.0, H, R, w_max, *(w for w in ladder if w < w_max)}))
-
-
 def _no_length_scale(s: float, m: int) -> DomainError:
     """The error of a row whose s/m is not above 0, which has no ladder."""
     return DomainError(f"Gauss-Legendre kernel needs s/m > 0, got s={s:.17g}, m={m}")
 
 
 def _ladder_edges(ladder: list[int], per_doubling: int, net: NetworkConfig):
-    """The panel edges of each ladder bottom (ascending): _panel_edges' edges
-    at every s whose ladder starts there, built once from the bottom."""
+    """The panel edges of each ladder bottom (ascending): the edges of every
+    s whose ladder starts there, built once from the bottom."""
     R, H = net.radius, net.height
     w_max = math.hypot(R, H)
     highest = math.ceil(per_doubling * math.log2(w_max))
@@ -168,9 +145,9 @@ def _ladder_edges(ladder: list[int], per_doubling: int, net: NetworkConfig):
 def _panel_plan(s: np.ndarray, m: int, order: int, net: NetworkConfig):
     """The panels of one kernel call: (row_sets, ladder, panels, columns).
 
-    A row's edges (_panel_edges) depend on its s only through the lowest
-    rung of the geometric ladder, its bottom, computed here by the same
-    float expression.  ladder holds the distinct bottoms ascending and
+    A row's edges (validation._panel_edges) depend on its s only through the
+    lowest rung of the geometric ladder, its bottom, computed here by the
+    same float expression.  ladder holds the distinct bottoms ascending and
     row_sets[i] the position of row i's bottom in it, or -1 where s_i/m is
     not above 0, so that row has no length scale and no ladder; panels are
     the call's distinct (lo, hi) panels sorted by position, and columns[j]

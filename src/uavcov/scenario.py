@@ -34,8 +34,8 @@ class SimParams:
     def __post_init__(self):
         if self.n_snapshots < 1:
             raise ConfigurationError("sim.n_snapshots must be >= 1")
-        if not self.dt > 0:
-            raise ConfigurationError("sim.dt_s must be > 0")
+        if not 0 < self.dt < math.inf:
+            raise ConfigurationError(f"sim.dt_s must be finite and > 0, got {self.dt}")
         if self.stride < 1 or self.replications < 1 or self.chains < 1:
             raise ConfigurationError("sim.stride, sim.replications, sim.chains must be >= 1")
         if self.seed < 0:

@@ -216,10 +216,11 @@ def _phase_segments(phase: str, net: NetworkConfig):
     """Signed (sign, a, b, ell, kappa) power segments and the (sign, ell,
     kappa) shell term of one phase.
 
-    These mirror the distance-law pdf pieces after the y = w^2
+    These are the paper's distance-law pdf pieces after the y = w^2
     substitution: breakpoints 0, H^2, R^2 and R^2 + H^2, and the pieces'
     prefactors 2/H, 6/H^2, 4/H^3 and 6R^2/H^2.  The shell term carries the
-    (y - R^2)^(kappa/2) factor of the outermost pdf piece.
+    (y - R^2)^(kappa/2) factor of the outermost pdf piece.  Written by hand,
+    not read from distributions' altitude cdf table: an independent oracle.
     """
     R, H = net.radius, net.height
     a2, a3, a4 = H**2, R**2, R * R + H * H

@@ -72,26 +72,36 @@ class CheckResult:
 def quad_phase_moment(phase: str, s: float, m: int, net, k: int = 0) -> float:
     """E_W[ W^(-alpha k) (1 + s W^-alpha / m)^-(m+k) ] by scipy's adaptive quadrature.
 
-    The oracle for the Gauss-Legendre kernel, which shares neither its
-    integrand form nor its rule: each of the distance law's three segments
-    [0, H], [H, R] and [R, sqrt(R^2 + H^2)] is integrated in w against that
-    segment's pdf piece, and the summed error estimate is held to 1e-8
-    relative.  Phi^(k)(s) = (-1)^k (m)_k m^-k times this moment.
+    The oracle for the Gauss-Legendre kernel's quadrature, which shares
+    neither its integrand form nor its rule: each of the distance law's
+    three segments [0, H], [H, R] and [R, sqrt(R^2 + H^2)] is integrated in
+    w, against that segment's polynomial of piece_polynomials in plain
+    float arithmetic, and the summed error estimate is held to 1e-8
+    relative.  Both read the same law, so this checks the quadrature, not
+    the law.  Phi^(k)(s) = (-1)^k (m)_k m^-k times this moment.
     """
     dist = DistanceDistribution(phase, net.radius, net.height)
-    alpha = net.path_loss_exponent
+    R, H, alpha = net.radius, net.height, net.path_loss_exponent
+    R2 = R * R
+    low, mid, shell = dist.piece_polynomials()
+    # On the top segment pdf(w) = shell(v) w / v with v = sqrt(w^2 - R^2);
+    # shell has no constant term, so shell(v) / v is shell one power down.
+    pieces = ((0.0, H, (False, *low)), (H, R, (False, *mid)),
+              (R, dist.support_max, (True, *shell[1:], 0.0)))
 
-    def integrand(w, piece):
+    def integrand(w, in_v, c0, c1, c2, c3, c4):
+        x = (w * w - R2) ** 0.5 if in_v else w
+        poly = c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
         wa = w**alpha
-        return piece(w) * wa ** (-k) * (1.0 + s / (m * wa)) ** (-(m + k))
+        return (w * poly if in_v else poly) * wa ** (-k) * (1.0 + s / (m * wa)) ** (-(m + k))
 
     value = abserr = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
-        for lo, hi, piece in dist.pdf_pieces():
+        for lo, hi, args in pieces:
             try:
                 part, err = integrate.quad(
-                    integrand, lo, hi, args=(piece,), limit=_QUAD_LIMIT,
+                    integrand, lo, hi, args=args, limit=_QUAD_LIMIT,
                     epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL,
                 )
             except integrate.IntegrationWarning as exc:
@@ -389,7 +399,9 @@ def check_distribution_laws(net, n: int, seed: int, ks_max: float) -> CheckResul
     phase's distance by Kolmogorov-Smirnov (statistic below ks_max), each
     phase's pdf integrated by quadrature against its cdf at 20 points
     (1e-9), and n moving-phase altitudes by their mean (3 SE) and a 30-bin
-    chi-square test (p > 0.01)."""
+    chi-square test (p > 0.01).  The pdfs and cdfs are derived from one
+    altitude cdf table, so their gap checks the derivations; the samplers
+    invert their own closed forms, so they check the table."""
     rng = np.random.default_rng(seed)
     worst_ks = pdf_gap = 0.0
     for phase in ("static", "moving"):
@@ -498,6 +510,31 @@ def kernel_rows_apart(s_values, m: int, order: int, net) -> list[float]:
     return apart
 
 
+def _panel_edges(s: float, m: int, order: int, net) -> np.ndarray:
+    """Panel edges on [0, sqrt(R^2 + H^2)] for the kernel at one s.
+
+    The integrand t^m u^k, t = m w^a / (m w^a + s), turns over around the
+    length scale (s/m)^(1/a) and is steep there in proportion to a(m + k),
+    so the edges are geometric, ceil(a(m + order) / _PANELS_PER_STEEPNESS)
+    per doubling, from the top of the support down to _GRADING doublings
+    below that scale (or below the top, when the scale lies beyond it).
+    H and R are edges too, since the pdf changes piece there.  The oracle
+    of interference._panel_plan, which builds the same edges once per ladder
+    bottom.  Where s/m is not above 0 there is no length scale and no
+    ladder: it raises the kernel's DomainError for that s.
+    """
+    if not s / m > 0:
+        raise interference._no_length_scale(s, m)
+    R, H, alpha = net.radius, net.height, net.path_loss_exponent
+    w_max = math.hypot(R, H)
+    per_doubling = math.ceil(alpha * (m + order) / interference._PANELS_PER_STEEPNESS)
+    scale = min((s / m) ** (1.0 / alpha), w_max)
+    lowest = math.floor(per_doubling * (math.log2(scale) - interference._GRADING))
+    highest = math.ceil(per_doubling * math.log2(w_max))
+    ladder = (math.exp2(j / per_doubling) for j in range(lowest, highest))
+    return np.array(sorted({0.0, H, R, w_max, *(w for w in ladder if w < w_max)}))
+
+
 def ladder_rows_apart(s_values, m: int, order: int, net) -> list[float]:
     """The thresholds whose panels in one kernel call's shared table (rows
     mapped to their ladder bottom's edge set) are not the panels of
@@ -507,7 +544,7 @@ def ladder_rows_apart(s_values, m: int, order: int, net) -> list[float]:
     apart = []
     for s, j in zip(s_values, row_sets.tolist()):
         try:
-            alone = list(itertools.pairwise(interference._panel_edges(s, m, order, net).tolist()))
+            alone = list(itertools.pairwise(_panel_edges(s, m, order, net).tolist()))
         except DomainError:  # s/m not above 0: no ladder, as row_sets must say
             alone = None
         if (None if j < 0 else [panels[c] for c in columns[j]]) != alone:

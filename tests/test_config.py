@@ -62,6 +62,7 @@ class TestValidation:
             dict(radius=40.0, height=30.0, serving_altitude=10.0, n_interferers=-1),
             dict(radius=40.0, height=30.0, serving_altitude=10.0, n_interferers=2,
                  path_loss_exponent=1.5),
+            dict(radius=40.0, height=30.0, serving_altitude=10.0, n_interferers=math.inf),
         ],
     )
     def test_network_rejects_bad_values(self, kwargs):
@@ -86,7 +87,8 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             MobilityConfig(0.2, 10.0, 2.0, 6.0, 10.0, stay_probability_override=1.5)
 
-    @pytest.mark.parametrize("m0,m1", [(0, 1), (1, 0), (1.5, 1), (-2, 3)])
+    @pytest.mark.parametrize("m0,m1", [(0, 1), (1, 0), (1.5, 1), (-2, 3), (math.inf, 1),
+                                       (1, math.nan)])
     def test_fading_rejects_bad_shapes(self, m0, m1):
         with pytest.raises(ConfigurationError):
             FadingConfig(serving_m=m0, interferer_m=m1)
@@ -118,5 +120,6 @@ class TestFadingBands:
             resolve_fading_bands(short, baseline_network)
 
     def test_band_shape_must_be_positive_integer(self):
-        with pytest.raises(ConfigurationError):
-            FadingConfig(1, 1, altitude_dependent=True, bands=((0.0, 30.0, 0),))
+        for m in (0, math.inf):
+            with pytest.raises(ConfigurationError):
+                FadingConfig(1, 1, altitude_dependent=True, bands=((0.0, 30.0, m),))

@@ -1,16 +1,78 @@
+import math
+import re
+
 import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from uavcov import distributions
+from uavcov.config import NetworkConfig
 from uavcov.distributions import (
     AltitudeDistribution,
     DistanceDistribution,
     smoothstep_inverse,
 )
 from uavcov.errors import DomainError, UnsupportedGeometryError
+from uavcov.validation import check_distribution_laws
 
 R, H = 40.0, 30.0
+
+
+def reference_pdf_pieces(phase, R, H):
+    """The paper's two distance pdfs, written out by hand per phase, as
+    (lo, hi, piece) on [0, H], [H, R] and [R, sqrt(R^2 + H^2)]: the
+    reference the law derived from the altitude cdf table is held to."""
+    R2 = R * R
+    if phase == "static":
+        def low(w):
+            return 2.0 * w * w / (R2 * H)
+
+        def top(w):
+            shell = (w * w - R2) ** 0.5
+            return 2.0 * w / R2 - 2.0 * w * shell / (R2 * H)
+    else:
+        def low(w):
+            return -4.0 * w**4 / (R2 * H**3) + 6.0 * w**3 / (R2 * H * H)
+
+        def top(w):
+            shell = w * w - R2
+            return (2.0 * w / R2 - 6.0 * w * shell / (R2 * H * H)
+                    + 4.0 * w * shell**1.5 / (R2 * H**3))
+
+    def mid(w):
+        return 2.0 * w / R2
+
+    return ((0.0, H, low), (H, R, mid), (R, math.hypot(R, H), top))
+
+
+def reference_piece_polynomials(phase, R, H):
+    """The hand-written coefficients of x^0..x^4 of the low, mid and shell
+    polynomials (the shell one in v = sqrt(w^2 - R^2))."""
+    R2 = R * R
+    mid = (0.0, 2.0 / R2, 0.0, 0.0, 0.0)
+    if phase == "static":
+        return ((0.0, 0.0, 2.0 / (R2 * H), 0.0, 0.0), mid,
+                (0.0, 2.0 / R2, -2.0 / (R2 * H), 0.0, 0.0))
+    return ((0.0, 0.0, 0.0, 6.0 / (R2 * H * H), -4.0 / (R2 * H**3)), mid,
+            (0.0, 2.0 / R2, 0.0, -6.0 / (R2 * H * H), 4.0 / (R2 * H**3)))
+
+
+def mpmath_distance_cdf(phase, R, H, w):
+    """P(h^2 + Z^2 <= w^2) at 40 digits: the altitude density times the
+    disk probability min(max(w^2 - x^2, 0) / R^2, 1), integrated over x."""
+    with mpmath.workdps(40):
+        R, H, w = map(mpmath.mpf, (R, H, w))
+        if phase == "static":
+            def density(x):
+                return 1 / H
+        else:
+            def density(x):
+                return 6 * x * (H - x) / H**3
+        top = min(w, H)
+        kink = mpmath.sqrt(max(w * w - R * R, 0))
+        points = [0, *([kink] if 0 < kink < top else []), top]
+        return mpmath.quad(lambda x: density(x) * min((w * w - x * x) / (R * R), 1), points)
 
 
 def oracle_distance_samples(phase, n, rng):
@@ -48,16 +110,15 @@ class TestClosedFormAnchors:
 
     @pytest.mark.parametrize("phase", ["static", "moving"])
     def test_pdf_float_and_array_inputs_agree_exactly(self, phase):
-        """Inside each segment and on the breakpoints w = H and w = R; the
-        pieces themselves take floats and arrays alike."""
+        """Inside each segment and on the breakpoints w = H and w = R; on
+        each segment the pdf is the hand-written piece."""
         dist = DistanceDistribution(phase, R, H)
         w = np.array([1e-3, 7.0, H, 35.0, R, 45.0, dist.support_max])
         as_array = dist.pdf(w)
         assert [dist.pdf(float(x)) for x in w] == as_array.tolist()
-        for lo, hi, piece in dist.pdf_pieces():
-            inside = w[(w > lo) & (w < hi)]
-            floats = [piece(float(x)) for x in inside]
-            assert floats == pytest.approx(piece(inside).tolist(), rel=1e-14)
+        for lo, hi, piece in reference_pdf_pieces(phase, R, H):
+            inside = (w >= lo) & (w <= hi)
+            assert as_array[inside] == pytest.approx(piece(w[inside]), rel=1e-13, abs=1e-18)
 
     def test_moving_cdf_values(self):
         dist = DistanceDistribution("moving", R, H)
@@ -122,13 +183,55 @@ class TestLawStructure:
 
     @pytest.mark.parametrize("phase", ["static", "moving"])
     def test_low_and_mid_polynomials_are_the_pdf_pieces(self, phase):
-        """The [0, H] and [H, R] polynomials of piece_polynomials are the
-        pdf pieces on their segments."""
+        """piece_polynomials, derived from the altitude cdf table, is the
+        hand-written coefficients bit for bit at R/H = 40/30 and 100/5, and
+        its [0, H] and [H, R] polynomials are the hand-written pdf pieces."""
+        for radius, height in ((R, H), (100.0, 5.0)):
+            derived = DistanceDistribution(phase, radius, height).piece_polynomials()
+            expected = reference_piece_polynomials(phase, radius, height)
+            assert np.array(derived).tobytes() == np.array(expected).tobytes()
         dist = DistanceDistribution(phase, R, H)
-        pieces = dist.pdf_pieces()
+        pieces = reference_pdf_pieces(phase, R, H)
         for (lo, hi, piece), coeffs in zip(pieces[:2], dist.piece_polynomials()[:2]):
             w = np.linspace(lo, hi, 17)
             assert np.polynomial.Polynomial(coeffs)(w) == pytest.approx(piece(w), rel=1e-14)
+
+    def test_piece_polynomials_match_the_hand_written_ones_at_random_geometries(self):
+        """Over 2,000 geometries (R log-uniform on [e^-5, e^8], H/R uniform on
+        [0.001, 0.999]) every derived coefficient is the hand-written one bit
+        for bit, except the moving phase's x^4 ones.  Those divide by R^2 H^3
+        multiplied in another order: after the shared R^2, each side rounds
+        three or four more times, so they differ by at most 7 units of
+        2^-53 relative."""
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for radius, ratio in zip(np.exp(rng.uniform(-5, 8, 2000)), rng.uniform(1e-3, 0.999, 2000)):
+            radius, height = float(radius), float(radius * ratio)
+            for phase in ("static", "moving"):
+                derived = np.array(DistanceDistribution(phase, radius, height).piece_polynomials())
+                expected = np.array(reference_piece_polynomials(phase, radius, height))
+                if phase == "static":
+                    assert derived.tobytes() == expected.tobytes()
+                    continue
+                assert derived[:, :4].tobytes() == expected[:, :4].tobytes()
+                fourth, reference = derived[[0, 2], 4], expected[[0, 2], 4]
+                worst = max(worst, *np.abs(fourth - reference) / np.abs(reference))
+        assert worst <= 7 * 2.0**-53
+
+    @pytest.mark.parametrize("phase", ["static", "moving"])
+    @pytest.mark.parametrize("radius, height", [(40.0, 30.0), (100.0, 5.0), (40.0, 39.0)])
+    def test_cdf_matches_mpmath(self, phase, radius, height):
+        """Within 4.4e-16 absolute of P(h^2 + Z^2 <= w^2) at 40 digits, on a
+        grid over the support with both breakpoints and their neighbours,
+        and exact at both ends of the support."""
+        dist = DistanceDistribution(phase, radius, height)
+        w = np.concatenate([np.linspace(0.0, dist.support_max, 25),
+                            [height, radius, np.nextafter(height, 0), np.nextafter(radius, 0)]])
+        got = dist.cdf(w)
+        for wi, gi in zip(w.tolist(), got.tolist()):
+            assert abs(gi - mpmath_distance_cdf(phase, radius, height, wi)) <= 4.4e-16, wi
+        assert dist.cdf(0.0) == 0.0
+        assert dist.cdf(dist.support_max) == 1.0
 
     @pytest.mark.parametrize("phase", ["static", "moving"])
     def test_cdf_is_monotone(self, phase):
@@ -150,6 +253,16 @@ class TestLawStructure:
             dist.pdf(-0.5)
         with pytest.raises(DomainError):
             DistanceDistribution("hovering", R, H)
+
+    @pytest.mark.parametrize("evaluate", [
+        DistanceDistribution("moving", R, H).pdf, DistanceDistribution("moving", R, H).cdf,
+        AltitudeDistribution("moving", H).pdf, AltitudeDistribution("moving", H).cdf,
+        smoothstep_inverse,
+    ], ids=["distance-pdf", "distance-cdf", "altitude-pdf", "altitude-cdf", "smoothstep-inverse"])
+    @pytest.mark.parametrize("argument", [math.nan, [1.0, math.nan]], ids=["scalar", "array"])
+    def test_nan_argument_is_a_domain_error(self, evaluate, argument):
+        with pytest.raises(DomainError):
+            evaluate(argument)
 
 
 class TestSampling:
@@ -204,3 +317,16 @@ class TestSampling:
                 v = mpmath.findroot(lambda v: 3 * v**2 - 2 * r * v**3 - 1, 1 / mpmath.sqrt(3))
                 ref = r * v if pi <= 0.5 else 1 - r * v
                 assert abs(ui - ref) <= 1e-15, pi
+
+
+def test_planted_altitude_law_fails_the_sampler_ks(monkeypatch):
+    """With the moving row of the altitude cdf table set to u^2, the pdf
+    and cdf still agree (both read the table), and check_distribution_laws
+    fails through the KS test of its independent smoothstep_inverse sampler."""
+    net = NetworkConfig(40.0, 30.0, 10.0, 2, 2.0)
+    assert check_distribution_laws(net, 100_000, 5, 0.006).passed
+    monkeypatch.setitem(distributions._ALTITUDE_CDF, "moving", (0.0, 0.0, 1.0))
+    result = check_distribution_laws(net, 100_000, 5, 0.006)
+    assert not result.passed
+    assert float(re.search(r"KS (\S+) ", result.detail).group(1)) >= 0.006
+    assert float(re.search(r"pdf/cdf gap (\S+) ", result.detail).group(1)) <= 1e-9

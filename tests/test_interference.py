@@ -614,11 +614,11 @@ def test_threshold_without_a_ladder_agrees_only_with_the_row_edges_error(monkeyp
     for it."""
     net = NetworkConfig(40.0, 30.0, 1.0, 8, 2.0)
     with pytest.raises(DomainError, match=r"needs s/m > 0, got s=0, m=6"):
-        interference._panel_edges(0.0, 6, 0, net)
+        validation._panel_edges(0.0, 6, 0, net)
     s_values = [1.0, 0.0, 1e-323, 2.0]
     assert validation.ladder_rows_apart(s_values, 6, 0, net) == []
-    edges = interference._panel_edges
-    monkeypatch.setattr(interference, "_panel_edges",
+    edges = validation._panel_edges
+    monkeypatch.setattr(validation, "_panel_edges",
                         lambda s, *args: edges(max(s, 1.0), *args))
     assert validation.ladder_rows_apart(s_values, 6, 0, net) == [0.0, 1e-323]
 

@@ -640,11 +640,19 @@ def test_boundary_rule_other_than_stay_is_input_error(tmp_path, capsys):
     assert err.startswith("error:") and "sim.boundary_rule" in err and "'resample'" in err
 
 
+NON_FINITE_FIELDS = [("network", "radius_m"), ("network", "height_m"),
+                     ("network", "serving_altitude_m"), ("network", "path_loss_exponent"),
+                     ("mobility", "speed_min_mps"), ("mobility", "speed_max_mps"),
+                     ("mobility", "dwell_min_s"), ("mobility", "dwell_max_s"),
+                     ("mobility", "hop_range_m"), ("sim", "dt_s")]
+
+
 def edge_scenarios():
     """The edge grid, each at a small n_snapshots: every combination of M in
     {0, 1}, dwells of 2-6 s, 4-4 s and 0-0 s, h0 below H and at H, alpha in
     {2, 4}, a stay override of none, 0 and 1, and a single threshold or the
-    pair of -3000 and 3000 dB."""
+    pair of -3000 and 3000 dB; then each float field of NON_FINITE_FIELDS
+    set to Infinity, -Infinity and NaN, which must be refused (exit 2)."""
     base = scenario_to_dict(small_scenario(
         sim=SimParams(n_snapshots=8, seed=3, replications=1, chains=4)))
     for M, dwell, h0, alpha, stay, psi_db in itertools.product(
@@ -655,7 +663,12 @@ def edge_scenarios():
         doc["mobility"].update(dwell_min_s=dwell[0], dwell_max_s=dwell[1],
                                stay_probability_override=stay)
         doc["psi_grid_db"] = psi_db
-        yield f"M={M} dwell={dwell} h0={h0} alpha={alpha} stay={stay} psi_db={psi_db}", doc
+        yield f"M={M} dwell={dwell} h0={h0} alpha={alpha} stay={stay} psi_db={psi_db}", doc, (0, 2)
+    for (section, key), value in itertools.product(
+            NON_FINITE_FIELDS, (math.inf, -math.inf, math.nan)):
+        doc = copy.deepcopy(base)
+        doc[section][key] = value
+        yield f"{section}.{key}={value}", doc, (2,)
 
 
 @pytest.mark.parametrize("command", [
@@ -663,10 +676,10 @@ def edge_scenarios():
 ], ids=["simulate", "analyze", "sweep"])
 def test_edge_grid_exits_0_or_with_an_input_error(tmp_path, capsys, command):
     """Every scenario of the edge grid runs (exit 0) or is refused with an
-    `error:` line (exit 2); none ends in a traceback."""
+    `error:` line (exit 2), each as the grid allows; none ends in a traceback."""
     path, out = tmp_path / "edge.json", str(tmp_path / "out")
     codes, wrong = [], []
-    for name, doc in edge_scenarios():
+    for name, doc, allowed in edge_scenarios():
         path.write_text(json.dumps(doc))
         try:
             code = main([command[0], "--scenario", str(path), "--out", out, *command[1:]])
@@ -675,7 +688,7 @@ def test_edge_grid_exits_0_or_with_an_input_error(tmp_path, capsys, command):
             continue
         err = capsys.readouterr().err
         codes.append(code)
-        if code not in (0, 2) or (code == 2 and not err.startswith("error:")):
+        if code not in allowed or (code == 2 and not err.startswith("error:")):
             wrong.append(f"{name}: exit {code}, {err!r}")
     assert not wrong, "\n".join(wrong)
     assert 0 in codes
