@@ -44,8 +44,8 @@ EXIT_INPUT_ERROR = 2
 
 
 def _apply_overrides(sc: Scenario, args) -> Scenario:
-    """sc with the command line's --psi-db, --seed and --replications; sc
-    itself when none is given.  Scenario and SimParams check the result."""
+    """sc with the command line's --psi-db and --seed; sc itself when
+    neither is given.  Scenario and SimParams check the result."""
     changes = {}
     psi_db = getattr(args, "psi_db", None)
     if psi_db:
@@ -55,10 +55,9 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
             raise ConfigurationError(
                 f"--psi-db must be comma-separated numbers, got {psi_db!r}"
             ) from None
-    sim_changes = {name: getattr(args, name) for name in ("seed", "replications")
-                   if getattr(args, name, None) is not None}
-    if sim_changes:
-        changes["sim"] = replace(sc.sim, **sim_changes)
+    seed = getattr(args, "seed", None)
+    if seed is not None:
+        changes["sim"] = replace(sc.sim, seed=seed)
     return replace(sc, **changes) if changes else sc
 
 
@@ -141,8 +140,7 @@ def cmd_simulate(args) -> int:
     psi = np.asarray(sc.psi_grid_linear())
     result = run_campaign(
         sc.network, sc.fading, sc.mobility, sc.sim.n_snapshots, dt=sc.sim.dt,
-        seed=sc.sim.seed, psi_grid=psi, stride=sc.sim.stride,
-        replications=sc.sim.replications, chains=sc.sim.chains,
+        seed=sc.sim.seed, psi_grid=psi, stride=sc.sim.stride, chains=sc.sim.chains,
     )
 
     if sc.fading.altitude_dependent:
@@ -278,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_out:
             p.add_argument("--out", required=True, help="output path (or prefix)")
         p.add_argument("--seed", type=int, default=None, help="override sim.seed")
-        p.add_argument("--replications", type=int, default=None,
-                       help="override sim.replications")
         p.add_argument("--psi-db", dest="psi_db", default=None,
                        help="comma-separated dB threshold grid override")
 

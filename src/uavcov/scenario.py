@@ -28,16 +28,15 @@ class SimParams:
     dt: float = 1.0
     stride: int = 10
     seed: int = 1
-    replications: int = 2
-    chains: int = 64
+    chains: int = 128
 
     def __post_init__(self):
         if self.n_snapshots < 1:
             raise ConfigurationError("sim.n_snapshots must be >= 1")
         if not 0 < self.dt < math.inf:
             raise ConfigurationError(f"sim.dt_s must be finite and > 0, got {self.dt}")
-        if self.stride < 1 or self.replications < 1 or self.chains < 1:
-            raise ConfigurationError("sim.stride, sim.replications, sim.chains must be >= 1")
+        if self.stride < 1 or self.chains < 1:
+            raise ConfigurationError("sim.stride, sim.chains must be >= 1")
         if self.seed < 0:
             raise ConfigurationError(f"sim.seed must be >= 0, got {self.seed}")
 
@@ -165,13 +164,16 @@ def _scenario_from_dict(doc: dict) -> Scenario:
     rule = _field(sim_doc, "sim", "boundary_rule", "stay")
     if rule != "stay":
         raise ConfigurationError(f"sim.boundary_rule must be \"stay\", got {rule!r}")
+    # an older document's sim.replications ran that many sets of its chains
+    replications = _int_field(sim_doc, "sim", "replications", 1)
+    if replications < 1:
+        raise ConfigurationError(f"sim.replications must be >= 1, got {replications}")
     sim = SimParams(
         n_snapshots=_int_field(sim_doc, "sim", "n_snapshots", 200_000),
         dt=float(_field(sim_doc, "sim", "dt_s", 1.0)),
         stride=_int_field(sim_doc, "sim", "stride", 10),
         seed=_int_field(sim_doc, "sim", "seed", 1),
-        replications=_int_field(sim_doc, "sim", "replications", 2),
-        chains=_int_field(sim_doc, "sim", "chains", 64),
+        chains=_int_field(sim_doc, "sim", "chains", 128) * replications,
     )
     psi = _field(doc, "scenario", "psi_grid_db")
     return Scenario(network, fading, mobility, tuple(float(v) for v in psi), sim)
@@ -208,7 +210,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
             "dt_s": sc.sim.dt,
             "stride": sc.sim.stride,
             "seed": sc.sim.seed,
-            "replications": sc.sim.replications,
             "chains": sc.sim.chains,
         },
     }

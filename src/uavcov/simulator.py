@@ -23,30 +23,26 @@ stays put.  That is a symmetric-proposal Metropolis move for the uniform
 target, so the horizontal law stays exactly uniform on the disk, as the
 analytical distance laws assume.
 
-A campaign steps all its replications together, in place, as one state
-array with one contiguous block of interferers per replication.  Each
-replication keeps its own generator, and every draw is split by block in
-the order a one-replication run makes it, so each block reproduces its
-replication run alone bit for bit.  The launch draws one (block, 9) array of
-uniforms per block.  The state then advances one snapshot stride of steps
-per call.  The vertical events of the whole stride run first, pass after
-pass; in each pass a block draws one (k, 3) array, whose columns are the
-dwell, waypoint and speed of the events of its k interferers that have one
-due.  Each event is put down at the first step end at or after its time,
-found without a search: a rounded estimate of the step from the event
-time, then one comparison with that step's end (`_event_rows`).  One
-parity count of all the events of a stride, by step and interferer, then
-gives every step's dwelling mask.  Then each block draws one
-(stride, block, 2) array of hop radii and angles, and the interferers
-dwelling at each step's end hop.  The steps hop in chunks of at most
-_HOP_BUDGET // n steps: a chunk gathers its dwellers' proposals and takes
-their lengths and offsets at once, and only the move from each step's
+A campaign steps all its chains together, in place, as one state array
+with one contiguous block of interferers per chain, and draws everything
+from one generator.  The launch draws one (n, 9) array of uniforms.  The
+state then advances one snapshot stride of steps per call.  The vertical
+events of the whole stride run first, pass after pass; each pass draws one
+(k, 3) array, whose columns are the dwell, waypoint and speed of the events
+of the k interferers that have one due.  Each event is put down at the
+first step end at or after its time, found without a search: a rounded
+estimate of the step from the event time, then one comparison with that
+step's end (`_event_rows`).  One parity count of all the events of a
+stride, by step and interferer, then gives every step's dwelling mask.
+Then one (stride, n, 2) array of hop radii and angles is drawn, and the
+interferers dwelling at each step's end hop.  The steps hop in chunks of
+at most _HOP_BUDGET // n steps: a chunk gathers its dwellers' proposals and
+takes their lengths and offsets at once, and only the move from each step's
 positions runs step by step, six numpy calls a step; the interior hop
 lengths are taken once per chunk.  An offset's unit vector comes from the
 tangent of the half angle (`_unit`), which numpy vectorizes, not from a
 cosine and a sine.  Containment is checked at launch and at every
-snapshot, not on every step.  A campaign builds its streams, the generators
-with their block and chain spans, once.
+snapshot, not on every step.
 
 Snapshots taken every `stride` steps record distances, phases and fading
 draws; per-threshold coverage tallies are kept in contiguous batches for
@@ -152,72 +148,12 @@ class UavState:
         return r2, altitude
 
 
-class _Streams:
-    """One random generator per contiguous, equal-sized block of interferers.
-
-    Every draw is split by block: block r takes its share from generator r,
-    in the order a one-block run would draw it, so each block follows its
-    own stream whatever else is stepped beside it.  `blocks` holds each
-    generator with its range of the n interferers, and `chain_spans` its
-    range of the `chains` networks that the interferers make up.  Both, and
-    the block ends that `draw` splits by, are worked out once here, so a
-    campaign builds its streams once and passes them to every `advance` and
-    `_snapshot` call.
-    """
-
-    def __init__(self, rngs, n: int, chains: int | None = None):
-        self.rngs = (rngs,) if isinstance(rngs, np.random.Generator) else tuple(rngs)
-        self.n = n
-        self.blocks = self.spans(n)
-        self.ends = np.array([hi for _, _, hi in self.blocks])
-        self.chain_spans = None if chains is None else self.spans(chains)
-
-    def spans(self, n: int) -> list[tuple[np.random.Generator, int, int]]:
-        """Each generator with the range [lo, hi) of its block of n items."""
-        blocks = len(self.rngs)
-        if not blocks or n % blocks:
-            raise ConfigurationError(f"{n} items do not split into {blocks} equal blocks")
-        size = n // blocks
-        return [(g, r * size, (r + 1) * size) for r, g in enumerate(self.rngs)]
-
-    def uniforms(self, cols: int) -> np.ndarray:
-        """An (n, cols) array of uniforms; each block fills its rows from its own generator."""
-        u = np.empty((self.n, cols))
-        for g, lo, hi in self.blocks:
-            g.random(out=u[lo:hi])
-        return u
-
-    def stepwise(self, steps: int, cols: int) -> np.ndarray:
-        """A (blocks, steps, block, cols) array of uniforms; each block fills
-        its (steps, block, cols) share from its own generator."""
-        u = np.empty((len(self.rngs), steps, self.n // len(self.rngs), cols))
-        for g, share in zip(self.rngs, u):
-            g.random(out=share)
-        return u
-
-    def draw(self, idx: np.ndarray, cols: int) -> np.ndarray:
-        """(idx.size, cols) uniforms for the sorted interferer indices idx.
-
-        Each block fills the rows of its own indices in idx, and a block
-        with none draws nothing.
-        """
-        u = np.empty((idx.size, cols))
-        a = 0
-        for g, b in zip(self.rngs, idx.searchsorted(self.ends).tolist()):
-            if b > a:
-                g.random(out=u[a:b])
-            a = b
-        return u
-
-
 def initial_state(n: int, net: NetworkConfig, mob: MobilityConfig, rng) -> UavState:
     """Draw n interferers from the stationary law of the mobility process.
 
-    `rng` is a generator, or a sequence of generators, one per equal block
-    of the n interferers; each block fills one (block, 9) array of uniforms
-    from its own.  The state is taken at t = 0 with every leg or dwell
-    starting then (t0 = 0).  Under the stationary law, which is the law at
-    every later observation too:
+    `rng`, a generator, fills one (n, 9) array of uniforms.  The state is
+    taken at t = 0 with every leg or dwell starting then (t0 = 0).  Under
+    the stationary law, which is the law at every later observation too:
 
     - the phase is dwelling with the kinematic probability
       p = E[D] / (E[D] + E[L/V]) (never the override);
@@ -232,7 +168,7 @@ def initial_state(n: int, net: NetworkConfig, mob: MobilityConfig, rng) -> UavSt
     - the horizontal projection is uniform on the disk, independent of the
       vertical state, which the reject-and-stay hop keeps invariant.
     """
-    u = _Streams(rng, n).uniforms(9)
+    u = rng.random((n, 9))
     dwell_u, height_u, residual_u, biased_u, up_u, far_u, speed_u, radius_u, angle_u = u.T
     dwelling = dwell_u < kinematic_stay_probability(mob, net)
     H = net.height
@@ -394,9 +330,9 @@ def _hop(state: UavState, dwelling: np.ndarray, u: np.ndarray, net: NetworkConfi
          mob: MobilityConfig) -> np.ndarray:
     """Step j's spatial hop for every interferer dwelling at its end, in place.
 
-    `dwelling` holds one mask per step and `u` the (blocks, steps, block, 2)
-    proposal uniforms, hop radius and hop angle; a proposal that would leave
-    the disk is rejected and the interferer stays put.  The steps run in
+    `dwelling` holds one mask per step and `u` the (steps, n, 2) proposal
+    uniforms, hop radius and hop angle; a proposal that would leave the
+    disk is rejected and the interferer stays put.  The steps run in
     chunks of at most _HOP_BUDGET // n steps: a chunk gathers its dwellers'
     proposals and works out their lengths and offsets at once, and then each
     step of it in turn takes the positions it starts from into the chunk's
@@ -409,8 +345,7 @@ def _hop(state: UavState, dwelling: np.ndarray, u: np.ndarray, net: NetworkConfi
     z = state.xy.view(np.complex128)[:, 0]  # x + iy, a view of xy
     interior_limit = max(net.radius - mob.hop_range, 0.0)
     steps, n = dwelling.shape
-    # (steps * n, 2), step-major: a view with one block, one copy per call with more
-    u = u.swapaxes(0, 1).reshape(steps * n, 2)
+    u = u.reshape(steps * n, 2)  # step-major
     chunk = min(max(_HOP_BUDGET // max(n, 1), 1), steps)
     row_ends = np.arange(1, chunk + 1) * n
     interior = []
@@ -444,16 +379,13 @@ def advance(state: UavState, steps: int, dt: float, rng, net: NetworkConfig,
             mob: MobilityConfig) -> tuple[float, int]:
     """Advance every interferer by `steps` steps of dt, in place.
 
-    `rng` is a generator, or a sequence of generators, one per equal,
-    contiguous block of the state; each block draws only from its own.  A
-    campaign passes the `_Streams` it built once for the state instead.
     The step end times are the clock plus dt, added once per step.  The
     vertical kinematics of all the steps are resolved through phase changes
-    exactly, pass after pass, each pass drawing one (k, 3) array of dwell,
-    waypoint and speed uniforms per block for its k interferers with an
-    event due.  Then each block draws one (steps, block, 2) array of hop
-    radius and angle uniforms, and in each step every interferer dwelling
-    at the step's end performs one spatial hop, in chunks of steps (`_hop`).
+    exactly, pass after pass, each pass drawing from the generator `rng` one
+    (k, 3) array of dwell, waypoint and speed uniforms for the k interferers
+    with an event due.  Then one (steps, n, 2) array of hop radius and angle
+    uniforms is drawn, and in each step every interferer dwelling at the
+    step's end performs one spatial hop, in chunks of steps (`_hop`).
     Returns the summed length and the count of the accepted interior hops
     (see `CampaignResult.mean_interior_hop_length`).  Containment is not
     checked here; callers check it where they observe the state.
@@ -462,14 +394,13 @@ def advance(state: UavState, steps: int, dt: float, rng, net: NetworkConfig,
         raise ConfigurationError(f"dt must be > 0, got {dt}")
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
-    streams = rng if isinstance(rng, _Streams) else _Streams(rng, state.n)
     ends = np.empty(steps)
     t = state.t
     for j in range(steps):
         t += dt
         ends[j] = t
-    dwelling = _advance_vertical(state, ends, lambda idx, p: streams.draw(idx, 3), net, mob)
-    lengths = _hop(state, dwelling[1:], streams.stepwise(steps, 2), net, mob)
+    dwelling = _advance_vertical(state, ends, lambda idx, p: rng.random((idx.size, 3)), net, mob)
+    lengths = _hop(state, dwelling[1:], rng.random((steps, state.n, 2)), net, mob)
     return float(lengths.sum()), lengths.size
 
 
@@ -499,24 +430,17 @@ def _snapshot(altitude: np.ndarray, r2: np.ndarray, chains: int, net: NetworkCon
     horizontal radii, and `shapes` maps altitudes to Nakagami shapes
     (`_interferer_shapes`).
 
-    `rng` is a generator, or a sequence of generators, one per equal block
-    of chains, or a campaign's `_Streams` (as for `advance`).  Each
-    generator draws its block's serving gains, then its block's interferer
-    gains.  Returns (distances, serving gains, interferer gains, aggregate
+    The generator `rng` draws the serving gains, then the interferer gains.
+    Returns (distances, serving gains, interferer gains, aggregate
     interference per chain, SIR per chain); the SIR is infinite in a chain
     with zero interference.
     """
     alpha = net.path_loss_exponent
-    streams = rng if isinstance(rng, _Streams) else _Streams(rng, altitude.size, chains)
-    g0 = np.concatenate(
-        [g.gamma(serving_m, 1.0 / serving_m, hi - lo) for g, lo, hi in streams.chain_spans]
-    )
+    g0 = rng.gamma(serving_m, 1.0 / serving_m, chains)
     w = np.sqrt(altitude**2 + r2)
-    gains = np.empty(altitude.size)
-    for g, lo, hi in streams.blocks:
-        # A scalar shape draws the same numbers as an array of it, faster.
-        m_i = shapes(altitude[lo:hi])
-        gains[lo:hi] = g.gamma(m_i, 1.0 / m_i, hi - lo)
+    # A scalar shape draws the same numbers as an array of it, faster.
+    m_i = shapes(altitude)
+    gains = rng.gamma(m_i, 1.0 / m_i, altitude.size)
     interference = (gains * w**-alpha).reshape(chains, altitude.size // chains).sum(axis=1)
     with np.errstate(divide="ignore"):
         sir = g0 * net.serving_altitude**-alpha / interference
@@ -537,9 +461,18 @@ def default_psi_grid() -> np.ndarray:
     return np.array([10.0 ** (d / 10.0) for d in range(-20, 31, 5)])
 
 
+def _batch_se(per_batch: np.ndarray) -> np.ndarray:
+    """Batch-means standard error of the mean over the rows of `per_batch`,
+    one row per batch; NaN with fewer than 2 batches."""
+    nb = per_batch.shape[0]
+    if nb < 2:
+        return np.full(per_batch.shape[1:], np.nan)
+    return per_batch.std(axis=0, ddof=1) / math.sqrt(nb)
+
+
 @dataclass
 class CampaignResult:
-    """Merged tallies and diagnostics of one or more simulation replications."""
+    """Merged tallies and diagnostics of one simulation campaign."""
 
     psi_grid: np.ndarray
     batch_success: np.ndarray       # (n_batches, n_psi) covered-snapshot counts
@@ -554,7 +487,6 @@ class CampaignResult:
     hop_count: int
     n_snapshots: int
     stay_probability: float
-    seed_info: tuple
     meta: dict = field(default_factory=dict)
 
     @property
@@ -567,11 +499,7 @@ class CampaignResult:
 
     def coverage_se(self) -> np.ndarray:
         """Batch-means standard error of the coverage estimates."""
-        rates = self.batch_success / self.batch_snapshots[:, None]
-        nb = rates.shape[0]
-        if nb < 2:
-            return np.full(self.psi_grid.shape, np.nan)
-        return rates.std(axis=0, ddof=1) / math.sqrt(nb)
+        return _batch_se(self.batch_success / self.batch_snapshots[:, None])
 
     def dwelling_fraction(self) -> float:
         """Observed fraction of interferer-snapshots spent dwelling."""
@@ -579,11 +507,9 @@ class CampaignResult:
         return float(self.batch_dwelling.sum() / total) if total else math.nan
 
     def dwelling_fraction_se(self) -> float:
-        per_batch = self.batch_dwelling / (self.batch_snapshots * max(self.n_interferers, 1))
-        nb = per_batch.size
-        if nb < 2:
-            return math.nan
-        return float(per_batch.std(ddof=1) / math.sqrt(nb))
+        """Batch-means standard error of the dwelling fraction."""
+        return float(_batch_se(
+            self.batch_dwelling / (self.batch_snapshots * max(self.n_interferers, 1))))
 
     def dwelling_count_pmf(self) -> np.ndarray:
         """Empirical law of the number of dwelling interferers per snapshot."""
@@ -605,106 +531,82 @@ def run_campaign(
     *,
     psi_grid=None,
     stride: int = 10,
-    replications: int = 1,
     chains: int = 64,
     n_batches: int = 20,
     max_kept_samples: int = 2_000_000,
-    seeds=None,
 ) -> CampaignResult:
     """Run a full snapshot campaign and return merged tallies.
 
-    The campaign is split into `replications` independently seeded streams,
-    each driving `chains` statistically independent copies of the network.
-    All replications are stepped together as one array, one contiguous
-    block per replication, with every draw split by block; each block's
-    numbers are those its replication gives when run alone.  The network
-    starts in its stationary law, so snapshots begin with the first
-    stride.  Each snapshot takes one in-place `advance` call of `stride`
-    steps, in which a block draws its event uniforms pass by pass and then
-    one (stride, block, 2) array for its hops, followed by the snapshot's
-    fading draws.  The streams are built once, and the coverage tallies,
-    batch rows and dwelling histogram take up to 64 snapshots at a time.
-    Snapshot counts round up to a multiple of replications * chains.
+    One generator, seeded from `seed`, drives `chains` statistically
+    independent copies of the network, stepped together as one array, one
+    contiguous block of interferers per chain.  The network starts in its
+    stationary law, so snapshots begin with the first stride.  Each
+    snapshot takes one in-place `advance` call of `stride` steps, which
+    draws its event uniforms pass by pass and then one (stride, n, 2) array
+    for the hops, followed by the snapshot's fading draws.  The coverage
+    tallies, batch rows and dwelling histogram take up to 64 snapshots at a
+    time, and the standard errors come from batch means over `n_batches`
+    runs of consecutive snapshots.  Snapshot counts round up to a multiple
+    of chains.
     """
     if n_snapshots < 1:
         raise ConfigurationError("n_snapshots must be >= 1")
-    if stride < 1 or replications < 1 or chains < 1:
-        raise ConfigurationError("stride, replications and chains must be >= 1")
+    if stride < 1 or chains < 1:
+        raise ConfigurationError("stride and chains must be >= 1")
     p_stay = simulated_stay_probability(mob, net)
     psi_grid = default_psi_grid() if psi_grid is None else np.asarray(psi_grid, dtype=float)
     if psi_grid.size == 0:
         raise ConfigurationError("psi_grid must be non-empty")
 
-    if seeds is not None:
-        seeds = list(seeds)
-        if len(seeds) != replications:
-            raise ConfigurationError(
-                f"got {len(seeds)} explicit seeds for {replications} replications"
-            )
-        if len(set(seeds)) != len(seeds):
-            raise ConfigurationError(
-                "replication seeds must be distinct (independence contract)"
-            )
-        rep_seeds = seeds
-    else:
-        rep_seeds = np.random.SeedSequence(seed).spawn(replications)
-
-    reps = replications
-    per_chain = math.ceil(math.ceil(n_snapshots / reps) / chains)
-    nb_rep = max(1, min(round(n_batches / reps), per_chain))
+    per_chain = math.ceil(n_snapshots / chains)
+    nb = max(1, min(n_batches, per_chain))
     M = net.n_interferers
-    block = chains * M
-    rngs = [np.random.default_rng(s) for s in rep_seeds]
-    state = initial_state(reps * block, net, mob, rngs)
+    n = chains * M
+    # the seed's first child, not the seed: each seed keeps the numbers it has always given
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    state = initial_state(n, net, mob, rng)
     state.check_containment(net)
-    streams = _Streams(rngs, reps * block, reps * chains)
 
-    n_psi = psi_grid.size
-    batch_success = np.zeros((reps * nb_rep, n_psi))
-    batch_snapshots = np.zeros(reps * nb_rep)
-    batch_dwelling = np.zeros(reps * nb_rep)
+    batch_success = np.zeros((nb, psi_grid.size))
+    batch_snapshots = np.zeros(nb)
+    batch_dwelling = np.zeros(nb)
     dwelling_hist = np.zeros(M + 1)
-    # each replication keeps its first snapshots, within its share of the
-    # quota rounded up to whole snapshots
-    n_kept = min(per_chain, -(-(max_kept_samples // reps) // block)) if M else 0
-    kept_w = np.empty((reps, n_kept, block))
-    kept_h = np.empty((reps, n_kept, block))
-    kept_dwell = np.empty((reps, n_kept, block), dtype=bool)
+    # the first snapshots are kept, the fewest whole ones that fill the quota
+    n_kept = min(per_chain, -(-max_kept_samples // n)) if M else 0
+    kept_w = np.empty((n_kept, n))
+    kept_h = np.empty((n_kept, n))
+    kept_dwell = np.empty((n_kept, n), dtype=bool)
     hop_sum = 0.0
     hop_count = 0
-    first_rows = np.arange(reps) * nb_rep
     # the SIRs and per-chain dwelling counts of up to 64 snapshots, tallied together
     buffered = min(per_chain, 64)
-    sir_buffer = np.empty((buffered, reps * chains))
-    dwell_buffer = np.empty((buffered, reps * chains), dtype=np.intp)
+    sir_buffer = np.empty((buffered, chains))
+    dwell_buffer = np.empty((buffered, chains), dtype=np.intp)
 
     shapes = _interferer_shapes(fading, net)
     for j in range(per_chain):
-        length, count = advance(state, stride, dt, streams, net, mob)
+        length, count = advance(state, stride, dt, rng, net, mob)
         hop_sum += length
         hop_count += count
         r2, altitude = state.check_containment(net)
 
         dwelling = ~state.moving
         slot = j % buffered
-        w, _, _, _, sir_buffer[slot] = _snapshot(altitude, r2, reps * chains, net,
-                                                 fading.serving_m, shapes, streams)
-        dwell_buffer[slot] = dwelling.reshape(reps * chains, M).sum(axis=1)
+        w, _, _, _, sir_buffer[slot] = _snapshot(altitude, r2, chains, net,
+                                                 fading.serving_m, shapes, rng)
+        dwell_buffer[slot] = dwelling.reshape(chains, M).sum(axis=1)
         if slot == buffered - 1 or j == per_chain - 1:
             n_dwell = dwell_buffer[:slot + 1]
-            batch = np.arange(j - slot, j + 1) * nb_rep // per_chain  # of each snapshot
-            rows = (batch[:, None] + first_rows).ravel()
-            np.add.at(batch_success, rows,
-                      _tally(sir_buffer[:slot + 1].reshape(-1, chains), psi_grid))
-            np.add.at(batch_snapshots, rows, chains)
-            np.add.at(batch_dwelling, rows, n_dwell.reshape(-1, chains).sum(axis=1))
+            batch = np.arange(j - slot, j + 1) * nb // per_chain  # of each snapshot
+            np.add.at(batch_success, batch, _tally(sir_buffer[:slot + 1], psi_grid))
+            np.add.at(batch_snapshots, batch, chains)
+            np.add.at(batch_dwelling, batch, n_dwell.sum(axis=1))
             dwelling_hist += np.bincount(n_dwell.ravel(), minlength=M + 1)
         if j < n_kept:
-            kept_w[:, j] = w.reshape(reps, block)
-            kept_h[:, j] = altitude.reshape(reps, block)
-            kept_dwell[:, j] = dwelling.reshape(reps, block)
+            kept_w[j] = w
+            kept_h[j] = altitude
+            kept_dwell[j] = dwelling
 
-    # replication-major, as if each replication had run alone and been appended
     all_w, all_h, all_d = kept_w.ravel(), kept_h.ravel(), kept_dwell.ravel()
     return CampaignResult(
         psi_grid=psi_grid,
@@ -720,13 +622,10 @@ def run_campaign(
         hop_count=hop_count,
         n_snapshots=int(batch_snapshots.sum()),
         stay_probability=p_stay,
-        seed_info=tuple(repr(s) for s in rep_seeds),
         meta={
-            "seed": seed if seeds is None else None,
-            "explicit_seeds": seeds,
+            "seed": seed,
             "dt": dt,
             "stride": stride,
-            "replications": replications,
             "chains": chains,
             "requested_snapshots": n_snapshots,
             "altitude_dependent": fading.altitude_dependent,

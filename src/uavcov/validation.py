@@ -7,10 +7,9 @@ same threshold alone, the panels the kernel's shared table gives each row
 against that row's own edges, inverse-transform samples against closed-form
 laws, derivative jets against finite differences, the analysis against the
 end-to-end simulation, the stationary launch against the closed-form
-stationary laws, the lockstep campaign against its replications run one at
-a time, and the simulator's kinematics, one snapshot stride per call as
-campaigns run them, against the time-stepped vertical integrator they
-replaced and a real-arithmetic hop, stepped once per step.
+stationary laws, and the simulator's kinematics, one snapshot stride per
+call as campaigns run them, against the time-stepped vertical integrator
+they replaced and a real-arithmetic hop, stepped once per step.
 
 A check is one function whose grid, sizes, seeds and tolerances are its
 arguments, and each seeded check draws from a generator of its own.
@@ -47,8 +46,7 @@ from .special import _large_z, _pfaff, closed_phase_factor, hyp2f1
 __all__ = ["CheckResult", "check_analysis_vs_simulation", "check_binomial_collapse",
            "check_closed_vs_quadrature", "check_derivative_jet", "check_distribution_laws",
            "check_event_tape", "check_gl_vs_quad", "check_hyp2f1_consistency",
-           "check_kernel_batch_vs_row", "check_ladder_vs_row_edges",
-           "check_lockstep_replications", "check_stationary_start",
+           "check_kernel_batch_vs_row", "check_ladder_vs_row_edges", "check_stationary_start",
            "check_steady_state_mobility", "check_trivial_anchors", "event_tape_gaps",
            "kernel_rows_apart", "ladder_rows_apart", "quad_phase_moment", "run_validation"]
 
@@ -268,7 +266,7 @@ def event_tape_gaps(net, mob, n: int, steps: int, stride: int, dt: float, seed: 
     wp, v, rem = state.waypoint.copy(), state.speed.copy(), state.dwell_remaining()
     xy = state.xy.copy()
     tape = _EventTape(n, rng)
-    proposals = rng.random((1, steps, n, 2))
+    proposals = rng.random((steps, n, 2))
     draw = _TapeReader(tape, state)
 
     def dwell(idx):
@@ -287,13 +285,13 @@ def event_tape_gaps(net, mob, n: int, steps: int, stride: int, dt: float, seed: 
             ends.append(t)
         masks = simulator._advance_vertical(state, np.array(ends), draw, net, mob)[1:]
         draw.settle()
-        hops = simulator._hop(state, masks, proposals[:, first:first + len(ends)], net, mob)
+        hops = simulator._hop(state, masks, proposals[first:first + len(ends)], net, mob)
         a, last = 0, first + len(masks) - 1
         for j, mask in zip(itertools.count(first), masks):
             events = tape.taken[1].sum(axis=0)
             _time_left_vertical(h, moving, wp, v, rem, dt, dwell, leg)
             gaps["repeats"] += int((tape.taken[1].sum(axis=0) - events >= 3).sum())
-            ref, unit_gap = _reference_hop(xy, ~moving, proposals[0, j], net, mob)
+            ref, unit_gap = _reference_hop(xy, ~moving, proposals[j], net, mob)
             gaps["unit_gap"] = max(gaps["unit_gap"], unit_gap)
             gaps["hops"] += ref.size
             if not np.array_equal(mask, ~moving):
@@ -649,55 +647,6 @@ def check_derivative_jet(net, p_stay: float, cases) -> CheckResult:
     )
 
 
-def check_lockstep_replications(net, fading, mob, seeds, per_chain: int, batches: int,
-                                quota: int, **campaign) -> CheckResult:
-    """One campaign stepping the replications of `seeds` together, one block
-    each, against each replication run alone with its seed: per_chain
-    snapshots of every chain, and per replication `batches` batches and a
-    kept-sample quota of `quota`; `campaign` (chains, and any of dt, stride
-    and psi_grid) goes to every run_campaign call.  The batch rows, the
-    dwelling histogram, the kept samples, the hop count and the seeds must
-    be equal, the kept samples the fewest whole snapshots that fill each
-    quota, some interior hops made where there can be any, and the
-    hop-length sums within 1e-12 relative (they may differ by summation
-    order)."""
-    reps, chains = len(seeds), campaign["chains"]
-    both = run_campaign(net, fading, mob, reps * chains * per_chain, replications=reps,
-                        seeds=seeds, n_batches=reps * batches,
-                        max_kept_samples=reps * quota, **campaign)
-    alone = [run_campaign(net, fading, mob, chains * per_chain, seeds=[s], n_batches=batches,
-                          max_kept_samples=quota, **campaign) for s in seeds]
-    mismatched = [
-        name for name in ("batch_success", "batch_snapshots", "batch_dwelling",
-                          "static_distances", "moving_distances",
-                          "static_altitudes", "moving_altitudes")
-        if not np.array_equal(getattr(both, name),
-                              np.concatenate([getattr(r, name) for r in alone]))
-    ]
-    if not np.array_equal(both.dwelling_count_hist, sum(r.dwelling_count_hist for r in alone)):
-        mismatched.append("dwelling_count_hist")
-    if both.hop_count != sum(r.hop_count for r in alone):
-        mismatched.append("hop_count")
-    if both.hop_count == 0 and net.n_interferers and mob.hop_range < net.radius:
-        mismatched.append("hop_count (no interior hops)")
-    if both.seed_info != tuple(s for r in alone for s in r.seed_info):
-        mismatched.append("seed_info")
-    block = chains * net.n_interferers
-    snapshots = min(per_chain, -(-quota // block)) if block else 0
-    if both.static_distances.size + both.moving_distances.size != reps * snapshots * block:
-        mismatched.append("kept-sample quota")
-    hop_sum = sum(r.hop_length_sum for r in alone)
-    hop_gap = abs(both.hop_length_sum - hop_sum) / hop_sum if hop_sum else 0.0
-    ok = not mismatched and hop_gap <= 1e-12
-    detail = (f"mismatched {', '.join(mismatched)}; " if mismatched else
-              "batch rows, histogram and kept samples identical; ")
-    return CheckResult(
-        "lockstep-replications", ok,
-        f"{reps} replications x {chains} chains x {per_chain} snapshots vs each alone: "
-        f"{detail}hop-length sum gap {hop_gap:.1e} (<=1e-12)",
-    )
-
-
 def check_analysis_vs_simulation(cases, floor: float, k_se: float) -> CheckResult:
     """Each campaign's coverage against the analysis at the campaign's
     thresholds and stay probability, for every (net, fading, campaign) of
@@ -829,8 +778,7 @@ def run_validation(sc: Scenario, fault_bias: float = 0.0) -> list[CheckResult]:
     closed_points = [(k, float(s)) for k in sorted({1, m, 3}) for s in np.logspace(-2, 6, 15)]
     campaign = run_campaign(
         net, fading, mob, min(sim.n_snapshots, 200_000), dt=sim.dt, seed=sim.seed,
-        psi_grid=np.asarray(psi), stride=sim.stride, replications=sim.replications,
-        chains=sim.chains,
+        psi_grid=np.asarray(psi), stride=sim.stride, chains=sim.chains,
     )
     group = max(net.n_interferers, 1)  # 1e5 interferers, whole networks
     launch = simulator.initial_state(group * -(-100_000 // group), net, mob,
@@ -847,10 +795,6 @@ def run_validation(sc: Scenario, fault_bias: float = 0.0) -> list[CheckResult]:
         check_ladder_vs_row_edges([(net, m, order, s0)]),
         check_binomial_collapse(net, fading, 6, 4, (-1, 4), sim.seed),
         check_derivative_jet(net, p_stay, [(fading, max(s0[len(s0) // 2], 1.0))]),
-        # 2 replications x 4 chains x 20 snapshots, half the samples kept
-        check_lockstep_replications(
-            net, fading, mob, [sim.seed, sim.seed + 1], 20, 2, 10 * 4 * net.n_interferers,
-            chains=4, dt=sim.dt, stride=sim.stride, psi_grid=np.asarray(psi)),
         # the scenario's kinematics, then dwells shorter than a step and none
         # at all, which must give some interferers three or more events in one step
         check_event_tape(net, [

@@ -69,7 +69,7 @@ def end_to_end_campaigns():
             net_with(M, h0), FadingConfig(m0, m1), MOBILITY,
             n_snapshots=1_000_000, dt=1.0,
             seed=415 + M + 10 * m0 + int(h0),
-            psi_grid=psi, stride=10, replications=4, chains=125,
+            psi_grid=psi, stride=10, chains=500,
         )
     return campaigns
 
@@ -144,7 +144,7 @@ def test_criterion_8_altitude_fading_sandwich(p_stay):
     res = run_campaign(
         net_with(2, 10.0), FadingConfig(1, 1, altitude_dependent=True), MOBILITY,
         n_snapshots=600_000, dt=1.0, seed=888,
-        psi_grid=psi, stride=10, replications=4, chains=125,
+        psi_grid=psi, stride=10, chains=500,
     )
     low = analytical_curve(psi, 2, 1, 1, 10.0, p_stay)   # interferer shape 1
     high = analytical_curve(psi, 2, 1, 3, 10.0, p_stay)  # interferer shape 3

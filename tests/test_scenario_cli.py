@@ -35,8 +35,7 @@ def small_scenario(**over) -> Scenario:
         fading=FadingConfig(1, 1),
         mobility=MobilityConfig(0.2, 10.0, 2.0, 6.0, 10.0),
         psi_grid_db=(-20.0, -10.0, 0.0, 10.0),
-        sim=SimParams(n_snapshots=20_000, seed=3,
-                      replications=2, chains=16),
+        sim=SimParams(n_snapshots=20_000, seed=3, chains=32),
     )
     kwargs.update(over)
     return Scenario(**kwargs)
@@ -121,6 +120,26 @@ class TestScenarioDocument:
         doc["sim"].update(warmup_steps=10_000, boundary_rule="stay")
         assert scenario_from_dict(doc) == small_scenario()
 
+    def test_replications_fold_into_chains(self, tmp_path, capsys):
+        """Documents written when a campaign ran sim.replications sets of
+        sim.chains networks load as one set of their product, and are
+        written back without replications; absent, it counts as 1, and a
+        count below 1 is an input error."""
+        doc = scenario_to_dict(small_scenario())
+        doc["sim"].update(replications=2, chains=64)
+        sc = scenario_from_dict(doc)
+        assert sc.sim.chains == 128 == SimParams().chains
+        path = tmp_path / "sc.json"
+        dump_scenario(sc, str(path))
+        assert "replications" not in json.loads(path.read_text())["sim"]
+        assert load_scenario(str(path)) == sc
+        del doc["sim"]["replications"]
+        assert scenario_from_dict(doc).sim.chains == 64
+        doc["sim"]["replications"] = 0
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "c")]) == 2
+        assert "sim.replications must be >= 1" in capsys.readouterr().err
+
     def test_band_shape_must_be_an_integer(self):
         doc = scenario_to_dict(small_scenario())
         doc["fading"]["bands"] = [[0.0, 10.0, 1], [10.0, 20.0, 2.5], [20.0, 30.0, 3]]
@@ -202,17 +221,16 @@ class TestAnalyzeCommand:
         assert rows[0].startswith("0,1,")
 
     def test_overrides_rebuild_the_scenario_only_when_given(self):
-        """With no --psi-db, --seed or --replications the loaded scenario
-        comes back as it is; each override alone gives the scenario with
-        just that field replaced."""
+        """With no --psi-db or --seed the loaded scenario comes back as it
+        is; each override alone gives the scenario with just that field
+        replaced."""
         sc = small_scenario()
         assert cli._apply_overrides(sc, argparse.Namespace()) is sc
-        unset = dict(psi_db=None, seed=None, replications=None)
+        unset = dict(psi_db=None, seed=None)
         assert cli._apply_overrides(sc, argparse.Namespace(**unset)) is sc
         for override, expected in (
                 ({"psi_db": "-5,2.5"}, replace(sc, psi_grid_db=(-5.0, 2.5))),
-                ({"seed": 9}, replace(sc, sim=replace(sc.sim, seed=9))),
-                ({"replications": 4}, replace(sc, sim=replace(sc.sim, replications=4)))):
+                ({"seed": 9}, replace(sc, sim=replace(sc.sim, seed=9)))):
             got = cli._apply_overrides(sc, argparse.Namespace(**{**unset, **override}))
             assert got == expected and got is not sc, override
 
@@ -408,8 +426,7 @@ class TestSimulateCommand:
         summary writes null for them, never a bare NaN."""
         sc = small_scenario(
             network=NetworkConfig(40.0, 30.0, 10.0, 0, 2.0),
-            sim=SimParams(n_snapshots=64, seed=3, replications=1,
-                          chains=8),
+            sim=SimParams(n_snapshots=64, seed=3, chains=8),
         )
         path = tmp_path / "m0.json"
         dump_scenario(sc, str(path))
@@ -426,8 +443,7 @@ class TestSimulateCommand:
         assert doc["coverage_se"] == [0.0] * 4
 
     def test_single_batch_leaves_standard_errors_null(self, tmp_path):
-        sc = small_scenario(sim=SimParams(n_snapshots=8, seed=3,
-                                          replications=1, chains=8))
+        sc = small_scenario(sim=SimParams(n_snapshots=8, seed=3, chains=8))
         path = tmp_path / "one.json"
         dump_scenario(sc, str(path))
         out = tmp_path / "camp"
@@ -457,8 +473,7 @@ class TestSimulateCommand:
             network=NetworkConfig(40.0, 30.0, 10.0, 8, 7.5),
             fading=FadingConfig(14, 6),
             psi_grid_db=(0.0, 120.0, 200.0),
-            sim=SimParams(n_snapshots=256, seed=3, replications=2,
-                          chains=8),
+            sim=SimParams(n_snapshots=256, seed=3, chains=16),
         )
         path = tmp_path / "steep.json"
         dump_scenario(sc, str(path))
@@ -475,8 +490,7 @@ class TestSimulateCommand:
         assert (tmp_path / "camp_histograms.csv").exists()
 
     def test_retired_sim_fields_run(self, tmp_path):
-        doc = scenario_to_dict(small_scenario(sim=SimParams(n_snapshots=64, seed=3,
-                                                            replications=1, chains=8)))
+        doc = scenario_to_dict(small_scenario(sim=SimParams(n_snapshots=64, seed=3, chains=8)))
         doc["sim"].update(warmup_steps=10_000, boundary_rule="stay")
         path = tmp_path / "old.json"
         path.write_text(json.dumps(doc))
@@ -497,15 +511,13 @@ class TestSimulateCommand:
 
 class TestValidateCommand:
     def test_default_scenario_passes(self, tmp_path, capsys):
-        sc = small_scenario(sim=SimParams(n_snapshots=60_000, seed=5, replications=2,
-                                          chains=50))
+        sc = small_scenario(sim=SimParams(n_snapshots=60_000, seed=5, chains=100))
         path = tmp_path / "v.json"
         dump_scenario(sc, str(path))
         code = main(["validate", "--scenario", str(path)])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "[PASS]" in out and "[FAIL]" not in out
-        assert "[PASS] lockstep-replications" in out
         assert "[PASS] stationary-start" in out
 
     @pytest.mark.parametrize("name", ["baseline", "altitude_fading"])
@@ -517,10 +529,10 @@ class TestValidateCommand:
         checks = ["trivial-anchors", "hyp2f1-consistency", "distribution-laws",
                   "closed-vs-quadrature", "gl-vs-quad", "kernel-batch-vs-row",
                   "ladder-vs-row-edges", "binomial-collapse", "derivative-jet",
-                  "lockstep-replications", "event-tape", "stationary-start",
+                  "event-tape", "stationary-start",
                   "analysis-vs-simulation", "steady-state-mobility"]
         assert [line.split(":")[0] for line in lines] == [f"[PASS] {c}" for c in checks] + [
-            "all 14 checks passed"]
+            "all 13 checks passed"]
 
     def test_no_interferers_runs_every_check(self, tmp_path, capsys):
         """With no interferers L_I is identically 1: the derivative check's
@@ -533,8 +545,8 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
         assert code == 0, lines
-        assert len(lines) == 15 and all(line.startswith("[PASS] ") for line in lines[:14])
-        assert lines[-1] == "all 14 checks passed"
+        assert len(lines) == 14 and all(line.startswith("[PASS] ") for line in lines[:13])
+        assert lines[-1] == "all 13 checks passed"
         assert "Traceback" not in captured.err
 
     def test_altitude_fading_scenario_checks_steady_state_mobility(self, capsys):
@@ -555,7 +567,7 @@ class TestValidateCommand:
         code = main(["validate", "--scenario", str(BASELINE), "--psi-db=-4000,0,10"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 1, lines
-        assert len(lines) == 15 and lines[-1] == "3/14 checks failed"
+        assert len(lines) == 14 and lines[-1] == "3/13 checks failed"
         failed = {line.split(":")[0][len("[FAIL] "):]: line for line in lines
                   if line.startswith("[FAIL] ")}
         assert sorted(failed) == ["analysis-vs-simulation", "closed-vs-quadrature",
@@ -567,8 +579,7 @@ class TestValidateCommand:
                    if not line.startswith("[FAIL] "))
 
     def test_injected_fault_fails_closed_vs_quadrature(self, tmp_path, capsys):
-        sc = small_scenario(sim=SimParams(n_snapshots=30_000, seed=5, replications=2,
-                                          chains=50))
+        sc = small_scenario(sim=SimParams(n_snapshots=30_000, seed=5, chains=100))
         path = tmp_path / "v.json"
         dump_scenario(sc, str(path))
         code = main(["validate", "--scenario", str(path),
@@ -588,7 +599,7 @@ def test_stay_probability_override_the_kinematics_cannot_give_is_input_error(
 
     sc = small_scenario(
         mobility=MobilityConfig(0.2, 10.0, 2.0, 6.0, 10.0, stay_probability_override=0.9),
-        sim=SimParams(n_snapshots=64, seed=3, replications=1, chains=8))
+        sim=SimParams(n_snapshots=64, seed=3, chains=8))
     path = tmp_path / "override.json"
     dump_scenario(sc, str(path))
     args = ["--scenario", str(path)] + (["--out", str(tmp_path / "c")]
@@ -607,7 +618,7 @@ def test_simulate_reports_the_kinematic_stay_probability(tmp_path):
     p = kinematic_stay_probability(mob, NetworkConfig(40.0, 30.0, 10.0, 2, 2.0))
     sc = small_scenario(
         mobility=MobilityConfig(0.2, 10.0, 2.0, 6.0, 10.0, stay_probability_override=p),
-        sim=SimParams(n_snapshots=64, seed=3, replications=1, chains=8))
+        sim=SimParams(n_snapshots=64, seed=3, chains=8))
     path = tmp_path / "same.json"
     dump_scenario(sc, str(path))
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "c")]) == 0
@@ -654,7 +665,7 @@ def edge_scenarios():
     pair of -3000 and 3000 dB; then each float field of NON_FINITE_FIELDS
     set to Infinity, -Infinity and NaN, which must be refused (exit 2)."""
     base = scenario_to_dict(small_scenario(
-        sim=SimParams(n_snapshots=8, seed=3, replications=1, chains=4)))
+        sim=SimParams(n_snapshots=8, seed=3, chains=4)))
     for M, dwell, h0, alpha, stay, psi_db in itertools.product(
             (0, 1), ((2.0, 6.0), (4.0, 4.0), (0.0, 0.0)), (10.0, 30.0), (2.0, 4.0),
             (None, 0.0, 1.0), ([0.0], [-3000.0, 3000.0])):
@@ -789,8 +800,7 @@ def test_cli_import_leaves_out_the_validation_suite(tmp_path):
                    text=True, check=True, timeout=120)
     assert len(out_csv.read_text().splitlines()) == 2 + 11
     small = tmp_path / "small.json"
-    dump_scenario(small_scenario(sim=SimParams(n_snapshots=64, seed=3, replications=2,
-                                               chains=8)), str(small))
+    dump_scenario(small_scenario(sim=SimParams(n_snapshots=64, seed=3, chains=16)), str(small))
     code = ("import sys; sys.modules['scipy'] = None; from uavcov.cli import main; "
             f"sys.exit(main(['simulate', '--scenario', {str(small)!r}, "
             f"'--out', {str(tmp_path / 'camp')!r}]))")

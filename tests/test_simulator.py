@@ -23,7 +23,6 @@ from uavcov.simulator import (
 )
 from uavcov.validation import (
     check_event_tape,
-    check_lockstep_replications,
     check_stationary_start,
 )
 
@@ -44,36 +43,6 @@ def single_uav(xy, altitude, moving, waypoint, speed, dwell_remaining) -> UavSta
         speed=np.array([speed], dtype=float),
         moving=np.array([moving]),
     )
-
-
-STATE_FIELDS = ("xy", "h0", "t0", "tev", "waypoint", "speed", "moving")
-
-
-def assert_blocks_step_as_each_alone(mob, stride=1, steps=60):
-    """Block r of a two-block state draws only from generator r, so
-    stepping both together equals stepping each alone, bit for bit, one
-    `advance` call of `stride` steps at a time."""
-    seeds = (3, 4)
-    both = initial_state(80, NET, mob, [np.random.default_rng(s) for s in seeds])
-    alone = [initial_state(40, NET, mob, np.random.default_rng(s)) for s in seeds]
-    both_rngs = [np.random.default_rng(s + 10) for s in seeds]
-    alone_rngs = [np.random.default_rng(s + 10) for s in seeds]
-    tally = np.zeros(2)
-    for _ in range(steps // stride):
-        tally += advance(both, stride, 1.0, both_rngs, NET, mob)
-        for block, g in zip(alone, alone_rngs):
-            tally -= advance(block, stride, 1.0, g, NET, mob)
-    for name in STATE_FIELDS:
-        joined = np.concatenate([getattr(block, name) for block in alone])
-        assert np.array_equal(getattr(both, name), joined), name
-    for name in ("altitude", "dwell_remaining"):
-        joined = np.concatenate([getattr(block, name)() for block in alone])
-        assert np.array_equal(getattr(both, name)(), joined), name
-    assert both.t == alone[0].t == alone[1].t
-    assert tally[1] == 0  # hop count
-    assert abs(tally[0]) < 1e-9  # hop-length sum, up to summation order
-    for a, b in zip(both_rngs, alone_rngs):
-        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestStep:
@@ -126,25 +95,10 @@ class TestStep:
         assert state.altitude().min() >= 0.0
         assert state.altitude().max() <= NET.height
 
-    def test_two_blocks_step_as_each_block_alone(self):
-        assert_blocks_step_as_each_alone(MOB)
-
-    @pytest.mark.parametrize("dwell", [(0.1, 0.6), (0.0, 0.0)], ids=["short", "zero"])
-    def test_repeat_events_step_as_each_block_alone(self, dwell):
-        """Dwells shorter than dt give some interferers a third event in a
-        step, which a further pass draws for just those interferers."""
-        mob = MobilityConfig(0.2, 10.0, *dwell, 10.0)
-        assert_blocks_step_as_each_alone(mob)
-
-    @pytest.mark.parametrize("dwell", [(2.0, 6.0), (0.1, 0.6)], ids=["benchmark", "short"])
-    def test_strides_step_as_each_block_alone(self, dwell):
-        mob = MobilityConfig(0.2, 10.0, *dwell, 10.0)
-        assert_blocks_step_as_each_alone(mob, stride=6)
-
     def test_stride_draws_pass_rows_then_one_hop_array(self):
-        """Per call, a block draws one (k, 3) array for the k of its
-        interferers that each vertical pass runs, then one
-        (stride, block, 2) array for its hops."""
+        """Per call, the generator draws one (k, 3) array for the k
+        interferers that each vertical pass runs, then one (stride, n, 2)
+        array for the hops."""
         class Recorder:
             def __init__(self, seed):
                 self.g, self.shapes = np.random.default_rng(seed), []
@@ -153,26 +107,19 @@ class TestStep:
                 self.shapes.append(size if out is None else out.shape)
                 return self.g.random(size, out=out)
 
-        block, stride = 40, 7
+        n, stride = 40, 7
         mob = MobilityConfig(0.2, 10.0, 0.1, 0.6, 10.0)  # several passes per stride
-        state = initial_state(2 * block, NET, mob, [np.random.default_rng(s) for s in (5, 6)])
-        rngs = [Recorder(s) for s in (5, 6)]
+        state = initial_state(n, NET, mob, np.random.default_rng(5))
+        rec = Recorder(6)
         for _ in range(4):
-            due = (state.tev <= state.t + stride).reshape(2, block).sum(axis=1)
-            for rec in rngs:
-                rec.shapes.clear()
-            advance(state, stride, 1.0, rngs, NET, mob)
-            for rec, first in zip(rngs, due):
-                rows = [shape[0] for shape in rec.shapes[:-1]]
-                assert rec.shapes[-1] == (stride, block, 2)
-                assert [shape[1:] for shape in rec.shapes[:-1]] == [(3,)] * len(rows)
-                assert len(rows) > 1 and rows[0] == first
-                assert rows == sorted(rows, reverse=True) and rows[-1] > 0
-
-    def test_state_must_split_into_equal_blocks(self, rng):
-        state = initial_state(5, NET, MOB, rng)
-        with pytest.raises(ConfigurationError, match="equal blocks"):
-            advance(state, 1, 1.0, [rng, np.random.default_rng(1)], NET, MOB)
+            first = (state.tev <= state.t + stride).sum()
+            rec.shapes.clear()
+            advance(state, stride, 1.0, rec, NET, mob)
+            rows = [shape[0] for shape in rec.shapes[:-1]]
+            assert rec.shapes[-1] == (stride, n, 2)
+            assert [shape[1:] for shape in rec.shapes[:-1]] == [(3,)] * len(rows)
+            assert len(rows) > 1 and rows[0] == first
+            assert rows == sorted(rows, reverse=True) and rows[-1] > 0
 
     def test_rejects_bad_dt_and_rule(self, rng):
         state = initial_state(1, NET, MOB, rng)
@@ -246,23 +193,19 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_scalar_shape_gains_equal_the_array_shape_draw(self, m):
-        """Without altitude bands a block draws its interferer gains with
-        one scalar shape: bit for bit the array-shape draw gamma(m_i, 1/m_i),
-        each generator left where that draw leaves it."""
+        """Without altitude bands the interferer gains are drawn with one
+        scalar shape: bit for bit the array-shape draw gamma(m_i, 1/m_i),
+        the generator left where that draw leaves it."""
         net = NetworkConfig(40.0, 30.0, 10.0, 64, 2.0)
         state = initial_state(128, net, MOB, np.random.default_rng(0))
-        rngs = [np.random.default_rng(seed) for seed in (1, 2)]
-        refs = [np.random.default_rng(seed) for seed in (1, 2)]
+        rng, ref = np.random.default_rng(1), np.random.default_rng(1)
         r2, altitude = state.check_containment(net)
         _, _, gains, _, _ = _snapshot(altitude, r2, 2, net, 1,
-                                      _interferer_shapes(FadingConfig(1, m), net), rngs)
-        expected = []
-        for g in refs:
-            g.gamma(1, 1.0, 1)  # the block's serving gain comes first
-            shapes = np.full(64, float(m))
-            expected.append(g.gamma(shapes, 1.0 / shapes))
-        assert gains.tobytes() == np.concatenate(expected).tobytes()
-        assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in refs]
+                                      _interferer_shapes(FadingConfig(1, m), net), rng)
+        ref.gamma(1, 1.0, 2)  # the two chains' serving gains come first
+        shapes = np.full(128, float(m))
+        assert gains.tobytes() == ref.gamma(shapes, 1.0 / shapes).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_gains_have_unit_mean(self, rng):
         for m in (1, 2, 3):
@@ -278,48 +221,29 @@ class TestCampaign:
         assert np.all(res.coverage() == 1.0)
 
     def test_deterministic_given_seed(self):
-        a = run_campaign(NET, FAD, MOB, 4000, seed=11, chains=8,
-                         replications=2)
-        b = run_campaign(NET, FAD, MOB, 4000, seed=11, chains=8,
-                         replications=2)
-        assert np.array_equal(a.batch_success, b.batch_success)
-        assert np.array_equal(a.dwelling_count_hist, b.dwelling_count_hist)
-
-    def test_seed_reuse_rejected(self):
-        with pytest.raises(ConfigurationError, match="distinct"):
-            run_campaign(NET, FAD, MOB, 1000, replications=2,
-                         seeds=[7, 7])
-        with pytest.raises(ConfigurationError):
-            run_campaign(NET, FAD, MOB, 1000, replications=2,
-                         seeds=[1, 2, 3])
+        """A seed gives the same tallies, kept samples and hops every run.
+        The kept samples are the fewest whole snapshots that fill the
+        quota, ceil(400 / 32) = 13 of 250, and the dwellers make interior
+        hops."""
+        a, b = (run_campaign(NET, FAD, MOB, 4000, seed=11, chains=16, max_kept_samples=400)
+                for _ in range(2))
+        for name in ("batch_success", "batch_snapshots", "batch_dwelling",
+                     "dwelling_count_hist", "static_distances", "moving_distances",
+                     "static_altitudes", "moving_altitudes"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert (a.hop_length_sum, a.hop_count) == (b.hop_length_sum, b.hop_count)
+        assert a.hop_count > 0
+        assert a.static_distances.size + a.moving_distances.size == 13 * 32
 
     def test_campaign_agrees_with_analysis_at_small_scale(self):
-        res = run_campaign(NET, FAD, MOB, 60_000, seed=27,
-                           chains=50, replications=2)
+        res = run_campaign(NET, FAD, MOB, 60_000, seed=27, chains=100)
         sweep = coverage_sweep(res.psi_grid.tolist(), NET, FAD, res.stay_probability)
         assert sweep.errors == [None] * res.psi_grid.size
         assert np.max(np.abs(res.coverage() - sweep.coverage)) < 0.02
 
 
 class TestLockstepReplications:
-    """Oracle for the lockstep campaign: each replication's block equals a
-    one-replication campaign with the same seed."""
-
-    SEEDS = (101, 202, 303)
-
-    @pytest.mark.parametrize("fading, mob", [
-        (FAD, MOB),
-        (FadingConfig(2, 1), MOB),
-        (FadingConfig(1, 1, altitude_dependent=True), MOB),
-        (FAD, MobilityConfig(0.2, 10.0, 0.1, 0.6, 10.0)),
-    ], ids=["stay", "serving-shape-2", "altitude-bands", "short-dwell"])
-    def test_each_replication_matches_its_run_alone(self, fading, mob):
-        # 3 replications x 5 chains x 60 snapshots; the quota of 400 samples
-        # keeps ceil(400 / 15) = 27 whole snapshots per replication
-        result = check_lockstep_replications(
-            NetworkConfig(40.0, 30.0, 10.0, 3, 2.0), fading, mob, self.SEEDS, 60, 4, 400,
-            chains=5, stride=3)
-        assert result.passed, result.detail
+    """A campaign steps all its chains in lockstep, in place, as one array."""
 
     def test_one_in_place_stride_call_per_snapshot(self, monkeypatch):
         calls = []
@@ -334,12 +258,11 @@ class TestLockstepReplications:
 
         monkeypatch.setattr(simulator, "advance", counting_advance)
         monkeypatch.setattr(UavState, "copy", no_copy)
-        run_campaign(NET, FAD, MOB, 3 * 5 * 4, chains=5, stride=2,
-                     replications=3, seeds=self.SEEDS)
-        assert calls == [(3 * 5 * NET.n_interferers, 2)] * 4
+        run_campaign(NET, FAD, MOB, 15 * 4, chains=15, stride=2)
+        assert calls == [(15 * NET.n_interferers, 2)] * 4
 
     def test_working_set_does_not_grow_with_the_snapshots(self):
-        """In the simulate layout (2 replications x 64 chains, M = 2) with a
+        """In the baseline layout (128 chains, M = 2) with a
         small kept-sample quota, a campaign of 8N snapshots per chain peaks
         at the traced memory of one of N: the SIR and dwelling-count buffer
         holds a fixed number of snapshots (numpy reports its buffers to
@@ -350,15 +273,15 @@ class TestLockstepReplications:
         for per_chain in (80, 640):
             tracemalloc.start()
             try:
-                run_campaign(NET, FAD, MOB, 2 * 64 * per_chain, seed=5, replications=2,
-                             chains=64, max_kept_samples=1000)
+                run_campaign(NET, FAD, MOB, 128 * per_chain, seed=5, chains=128,
+                             max_kept_samples=1000)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0], peaks
 
     def test_sort_tally_equals_the_broadcast_compare(self):
-        """The covered-snapshot counts per replication and threshold, from one
+        """The covered-snapshot counts per row and threshold, from one
         sort and searchsorted, against comparing every SIR with every
         threshold; ties with a threshold and infinite SIRs included."""
         psi = default_psi_grid()
@@ -373,8 +296,7 @@ class TestLockstepReplications:
 
 @pytest.fixture(scope="module")
 def campaign():
-    return run_campaign(NET, FAD, MOB, 120_000, seed=97,
-                        chains=60, replications=2)
+    return run_campaign(NET, FAD, MOB, 120_000, seed=97, chains=120)
 
 
 class TestSteadyState:
@@ -485,20 +407,13 @@ class TestStationaryStart:
         result = check_stationary_start(state, NET, MOB, NET.n_interferers)
         assert not result.passed, result.detail
 
-    def test_launch_draws_one_block_array_per_generator(self):
-        seeds, block = (5, 6), 40
-        both = initial_state(2 * block, NET, MOB, [np.random.default_rng(s) for s in seeds])
-        for r, s in enumerate(seeds):
-            g = np.random.default_rng(s)
-            alone = initial_state(block, NET, MOB, g)
-            for name in STATE_FIELDS:
-                part = getattr(both, name)[r * block:(r + 1) * block]
-                assert np.array_equal(part, getattr(alone, name)), name
-            fresh = np.random.default_rng(s)
-            fresh.random(block * 9)
-            assert g.bit_generator.state == fresh.bit_generator.state
-        assert np.all(both.t0 == 0.0) and both.t == 0.0
-        both.check_containment(NET)
+    def test_launch_draws_nine_uniforms_per_interferer(self):
+        g, fresh = np.random.default_rng(5), np.random.default_rng(5)
+        state = initial_state(80, NET, MOB, g)
+        fresh.random(80 * 9)
+        assert g.bit_generator.state == fresh.bit_generator.state
+        assert np.all(state.t0 == 0.0) and state.t == 0.0
+        state.check_containment(NET)
 
 
 class TestEventTape:
