@@ -32,14 +32,14 @@ events of the whole stride run first, pass after pass; each pass draws one
 of the k interferers that have one due.  Each event is put down at the
 first step end at or after its time, found without a search: a rounded
 estimate of the step from the event time, then one comparison with that
-step's end (`_event_rows`).  One parity count of all the events of a
-stride, by step and interferer, then gives every step's dwelling mask.
-Then one (stride, n, 2) array of hop radii and angles is drawn, and the
-interferers dwelling at each step's end hop.  The steps hop in chunks of
-at most _HOP_BUDGET // n steps: a chunk gathers its dwellers' proposals and
-takes their lengths and offsets at once, and only the move from each step's
-positions runs step by step, six numpy calls a step; the interior hop
-lengths are taken once per chunk.  An offset's unit vector comes from the
+step's end (`_event_rows`).  An interferer hops once at each step end it
+dwells at, so the stride needs only each one's hop count, taken from one
+weighted count of all the stride's events by interferer, with no per-step
+masks.  Then one (hops, 2) array of hop radii and angles is drawn, one row
+per hop the stride makes.  Interferers never interact, so each one's hops
+run in its own order, rank by rank (`_hop`): the interferers are ranked by
+one stable sort of their counts, and rank r moves those with more than r
+hops, five numpy calls a rank.  An offset's unit vector comes from the
 tangent of the half angle (`_unit`), which numpy vectorizes, not from a
 cosine and a sine.  Containment is checked at launch and at every
 snapshot, not on every step.
@@ -244,22 +244,25 @@ def _advance_vertical(state: UavState, ends: np.ndarray, draw, net, mob) -> np.n
     next event is due too.  `draw(idx, p)` gives the uniforms of the p-th
     pass, at least three columns (dwell, waypoint, speed) aligned with idx.
 
-    Returns the (ends.size + 1, n) dwelling masks: row 0 at the start, row j
-    after step j.  Every event flips its interferer's phase at the first
-    step end at or after its time, so an event at ends[j] counts in step j.
-    Each pass places its first and second events at once (`_event_rows`:
-    a second event after ends[-1] lands in row ends.size + 1, which is
-    dropped) and keeps their keys row * n + interferer; one bincount of the
-    keys of all the passes gives each row's flips by parity, and the rows
-    are then XORed down.
+    Returns each interferer's hop count: how many of the step ends it
+    dwells at, in the smallest unsigned dtype that holds ends.size.  An
+    event changes its interferer's phase at the first step end at or after
+    its time (`_event_rows`), so an event in row r holds the new phase at
+    the last steps + 1 - r step ends (none if it falls after ends[-1]).
+    An interferer's events alternate its phase, and only one that ran two
+    events in a pass reaches the next pass, so the first event of a pass
+    adds its step ends and the second subtracts them.  One weighted
+    bincount of all the events then gives, per interferer, the step ends
+    spent in the other phase than the one it started in: its hop count if
+    it started moving, steps minus that if it started dwelling.
     """
     t_end = ends[-1]
-    n = state.n
+    n, steps = state.n, ends.size
     place = _event_rows(state.t, ends)
     dwelling = ~state.moving
     tev = state.tev
     idx = (tev <= t_end).nonzero()[0]
-    keys = [idx[:0]]  # so that np.concatenate never sees an empty list
+    keys, held = [idx[:0]], [idx[:0]]  # so that np.concatenate never sees an empty list
     p = 0
     while idx.size:
         u = draw(idx, p)
@@ -282,21 +285,16 @@ def _advance_vertical(state: UavState, ends: np.ndarray, draw, net, mob) -> np.n
         state.speed[idx] = speed
         state.moving[idx] = moving
         rows = place(np.concatenate((start, mid)))  # the first events, then the second
-        rows *= n
-        first_second = rows.reshape(2, -1)
-        first_second += idx
-        keys.append(rows)
+        rows -= steps + 1
+        rows[:idx.size] *= -1  # the first events' step ends count up, the second's down
+        keys += idx, idx
+        held.append(rows)
         idx = idx.compress(end <= t_end)
         p += 1
     state.t = t_end
-    steps = ends.size
-    # each row's flips by parity: the low byte of a count keeps its low bit
-    flips = np.bitwise_and(np.bincount(np.concatenate(keys), minlength=(steps + 2) * n),
-                           1, dtype=np.uint8, casting="unsafe").view(bool).reshape(steps + 2, n)
-    flips[0] = dwelling
-    for j in range(1, steps + 1):  # row by row: numpy accumulates along axis 0 slowly
-        flips[j] ^= flips[j - 1]
-    return flips[:steps + 1]
+    flips = np.bincount(np.concatenate(keys), np.concatenate(held), minlength=n)
+    counts = np.where(dwelling, steps - flips, flips)
+    return counts.astype(np.min_scalar_type(steps))
 
 
 def _unit(u: np.ndarray) -> np.ndarray:
@@ -315,64 +313,48 @@ def _unit(u: np.ndarray) -> np.ndarray:
     return e
 
 
-# The most dwelling slots (steps x interferers) hopped as one chunk.  A
-# chunk's gather, sqrt and tangent cost fewer numpy calls than step by step,
-# but a whole stride of a wide batch falls out of cache.  Medians of
-# alternating 10-step `_hop` calls, half the interferers dwelling (2 shared
-# cores): width 256, one chunk 147 us against 279 us step by step; width
-# 4096, 990 us step by step, 892 us two steps per chunk and 1.33 ms as one
-# chunk.  Whole width-4096 campaigns ran about 4% faster at two steps per
-# chunk than at one, and no faster at three.
-_HOP_BUDGET = 8192
-
-
-def _hop(state: UavState, dwelling: np.ndarray, u: np.ndarray, net: NetworkConfig,
+def _hop(state: UavState, counts: np.ndarray, u: np.ndarray, net: NetworkConfig,
          mob: MobilityConfig) -> np.ndarray:
-    """Step j's spatial hop for every interferer dwelling at its end, in place.
+    """A stride's spatial hops, in place: counts[i] hops of interferer i in turn.
 
-    `dwelling` holds one mask per step and `u` the (steps, n, 2) proposal
-    uniforms, hop radius and hop angle; a proposal that would leave the
-    disk is rejected and the interferer stays put.  The steps run in
-    chunks of at most _HOP_BUDGET // n steps: a chunk gathers its dwellers'
-    proposals and works out their lengths and offsets at once, and then each
-    step of it in turn takes the positions it starts from into the chunk's
-    buffer, adds the offsets, writes its keep test into the chunk's buffer
-    and moves the kept hops, six numpy calls a step.  Returns the lengths of
-    the accepted hops that started at least hop_range inside the disk edge
-    (interior hops), step after step, taken once per chunk from its keep
-    and start buffers.
+    `counts` holds each interferer's hop count (`_advance_vertical`, an
+    unsigned dtype) and `u` one proposal row, hop radius and hop angle
+    uniforms, per hop, rank by rank: the hops of rank r, one per
+    interferer with more than r hops, in the order of the counts,
+    descending, ties by interferer index.  A proposal that would leave the
+    disk is rejected and the interferer stays put.  Interferers never
+    interact, so each one's hops can run apart from the others' steps: one
+    stable sort ranks the interferers (of an unsigned dtype, which numpy
+    sorts by radix), the movers' positions are gathered into one buffer,
+    whose first c_r entries hop at rank r, five numpy calls a rank, and
+    they are scattered back.  Returns the lengths of the accepted hops that
+    started at least hop_range inside the disk edge (interior hops), rank
+    by rank.
     """
     z = state.xy.view(np.complex128)[:, 0]  # x + iy, a view of xy
     interior_limit = max(net.radius - mob.hop_range, 0.0)
-    steps, n = dwelling.shape
-    u = u.reshape(steps * n, 2)  # step-major
-    chunk = min(max(_HOP_BUDGET // max(n, 1), 1), steps)
-    row_ends = np.arange(1, chunk + 1) * n
-    interior = []
-    for first in range(0, steps, chunk):
-        masks = dwelling[first:first + chunk]
-        flat = np.flatnonzero(masks)  # step s of the chunk, interferer i at s * n + i
-        uh = u[first * n:].take(flat, axis=0)
-        length = mob.hop_range * np.sqrt(uh[:, 0])
-        offset = _unit(uh[:, 1])
-        offset *= length
-        cols = flat // n  # then the interferer of each slot, in place
-        cols *= n
-        np.subtract(flat, cols, out=cols)
-        starts = np.empty_like(offset)
-        keep = np.empty(flat.size, dtype=bool)
-        a = 0
-        for b in flat.searchsorted(row_ends[:len(masks)]).tolist():
-            idx = cols[a:b]
-            start = z.take(idx, out=starts[a:b], mode="clip")  # idx is in range
-            target = offset[a:b]
-            target += start
-            kept = np.less_equal(np.abs(target), net.radius, out=keep[a:b])
-            z[idx] = np.where(kept, target, start)  # a rejected hop stays put
-            a = b
-        keep &= np.abs(starts) <= interior_limit
-        interior.append(length.compress(keep))
-    return np.concatenate(interior)
+    order = np.argsort(~counts, kind="stable")  # ~ reverses an unsigned dtype's order
+    ranks = counts.size - np.cumsum(np.bincount(counts))[:-1]  # the movers at each rank
+    movers = order[:np.count_nonzero(counts)]
+    length = mob.hop_range * np.sqrt(u[:, 0])
+    offset = _unit(u[:, 1])
+    offset *= length
+    buffer = z.take(movers)
+    starts = np.empty_like(offset)
+    keep = np.empty(offset.size, dtype=bool)
+    a = 0
+    for c in ranks.tolist():
+        b = a + c
+        start = buffer[:c]
+        starts[a:b] = start
+        target = offset[a:b]
+        target += start
+        kept = np.less_equal(np.abs(target), net.radius, out=keep[a:b])
+        np.copyto(start, target, where=kept)  # a rejected hop stays put
+        a = b
+    z[movers] = buffer
+    keep &= np.abs(starts) <= interior_limit
+    return length.compress(keep)
 
 
 def advance(state: UavState, steps: int, dt: float, rng, net: NetworkConfig,
@@ -383,9 +365,10 @@ def advance(state: UavState, steps: int, dt: float, rng, net: NetworkConfig,
     vertical kinematics of all the steps are resolved through phase changes
     exactly, pass after pass, each pass drawing from the generator `rng` one
     (k, 3) array of dwell, waypoint and speed uniforms for the k interferers
-    with an event due.  Then one (steps, n, 2) array of hop radius and angle
-    uniforms is drawn, and in each step every interferer dwelling at the
-    step's end performs one spatial hop, in chunks of steps (`_hop`).
+    with an event due, which gives each interferer's hop count: the step
+    ends it dwells at.  Then one (hops, 2) array of hop radius and angle
+    uniforms is drawn, one row per hop, and each interferer makes its hops
+    in turn (`_hop`).
     Returns the summed length and the count of the accepted interior hops
     (see `CampaignResult.mean_interior_hop_length`).  Containment is not
     checked here; callers check it where they observe the state.
@@ -399,8 +382,8 @@ def advance(state: UavState, steps: int, dt: float, rng, net: NetworkConfig,
     for j in range(steps):
         t += dt
         ends[j] = t
-    dwelling = _advance_vertical(state, ends, lambda idx, p: rng.random((idx.size, 3)), net, mob)
-    lengths = _hop(state, dwelling[1:], rng.random((steps, state.n, 2)), net, mob)
+    counts = _advance_vertical(state, ends, lambda idx, p: rng.random((idx.size, 3)), net, mob)
+    lengths = _hop(state, counts, rng.random((int(counts.sum()), 2)), net, mob)
     return float(lengths.sum()), lengths.size
 
 
@@ -436,11 +419,13 @@ def _snapshot(altitude: np.ndarray, r2: np.ndarray, chains: int, net: NetworkCon
     with zero interference.
     """
     alpha = net.path_loss_exponent
-    g0 = rng.gamma(serving_m, 1.0 / serving_m, chains)
+    # gamma(m, 1/m) is 1/m times standard_gamma(m), bit for bit; the scaled
+    # standard draw skips gamma's broadcast of shape and scale
+    g0 = rng.standard_gamma(serving_m, chains) * (1.0 / serving_m)
     w = np.sqrt(altitude**2 + r2)
     # A scalar shape draws the same numbers as an array of it, faster.
     m_i = shapes(altitude)
-    gains = rng.gamma(m_i, 1.0 / m_i, altitude.size)
+    gains = rng.standard_gamma(m_i, altitude.size) * (1.0 / m_i)
     interference = (gains * w**-alpha).reshape(chains, altitude.size // chains).sum(axis=1)
     with np.errstate(divide="ignore"):
         sir = g0 * net.serving_altitude**-alpha / interference
@@ -531,7 +516,7 @@ def run_campaign(
     *,
     psi_grid=None,
     stride: int = 10,
-    chains: int = 64,
+    chains: int,
     n_batches: int = 20,
     max_kept_samples: int = 2_000_000,
 ) -> CampaignResult:
@@ -542,8 +527,8 @@ def run_campaign(
     contiguous block of interferers per chain.  The network starts in its
     stationary law, so snapshots begin with the first stride.  Each
     snapshot takes one in-place `advance` call of `stride` steps, which
-    draws its event uniforms pass by pass and then one (stride, n, 2) array
-    for the hops, followed by the snapshot's fading draws.  The coverage
+    draws its event uniforms pass by pass and then one (hops, 2) array for
+    the hops, followed by the snapshot's fading draws.  The coverage
     tallies, batch rows and dwelling histogram take up to 64 snapshots at a
     time, and the standard errors come from batch means over `n_batches`
     runs of consecutive snapshots.  Snapshot counts round up to a multiple

@@ -221,21 +221,21 @@ class _TapeReader:
             self.last = None
 
 
-def _reference_hop(xy, dwelling, u, net, mob) -> tuple[np.ndarray, float]:
+def _reference_hop(xy, idx, u, net, mob) -> tuple[np.ndarray, float]:
     """One step's spatial hops in real arithmetic, in place: the reference for
-    `simulator._hop`.  Each dweller proposes (x + r c, y + r s) from its row
-    of u, with r = hop_range sqrt(u0) and the unit vector (c, s) of angle
-    2 pi u1 formed from t = tan(pi u1) as ((1 - t^2) / (1 + t^2),
-    2t / (1 + t^2)), and stays put if that leaves the disk.  Returns the
-    lengths of the accepted hops that started at least hop_range inside the
-    disk edge, and the largest gap of c and s from cos and sin of 2 pi u1."""
-    idx = dwelling.nonzero()[0]
+    `simulator._hop`.  Each interferer in idx proposes (x + r c, y + r s)
+    from its row of u, with r = hop_range sqrt(u0) and the unit vector
+    (c, s) of angle 2 pi u1 formed from t = tan(pi u1) as
+    ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)), and stays put if that leaves
+    the disk.  Returns the lengths of the accepted hops that started at
+    least hop_range inside the disk edge, and the largest gap of c and s
+    from cos and sin of 2 pi u1."""
     x, y = xy[idx, 0], xy[idx, 1]
-    r = mob.hop_range * np.sqrt(u[idx, 0])
-    t = np.tan(math.pi * u[idx, 1])
+    r = mob.hop_range * np.sqrt(u[:, 0])
+    t = np.tan(math.pi * u[:, 1])
     t2 = t * t
     c, s = (1.0 - t2) / (1.0 + t2), 2.0 * t / (1.0 + t2)
-    theta = 2.0 * math.pi * u[idx, 1]
+    theta = 2.0 * math.pi * u[:, 1]
     gap = np.abs(np.concatenate((c - np.cos(theta), s - np.sin(theta)))).max(initial=0.0)
     x1, y1 = x + r * c, y + r * s
     keep = np.hypot(x1, y1) <= net.radius
@@ -249,13 +249,14 @@ def event_tape_gaps(net, mob, n: int, steps: int, stride: int, dt: float, seed: 
     `stride` steps to `simulator._advance_vertical` and `simulator._hop`, and
     by the references stepped once per step: the time-stepped vertical
     integrator and `_reference_hop`.  Both sides read one `_EventTape` for
-    their vertical events and one array of hop proposals.
+    their vertical events and, per call, one hop proposal per interferer
+    and hop rank, which `_hop` takes rank by rank (the interferers with
+    more than r hops at rank r, most hops first, ties by index).
 
-    Returns the steps whose dwelling masks or interior hop lengths differ
-    (a call's lengths from `_hop` are split at the reference's per-step
-    counts, the call's last step taking the rest), the call ends at which
-    the tape rows used or the positions differ, the worst altitude and
-    residual dwell gaps at call ends, the worst gap of the reference's
+    Returns the call ends at which the hop counts differ from the
+    reference's dwelling steps over the call, or the sorted interior hop
+    lengths, the tape rows used or the positions differ; the worst altitude
+    and residual dwell gaps at call ends, the worst gap of the reference's
     half-angle unit vectors from cos and sin over every proposal it reads,
     the numbers of events and interior hops, and how many times an
     interferer had three or more events in one reference step.
@@ -266,7 +267,6 @@ def event_tape_gaps(net, mob, n: int, steps: int, stride: int, dt: float, seed: 
     wp, v, rem = state.waypoint.copy(), state.speed.copy(), state.dwell_remaining()
     xy = state.xy.copy()
     tape = _EventTape(n, rng)
-    proposals = rng.random((steps, n, 2))
     draw = _TapeReader(tape, state)
 
     def dwell(idx):
@@ -276,34 +276,39 @@ def event_tape_gaps(net, mob, n: int, steps: int, stride: int, dt: float, seed: 
         u = tape.take(1, 1, idx)
         return net.height * u[:, 1], mob.speed_min + (mob.speed_max - mob.speed_min) * u[:, 2]
 
-    gaps = dict(phase_steps=[], hop_steps=[], tape_calls=[], xy_calls=[], altitude_gap=0.0,
+    gaps = dict(count_calls=[], hop_calls=[], tape_calls=[], xy_calls=[], altitude_gap=0.0,
                 dwell_gap=0.0, unit_gap=0.0, hops=0, repeats=0)
     for first in range(0, steps, stride):
         ends, t = [], state.t
         for _ in range(min(stride, steps - first)):  # the step ends `advance` makes
             t += dt
             ends.append(t)
-        masks = simulator._advance_vertical(state, np.array(ends), draw, net, mob)[1:]
+        counts = simulator._advance_vertical(state, np.array(ends), draw, net, mob)
         draw.settle()
-        hops = simulator._hop(state, masks, proposals[first:first + len(ends)], net, mob)
-        a, last = 0, first + len(masks) - 1
-        for j, mask in zip(itertools.count(first), masks):
+        u = rng.random((n, len(ends), 2))  # the proposal of each interferer's hop of each rank
+        capped = np.minimum(counts, len(ends))  # wrong counts may claim more hops than steps
+        order = np.lexsort((np.arange(n), -capped.astype(int)))
+        ranked = capped[order]
+        hops = simulator._hop(state, capped, np.concatenate(
+            [u[order[ranked > r], r] for r in range(len(ends))]), net, mob)
+        dwelt, ref = np.zeros(n, dtype=int), [hops[:0]]
+        for _ in ends:
             events = tape.taken[1].sum(axis=0)
             _time_left_vertical(h, moving, wp, v, rem, dt, dwell, leg)
             gaps["repeats"] += int((tape.taken[1].sum(axis=0) - events >= 3).sum())
-            ref, unit_gap = _reference_hop(xy, ~moving, proposals[j], net, mob)
+            idx = (~moving).nonzero()[0]
+            lengths, unit_gap = _reference_hop(xy, idx, u[idx, dwelt[idx]], net, mob)
+            dwelt[idx] += 1
             gaps["unit_gap"] = max(gaps["unit_gap"], unit_gap)
-            gaps["hops"] += ref.size
-            if not np.array_equal(mask, ~moving):
-                gaps["phase_steps"].append(j)
-            b = a + ref.size if j < last else hops.size  # the last step takes the rest
-            if hops[a:b].tobytes() != ref.tobytes():
-                gaps["hop_steps"].append(j)
-            a = b
-        if not np.array_equal(tape.taken[0], tape.taken[1]):
-            gaps["tape_calls"].append(first)
-        if state.xy.tobytes() != xy.tobytes():
-            gaps["xy_calls"].append(first)
+            ref.append(lengths)
+        ref = np.concatenate(ref)
+        gaps["hops"] += ref.size
+        for key, apart in (("count_calls", not np.array_equal(counts, dwelt)),
+                           ("hop_calls", np.sort(hops).tobytes() != np.sort(ref).tobytes()),
+                           ("tape_calls", not np.array_equal(tape.taken[0], tape.taken[1])),
+                           ("xy_calls", state.xy.tobytes() != xy.tobytes())):
+            if apart:
+                gaps[key].append(first)
         gaps["altitude_gap"] = max(gaps["altitude_gap"], float(np.abs(state.altitude() - h).max()))
         gaps["dwell_gap"] = max(gaps["dwell_gap"],
                                 float(np.abs(state.dwell_remaining() - rem).max()))
@@ -316,31 +321,29 @@ def check_event_tape(net, cases, n: int, steps: int, stride: int, dt: float,
     """The simulator's kinematics as campaigns run them, in calls of `stride`
     steps, against the time-stepped vertical integrator and a real-arithmetic
     hop stepped once per step (event_tape_gaps), n interferers over `steps`
-    steps of dt, for each (name, mobility, must_repeat) of cases: per-step
-    phases and interior hop lengths equal, tape rows used and positions equal
-    at every call end, altitude and residual dwell gaps within 1e-9, the
-    hop's half-angle unit vectors within 1e-15 of cos and sin, and, where
-    must_repeat is set, some interferer with three or more events in one
-    step."""
+    steps of dt, for each (name, mobility, must_repeat) of cases: at every
+    call end, hop counts equal to the reference's dwelling steps, sorted
+    interior hop lengths, tape rows used and positions equal, altitude and
+    residual dwell gaps within 1e-9; the hop's half-angle unit vectors
+    within 1e-15 of cos and sin; and, where must_repeat is set, some
+    interferer with three or more events in one step."""
     ok, parts = True, []
     for name, mob, must_repeat in cases:
         gaps = event_tape_gaps(net, mob, n, steps, stride, dt, seed)
-        apart = [f"{len(gaps[key])} {what}" for key, what in (
-            ("phase_steps", "steps with phase mismatches"),
-            ("hop_steps", "steps with hop mismatches"),
-            ("tape_calls", "calls with tape-row mismatches"),
-            ("xy_calls", "calls with position mismatches")) if gaps[key]]
+        apart = [f"{len(gaps[key])} calls with {what} mismatches" for key, what in (
+            ("count_calls", "hop-count"), ("hop_calls", "hop-length"),
+            ("tape_calls", "tape-row"), ("xy_calls", "position")) if gaps[key]]
         ok &= (not apart and gaps["altitude_gap"] <= 1e-9 and gaps["dwell_gap"] <= 1e-9
                and gaps["unit_gap"] <= 1e-15 and (gaps["repeats"] > 0 or not must_repeat))
-        parts.append(f"{name}: {', '.join(apart) or 'phases, tape rows, xy and hops identical'}"
+        parts.append(f"{name}: {', '.join(apart) or 'hop counts, tape rows, xy and hops identical'}"
                      f", altitude gap {gaps['altitude_gap']:.1e}, dwell gap "
                      f"{gaps['dwell_gap']:.1e} over {gaps['events']} events, unit-vector gap "
                      f"{gaps['unit_gap']:.1e}, "
                      f"{gaps['hops']} interior hops ({gaps['repeats']} with 3+ events in a step)")
     return CheckResult("event-tape", ok, f"{n} interferers x {steps} steps in {stride}-step "
-                       "calls vs the time-stepped integrator and a real-arithmetic hop (phases, "
-                       "tape rows, xy and hops exact, gaps <=1e-9, unit-vector gap <=1e-15); "
-                       + "; ".join(parts))
+                       "calls vs the time-stepped integrator and a real-arithmetic hop (hop "
+                       "counts, tape rows, xy and sorted hops exact, gaps <=1e-9, unit-vector "
+                       "gap <=1e-15); " + "; ".join(parts))
 
 
 def check_trivial_anchors(net, fading, p_stay: float) -> CheckResult:
@@ -666,15 +669,16 @@ def check_analysis_vs_simulation(cases, floor: float, k_se: float) -> CheckResul
             return CheckResult("analysis-vs-simulation", False,
                                f"analysis failed ({label}): {failed[0]}")
         gap = np.abs(result.coverage() - sweep.coverage)
-        se = np.nan_to_num(result.coverage_se(), nan=0.0)
-        tol = np.maximum(floor, k_se * se)
+        se = result.coverage_se()  # NaN with fewer than 2 batches: the floor alone
+        tol = np.fmax(floor, k_se * se)
         ok &= bool((gap <= tol).all())
         worst_gap = max(worst_gap, float(gap.max()))
         i = int((gap - tol).argmax())
         if gap[i] - tol[i] > worst[0]:
             worst = (gap[i] - tol[i], f"{10 * math.log10(result.psi_grid[i]):g} dB of "
                      f"({label}) (gap {gap[i]:.4f}, tol {tol[i]:.4f}")
-        lines.append(f"({label}): max|sim-ana|={gap.max():.4f}, max SE={se.max():.4f}, "
+        max_se = "n/a" if np.isnan(se).any() else f"{se.max():.4f}"
+        lines.append(f"({label}): max|sim-ana|={gap.max():.4f}, max SE={max_se}, "
                      f"{result.n_snapshots} snapshots")
     return CheckResult(
         "analysis-vs-simulation", ok,

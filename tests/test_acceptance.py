@@ -186,9 +186,10 @@ def test_criterion_11_event_tape(dwell, must_repeat, n, steps, stride, seed):
     """The simulator's kinematics, in calls of `stride` steps as a campaign
     makes them, against the time-stepped vertical integrator and a
     real-arithmetic hop stepped once per step, both sides reading one
-    per-interferer tape of (dwell, waypoint, speed) draws and one array of
-    hop proposals: 1000 one-step calls, one 40-step call, and ten 10-step
-    calls of 1000 interferers, each hopped in chunks of 8 and 2 steps.  The
+    per-interferer tape of (dwell, waypoint, speed) draws and, per call, one
+    hop proposal per interferer and hop rank: 1000 one-step calls, one
+    40-step call, and ten 10-step calls of 1000 interferers (the
+    "-chunked" ids date from a hop that ran in chunks of steps).  The
     reference's half-angle unit vectors must lie within 1e-15 of cos and
     sin, and dwells shorter than the 1 s step must give interferers three
     or more events in one step."""

@@ -95,10 +95,10 @@ class TestStep:
         assert state.altitude().min() >= 0.0
         assert state.altitude().max() <= NET.height
 
-    def test_stride_draws_pass_rows_then_one_hop_array(self):
+    def test_stride_draws_pass_rows_then_one_hop_array(self, monkeypatch):
         """Per call, the generator draws one (k, 3) array for the k
-        interferers that each vertical pass runs, then one (stride, n, 2)
-        array for the hops."""
+        interferers that each vertical pass runs, then one (hops, 2) array,
+        one row per hop the stride makes: the sum of the hop counts."""
         class Recorder:
             def __init__(self, seed):
                 self.g, self.shapes = np.random.default_rng(seed), []
@@ -107,6 +107,10 @@ class TestStep:
                 self.shapes.append(size if out is None else out.shape)
                 return self.g.random(size, out=out)
 
+        counts = []
+        real_vertical = simulator._advance_vertical
+        monkeypatch.setattr(simulator, "_advance_vertical",
+                            lambda *args: counts.append(real_vertical(*args)) or counts[-1])
         n, stride = 40, 7
         mob = MobilityConfig(0.2, 10.0, 0.1, 0.6, 10.0)  # several passes per stride
         state = initial_state(n, NET, mob, np.random.default_rng(5))
@@ -116,7 +120,8 @@ class TestStep:
             rec.shapes.clear()
             advance(state, stride, 1.0, rec, NET, mob)
             rows = [shape[0] for shape in rec.shapes[:-1]]
-            assert rec.shapes[-1] == (stride, n, 2)
+            assert rec.shapes[-1] == (int(counts[-1].sum()), 2)
+            assert 0 < counts[-1].sum() < stride * n
             assert [shape[1:] for shape in rec.shapes[:-1]] == [(3,)] * len(rows)
             assert len(rows) > 1 and rows[0] == first
             assert rows == sorted(rows, reverse=True) and rows[-1] > 0
@@ -207,6 +212,24 @@ class TestSnapshot:
         assert gains.tobytes() == ref.gamma(shapes, 1.0 / shapes).tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gains_are_the_gamma_draws_bit_for_bit(self, seed):
+        """Both gains are drawn as standard_gamma(m) times 1/m: bit for bit
+        gamma(m, 1/m), the generator left where gamma leaves it, for scalar
+        shapes 1, 2, 3 and 5 and for a 4,096-element band-shape array."""
+        net = NetworkConfig(40.0, 30.0, 10.0, 8, 2.0)
+        state = initial_state(4096, net, MOB, np.random.default_rng(seed))
+        r2, altitude = state.check_containment(net)
+        for fading in [FadingConfig(m, m) for m in (1, 2, 3, 5)] + [
+                FadingConfig(2, 1, altitude_dependent=True)]:
+            shapes = _interferer_shapes(fading, net)
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            _, g0, gains, _, _ = _snapshot(altitude, r2, 512, net, fading.serving_m, shapes, rng)
+            m0, m = fading.serving_m, shapes(altitude)
+            assert g0.tobytes() == ref.gamma(m0, 1.0 / m0, 512).tobytes()
+            assert gains.tobytes() == ref.gamma(m, 1.0 / m, 4096).tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_gains_have_unit_mean(self, rng):
         for m in (1, 2, 3):
             draws = rng.gamma(m, 1.0 / m, 200_000)
@@ -240,6 +263,17 @@ class TestCampaign:
         sweep = coverage_sweep(res.psi_grid.tolist(), NET, FAD, res.stay_probability)
         assert sweep.errors == [None] * res.psi_grid.size
         assert np.max(np.abs(res.coverage() - sweep.coverage)) < 0.02
+
+    def test_one_batch_campaign_checks_against_the_floor(self):
+        """With one batch there is no batch-means SE: the analysis check
+        prints it as n/a and holds the gap to the floor alone."""
+        res = run_campaign(NET, FAD, MOB, 4000, seed=3, chains=40, n_batches=1)
+        assert np.isnan(res.coverage_se()).all()
+        cases = [(NET, FAD, res)]
+        result = validation.check_analysis_vs_simulation(cases, floor=0.05, k_se=5)
+        assert result.passed, result.detail
+        assert "max SE=n/a" in result.detail and "tol 0.0500" in result.detail
+        assert not validation.check_analysis_vs_simulation(cases, floor=1e-6, k_se=5).passed
 
 
 class TestLockstepReplications:
@@ -443,11 +477,11 @@ class TestEventTape:
                    "np.concatenate((start, start))")
         result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
         assert not result.passed
-        assert "steps with phase mismatches" in result.detail
+        assert "calls with hop-count mismatches" in result.detail
 
     def test_one_300_step_call_matches_the_time_stepped_reference(self):
         """Events placed among 300 step ends at once, and 300 interferers
-        hopping in chunks of 27 steps."""
+        hopping up to 300 ranks in one call."""
         result = check_event_tape(NET, self.CASES, 300, 300, 300, 1.0, 4)
         assert result.passed, result.detail
 
@@ -457,13 +491,26 @@ class TestEventTape:
         self.plant(monkeypatch, "_event_rows", "rows += upper.take(rows) < times", "pass")
         result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
         assert not result.passed
-        assert "steps with phase mismatches" in result.detail
+        assert "calls with hop-count mismatches" in result.detail
 
-    def test_hop_length_without_its_square_root_fails(self, monkeypatch):
-        self.plant(monkeypatch, "_hop", "np.sqrt(uh[:, 0])", "uh[:, 0]")
+    @pytest.mark.parametrize("counts", ["flips", "np.where(dwelling, flips, steps - flips)"])
+    def test_counts_without_the_complement_of_the_dwellers_at_the_start_fail(
+            self, monkeypatch, counts):
+        """An interferer dwelling at the start hops at the step ends that
+        its events do not flip to moving: steps minus the flipped ones.
+        Left uncomplemented, or with the movers complemented instead, its
+        count is wrong."""
+        self.plant(monkeypatch, "_advance_vertical", "np.where(dwelling, steps - flips, flips)",
+                   counts)
         result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
         assert not result.passed
-        assert "steps with hop mismatches" in result.detail
+        assert "calls with hop-count mismatches" in result.detail
+
+    def test_hop_length_without_its_square_root_fails(self, monkeypatch):
+        self.plant(monkeypatch, "_hop", "np.sqrt(u[:, 0])", "u[:, 0]")
+        result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
+        assert not result.passed
+        assert "calls with hop-length mismatches" in result.detail
 
     def test_hop_angle_from_the_full_angle_tangent_fails(self, monkeypatch):
         """tan(2 pi u) in place of tan(pi u) still draws a uniform angle,
@@ -481,16 +528,36 @@ class TestEventTape:
                    module=validation)
         result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
         assert not result.passed
-        assert "phases, tape rows, xy and hops identical" in result.detail
+        assert "hop counts, tape rows, xy and hops identical" in result.detail
         assert "mismatches" not in result.detail
 
-    def test_chunk_proposals_shifted_by_one_step_fail(self, monkeypatch):
-        """Each step of a chunk must read its own step's proposal rows: here
-        300 interferers hop each 12-step call as one chunk."""
-        self.plant(monkeypatch, "_hop", "u[first * n:]", "np.roll(u, -n, axis=0)[first * n:]")
+    def test_unstable_rank_order_fails(self, monkeypatch):
+        """Rank r's proposals go to the interferers with more than r hops,
+        ties by index; an unstable sort hands them to other interferers."""
+        self.plant(monkeypatch, "_hop", 'kind="stable"', 'kind="quicksort"')
         result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
         assert not result.passed
-        assert "steps with hop mismatches" in result.detail
+        assert "calls with position mismatches" in result.detail
+
+    def test_proposals_shifted_by_one_rank_fail(self, monkeypatch):
+        """Each rank must read its own proposal rows: here every rank reads
+        from where the next rank's rows begin."""
+        self.plant(monkeypatch, "_hop", "    z = state.xy",
+                   "    u = np.roll(u, -int((counts > 0).sum()), axis=0)\n    z = state.xy")
+        result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
+        assert not result.passed
+        assert "calls with position mismatches" in result.detail
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+@pytest.mark.parametrize("stride", [1, 10, 1000])
+def test_hop_counts_equal_the_time_stepped_dwelling_steps(n, stride):
+    """Each interferer's hop count from one `_advance_vertical` call equals
+    the steps at whose end the time-stepped reference has it dwelling, over
+    20 one-step calls, two 10-step calls or one 1000-step call."""
+    gaps = validation.event_tape_gaps(NET, MOB, n, max(stride, 20), stride, 1.0, stride)
+    assert gaps["count_calls"] == [] and gaps["xy_calls"] == [], gaps
+    assert gaps["hops"] > 0
 
 
 class TestAltitudeDependentFading:
