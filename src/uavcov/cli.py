@@ -177,8 +177,7 @@ def cmd_validate(args) -> int:
     from .validation import run_validation
 
     sc = _apply_overrides(load_scenario(args.scenario), args)
-    fault = 1e-3 if args.inject_fault == "phase-factor" else 0.0
-    checks = run_validation(sc, fault_bias=fault)
+    checks = run_validation(sc)
     failed = 0
     for check in checks:
         tag = "PASS" if check.passed else "FAIL"
@@ -288,11 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="cross-validation check suite")
     add_common(p_val, needs_out=False)
-    p_val.add_argument(
-        "--inject-fault", choices=["phase-factor"], default=None,
-        help="perturb the closed form by 1e-3 inside the closed-vs-quadrature "
-        "check, to show that the check fails",
-    )
 
     p_sw = sub.add_parser("sweep", help="coverage tables over a scenario field")
     add_common(p_sw)

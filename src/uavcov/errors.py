@@ -19,10 +19,11 @@ class DomainError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """An iterative numerical procedure failed to converge.
+    """A numerical procedure failed: an iteration did not converge, or a
+    closed form overflowed.
 
-    Carries the best available partial result and an error bound so callers
-    can decide whether to accept or abort.
+    Carries the best available partial result and an error bound, where
+    there is one, so callers can decide whether to accept or abort.
     """
 
     def __init__(self, message, partial=None, error_bound=None):

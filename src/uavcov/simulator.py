@@ -78,6 +78,9 @@ __all__ = [
 
 # columns of the uniforms an interferer draws for its events in one pass
 _DWELL, _WAYPOINT, _SPEED = range(3)
+# a campaign's batch-means batches, and its quota of kept distance and altitude samples
+_N_BATCHES = 20
+_MAX_KEPT_SAMPLES = 2_000_000
 
 
 @dataclass
@@ -241,8 +244,8 @@ def _advance_vertical(state: UavState, ends: np.ndarray, draw, net, mob) -> np.n
     the expiry starts a leg from there; an expiry starts a leg from the
     dwell altitude, then the arrival dwells at the new waypoint.  The second
     event runs if it falls by ends[-1], and the pass repeats for those whose
-    next event is due too.  `draw(idx, p)` gives the uniforms of the p-th
-    pass, at least three columns (dwell, waypoint, speed) aligned with idx.
+    next event is due too.  `draw(idx)` gives the uniforms of each pass, at
+    least three columns (dwell, waypoint, speed) aligned with idx.
 
     Returns each interferer's hop count: how many of the step ends it
     dwells at, in the smallest unsigned dtype that holds ends.size.  An
@@ -263,9 +266,8 @@ def _advance_vertical(state: UavState, ends: np.ndarray, draw, net, mob) -> np.n
     tev = state.tev
     idx = (tev <= t_end).nonzero()[0]
     keys, held = [idx[:0]], [idx[:0]]  # so that np.concatenate never sees an empty list
-    p = 0
     while idx.size:
-        u = draw(idx, p)
+        u = draw(idx)
         arriving = state.moving[idx]
         start = tev[idx]
         h = state.waypoint[idx]  # altitude at the first event: a dwell has waypoint == h0
@@ -290,7 +292,6 @@ def _advance_vertical(state: UavState, ends: np.ndarray, draw, net, mob) -> np.n
         keys += idx, idx
         held.append(rows)
         idx = idx.compress(end <= t_end)
-        p += 1
     state.t = t_end
     flips = np.bincount(np.concatenate(keys), np.concatenate(held), minlength=n)
     counts = np.where(dwelling, steps - flips, flips)
@@ -382,7 +383,7 @@ def advance(state: UavState, steps: int, dt: float, rng, net: NetworkConfig,
     for j in range(steps):
         t += dt
         ends[j] = t
-    counts = _advance_vertical(state, ends, lambda idx, p: rng.random((idx.size, 3)), net, mob)
+    counts = _advance_vertical(state, ends, lambda idx: rng.random((idx.size, 3)), net, mob)
     lengths = _hop(state, counts, rng.random((int(counts.sum()), 2)), net, mob)
     return float(lengths.sum()), lengths.size
 
@@ -517,8 +518,6 @@ def run_campaign(
     psi_grid=None,
     stride: int = 10,
     chains: int,
-    n_batches: int = 20,
-    max_kept_samples: int = 2_000_000,
 ) -> CampaignResult:
     """Run a full snapshot campaign and return merged tallies.
 
@@ -530,9 +529,11 @@ def run_campaign(
     draws its event uniforms pass by pass and then one (hops, 2) array for
     the hops, followed by the snapshot's fading draws.  The coverage
     tallies, batch rows and dwelling histogram take up to 64 snapshots at a
-    time, and the standard errors come from batch means over `n_batches`
-    runs of consecutive snapshots.  Snapshot counts round up to a multiple
-    of chains.
+    time, and the standard errors come from batch means over `_N_BATCHES`
+    runs of consecutive snapshots (fewer when a chain has fewer snapshots).
+    The first snapshots' distances and altitudes are kept, the fewest whole
+    snapshots that hold `_MAX_KEPT_SAMPLES` samples.  Snapshot counts round
+    up to a multiple of chains.
     """
     if n_snapshots < 1:
         raise ConfigurationError("n_snapshots must be >= 1")
@@ -544,7 +545,7 @@ def run_campaign(
         raise ConfigurationError("psi_grid must be non-empty")
 
     per_chain = math.ceil(n_snapshots / chains)
-    nb = max(1, min(n_batches, per_chain))
+    nb = min(_N_BATCHES, per_chain)
     M = net.n_interferers
     n = chains * M
     # the seed's first child, not the seed: each seed keeps the numbers it has always given
@@ -556,8 +557,7 @@ def run_campaign(
     batch_snapshots = np.zeros(nb)
     batch_dwelling = np.zeros(nb)
     dwelling_hist = np.zeros(M + 1)
-    # the first snapshots are kept, the fewest whole ones that fill the quota
-    n_kept = min(per_chain, -(-max_kept_samples // n)) if M else 0
+    n_kept = min(per_chain, -(-_MAX_KEPT_SAMPLES // n)) if M else 0
     kept_w = np.empty((n_kept, n))
     kept_h = np.empty((n_kept, n))
     kept_dwell = np.empty((n_kept, n), dtype=bool)

@@ -20,16 +20,15 @@ error comes from the integer-b large-z path below: its error of about
 1e-14 is amplified by cancellation in the segment sum (with mpmath's exact
 2F1 the closed form still sits 1.8-3.6e-13 from the oracle there).
 
-Every hyp2f1 call has the shape 2F1(l, b; c; z) with l a non-negative
-integer, b a positive (half-)integer, c = b + 1 (c = b + 2 is also accepted
-so the Gauss contiguous identity can be checked), and real z <= 0.  On that
-domain the function is positive, bounded by 1 for l >= 1, and decays
-algebraically as z -> -inf.
+Every hyp2f1 call has the shape 2F1(l, b; b + 1; z) with l a non-negative
+integer, b a positive (half-)integer and real z <= 0, so hyp2f1 takes
+(l, b, z) and serves c = b + 1 only.  On that domain the function is
+positive, bounded by 1 for l >= 1, and decays algebraically as z -> -inf.
 
 Two evaluation paths cover the argument range:
 
 * z in (-8, 0]: Pfaff transformation (Abramowitz & Stegun 15.3.5)
-      2F1(a, b; c; z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)),
+      2F1(a, b; b+1; z) = (1-z)^(-a) 2F1(a, 1; b+1; z/(z-1)),
   mapping the argument into [0, 8/9) where the transformed series has
   all-positive terms (no cancellation); it needs at most ~520 terms
   (a = 12, b = 1/2).
@@ -38,24 +37,23 @@ Two evaluation paths cover the argument range:
   argument connection at 1/z is used instead.  For non-integer b,
       2F1(l, b; b+1; z) = G1 (-z)^(-l) 2F1(l, l-b; l-b+1; 1/z)
                         + G2 (-z)^(-b),
-  where the second series terminates identically (an upper parameter is a
-  non-positive integer) and the first converges in a handful of terms.  For
-  integer b that connection degenerates; the Euler integral is instead
-  reduced by the substitution u = 1 - z t to an exact finite sum of
-  elementary integrals.
+  where the second term's series 2F1(b, 0; b-l+1; 1/z) is 1 and the first
+  converges in a handful of terms.  For integer b that connection
+  degenerates; the Euler integral is instead reduced by the substitution
+  u = 1 - z t to an exact finite sum of elementary integrals.
 
 Accuracy, measured against mpmath at 40 digits over a = 1..12,
-b in {0.5, 1, ..., 14.5}, c in {b+1, b+2} and z at ten points of
-(-0.5, 0] (-1e-6 to -0.4999), at -0.7, -2, -4, -6, -7, -7.75, on [-64, -8]
-(steps of 0.25 down to -20, then 2) and at -64.5, -100, -300, -1e3, -1e4,
--1e6: the worst relative error is 3.5e-12 (a = 12, b = 8, c = b+2,
-z = -13.5), from cancellation in the integer-b finite form; for a <= 8 it
-is 8.7e-14.  The Pfaff path stays within 6.5e-15 on all of (-8, 0]; on
-(-0.5, 0] it reads 2.2e-15 where the defining series, whose terms
-alternate there, read 3.7e-12 (a = 12, b = 12, z = -0.4999).  With the
-Pfaff path reaching down to -64 the worst on the same grid was 1.6e-12
-(a = 12, b = 9, c = b+2, z = -100).  Over the same a, b and c, Pfaff and
-large-z agree to 1.9e-12 at z = -8, -10, -16, -32 and -64.
+b in {0.5, 1, ..., 14.5} and z at ten points of (-0.5, 0] (-1e-6 to
+-0.4999, geometric), at -0.7, -2, -4, -6, -7, -7.75, on [-64, -8] (steps
+of 0.25 down to -20, then 2) and at -64.5, -100, -300, -1e3, -1e4, -1e6:
+the worst relative error is 2.6e-12 (a = 12, b = 8, z = -13.5), from
+cancellation in the integer-b finite form; for a <= 8 it is 3.6e-14.  The
+Pfaff path stays within 6.5e-15 on all of (-8, 0]; on (-0.5, 0] it reads
+1.3e-15 where the defining series, whose terms alternate there, read
+3.7e-12 (a = 12, b = 12, z = -0.4999).  With the Pfaff path reaching down
+to -64 the worst on the same grid was 1.5e-12 (a = 12, b = 9, z = -100).
+Over the same a and b, Pfaff and large-z agree to 1.4e-12 at z = -8, -10,
+-16, -32 and -64.
 """
 
 from __future__ import annotations
@@ -92,34 +90,31 @@ def _gauss_series(a: float, b: float, c: float, z: float) -> float:
     )
 
 
-def _large_z_integer_b(l: int, b: int, n_extra: int, z: float) -> float:
+def _large_z_integer_b(l: int, b: int, z: float) -> float:
     """Exact finite form for integer b and very negative z.
 
-    Reduces the Euler integral of t^(b-1) (1-t)^(n_extra) (1-zt)^(-l) with the
-    substitution u = 1 - z t to elementary power/log integrals.  Only used for
-    mu = -z large, where none of the terms cancel catastrophically.
+    Reduces the Euler integral b * int_0^1 t^(b-1) (1-zt)^(-l) dt with the
+    substitution u = 1 - z t to elementary power/log integrals.  Only used
+    for mu = -z large, where none of the terms cancel catastrophically.
     """
     mu = -z
-    prefac = math.gamma(b + n_extra + 1) / (math.gamma(b) * math.gamma(n_extra + 1))
     total = 0.0
-    # (1-t)^(n_extra) expanded binomially: sum_i C(n_extra, i) (-t)^i
-    for i in range(n_extra + 1):
-        ci = math.comb(n_extra, i) * (-1.0) ** i
-        # t^(b-1+i) expanded in powers of u = 1 + mu t: t = (u-1)/mu
-        p = b - 1 + i
-        for j in range(p + 1):
-            cj = math.comb(p, j) * (-1.0) ** (p - j)
-            e = j - l + 1
-            if e == 0:
-                integral = math.log1p(mu)
-            else:
-                integral = ((1.0 + mu) ** e - 1.0) / e
-            total += ci * cj * integral / mu ** (p + 1)
-    return prefac * total
+    # t^(b-1) expanded in powers of u = 1 + mu t: t = (u-1)/mu
+    p = b - 1
+    for j in range(p + 1):
+        cj = math.comb(p, j) * (-1.0) ** (p - j)
+        e = j - l + 1
+        if e == 0:
+            integral = math.log1p(mu)
+        else:
+            integral = ((1.0 + mu) ** e - 1.0) / e
+        total += cj * integral / mu ** (p + 1)
+    return b * total
 
 
-def _large_z_connection(l: int, b: float, c: float, z: float) -> float:
+def _large_z_connection(l: int, b: float, z: float) -> float:
     """1/z connection formula for non-integer b (so no degenerate Gamma poles)."""
+    c = b + 1.0
     g1 = (
         math.gamma(c)
         * math.gamma(b - l)
@@ -127,38 +122,25 @@ def _large_z_connection(l: int, b: float, c: float, z: float) -> float:
         * (-z) ** (-l)
         * _gauss_series(l, l - c + 1.0, l - b + 1.0, 1.0 / z)
     )
-    # The companion series 2F1(b, b-c+1; b-l+1; 1/z) terminates because
-    # b - c + 1 is a non-positive integer (c = b+1 or b+2).
-    n_terms = int(round(c - b - 1.0)) + 1
-    companion = 1.0
-    term = 1.0
-    for n in range(1, n_terms):
-        term *= (b + n - 1.0) * (b - c + n) / ((b - l + n) * n) / z
-        companion += term
-    g2 = (
-        math.gamma(c)
-        * math.gamma(l - b)
-        / (math.gamma(l) * math.gamma(c - b))
-        * (-z) ** (-b)
-        * companion
-    )
+    # The companion series 2F1(b, 0; b-l+1; 1/z) is 1.
+    g2 = math.gamma(c) * math.gamma(l - b) / math.gamma(l) * (-z) ** (-b)
     return g1 + g2
 
 
-def _pfaff(a: int, b: float, c: float, z: float) -> float:
+def _pfaff(a: int, b: float, z: float) -> float:
     """Pfaff transformation: an all-positive series at z/(z-1) in [0, 1)."""
-    return (1.0 - z) ** (-a) * _gauss_series(a, c - b, c, z / (z - 1.0))
+    return (1.0 - z) ** (-a) * _gauss_series(a, 1.0, b + 1.0, z / (z - 1.0))
 
 
-def _large_z(a: int, b: float, c: float, z: float) -> float:
+def _large_z(a: int, b: float, z: float) -> float:
     """Large-argument path: exact finite form for integer b, else the 1/z connection."""
     if abs(b - round(b)) < 1e-12:
-        return _large_z_integer_b(a, int(round(b)), int(round(c - b)) - 1, z)
-    return _large_z_connection(a, b, c, z)
+        return _large_z_integer_b(a, int(round(b)), z)
+    return _large_z_connection(a, b, z)
 
 
-def hyp2f1(a: int, b: float, c: float, z: float) -> float:
-    """Evaluate 2F1(a, b; c; z) for integer a >= 0, b > 0, c - b in {1, 2}, z <= 0.
+def hyp2f1(a: int, b: float, z: float) -> float:
+    """Evaluate 2F1(a, b; b + 1; z) for integer a >= 0, b > 0, z <= 0.
 
     Relative accuracy is as measured in the module docstring; raises
     NumericalError with the partial sum attached if a series fails to
@@ -168,9 +150,6 @@ def hyp2f1(a: int, b: float, c: float, z: float) -> float:
         raise DomainError(f"first parameter must be a non-negative integer, got {a}")
     if not b > 0:
         raise DomainError(f"second parameter must be positive, got {b}")
-    n_extra = round(c - b) - 1
-    if n_extra not in (0, 1) or abs(c - b - (n_extra + 1)) > 1e-12:
-        raise DomainError(f"third parameter must be b+1 or b+2, got c={c} for b={b}")
     if z > 0:
         raise DomainError(f"argument must be <= 0, got {z}")
     a = int(a)
@@ -178,8 +157,8 @@ def hyp2f1(a: int, b: float, c: float, z: float) -> float:
     if a == 0 or z == 0.0:
         return 1.0
     if z > _PFAFF_LIMIT:
-        return _pfaff(a, b, c, z)
-    return _large_z(a, b, c, z)
+        return _pfaff(a, b, z)
+    return _large_z(a, b, z)
 
 
 def _power_segment_integral(l, a, b, ell, kappa, s, m, net: NetworkConfig) -> float:
@@ -192,9 +171,9 @@ def _power_segment_integral(l, a, b, ell, kappa, s, m, net: NetworkConfig) -> fl
     """
     R2 = net.radius**2
     half_k = kappa / 2.0
-    out = ell / R2 * b**half_k / kappa * hyp2f1(l, half_k, half_k + 1.0, -m * b / s)
+    out = ell / R2 * b**half_k / kappa * hyp2f1(l, half_k, -m * b / s)
     if a > 0:
-        out -= ell / R2 * a**half_k / kappa * hyp2f1(l, half_k, half_k + 1.0, -m * a / s)
+        out -= ell / R2 * a**half_k / kappa * hyp2f1(l, half_k, -m * a / s)
     return out
 
 
@@ -209,7 +188,7 @@ def _shell_segment_integral(l, ell, kappa, s, m, net: NetworkConfig) -> float:
     H = net.height
     base = ell * H ** (kappa + 2) / ((kappa + 2) * R2)
     z = -H * H / (R2 + s / m)
-    return base / (1.0 + m * R2 / s) ** l * hyp2f1(l, kappa / 2.0 + 1.0, kappa / 2.0 + 2.0, z)
+    return base / (1.0 + m * R2 / s) ** l * hyp2f1(l, kappa / 2.0 + 1.0, z)
 
 
 def _phase_segments(phase: str, net: NetworkConfig):
@@ -254,8 +233,10 @@ def closed_phase_factor(phase: str, s: float, m: int, net: NetworkConfig) -> flo
     the shell factor), leaving the same primitive integrals evaluated without
     any large-scale cancellation.  Raises DomainError for an unknown phase,
     s < 0, a shape m that is not a positive integer or an exponent other
-    than 2, and UnsupportedGeometryError unless H < R (the breakpoint
-    ordering).
+    than 2, UnsupportedGeometryError unless H < R (the breakpoint
+    ordering), and NumericalError where a term overflows, at small s (on a
+    decade grid at R/H = 40/30, 100/5 and 10/9: from 1e-99 down at m = 1,
+    from 1e-17 down at m = 12).
     """
     if phase not in PHASES:
         raise DomainError(f"phase must be one of {PHASES}, got {phase!r}")
@@ -279,16 +260,20 @@ def closed_phase_factor(phase: str, s: float, m: int, net: NetworkConfig) -> flo
     R2 = net.radius**2
     c = m / s
     power, (shell_sign, shell_ell, shell_kappa) = _phase_segments(phase, net)
-    contributions = [
-        sign * c**m * _power_segment_integral(m, a, b, ell, kappa + 2 * m, s, m, net)
-        for sign, a, b, ell, kappa in power
-    ]
-    # y^m = ((y - R^2) + R^2)^m expanded binomially over the shell factor.
-    contributions += [
-        shell_sign * c**m * math.comb(m, j) * R2 ** (m - j)
-        * _shell_segment_integral(m, shell_ell, shell_kappa + 2 * j, s, m, net)
-        for j in range(m + 1)
-    ]
+    try:
+        contributions = [
+            sign * c**m * _power_segment_integral(m, a, b, ell, kappa + 2 * m, s, m, net)
+            for sign, a, b, ell, kappa in power
+        ]
+        # y^m = ((y - R^2) + R^2)^m expanded binomially over the shell factor.
+        contributions += [
+            shell_sign * c**m * math.comb(m, j) * R2 ** (m - j)
+            * _shell_segment_integral(m, shell_ell, shell_kappa + 2 * j, s, m, net)
+            for j in range(m + 1)
+        ]
+    except OverflowError as exc:  # c^m and the large-z form's mu^b, at small s
+        raise NumericalError(
+            f"closed form overflows for phase={phase}, s={s}, m={m}") from exc
     return math.fsum(contributions)
 
 

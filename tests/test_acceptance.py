@@ -180,7 +180,7 @@ DWELL_CASES = (((2.0, 6.0), False, "benchmark"), ((0.1, 0.6), True, "short-dwell
 @pytest.mark.parametrize("dwell, must_repeat, n, steps, stride, seed", [
     pytest.param(dwell, must_repeat, *scale, id=name + suffix)
     for scale, suffix in (((500, 1000, 1, 11), ""), ((5000, 40, 40, 16), "-stride-40"),
-                          ((1000, 100, 10, 21), "-stride-10-chunked"))
+                          ((1000, 100, 10, 21), "-stride-10"))
     for dwell, must_repeat, name in DWELL_CASES])
 def test_criterion_11_event_tape(dwell, must_repeat, n, steps, stride, seed):
     """The simulator's kinematics, in calls of `stride` steps as a campaign
@@ -188,8 +188,7 @@ def test_criterion_11_event_tape(dwell, must_repeat, n, steps, stride, seed):
     real-arithmetic hop stepped once per step, both sides reading one
     per-interferer tape of (dwell, waypoint, speed) draws and, per call, one
     hop proposal per interferer and hop rank: 1000 one-step calls, one
-    40-step call, and ten 10-step calls of 1000 interferers (the
-    "-chunked" ids date from a hop that ran in chunks of steps).  The
+    40-step call, and ten 10-step calls of 1000 interferers.  The
     reference's half-angle unit vectors must lie within 1e-15 of cos and
     sin, and dwells shorter than the 1 s step must give interferers three
     or more events in one step."""

@@ -14,7 +14,7 @@ from uavcov.distributions import (
     smoothstep_inverse,
 )
 from uavcov.errors import DomainError, UnsupportedGeometryError
-from uavcov.validation import check_distribution_laws
+from uavcov.validation import check_distribution_laws, integrated_pdf
 
 R, H = 40.0, 30.0
 
@@ -160,6 +160,19 @@ class TestLawStructure:
             pts = [x for x in (H, R) if x < w]
             total, _ = integrate.quad(dist.pdf, 0.0, w, points=pts, limit=200)
             assert abs(total - dist.cdf(w)) <= 1e-9
+
+    @pytest.mark.parametrize("phase", ["static", "moving"])
+    @pytest.mark.parametrize("radius, height", [(40.0, 30.0), (100.0, 5.0), (10.0, 9.0)])
+    def test_fixed_rule_integral_matches_quad(self, phase, radius, height):
+        """integrated_pdf, the fixed Gauss-Legendre integral of the pdf that
+        check_distribution_laws holds to the cdf, against scipy's adaptive
+        quadrature at the check's 20 points, to 1e-10."""
+        dist = DistanceDistribution(phase, radius, height)
+        w = np.linspace(0.0, dist.support_max, 21)[1:]
+        expected = [integrate.quad(dist.pdf, 0.0, x, limit=200,
+                                   points=[p for p in (height, radius) if p < x])[0]
+                    for x in w.tolist()]
+        assert np.abs(integrated_pdf(dist, w) - expected).max() <= 1e-10
 
     @pytest.mark.parametrize("phase", ["static", "moving"])
     def test_pdf_normalizes(self, phase):

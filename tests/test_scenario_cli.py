@@ -16,6 +16,7 @@ import pytest
 import uavcov
 import uavcov.cli as cli
 import uavcov.interference as interference
+import uavcov.validation as validation
 from uavcov.cli import _set_by_dotted_path, main
 from uavcov.errors import ConfigurationError, NumericalError, UnsupportedGeometryError
 from uavcov.scenario import (
@@ -578,15 +579,37 @@ class TestValidateCommand:
         assert all(line.startswith("[PASS] ") for line in lines[:-1]
                    if not line.startswith("[FAIL] "))
 
-    def test_injected_fault_fails_closed_vs_quadrature(self, tmp_path, capsys):
+    def test_injected_fault_fails_closed_vs_quadrature(self, tmp_path, capsys, monkeypatch):
+        real = validation.closed_phase_factor
+        monkeypatch.setattr(validation, "closed_phase_factor",
+                            lambda *args: real(*args) + 1e-3)
         sc = small_scenario(sim=SimParams(n_snapshots=30_000, seed=5, chains=100))
         path = tmp_path / "v.json"
         dump_scenario(sc, str(path))
-        code = main(["validate", "--scenario", str(path),
-                     "--inject-fault", "phase-factor"])
+        code = main(["validate", "--scenario", str(path)])
         out = capsys.readouterr().out
         assert code == 1
         assert "[FAIL] closed-vs-quadrature" in out
+
+    def test_thresholds_at_3000_db_fail_without_a_traceback(self, tmp_path, capsys):
+        """At -3000 dB the closed form overflows (s0 = 1e-298) and at +3000 dB
+        the second difference's step squared would (s0 = 1e302): the closed
+        form's points are listed as not compared and fail their check, and
+        every check prints its line."""
+        doc = json.loads(BASELINE.read_text())
+        doc["psi_grid_db"] = [-3000, 3000]
+        doc["sim"]["n_snapshots"] = 2000
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(doc))
+        code = main(["validate", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert code == 1, lines
+        assert len(lines) == 14 and lines[-1].endswith("/13 checks failed"), lines
+        line = next(l for l in lines if "closed-vs-quadrature" in l)
+        assert line.startswith("[FAIL] ") and "closed form failed, not compared: static m=1" in line
+        assert next(l for l in lines if "derivative-jet" in l).startswith("[PASS] ")
+        assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command", ["simulate", "validate"])

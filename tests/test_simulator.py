@@ -243,13 +243,13 @@ class TestCampaign:
         res = run_campaign(net0, FAD, MOB, 2000, seed=3, chains=8)
         assert np.all(res.coverage() == 1.0)
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, monkeypatch):
         """A seed gives the same tallies, kept samples and hops every run.
         The kept samples are the fewest whole snapshots that fill the
         quota, ceil(400 / 32) = 13 of 250, and the dwellers make interior
         hops."""
-        a, b = (run_campaign(NET, FAD, MOB, 4000, seed=11, chains=16, max_kept_samples=400)
-                for _ in range(2))
+        monkeypatch.setattr(simulator, "_MAX_KEPT_SAMPLES", 400)
+        a, b = (run_campaign(NET, FAD, MOB, 4000, seed=11, chains=16) for _ in range(2))
         for name in ("batch_success", "batch_snapshots", "batch_dwelling",
                      "dwelling_count_hist", "static_distances", "moving_distances",
                      "static_altitudes", "moving_altitudes"):
@@ -264,10 +264,11 @@ class TestCampaign:
         assert sweep.errors == [None] * res.psi_grid.size
         assert np.max(np.abs(res.coverage() - sweep.coverage)) < 0.02
 
-    def test_one_batch_campaign_checks_against_the_floor(self):
+    def test_one_batch_campaign_checks_against_the_floor(self, monkeypatch):
         """With one batch there is no batch-means SE: the analysis check
         prints it as n/a and holds the gap to the floor alone."""
-        res = run_campaign(NET, FAD, MOB, 4000, seed=3, chains=40, n_batches=1)
+        monkeypatch.setattr(simulator, "_N_BATCHES", 1)
+        res = run_campaign(NET, FAD, MOB, 4000, seed=3, chains=40)
         assert np.isnan(res.coverage_se()).all()
         cases = [(NET, FAD, res)]
         result = validation.check_analysis_vs_simulation(cases, floor=0.05, k_se=5)
@@ -276,8 +277,9 @@ class TestCampaign:
         assert not validation.check_analysis_vs_simulation(cases, floor=1e-6, k_se=5).passed
 
 
-class TestLockstepReplications:
-    """A campaign steps all its chains in lockstep, in place, as one array."""
+class TestInPlaceCampaign:
+    """A campaign steps all its chains together, in place, as one array, and
+    tallies its snapshots in a buffer of fixed size."""
 
     def test_one_in_place_stride_call_per_snapshot(self, monkeypatch):
         calls = []
@@ -295,7 +297,7 @@ class TestLockstepReplications:
         run_campaign(NET, FAD, MOB, 15 * 4, chains=15, stride=2)
         assert calls == [(15 * NET.n_interferers, 2)] * 4
 
-    def test_working_set_does_not_grow_with_the_snapshots(self):
+    def test_working_set_does_not_grow_with_the_snapshots(self, monkeypatch):
         """In the baseline layout (128 chains, M = 2) with a
         small kept-sample quota, a campaign of 8N snapshots per chain peaks
         at the traced memory of one of N: the SIR and dwelling-count buffer
@@ -303,12 +305,12 @@ class TestLockstepReplications:
         tracemalloc)."""
         import tracemalloc
 
+        monkeypatch.setattr(simulator, "_MAX_KEPT_SAMPLES", 1000)
         peaks = []
         for per_chain in (80, 640):
             tracemalloc.start()
             try:
-                run_campaign(NET, FAD, MOB, 128 * per_chain, seed=5, chains=128,
-                             max_kept_samples=1000)
+                run_campaign(NET, FAD, MOB, 128 * per_chain, seed=5, chains=128)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
