@@ -24,29 +24,38 @@ target, so the horizontal law stays exactly uniform on the disk, as the
 analytical distance laws assume.
 
 A campaign steps all its chains together, in place, as one state array
-with one contiguous block of interferers per chain, and draws everything
-from one generator.  The launch draws one (n, 9) array of uniforms.  The
-state then advances one snapshot stride of steps per call.  The vertical
-events of the whole stride run first, pass after pass; each pass draws one
-(k, 3) array, whose columns are the dwell, waypoint and speed of the events
-of the k interferers that have one due.  Each event is put down at the
-first step end at or after its time, found without a search: a rounded
-estimate of the step from the event time, then one comparison with that
-step's end (`_event_rows`).  An interferer hops once at each step end it
-dwells at, so the stride needs only each one's hop count, taken from one
-weighted count of all the stride's events by interferer, with no per-step
-masks.  Then one (hops, 2) array of hop radii and angles is drawn, one row
-per hop the stride makes.  Interferers never interact, so each one's hops
-run in its own order, rank by rank (`_hop`): the interferers are ranked by
-one stable sort of their counts, and rank r moves those with more than r
-hops, five numpy calls a rank.  An offset's unit vector comes from the
-tangent of the half angle (`_unit`), which numpy vectorizes, not from a
-cosine and a sine.  Containment is checked at launch and at every
-snapshot, not on every step.
+with one contiguous block of interferers per chain.  It draws from three
+generators spawned from its seed: one for the mobility, one for the
+serving gains and one for the interferer gains.  The launch draws one
+(n, 9) array of uniforms.  The state then advances one snapshot stride of
+steps per call.  The vertical events of the whole stride run first, pass
+after pass; each pass draws one (k, 3) array, whose columns are the dwell,
+waypoint and speed of the events of the k interferers that have one due.
+Each event is put down at the first step end at or after its time, found
+without a search: a rounded estimate of the step from the event time, then
+one comparison with that step's end (`_event_rows`).  An interferer hops
+once at each step end it dwells at, so the stride needs only each one's
+hop count, taken from one weighted count of all the stride's events by
+interferer, with no per-step masks.  Then one (hops, 2) array of hop radii
+and angles is drawn, one row per hop the stride makes.  Interferers never
+interact, so each one's hops run in its own order, rank by rank (`_hop`):
+the interferers are ranked by one stable sort of their counts, and rank r
+moves those with more than r hops, five numpy calls a rank.  An offset's
+unit vector comes from the tangent of the half angle (`_unit`), which
+numpy vectorizes, not from a cosine and a sine.
 
-Snapshots taken every `stride` steps record distances, phases and fading
-draws; per-threshold coverage tallies are kept in contiguous batches for
-batch-means standard errors, tallied for up to 64 snapshots at a time.
+A snapshot is taken every `stride` steps.  Each stride only writes the
+observed squared horizontal radii, altitudes and phases into one row of a
+buffer; the rest runs once per buffer of rows (a flush): one containment
+check (at launch too, never on every step), one draw of serving gains and
+one of interferer gains, one SIR, one tally of the per-threshold coverage
+counts into contiguous batches for batch-means standard errors, and one
+dwelling count.  While snapshots are still kept, the buffer rows are the
+kept-sample arrays themselves; after that one scratch buffer is reused.
+A buffer holds up to `_BUFFER_ROWS` snapshots and `_BUFFER_VALUES` values
+per array, so its size does not grow with the campaign.  The gains are
+drawn snapshot by snapshot from their own generators, so no result depends
+on the buffer length.
 """
 
 from __future__ import annotations
@@ -78,9 +87,12 @@ __all__ = [
 
 # columns of the uniforms an interferer draws for its events in one pass
 _DWELL, _WAYPOINT, _SPEED = range(3)
-# a campaign's batch-means batches, and its quota of kept distance and altitude samples
+# a campaign's batch-means batches, its quota of kept distance and altitude
+# samples, and the most snapshots and values a snapshot buffer's arrays hold
 _N_BATCHES = 20
 _MAX_KEPT_SAMPLES = 2_000_000
+_BUFFER_ROWS = 64
+_BUFFER_VALUES = 2**14
 
 
 @dataclass
@@ -114,9 +126,16 @@ class UavState:
     def n(self) -> int:
         return self.h0.size
 
-    def altitude(self) -> np.ndarray:
-        """Altitude at the clock; a dwell has waypoint == h0, so it stays at h0."""
-        return self.h0 + np.sign(self.waypoint - self.h0) * self.speed * (self.t - self.t0)
+    def altitude(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Altitude at the clock, into `out` if given: h0 plus the signed
+        distance speed (t - t0) toward the waypoint; a dwell has waypoint ==
+        h0, so it stays at h0."""
+        h = np.subtract(self.t, self.t0, out=out)
+        h *= self.speed
+        heading = self.waypoint - self.h0
+        h *= np.sign(heading, out=heading)
+        h += self.h0
+        return h
 
     def dwell_remaining(self) -> np.ndarray:
         """Seconds of dwell left at the clock (0 while moving)."""
@@ -134,21 +153,22 @@ class UavState:
             self.t,
         )
 
-    def check_containment(self, net: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
-        """Hard geometric invariants: inside the disk, altitude in range.
+    def radius2(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Squared horizontal radius of each interferer, x^2 + y^2, into
+        `out` if given (a quarter of the time einsum takes)."""
+        squares = self.xy * self.xy
+        return np.add(squares[:, 0], squares[:, 1], out=out)
 
-        Returns the squared horizontal radius and the altitude it checked,
-        for callers that observe the state.
-        """
-        r2 = np.einsum("ij,ij->i", self.xy, self.xy)
-        altitude = self.altitude()
-        if self.n == 0:
-            return r2, altitude
-        if r2.max() > net.radius**2 * (1 + 1e-12):
-            raise ConsistencyError("interferer escaped the disk region")
-        if altitude.min() < -1e-9 or altitude.max() > net.height * (1 + 1e-12):
-            raise ConsistencyError("interferer altitude left [0, H]")
-        return r2, altitude
+
+def _check_contained(r2: np.ndarray, altitude: np.ndarray, net: NetworkConfig) -> None:
+    """Hard geometric invariants of observed squared horizontal radii and
+    altitudes, arrays of any shape: inside the disk, altitude in [0, H]."""
+    if r2.size == 0:
+        return
+    if r2.max() > net.radius**2 * (1 + 1e-12):
+        raise ConsistencyError("interferer escaped the disk region")
+    if altitude.min() < -1e-9 or altitude.max() > net.height * (1 + 1e-12):
+        raise ConsistencyError("interferer altitude left [0, H]")
 
 
 def initial_state(n: int, net: NetworkConfig, mob: MobilityConfig, rng) -> UavState:
@@ -406,31 +426,33 @@ def _interferer_shapes(fading: FadingConfig, net: NetworkConfig):
     return lambda altitude: shapes.take((edges <= altitude).sum(axis=0, dtype=count))
 
 
-def _snapshot(altitude: np.ndarray, r2: np.ndarray, chains: int, net: NetworkConfig,
-              serving_m: int, shapes, rng):
-    """Fading draws and SIR for `chains` equal-sized networks stored back to back.
+def _fade(w: np.ndarray, altitude: np.ndarray, chains: int, net: NetworkConfig,
+          serving_m: int, shapes, serving, interfering):
+    """Fading draws and SIR for a buffer of snapshots, one per row of `w`
+    and `altitude`, the interferers' distances and altitudes, of shape
+    (k, n), each row holding `chains` equal-sized networks back to back.
+    `shapes` maps altitudes to Nakagami shapes (`_interferer_shapes`).
 
-    `altitude` and `r2` are the interferers' observed altitudes and squared
-    horizontal radii, and `shapes` maps altitudes to Nakagami shapes
-    (`_interferer_shapes`).
-
-    The generator `rng` draws the serving gains, then the interferer gains.
-    Returns (distances, serving gains, interferer gains, aggregate
-    interference per chain, SIR per chain); the SIR is infinite in a chain
-    with zero interference.
+    The generator `serving` draws the serving gains and `interfering` the
+    interferer gains, both row by row, so k rows draw what k one-row calls
+    would.  Returns (serving gains, interferer gains, aggregate interference
+    per chain, SIR per chain), each with one row per snapshot; the SIR is
+    infinite in a chain with zero interference.
     """
+    k, n = w.shape
     alpha = net.path_loss_exponent
     # gamma(m, 1/m) is 1/m times standard_gamma(m), bit for bit; the scaled
     # standard draw skips gamma's broadcast of shape and scale
-    g0 = rng.standard_gamma(serving_m, chains) * (1.0 / serving_m)
-    w = np.sqrt(altitude**2 + r2)
+    g0 = serving.standard_gamma(serving_m, (k, chains)) * (1.0 / serving_m)
     # A scalar shape draws the same numbers as an array of it, faster.
-    m_i = shapes(altitude)
-    gains = rng.standard_gamma(m_i, altitude.size) * (1.0 / m_i)
-    interference = (gains * w**-alpha).reshape(chains, altitude.size // chains).sum(axis=1)
+    m_i = shapes(altitude.ravel())
+    gains = (interfering.standard_gamma(m_i, k * n) * (1.0 / m_i)).reshape(k, n)
+    power = w**-alpha
+    power *= gains
+    interference = power.reshape(k, chains, n // chains).sum(axis=2)
     with np.errstate(divide="ignore"):
         sir = g0 * net.serving_altitude**-alpha / interference
-    return w, g0, gains, interference, sir
+    return g0, gains, interference, sir
 
 
 def _tally(sir: np.ndarray, psi_grid: np.ndarray) -> np.ndarray:
@@ -507,6 +529,29 @@ class CampaignResult:
         return self.hop_length_sum / self.hop_count if self.hop_count else math.nan
 
 
+def _buffer_rows(n: int, chains: int) -> int:
+    """Snapshots per buffer: up to `_BUFFER_ROWS`, and up to `_BUFFER_VALUES`
+    values of the widest per-snapshot array, the n interferers' or, with
+    none, the chains' SIRs; at least one."""
+    return max(1, min(_BUFFER_ROWS, _BUFFER_VALUES // max(n, chains)))
+
+
+def _buffers(per_chain: int, kept, rows: int):
+    """A campaign's snapshot buffers, in order: (first snapshot, arrays),
+    with each array of `kept` (its first axis the kept snapshots) cut into
+    blocks of up to `rows` snapshots, then, for the snapshots past those,
+    blocks of one scratch buffer of the same arrays' dtypes, made here only
+    if some snapshot is not kept.  Those blocks share the scratch rows, so
+    each must be flushed before the next is taken."""
+    n_kept = kept[0].shape[0]
+    for start in range(0, n_kept, rows):
+        yield start, [a[start:start + rows] for a in kept]
+    if n_kept < per_chain:
+        scratch = [np.empty((rows,) + a.shape[1:], dtype=a.dtype) for a in kept]
+        for start in range(n_kept, per_chain, rows):
+            yield start, [a[:min(rows, per_chain - start)] for a in scratch]
+
+
 def run_campaign(
     net: NetworkConfig,
     fading: FadingConfig,
@@ -521,19 +566,23 @@ def run_campaign(
 ) -> CampaignResult:
     """Run a full snapshot campaign and return merged tallies.
 
-    One generator, seeded from `seed`, drives `chains` statistically
-    independent copies of the network, stepped together as one array, one
-    contiguous block of interferers per chain.  The network starts in its
-    stationary law, so snapshots begin with the first stride.  Each
-    snapshot takes one in-place `advance` call of `stride` steps, which
-    draws its event uniforms pass by pass and then one (hops, 2) array for
-    the hops, followed by the snapshot's fading draws.  The coverage
-    tallies, batch rows and dwelling histogram take up to 64 snapshots at a
-    time, and the standard errors come from batch means over `_N_BATCHES`
-    runs of consecutive snapshots (fewer when a chain has fewer snapshots).
-    The first snapshots' distances and altitudes are kept, the fewest whole
-    snapshots that hold `_MAX_KEPT_SAMPLES` samples.  Snapshot counts round
-    up to a multiple of chains.
+    `chains` statistically independent copies of the network are stepped
+    together as one array, one contiguous block of interferers per chain.
+    Three generators spawned from `seed` drive them: the first the
+    mobility, the second the serving gains, the third the interferer gains.
+    The network starts in its stationary law, so snapshots begin with the
+    first stride.  Each snapshot takes one in-place `advance` call of
+    `stride` steps, which draws its event uniforms pass by pass and then
+    one (hops, 2) array for the hops, and writes the observed squared
+    radii, altitudes and phases into one buffer row.  Each full buffer, and
+    the last, is flushed at once: containment, fading draws, SIR, coverage
+    tallies, batch rows and the dwelling histogram.  The first snapshots'
+    distances and altitudes are kept, the fewest whole snapshots that hold
+    `_MAX_KEPT_SAMPLES` samples, and their buffers are the kept arrays;
+    the others share a scratch buffer (`_buffer_rows`).  The standard errors
+    come from batch means over `_N_BATCHES` runs of consecutive snapshots
+    (fewer when a chain has fewer snapshots).  Snapshot counts round up to
+    a multiple of chains.
     """
     if n_snapshots < 1:
         raise ConfigurationError("n_snapshots must be >= 1")
@@ -548,51 +597,50 @@ def run_campaign(
     nb = min(_N_BATCHES, per_chain)
     M = net.n_interferers
     n = chains * M
-    # the seed's first child, not the seed: each seed keeps the numbers it has always given
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    state = initial_state(n, net, mob, rng)
-    state.check_containment(net)
+    # the seed's children 0, 1 and 2: mobility, serving gains, interferer gains
+    moves, serving, interfering = map(np.random.default_rng,
+                                      np.random.SeedSequence(seed).spawn(3))
+    state = initial_state(n, net, mob, moves)
+    _check_contained(state.radius2(), state.altitude(), net)
 
     batch_success = np.zeros((nb, psi_grid.size))
     batch_snapshots = np.zeros(nb)
     batch_dwelling = np.zeros(nb)
     dwelling_hist = np.zeros(M + 1)
     n_kept = min(per_chain, -(-_MAX_KEPT_SAMPLES // n)) if M else 0
-    kept_w = np.empty((n_kept, n))
-    kept_h = np.empty((n_kept, n))
-    kept_dwell = np.empty((n_kept, n), dtype=bool)
+    # squared radii, then distances; altitudes; dwelling flags
+    kept = np.empty((n_kept, n)), np.empty((n_kept, n)), np.empty((n_kept, n), dtype=bool)
+    shapes = _interferer_shapes(fading, net)
+
+    def flush(start, r2, altitude, dwelling):
+        """Check, fade and tally one buffer, its first snapshot `start`; the
+        squared radii become distances in place (the kept rows keep them).
+        Its arrays go when it returns, before the next buffer fills."""
+        k = r2.shape[0]
+        _check_contained(r2, altitude, net)
+        w = np.sqrt(altitude**2 + r2, out=r2)
+        sir = _fade(w, altitude, chains, net, fading.serving_m, shapes, serving, interfering)[3]
+        batch = np.arange(start, start + k) * nb // per_chain  # of each snapshot
+        n_dwell = dwelling.reshape(k, chains, M).sum(axis=2)
+        np.add.at(batch_success, batch, _tally(sir, psi_grid))
+        np.add.at(batch_snapshots, batch, chains)
+        np.add.at(batch_dwelling, batch, n_dwell.sum(axis=1))
+        dwelling_hist[:] += np.bincount(n_dwell.ravel(), minlength=M + 1)
+
     hop_sum = 0.0
     hop_count = 0
-    # the SIRs and per-chain dwelling counts of up to 64 snapshots, tallied together
-    buffered = min(per_chain, 64)
-    sir_buffer = np.empty((buffered, chains))
-    dwell_buffer = np.empty((buffered, chains), dtype=np.intp)
+    for start, buffer in _buffers(per_chain, kept, _buffer_rows(n, chains)):
+        r2, altitude, dwelling = buffer
+        for row in range(r2.shape[0]):
+            length, count = advance(state, stride, dt, moves, net, mob)
+            hop_sum += length
+            hop_count += count
+            state.radius2(out=r2[row])
+            state.altitude(out=altitude[row])
+            np.logical_not(state.moving, out=dwelling[row])
+        flush(start, *buffer)
 
-    shapes = _interferer_shapes(fading, net)
-    for j in range(per_chain):
-        length, count = advance(state, stride, dt, rng, net, mob)
-        hop_sum += length
-        hop_count += count
-        r2, altitude = state.check_containment(net)
-
-        dwelling = ~state.moving
-        slot = j % buffered
-        w, _, _, _, sir_buffer[slot] = _snapshot(altitude, r2, chains, net,
-                                                 fading.serving_m, shapes, rng)
-        dwell_buffer[slot] = dwelling.reshape(chains, M).sum(axis=1)
-        if slot == buffered - 1 or j == per_chain - 1:
-            n_dwell = dwell_buffer[:slot + 1]
-            batch = np.arange(j - slot, j + 1) * nb // per_chain  # of each snapshot
-            np.add.at(batch_success, batch, _tally(sir_buffer[:slot + 1], psi_grid))
-            np.add.at(batch_snapshots, batch, chains)
-            np.add.at(batch_dwelling, batch, n_dwell.sum(axis=1))
-            dwelling_hist += np.bincount(n_dwell.ravel(), minlength=M + 1)
-        if j < n_kept:
-            kept_w[j] = w
-            kept_h[j] = altitude
-            kept_dwell[j] = dwelling
-
-    all_w, all_h, all_d = kept_w.ravel(), kept_h.ravel(), kept_dwell.ravel()
+    all_w, all_h, all_d = (a.ravel() for a in kept)
     return CampaignResult(
         psi_grid=psi_grid,
         batch_success=batch_success,

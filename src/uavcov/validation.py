@@ -7,9 +7,11 @@ same threshold alone, the panels the kernel's shared table gives each row
 against that row's own edges, inverse-transform samples against closed-form
 laws, derivative jets against finite differences, the analysis against the
 end-to-end simulation, the stationary launch against the closed-form
-stationary laws, and the simulator's kinematics, one snapshot stride per
-call as campaigns run them, against the time-stepped vertical integrator
-they replaced and a real-arithmetic hop, stepped once per step.
+stationary laws, the simulator's kinematics, one snapshot stride per call
+as campaigns run them, against the time-stepped vertical integrator they
+replaced and a real-arithmetic hop, stepped once per step, and campaigns
+observed a buffer of snapshots at a time against the same campaigns
+observed one snapshot at a time.
 
 A check is one function whose grid, sizes, seeds and tolerances are its
 arguments, and each seeded check draws from a generator of its own.
@@ -39,17 +41,17 @@ from .coverage import coverage_sweep, transform_argument
 from .distributions import AltitudeDistribution, DistanceDistribution
 from .scenario import Scenario
 from . import simulator, special
-from .simulator import run_campaign
+from .simulator import CampaignResult, run_campaign
 from .errors import ConsistencyError, DomainError, NumericalError
 from .special import closed_phase_factor, hyp2f1
 
 __all__ = ["CheckResult", "check_analysis_vs_simulation", "check_binomial_collapse",
-           "check_closed_vs_quadrature", "check_derivative_jet", "check_distribution_laws",
+           "check_buffered_snapshots", "check_closed_vs_quadrature", "check_derivative_jet", "check_distribution_laws",
            "check_event_tape", "check_gl_vs_quad", "check_hyp2f1_consistency",
            "check_kernel_batch_vs_row", "check_ladder_vs_row_edges", "check_stationary_start",
            "check_steady_state_mobility", "check_trivial_anchors", "event_tape_gaps",
            "integrated_pdf", "kernel_rows_apart", "ladder_rows_apart", "quad_phase_moment",
-           "run_validation"]
+           "run_validation", "snapshot_by_snapshot"]
 
 # Adaptive-quadrature oracle tolerances.  The relative tolerance dominates:
 # at large s the moments decay by many orders of magnitude.
@@ -348,6 +350,90 @@ def check_event_tape(net, cases, n: int, steps: int, stride: int, dt: float,
                        "calls vs the time-stepped integrator and a real-arithmetic hop (hop "
                        "counts, tape rows, xy and sorted hops exact, gaps <=1e-9, unit-vector "
                        "gap <=1e-15); " + "; ".join(parts))
+
+
+def snapshot_by_snapshot(net, fading, mob, n_snapshots: int, dt: float, seed: int, *,
+                         psi_grid, stride: int, chains: int) -> CampaignResult:
+    """`simulator.run_campaign` observed one snapshot at a time: the
+    reference for its snapshot buffers.  It launches and advances the same
+    state from the same three generators (`initial_state`, `advance`), and
+    after each stride draws that snapshot's serving gains, one per chain,
+    and interferer gains, one per interferer, then its SIRs, and counts the
+    chains above each threshold by comparing every SIR with every
+    threshold.  Containment is not checked."""
+    psi = np.asarray(psi_grid, dtype=float)
+    per_chain = math.ceil(n_snapshots / chains)
+    nb = min(simulator._N_BATCHES, per_chain)
+    M = net.n_interferers
+    n = chains * M
+    n_kept = min(per_chain, -(-simulator._MAX_KEPT_SAMPLES // n)) if M else 0
+    moves, serving, interfering = map(np.random.default_rng,
+                                      np.random.SeedSequence(seed).spawn(3))
+    state = simulator.initial_state(n, net, mob, moves)
+    shapes = simulator._interferer_shapes(fading, net)
+    alpha, m0 = net.path_loss_exponent, fading.serving_m
+    success, snapshots, dwelling = np.zeros((nb, psi.size)), np.zeros(nb), np.zeros(nb)
+    hist = np.zeros(M + 1)
+    kept_w, kept_h, kept_d = [np.empty(0)], [np.empty(0)], [np.empty(0, dtype=bool)]
+    hop_sum, hop_count = 0.0, 0
+    for j in range(per_chain):
+        length, count = simulator.advance(state, stride, dt, moves, net, mob)
+        hop_sum += length
+        hop_count += count
+        altitude = state.altitude()
+        w = np.sqrt(altitude**2 + state.radius2())
+        g0 = serving.standard_gamma(m0, chains) * (1.0 / m0)
+        m_i = shapes(altitude)
+        gains = interfering.standard_gamma(m_i, n) * (1.0 / m_i)
+        interference = (gains * w**-alpha).reshape(chains, M).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            sir = g0 * net.serving_altitude**-alpha / interference
+        b = j * nb // per_chain
+        per_network = (~state.moving).reshape(chains, M).sum(axis=1)
+        success[b] += (sir[:, None] > psi).sum(axis=0)
+        snapshots[b] += chains
+        dwelling[b] += per_network.sum()
+        hist += np.bincount(per_network, minlength=M + 1)
+        if j < n_kept:
+            kept_w.append(w)
+            kept_h.append(altitude)
+            kept_d.append(~state.moving)
+    all_w, all_h, all_d = map(np.concatenate, (kept_w, kept_h, kept_d))
+    return CampaignResult(
+        psi_grid=psi, batch_success=success, batch_snapshots=snapshots,
+        batch_dwelling=dwelling, dwelling_count_hist=hist,
+        static_distances=all_w[all_d], moving_distances=all_w[~all_d],
+        static_altitudes=all_h[all_d], moving_altitudes=all_h[~all_d],
+        hop_length_sum=hop_sum, hop_count=hop_count, n_snapshots=int(snapshots.sum()),
+        stay_probability=simulated_stay_probability(mob, net))
+
+
+def check_buffered_snapshots(cases, mob, chains: int, flushes: float, stride: int,
+                             dt: float, seed: int, psi_grid) -> CheckResult:
+    """Campaigns observed a buffer of snapshots at a time (`run_campaign`)
+    against the same campaigns observed one snapshot at a time
+    (snapshot_by_snapshot), for each (name, net, fading) of cases: `chains`
+    chains of `flushes` buffers' worth of snapshots each (a fraction leaves
+    the last buffer part filled), thresholds psi_grid.  Every array of the
+    CampaignResult, the hop sum and count and the snapshot count must be
+    byte-identical."""
+    ok, parts = True, []
+    for name, net, fading in cases:
+        rows = simulator._buffer_rows(chains * net.n_interferers, chains)
+        per_chain = math.ceil(flushes * rows)
+        args = (net, fading, mob, per_chain * chains, dt, seed)
+        kwargs = dict(psi_grid=psi_grid, stride=stride, chains=chains)
+        buffered = simulator.run_campaign(*args, **kwargs)
+        reference = snapshot_by_snapshot(*args, **kwargs)
+        apart = [field.name for field in dataclasses.fields(CampaignResult)
+                 if field.name != "meta" and np.asarray(getattr(buffered, field.name)).tobytes()
+                 != np.asarray(getattr(reference, field.name)).tobytes()]
+        ok &= not apart
+        parts.append(f"{name}: {per_chain} snapshots per chain in buffers of {rows}, "
+                     + (f"{', '.join(apart)} differ" if apart else "identical"))
+    return CheckResult("buffered-snapshots", ok, f"{chains} chains, stride {stride}, vs one "
+                       "snapshot at a time (every result array and hop sum byte-identical); "
+                       + "; ".join(parts))
 
 
 def check_trivial_anchors(net, fading, p_stay: float) -> CheckResult:
@@ -738,7 +824,7 @@ def check_stationary_start(state, net, mob, group: int) -> CheckResult:
         return np.clip((np.minimum(x, a) + tail) / mob.mean_dwell_time, 0.0, 1.0)
 
     altitude = state.altitude()
-    w = np.sqrt(altitude**2 + np.einsum("ij,ij->i", state.xy, state.xy))
+    w = np.sqrt(altitude**2 + state.radius2())
     moving = state.moving
     laws = {}
     for phase, sel in (("static", dwelling), ("moving", moving)):
@@ -825,6 +911,14 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
             ("zero-dwell", dataclasses.replace(mob, dwell_min=0.0, dwell_max=0.0), True),
         ], 256, 200, sim.stride, sim.dt, sim.seed),
         check_stationary_start(launch, net, mob, group),
+        # the scenario's network, then 8 interferers under altitude bands,
+        # then none, each for two full buffers and half of a third
+        check_buffered_snapshots([
+            ("scenario", net, fading),
+            ("8 with bands", dataclasses.replace(net, n_interferers=8),
+             dataclasses.replace(fading, altitude_dependent=True)),
+            ("none", dataclasses.replace(net, n_interferers=0), fading),
+        ], mob, 256, 2.5, sim.stride, sim.dt, sim.seed, psi),
         check_analysis_vs_simulation([(net, fading, campaign)], floor=0.015, k_se=5),
         check_steady_state_mobility(campaign, mob, k_se=4, floor=0.01),
     ]

@@ -1,7 +1,7 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
 Run as `pytest tests/test_acceptance.py -v -rA` to see the per-criterion
-PASS/FAIL report lines.  Criteria 1-6, 9-12, 14 and 15 call the functions
+PASS/FAIL report lines.  Criteria 1-6, 9-12 and 14-16 call the functions
 of `uavcov.validation` that `uavcov validate` runs at a reduced scale, here
 at the gate's full grids, sizes, seeds and tolerances.  The four
 1e6-snapshot campaigns of criteria 6 and 9 are shared through a
@@ -17,7 +17,8 @@ from uavcov.coverage import coverage_sweep, transform_argument
 from uavcov.simulator import initial_state, run_campaign
 from uavcov.special import closed_phase_factor
 from uavcov.validation import (
-    check_analysis_vs_simulation, check_binomial_collapse, check_closed_vs_quadrature,
+    check_analysis_vs_simulation, check_binomial_collapse, check_buffered_snapshots,
+    check_closed_vs_quadrature,
     check_derivative_jet, check_distribution_laws, check_event_tape, check_gl_vs_quad,
     check_kernel_batch_vs_row, check_ladder_vs_row_edges, check_stationary_start,
     check_steady_state_mobility, check_trivial_anchors,
@@ -268,6 +269,21 @@ def test_criterion_15_ladder_vs_row_edges():
     result = check_ladder_vs_row_edges(kernel_grid())
     report("15 ladder-vs-row-edges", result.passed, result.detail)
 
+
+
+def test_criterion_16_buffered_snapshots():
+    """Campaigns observe a buffer of snapshots at a time: one containment
+    check, fading draw, SIR and tally per buffer.  Against the same
+    campaigns observed one snapshot at a time, byte for byte, at 500 chains
+    and 3.5 buffers per chain: M = 2 and M = 5 with one fading shape, M = 8
+    under altitude bands, and no interferers."""
+    psi = np.array([10 ** (d / 10) for d in END_TO_END_PSI_DB])
+    cases = [("M=2", net_with(2, 10.0), FadingConfig(1, 1)),
+             ("M=5, m0=2", net_with(5, 10.0), FadingConfig(2, 1)),
+             ("M=8 bands", net_with(8, 10.0), FadingConfig(1, 1, altitude_dependent=True)),
+             ("M=0", net_with(0, 10.0), FadingConfig(1, 1))]
+    result = check_buffered_snapshots(cases, MOBILITY, 500, 3.5, 10, 1.0, 1600, psi)
+    report("16 buffered-snapshots", result.passed, result.detail)
 
 def test_every_check_runs_in_validate_and_in_the_tests():
     """Each cross-check is one `check_*` function that both `validate` and

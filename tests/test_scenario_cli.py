@@ -530,10 +530,10 @@ class TestValidateCommand:
         checks = ["trivial-anchors", "hyp2f1-consistency", "distribution-laws",
                   "closed-vs-quadrature", "gl-vs-quad", "kernel-batch-vs-row",
                   "ladder-vs-row-edges", "binomial-collapse", "derivative-jet",
-                  "event-tape", "stationary-start",
+                  "event-tape", "stationary-start", "buffered-snapshots",
                   "analysis-vs-simulation", "steady-state-mobility"]
         assert [line.split(":")[0] for line in lines] == [f"[PASS] {c}" for c in checks] + [
-            "all 13 checks passed"]
+            "all 14 checks passed"]
 
     def test_no_interferers_runs_every_check(self, tmp_path, capsys):
         """With no interferers L_I is identically 1: the derivative check's
@@ -546,8 +546,8 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
         assert code == 0, lines
-        assert len(lines) == 14 and all(line.startswith("[PASS] ") for line in lines[:13])
-        assert lines[-1] == "all 13 checks passed"
+        assert len(lines) == 15 and all(line.startswith("[PASS] ") for line in lines[:14])
+        assert lines[-1] == "all 14 checks passed"
         assert "Traceback" not in captured.err
 
     def test_altitude_fading_scenario_checks_steady_state_mobility(self, capsys):
@@ -568,7 +568,7 @@ class TestValidateCommand:
         code = main(["validate", "--scenario", str(BASELINE), "--psi-db=-4000,0,10"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 1, lines
-        assert len(lines) == 14 and lines[-1] == "3/13 checks failed"
+        assert len(lines) == 15 and lines[-1] == "3/14 checks failed"
         failed = {line.split(":")[0][len("[FAIL] "):]: line for line in lines
                   if line.startswith("[FAIL] ")}
         assert sorted(failed) == ["analysis-vs-simulation", "closed-vs-quadrature",
@@ -605,7 +605,7 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
         assert code == 1, lines
-        assert len(lines) == 14 and lines[-1].endswith("/13 checks failed"), lines
+        assert len(lines) == 15 and lines[-1].endswith("/14 checks failed"), lines
         line = next(l for l in lines if "closed-vs-quadrature" in l)
         assert line.startswith("[FAIL] ") and "closed form failed, not compared: static m=1" in line
         assert next(l for l in lines if "derivative-jet" in l).startswith("[PASS] ")
@@ -727,6 +727,41 @@ def test_edge_grid_exits_0_or_with_an_input_error(tmp_path, capsys, command):
     assert not wrong, "\n".join(wrong)
     assert 0 in codes
 
+
+
+def test_validate_on_the_edge_grid_prints_its_checks_or_an_input_error(tmp_path, capsys):
+    """`validate` on eight scenarios of the edge grid that reach the checks:
+    M in {0, 1}, dwells of 2-6 s at exponent 2 and of 0 s at exponent 4,
+    and one threshold or the pair -3000 and 3000 dB, each with the grid's
+    4 chains, so campaigns observe buffers 0 and 4 interferers wide.  Each
+    exits 0 with every check passed, exits 1 with every check's line
+    printed, or exits 2 with an `error:` line; none ends in a traceback."""
+    picked = [(name, doc) for name, doc, _ in edge_scenarios()
+              if doc["network"]["n_interferers"] in (0, 1)
+              and doc["network"]["serving_altitude_m"] == 10.0
+              and doc["mobility"]["stay_probability_override"] is None
+              and (doc["mobility"]["dwell_min_s"], doc["network"]["path_loss_exponent"])
+              in ((2.0, 2.0), (0.0, 4.0))]
+    assert len(picked) == 8
+    path, codes, wrong = tmp_path / "edge.json", [], []
+    for name, doc in picked:
+        path.write_text(json.dumps(doc))
+        try:
+            code = main(["validate", "--scenario", str(path)])
+        except Exception as exc:
+            wrong.append(f"{name}: {type(exc).__name__}: {exc}")
+            continue
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        codes.append(code)
+        printed = {0: lines[-1:] == ["all 14 checks passed"],
+                   1: bool(lines) and lines[-1].endswith("/14 checks failed"),
+                   2: captured.err.startswith("error:")}
+        if not printed.get(code) or (code < 2 and len(lines) != 15) \
+                or "Traceback" in captured.err:
+            wrong.append(f"{name}: exit {code}, {lines[-1:]}, {captured.err!r}")
+    assert not wrong, "\n".join(wrong)
+    assert {0, 1} <= set(codes)
 
 class TestSweepCommand:
     def test_sweep_over_interferer_count(self, scenario_path, tmp_path):

@@ -13,8 +13,9 @@ from uavcov.coverage import coverage_sweep
 from uavcov.errors import ConfigurationError, ConsistencyError
 from uavcov.simulator import (
     UavState,
+    _check_contained,
+    _fade,
     _interferer_shapes,
-    _snapshot,
     _tally,
     advance,
     default_psi_grid,
@@ -22,6 +23,7 @@ from uavcov.simulator import (
     run_campaign,
 )
 from uavcov.validation import (
+    check_buffered_snapshots,
     check_event_tape,
     check_stationary_start,
 )
@@ -89,7 +91,8 @@ class TestStep:
         state = initial_state(300, NET, MOB, rng)
         for _ in range(300):
             advance(state, 1, 1.0, rng, NET, MOB)
-            state.check_containment(NET)  # callers check containment, not advance
+            # callers check containment, not advance
+            _check_contained(state.radius2(), state.altitude(), NET)
         radii = np.hypot(state.xy[:, 0], state.xy[:, 1])
         assert radii.max() <= NET.radius * (1 + 1e-12)
         assert state.altitude().min() >= 0.0
@@ -179,35 +182,41 @@ def test_hop_unit_vector_matches_cos_and_sin(u):
     assert np.abs(e.imag - np.sin(theta)).max() <= 1e-15
 
 
+def observed(state):
+    """A launched state's distances and altitudes, as one buffer row each."""
+    altitude = state.altitude()
+    return np.sqrt(altitude**2 + state.radius2())[None], altitude[None]
+
+
 class TestSnapshot:
     def test_interference_identity(self, rng):
         net = NetworkConfig(40.0, 30.0, 10.0, 5, 2.0)
-        r2, altitude = initial_state(5, net, MOB, rng).check_containment(net)
-        w, g0, gains, interference, sir = _snapshot(
-            altitude, r2, 1, net, 1, _interferer_shapes(FAD, net), rng)
-        assert interference[0] == pytest.approx(np.sum(gains * w**-2.0), rel=1e-15)
-        assert sir[0] == pytest.approx(g0[0] * 10.0**-2.0 / interference[0], rel=1e-15)
+        w, altitude = observed(initial_state(5, net, MOB, rng))
+        g0, gains, interference, sir = _fade(
+            w, altitude, 1, net, 1, _interferer_shapes(FAD, net), rng, rng)
+        assert interference[0, 0] == pytest.approx(np.sum(gains * w**-2.0), rel=1e-15)
+        assert sir[0, 0] == pytest.approx(g0[0, 0] * 10.0**-2.0 / interference[0, 0],
+                                          rel=1e-15)
 
     def test_empty_network_has_infinite_sir(self, rng):
         net0 = NetworkConfig(40.0, 30.0, 10.0, 0, 2.0)
-        r2, altitude = initial_state(0, net0, MOB, rng).check_containment(net0)
-        _, _, _, interference, sir = _snapshot(
-            altitude, r2, 1, net0, 1, _interferer_shapes(FAD, net0), rng)
-        assert interference.tolist() == [0.0]
-        assert np.isinf(sir[0])
+        w, altitude = observed(initial_state(0, net0, MOB, rng))
+        _, _, interference, sir = _fade(
+            w, altitude, 1, net0, 1, _interferer_shapes(FAD, net0), rng, rng)
+        assert interference.tolist() == [[0.0]]
+        assert np.isinf(sir[0, 0])
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_scalar_shape_gains_equal_the_array_shape_draw(self, m):
         """Without altitude bands the interferer gains are drawn with one
         scalar shape: bit for bit the array-shape draw gamma(m_i, 1/m_i),
-        the generator left where that draw leaves it."""
+        the interferer generator left where that draw leaves it."""
         net = NetworkConfig(40.0, 30.0, 10.0, 64, 2.0)
-        state = initial_state(128, net, MOB, np.random.default_rng(0))
+        w, altitude = observed(initial_state(128, net, MOB, np.random.default_rng(0)))
         rng, ref = np.random.default_rng(1), np.random.default_rng(1)
-        r2, altitude = state.check_containment(net)
-        _, _, gains, _, _ = _snapshot(altitude, r2, 2, net, 1,
-                                      _interferer_shapes(FadingConfig(1, m), net), rng)
-        ref.gamma(1, 1.0, 2)  # the two chains' serving gains come first
+        _, gains, _, _ = _fade(w, altitude, 2, net, 1,
+                               _interferer_shapes(FadingConfig(1, m), net),
+                               np.random.default_rng(2), rng)
         shapes = np.full(128, float(m))
         assert gains.tobytes() == ref.gamma(shapes, 1.0 / shapes).tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -215,20 +224,37 @@ class TestSnapshot:
     @pytest.mark.parametrize("seed", range(5))
     def test_gains_are_the_gamma_draws_bit_for_bit(self, seed):
         """Both gains are drawn as standard_gamma(m) times 1/m: bit for bit
-        gamma(m, 1/m), the generator left where gamma leaves it, for scalar
+        gamma(m, 1/m), each generator left where gamma leaves it, for scalar
         shapes 1, 2, 3 and 5 and for a 4,096-element band-shape array."""
         net = NetworkConfig(40.0, 30.0, 10.0, 8, 2.0)
-        state = initial_state(4096, net, MOB, np.random.default_rng(seed))
-        r2, altitude = state.check_containment(net)
+        w, altitude = observed(initial_state(4096, net, MOB, np.random.default_rng(seed)))
         for fading in [FadingConfig(m, m) for m in (1, 2, 3, 5)] + [
                 FadingConfig(2, 1, altitude_dependent=True)]:
             shapes = _interferer_shapes(fading, net)
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            _, g0, gains, _, _ = _snapshot(altitude, r2, 512, net, fading.serving_m, shapes, rng)
-            m0, m = fading.serving_m, shapes(altitude)
-            assert g0.tobytes() == ref.gamma(m0, 1.0 / m0, 512).tobytes()
-            assert gains.tobytes() == ref.gamma(m, 1.0 / m, 4096).tobytes()
-            assert rng.bit_generator.state == ref.bit_generator.state
+            rngs = [np.random.default_rng(seed + k) for k in (0, 10, 0, 10)]
+            g0, gains, _, _ = _fade(w, altitude, 512, net, fading.serving_m, shapes, *rngs[:2])
+            m0, m = fading.serving_m, shapes(altitude[0])
+            assert g0.tobytes() == rngs[2].gamma(m0, 1.0 / m0, 512).tobytes()
+            assert gains.tobytes() == rngs[3].gamma(m, 1.0 / m, 4096).tobytes()
+            assert [g.bit_generator.state for g in rngs[:2]] == [
+                g.bit_generator.state for g in rngs[2:]]
+
+    def test_a_buffer_draws_what_its_rows_draw_one_at_a_time(self):
+        """k rows at once draw, row by row, what k one-row calls draw, under
+        altitude bands too: the gains of row r are the r-th call's."""
+        net = NetworkConfig(40.0, 30.0, 10.0, 3, 2.0)
+        rows = [observed(initial_state(12, net, MOB, np.random.default_rng(r)))
+                for r in range(5)]
+        w, altitude = (np.concatenate(parts) for parts in zip(*rows))
+        for fading in (FadingConfig(2, 1), FadingConfig(1, 1, altitude_dependent=True)):
+            shapes = _interferer_shapes(fading, net)
+            block = _fade(w, altitude, 4, net, fading.serving_m, shapes,
+                          np.random.default_rng(1), np.random.default_rng(2))
+            serving, interfering = np.random.default_rng(1), np.random.default_rng(2)
+            alone = [_fade(*row, 4, net, fading.serving_m, shapes, serving, interfering)
+                     for row in rows]
+            for got, parts in zip(block, zip(*alone)):
+                assert got.tobytes() == np.concatenate(parts).tobytes()
 
     def test_gains_have_unit_mean(self, rng):
         for m in (1, 2, 3):
@@ -279,7 +305,7 @@ class TestCampaign:
 
 class TestInPlaceCampaign:
     """A campaign steps all its chains together, in place, as one array, and
-    tallies its snapshots in a buffer of fixed size."""
+    observes its snapshots a buffer of fixed size at a time."""
 
     def test_one_in_place_stride_call_per_snapshot(self, monkeypatch):
         calls = []
@@ -300,9 +326,10 @@ class TestInPlaceCampaign:
     def test_working_set_does_not_grow_with_the_snapshots(self, monkeypatch):
         """In the baseline layout (128 chains, M = 2) with a
         small kept-sample quota, a campaign of 8N snapshots per chain peaks
-        at the traced memory of one of N: the SIR and dwelling-count buffer
-        holds a fixed number of snapshots (numpy reports its buffers to
-        tracemalloc)."""
+        at the traced memory of one of N: past the kept snapshots, every
+        buffer of observed radii, altitudes and phases reuses one scratch
+        buffer of fixed size, and each flush's fading draws and SIRs are as
+        large as that buffer (numpy reports its buffers to tracemalloc)."""
         import tracemalloc
 
         monkeypatch.setattr(simulator, "_MAX_KEPT_SAMPLES", 1000)
@@ -328,6 +355,122 @@ class TestInPlaceCampaign:
         expected = (sir[:, :, None] > psi).sum(axis=1)
         assert np.array_equal(_tally(sir, psi), expected)
         assert _tally(sir, psi)[2].tolist() == [40] * psi.size
+
+
+def result_bytes(result) -> dict:
+    """Every field of a CampaignResult but its meta, as bytes."""
+    return {name: np.asarray(value).tobytes() for name, value in vars(result).items()
+            if name != "meta"}
+
+
+BUFFER_CASES = [("M=2", NET, FAD),
+                ("M=8 bands", NetworkConfig(40.0, 30.0, 10.0, 8, 2.0),
+                 FadingConfig(1, 1, altitude_dependent=True)),
+                ("M=0", NetworkConfig(40.0, 30.0, 10.0, 0, 2.0), FAD)]
+
+
+class TestSnapshotBuffers:
+    """A campaign observes its snapshots a buffer at a time: the buffer
+    length changes no result, and the buffered campaign is byte-identical
+    to the same campaign observed one snapshot at a time
+    (validation.check_buffered_snapshots), with the last kept snapshot in
+    the middle of a buffer; planted faults of the flush fail the check."""
+
+    @pytest.fixture
+    def small_buffers(self, monkeypatch):
+        """Buffers of at most 256 values, and 400 kept samples: at 16
+        chains and M = 2 (width 32), 13 kept snapshots in buffers of 8 and
+        5, then buffers of 8 in the scratch rows."""
+        monkeypatch.setattr(simulator, "_BUFFER_VALUES", 256)
+        monkeypatch.setattr(simulator, "_MAX_KEPT_SAMPLES", 400)
+
+    @pytest.mark.parametrize("name, net, fading", BUFFER_CASES, ids=[c[0] for c in BUFFER_CASES])
+    def test_results_do_not_depend_on_the_buffer_length(self, monkeypatch, name, net, fading):
+        """Buffers of 1 row, 7 rows and the default give the same bytes;
+        with 400 kept samples the kept snapshots end inside a 7-row buffer."""
+        monkeypatch.setattr(simulator, "_MAX_KEPT_SAMPLES", 400)
+        results = []
+        for rows in (1, 7, simulator._BUFFER_ROWS):
+            monkeypatch.setattr(simulator, "_BUFFER_ROWS", rows)
+            results.append(result_bytes(run_campaign(net, fading, MOB, 16 * 45, seed=9,
+                                                     chains=16)))
+        assert results[0] == results[1] == results[2]
+
+    def test_buffered_snapshots_match_one_at_a_time(self, small_buffers):
+        result = check_buffered_snapshots(BUFFER_CASES, MOB, 16, 3.5, 10, 1.0, 4,
+                                          default_psi_grid())
+        assert result.passed, result.detail
+        assert "M=2: 28 snapshots per chain in buffers of 8, identical" in result.detail
+
+    @pytest.mark.parametrize("name, old, new, what", [
+        ("run_campaign", "batch = np.arange(start, start + k) * nb // per_chain",
+         "batch = np.full(k, start * nb // per_chain)", "batch_success, batch_snapshots"),
+        ("_fade", "interfering.standard_gamma(m_i, k * n)",
+         "interfering.standard_gamma(m_i, (n, k)).T.ravel()", "batch_success"),
+    ], ids=["whole-buffer-in-its-first-row's-batch", "gains-drawn-chain-major"])
+    def test_planted_flush_fault_fails(self, monkeypatch, small_buffers, name, old, new, what):
+        TestEventTape.plant(monkeypatch, name, old, new)
+        result = check_buffered_snapshots(BUFFER_CASES[:1], MOB, 16, 3.5, 10, 1.0, 4,
+                                          default_psi_grid())
+        assert not result.passed
+        assert f"M=2: 28 snapshots per chain in buffers of 8, {what}" in result.detail
+
+
+class TestContainmentAtTheFlush:
+    """Containment is checked once per buffer, on every row of it: an
+    interferer out of the disk, or above H, at the third snapshot of a
+    ten-snapshot buffer and back in place by the fourth, fails the
+    campaign, though the state ends contained."""
+
+    @staticmethod
+    def corrupt_third_snapshot(monkeypatch, corrupt):
+        real_hop, states = simulator._hop, []
+
+        def hop(state, *args):
+            lengths = real_hop(state, *args)
+            states.append(state)
+            if len(states) in (3, 4):
+                corrupt(state, undo=len(states) == 4)
+            return lengths
+
+        monkeypatch.setattr(simulator, "_hop", hop)
+        return states
+
+    def run(self, monkeypatch, mob, corrupt, match):
+        states = self.corrupt_third_snapshot(monkeypatch, corrupt)
+        assert simulator._buffer_rows(16, 8) > 10
+        with pytest.raises(ConsistencyError, match=match):
+            run_campaign(NET, FAD, mob, 8 * 10, chains=8)
+        assert len(states) == 10
+        _check_contained(states[-1].radius2(), states[-1].altitude(), NET)
+
+    def test_an_escape_inside_a_buffer_is_caught(self, monkeypatch):
+        saved = []
+
+        def corrupt(state, undo):
+            if undo:
+                state.xy[0] = saved.pop()
+            else:
+                saved.append(state.xy[0].copy())
+                state.xy[0] = (2.0 * NET.radius, 0.0)
+
+        self.run(monkeypatch, MOB, corrupt, "escaped the disk")
+
+    def test_an_altitude_above_h_inside_a_buffer_is_caught(self, monkeypatch):
+        """A dweller whose dwell outlasts the next stride is lifted by 2H,
+        its dwell altitude and waypoint alike, and set down again."""
+        mob = MobilityConfig(0.2, 10.0, 50.0, 60.0, 10.0)
+        lifted = []
+
+        def corrupt(state, undo):
+            if not undo:
+                lifted.append(((~state.moving) & (state.tev > state.t + 10.0)).nonzero()[0][0])
+            i = lifted[0]
+            lift = -2.0 * NET.height if undo else 2.0 * NET.height
+            state.h0[i] += lift
+            state.waypoint[i] += lift
+
+        self.run(monkeypatch, mob, corrupt, r"altitude left \[0, H\]")
 
 
 @pytest.fixture(scope="module")
@@ -449,7 +592,7 @@ class TestStationaryStart:
         fresh.random(80 * 9)
         assert g.bit_generator.state == fresh.bit_generator.state
         assert np.all(state.t0 == 0.0) and state.t == 0.0
-        state.check_containment(NET)
+        _check_contained(state.radius2(), state.altitude(), NET)
 
 
 class TestEventTape:
