@@ -112,18 +112,12 @@ def cmd_analyze(args) -> int:
 
 def _histogram_lines(result) -> list[str]:
     lines = [HISTOGRAM_CSV_HEADER, "variable,bin_left,bin_right,count"]
-    datasets = (
-        ("distance_static", result.static_distances),
-        ("distance_moving", result.moving_distances),
-        ("altitude_static", result.static_altitudes),
-        ("altitude_moving", result.moving_altitudes),
-    )
-    for name, data in datasets:
-        if data.size == 0:
-            continue
-        counts, edges = np.histogram(data, bins=40)
-        for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
-            lines.append(f"{name},{lo:.10g},{hi:.10g},{int(c)}")
+    for variable, hists, edges in zip(("distance", "altitude"), result.histograms,
+                                      result.histogram_edges):
+        for phase, counts in zip(("static", "moving"), hists.tolist()):
+            if any(counts):
+                lines += [f"{variable}_{phase},{lo:.10g},{hi:.10g},{c}"
+                          for c, lo, hi in zip(counts, edges[:-1], edges[1:])]
     hist = result.dwelling_count_hist
     for k, c in enumerate(hist):
         lines.append(f"dwelling_count,{k},{k + 1},{int(c)}")

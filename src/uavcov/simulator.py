@@ -40,7 +40,7 @@ interferer, with no per-step masks.  Then one (hops, 2) array of hop radii
 and angles is drawn, one row per hop the stride makes.  Interferers never
 interact, so each one's hops run in its own order, rank by rank (`_hop`):
 the interferers are ranked by one stable sort of their counts, and rank r
-moves those with more than r hops, five numpy calls a rank.  An offset's
+moves those with more than r hops, seven numpy calls a rank.  An offset's
 unit vector comes from the tangent of the half angle (`_unit`), which
 numpy vectorizes, not from a cosine and a sine.
 
@@ -49,13 +49,15 @@ observed squared horizontal radii, altitudes and phases into one row of a
 buffer; the rest runs once per buffer of rows (a flush): one containment
 check (at launch too, never on every step), one draw of serving gains and
 one of interferer gains, one SIR, one tally of the per-threshold coverage
-counts into contiguous batches for batch-means standard errors, and one
-dwelling count.  While snapshots are still kept, the buffer rows are the
-kept-sample arrays themselves; after that one scratch buffer is reused.
-A buffer holds up to `_BUFFER_ROWS` snapshots and `_BUFFER_VALUES` values
-per array, so its size does not grow with the campaign.  The gains are
-drawn snapshot by snapshot from their own generators, so no result depends
-on the buffer length.
+counts into contiguous batches for batch-means standard errors, one
+dwelling count, and one fixed-bin histogram per phase of the distances and
+of the altitudes.  No sample is kept: one scratch buffer is reused, and it
+holds up to `_BUFFER_ROWS` snapshots and `_BUFFER_VALUES` values per array,
+so its size does not grow with the campaign.  The hops' stride-sized
+arrays come from one workspace per campaign (`HopWorkspace`), so a stride
+allocates none that grows with its hops.  The gains are drawn snapshot by
+snapshot from their own generators, so no result depends on the buffer
+length.
 """
 
 from __future__ import annotations
@@ -81,16 +83,17 @@ __all__ = [
     "CampaignResult",
     "initial_state",
     "advance",
+    "HopWorkspace",
     "run_campaign",
     "default_psi_grid",
 ]
 
 # columns of the uniforms an interferer draws for its events in one pass
 _DWELL, _WAYPOINT, _SPEED = range(3)
-# a campaign's batch-means batches, its quota of kept distance and altitude
-# samples, and the most snapshots and values a snapshot buffer's arrays hold
+# a campaign's batch-means batches, the bins of its distance and altitude
+# histograms, and the most snapshots and values a snapshot buffer's arrays hold
 _N_BATCHES = 20
-_MAX_KEPT_SAMPLES = 2_000_000
+_N_BINS = 40
 _BUFFER_ROWS = 64
 _BUFFER_VALUES = 2**14
 
@@ -318,24 +321,52 @@ def _advance_vertical(state: UavState, ends: np.ndarray, draw, net, mob) -> np.n
     return counts.astype(np.min_scalar_type(steps))
 
 
-def _unit(u: np.ndarray) -> np.ndarray:
+def _unit(u: np.ndarray, out: np.ndarray | None = None, scratch=None) -> np.ndarray:
     """exp(2 pi i u) from the tangent of the half angle, t = tan(pi u), as
     ((1 - t^2) + 2it) / (1 + t^2).  numpy's tan runs vectorized, where cos
     and sin run one element at a time, and each part is within 2.2e-16 of
     cos and sin of 2 pi u, which rounds as twice pi u does.  The two parts
     are divided as reals; a complex division would multiply by a rounded
-    reciprocal."""
-    t = np.tan(math.pi * u)
-    t2 = t * t
-    d = 1.0 + t2
-    e = np.empty(u.shape, dtype=np.complex128)
-    np.divide(1.0 - t2, d, out=e.real)
-    np.divide(2.0 * t, d, out=e.imag)
-    return e
+    reciprocal.  Writes into `out`, a complex array shaped like u, with
+    `scratch`, three float arrays shaped like u for t, t^2 and 1 + t^2, when
+    given (`HopWorkspace`); makes them otherwise."""
+    if out is None:
+        out, scratch = np.empty(u.shape, dtype=np.complex128), np.empty((3,) + u.shape)
+    t, t2, d = scratch
+    np.tan(np.multiply(u, math.pi, out=t), out=t)
+    np.multiply(t, t, out=t2)
+    np.add(t2, 1.0, out=d)
+    np.divide(np.subtract(1.0, t2, out=t2), d, out=out.real)
+    np.divide(np.multiply(t, 2.0, out=t), d, out=out.imag)
+    return out
+
+
+class HopWorkspace:
+    """The stride-sized arrays of the hops (`advance`, `_hop`), made once
+    and reused stride after stride: the (hops, 2) proposal uniforms, the hop
+    lengths, two arrays for `_unit`'s temporaries, the complex offsets, and
+    the accept and interior masks.  It grows to the most hops one stride
+    has asked for, so a campaign that reuses one allocates none of these
+    per stride."""
+
+    def __init__(self) -> None:
+        self.rows = -1
+
+    def take(self, hops: int):
+        """Views of the first `hops` rows: (uniforms, length, tangent,
+        square, offset, keep, interior)."""
+        if hops > self.rows:
+            self.rows = hops
+            self.uniforms = np.empty((hops, 2))
+            self.reals = np.empty((3, hops))
+            self.offsets = np.empty(hops, dtype=np.complex128)
+            self.masks = np.empty((2, hops), dtype=bool)
+        return (self.uniforms[:hops], *self.reals[:, :hops], self.offsets[:hops],
+                *self.masks[:, :hops])
 
 
 def _hop(state: UavState, counts: np.ndarray, u: np.ndarray, net: NetworkConfig,
-         mob: MobilityConfig) -> np.ndarray:
+         mob: MobilityConfig, work: HopWorkspace) -> np.ndarray:
     """A stride's spatial hops, in place: counts[i] hops of interferer i in turn.
 
     `counts` holds each interferer's hop count (`_advance_vertical`, an
@@ -347,39 +378,40 @@ def _hop(state: UavState, counts: np.ndarray, u: np.ndarray, net: NetworkConfig,
     interact, so each one's hops can run apart from the others' steps: one
     stable sort ranks the interferers (of an unsigned dtype, which numpy
     sorts by radix), the movers' positions are gathered into one buffer,
-    whose first c_r entries hop at rank r, five numpy calls a rank, and
-    they are scattered back.  Returns the lengths of the accepted hops that
-    started at least hop_range inside the disk edge (interior hops), rank
-    by rank.
+    whose first c_r entries hop at rank r, seven numpy calls a rank, and
+    they are scattered back.  Each rank also marks the hops that start at
+    least hop_range inside the disk edge (interior hops).  The lengths,
+    offsets and masks live in the workspace `work`.
+    Returns the lengths of the accepted interior hops, rank by rank.
     """
+    _, length, tangent, square, offset, keep, interior = work.take(u.shape[0])
     z = state.xy.view(np.complex128)[:, 0]  # x + iy, a view of xy
     interior_limit = max(net.radius - mob.hop_range, 0.0)
     order = np.argsort(~counts, kind="stable")  # ~ reverses an unsigned dtype's order
     ranks = counts.size - np.cumsum(np.bincount(counts))[:-1]  # the movers at each rank
     movers = order[:np.count_nonzero(counts)]
-    length = mob.hop_range * np.sqrt(u[:, 0])
-    offset = _unit(u[:, 1])
+    _unit(u[:, 1], offset, (tangent, square, length))  # length holds 1 + t^2 until here
+    np.sqrt(u[:, 0], out=length)
+    length *= mob.hop_range
     offset *= length
     buffer = z.take(movers)
-    starts = np.empty_like(offset)
-    keep = np.empty(offset.size, dtype=bool)
     a = 0
     for c in ranks.tolist():
         b = a + c
         start = buffer[:c]
-        starts[a:b] = start
+        np.less_equal(np.abs(start), interior_limit, out=interior[a:b])
         target = offset[a:b]
         target += start
         kept = np.less_equal(np.abs(target), net.radius, out=keep[a:b])
         np.copyto(start, target, where=kept)  # a rejected hop stays put
         a = b
     z[movers] = buffer
-    keep &= np.abs(starts) <= interior_limit
+    keep &= interior
     return length.compress(keep)
 
 
 def advance(state: UavState, steps: int, dt: float, rng, net: NetworkConfig,
-            mob: MobilityConfig) -> tuple[float, int]:
+            mob: MobilityConfig, work: HopWorkspace | None = None) -> tuple[float, int]:
     """Advance every interferer by `steps` steps of dt, in place.
 
     The step end times are the clock plus dt, added once per step.  The
@@ -389,7 +421,8 @@ def advance(state: UavState, steps: int, dt: float, rng, net: NetworkConfig,
     with an event due, which gives each interferer's hop count: the step
     ends it dwells at.  Then one (hops, 2) array of hop radius and angle
     uniforms is drawn, one row per hop, and each interferer makes its hops
-    in turn (`_hop`).
+    in turn (`_hop`).  The hops' arrays come from `work`, which a campaign
+    reuses from stride to stride; without one, this call makes its own.
     Returns the summed length and the count of the accepted interior hops
     (see `CampaignResult.mean_interior_hop_length`).  Containment is not
     checked here; callers check it where they observe the state.
@@ -404,7 +437,9 @@ def advance(state: UavState, steps: int, dt: float, rng, net: NetworkConfig,
         t += dt
         ends[j] = t
     counts = _advance_vertical(state, ends, lambda idx: rng.random((idx.size, 3)), net, mob)
-    lengths = _hop(state, counts, rng.random((int(counts.sum()), 2)), net, mob)
+    work = work or HopWorkspace()
+    u = work.take(int(counts.sum()))[0]
+    lengths = _hop(state, counts, rng.random(out=u), net, mob, work)
     return float(lengths.sum()), lengths.size
 
 
@@ -487,10 +522,11 @@ class CampaignResult:
     batch_snapshots: np.ndarray     # (n_batches,) snapshots per batch
     batch_dwelling: np.ndarray      # (n_batches,) dwelling interferer-snapshots
     dwelling_count_hist: np.ndarray  # (M+1,) histogram of dwelling counts
-    static_distances: np.ndarray
-    moving_distances: np.ndarray
-    static_altitudes: np.ndarray
-    moving_altitudes: np.ndarray
+    # (variable, phase, bin) counts of the observed distances, then altitudes,
+    # of the static, then moving, interferers, over every snapshot; and each
+    # variable's _N_BINS + 1 bin edges: [0, sqrt(R^2 + H^2)] and [0, H]
+    histograms: np.ndarray
+    histogram_edges: np.ndarray
     hop_length_sum: float
     hop_count: int
     n_snapshots: int
@@ -536,20 +572,17 @@ def _buffer_rows(n: int, chains: int) -> int:
     return max(1, min(_BUFFER_ROWS, _BUFFER_VALUES // max(n, chains)))
 
 
-def _buffers(per_chain: int, kept, rows: int):
-    """A campaign's snapshot buffers, in order: (first snapshot, arrays),
-    with each array of `kept` (its first axis the kept snapshots) cut into
-    blocks of up to `rows` snapshots, then, for the snapshots past those,
-    blocks of one scratch buffer of the same arrays' dtypes, made here only
-    if some snapshot is not kept.  Those blocks share the scratch rows, so
-    each must be flushed before the next is taken."""
-    n_kept = kept[0].shape[0]
-    for start in range(0, n_kept, rows):
-        yield start, [a[start:start + rows] for a in kept]
-    if n_kept < per_chain:
-        scratch = [np.empty((rows,) + a.shape[1:], dtype=a.dtype) for a in kept]
-        for start in range(n_kept, per_chain, rows):
-            yield start, [a[:min(rows, per_chain - start)] for a in scratch]
+def _phase_bins(x: np.ndarray, top: float, offset: np.ndarray) -> np.ndarray:
+    """(phase, bin) counts of x, static then moving, in `_N_BINS` equal bins
+    of [0, top], the last bin closed: one index per value,
+    min(floor(x _N_BINS / top), _N_BINS - 1), plus `offset` (shaped like x,
+    uint8: 0 where static, _N_BINS where moving), then one bincount.  A
+    value a rounding error outside [0, top] goes to the end bin."""
+    index = np.multiply(x, _N_BINS / top)
+    np.minimum(index, _N_BINS - 1, out=index)
+    index = index.astype(np.uint8)  # truncation: the floor, and 0 just below 0
+    index += offset
+    return np.bincount(index.ravel(), minlength=2 * _N_BINS).reshape(2, _N_BINS)
 
 
 def run_campaign(
@@ -573,16 +606,15 @@ def run_campaign(
     The network starts in its stationary law, so snapshots begin with the
     first stride.  Each snapshot takes one in-place `advance` call of
     `stride` steps, which draws its event uniforms pass by pass and then
-    one (hops, 2) array for the hops, and writes the observed squared
-    radii, altitudes and phases into one buffer row.  Each full buffer, and
-    the last, is flushed at once: containment, fading draws, SIR, coverage
-    tallies, batch rows and the dwelling histogram.  The first snapshots'
-    distances and altitudes are kept, the fewest whole snapshots that hold
-    `_MAX_KEPT_SAMPLES` samples, and their buffers are the kept arrays;
-    the others share a scratch buffer (`_buffer_rows`).  The standard errors
-    come from batch means over `_N_BATCHES` runs of consecutive snapshots
-    (fewer when a chain has fewer snapshots).  Snapshot counts round up to
-    a multiple of chains.
+    one (hops, 2) array for the hops into the campaign's `HopWorkspace`,
+    and writes the observed squared radii, altitudes and phases into one
+    row of the campaign's one scratch buffer (`_buffer_rows`).  Each full
+    buffer, and the last, is flushed at once: containment, fading draws,
+    SIR, coverage tallies, batch rows, the dwelling histogram, and the
+    per-phase distance and altitude histograms (`_phase_bins`), so no
+    sample is kept.  The standard errors come from batch means over
+    `_N_BATCHES` runs of consecutive snapshots (fewer when a chain has fewer
+    snapshots).  Snapshot counts round up to a multiple of chains.
     """
     if n_snapshots < 1:
         raise ConfigurationError("n_snapshots must be >= 1")
@@ -607,50 +639,53 @@ def run_campaign(
     batch_snapshots = np.zeros(nb)
     batch_dwelling = np.zeros(nb)
     dwelling_hist = np.zeros(M + 1)
-    n_kept = min(per_chain, -(-_MAX_KEPT_SAMPLES // n)) if M else 0
-    # squared radii, then distances; altitudes; dwelling flags
-    kept = np.empty((n_kept, n)), np.empty((n_kept, n)), np.empty((n_kept, n), dtype=bool)
+    tops = math.hypot(net.radius, net.height), net.height
+    histograms = np.zeros((2, 2, _N_BINS), dtype=np.intp)
     shapes = _interferer_shapes(fading, net)
 
-    def flush(start, r2, altitude, dwelling):
-        """Check, fade and tally one buffer, its first snapshot `start`; the
-        squared radii become distances in place (the kept rows keep them).
-        Its arrays go when it returns, before the next buffer fills."""
+    def flush(start, r2, altitude, moving):
+        """Check, fade, tally and bin one buffer, its first snapshot
+        `start`; the squared radii become distances in place.  Its
+        temporaries go when it returns, before the next buffer fills."""
         k = r2.shape[0]
         _check_contained(r2, altitude, net)
         w = np.sqrt(altitude**2 + r2, out=r2)
         sir = _fade(w, altitude, chains, net, fading.serving_m, shapes, serving, interfering)[3]
         batch = np.arange(start, start + k) * nb // per_chain  # of each snapshot
-        n_dwell = dwelling.reshape(k, chains, M).sum(axis=2)
+        n_dwell = M - moving.reshape(k, chains, M).sum(axis=2)
         np.add.at(batch_success, batch, _tally(sir, psi_grid))
         np.add.at(batch_snapshots, batch, chains)
         np.add.at(batch_dwelling, batch, n_dwell.sum(axis=1))
         dwelling_hist[:] += np.bincount(n_dwell.ravel(), minlength=M + 1)
+        offset = moving.view(np.uint8) * np.uint8(_N_BINS)
+        for hist, x, top in zip(histograms, (w, altitude), tops):
+            hist += _phase_bins(x, top, offset)
 
+    rows = _buffer_rows(n, chains)
+    # squared radii, then distances; altitudes; moving flags
+    buffer = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n), dtype=bool)
+    work = HopWorkspace()
     hop_sum = 0.0
     hop_count = 0
-    for start, buffer in _buffers(per_chain, kept, _buffer_rows(n, chains)):
-        r2, altitude, dwelling = buffer
+    for start in range(0, per_chain, rows):
+        r2, altitude, moving = (a[:min(rows, per_chain - start)] for a in buffer)
         for row in range(r2.shape[0]):
-            length, count = advance(state, stride, dt, moves, net, mob)
+            length, count = advance(state, stride, dt, moves, net, mob, work)
             hop_sum += length
             hop_count += count
             state.radius2(out=r2[row])
             state.altitude(out=altitude[row])
-            np.logical_not(state.moving, out=dwelling[row])
-        flush(start, *buffer)
+            np.copyto(moving[row], state.moving)
+        flush(start, r2, altitude, moving)
 
-    all_w, all_h, all_d = (a.ravel() for a in kept)
     return CampaignResult(
         psi_grid=psi_grid,
         batch_success=batch_success,
         batch_snapshots=batch_snapshots,
         batch_dwelling=batch_dwelling,
         dwelling_count_hist=dwelling_hist,
-        static_distances=all_w[all_d],
-        moving_distances=all_w[~all_d],
-        static_altitudes=all_h[all_d],
-        moving_altitudes=all_h[~all_d],
+        histograms=histograms,
+        histogram_edges=np.array([np.linspace(0.0, top, _N_BINS + 1) for top in tops]),
         hop_length_sum=hop_sum,
         hop_count=hop_count,
         n_snapshots=int(batch_snapshots.sum()),

@@ -42,16 +42,16 @@ from .distributions import AltitudeDistribution, DistanceDistribution
 from .scenario import Scenario
 from . import simulator, special
 from .simulator import CampaignResult, run_campaign
-from .errors import ConsistencyError, DomainError, NumericalError
+from .errors import ConfigurationError, ConsistencyError, DomainError, NumericalError
 from .special import closed_phase_factor, hyp2f1
 
 __all__ = ["CheckResult", "check_analysis_vs_simulation", "check_binomial_collapse",
-           "check_buffered_snapshots", "check_closed_vs_quadrature", "check_derivative_jet", "check_distribution_laws",
-           "check_event_tape", "check_gl_vs_quad", "check_hyp2f1_consistency",
-           "check_kernel_batch_vs_row", "check_ladder_vs_row_edges", "check_stationary_start",
-           "check_steady_state_mobility", "check_trivial_anchors", "event_tape_gaps",
-           "integrated_pdf", "kernel_rows_apart", "ladder_rows_apart", "quad_phase_moment",
-           "run_validation", "snapshot_by_snapshot"]
+           "check_buffered_snapshots", "check_closed_vs_quadrature", "check_derivative_jet",
+           "check_distribution_laws", "check_event_tape", "check_gl_vs_quad",
+           "check_hyp2f1_consistency", "check_kernel_batch_vs_row", "check_ladder_vs_row_edges",
+           "check_stationary_start", "check_steady_state_mobility", "check_trivial_anchors",
+           "event_tape_gaps", "integrated_pdf", "kernel_rows_apart", "ladder_rows_apart",
+           "min_campaign_snapshots", "quad_phase_moment", "run_validation", "snapshot_by_snapshot"]
 
 # Adaptive-quadrature oracle tolerances.  The relative tolerance dominates:
 # at large s the moments decay by many orders of magnitude.
@@ -61,6 +61,10 @@ _QUAD_LIMIT = 200
 _MAX_EVENT_PASSES = 10_000
 # smallest KS p-value the stationary launch may show against a closed-form law
 _STATIONARY_KS_PMIN = 1e-3
+# validate's (k_se, floor) of check_analysis_vs_simulation and of
+# check_steady_state_mobility's dwelling fraction
+_COVERAGE_TOLERANCE = dict(k_se=5.0, floor=0.015)
+_DWELLING_TOLERANCE = dict(k_se=4.0, floor=0.01)
 # validate's (a, b, z) grids of check_hyp2f1_consistency: the relation's, the overlap's
 _HYP2F1_GRIDS = (((1, 2, 3), (1.0, 1.5, 2.0, 2.5), (-0.1, -0.45, -2.0, -10.0, -40.0)),
                  ((1, 2, 4), (1.0, 1.5, 2.5, 3.0), np.linspace(-64.0, -8.0, 8).tolist()))
@@ -274,6 +278,7 @@ def event_tape_gaps(net, mob, n: int, steps: int, stride: int, dt: float, seed: 
     xy = state.xy.copy()
     tape = _EventTape(n, rng)
     draw = _TapeReader(tape, state)
+    work = simulator.HopWorkspace()
 
     def dwell(idx):
         return mob.dwell_min + (mob.dwell_max - mob.dwell_min) * tape.take(1, 0, idx)[:, 0]
@@ -296,7 +301,7 @@ def event_tape_gaps(net, mob, n: int, steps: int, stride: int, dt: float, seed: 
         order = np.lexsort((np.arange(n), -capped.astype(int)))
         ranked = capped[order]
         hops = simulator._hop(state, capped, np.concatenate(
-            [u[order[ranked > r], r] for r in range(len(ends))]), net, mob)
+            [u[order[ranked > r], r] for r in range(len(ends))]), net, mob, work)
         dwelt, ref = np.zeros(n, dtype=int), [hops[:0]]
         for _ in ends:
             events = tape.taken[1].sum(axis=0)
@@ -356,17 +361,19 @@ def snapshot_by_snapshot(net, fading, mob, n_snapshots: int, dt: float, seed: in
                          psi_grid, stride: int, chains: int) -> CampaignResult:
     """`simulator.run_campaign` observed one snapshot at a time: the
     reference for its snapshot buffers.  It launches and advances the same
-    state from the same three generators (`initial_state`, `advance`), and
-    after each stride draws that snapshot's serving gains, one per chain,
-    and interferer gains, one per interferer, then its SIRs, and counts the
-    chains above each threshold by comparing every SIR with every
-    threshold.  Containment is not checked."""
+    state from the same three generators (`initial_state`, and `advance`
+    with no workspace), and after each stride draws that snapshot's serving
+    gains, one per chain, and interferer gains, one per interferer, then
+    its SIRs, counts the chains above each threshold by comparing every SIR
+    with every threshold, and bins the snapshot's distances and altitudes
+    on their own, phase by phase, into 40 equal bins of [0, sqrt(R^2 +
+    H^2)] and [0, H] (a value at or past the top, or a rounding error below
+    0, in the end bin).  Containment is not checked."""
     psi = np.asarray(psi_grid, dtype=float)
     per_chain = math.ceil(n_snapshots / chains)
     nb = min(simulator._N_BATCHES, per_chain)
     M = net.n_interferers
     n = chains * M
-    n_kept = min(per_chain, -(-simulator._MAX_KEPT_SAMPLES // n)) if M else 0
     moves, serving, interfering = map(np.random.default_rng,
                                       np.random.SeedSequence(seed).spawn(3))
     state = simulator.initial_state(n, net, mob, moves)
@@ -374,7 +381,9 @@ def snapshot_by_snapshot(net, fading, mob, n_snapshots: int, dt: float, seed: in
     alpha, m0 = net.path_loss_exponent, fading.serving_m
     success, snapshots, dwelling = np.zeros((nb, psi.size)), np.zeros(nb), np.zeros(nb)
     hist = np.zeros(M + 1)
-    kept_w, kept_h, kept_d = [np.empty(0)], [np.empty(0)], [np.empty(0, dtype=bool)]
+    edges = np.array([np.linspace(0.0, top, 41) for top in (math.hypot(net.radius, net.height),
+                                                            net.height)])
+    binned = np.zeros((2, 2, 40), dtype=np.intp)
     hop_sum, hop_count = 0.0, 0
     for j in range(per_chain):
         length, count = simulator.advance(state, stride, dt, moves, net, mob)
@@ -394,18 +403,15 @@ def snapshot_by_snapshot(net, fading, mob, n_snapshots: int, dt: float, seed: in
         snapshots[b] += chains
         dwelling[b] += per_network.sum()
         hist += np.bincount(per_network, minlength=M + 1)
-        if j < n_kept:
-            kept_w.append(w)
-            kept_h.append(altitude)
-            kept_d.append(~state.moving)
-    all_w, all_h, all_d = map(np.concatenate, (kept_w, kept_h, kept_d))
+        for v, x in enumerate((w, altitude)):
+            bins = np.clip(np.floor(x * (40 / edges[v, -1])), 0, 39).astype(int)
+            for p, phase in enumerate((~state.moving, state.moving)):
+                binned[v, p] += np.bincount(bins[phase], minlength=40)
     return CampaignResult(
         psi_grid=psi, batch_success=success, batch_snapshots=snapshots,
-        batch_dwelling=dwelling, dwelling_count_hist=hist,
-        static_distances=all_w[all_d], moving_distances=all_w[~all_d],
-        static_altitudes=all_h[all_d], moving_altitudes=all_h[~all_d],
-        hop_length_sum=hop_sum, hop_count=hop_count, n_snapshots=int(snapshots.sum()),
-        stay_probability=simulated_stay_probability(mob, net))
+        batch_dwelling=dwelling, dwelling_count_hist=hist, histograms=binned,
+        histogram_edges=edges, hop_length_sum=hop_sum, hop_count=hop_count,
+        n_snapshots=int(snapshots.sum()), stay_probability=simulated_stay_probability(mob, net))
 
 
 def check_buffered_snapshots(cases, mob, chains: int, flushes: float, stride: int,
@@ -416,7 +422,8 @@ def check_buffered_snapshots(cases, mob, chains: int, flushes: float, stride: in
     chains of `flushes` buffers' worth of snapshots each (a fraction leaves
     the last buffer part filled), thresholds psi_grid.  Every array of the
     CampaignResult, the hop sum and count and the snapshot count must be
-    byte-identical."""
+    byte-identical: the tallies, the dwelling counts, the distance and
+    altitude histograms and their edges."""
     ok, parts = True, []
     for name, net, fading in cases:
         rows = simulator._buffer_rows(chains * net.n_interferers, chains)
@@ -870,14 +877,38 @@ def check_steady_state_mobility(result, mob, k_se: float, floor: float) -> Check
     )
 
 
+def min_campaign_snapshots(n_interferers: int, p_stay: float) -> int:
+    """The fewest snapshots at which validate's campaign checks can tell
+    noise from a fault.  Each check's tolerance is max(floor, k_se SE) with
+    a batch-means SE, which rests on few batches in a short campaign and
+    can come out near 0 by chance; the floor alone must then hold the
+    noise.  It does once the floor is k_se binomial SEs: for the coverage,
+    sqrt(p (1 - p) / N) with p (1 - p) <= 1/4 at the worst threshold; for
+    the dwelling fraction, sqrt(p_stay (1 - p_stay) / (N M)) over the N M
+    interferer-snapshots.  With no interferers both routes give coverage 1
+    exactly and the mobility check is skipped, so any campaign will do."""
+    if n_interferers == 0:
+        return 1
+    coverage = (_COVERAGE_TOLERANCE["k_se"] / _COVERAGE_TOLERANCE["floor"]) ** 2 / 4
+    dwelling = ((_DWELLING_TOLERANCE["k_se"] / _DWELLING_TOLERANCE["floor"]) ** 2
+                * p_stay * (1 - p_stay) / n_interferers)
+    return math.ceil(max(coverage, dwelling))
+
+
 def run_validation(sc: Scenario) -> list[CheckResult]:
     """Run every check at the reduced scale, sized from the scenario.
 
-    A stay-probability override the simulation cannot honour is rejected
-    before any check runs.  One campaign feeds both simulation checks.
+    A stay-probability override the simulation cannot honour, and a
+    campaign too short for its checks (min_campaign_snapshots), are
+    rejected before any check runs.  One campaign feeds both simulation
+    checks.
     """
     net, fading, mob, sim = sc.network, sc.fading, sc.mobility, sc.sim
-    simulated_stay_probability(mob, net)
+    need = min_campaign_snapshots(net.n_interferers, simulated_stay_probability(mob, net))
+    if sim.n_snapshots < need:
+        raise ConfigurationError(
+            f"validate needs sim.n_snapshots >= {need} with {net.n_interferers} interferers "
+            f"(the campaign checks' floors must hold their noise), got {sim.n_snapshots}")
     p_stay = derive_stay_probability(mob, net)
     psi = sc.psi_grid_linear()
     s0 = [transform_argument(p, net, fading) for p in psi]
@@ -919,6 +950,6 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
              dataclasses.replace(fading, altitude_dependent=True)),
             ("none", dataclasses.replace(net, n_interferers=0), fading),
         ], mob, 256, 2.5, sim.stride, sim.dt, sim.seed, psi),
-        check_analysis_vs_simulation([(net, fading, campaign)], floor=0.015, k_se=5),
-        check_steady_state_mobility(campaign, mob, k_se=4, floor=0.01),
+        check_analysis_vs_simulation([(net, fading, campaign)], **_COVERAGE_TOLERANCE),
+        check_steady_state_mobility(campaign, mob, **_DWELLING_TOLERANCE),
     ]

@@ -598,7 +598,7 @@ class TestValidateCommand:
         every check prints its line."""
         doc = json.loads(BASELINE.read_text())
         doc["psi_grid_db"] = [-3000, 3000]
-        doc["sim"]["n_snapshots"] = 2000
+        doc["sim"]["n_snapshots"] = 30_000
         path = tmp_path / "edge.json"
         path.write_text(json.dumps(doc))
         code = main(["validate", "--scenario", str(path)])
@@ -610,6 +610,28 @@ class TestValidateCommand:
         assert line.startswith("[FAIL] ") and "closed form failed, not compared: static m=1" in line
         assert next(l for l in lines if "derivative-jet" in l).startswith("[PASS] ")
         assert "Traceback" not in captured.err
+
+    def test_minimum_campaign_comes_from_the_floors_and_the_binomial_se(self):
+        """The coverage check's floor, 0.015, must hold 5 binomial SEs at
+        p = 1/2: N >= (5 / 0.015)^2 / 4; the dwelling fraction's, 0.01, 4
+        SEs of p_stay (1 - p_stay) / (N M).  No interferers, no minimum."""
+        assert validation.min_campaign_snapshots(0, 0.5) == 1
+        assert validation.min_campaign_snapshots(2, 0.5) == math.ceil((5 / 0.015) ** 2 / 4)
+        assert validation.min_campaign_snapshots(1, 0.5) == 40_000
+        assert validation.min_campaign_snapshots(8, 0.0) == 27_778
+
+    def test_campaign_too_short_for_its_checks_is_input_error(self, tmp_path, capsys):
+        """One snapshot below the minimum, `validate` refuses the scenario
+        before any check runs, with an `error:` line naming the minimum."""
+        doc = json.loads(BASELINE.read_text())
+        doc["sim"]["n_snapshots"] = 27_777
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: validate needs sim.n_snapshots >= 27778 with 2 "
+                                       "interferers"), captured.err
 
 
 @pytest.mark.parametrize("command", ["simulate", "validate"])
@@ -730,12 +752,14 @@ def test_edge_grid_exits_0_or_with_an_input_error(tmp_path, capsys, command):
 
 
 def test_validate_on_the_edge_grid_prints_its_checks_or_an_input_error(tmp_path, capsys):
-    """`validate` on eight scenarios of the edge grid that reach the checks:
-    M in {0, 1}, dwells of 2-6 s at exponent 2 and of 0 s at exponent 4,
-    and one threshold or the pair -3000 and 3000 dB, each with the grid's
-    4 chains, so campaigns observe buffers 0 and 4 interferers wide.  Each
-    exits 0 with every check passed, exits 1 with every check's line
-    printed, or exits 2 with an `error:` line; none ends in a traceback."""
+    """`validate` on eight scenarios of the edge grid: M in {0, 1}, dwells
+    of 2-6 s at exponent 2 and of 0 s at exponent 4, and one threshold or
+    the pair -3000 and 3000 dB, each with the grid's 8 snapshots on 4
+    chains.  Each exits 0 with every check passed, exits 1 with every
+    check's line printed, or exits 2 with an `error:` line; none ends in a
+    traceback.  With M = 1, 8 snapshots are too few for the campaign checks
+    (min_campaign_snapshots), so those exit 2; with M = 0 the checks run,
+    on campaigns that observe buffers 0 interferers wide."""
     picked = [(name, doc) for name, doc, _ in edge_scenarios()
               if doc["network"]["n_interferers"] in (0, 1)
               and doc["network"]["serving_altitude_m"] == 10.0
@@ -757,8 +781,9 @@ def test_validate_on_the_edge_grid_prints_its_checks_or_an_input_error(tmp_path,
         printed = {0: lines[-1:] == ["all 14 checks passed"],
                    1: bool(lines) and lines[-1].endswith("/14 checks failed"),
                    2: captured.err.startswith("error:")}
+        too_short = doc["network"]["n_interferers"] == 1
         if not printed.get(code) or (code < 2 and len(lines) != 15) \
-                or "Traceback" in captured.err:
+                or "Traceback" in captured.err or too_short != (code == 2):
             wrong.append(f"{name}: exit {code}, {lines[-1:]}, {captured.err!r}")
     assert not wrong, "\n".join(wrong)
     assert {0, 1} <= set(codes)

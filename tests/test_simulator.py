@@ -269,20 +269,17 @@ class TestCampaign:
         res = run_campaign(net0, FAD, MOB, 2000, seed=3, chains=8)
         assert np.all(res.coverage() == 1.0)
 
-    def test_deterministic_given_seed(self, monkeypatch):
-        """A seed gives the same tallies, kept samples and hops every run.
-        The kept samples are the fewest whole snapshots that fill the
-        quota, ceil(400 / 32) = 13 of 250, and the dwellers make interior
-        hops."""
-        monkeypatch.setattr(simulator, "_MAX_KEPT_SAMPLES", 400)
+    def test_deterministic_given_seed(self):
+        """A seed gives the same tallies, histograms and hops every run.
+        The histograms bin every snapshot, 250 per chain of 32 interferers,
+        and the dwellers make interior hops."""
         a, b = (run_campaign(NET, FAD, MOB, 4000, seed=11, chains=16) for _ in range(2))
         for name in ("batch_success", "batch_snapshots", "batch_dwelling",
-                     "dwelling_count_hist", "static_distances", "moving_distances",
-                     "static_altitudes", "moving_altitudes"):
+                     "dwelling_count_hist", "histograms", "histogram_edges"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert (a.hop_length_sum, a.hop_count) == (b.hop_length_sum, b.hop_count)
         assert a.hop_count > 0
-        assert a.static_distances.size + a.moving_distances.size == 13 * 32
+        assert a.histograms.sum(axis=(1, 2)).tolist() == [250 * 32] * 2
 
     def test_campaign_agrees_with_analysis_at_small_scale(self):
         res = run_campaign(NET, FAD, MOB, 60_000, seed=27, chains=100)
@@ -323,16 +320,15 @@ class TestInPlaceCampaign:
         run_campaign(NET, FAD, MOB, 15 * 4, chains=15, stride=2)
         assert calls == [(15 * NET.n_interferers, 2)] * 4
 
-    def test_working_set_does_not_grow_with_the_snapshots(self, monkeypatch):
-        """In the baseline layout (128 chains, M = 2) with a
-        small kept-sample quota, a campaign of 8N snapshots per chain peaks
-        at the traced memory of one of N: past the kept snapshots, every
+    def test_working_set_does_not_grow_with_the_snapshots(self):
+        """In the baseline layout (128 chains, M = 2) a campaign of 8N
+        snapshots per chain peaks at the traced memory of one of N: every
         buffer of observed radii, altitudes and phases reuses one scratch
-        buffer of fixed size, and each flush's fading draws and SIRs are as
-        large as that buffer (numpy reports its buffers to tracemalloc)."""
+        buffer of fixed size, each flush's fading draws, SIRs and histogram
+        indices are as large as that buffer, and the hops reuse one
+        workspace (numpy reports its buffers to tracemalloc)."""
         import tracemalloc
 
-        monkeypatch.setattr(simulator, "_MAX_KEPT_SAMPLES", 1000)
         peaks = []
         for per_chain in (80, 640):
             tracemalloc.start()
@@ -357,6 +353,75 @@ class TestInPlaceCampaign:
         assert _tally(sir, psi)[2].tolist() == [40] * psi.size
 
 
+class TestHopWorkspace:
+    """The hops take their stride-sized arrays from one workspace, which a
+    campaign makes once and reuses (`simulator.HopWorkspace`)."""
+
+    def test_a_shared_workspace_moves_as_calls_without_one(self):
+        """Strides of 10, 1, 40 and 3 steps through one workspace, which
+        grows and is then read in part, move the interferers and sum their
+        hops bit for bit as calls that make their own workspace."""
+        states, sums = [], []
+        for work in (None, simulator.HopWorkspace()):
+            rng = np.random.default_rng(3)
+            state = initial_state(64, NET, MOB, rng)
+            sums.append([advance(state, steps, 1.0, rng, NET, MOB, work)
+                         for steps in (10, 1, 40, 3)])
+            states.append(state)
+        assert sums[0] == sums[1]
+        assert states[0].xy.tobytes() == states[1].xy.tobytes()
+        assert states[0].h0.tobytes() == states[1].h0.tobytes()
+
+    def test_a_long_stride_peaks_below_per_call_temporaries(self):
+        """One 1000-step `advance` of 1024 interferers (287k accepted
+        interior hops) peaks at 34.3 MB of traced memory: the workspace's
+        uniforms, lengths, two tangent arrays, offsets and masks.  With
+        `_unit`'s temporaries made per call and each hop's complex start
+        kept for the interior test, the same call peaked at 36.9 MB."""
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        state = initial_state(1024, NET, MOB, rng)
+        tracemalloc.start()
+        try:
+            _, count = advance(state, 1000, 1.0, rng, NET, MOB)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 286_745
+        assert peak < 36.0e6, peak
+
+    def test_a_fresh_campaign_takes_few_page_faults(self):
+        """One 30-snapshot campaign of 512 chains of M = 8 under altitude
+        bands (width 4096) in a fresh interpreter takes about 1,430 minor
+        page faults (getrusage).  When the hops made their stride-sized
+        arrays, over 128 KiB each, on every stride, the allocator trimmed
+        and faulted them back in: about 11,500."""
+        pytest.importorskip("resource")
+        import os
+        import subprocess
+        import sys
+
+        import uavcov
+
+        src = os.path.dirname(os.path.dirname(uavcov.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = (
+            "import resource\n"
+            "from uavcov.config import FadingConfig, MobilityConfig, NetworkConfig\n"
+            "from uavcov.simulator import run_campaign\n"
+            "net = NetworkConfig(40.0, 30.0, 10.0, 8, 2.0)\n"
+            "fading = FadingConfig(1, 1, altitude_dependent=True)\n"
+            "mob = MobilityConfig(0.2, 10.0, 2.0, 6.0, 10.0)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_campaign(net, fading, mob, 30 * 512, seed=1, chains=512)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert int(out) < 3000, out
+
+
 def result_bytes(result) -> dict:
     """Every field of a CampaignResult but its meta, as bytes."""
     return {name: np.asarray(value).tobytes() for name, value in vars(result).items()
@@ -373,22 +438,20 @@ class TestSnapshotBuffers:
     """A campaign observes its snapshots a buffer at a time: the buffer
     length changes no result, and the buffered campaign is byte-identical
     to the same campaign observed one snapshot at a time
-    (validation.check_buffered_snapshots), with the last kept snapshot in
-    the middle of a buffer; planted faults of the flush fail the check."""
+    (validation.check_buffered_snapshots), its histograms included, with
+    the last buffer part filled; planted faults of the flush fail the
+    check."""
 
     @pytest.fixture
     def small_buffers(self, monkeypatch):
-        """Buffers of at most 256 values, and 400 kept samples: at 16
-        chains and M = 2 (width 32), 13 kept snapshots in buffers of 8 and
-        5, then buffers of 8 in the scratch rows."""
+        """Buffers of at most 256 values: at 16 chains and M = 2 (width
+        32), buffers of 8 snapshots."""
         monkeypatch.setattr(simulator, "_BUFFER_VALUES", 256)
-        monkeypatch.setattr(simulator, "_MAX_KEPT_SAMPLES", 400)
 
     @pytest.mark.parametrize("name, net, fading", BUFFER_CASES, ids=[c[0] for c in BUFFER_CASES])
     def test_results_do_not_depend_on_the_buffer_length(self, monkeypatch, name, net, fading):
         """Buffers of 1 row, 7 rows and the default give the same bytes;
-        with 400 kept samples the kept snapshots end inside a 7-row buffer."""
-        monkeypatch.setattr(simulator, "_MAX_KEPT_SAMPLES", 400)
+        45 snapshots per chain leave the last 7-row buffer part filled."""
         results = []
         for rows in (1, 7, simulator._BUFFER_ROWS):
             monkeypatch.setattr(simulator, "_BUFFER_ROWS", rows)
@@ -407,7 +470,12 @@ class TestSnapshotBuffers:
          "batch = np.full(k, start * nb // per_chain)", "batch_success, batch_snapshots"),
         ("_fade", "interfering.standard_gamma(m_i, k * n)",
          "interfering.standard_gamma(m_i, (n, k)).T.ravel()", "batch_success"),
-    ], ids=["whole-buffer-in-its-first-row's-batch", "gains-drawn-chain-major"])
+        ("run_campaign", "offset = moving.view(np.uint8) * np.uint8(_N_BINS)",
+         "offset = (~moving).view(np.uint8) * np.uint8(_N_BINS)", "histograms"),
+        ("run_campaign", "tops = math.hypot(net.radius, net.height), net.height",
+         "tops = math.hypot(net.radius, net.height), net.radius", "histograms, histogram_edges"),
+    ], ids=["whole-buffer-in-its-first-row's-batch", "gains-drawn-chain-major",
+            "phase-offset-swapped", "altitudes-binned-on-the-radius"])
     def test_planted_flush_fault_fails(self, monkeypatch, small_buffers, name, old, new, what):
         TestEventTape.plant(monkeypatch, name, old, new)
         result = check_buffered_snapshots(BUFFER_CASES[:1], MOB, 16, 3.5, 10, 1.0, 4,
@@ -478,6 +546,23 @@ def campaign():
     return run_campaign(NET, FAD, MOB, 120_000, seed=97, chains=120)
 
 
+@pytest.fixture(scope="module")
+def stepped():
+    """The distances, altitudes and dwelling flags that the campaign fixture
+    observes, one row per snapshot: `initial_state`, then 1000 `advance`
+    calls of 10 steps, on its mobility generator, child 0 of
+    SeedSequence(97).spawn(3)."""
+    moves = np.random.default_rng(np.random.SeedSequence(97).spawn(3)[0])
+    state = initial_state(120 * NET.n_interferers, NET, MOB, moves)
+    w, h, dwelling = [], [], []
+    for _ in range(1000):
+        advance(state, 10, 1.0, moves, NET, MOB)
+        h.append(state.altitude())
+        w.append(np.sqrt(h[-1]**2 + state.radius2()))
+        dwelling.append(~state.moving)
+    return np.array(w), np.array(h), np.array(dwelling)
+
+
 class TestSteadyState:
     def test_dwelling_fraction_matches_stay_probability(self, campaign):
         se = campaign.dwelling_fraction_se()
@@ -488,13 +573,30 @@ class TestSteadyState:
         ref = stats.binom.pmf(np.arange(3), 2, campaign.stay_probability)
         assert 0.5 * np.abs(pmf - ref).sum() < 0.02
 
-    def test_dwelling_altitude_is_uniform(self, campaign):
-        ks = stats.kstest(campaign.static_altitudes,
-                          lambda x: np.clip(x / NET.height, 0, 1)).statistic
+    def test_stepped_samples_are_the_campaigns(self, campaign, stepped):
+        """The helper steps the campaign's own mobility: its dwelling flags
+        sum to the campaign's dwelling count, and the campaign's histograms
+        are numpy's histograms of its samples, per phase, on the fixed
+        ranges [0, sqrt(R^2 + H^2)] and [0, H]."""
+        w, h, dwelling = stepped
+        assert dwelling.sum() == campaign.batch_dwelling.sum()
+        tops = [math.hypot(NET.radius, NET.height), NET.height]
+        assert campaign.histogram_edges[:, -1].tolist() == tops
+        for hists, edges, x, top in zip(campaign.histograms, campaign.histogram_edges,
+                                        (w, h), tops):
+            for counts, phase in zip(hists, (dwelling, ~dwelling)):
+                expected, expected_edges = np.histogram(x[phase], bins=40, range=(0, top))
+                assert counts.tolist() == expected.tolist()
+                assert edges.tobytes() == expected_edges.tobytes()
+
+    def test_dwelling_altitude_is_uniform(self, stepped):
+        _, h, dwelling = stepped
+        ks = stats.kstest(h[dwelling], lambda x: np.clip(x / NET.height, 0, 1)).statistic
         assert ks < 0.01
 
-    def test_moving_altitude_matches_parabola(self, campaign):
-        h = campaign.moving_altitudes[:30_000]
+    def test_moving_altitude_matches_parabola(self, stepped):
+        _, h, dwelling = stepped
+        h = h[~dwelling][:30_000]
         edges = np.linspace(0.0, NET.height, 31)
         counts, _ = np.histogram(h, bins=edges)
         u = edges / NET.height
@@ -502,10 +604,11 @@ class TestSteadyState:
         expected = np.diff(cdf) * h.size
         assert stats.chisquare(counts, expected).pvalue > 0.01
 
-    def test_dwelling_distance_matches_closed_form(self, campaign):
+    def test_dwelling_distance_matches_closed_form(self, stepped):
         from uavcov.distributions import DistanceDistribution
 
-        w = campaign.static_distances[:100_000]
+        w, _, dwelling = stepped
+        w = w[dwelling][:100_000]
         dist = DistanceDistribution("static", NET.radius, NET.height)
         assert stats.kstest(w, dist.cdf).statistic < 0.01
 
@@ -652,7 +755,8 @@ class TestEventTape:
         assert "calls with hop-count mismatches" in result.detail
 
     def test_hop_length_without_its_square_root_fails(self, monkeypatch):
-        self.plant(monkeypatch, "_hop", "np.sqrt(u[:, 0])", "u[:, 0]")
+        self.plant(monkeypatch, "_hop", "np.sqrt(u[:, 0], out=length)",
+                   "np.copyto(length, u[:, 0])")
         result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
         assert not result.passed
         assert "calls with hop-length mismatches" in result.detail
@@ -660,7 +764,8 @@ class TestEventTape:
     def test_hop_angle_from_the_full_angle_tangent_fails(self, monkeypatch):
         """tan(2 pi u) in place of tan(pi u) still draws a uniform angle,
         but not the one the proposal's uniform names."""
-        self.plant(monkeypatch, "_unit", "np.tan(math.pi * u)", "np.tan(2.0 * math.pi * u)")
+        self.plant(monkeypatch, "_unit", "np.multiply(u, math.pi, out=t)",
+                   "np.multiply(u, 2.0 * math.pi, out=t)")
         result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
         assert not result.passed
         assert "calls with position mismatches" in result.detail
@@ -668,7 +773,8 @@ class TestEventTape:
     def test_same_wrong_identity_on_both_sides_fails_on_the_unit_gap(self, monkeypatch):
         """A wrong identity planted in the simulator and in the reference
         alike keeps the tape exact; only the gap from cos and sin shows it."""
-        self.plant(monkeypatch, "_unit", "1.0 - t2", "1.0 - 0.5 * t2")
+        self.plant(monkeypatch, "_unit", "np.subtract(1.0, t2, out=t2)",
+                   "np.subtract(1.0, 0.5 * t2, out=t2)")
         self.plant(monkeypatch, "_reference_hop", "1.0 - t2", "1.0 - 0.5 * t2",
                    module=validation)
         result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
