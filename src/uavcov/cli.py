@@ -48,7 +48,7 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
     neither is given.  Scenario and SimParams check the result."""
     changes = {}
     psi_db = getattr(args, "psi_db", None)
-    if psi_db:
+    if psi_db is not None:
         try:
             changes["psi_grid_db"] = tuple(float(v) for v in psi_db.split(","))
         except ValueError:

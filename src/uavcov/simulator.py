@@ -35,12 +35,13 @@ Each event is put down at the first step end at or after its time, found
 without a search: a rounded estimate of the step from the event time, then
 one comparison with that step's end (`_event_rows`).  An interferer hops
 once at each step end it dwells at, so the stride needs only each one's
-hop count, taken from one weighted count of all the stride's events by
-interferer, with no per-step masks.  Then one (hops, 2) array of hop radii
-and angles is drawn, one row per hop the stride makes.  Interferers never
-interact, so each one's hops run in its own order, rank by rank (`_hop`):
-the interferers are ranked by one stable sort of their counts, and rank r
-moves those with more than r hops, seven numpy calls a rank.  An offset's
+hop count, with no per-step masks: each pass adds, in place, the step ends
+between each interferer's two events into one integer count per
+interferer.  Then one (hops, 2) array of hop radii and angles is drawn,
+one row per hop the stride makes.  Interferers never interact, so each
+one's hops run in its own order, rank by rank (`_hop`): the interferers
+are ranked by one stable sort of their counts, and rank r moves those
+with more than r hops, seven numpy calls a rank.  An offset's
 unit vector comes from the tangent of the half angle (`_unit`), which
 numpy vectorizes, not from a cosine and a sine.
 
@@ -276,47 +277,47 @@ def _advance_vertical(state: UavState, ends: np.ndarray, draw, net, mob) -> np.n
     its time (`_event_rows`), so an event in row r holds the new phase at
     the last steps + 1 - r step ends (none if it falls after ends[-1]).
     An interferer's events alternate its phase, and only one that ran two
-    events in a pass reaches the next pass, so the first event of a pass
-    adds its step ends and the second subtracts them.  One weighted
-    bincount of all the events then gives, per interferer, the step ends
-    spent in the other phase than the one it started in: its hop count if
-    it started moving, steps minus that if it started dwelling.
+    events in a pass reaches the next pass, so each pass holds it in the
+    other phase than the one it started in from the first event's row to
+    the second's: the second's row minus the first's step ends (steps + 1
+    stands for a second event after ends[-1]).  Each pass adds that into
+    one integer count per interferer, in place, and the counts end as the
+    step ends spent in the other phase: the hop count of one that started
+    moving, steps minus that for one that started dwelling.
     """
     t_end = ends[-1]
     n, steps = state.n, ends.size
     place = _event_rows(state.t, ends)
     dwelling = ~state.moving
     tev = state.tev
+    flips = np.zeros(n, dtype=np.intp)
     idx = (tev <= t_end).nonzero()[0]
-    keys, held = [idx[:0]], [idx[:0]]  # so that np.concatenate never sees an empty list
     while idx.size:
+        k = idx.size
         u = draw(idx)
         arriving = state.moving[idx]
-        start = tev[idx]
+        times = np.empty((2, k))  # the first events' times, then the second's
+        start = tev.take(idx, out=times[0])
         h = state.waypoint[idx]  # altitude at the first event: a dwell has waypoint == h0
         waypoint = net.height * u[:, _WAYPOINT]
         speed = mob.speed_min + (mob.speed_max - mob.speed_min) * u[:, _SPEED]
         dwell = mob.dwell_min + (mob.dwell_max - mob.dwell_min) * u[:, _DWELL]
         leg = np.abs(waypoint - h) / speed
-        mid = start + np.where(arriving, dwell, leg)
+        mid = np.add(start, np.where(arriving, dwell, leg), out=times[1])
         two = mid <= t_end
         end = np.where(two, mid + np.where(arriving, leg, dwell), mid)
         moving = arriving == two  # an arrival then an expiry ends on a leg
-        waypoint = np.where(arriving & ~two, h, waypoint)  # an arrival alone dwells at h
+        waypoint = np.where(arriving > two, h, waypoint)  # an arrival alone dwells at h
         state.h0[idx] = np.where(moving, h, waypoint)
         state.t0[idx] = np.where(two, mid, start)
         tev[idx] = end
         state.waypoint[idx] = waypoint
         state.speed[idx] = speed
         state.moving[idx] = moving
-        rows = place(np.concatenate((start, mid)))  # the first events, then the second
-        rows -= steps + 1
-        rows[:idx.size] *= -1  # the first events' step ends count up, the second's down
-        keys += idx, idx
-        held.append(rows)
+        rows = place(times.reshape(-1))
+        flips[idx] += rows[k:] - rows[:k]  # idx holds each interferer once
         idx = idx.compress(end <= t_end)
     state.t = t_end
-    flips = np.bincount(np.concatenate(keys), np.concatenate(held), minlength=n)
     counts = np.where(dwelling, steps - flips, flips)
     return counts.astype(np.min_scalar_type(steps))
 
@@ -344,8 +345,8 @@ def _unit(u: np.ndarray, out: np.ndarray | None = None, scratch=None) -> np.ndar
 class HopWorkspace:
     """The stride-sized arrays of the hops (`advance`, `_hop`), made once
     and reused stride after stride: the (hops, 2) proposal uniforms, the hop
-    lengths, two arrays for `_unit`'s temporaries, the complex offsets, and
-    the accept and interior masks.  It grows to the most hops one stride
+    lengths, two arrays for `_unit`'s temporaries (the first then holds the
+    ranks' radii), the complex offsets, and the accept and interior masks.  It grows to the most hops one stride
     has asked for, so a campaign that reuses one allocates none of these
     per stride."""
 
@@ -365,12 +366,13 @@ class HopWorkspace:
                 *self.masks[:, :hops])
 
 
-def _hop(state: UavState, counts: np.ndarray, u: np.ndarray, net: NetworkConfig,
-         mob: MobilityConfig, work: HopWorkspace) -> np.ndarray:
+def _hop(state: UavState, counts: np.ndarray, views, net: NetworkConfig,
+         mob: MobilityConfig) -> np.ndarray:
     """A stride's spatial hops, in place: counts[i] hops of interferer i in turn.
 
     `counts` holds each interferer's hop count (`_advance_vertical`, an
-    unsigned dtype) and `u` one proposal row, hop radius and hop angle
+    unsigned dtype).  `views` are a `HopWorkspace`'s views of the stride's
+    hops, their first, `u`, one proposal row, hop radius and hop angle
     uniforms, per hop, rank by rank: the hops of rank r, one per
     interferer with more than r hops, in the order of the counts,
     descending, ties by interferer index.  A proposal that would leave the
@@ -381,15 +383,16 @@ def _hop(state: UavState, counts: np.ndarray, u: np.ndarray, net: NetworkConfig,
     whose first c_r entries hop at rank r, seven numpy calls a rank, and
     they are scattered back.  Each rank also marks the hops that start at
     least hop_range inside the disk edge (interior hops).  The lengths,
-    offsets and masks live in the workspace `work`.
+    offsets and masks live in the other views.
     Returns the lengths of the accepted interior hops, rank by rank.
     """
-    _, length, tangent, square, offset, keep, interior = work.take(u.shape[0])
+    u, length, tangent, square, offset, keep, interior = views
     z = state.xy.view(np.complex128)[:, 0]  # x + iy, a view of xy
     interior_limit = max(net.radius - mob.hop_range, 0.0)
     order = np.argsort(~counts, kind="stable")  # ~ reverses an unsigned dtype's order
-    ranks = counts.size - np.cumsum(np.bincount(counts))[:-1]  # the movers at each rank
-    movers = order[:np.count_nonzero(counts)]
+    by_count = np.bincount(counts, minlength=1)  # the interferers with each hop count
+    ranks = counts.size - np.cumsum(by_count)[:-1]  # the movers at each rank
+    movers = order[:counts.size - by_count[0]]
     _unit(u[:, 1], offset, (tangent, square, length))  # length holds 1 + t^2 until here
     np.sqrt(u[:, 0], out=length)
     length *= mob.hop_range
@@ -399,10 +402,11 @@ def _hop(state: UavState, counts: np.ndarray, u: np.ndarray, net: NetworkConfig,
     for c in ranks.tolist():
         b = a + c
         start = buffer[:c]
-        np.less_equal(np.abs(start), interior_limit, out=interior[a:b])
+        radius = tangent[a:b]  # free once _unit has returned
+        np.less_equal(np.abs(start, out=radius), interior_limit, out=interior[a:b])
         target = offset[a:b]
         target += start
-        kept = np.less_equal(np.abs(target), net.radius, out=keep[a:b])
+        kept = np.less_equal(np.abs(target, out=radius), net.radius, out=keep[a:b])
         np.copyto(start, target, where=kept)  # a rejected hop stays put
         a = b
     z[movers] = buffer
@@ -437,9 +441,9 @@ def advance(state: UavState, steps: int, dt: float, rng, net: NetworkConfig,
         t += dt
         ends[j] = t
     counts = _advance_vertical(state, ends, lambda idx: rng.random((idx.size, 3)), net, mob)
-    work = work or HopWorkspace()
-    u = work.take(int(counts.sum()))[0]
-    lengths = _hop(state, counts, rng.random(out=u), net, mob, work)
+    views = (work or HopWorkspace()).take(int(counts.sum()))
+    rng.random(out=views[0])
+    lengths = _hop(state, counts, views, net, mob)
     return float(lengths.sum()), lengths.size
 
 

@@ -300,8 +300,9 @@ def event_tape_gaps(net, mob, n: int, steps: int, stride: int, dt: float, seed: 
         capped = np.minimum(counts, len(ends))  # wrong counts may claim more hops than steps
         order = np.lexsort((np.arange(n), -capped.astype(int)))
         ranked = capped[order]
-        hops = simulator._hop(state, capped, np.concatenate(
-            [u[order[ranked > r], r] for r in range(len(ends))]), net, mob, work)
+        proposals = np.concatenate([u[order[ranked > r], r] for r in range(len(ends))])
+        hops = simulator._hop(state, capped, (proposals, *work.take(proposals.shape[0])[1:]),
+                              net, mob)
         dwelt, ref = np.zeros(n, dtype=int), [hops[:0]]
         for _ in ends:
             events = tape.taken[1].sum(axis=0)

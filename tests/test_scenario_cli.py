@@ -242,6 +242,18 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "abc" in err
 
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--out", "x.csv"], ["simulate", "--out", "x"], ["validate"],
+        ["sweep", "--out", "x.csv", "--param", "network.n_interferers", "--values", "1"]])
+    def test_empty_psi_override_is_input_error(self, scenario_path, tmp_path, capsys, command):
+        """An empty --psi-db= is refused like a blank one, never read as no
+        override, and nothing is written."""
+        command = [str(tmp_path / a) if a.startswith("x") else a for a in command]
+        assert main([*command, "--scenario", scenario_path, "--psi-db="]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--psi-db" in err
+        assert list(tmp_path.iterdir()) == [Path(scenario_path)]
+
     @pytest.mark.parametrize("psi_db", ["4000", "0,nan"])
     def test_threshold_without_finite_linear_value_is_input_error(
             self, scenario_path, tmp_path, capsys, psi_db):

@@ -721,8 +721,17 @@ class TestEventTape:
         assert result.passed, result.detail
 
     def test_second_event_put_at_the_first_event_step_fails(self, monkeypatch):
-        self.plant(monkeypatch, "_advance_vertical", "np.concatenate((start, mid))",
-                   "np.concatenate((start, start))")
+        self.plant(monkeypatch, "_advance_vertical", "place(times.reshape(-1))",
+                   "place(np.tile(start, 2))")
+        result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
+        assert not result.passed
+        assert "calls with hop-count mismatches" in result.detail
+
+    def test_flips_counted_first_event_minus_second_fail(self, monkeypatch):
+        """A pass adds the second event's step row minus the first's: the
+        step ends between them.  Reversed, the counts come out negative."""
+        self.plant(monkeypatch, "_advance_vertical", "rows[k:] - rows[:k]",
+                   "rows[:k] - rows[k:]")
         result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
         assert not result.passed
         assert "calls with hop-count mismatches" in result.detail
