@@ -67,11 +67,6 @@ class NetworkConfig:
                 f"path_loss_exponent must be >= 2, got {self.path_loss_exponent}"
             )
 
-    @property
-    def max_distance(self) -> float:
-        """Largest possible user-to-interferer distance, sqrt(R^2 + H^2)."""
-        return math.hypot(self.radius, self.height)
-
 
 @dataclass(frozen=True)
 class FadingConfig:

@@ -50,15 +50,16 @@ observed squared horizontal radii, altitudes and phases into one row of a
 buffer; the rest runs once per buffer of rows (a flush): one containment
 check (at launch too, never on every step), one draw of serving gains and
 one of interferer gains, one SIR, one tally of the per-threshold coverage
-counts into contiguous batches for batch-means standard errors, one
-dwelling count, and one fixed-bin histogram per phase of the distances and
-of the altitudes.  No sample is kept: one scratch buffer is reused, and it
-holds up to `_BUFFER_ROWS` snapshots and `_BUFFER_VALUES` values per array,
-so its size does not grow with the campaign.  The hops' stride-sized
-arrays come from one workspace per campaign (`HopWorkspace`), so a stride
-allocates none that grows with its hops.  The gains are drawn snapshot by
-snapshot from their own generators, so no result depends on the buffer
-length.
+counts per chain, one dwelling count per chain, and one fixed-bin
+histogram per phase of the distances and of the altitudes.  The chains are
+independent copies of the network, so the standard errors come from the
+spread of the per-chain estimates (independent replications).  No sample
+is kept: one scratch buffer is reused, and it holds up to `_BUFFER_ROWS`
+snapshots and `_BUFFER_VALUES` values per array, so its size does not
+grow with the campaign.  The hops' stride-sized arrays come from one
+workspace per campaign (`HopWorkspace`), so a stride allocates none that
+grows with its hops.  The gains are drawn snapshot by snapshot from their
+own generators, so no result depends on the buffer length.
 """
 
 from __future__ import annotations
@@ -91,9 +92,8 @@ __all__ = [
 
 # columns of the uniforms an interferer draws for its events in one pass
 _DWELL, _WAYPOINT, _SPEED = range(3)
-# a campaign's batch-means batches, the bins of its distance and altitude
-# histograms, and the most snapshots and values a snapshot buffer's arrays hold
-_N_BATCHES = 20
+# the bins of a campaign's distance and altitude histograms, and the most
+# snapshots and values a snapshot buffer's arrays hold
 _N_BINS = 40
 _BUFFER_ROWS = 64
 _BUFFER_VALUES = 2**14
@@ -144,18 +144,6 @@ class UavState:
     def dwell_remaining(self) -> np.ndarray:
         """Seconds of dwell left at the clock (0 while moving)."""
         return np.where(self.moving, 0.0, self.tev - self.t)
-
-    def copy(self) -> "UavState":
-        return UavState(
-            self.xy.copy(),
-            self.h0.copy(),
-            self.t0.copy(),
-            self.tev.copy(),
-            self.waypoint.copy(),
-            self.speed.copy(),
-            self.moving.copy(),
-            self.t,
-        )
 
     def radius2(self, out: np.ndarray | None = None) -> np.ndarray:
         """Squared horizontal radius of each interferer, x^2 + y^2, into
@@ -494,27 +482,19 @@ def _fade(w: np.ndarray, altitude: np.ndarray, chains: int, net: NetworkConfig,
     return g0, gains, interference, sir
 
 
-def _tally(sir: np.ndarray, psi_grid: np.ndarray) -> np.ndarray:
-    """For each row of `sir`, how many of its entries lie above each
-    threshold of `psi_grid`: exact counts from one sort and one searchsorted
-    per row.  An infinite SIR lies above every threshold."""
-    ranked = np.sort(sir, axis=1)
-    return ranked.shape[1] - np.array([row.searchsorted(psi_grid, side="right")
-                                       for row in ranked])
-
-
 def default_psi_grid() -> np.ndarray:
     """Linear SIR thresholds for -20..30 dB in 5 dB steps."""
     return np.array([10.0 ** (d / 10.0) for d in range(-20, 31, 5)])
 
 
-def _batch_se(per_batch: np.ndarray) -> np.ndarray:
-    """Batch-means standard error of the mean over the rows of `per_batch`,
-    one row per batch; NaN with fewer than 2 batches."""
-    nb = per_batch.shape[0]
-    if nb < 2:
-        return np.full(per_batch.shape[1:], np.nan)
-    return per_batch.std(axis=0, ddof=1) / math.sqrt(nb)
+def _chain_se(per_chain: np.ndarray) -> np.ndarray:
+    """Standard error of the mean of independent estimates, one row of
+    `per_chain` per chain: their sample standard deviation (ddof 1) over
+    the square root of the chains; NaN with fewer than 2 chains."""
+    chains = per_chain.shape[0]
+    if chains < 2:
+        return np.full(per_chain.shape[1:], np.nan)
+    return per_chain.std(axis=0, ddof=1) / math.sqrt(chains)
 
 
 @dataclass
@@ -522,9 +502,8 @@ class CampaignResult:
     """Merged tallies and diagnostics of one simulation campaign."""
 
     psi_grid: np.ndarray
-    batch_success: np.ndarray       # (n_batches, n_psi) covered-snapshot counts
-    batch_snapshots: np.ndarray     # (n_batches,) snapshots per batch
-    batch_dwelling: np.ndarray      # (n_batches,) dwelling interferer-snapshots
+    chain_success: np.ndarray       # (chains, n_psi) covered-snapshot counts
+    chain_dwelling: np.ndarray      # (chains,) dwelling interferer-snapshots
     dwelling_count_hist: np.ndarray  # (M+1,) histogram of dwelling counts
     # (variable, phase, bin) counts of the observed distances, then altitudes,
     # of the static, then moving, interferers, over every snapshot; and each
@@ -533,7 +512,7 @@ class CampaignResult:
     histogram_edges: np.ndarray
     hop_length_sum: float
     hop_count: int
-    n_snapshots: int
+    n_snapshots: int                # chains times the snapshots of each chain
     stay_probability: float
     meta: dict = field(default_factory=dict)
 
@@ -541,23 +520,30 @@ class CampaignResult:
     def n_interferers(self) -> int:
         return self.dwelling_count_hist.size - 1
 
+    @property
+    def chain_snapshots(self) -> int:
+        """Snapshots of each chain, the same for every chain."""
+        return self.n_snapshots // self.chain_dwelling.size
+
     def coverage(self) -> np.ndarray:
         """Empirical coverage probability per threshold."""
-        return self.batch_success.sum(axis=0) / self.n_snapshots
+        return self.chain_success.sum(axis=0) / self.n_snapshots
 
     def coverage_se(self) -> np.ndarray:
-        """Batch-means standard error of the coverage estimates."""
-        return _batch_se(self.batch_success / self.batch_snapshots[:, None])
+        """Standard error of the coverage estimates, from the spread of the
+        chains' own estimates (`_chain_se`)."""
+        return _chain_se(self.chain_success / self.chain_snapshots)
 
     def dwelling_fraction(self) -> float:
         """Observed fraction of interferer-snapshots spent dwelling."""
-        total = self.batch_snapshots.sum() * self.n_interferers
-        return float(self.batch_dwelling.sum() / total) if total else math.nan
+        total = self.n_snapshots * self.n_interferers
+        return float(self.chain_dwelling.sum() / total) if total else math.nan
 
     def dwelling_fraction_se(self) -> float:
-        """Batch-means standard error of the dwelling fraction."""
-        return float(_batch_se(
-            self.batch_dwelling / (self.batch_snapshots * max(self.n_interferers, 1))))
+        """Standard error of the dwelling fraction, from the spread of the
+        chains' own fractions (`_chain_se`)."""
+        return float(_chain_se(
+            self.chain_dwelling / (self.chain_snapshots * max(self.n_interferers, 1))))
 
     def dwelling_count_pmf(self) -> np.ndarray:
         """Empirical law of the number of dwelling interferers per snapshot."""
@@ -614,11 +600,11 @@ def run_campaign(
     and writes the observed squared radii, altitudes and phases into one
     row of the campaign's one scratch buffer (`_buffer_rows`).  Each full
     buffer, and the last, is flushed at once: containment, fading draws,
-    SIR, coverage tallies, batch rows, the dwelling histogram, and the
-    per-phase distance and altitude histograms (`_phase_bins`), so no
-    sample is kept.  The standard errors come from batch means over
-    `_N_BATCHES` runs of consecutive snapshots (fewer when a chain has fewer
-    snapshots).  Snapshot counts round up to a multiple of chains.
+    SIR, per-chain coverage and dwelling tallies, the dwelling histogram,
+    and the per-phase distance and altitude histograms (`_phase_bins`), so
+    no sample is kept.  The chains are independent, so the standard errors
+    come from the spread of the per-chain estimates; they are NaN with one
+    chain.  Snapshot counts round up to a multiple of chains.
     """
     if n_snapshots < 1:
         raise ConfigurationError("n_snapshots must be >= 1")
@@ -630,7 +616,6 @@ def run_campaign(
         raise ConfigurationError("psi_grid must be non-empty")
 
     per_chain = math.ceil(n_snapshots / chains)
-    nb = min(_N_BATCHES, per_chain)
     M = net.n_interferers
     n = chains * M
     # the seed's children 0, 1 and 2: mobility, serving gains, interferer gains
@@ -639,27 +624,24 @@ def run_campaign(
     state = initial_state(n, net, mob, moves)
     _check_contained(state.radius2(), state.altitude(), net)
 
-    batch_success = np.zeros((nb, psi_grid.size))
-    batch_snapshots = np.zeros(nb)
-    batch_dwelling = np.zeros(nb)
+    chain_success = np.zeros((chains, psi_grid.size), dtype=np.intp)
+    chain_dwelling = np.zeros(chains, dtype=np.intp)
     dwelling_hist = np.zeros(M + 1)
     tops = math.hypot(net.radius, net.height), net.height
     histograms = np.zeros((2, 2, _N_BINS), dtype=np.intp)
     shapes = _interferer_shapes(fading, net)
 
-    def flush(start, r2, altitude, moving):
-        """Check, fade, tally and bin one buffer, its first snapshot
-        `start`; the squared radii become distances in place.  Its
-        temporaries go when it returns, before the next buffer fills."""
+    def flush(r2, altitude, moving):
+        """Check, fade, tally and bin one buffer; the squared radii become
+        distances in place.  Its temporaries go when it returns, before the
+        next buffer fills."""
         k = r2.shape[0]
         _check_contained(r2, altitude, net)
         w = np.sqrt(altitude**2 + r2, out=r2)
         sir = _fade(w, altitude, chains, net, fading.serving_m, shapes, serving, interfering)[3]
-        batch = np.arange(start, start + k) * nb // per_chain  # of each snapshot
         n_dwell = M - moving.reshape(k, chains, M).sum(axis=2)
-        np.add.at(batch_success, batch, _tally(sir, psi_grid))
-        np.add.at(batch_snapshots, batch, chains)
-        np.add.at(batch_dwelling, batch, n_dwell.sum(axis=1))
+        chain_success[:] += (sir[:, :, None] > psi_grid).sum(axis=0)
+        chain_dwelling[:] += n_dwell.sum(axis=0)
         dwelling_hist[:] += np.bincount(n_dwell.ravel(), minlength=M + 1)
         offset = moving.view(np.uint8) * np.uint8(_N_BINS)
         for hist, x, top in zip(histograms, (w, altitude), tops):
@@ -680,19 +662,18 @@ def run_campaign(
             state.radius2(out=r2[row])
             state.altitude(out=altitude[row])
             np.copyto(moving[row], state.moving)
-        flush(start, r2, altitude, moving)
+        flush(r2, altitude, moving)
 
     return CampaignResult(
         psi_grid=psi_grid,
-        batch_success=batch_success,
-        batch_snapshots=batch_snapshots,
-        batch_dwelling=batch_dwelling,
+        chain_success=chain_success,
+        chain_dwelling=chain_dwelling,
         dwelling_count_hist=dwelling_hist,
         histograms=histograms,
         histogram_edges=np.array([np.linspace(0.0, top, _N_BINS + 1) for top in tops]),
         hop_length_sum=hop_sum,
         hop_count=hop_count,
-        n_snapshots=int(batch_snapshots.sum()),
+        n_snapshots=chains * per_chain,
         stay_probability=p_stay,
         meta={
             "seed": seed,

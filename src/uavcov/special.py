@@ -276,22 +276,3 @@ def closed_phase_factor(phase: str, s: float, m: int, net: NetworkConfig) -> flo
             f"closed form overflows for phase={phase}, s={s}, m={m}") from exc
     return math.fsum(contributions)
 
-
-def _closed_phase_factor_expanded(phase: str, s: float, m: int, net: NetworkConfig) -> float:
-    """Literal alternating-binomial closed form (test oracle for the algebra).
-
-    Numerically safe only while the sum does not cancel severely, i.e. for
-    s well below ~R^alpha * 1e4; closed_phase_factor collapses the sum.
-    """
-    power, (shell_sign, shell_ell, shell_kappa) = _phase_segments(phase, net)
-    contributions = []
-    for l in range(m + 1):
-        outer = math.comb(m, l) * (-1.0) ** l
-        for sign, a, b, ell, kappa in power:
-            contributions.append(
-                outer * sign * _power_segment_integral(l, a, b, ell, kappa, s, m, net)
-            )
-        contributions.append(
-            outer * shell_sign * _shell_segment_integral(l, shell_ell, shell_kappa, s, m, net)
-        )
-    return math.fsum(contributions)

@@ -365,14 +365,13 @@ def snapshot_by_snapshot(net, fading, mob, n_snapshots: int, dt: float, seed: in
     state from the same three generators (`initial_state`, and `advance`
     with no workspace), and after each stride draws that snapshot's serving
     gains, one per chain, and interferer gains, one per interferer, then
-    its SIRs, counts the chains above each threshold by comparing every SIR
+    its SIRs, counts each chain above each threshold by comparing every SIR
     with every threshold, and bins the snapshot's distances and altitudes
     on their own, phase by phase, into 40 equal bins of [0, sqrt(R^2 +
     H^2)] and [0, H] (a value at or past the top, or a rounding error below
     0, in the end bin).  Containment is not checked."""
     psi = np.asarray(psi_grid, dtype=float)
     per_chain = math.ceil(n_snapshots / chains)
-    nb = min(simulator._N_BATCHES, per_chain)
     M = net.n_interferers
     n = chains * M
     moves, serving, interfering = map(np.random.default_rng,
@@ -380,13 +379,14 @@ def snapshot_by_snapshot(net, fading, mob, n_snapshots: int, dt: float, seed: in
     state = simulator.initial_state(n, net, mob, moves)
     shapes = simulator._interferer_shapes(fading, net)
     alpha, m0 = net.path_loss_exponent, fading.serving_m
-    success, snapshots, dwelling = np.zeros((nb, psi.size)), np.zeros(nb), np.zeros(nb)
+    success = np.zeros((chains, psi.size), dtype=np.intp)
+    dwelling = np.zeros(chains, dtype=np.intp)
     hist = np.zeros(M + 1)
     edges = np.array([np.linspace(0.0, top, 41) for top in (math.hypot(net.radius, net.height),
                                                             net.height)])
     binned = np.zeros((2, 2, 40), dtype=np.intp)
     hop_sum, hop_count = 0.0, 0
-    for j in range(per_chain):
+    for _ in range(per_chain):
         length, count = simulator.advance(state, stride, dt, moves, net, mob)
         hop_sum += length
         hop_count += count
@@ -398,21 +398,19 @@ def snapshot_by_snapshot(net, fading, mob, n_snapshots: int, dt: float, seed: in
         interference = (gains * w**-alpha).reshape(chains, M).sum(axis=1)
         with np.errstate(divide="ignore"):
             sir = g0 * net.serving_altitude**-alpha / interference
-        b = j * nb // per_chain
         per_network = (~state.moving).reshape(chains, M).sum(axis=1)
-        success[b] += (sir[:, None] > psi).sum(axis=0)
-        snapshots[b] += chains
-        dwelling[b] += per_network.sum()
+        success += sir[:, None] > psi
+        dwelling += per_network
         hist += np.bincount(per_network, minlength=M + 1)
         for v, x in enumerate((w, altitude)):
             bins = np.clip(np.floor(x * (40 / edges[v, -1])), 0, 39).astype(int)
             for p, phase in enumerate((~state.moving, state.moving)):
                 binned[v, p] += np.bincount(bins[phase], minlength=40)
     return CampaignResult(
-        psi_grid=psi, batch_success=success, batch_snapshots=snapshots,
-        batch_dwelling=dwelling, dwelling_count_hist=hist, histograms=binned,
-        histogram_edges=edges, hop_length_sum=hop_sum, hop_count=hop_count,
-        n_snapshots=int(snapshots.sum()), stay_probability=simulated_stay_probability(mob, net))
+        psi_grid=psi, chain_success=success, chain_dwelling=dwelling,
+        dwelling_count_hist=hist, histograms=binned, histogram_edges=edges,
+        hop_length_sum=hop_sum, hop_count=hop_count, n_snapshots=chains * per_chain,
+        stay_probability=simulated_stay_probability(mob, net))
 
 
 def check_buffered_snapshots(cases, mob, chains: int, flushes: float, stride: int,
@@ -423,8 +421,9 @@ def check_buffered_snapshots(cases, mob, chains: int, flushes: float, stride: in
     chains of `flushes` buffers' worth of snapshots each (a fraction leaves
     the last buffer part filled), thresholds psi_grid.  Every array of the
     CampaignResult, the hop sum and count and the snapshot count must be
-    byte-identical: the tallies, the dwelling counts, the distance and
-    altitude histograms and their edges."""
+    byte-identical: the per-chain coverage and dwelling tallies, the
+    dwelling-count histogram, the distance and altitude histograms and
+    their edges."""
     ok, parts = True, []
     for name, net, fading in cases:
         rows = simulator._buffer_rows(chains * net.n_interferers, chains)
@@ -765,12 +764,28 @@ def check_derivative_jet(net, p_stay: float, cases) -> CheckResult:
     )
 
 
+def _binomial_se_ratios(se, p, count: int) -> str:
+    """The range of standard errors `se` over the binomial SEs
+    sqrt(p (1 - p) / count) of estimates `p` from `count` draws, over the
+    entries with 0 < p < 1 and a finite SE, as "min-max" (one value for
+    one entry, "n/a" for none).  A campaign's draws are correlated in
+    time, so a ratio above 1 is a sign of autocorrelation."""
+    se, p = np.atleast_1d(se), np.atleast_1d(p)
+    inside = (p > 0) & (p < 1) & np.isfinite(se)
+    if not inside.any():
+        return "n/a"
+    ratio = se[inside] / np.sqrt(p[inside] * (1 - p[inside]) / count)
+    low, high = ratio.min(), ratio.max()
+    return f"{low:.2f}" if ratio.size == 1 else f"{low:.2f}-{high:.2f}"
+
+
 def check_analysis_vs_simulation(cases, floor: float, k_se: float) -> CheckResult:
     """Each campaign's coverage against the analysis at the campaign's
     thresholds and stay probability, for every (net, fading, campaign) of
-    cases: |sim - ana| within max(floor, k_se batch-means SE) at every
-    threshold.  The analysis has no altitude-dependent fading, so a case
-    with it skips the check."""
+    cases: |sim - ana| within max(floor, k_se SE) at every threshold, the SE
+    taken from the spread of the campaign's independent chains.  The detail
+    also gives the range of that SE over the binomial SE.  The analysis has
+    no altitude-dependent fading, so a case with it skips the check."""
     if any(fading.altitude_dependent for _, fading, _ in cases):
         return CheckResult("analysis-vs-simulation", True,
                            "skipped: altitude-dependent fading is simulation-only")
@@ -783,8 +798,9 @@ def check_analysis_vs_simulation(cases, floor: float, k_se: float) -> CheckResul
         if failed:
             return CheckResult("analysis-vs-simulation", False,
                                f"analysis failed ({label}): {failed[0]}")
-        gap = np.abs(result.coverage() - sweep.coverage)
-        se = result.coverage_se()  # NaN with fewer than 2 batches: the floor alone
+        sim = result.coverage()
+        gap = np.abs(sim - sweep.coverage)
+        se = result.coverage_se()  # NaN with fewer than 2 chains: the floor alone
         tol = np.fmax(floor, k_se * se)
         ok &= bool((gap <= tol).all())
         worst_gap = max(worst_gap, float(gap.max()))
@@ -793,8 +809,10 @@ def check_analysis_vs_simulation(cases, floor: float, k_se: float) -> CheckResul
             worst = (gap[i] - tol[i], f"{10 * math.log10(result.psi_grid[i]):g} dB of "
                      f"({label}) (gap {gap[i]:.4f}, tol {tol[i]:.4f}")
         max_se = "n/a" if np.isnan(se).any() else f"{se.max():.4f}"
+        ratios = _binomial_se_ratios(se, sim, result.n_snapshots)
         lines.append(f"({label}): max|sim-ana|={gap.max():.4f}, max SE={max_se}, "
-                     f"{result.n_snapshots} snapshots")
+                     f"SE/binomial SE {ratios}, {result.n_snapshots} snapshots "
+                     f"on {result.chain_dwelling.size} chains")
     return CheckResult(
         "analysis-vs-simulation", ok,
         f"worst |sim-ana| {worst_gap:.4f}; worst margin {worst[0]:+.4f} at {worst[1]} = "
@@ -859,12 +877,16 @@ def check_stationary_start(state, net, mob, group: int) -> CheckResult:
 def check_steady_state_mobility(result, mob, k_se: float, floor: float) -> CheckResult:
     """A campaign's mobility against its stationary law: the dwelling
     fraction against the stay probability within max(k_se SE, floor), the
+    SE taken from the spread of the campaign's independent chains, the
     per-snapshot dwelling count against Binomial(M, p) (TV < 0.02), and the
-    mean interior hop length against mob's (5%)."""
+    mean interior hop length against mob's (5%).  The detail also gives
+    that SE over the binomial SE of the interferer-snapshots."""
     if result.n_interferers == 0:
         return CheckResult("steady-state-mobility", True, "skipped: no interferers simulated")
     p_stay, frac = result.stay_probability, result.dwelling_fraction()
-    frac_tol = max(k_se * result.dwelling_fraction_se(), floor)
+    se = result.dwelling_fraction_se()
+    frac_tol = float(np.fmax(k_se * se, floor))  # NaN with one chain: the floor alone
+    ratio = _binomial_se_ratios(se, frac, result.n_snapshots * result.n_interferers)
     ref = stats.binom.pmf(np.arange(result.n_interferers + 1), result.n_interferers, p_stay)
     tv = 0.5 * float(np.abs(result.dwelling_count_pmf() - ref).sum())
     hop_gap = abs(result.mean_interior_hop_length() - mob.mean_hop_length)
@@ -873,7 +895,8 @@ def check_steady_state_mobility(result, mob, k_se: float, floor: float) -> Check
     return CheckResult(
         "steady-state-mobility", ok,
         f"dwelling fraction {frac:.5f} vs {p_stay:.5f} (|diff|={abs(frac - p_stay):.5f} <= "
-        f"max({k_se:g}SE, {floor:g})={frac_tol:.5f}); phase-count TV {tv:.4f} (<0.02); "
+        f"max({k_se:g}SE, {floor:g})={frac_tol:.5f}, SE/binomial SE {ratio}); "
+        f"phase-count TV {tv:.4f} (<0.02); "
         f"hop mean gap {hop_gap:.1e} (<{hop_tol:.3f})",
     )
 
@@ -881,10 +904,11 @@ def check_steady_state_mobility(result, mob, k_se: float, floor: float) -> Check
 def min_campaign_snapshots(n_interferers: int, p_stay: float) -> int:
     """The fewest snapshots at which validate's campaign checks can tell
     noise from a fault.  Each check's tolerance is max(floor, k_se SE) with
-    a batch-means SE, which rests on few batches in a short campaign and
-    can come out near 0 by chance; the floor alone must then hold the
-    noise.  It does once the floor is k_se binomial SEs: for the coverage,
-    sqrt(p (1 - p) / N) with p (1 - p) <= 1/4 at the worst threshold; for
+    an SE from the spread of the campaign's chains, which rests on few
+    chains in a small campaign (none with one chain) and can come out near
+    0 by chance; the floor alone must then hold the noise.  It does once
+    the floor is k_se binomial SEs: for the coverage, sqrt(p (1 - p) / N)
+    with p (1 - p) <= 1/4 at the worst threshold; for
     the dwelling fraction, sqrt(p_stay (1 - p_stay) / (N M)) over the N M
     interferer-snapshots.  With no interferers both routes give coverage 1
     exactly and the mobility check is skipped, so any campaign will do."""

@@ -93,9 +93,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             FadingConfig(serving_m=m0, interferer_m=m1)
 
-    def test_network_max_distance(self, baseline_network):
-        assert baseline_network.max_distance == pytest.approx(50.0)
-
     def test_configs_are_immutable(self, baseline_network):
         with pytest.raises(AttributeError):
             baseline_network.radius = 10.0

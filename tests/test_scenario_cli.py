@@ -435,8 +435,9 @@ class TestSimulateCommand:
 
     def test_undefined_statistics_are_null_in_strict_json(self, tmp_path):
         """With no interferers the dwelling fraction and the hop length are
-        undefined, and one batch leaves the standard errors undefined: the
-        summary writes null for them, never a bare NaN."""
+        undefined, and the standard errors of the coverage are 0 (every chain
+        is covered at every threshold): the summary writes null for the
+        undefined ones, never a bare NaN."""
         sc = small_scenario(
             network=NetworkConfig(40.0, 30.0, 10.0, 0, 2.0),
             sim=SimParams(n_snapshots=64, seed=3, chains=8),
@@ -455,8 +456,9 @@ class TestSimulateCommand:
         assert doc["coverage"] == [1.0] * 4
         assert doc["coverage_se"] == [0.0] * 4
 
-    def test_single_batch_leaves_standard_errors_null(self, tmp_path):
-        sc = small_scenario(sim=SimParams(n_snapshots=8, seed=3, chains=8))
+    def test_single_chain_leaves_standard_errors_null(self, tmp_path):
+        """One chain has no spread between chains, so no standard errors."""
+        sc = small_scenario(sim=SimParams(n_snapshots=8, seed=3, chains=1))
         path = tmp_path / "one.json"
         dump_scenario(sc, str(path))
         out = tmp_path / "camp"

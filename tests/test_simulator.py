@@ -1,3 +1,4 @@
+import copy
 import inspect
 import math
 
@@ -16,7 +17,6 @@ from uavcov.simulator import (
     _check_contained,
     _fade,
     _interferer_shapes,
-    _tally,
     advance,
     default_psi_grid,
     initial_state,
@@ -50,7 +50,7 @@ def single_uav(xy, altitude, moving, waypoint, speed, dwell_remaining) -> UavSta
 class TestStep:
     def test_dwelling_persists_and_hops(self, rng):
         state = single_uav((0.0, 0.0), 12.0, False, 12.0, 1.0, 5.0)
-        new = state.copy()
+        new = copy.deepcopy(state)
         advance(new, 1, 1.0, rng, NET, MOB)
         assert not new.moving[0]
         assert new.dwell_remaining()[0] == pytest.approx(4.0)
@@ -60,7 +60,7 @@ class TestStep:
 
     def test_arrival_clamps_to_waypoint(self, rng):
         state = single_uav((0.0, 0.0), 10.0, True, 10.5, 2.0, 0.0)
-        new = state.copy()
+        new = copy.deepcopy(state)
         advance(new, 1, 1.0, rng, NET, MOB)
         assert not new.moving[0]
         assert new.altitude()[0] == 10.5
@@ -70,7 +70,7 @@ class TestStep:
 
     def test_cruising_advances_by_speed_times_dt(self, rng):
         state = single_uav((0.0, 0.0), 5.0, True, 25.0, 3.0, 0.0)
-        new = state.copy()
+        new = copy.deepcopy(state)
         advance(new, 1, 1.0, rng, NET, MOB)
         assert new.moving[0]
         assert new.altitude()[0] == pytest.approx(8.0)
@@ -78,7 +78,7 @@ class TestStep:
 
     def test_dwell_expiry_relaunches(self, rng):
         state = single_uav((0.0, 0.0), 12.0, False, 12.0, 1.0, 0.25)
-        new = state.copy()
+        new = copy.deepcopy(state)
         advance(new, 1, 1.0, rng, NET, MOB)
         assert new.moving[0]
         assert 0.0 <= new.waypoint[0] <= NET.height
@@ -274,8 +274,8 @@ class TestCampaign:
         The histograms bin every snapshot, 250 per chain of 32 interferers,
         and the dwellers make interior hops."""
         a, b = (run_campaign(NET, FAD, MOB, 4000, seed=11, chains=16) for _ in range(2))
-        for name in ("batch_success", "batch_snapshots", "batch_dwelling",
-                     "dwelling_count_hist", "histograms", "histogram_edges"):
+        for name in ("chain_success", "chain_dwelling", "dwelling_count_hist", "histograms",
+                     "histogram_edges"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert (a.hop_length_sum, a.hop_count) == (b.hop_length_sum, b.hop_count)
         assert a.hop_count > 0
@@ -287,17 +287,81 @@ class TestCampaign:
         assert sweep.errors == [None] * res.psi_grid.size
         assert np.max(np.abs(res.coverage() - sweep.coverage)) < 0.02
 
-    def test_one_batch_campaign_checks_against_the_floor(self, monkeypatch):
-        """With one batch there is no batch-means SE: the analysis check
-        prints it as n/a and holds the gap to the floor alone."""
-        monkeypatch.setattr(simulator, "_N_BATCHES", 1)
-        res = run_campaign(NET, FAD, MOB, 4000, seed=3, chains=40)
-        assert np.isnan(res.coverage_se()).all()
+    def test_one_chain_campaign_checks_against_the_floor(self):
+        """With one chain there is no spread between chains, so no SE (NaN,
+        with no numpy warning): the analysis check prints it as n/a and
+        holds the gap to the floor alone, and the mobility check holds the
+        dwelling fraction to its floor alone."""
+        res = run_campaign(NET, FAD, MOB, 4000, seed=3, chains=1)
+        assert np.isnan(res.coverage_se()).all() and math.isnan(res.dwelling_fraction_se())
         cases = [(NET, FAD, res)]
         result = validation.check_analysis_vs_simulation(cases, floor=0.05, k_se=5)
         assert result.passed, result.detail
-        assert "max SE=n/a" in result.detail and "tol 0.0500" in result.detail
+        assert "max SE=n/a, SE/binomial SE n/a" in result.detail
+        assert "tol 0.0500" in result.detail
         assert not validation.check_analysis_vs_simulation(cases, floor=1e-6, k_se=5).passed
+        mobility = validation.check_steady_state_mobility(res, MOB, k_se=4, floor=0.05)
+        assert mobility.passed and "max(4SE, 0.05)=0.05000" in mobility.detail, mobility.detail
+
+    def test_four_chain_campaign_has_standard_errors(self):
+        """Four chains, as the edge grid's scenarios run, give a finite,
+        positive SE at every threshold the chains do not all agree on, and
+        the analysis check states its ratio to the binomial SE."""
+        res = run_campaign(NET, FAD, MOB, 4000, seed=3, chains=4)
+        assert res.chain_success.shape == (4, res.psi_grid.size)
+        assert res.n_snapshots == 4 * res.chain_snapshots == 4000
+        se = res.coverage_se()
+        spread = res.chain_success.min(axis=0) < res.chain_success.max(axis=0)
+        assert spread.any() and (se[spread] > 0).all() and (se[~spread] == 0).all()
+        assert 0 < res.dwelling_fraction_se() < 0.05
+        result = validation.check_analysis_vs_simulation([(NET, FAD, res)], floor=0.05, k_se=5)
+        assert result.passed and "SE/binomial SE n/a" not in result.detail, result.detail
+
+
+class TestChainStandardErrors:
+    """The coverage SE, from the spread of a campaign's independent chains,
+    against the spread of the coverage across seeds.  The network starts in
+    its stationary law, so at the baseline geometry the analysis gives each
+    campaign's expected coverage exactly, and the spread is measured around
+    it: over K seeds, spread^2 / var ~ chi^2_K / K.  The chains' SE^2 is
+    var chi^2_(c-1) / (c - 1) for c chains, so the mean of K of them is
+    var chi^2_(K(c-1)) / (K(c-1)), independent of the spread (normal chain
+    estimates).  So (RMS SE / spread)^2 follows F(K(c-1), K), and each
+    threshold's ratio must lie inside its two-sided 1e-3 band, split over
+    the thresholds with 0.05 < p < 0.95 (near 0 or 1 a run where every
+    chain counts alike gives SE 0)."""
+
+    SEEDS, CHAINS, PER_CHAIN, ALPHA = range(150), 32, 25, 1e-3
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """Each seed's coverage and SE, and the analysis, at the thresholds used."""
+        results = [run_campaign(NET, FAD, MOB, self.CHAINS * self.PER_CHAIN, seed=seed,
+                                chains=self.CHAINS) for seed in self.SEEDS]
+        psi = results[0].psi_grid
+        exact = coverage_sweep(psi.tolist(), NET, FAD, results[0].stay_probability).coverage
+        used = (exact > 0.05) & (exact < 0.95)
+        coverage = np.array([r.coverage()[used] for r in results])
+        se = np.array([r.coverage_se()[used] for r in results])
+        return coverage, se, exact[used]
+
+    def within_band(self, coverage, se, exact):
+        K, used = coverage.shape
+        ratio = np.sqrt((se**2).mean(axis=0) / ((coverage - exact) ** 2).mean(axis=0))
+        tail = self.ALPHA / (2 * used)
+        dof = (K * (self.CHAINS - 1), K)
+        low, high = np.sqrt(stats.f.ppf([tail, 1 - tail], *dof))
+        return (low <= ratio) & (ratio <= high), ratio, (low, high)
+
+    def test_rms_se_matches_the_spread_across_seeds(self, runs):
+        inside, ratio, band = self.within_band(*runs)
+        assert ratio.size >= 4
+        assert inside.all(), (ratio, band)
+
+    def test_an_se_half_too_small_fails(self, runs):
+        coverage, se, exact = runs
+        inside, ratio, band = self.within_band(coverage, se / 2, exact)
+        assert not inside.any(), (ratio, band)
 
 
 class TestInPlaceCampaign:
@@ -305,20 +369,18 @@ class TestInPlaceCampaign:
     observes its snapshots a buffer of fixed size at a time."""
 
     def test_one_in_place_stride_call_per_snapshot(self, monkeypatch):
-        calls = []
+        calls, states = [], set()
         real_advance = simulator.advance
 
         def counting_advance(state, steps, *args, **kwargs):
             calls.append((state.n, steps))
+            states.add(id(state))
             return real_advance(state, steps, *args, **kwargs)
 
-        def no_copy(self):
-            raise AssertionError("a campaign must step in place")
-
         monkeypatch.setattr(simulator, "advance", counting_advance)
-        monkeypatch.setattr(UavState, "copy", no_copy)
         run_campaign(NET, FAD, MOB, 15 * 4, chains=15, stride=2)
         assert calls == [(15 * NET.n_interferers, 2)] * 4
+        assert len(states) == 1  # one state, stepped in place
 
     def test_working_set_does_not_grow_with_the_snapshots(self):
         """In the baseline layout (128 chains, M = 2) a campaign of 8N
@@ -338,19 +400,6 @@ class TestInPlaceCampaign:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0], peaks
-
-    def test_sort_tally_equals_the_broadcast_compare(self):
-        """The covered-snapshot counts per row and threshold, from one
-        sort and searchsorted, against comparing every SIR with every
-        threshold; ties with a threshold and infinite SIRs included."""
-        psi = default_psi_grid()
-        sir = np.random.default_rng(8).lognormal(0.0, 3.0, (3, 40))
-        sir[0, :5] = np.inf
-        sir[1, 5:8] = psi[[0, 4, 10]]
-        sir[2] = np.inf
-        expected = (sir[:, :, None] > psi).sum(axis=1)
-        assert np.array_equal(_tally(sir, psi), expected)
-        assert _tally(sir, psi)[2].tolist() == [40] * psi.size
 
 
 class TestHopWorkspace:
@@ -466,15 +515,16 @@ class TestSnapshotBuffers:
         assert "M=2: 28 snapshots per chain in buffers of 8, identical" in result.detail
 
     @pytest.mark.parametrize("name, old, new, what", [
-        ("run_campaign", "batch = np.arange(start, start + k) * nb // per_chain",
-         "batch = np.full(k, start * nb // per_chain)", "batch_success, batch_snapshots"),
+        # every chain's counts in chain 0: coverage() stays the same, the SE does not
+        ("run_campaign", "chain_success[:] += (sir[:, :, None] > psi_grid).sum(axis=0)",
+         "chain_success[0] += (sir[:, :, None] > psi_grid).sum(axis=(0, 1))", "chain_success"),
         ("_fade", "interfering.standard_gamma(m_i, k * n)",
-         "interfering.standard_gamma(m_i, (n, k)).T.ravel()", "batch_success"),
+         "interfering.standard_gamma(m_i, (n, k)).T.ravel()", "chain_success"),
         ("run_campaign", "offset = moving.view(np.uint8) * np.uint8(_N_BINS)",
          "offset = (~moving).view(np.uint8) * np.uint8(_N_BINS)", "histograms"),
         ("run_campaign", "tops = math.hypot(net.radius, net.height), net.height",
          "tops = math.hypot(net.radius, net.height), net.radius", "histograms, histogram_edges"),
-    ], ids=["whole-buffer-in-its-first-row's-batch", "gains-drawn-chain-major",
+    ], ids=["all-counts-in-chain-0", "gains-drawn-chain-major",
             "phase-offset-swapped", "altitudes-binned-on-the-radius"])
     def test_planted_flush_fault_fails(self, monkeypatch, small_buffers, name, old, new, what):
         TestEventTape.plant(monkeypatch, name, old, new)
@@ -579,7 +629,9 @@ class TestSteadyState:
         are numpy's histograms of its samples, per phase, on the fixed
         ranges [0, sqrt(R^2 + H^2)] and [0, H]."""
         w, h, dwelling = stepped
-        assert dwelling.sum() == campaign.batch_dwelling.sum()
+        chains = campaign.chain_dwelling.size
+        assert np.array_equal(dwelling.reshape(1000, chains, -1).sum(axis=(0, 2)),
+                              campaign.chain_dwelling)
         tops = [math.hypot(NET.radius, NET.height), NET.height]
         assert campaign.histogram_edges[:, -1].tolist() == tops
         for hists, edges, x, top in zip(campaign.histograms, campaign.histogram_edges,
@@ -684,7 +736,7 @@ class TestStationaryStart:
     ], ids=["uniform-speed", "raw-dwell", "waypoint-ignoring-altitude",
             "uniform-moving-altitude"])
     def test_mutated_launch_fails(self, launched, mutate):
-        state = launched.copy()
+        state = copy.deepcopy(launched)
         mutate(state, np.random.default_rng(9))
         result = check_stationary_start(state, NET, MOB, NET.n_interferers)
         assert not result.passed, result.detail
