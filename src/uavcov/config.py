@@ -1,7 +1,7 @@
 """Configuration types for the network, the fading model and the mobility model.
 
 All values are plain SI units: meters, seconds, meters/second.  Instances are
-frozen after construction and safe to share across concurrent workers.
+frozen after construction.
 """
 
 from __future__ import annotations

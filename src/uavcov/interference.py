@@ -41,9 +41,9 @@ one threshold at a time.
 
 At path-loss exponent 2 the phase factors also have the paper's Gauss
 hypergeometric closed forms.  uavcov.special keeps them as the kernel's
-oracle, off this module's path.  No scipy is imported here either; its
-adaptive quadrature serves as the kernel's oracle for k >= 1 in `validate`
-and the tests.
+oracle, off this module's path.  At every exponent and order its oracle is
+uavcov.validation.phase_moments, the model's definition integrated in 2D;
+the tests add scipy's adaptive quadrature.  No scipy is imported here.
 """
 
 from __future__ import annotations

@@ -334,9 +334,9 @@ class HopWorkspace:
     """The stride-sized arrays of the hops (`advance`, `_hop`), made once
     and reused stride after stride: the (hops, 2) proposal uniforms, the hop
     lengths, two arrays for `_unit`'s temporaries (the first then holds the
-    ranks' radii), the complex offsets, and the accept and interior masks.  It grows to the most hops one stride
-    has asked for, so a campaign that reuses one allocates none of these
-    per stride."""
+    ranks' radii), the complex offsets, and the accept and interior masks.
+    It grows to the most hops one stride has asked for, so a campaign that
+    reuses one allocates none of these per stride."""
 
     def __init__(self) -> None:
         self.rows = -1
@@ -541,9 +541,9 @@ class CampaignResult:
 
     def dwelling_fraction_se(self) -> float:
         """Standard error of the dwelling fraction, from the spread of the
-        chains' own fractions (`_chain_se`)."""
-        return float(_chain_se(
-            self.chain_dwelling / (self.chain_snapshots * max(self.n_interferers, 1))))
+        chains' own fractions (`_chain_se`); NaN with no interferers."""
+        n = self.n_interferers
+        return float(_chain_se(self.chain_dwelling / (self.chain_snapshots * n))) if n else math.nan
 
     def dwelling_count_pmf(self) -> np.ndarray:
         """Empirical law of the number of dwelling interferers per snapshot."""

@@ -2,8 +2,9 @@
 
 Each check pits one evaluation route against an independent one: exact
 anchors, closed forms against the Gauss-Legendre kernel, the kernel against
-scipy's adaptive quadrature, each row of a batched kernel call against the
-same threshold alone, the panels the kernel's shared table gives each row
+a 2D integral of the model's definition over offset and altitude
+(phase_moments), each row of a batched kernel call against the same
+threshold alone, the panels the kernel's shared table gives each row
 against that row's own edges, inverse-transform samples against closed-form
 laws, derivative jets against finite differences, the analysis against the
 end-to-end simulation, the stationary launch against the closed-form
@@ -27,11 +28,10 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import stats
 
 from . import interference
 from .config import (
@@ -51,13 +51,14 @@ __all__ = ["CheckResult", "check_analysis_vs_simulation", "check_binomial_collap
            "check_hyp2f1_consistency", "check_kernel_batch_vs_row", "check_ladder_vs_row_edges",
            "check_stationary_start", "check_steady_state_mobility", "check_trivial_anchors",
            "event_tape_gaps", "integrated_pdf", "kernel_rows_apart", "ladder_rows_apart",
-           "min_campaign_snapshots", "quad_phase_moment", "run_validation", "snapshot_by_snapshot"]
+           "min_campaign_snapshots", "phase_moments", "run_validation", "snapshot_by_snapshot"]
 
-# Adaptive-quadrature oracle tolerances.  The relative tolerance dominates:
-# at large s the moments decay by many orders of magnitude.
-_QUAD_EPSABS = 1e-300
-_QUAD_EPSREL = 1e-11
-_QUAD_LIMIT = 200
+# phase_moments' panels: 16 nodes each, graded from 12 doublings below the
+# length scale, one per doubling per 24 of steepness a(m + order); it refuses
+# scales over 40 doublings below the top of the support (its grid grows as
+# the square of the ladder) and takes blocks of at most 2^18 node values.
+_ORACLE_NODES, _ORACLE_GRADING, _ORACLE_STEEPNESS = 16, 12, 24
+_ORACLE_MAX_DOUBLINGS, _ORACLE_BLOCK = 40, 1 << 18
 _MAX_EVENT_PASSES = 10_000
 # smallest KS p-value the stationary launch may show against a closed-form law
 _STATIONARY_KS_PMIN = 1e-3
@@ -77,56 +78,51 @@ class CheckResult:
     detail: str
 
 
-def quad_phase_moment(phase: str, s: float, m: int, net, k: int = 0) -> float:
-    """E_W[ W^(-alpha k) (1 + s W^-alpha / m)^-(m+k) ] by scipy's adaptive quadrature.
-
-    The oracle for the Gauss-Legendre kernel's quadrature, which shares
-    neither its integrand form nor its rule: each of the distance law's
-    three segments [0, H], [H, R] and [R, sqrt(R^2 + H^2)] is integrated in
-    w, against that segment's polynomial of piece_polynomials in plain
-    float arithmetic, and the summed error estimate is held to 1e-8
-    relative.  Both read the same law, so this checks the quadrature, not
-    the law.  Phi^(k)(s) = (-1)^k (m)_k m^-k times this moment.
-    """
-    dist = DistanceDistribution(phase, net.radius, net.height)
+def phase_moments(s: float, m: int, order: int, net) -> np.ndarray:
+    """E[W^(-alpha k) (1 + s W^-alpha / m)^-(m+k)] for k = 0..order, rows
+    static and moving, from the model's definition rather than the kernel's
+    law and rule: W = sqrt(z^2 + x^2), with offset z of density 2z/R^2 on
+    [0, R] and altitude x of density 1/H (dwelling) or 6x/H^2 - 6x^2/H^3
+    (moving) on [0, H], integrated by tensor Gauss-Legendre panels.  The
+    integrand t^m (m / (m W^alpha + s))^k, t = m W^alpha / (m W^alpha + s),
+    turns over at the length scale (s/m)^(1/alpha), steeply in proportion
+    to alpha (m + order), so each axis's panel edges double upward from
+    _ORACLE_GRADING doublings below that scale (or below sqrt(R^2 + H^2)),
+    ceil(alpha (m + order) / _ORACLE_STEEPNESS) per doubling, up to R and
+    H.  Phi^(k)(s) = (-1)^k (m)_k m^-k times the moment.  Every node value
+    of order k is at most (m/s)^k, so NumericalError is raised where
+    (m/s)^order exceeds e^700, and where the scale lies more than
+    _ORACLE_MAX_DOUBLINGS doublings below sqrt(R^2 + H^2)."""
     R, H, alpha = net.radius, net.height, net.path_loss_exponent
-    R2 = R * R
-    low, mid, shell = dist.piece_polynomials()
-    # On the top segment pdf(w) = shell(v) w / v with v = sqrt(w^2 - R^2);
-    # shell has no constant term, so shell(v) / v is shell one power down.
-    pieces = ((0.0, H, (False, *low)), (H, R, (False, *mid)),
-              (R, dist.support_max, (True, *shell[1:], 0.0)))
+    w_max, scale = math.hypot(R, H), (s / m) ** (1.0 / alpha)
+    if not scale >= w_max * 2.0**-_ORACLE_MAX_DOUBLINGS or order * math.log(m / s) > 700:
+        raise NumericalError(f"from-definition oracle refuses s={s:.3g}, m={m}: (s/m)^(1/alpha) "
+                             f"over {_ORACLE_MAX_DOUBLINGS} doublings below {w_max:g}, or "
+                             f"(m/s)^{order} over e^700")
+    per_doubling = math.ceil(alpha * (m + order) / _ORACLE_STEEPNESS)
+    bottom = min(scale, w_max) * 2.0**-_ORACLE_GRADING
+    nodes, weights = np.polynomial.legendre.leggauss(_ORACLE_NODES)
 
-    def integrand(w, in_v, c0, c1, c2, c3, c4):
-        x = (w * w - R2) ** 0.5 if in_v else w
-        poly = c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
-        wa = w**alpha
-        return (w * poly if in_v else poly) * wa ** (-k) * (1.0 + s / (m * wa)) ** (-(m + k))
+    def axis(top):  # nodes and weights of the panels of [0, top]
+        rungs = bottom * np.exp2(np.arange(per_doubling * math.log2(top / bottom)) / per_doubling)
+        edges = np.concatenate([[0.0], rungs[rungs < top], [top]])
+        lo, half = edges[:-1, None], np.diff(edges)[:, None] / 2
+        return (lo + half * (nodes + 1)).ravel(), (half * weights).ravel()
 
-    value = abserr = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        for lo, hi, args in pieces:
-            try:
-                part, err = integrate.quad(
-                    integrand, lo, hi, args=args, limit=_QUAD_LIMIT,
-                    epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL,
-                )
-            except integrate.IntegrationWarning as exc:
-                raise NumericalError(
-                    f"phase factor quadrature failed for phase={phase}, s={s}, m={m}, "
-                    f"derivative order k={k}, segment [{lo:g}, {hi:g}]: {exc}"
-                ) from exc
-            value += part
-            abserr += err
-    if value != 0.0 and abserr / abs(value) > 1e-8:
-        raise NumericalError(
-            f"phase factor quadrature too inaccurate (rel err {abserr / abs(value):.2e}) "
-            f"for phase={phase}, s={s}, m={m}, k={k}",
-            partial=value,
-            error_bound=abserr,
-        )
-    return value
+    (z, wz), (x, wx) = axis(R), axis(H)
+    wz *= 2.0 * z / R**2
+    density = np.stack([wx / H, wx * (6.0 * x / H**2 - 6.0 * x**2 / H**3)], axis=1)
+    out, rows = np.zeros((order + 1, 2)), max(1, _ORACLE_BLOCK // x.size)
+    for lo in range(0, z.size, rows):  # blocks of offsets by every altitude
+        m_w_alpha = m * (z[lo:lo + rows, None] ** 2 + x * x) ** (alpha / 2.0)
+        ratio = m_w_alpha + s
+        g = (m_w_alpha / ratio) ** m
+        np.divide(m, ratio, out=ratio)
+        for k in range(order + 1):
+            out[k] += wz[lo:lo + rows] @ g @ density
+            if k < order:
+                g *= ratio
+    return out.T
 
 
 def _time_left_vertical(h, moving, wp, v, rem, dt: float, dwell, leg) -> None:
@@ -578,24 +574,24 @@ def check_closed_vs_quadrature(net, points) -> CheckResult:
 
 def check_gl_vs_quad(cases, order: int) -> CheckResult:
     """The kernel's scaled coefficients (-s)^k Phi^(k)(s) / k! against
-    C(m + k - 1, k) (s/m)^k times the adaptive-quadrature moment, both
-    phases and k <= order, at every (net, m, s_values) of cases, to 1e-9
-    relative.  A moment the quadrature cannot reach fails the check: its
-    coefficient goes unverified."""
+    C(m + k - 1, k) (s/m)^k times the from-definition moment (phase_moments,
+    one call per threshold), both phases and k <= order, at every
+    (net, m, s_values) of cases, to 1e-9 relative.  A threshold the oracle
+    refuses fails the check: its coefficients go unverified."""
     worst, worst_at, compared, unreached = 0.0, None, 0, []
     for net, m, s_values in cases:
         coeffs, failures = interference.scaled_phase_jets(s_values, m, order, net)
         for i, s in enumerate(map(float, s_values)):
             if failures[i] is not None:
                 return CheckResult("gl-vs-quad", False, f"kernel failed: {failures[i]}")
+            try:
+                moments = phase_moments(s, m, order, net)
+            except NumericalError:
+                unreached.append(f"s={s:.3g}")
+                continue
             for p, phase in enumerate(("static", "moving")):
                 for k in range(order + 1):
-                    try:
-                        moment = quad_phase_moment(phase, s, m, net, k)
-                    except NumericalError:
-                        unreached.append(f"{phase} s={s:.3g} k={k}")
-                        continue
-                    got = float(coeffs[i, p, k])
+                    got, moment = float(coeffs[i, p, k]), float(moments[p, k])
                     if moment > 0.0:  # in logs: (s/m)^k alone may overflow
                         expected = math.exp(math.log(math.comb(m + k - 1, k))
                                             + k * math.log(s / m) + math.log(moment))
@@ -608,7 +604,7 @@ def check_gl_vs_quad(cases, order: int) -> CheckResult:
     detail = (f"worst relative gap {worst:.2e} at {worst_at} (<=1e-9) over {compared} "
               f"coefficients, k <= {order}")
     if unreached:
-        detail += f"; quadrature failed, not compared: {', '.join(unreached)}"
+        detail += f"; oracle refused, not compared: {', '.join(unreached)}"
     return CheckResult("gl-vs-quad", worst <= 1e-9 and not unreached, detail)
 
 
@@ -879,8 +875,8 @@ def check_steady_state_mobility(result, mob, k_se: float, floor: float) -> Check
     fraction against the stay probability within max(k_se SE, floor), the
     SE taken from the spread of the campaign's independent chains, the
     per-snapshot dwelling count against Binomial(M, p) (TV < 0.02), and the
-    mean interior hop length against mob's (5%).  The detail also gives
-    that SE over the binomial SE of the interferer-snapshots."""
+    mean interior hop length against mob's (5%; n/a with no interior hop,
+    as with no dwell).  The detail also gives that SE over the binomial SE."""
     if result.n_interferers == 0:
         return CheckResult("steady-state-mobility", True, "skipped: no interferers simulated")
     p_stay, frac = result.stay_probability, result.dwelling_fraction()
@@ -891,13 +887,15 @@ def check_steady_state_mobility(result, mob, k_se: float, floor: float) -> Check
     tv = 0.5 * float(np.abs(result.dwelling_count_pmf() - ref).sum())
     hop_gap = abs(result.mean_interior_hop_length() - mob.mean_hop_length)
     hop_tol = 0.05 * mob.mean_hop_length
-    ok = abs(frac - p_stay) <= frac_tol and tv < 0.02 and hop_gap < hop_tol
+    hop = (f"hop mean gap {hop_gap:.1e} (<{hop_tol:.3f})" if result.hop_count
+           else "hop mean n/a (no interior hops)")
+    hop_ok = not result.hop_count or hop_gap < hop_tol
+    ok = abs(frac - p_stay) <= frac_tol and tv < 0.02 and hop_ok
     return CheckResult(
         "steady-state-mobility", ok,
         f"dwelling fraction {frac:.5f} vs {p_stay:.5f} (|diff|={abs(frac - p_stay):.5f} <= "
         f"max({k_se:g}SE, {floor:g})={frac_tol:.5f}, SE/binomial SE {ratio}); "
-        f"phase-count TV {tv:.4f} (<0.02); "
-        f"hop mean gap {hop_gap:.1e} (<{hop_tol:.3f})",
+        f"phase-count TV {tv:.4f} (<0.02); {hop}",
     )
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import uavcov.distributions as distributions
 import uavcov.interference as interference
 import uavcov.validation as validation
 from uavcov.config import FadingConfig, NetworkConfig
@@ -423,6 +424,70 @@ def test_derivative_quadrature_matches_independent_oracle(alpha):
                     expected = ref[phase][k] * (-s) ** k / math.factorial(k)
                     mine = coeffs[i, p, k]
                     assert abs(mine - expected) <= 1e-10 * abs(expected), (phase, m, s, k)
+
+
+class TestFromDefinitionOracle:
+    """validation.phase_moments, the oracle of check_gl_vs_quad, integrates
+    the model's definition (offset and altitude densities written by hand)
+    rather than the distance law the kernel reads."""
+
+    def test_matches_the_bench_oracle(self):
+        """Against bench/oracle.py's phase derivatives at 32 nodes, to
+        1e-12: Phi^(k)(s) = (-1)^k (m)_k m^-k times the moment."""
+        oracle = _bench_oracle()
+        for alpha, m, order, s in ((2.0, 1, 2, 1e-3), (3.0, 3, 4, 1.0), (4.0, 2, 3, 1e4)):
+            net = net_with(alpha=alpha)
+            geo = oracle.Geometry(net.radius, net.height, net.serving_altitude, alpha)
+            ref = oracle.phase_derivatives(s, m, order, geo, nodes=32)
+            moments = validation.phase_moments(s, m, order, net)
+            for (p, phase), k in itertools.product(enumerate(("static", "moving")),
+                                                   range(order + 1)):
+                expected = ref[phase][k] * (-1) ** k / math.prod(range(m, m + k)) * m**k
+                assert abs(moments[p, k] - expected) <= 1e-12 * expected, (alpha, phase, k)
+
+    @pytest.mark.parametrize("radius, height, alpha, m, order", [
+        (40.0, 30.0, 7.5, 12, 3),  # steep: one panel per doubling misses by 2e-9
+        (100.0, 5.0, 4.0, 12, 3),
+        (10.0, 9.0, 3.0, 4, 6),
+    ])
+    def test_gl_vs_quad_passes_on_steep_and_odd_cylinders(self, radius, height, alpha, m,
+                                                          order):
+        net = NetworkConfig(radius, height, 1.0, 2, alpha)
+        result = validation.check_gl_vs_quad([(net, m, np.logspace(-3, 6, 4))], order)
+        assert result.passed, result.detail
+        gap = float(result.detail.split()[3])
+        assert gap <= 1e-13, result.detail
+
+    def test_refuses_a_length_scale_too_far_below_the_support(self):
+        """Below 40 doublings under sqrt(R^2 + H^2) the grid would grow as
+        the square of the ladder, so the oracle refuses with a typed error
+        and check_gl_vs_quad lists the threshold as not compared; just
+        above, the steepest case so far stays within 16 MB, as its blocks
+        of node values bound it."""
+        net = net_with(alpha=7.5)
+        edge = 12 * (math.hypot(net.radius, net.height) * 2.0**-40) ** 7.5
+        with pytest.raises(NumericalError, match="over 40 doublings below 50"):
+            validation.phase_moments(0.5 * edge, 12, 3, net)
+        tracemalloc.start()
+        try:
+            moments = validation.phase_moments(2.0 * edge, 12, 3, net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(moments).all() and peak < 16e6, peak
+        result = validation.check_gl_vs_quad([(net_with(), 1, [1e-298, 1.0])], 2)
+        assert not result.passed
+        assert result.detail.endswith("; oracle refused, not compared: s=1e-298"), result.detail
+
+    def test_planted_altitude_law_fails_gl_vs_quad(self, monkeypatch):
+        """A wrong but valid moving-phase altitude cdf, u^3 for 3u^2 - 2u^3,
+        moves the kernel's distance law (it is derived from _ALTITUDE_CDF)
+        but not the oracle's definition, so gl-vs-quad fails on it."""
+        cases = [(net_with(), 1, np.logspace(-2, 5, 8))]
+        assert validation.check_gl_vs_quad(cases, 2).passed
+        monkeypatch.setitem(distributions._ALTITUDE_CDF, "moving", (0.0, 0.0, 0.0, 1.0))
+        result = validation.check_gl_vs_quad(cases, 2)
+        assert not result.passed and "'moving'" in result.detail, result.detail
 
 
 @pytest.mark.parametrize("n", [2, 12, 16, 24, 32])

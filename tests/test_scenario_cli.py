@@ -1,4 +1,5 @@
 import argparse
+import ast
 import copy
 import itertools
 import json
@@ -437,7 +438,8 @@ class TestSimulateCommand:
         """With no interferers the dwelling fraction and the hop length are
         undefined, and the standard errors of the coverage are 0 (every chain
         is covered at every threshold): the summary writes null for the
-        undefined ones, never a bare NaN."""
+        undefined ones, the dwelling fraction's SE included, never a bare
+        NaN."""
         sc = small_scenario(
             network=NetworkConfig(40.0, 30.0, 10.0, 0, 2.0),
             sim=SimParams(n_snapshots=64, seed=3, chains=8),
@@ -451,7 +453,7 @@ class TestSimulateCommand:
             raise ValueError(f"non-standard JSON constant {constant}")
 
         doc = json.loads((tmp_path / "camp.json").read_text(), parse_constant=reject)
-        assert doc["dwelling_fraction"] is None
+        assert doc["dwelling_fraction"] is None and doc["dwelling_fraction_se"] is None
         assert doc["mean_interior_hop_length"] is None
         assert doc["coverage"] == [1.0] * 4
         assert doc["coverage_se"] == [0.0] * 4
@@ -624,6 +626,21 @@ class TestValidateCommand:
         assert line.startswith("[FAIL] ") and "closed form failed, not compared: static m=1" in line
         assert next(l for l in lines if "derivative-jet" in l).startswith("[PASS] ")
         assert "Traceback" not in captured.err
+
+    def test_campaign_without_interior_hops_passes(self, tmp_path, capsys):
+        """With dwells of 0 s no interferer makes an interior hop, so the
+        mean hop length is undefined: the mobility line reports it as n/a
+        and every check passes."""
+        doc = json.loads(BASELINE.read_text())
+        doc["mobility"].update(dwell_min_s=0.0, dwell_max_s=0.0)
+        doc["sim"]["n_snapshots"] = 30_000
+        path = tmp_path / "no_dwell.json"
+        path.write_text(json.dumps(doc))
+        code = main(["validate", "--scenario", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and lines[-1] == "all 14 checks passed", lines
+        line = next(l for l in lines if "steady-state-mobility" in l)
+        assert line.endswith("; hop mean n/a (no interior hops)"), line
 
     def test_minimum_campaign_comes_from_the_floors_and_the_binomial_se(self):
         """The coverage check's floor, 0.015, must hold 5 binomial SEs at
@@ -878,8 +895,19 @@ def test_cli_import_leaves_out_the_validation_suite(tmp_path):
     """Only `validate` needs the suite and scipy: importing the CLI loads
     neither, nor the closed-form oracle (uavcov.special) or the unused jet
     arithmetic (uavcov.taylor), and `analyze` and `simulate` run where
-    scipy cannot be imported at all."""
+    scipy cannot be imported at all.  No module of the package imports
+    scipy.integrate; scipy.stats loads it at run time, so this reads the
+    source, not sys.modules."""
     src = os.path.dirname(os.path.dirname(uavcov.__file__))
+    for path in Path(uavcov.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not [n for n in names if n.startswith("scipy.integrate")], (path, names)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, uavcov.cli; print([m for m in ('uavcov.validation', "

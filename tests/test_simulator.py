@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import inspect
 import math
 
@@ -302,6 +303,26 @@ class TestCampaign:
         assert not validation.check_analysis_vs_simulation(cases, floor=1e-6, k_se=5).passed
         mobility = validation.check_steady_state_mobility(res, MOB, k_se=4, floor=0.05)
         assert mobility.passed and "max(4SE, 0.05)=0.05000" in mobility.detail, mobility.detail
+
+    def test_hop_range_of_r_leaves_the_hop_check_out(self):
+        """A hop range of R leaves no interior: no hop is interior, so the
+        mobility check reports the mean hop length as n/a, not NaN, and
+        passes on its other parts."""
+        mob = dataclasses.replace(MOB, hop_range=NET.radius)
+        res = run_campaign(NET, FAD, mob, 4000, seed=3, chains=4)
+        assert res.hop_count == 0 and math.isnan(res.mean_interior_hop_length())
+        mobility = validation.check_steady_state_mobility(res, mob, k_se=4, floor=0.05)
+        assert mobility.passed, mobility.detail
+        assert mobility.detail.endswith("; hop mean n/a (no interior hops)"), mobility.detail
+
+    def test_no_interferers_leave_the_dwelling_fraction_and_its_se_nan(self):
+        """Eight chains of no interferers: no interferer-snapshot dwells or
+        moves, so the dwelling fraction and its SE are both undefined, while
+        every chain covers every threshold (coverage 1, SE 0)."""
+        res = run_campaign(dataclasses.replace(NET, n_interferers=0), FAD, MOB, 64, seed=3,
+                           chains=8)
+        assert math.isnan(res.dwelling_fraction()) and math.isnan(res.dwelling_fraction_se())
+        assert (res.coverage() == 1.0).all() and (res.coverage_se() == 0.0).all()
 
     def test_four_chain_campaign_has_standard_errors(self):
         """Four chains, as the edge grid's scenarios run, give a finite,
