@@ -78,9 +78,9 @@ class FadingConfig:
                          from the band containing its current altitude
                          (simulation-only mode: the analysis has no such
                          curve, and the CLI's analyze and sweep refuse it)
-    bands:               optional ((low, high, m), ...) altitude bands; when
-                         None and altitude_dependent is set, equal thirds of
-                         [0, H] with m = 1, 2, 3 are used
+    bands:               optional ((low, high, m), ...) altitude bands, only
+                         with altitude_dependent set; when None, equal thirds
+                         of [0, H] with m = 1, 2, 3 are used
     """
 
     serving_m: int = 1
@@ -94,6 +94,8 @@ class FadingConfig:
             if int(m) != m or m < 1:
                 raise ConfigurationError(f"{name} must be a positive integer, got {m}")
         if self.bands is not None:
+            if not self.altitude_dependent:
+                raise ConfigurationError("fading.bands needs fading.altitude_dependent set")
             object.__setattr__(self, "bands", tuple(tuple(b) for b in self.bands))
             for low, high, m in self.bands:
                 if not math.isfinite(m) or int(m) != m or m < 1:

@@ -12,8 +12,9 @@ v = sqrt(max(w^2 - R^2, 0)) the distance W = sqrt(h^2 + Z^2) has
 
 three polynomial pieces with breakpoints w = H and w = R (the order needs
 H < R), the top one in v (piece_polynomials, the kernel's form).  The cdf
-pieces are their antiderivatives.  The samplers draw by inverse transform
-through their own closed forms, so they cross-validate the table at scale.
+pieces are their antiderivatives.  Nothing here draws: the simulator's launch
+(simulator.initial_state) samples these laws, and validation holds its draws
+to the cdfs by Kolmogorov-Smirnov.
 """
 
 from __future__ import annotations
@@ -101,29 +102,12 @@ class AltitudeDistribution:
         if not self.height > 0:
             raise DomainError(f"height must be > 0, got {self.height}")
 
-    def _checked(self, x) -> np.ndarray:
+    def cdf(self, x):
         x = np.asarray(x, dtype=float)
         if np.isnan(x).any():
             raise DomainError("altitude must not be NaN")
-        return x
-
-    def pdf(self, x):
-        x = self._checked(x)
-        H, coeffs = self.height, _ALTITUDE_CDF[self.phase]
-        slope = _horner([j * c for j, c in enumerate(coeffs)][1:], x / H) / H
-        out = np.where((x >= 0) & (x <= H), slope, 0.0)
-        return out if out.ndim else float(out)
-
-    def cdf(self, x):
-        x = self._checked(x)
         out = _horner(_ALTITUDE_CDF[self.phase], np.clip(x / self.height, 0.0, 1.0))
         return out if out.ndim else float(out)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(n)
-        if self.phase == "static":
-            return self.height * u
-        return self.height * smoothstep_inverse(u)
 
 
 @dataclass(frozen=True)
@@ -207,9 +191,3 @@ class DistanceDistribution:
                                           - _horner(F, self._shell_offset(w) / H))
         out = np.maximum(out, 0.0)
         return float(out[0]) if scalar else out
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw distances as sqrt(h^2 + z^2) with z = R sqrt(U) on the disk."""
-        z = self.radius * np.sqrt(rng.random(n))
-        h = AltitudeDistribution(self.phase, self.height).sample(n, rng)
-        return np.hypot(h, z)

@@ -626,7 +626,7 @@ def run_campaign(
 
     chain_success = np.zeros((chains, psi_grid.size), dtype=np.intp)
     chain_dwelling = np.zeros(chains, dtype=np.intp)
-    dwelling_hist = np.zeros(M + 1)
+    dwelling_hist = np.zeros(M + 1, dtype=np.intp)
     tops = math.hypot(net.radius, net.height), net.height
     histograms = np.zeros((2, 2, _N_BINS), dtype=np.intp)
     shapes = _interferer_shapes(fading, net)

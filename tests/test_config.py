@@ -116,6 +116,12 @@ class TestFadingBands:
         with pytest.raises(ConfigurationError):
             resolve_fading_bands(short, baseline_network)
 
+    def test_bands_need_altitude_dependent_fading(self):
+        """Without altitude_dependent every interferer has interferer_m, so a
+        band table would be silently ignored: it is refused instead."""
+        with pytest.raises(ConfigurationError, match="altitude_dependent"):
+            FadingConfig(1, 2, altitude_dependent=False, bands=((0, 5, 3), (5, 30, 1)))
+
     def test_band_shape_must_be_positive_integer(self):
         for m in (0, math.inf):
             with pytest.raises(ConfigurationError):

@@ -148,6 +148,16 @@ class TestScenarioDocument:
         with pytest.raises(ConfigurationError, match=r"fading.bands\[1\] shape"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_bands_without_altitude_dependent_exit_2(self, command, tmp_path, capsys):
+        doc = scenario_to_dict(small_scenario())
+        doc["fading"]["bands"] = [[0.0, 5.0, 3], [5.0, 30.0, 1]]
+        path = tmp_path / "bands.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fading.altitude_dependent" in err
+
     def test_integral_floats_load_as_integers(self):
         doc = scenario_to_dict(small_scenario())
         doc["network"]["n_interferers"] = 2.0
@@ -430,6 +440,9 @@ class TestSimulateCommand:
         assert len(doc["coverage"]) == 4
         assert isinstance(doc["analytical_coverage"], list)
         assert doc["n_snapshots"] >= 20_000
+        # a tally of snapshots, written as integers like n_snapshots
+        assert all(type(c) is int for c in doc["dwelling_count_hist"])
+        assert sum(doc["dwelling_count_hist"]) == doc["n_snapshots"]
         hist_lines = (tmp_path / "camp_histograms.csv").read_text().splitlines()
         assert hist_lines[0] == "# uavcov histograms v1"
         assert any(l.startswith("dwelling_count,") for l in hist_lines)
@@ -892,12 +905,11 @@ def test_init_writes_loadable_template(tmp_path):
 
 
 def test_cli_import_leaves_out_the_validation_suite(tmp_path):
-    """Only `validate` needs the suite and scipy: importing the CLI loads
-    neither, nor the closed-form oracle (uavcov.special) or the unused jet
-    arithmetic (uavcov.taylor), and `analyze` and `simulate` run where
-    scipy cannot be imported at all.  No module of the package imports
-    scipy.integrate; scipy.stats loads it at run time, so this reads the
-    source, not sys.modules."""
+    """Only `validate` needs the suite: importing the CLI loads neither it,
+    nor the closed-form oracle (uavcov.special), nor the unused jet
+    arithmetic (uavcov.taylor).  No module of the package imports scipy
+    (read from the source), and `analyze`, `simulate` and `validate` run
+    where scipy cannot be imported at all."""
     src = os.path.dirname(os.path.dirname(uavcov.__file__))
     for path in Path(uavcov.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -907,7 +919,7 @@ def test_cli_import_leaves_out_the_validation_suite(tmp_path):
                 names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            assert not [n for n in names if n.startswith("scipy.integrate")], (path, names)
+            assert not [n for n in names if n.split(".")[0] == "scipy"], (path, names)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, uavcov.cli; print([m for m in ('uavcov.validation', "
@@ -932,6 +944,12 @@ def test_cli_import_leaves_out_the_validation_suite(tmp_path):
     subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                    text=True, check=True, timeout=120)
     assert json.loads((tmp_path / "camp.json").read_text())["n_snapshots"] == 64
+    code = ("import sys; sys.modules['scipy'] = None; from uavcov.cli import main; "
+            f"sys.exit(main(['validate', '--scenario', {str(baseline)!r}]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.splitlines()[-1] == "all 14 checks passed"
 
 
 def test_analysis_loads_neither_masked_arrays_nor_polynomials(tmp_path):

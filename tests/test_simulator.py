@@ -771,6 +771,57 @@ class TestStationaryStart:
         _check_contained(state.radius2(), state.altitude(), NET)
 
 
+class TestKolmogorovSmirnov:
+    """The stationary-start check's numpy Kolmogorov-Smirnov test and
+    binomial probabilities against scipy's."""
+
+    SIZES = [1, 2, 3, 10, 11, 20, 21, 22, 100, 500, 1000, 10_000, 100_000]
+
+    def test_statistic_is_scipys_bit_for_bit(self):
+        """Draws that follow the law and draws that do not, n = 1 to 200k."""
+        rng = np.random.default_rng(21)
+        uniform = lambda x: np.clip(x, 0.0, 1.0)  # noqa: E731
+        for n in (1, 2, 3, 10, 11, 57, 1000, 10_000, 200_000):
+            for power in (1.0, 1.01, 1.5):
+                x = rng.random(n) ** power
+                assert validation.ks_test(x, uniform)[0] == stats.kstest(x, uniform).statistic
+
+    @pytest.mark.parametrize("n", SIZES + [1_000_000])
+    def test_pvalue_is_twice_the_one_sided_tail(self, n):
+        """Within 1e-8 relative of 2 ksone.sf (clipped at 1), at the D of
+        two-sided p-values 1e-3 to 0.9 and at D = k/n, the statistic's
+        lattice, where 1 - D - j/n can round below 0 (n = 11, D = 2/11).
+        At 1e6 draws ksone.sf takes about 1 s a point, so there only
+        D = 2000/n (p about 7e-4) is compared."""
+        root = math.ceil(math.sqrt(n))
+        d_values = [2 * root / n]
+        if n < 1_000_000:
+            d_values += [float(stats.kstwo.isf(p, n)) for p in (1e-3, 0.01, 0.1, 0.5, 0.9)]
+            d_values += [k / n for k in sorted({1, 2, root, 3 * root, n // 2, n}) if 0 < k <= n]
+        for d in d_values:
+            expected = min(1.0, 2.0 * float(stats.ksone.sf(d, n)))
+            assert validation.ks_pvalue(d, n) == pytest.approx(expected, rel=1e-8, abs=1e-300), d
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_pvalue_is_exact_at_the_gate(self, n):
+        """At the D where the exact two-sided p-value is 1e-3 the bound
+        exceeds that p-value by under 1e-11, so the 1e-3 gate decides as
+        the exact test would.  (kstwo.isf itself misses 1e-3 by up to
+        1.4e-9 near n = 500, so the bound is held to kstwo.sf at that D.)"""
+        d = float(stats.kstwo.isf(1e-3, n))
+        assert abs(validation.ks_pvalue(d, n) - float(stats.kstwo.sf(d, n))) < 1e-11
+
+    @pytest.mark.parametrize("n, p", [(1, 0.3), (2, 0.5), (5, 0.0), (12, 1.0), (20, 0.1),
+                                      (40, 0.5005), (2000, 0.37)])
+    def test_binomial_total_variation(self, n, p):
+        expected = stats.binom.pmf(np.arange(n + 1), n, p)
+        assert validation._binomial_tv(expected, p) <= 1e-12
+        law = np.random.default_rng(n).random(n + 1)
+        law /= law.sum()
+        tv = 0.5 * np.abs(law - expected).sum()
+        assert validation._binomial_tv(law, p) == pytest.approx(tv, rel=1e-12)
+
+
 class TestEventTape:
     """The oracle of `advance`: its stride calls against the time-stepped
     vertical integrator and a real-arithmetic hop stepped once per step
