@@ -32,7 +32,6 @@ from .scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from .simulator import run_campaign
 
 COVERAGE_CSV_HEADER = "# uavcov coverage-table v1"
 HISTOGRAM_CSV_HEADER = "# uavcov histograms v1"
@@ -128,6 +127,9 @@ def _statistic(value: float) -> float | None:
 
 
 def cmd_simulate(args) -> int:
+    # Imported here: analyze, sweep and init never run the simulator.
+    from .simulator import run_campaign
+
     sc = _apply_overrides(load_scenario(args.scenario), args)
     psi = np.asarray(sc.psi_grid_linear())
     result = run_campaign(

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import FadingConfig, MobilityConfig, NetworkConfig
 from .errors import ConfigurationError, UnsupportedGeometryError
@@ -50,6 +50,7 @@ class Scenario:
     mobility: MobilityConfig
     psi_grid_db: tuple[float, ...]
     sim: SimParams
+    _psi_linear: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = tuple(float(v) for v in self.psi_grid_db)
@@ -58,15 +59,17 @@ class Scenario:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigurationError("psi_grid_db must be strictly increasing")
         object.__setattr__(self, "psi_grid_db", grid)
+        linear = []
         for db in grid:
             try:
-                finite = math.isfinite(10.0 ** (db / 10.0))
+                linear.append(10.0 ** (db / 10.0))
             except OverflowError:
-                finite = False
-            if not finite:
+                linear.append(math.inf)
+            if not math.isfinite(linear[-1]):
                 raise ConfigurationError(
                     f"psi_grid_db value {db!r} dB has no finite linear threshold"
                 )
+        object.__setattr__(self, "_psi_linear", tuple(linear))
         if not self.network.height < self.network.radius:
             raise UnsupportedGeometryError(
                 "scenario geometry unsupported: the piecewise distance laws and "
@@ -74,9 +77,9 @@ class Scenario:
                 f"{self.network.height}, radius={self.network.radius}"
             )
 
-    def psi_grid_linear(self) -> list[float]:
-        """dB thresholds converted to linear scale (the one conversion point)."""
-        return [10.0 ** (db / 10.0) for db in self.psi_grid_db]
+    def psi_grid_linear(self) -> tuple[float, ...]:
+        """dB thresholds on the linear scale, converted once by __post_init__."""
+        return self._psi_linear
 
 
 _REQUIRED = object()
@@ -97,6 +100,21 @@ def _integral(value, name: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """A JSON number as float; bools, strings, other values and integers
+    beyond the float range are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigurationError(f"{name} must be a number, got {value!r}")
+
+
+def _real_field(section: dict, section_name: str, key: str, default=_REQUIRED) -> float:
+    return _real(_field(section, section_name, key, default), f"{section_name}.{key}")
 
 
 def _int_field(section: dict, section_name: str, key: str, default=_REQUIRED) -> int:
@@ -135,11 +153,11 @@ def _scenario_from_dict(doc: dict) -> Scenario:
     sim_doc = doc.get("sim", {})
 
     network = NetworkConfig(
-        radius=float(_field(net_doc, "network", "radius_m")),
-        height=float(_field(net_doc, "network", "height_m")),
-        serving_altitude=float(_field(net_doc, "network", "serving_altitude_m")),
+        radius=_real_field(net_doc, "network", "radius_m"),
+        height=_real_field(net_doc, "network", "height_m"),
+        serving_altitude=_real_field(net_doc, "network", "serving_altitude_m"),
         n_interferers=_int_field(net_doc, "network", "n_interferers"),
-        path_loss_exponent=float(_field(net_doc, "network", "path_loss_exponent", 2.0)),
+        path_loss_exponent=_real_field(net_doc, "network", "path_loss_exponent", 2.0),
     )
     bands = _field(fad_doc, "fading", "bands", None)
     fading = FadingConfig(
@@ -147,18 +165,20 @@ def _scenario_from_dict(doc: dict) -> Scenario:
         interferer_m=_int_field(fad_doc, "fading", "interferer_m", 1),
         altitude_dependent=_bool_field(fad_doc, "fading", "altitude_dependent", False),
         bands=None if bands is None else tuple(
-            (float(lo), float(hi), _integral(m, f"fading.bands[{i}] shape"))
+            (_real(lo, f"fading.bands[{i}] edge"), _real(hi, f"fading.bands[{i}] edge"),
+             _integral(m, f"fading.bands[{i}] shape"))
             for i, (lo, hi, m) in enumerate(bands)
         ),
     )
     override = _field(mob_doc, "mobility", "stay_probability_override", None)
     mobility = MobilityConfig(
-        speed_min=float(_field(mob_doc, "mobility", "speed_min_mps")),
-        speed_max=float(_field(mob_doc, "mobility", "speed_max_mps")),
-        dwell_min=float(_field(mob_doc, "mobility", "dwell_min_s")),
-        dwell_max=float(_field(mob_doc, "mobility", "dwell_max_s")),
-        hop_range=float(_field(mob_doc, "mobility", "hop_range_m")),
-        stay_probability_override=None if override is None else float(override),
+        speed_min=_real_field(mob_doc, "mobility", "speed_min_mps"),
+        speed_max=_real_field(mob_doc, "mobility", "speed_max_mps"),
+        dwell_min=_real_field(mob_doc, "mobility", "dwell_min_s"),
+        dwell_max=_real_field(mob_doc, "mobility", "dwell_max_s"),
+        hop_range=_real_field(mob_doc, "mobility", "hop_range_m"),
+        stay_probability_override=None if override is None else _real(
+            override, "mobility.stay_probability_override"),
     )
     # sim.warmup_steps is no longer read: campaigns start in the stationary law
     rule = _field(sim_doc, "sim", "boundary_rule", "stay")
@@ -170,13 +190,14 @@ def _scenario_from_dict(doc: dict) -> Scenario:
         raise ConfigurationError(f"sim.replications must be >= 1, got {replications}")
     sim = SimParams(
         n_snapshots=_int_field(sim_doc, "sim", "n_snapshots", 200_000),
-        dt=float(_field(sim_doc, "sim", "dt_s", 1.0)),
+        dt=_real_field(sim_doc, "sim", "dt_s", 1.0),
         stride=_int_field(sim_doc, "sim", "stride", 10),
         seed=_int_field(sim_doc, "sim", "seed", 1),
         chains=_int_field(sim_doc, "sim", "chains", 128) * replications,
     )
     psi = _field(doc, "scenario", "psi_grid_db")
-    return Scenario(network, fading, mobility, tuple(float(v) for v in psi), sim)
+    return Scenario(network, fading, mobility,
+                    tuple(_real(v, "psi_grid_db value") for v in psi), sim)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:

@@ -158,6 +158,36 @@ class TestScenarioDocument:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "fading.altitude_dependent" in err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("network", "radius_m", "40"),
+        pytest.param("network", "radius_m", 10 ** 400, id="network-radius_m-beyond-float"),
+        ("network", "height_m", True),
+        ("network", "serving_altitude_m", "10"),
+        ("network", "path_loss_exponent", False),
+        ("mobility", "speed_min_mps", "0.2"),
+        ("mobility", "speed_max_mps", True),
+        ("mobility", "dwell_min_s", "2"),
+        ("mobility", "dwell_max_s", False),
+        ("mobility", "hop_range_m", [10.0]),
+        ("mobility", "stay_probability_override", "0.5"),
+        ("sim", "dt_s", True),
+    ])
+    def test_real_fields_reject_non_numbers(self, section, key, value):
+        doc = scenario_to_dict(small_scenario())
+        doc[section][key] = value
+        with pytest.raises(ConfigurationError, match=f"{section}.{key} must be a number"):
+            scenario_from_dict(doc)
+
+    def test_thresholds_and_band_edges_reject_non_numbers(self):
+        doc = scenario_to_dict(small_scenario())
+        doc["psi_grid_db"] = [False, "5", 10]
+        with pytest.raises(ConfigurationError, match="psi_grid_db value must be a number"):
+            scenario_from_dict(doc)
+        doc = scenario_to_dict(small_scenario())
+        doc["fading"].update(altitude_dependent=True, bands=[[0.0, "10", 1], [10.0, 30.0, 2]])
+        with pytest.raises(ConfigurationError, match=r"fading.bands\[0\] edge must be a number"):
+            scenario_from_dict(doc)
+
     def test_integral_floats_load_as_integers(self):
         doc = scenario_to_dict(small_scenario())
         doc["network"]["n_interferers"] = 2.0
@@ -174,6 +204,7 @@ class TestScenarioDocument:
     def test_db_conversion_happens_here(self):
         sc = small_scenario()
         assert sc.psi_grid_linear() == pytest.approx([0.01, 0.1, 1.0, 10.0])
+        assert sc.psi_grid_linear() is sc.psi_grid_linear()  # converted once
 
 
 class TestAnalyzeCommand:
@@ -288,6 +319,7 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("section,key,value", [
         ("network", "n_interferers", 2.5),
+        ("network", "radius_m", "40"),
         ("fading", "altitude_dependent", "false"),
     ])
     def test_mistyped_field_is_input_error(self, tmp_path, capsys, section, key, value):
@@ -905,11 +937,14 @@ def test_init_writes_loadable_template(tmp_path):
 
 
 def test_cli_import_leaves_out_the_validation_suite(tmp_path):
-    """Only `validate` needs the suite: importing the CLI loads neither it,
+    """Only `validate` needs the suite, and only `simulate` and `validate`
+    the simulator: `import uavcov` loads no module of the package and no
+    numpy; importing the CLI loads neither the suite, nor the simulator,
     nor the closed-form oracle (uavcov.special), nor the unused jet
-    arithmetic (uavcov.taylor).  No module of the package imports scipy
-    (read from the source), and `analyze`, `simulate` and `validate` run
-    where scipy cannot be imported at all."""
+    arithmetic (uavcov.taylor); `analyze`, `sweep` and `init` leave the
+    simulator unloaded, and `simulate` loads it.  No module of the package
+    imports scipy (read from the source), and every command runs where
+    scipy cannot be imported at all."""
     src = os.path.dirname(os.path.dirname(uavcov.__file__))
     for path in Path(uavcov.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -922,27 +957,35 @@ def test_cli_import_leaves_out_the_validation_suite(tmp_path):
             assert not [n for n in names if n.split(".")[0] == "scipy"], (path, names)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def run(code):
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=120).stdout
+
+    code = ("import sys, uavcov; print(sorted(m for m in sys.modules "
+            "if m == 'numpy' or m.startswith(('numpy.', 'uavcov.'))))")
+    assert run(code).strip() == "[]"
     code = ("import sys, uavcov.cli; print([m for m in ('uavcov.validation', "
-            "'uavcov.special', 'uavcov.taylor', 'scipy.stats', 'scipy') "
+            "'uavcov.simulator', 'uavcov.special', 'uavcov.taylor', 'scipy.stats', 'scipy') "
             "if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout
-    assert out.strip() == "[]"
+    assert run(code).strip() == "[]"
     baseline = Path(__file__).resolve().parents[1] / "scenarios" / "baseline.json"
-    out_csv = tmp_path / "cov.csv"
-    code = ("import sys; sys.modules['scipy'] = None; from uavcov.cli import main; "
-            f"sys.exit(main(['analyze', '--scenario', {str(baseline)!r}, "
-            f"'--out', {str(out_csv)!r}]))")
-    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                   text=True, check=True, timeout=120)
-    assert len(out_csv.read_text().splitlines()) == 2 + 11
     small = tmp_path / "small.json"
     dump_scenario(small_scenario(sim=SimParams(n_snapshots=64, seed=3, chains=16)), str(small))
+    out_csv, sweep_csv = tmp_path / "cov.csv", tmp_path / "sweep.csv"
+    argvs = [
+        ["analyze", "--scenario", str(baseline), "--out", str(out_csv)],
+        ["sweep", "--scenario", str(baseline), "--out", str(sweep_csv),
+         "--param", "network.n_interferers", "--values", "1,3"],
+        ["init", "--out", str(tmp_path / "template.json")],
+        ["simulate", "--scenario", str(small), "--out", str(tmp_path / "camp")],
+    ]
+    # each command's exit code, and whether uavcov.simulator is loaded after it
     code = ("import sys; sys.modules['scipy'] = None; from uavcov.cli import main; "
-            f"sys.exit(main(['simulate', '--scenario', {str(small)!r}, "
-            f"'--out', {str(tmp_path / 'camp')!r}]))")
-    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                   text=True, check=True, timeout=120)
+            f"print([(main(argv), 'uavcov.simulator' in sys.modules) for argv in {argvs!r}])")
+    assert run(code).splitlines()[-1] == "[(0, False), (0, False), (0, False), (0, True)]"
+    assert len(out_csv.read_text().splitlines()) == 2 + 11
+    assert len(sweep_csv.read_text().splitlines()) == 2 + 2 * 11
     assert json.loads((tmp_path / "camp.json").read_text())["n_snapshots"] == 64
     code = ("import sys; sys.modules['scipy'] = None; from uavcov.cli import main; "
             f"sys.exit(main(['validate', '--scenario', {str(baseline)!r}]))")
