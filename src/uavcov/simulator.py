@@ -29,14 +29,20 @@ generators spawned from its seed: one for the mobility, one for the
 serving gains and one for the interferer gains.  The launch draws one
 (n, 9) array of uniforms.  The state then advances one snapshot stride of
 steps per call.  The vertical events of the whole stride run first, pass
-after pass; each pass draws one (k, 3) array, whose columns are the dwell,
-waypoint and speed of the events of the k interferers that have one due.
-Each event is put down at the first step end at or after its time, found
-without a search: a rounded estimate of the step from the event time, then
-one comparison with that step's end (`_event_rows`).  An interferer hops
-once at each step end it dwells at, so the stride needs only each one's
-hop count, with no per-step masks: each pass adds, in place, the step ends
-between each interferer's two events into one integer count per
+after pass, each pass running cycles (a dwell and a leg, each row of
+uniforms a cycle's dwell, waypoint and speed) of the k interferers that
+have an event due.  The pass shape is chosen by the batch width, the
+interferers the state holds: a batch of at most `_NARROW` runs `_CYCLES`
+cycles of each from one (Q, k, 3) draw, their event times from one cumsum,
+and mostly finishes a stride in one pass (`_cycle_pass`); a wider one runs
+one cycle from one (k, 3) draw (`_pair_pass`), as the cycle pass's longer
+arrays cost more there than its fewer passes save.  Each event is put down
+at the first step end at or after its time, found without a search: a
+rounded estimate of the step from the event time, then one comparison with
+that step's end (`_event_rows`).  An interferer hops once at each step
+end it dwells at, so the stride needs only each one's hop count, with no
+per-step masks: each pass adds, in place, the step ends between the two
+events of each of an interferer's cycles into one integer count per
 interferer.  Then one (hops, 2) array of hop radii and angles is drawn,
 one row per hop the stride makes.  Interferers never interact, so each
 one's hops run in its own order, rank by rank (`_hop`): the interferers
@@ -92,6 +98,16 @@ __all__ = [
 
 # columns of the uniforms an interferer draws for its events in one pass
 _DWELL, _WAYPOINT, _SPEED = range(3)
+# Batches of at most _NARROW interferers run _CYCLES cycles (a dwell and a
+# leg) per due interferer in each vertical pass (`_cycle_pass`), wider ones
+# one cycle (`_pair_pass`).  Measured on 2 shared cores, 10-step strides of
+# the benchmark mobility (2-6 s dwells), medians of 7 runs of 100 strides:
+# at Q = 3 the cycle pass ran x1.32-1.35 the pair pass's speed at width 256
+# (1.08 passes a stride against 3.08), x1.11-1.25 at 512, x1.06-1.08 at 1024
+# (within a run's swing, so batches from 1000 up keep the pair pass's
+# stream) and x0.55-0.57 at 4096; Q = 2 ran x0.88-1.00 at every width, Q = 4
+# no better than Q = 3, and Q = 1 x0.68-0.76.
+_NARROW, _CYCLES = 512, 3
 # the bins of a campaign's distance and altitude histograms, and the most
 # snapshots and values a snapshot buffer's arrays hold
 _N_BINS = 40
@@ -246,68 +262,140 @@ def _event_rows(t0: float, ends: np.ndarray):
     return place
 
 
+def _cycles_per_pass(n: int) -> int:
+    """The cycles, a dwell and a leg each, that a vertical pass runs per due
+    interferer in a batch of n: `_CYCLES` up to `_NARROW` interferers, else
+    one (`_pair_pass`)."""
+    return _CYCLES if n <= _NARROW else 1
+
+
 def _advance_vertical(state: UavState, ends: np.ndarray, draw, net, mob) -> np.ndarray:
     """Run every arrival and dwell expiry due by ends[-1], in place, and set the clock there.
 
     `ends` holds the increasing end times of the steps to run, the clock
     plus dt added once per step.  Each pass takes the interferers whose next
-    event is due and runs up to two events of each: one dwell and one leg,
-    in the order its phase sets.  An arrival dwells at the waypoint, then
-    the expiry starts a leg from there; an expiry starts a leg from the
-    dwell altitude, then the arrival dwells at the new waypoint.  The second
-    event runs if it falls by ends[-1], and the pass repeats for those whose
-    next event is due too.  `draw(idx)` gives the uniforms of each pass, at
-    least three columns (dwell, waypoint, speed) aligned with idx.
+    event is due and runs up to `_cycles_per_pass(n)` cycles of each, a
+    cycle being one dwell and one leg in the order its phase sets: an
+    arrival dwells at the waypoint, then the expiry starts a leg from there;
+    an expiry starts a leg from the dwell altitude, then the arrival dwells
+    at the new waypoint.  The events run while they fall by ends[-1], and
+    the pass repeats for those whose next event is due too.  A batch of at
+    most `_NARROW` interferers runs `_CYCLES` cycles a pass (`_cycle_pass`),
+    a wider one a single cycle (`_pair_pass`).  `draw(idx, shape)` gives
+    the uniforms of each pass, (k, 3) for `_pair_pass` and (cycles, k, 3)
+    for `_cycle_pass`, each row a cycle's (dwell, waypoint, speed) columns,
+    aligned with idx.
 
     Returns each interferer's hop count: how many of the step ends it
     dwells at, in the smallest unsigned dtype that holds ends.size.  An
     event changes its interferer's phase at the first step end at or after
     its time (`_event_rows`), so an event in row r holds the new phase at
     the last steps + 1 - r step ends (none if it falls after ends[-1]).
-    An interferer's events alternate its phase, and only one that ran two
-    events in a pass reaches the next pass, so each pass holds it in the
-    other phase than the one it started in from the first event's row to
-    the second's: the second's row minus the first's step ends (steps + 1
-    stands for a second event after ends[-1]).  Each pass adds that into
-    one integer count per interferer, in place, and the counts end as the
-    step ends spent in the other phase: the hop count of one that started
-    moving, steps minus that for one that started dwelling.
+    An interferer's events alternate its phase, and only one that ran all
+    its pass's events reaches the next pass, so each pass holds it in the
+    other phase than the one it started in from each cycle's first event's
+    row to its second's: the second's row minus the first's step ends
+    (steps + 1 stands for an event after ends[-1]).  Each pass adds those
+    into one integer count per interferer, in place, and the counts end as
+    the step ends spent in the other phase: the hop count of one that
+    started moving, steps minus that for one that started dwelling.
     """
     t_end = ends[-1]
     n, steps = state.n, ends.size
     place = _event_rows(state.t, ends)
     dwelling = ~state.moving
-    tev = state.tev
     flips = np.zeros(n, dtype=np.intp)
-    idx = (tev <= t_end).nonzero()[0]
+    cycles = _cycles_per_pass(n)
+    idx = (state.tev <= t_end).nonzero()[0]
     while idx.size:
-        k = idx.size
-        u = draw(idx)
-        arriving = state.moving[idx]
-        times = np.empty((2, k))  # the first events' times, then the second's
-        start = tev.take(idx, out=times[0])
-        h = state.waypoint[idx]  # altitude at the first event: a dwell has waypoint == h0
-        waypoint = net.height * u[:, _WAYPOINT]
-        speed = mob.speed_min + (mob.speed_max - mob.speed_min) * u[:, _SPEED]
-        dwell = mob.dwell_min + (mob.dwell_max - mob.dwell_min) * u[:, _DWELL]
-        leg = np.abs(waypoint - h) / speed
-        mid = np.add(start, np.where(arriving, dwell, leg), out=times[1])
-        two = mid <= t_end
-        end = np.where(two, mid + np.where(arriving, leg, dwell), mid)
-        moving = arriving == two  # an arrival then an expiry ends on a leg
-        waypoint = np.where(arriving > two, h, waypoint)  # an arrival alone dwells at h
-        state.h0[idx] = np.where(moving, h, waypoint)
-        state.t0[idx] = np.where(two, mid, start)
-        tev[idx] = end
-        state.waypoint[idx] = waypoint
-        state.speed[idx] = speed
-        state.moving[idx] = moving
-        rows = place(times.reshape(-1))
-        flips[idx] += rows[k:] - rows[:k]  # idx holds each interferer once
-        idx = idx.compress(end <= t_end)
+        if cycles == 1:
+            idx = _pair_pass(state, idx, draw, place, flips, t_end, net, mob)
+        else:
+            idx = _cycle_pass(state, idx, cycles, draw, place, flips, t_end, net, mob)
     state.t = t_end
     counts = np.where(dwelling, steps - flips, flips)
     return counts.astype(np.min_scalar_type(steps))
+
+
+def _pair_pass(state: UavState, idx, draw, place, flips, t_end, net, mob) -> np.ndarray:
+    """One pass of a wide batch, in place: one cycle, the first event of
+    each interferer in idx and the second if it falls by t_end, from one
+    (k, 3) draw.  Adds each one's step ends in the other phase into flips
+    and returns those whose next event is due too."""
+    k = idx.size
+    u = draw(idx, (k, 3))
+    tev = state.tev
+    arriving = state.moving[idx]
+    times = np.empty((2, k))  # the first events' times, then the second's
+    start = tev.take(idx, out=times[0])
+    h = state.waypoint[idx]  # altitude at the first event: a dwell has waypoint == h0
+    waypoint = net.height * u[:, _WAYPOINT]
+    speed = mob.speed_min + (mob.speed_max - mob.speed_min) * u[:, _SPEED]
+    dwell = mob.dwell_min + (mob.dwell_max - mob.dwell_min) * u[:, _DWELL]
+    leg = np.abs(waypoint - h) / speed
+    mid = np.add(start, np.where(arriving, dwell, leg), out=times[1])
+    two = mid <= t_end
+    end = np.where(two, mid + np.where(arriving, leg, dwell), mid)
+    moving = arriving == two  # an arrival then an expiry ends on a leg
+    waypoint = np.where(arriving > two, h, waypoint)  # an arrival alone dwells at h
+    state.h0[idx] = np.where(moving, h, waypoint)
+    state.t0[idx] = np.where(two, mid, start)
+    tev[idx] = end
+    state.waypoint[idx] = waypoint
+    state.speed[idx] = speed
+    state.moving[idx] = moving
+    rows = place(times.reshape(-1))
+    flips[idx] += rows[k:] - rows[:k]  # idx holds each interferer once
+    return idx.compress(end <= t_end)
+
+
+def _cycle_pass(state: UavState, idx, cycles: int, draw, place, flips, t_end, net,
+                mob) -> np.ndarray:
+    """One pass of a narrow batch, in place: up to `cycles` cycles of each
+    interferer in idx from one (cycles, k, 3) draw.  Its 2 cycles + 1 event
+    times come from one cumsum, down the event axis, of the due event's time
+    and the durations that follow it, so each is the chain of additions
+    that one-cycle passes make.  Each interferer runs the r events at or
+    before t_end (the times rise) and its state is read after the r-th.
+    Counted from a dwell at a_0, its waypoint (for a mover, the dwell its
+    first event, an arrival, starts), c = r events (r - 1 for a mover)
+    leave it at a_(c // 2), dwelling if c is even, else moving toward
+    a_(c // 2 + 1), where a_(q + 1) is cycle q's waypoint.  Adds each one's
+    step ends in the other phase into flips and returns those whose next
+    event is due too (they ran every event)."""
+    k = idx.size
+    u = draw(idx, (cycles, k, 3))
+    arriving = state.moving[idx]
+    altitude = np.empty((cycles + 1, k))  # a_0, then each cycle's waypoint
+    state.waypoint.take(idx, out=altitude[0])  # a dwell has waypoint == h0
+    np.multiply(u[..., _WAYPOINT], net.height, out=altitude[1:])
+    speed = mob.speed_min + (mob.speed_max - mob.speed_min) * u[..., _SPEED]
+    dwell = mob.dwell_min + (mob.dwell_max - mob.dwell_min) * u[..., _DWELL]
+    leg = np.abs(altitude[1:] - altitude[:-1]) / speed  # each leg from the previous waypoint
+    events = np.empty((2 * cycles + 1, k))  # the due event's time, then the durations
+    state.tev.take(idx, out=events[0])
+    events[1::2] = np.where(arriving, dwell, leg)
+    events[2::2] = np.where(arriving, leg, dwell)
+    np.cumsum(events, axis=0, out=events)
+    times = events[:-1]  # the events the pass may run; the last is the next due
+    ran = (times <= t_end).sum(axis=0)
+    column = np.arange(k)
+    at = ran * k + column  # flat index of each interferer's next event
+    state.t0[idx] = events.take(at - k)
+    end = state.tev[idx] = events.take(at)
+    c = ran - arriving
+    odd = c & 1  # moving
+    at = (c >> 1) * k + column  # flat index of a_(c // 2)
+    state.h0[idx] = altitude.take(at)
+    state.waypoint[idx] = altitude.take(at + odd * k)
+    # a dweller's speed is never read (its waypoint is its h0), so one that
+    # ran every event and ends past the last leg may take that leg's speed
+    state.speed[idx] = speed.take(at, mode="clip")
+    state.moving[idx] = odd
+    # each cycle's first and second events' rows, summed over the cycles
+    rows = place(times.reshape(-1)).reshape(cycles, 2 * k).sum(axis=0)
+    flips[idx] += rows[k:] - rows[:k]  # idx holds each interferer once
+    return idx.compress(end <= t_end)
 
 
 def _unit(u: np.ndarray, out: np.ndarray | None = None, scratch=None) -> np.ndarray:
@@ -409,12 +497,14 @@ def advance(state: UavState, steps: int, dt: float, rng, net: NetworkConfig,
     The step end times are the clock plus dt, added once per step.  The
     vertical kinematics of all the steps are resolved through phase changes
     exactly, pass after pass, each pass drawing from the generator `rng` one
-    (k, 3) array of dwell, waypoint and speed uniforms for the k interferers
-    with an event due, which gives each interferer's hop count: the step
-    ends it dwells at.  Then one (hops, 2) array of hop radius and angle
-    uniforms is drawn, one row per hop, and each interferer makes its hops
-    in turn (`_hop`).  The hops' arrays come from `work`, which a campaign
-    reuses from stride to stride; without one, this call makes its own.
+    array of dwell, waypoint and speed uniforms for the k interferers with
+    an event due, (Q, k, 3) in a batch of at most `_NARROW` interferers and
+    (k, 3) in a wider one (`_advance_vertical`), which gives each
+    interferer's hop count: the step ends it dwells at.  Then one (hops, 2)
+    array of hop radius and angle uniforms is drawn, one row per hop, and
+    each interferer makes its hops in turn (`_hop`).  The hops' arrays come
+    from `work`, which a campaign reuses from stride to stride; without one,
+    this call makes its own.
     Returns the summed length and the count of the accepted interior hops
     (see `CampaignResult.mean_interior_hop_length`).  Containment is not
     checked here; callers check it where they observe the state.
@@ -428,7 +518,7 @@ def advance(state: UavState, steps: int, dt: float, rng, net: NetworkConfig,
     for j in range(steps):
         t += dt
         ends[j] = t
-    counts = _advance_vertical(state, ends, lambda idx: rng.random((idx.size, 3)), net, mob)
+    counts = _advance_vertical(state, ends, lambda idx, shape: rng.random(shape), net, mob)
     views = (work or HopWorkspace()).take(int(counts.sum()))
     rng.random(out=views[0])
     lengths = _hop(state, counts, views, net, mob)

@@ -185,45 +185,55 @@ class _EventTape:
         self.u = np.empty((n, 0, 3))
         self.taken = np.zeros((2, 2, n), dtype=int)  # per reader: dwells, legs used
 
-    def peek(self, reader: int, kind: int, idx: np.ndarray) -> np.ndarray:
-        """The reader's next row of each interferer in idx, for kind 0 (dwell) or 1 (leg)."""
-        j = self.taken[reader, kind, idx]
+    def peek(self, reader: int, kind: int, idx: np.ndarray, rows: int = 1) -> np.ndarray:
+        """The reader's next `rows` rows of each interferer in idx, for kind 0
+        (dwell) or 1 (leg): shape (rows, idx.size, 3)."""
+        j = self.taken[reader, kind, idx] + np.arange(rows)[:, None]
         while j.size and j.max() >= self.u.shape[1]:
             self.u = np.concatenate([self.u, self.rng.random((self.u.shape[0], 8, 3))], axis=1)
         return self.u[idx, j]
 
     def take(self, reader: int, kind: int, idx: np.ndarray) -> np.ndarray:
-        row = self.peek(reader, kind, idx)
+        row = self.peek(reader, kind, idx)[0]
         self.taken[reader, kind, idx] += 1
         return row
 
 
 class _TapeReader:
-    """The `draw` of `simulator._advance_vertical` for reader 0 of an
-    `_EventTape`: each pass gets the reader's next leg row of each
-    interferer it runs, with the next dwell in the dwell column.  Call
-    `settle()` after every `_advance_vertical` call.
+    """The `draw` of `simulator._advance_vertical` for one reader of an
+    `_EventTape`: a pass asking for (k, 3) or (cycles, k, 3) uniforms gets
+    the reader's next one or `cycles` leg rows of each interferer it runs,
+    with the next dwells in the dwell column.  Call `settle()` after every
+    `_advance_vertical` call.  `height` is the network's H, which maps a
+    waypoint uniform to its altitude.
     """
 
-    def __init__(self, tape: _EventTape, state):
-        self.tape, self.state, self.last = tape, state, None
+    def __init__(self, tape: _EventTape, state, height: float, reader: int = 0):
+        self.tape, self.state, self.height, self.reader = tape, state, height, reader
+        self.last = None
 
-    def __call__(self, idx):
+    def __call__(self, idx, shape):
         self.settle()
-        self.last = idx, self.state.moving[idx]
-        u = self.tape.peek(0, 1, idx)
-        u[:, 0] = self.tape.peek(0, 0, idx)[:, 0]
-        return u
+        rows = shape[0] if len(shape) == 3 else 1
+        u = self.tape.peek(self.reader, 1, idx, rows)
+        u[..., 0] = self.tape.peek(self.reader, 0, idx, rows)[..., 0]
+        self.last = idx, self.state.moving[idx], self.height * u[..., 1]
+        return u.reshape(shape)
 
     def settle(self):
-        # a pass runs the first event of each interferer it is given and the
-        # second only if that falls within the call; after two events the
-        # phase is back where it was.  Count what the last pass used.
+        # Count what the last pass used.  Its events alternate dwells and
+        # legs, starting with a dwell for an interferer that was moving (an
+        # arrival) and with a leg for one that was dwelling.  The legs it
+        # started are one past the last row whose waypoint it now holds
+        # (none if it holds none); then the dwells are as many, one more if
+        # it started moving and now dwells, one fewer if it started
+        # dwelling and now moves.
         if self.last is not None:
-            idx, arriving = self.last
-            two = self.state.moving[idx] == arriving
-            self.tape.taken[0, 0, idx[arriving | two]] += 1
-            self.tape.taken[0, 1, idx[~arriving | two]] += 1
+            idx, arriving, waypoints = self.last
+            held = waypoints == self.state.waypoint[idx]
+            legs = (held * np.arange(1, held.shape[0] + 1)[:, None]).max(axis=0)
+            self.tape.taken[self.reader, 0, idx] += legs + arriving - self.state.moving[idx]
+            self.tape.taken[self.reader, 1, idx] += legs
             self.last = None
 
 
@@ -273,7 +283,7 @@ def event_tape_gaps(net, mob, n: int, steps: int, stride: int, dt: float, seed: 
     wp, v, rem = state.waypoint.copy(), state.speed.copy(), state.dwell_remaining()
     xy = state.xy.copy()
     tape = _EventTape(n, rng)
-    draw = _TapeReader(tape, state)
+    draw = _TapeReader(tape, state, net.height)
     work = simulator.HopWorkspace()
 
     def dwell(idx):
@@ -329,12 +339,13 @@ def check_event_tape(net, cases, n: int, steps: int, stride: int, dt: float,
     """The simulator's kinematics as campaigns run them, in calls of `stride`
     steps, against the time-stepped vertical integrator and a real-arithmetic
     hop stepped once per step (event_tape_gaps), n interferers over `steps`
-    steps of dt, for each (name, mobility, must_repeat) of cases: at every
-    call end, hop counts equal to the reference's dwelling steps, sorted
-    interior hop lengths, tape rows used and positions equal, altitude and
-    residual dwell gaps within 1e-9; the hop's half-angle unit vectors
-    within 1e-15 of cos and sin; and, where must_repeat is set, some
-    interferer with three or more events in one step."""
+    steps of dt, in the vertical pass shape that n selects (the detail names
+    its cycles per pass), for each (name, mobility, must_repeat) of cases:
+    at every call end, hop counts equal to the reference's dwelling steps,
+    sorted interior hop lengths, tape rows used and positions equal,
+    altitude and residual dwell gaps within 1e-9; the hop's half-angle unit
+    vectors within 1e-15 of cos and sin; and, where must_repeat is set,
+    some interferer with three or more events in one step."""
     ok, parts = True, []
     for name, mob, must_repeat in cases:
         gaps = event_tape_gaps(net, mob, n, steps, stride, dt, seed)
@@ -348,8 +359,10 @@ def check_event_tape(net, cases, n: int, steps: int, stride: int, dt: float,
                      f"{gaps['dwell_gap']:.1e} over {gaps['events']} events, unit-vector gap "
                      f"{gaps['unit_gap']:.1e}, "
                      f"{gaps['hops']} interior hops ({gaps['repeats']} with 3+ events in a step)")
+    cycles = simulator._cycles_per_pass(n)
     return CheckResult("event-tape", ok, f"{n} interferers x {steps} steps in {stride}-step "
-                       "calls vs the time-stepped integrator and a real-arithmetic hop (hop "
+                       f"calls of {cycles}-cycle vertical passes vs the time-stepped "
+                       "integrator and a real-arithmetic hop (hop "
                        "counts, tape rows, xy and sorted hops exact, gaps <=1e-9, unit-vector "
                        "gap <=1e-15); " + "; ".join(parts))
 

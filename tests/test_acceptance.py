@@ -230,23 +230,25 @@ DWELL_CASES = (((2.0, 6.0), False, "benchmark"), ((0.1, 0.6), True, "short-dwell
 @pytest.mark.parametrize("dwell, must_repeat, n, steps, stride, seed", [
     pytest.param(dwell, must_repeat, *scale, id=name + suffix)
     for scale, suffix in (((500, 1000, 1, 11), ""), ((5000, 40, 40, 16), "-stride-40"),
-                          ((1000, 100, 10, 21), "-stride-10"))
+                          ((1000, 100, 10, 21), "-stride-10"), ((256, 400, 10, 26), "-width-256"))
     for dwell, must_repeat, name in DWELL_CASES])
 def test_criterion_11_event_tape(dwell, must_repeat, n, steps, stride, seed):
     """The simulator's kinematics, in calls of `stride` steps as a campaign
     makes them, against the time-stepped vertical integrator and a
     real-arithmetic hop stepped once per step, both sides reading one
     per-interferer tape of (dwell, waypoint, speed) draws and, per call, one
-    hop proposal per interferer and hop rank: 1000 one-step calls, one
-    40-step call, and ten 10-step calls of 1000 interferers.  The
-    reference's half-angle unit vectors must lie within 1e-15 of cos and
-    sin, and dwells shorter than the 1 s step must give interferers three
-    or more events in one step."""
+    hop proposal per interferer and hop rank: 1000 one-step calls of 500
+    interferers, one 40-step call of 5000, ten 10-step calls of 1000, and
+    forty 10-step calls of 256, the shipped campaigns' width.  Batches of
+    up to 512 interferers run several cycles per vertical pass, wider ones
+    one (the detail names which).  The reference's half-angle unit vectors
+    must lie within 1e-15 of cos and sin, and dwells shorter than the 1 s
+    step must give interferers three or more events in one step."""
     mob = MobilityConfig(MOBILITY.speed_min, MOBILITY.speed_max, *dwell, MOBILITY.hop_range)
     name = f"{dwell[0]:g}-{dwell[1]:g} s dwell"
     result = check_event_tape(net_with(2, 10.0), [(name, mob, must_repeat)],
                               n=n, steps=steps, stride=stride, dt=1.0, seed=seed)
-    report(f"11 event-tape ({name}, stride {stride})", result.passed, result.detail)
+    report(f"11 event-tape ({name}, width {n}, stride {stride})", result.passed, result.detail)
 
 
 def test_criterion_12_stationary_start():

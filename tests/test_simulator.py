@@ -100,9 +100,13 @@ class TestStep:
         assert state.altitude().max() <= NET.height
 
     def test_stride_draws_pass_rows_then_one_hop_array(self, monkeypatch):
-        """Per call, the generator draws one (k, 3) array for the k
-        interferers that each vertical pass runs, then one (hops, 2) array,
-        one row per hop the stride makes: the sum of the hop counts."""
+        """Per call, the generator draws one array for the k interferers
+        that each vertical pass runs, then one (hops, 2) array, one row per
+        hop the stride makes: the sum of the hop counts.  A narrow batch (40
+        interferers) draws (Q, k, 3) per pass, Q cycles of each, and its
+        2-6 s dwells finish a 10-step stride in at most two passes: a third
+        would need 2Q >= 6 dwells, at least 12 s, within it.  A wide batch
+        (600, with dwells under a step, so several passes) draws (k, 3)."""
         class Recorder:
             def __init__(self, seed):
                 self.g, self.shapes = np.random.default_rng(seed), []
@@ -115,20 +119,23 @@ class TestStep:
         real_vertical = simulator._advance_vertical
         monkeypatch.setattr(simulator, "_advance_vertical",
                             lambda *args: counts.append(real_vertical(*args)) or counts[-1])
-        n, stride = 40, 7
-        mob = MobilityConfig(0.2, 10.0, 0.1, 0.6, 10.0)  # several passes per stride
-        state = initial_state(n, NET, mob, np.random.default_rng(5))
-        rec = Recorder(6)
-        for _ in range(4):
-            first = (state.tev <= state.t + stride).sum()
-            rec.shapes.clear()
-            advance(state, stride, 1.0, rec, NET, mob)
-            rows = [shape[0] for shape in rec.shapes[:-1]]
-            assert rec.shapes[-1] == (int(counts[-1].sum()), 2)
-            assert 0 < counts[-1].sum() < stride * n
-            assert [shape[1:] for shape in rec.shapes[:-1]] == [(3,)] * len(rows)
-            assert len(rows) > 1 and rows[0] == first
-            assert rows == sorted(rows, reverse=True) and rows[-1] > 0
+        short = MobilityConfig(0.2, 10.0, 0.1, 0.6, 10.0)
+        for n, mob, stride, cycles in ((40, MOB, 10, (simulator._CYCLES,)),
+                                       (600, short, 7, ())):
+            state = initial_state(n, NET, mob, np.random.default_rng(5))
+            rec = Recorder(6)
+            for _ in range(4):
+                first = (state.tev <= state.t + stride).sum()
+                rec.shapes.clear()
+                advance(state, stride, 1.0, rec, NET, mob)
+                passes = rec.shapes[:-1]
+                rows = [shape[len(cycles)] for shape in passes]
+                assert rec.shapes[-1] == (int(counts[-1].sum()), 2)
+                assert 0 < counts[-1].sum() < stride * n
+                assert passes == [cycles + (k, 3) for k in rows]
+                assert rows[0] == first
+                assert rows == sorted(rows, reverse=True) and rows[-1] > 0
+                assert len(rows) <= 2 if cycles else len(rows) > 1
 
     def test_rejects_bad_dt_and_rule(self, rng):
         state = initial_state(1, NET, MOB, rng)
@@ -307,9 +314,11 @@ class TestCampaign:
     def test_hop_range_of_r_leaves_the_hop_check_out(self):
         """A hop range of R leaves no interior: no hop is interior, so the
         mobility check reports the mean hop length as n/a, not NaN, and
-        passes on its other parts."""
+        passes on its other parts.  16 chains of 1,000 snapshots: at 4
+        chains the phase-count TV misses its fixed 0.02 on about 2% of
+        seeds."""
         mob = dataclasses.replace(MOB, hop_range=NET.radius)
-        res = run_campaign(NET, FAD, mob, 4000, seed=3, chains=4)
+        res = run_campaign(NET, FAD, mob, 16_000, seed=3, chains=16)
         assert res.hop_count == 0 and math.isnan(res.mean_interior_hop_length())
         mobility = validation.check_steady_state_mobility(res, mob, k_se=4, floor=0.05)
         assert mobility.passed, mobility.detail
@@ -845,20 +854,84 @@ class TestEventTape:
         assert result.passed, result.detail
 
     def test_second_event_put_at_the_first_event_step_fails(self, monkeypatch):
-        self.plant(monkeypatch, "_advance_vertical", "place(times.reshape(-1))",
-                   "place(np.tile(start, 2))")
-        result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
-        assert not result.passed
-        assert "calls with hop-count mismatches" in result.detail
+        """Every event of a pass put at its first event's step, in both
+        pass shapes: 300 interferers run the cycle pass, 600 the pair pass."""
+        for name in ("_pair_pass", "_cycle_pass"):
+            self.plant(monkeypatch, name, "place(times.reshape(-1))",
+                       "place(np.resize(times[0], times.size))")
+        for n in (300, 600):
+            result = check_event_tape(NET, self.CASES, n, 48, 12, 1.0, 4)
+            assert not result.passed
+            assert "calls with hop-count mismatches" in result.detail
 
     def test_flips_counted_first_event_minus_second_fail(self, monkeypatch):
-        """A pass adds the second event's step row minus the first's: the
-        step ends between them.  Reversed, the counts come out negative."""
-        self.plant(monkeypatch, "_advance_vertical", "rows[k:] - rows[:k]",
-                   "rows[:k] - rows[k:]")
-        result = check_event_tape(NET, self.CASES, 300, 48, 12, 1.0, 4)
-        assert not result.passed
-        assert "calls with hop-count mismatches" in result.detail
+        """A pass adds each cycle's second event's step row minus its
+        first's: the step ends between them.  Reversed, in both pass
+        shapes, the counts come out negative."""
+        for name in ("_pair_pass", "_cycle_pass"):
+            self.plant(monkeypatch, name, "rows[k:] - rows[:k]", "rows[:k] - rows[k:]")
+        for n in (300, 600):
+            result = check_event_tape(NET, self.CASES, n, 48, 12, 1.0, 4)
+            assert not result.passed
+            assert "calls with hop-count mismatches" in result.detail
+
+    @staticmethod
+    def pass_gaps(dwell, cycles, n=300, strides=40):
+        """One batch of n interferers driven through both pass shapes,
+        stride after stride of 10 steps: the cycle pass at `cycles` cycles
+        and the pair pass, each reading its own reader of one `_EventTape`.
+        Returns the names of the fields that ever differ in a bit: h0, t0,
+        tev, waypoint, phase, movers' speed, hop counts, tape rows used."""
+        mob = MobilityConfig(0.2, 10.0, *dwell, 10.0)
+        rng = np.random.default_rng(8)
+        narrow = initial_state(n, NET, mob, rng)
+        wide = copy.deepcopy(narrow)
+        tape = validation._EventTape(n, rng)
+        apart = set()
+        for _ in range(strides):
+            ends, t = [], narrow.t
+            for _ in range(10):
+                t += 1.0
+                ends.append(t)
+            counts = []
+            for reader, (state, limit) in enumerate(((narrow, n), (wide, n - 1))):
+                draw = validation._TapeReader(tape, state, NET.height, reader)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(simulator, "_CYCLES", cycles)
+                    patch.setattr(simulator, "_NARROW", limit)
+                    counts.append(simulator._advance_vertical(state, np.array(ends), draw, NET,
+                                                              mob))
+                draw.settle()
+            for name in ("h0", "t0", "tev", "waypoint", "moving"):
+                if getattr(narrow, name).tobytes() != getattr(wide, name).tobytes():
+                    apart.add(name)
+            if not np.array_equal(narrow.moving, wide.moving) or (
+                    narrow.speed[narrow.moving].tobytes() != wide.speed[wide.moving].tobytes()):
+                apart.add("speed")
+            if counts[0].tobytes() != counts[1].tobytes():
+                apart.add("counts")
+            if not np.array_equal(tape.taken[0], tape.taken[1]):
+                apart.add("tape")
+        return sorted(apart)
+
+    @pytest.mark.parametrize("cycles", sorted({2, 3, simulator._CYCLES}))
+    @pytest.mark.parametrize("dwell", [(2.0, 6.0), (0.1, 0.6), (0.0, 0.0)])  # criterion 11's
+    def test_cycle_pass_equals_the_pair_pass_on_one_tape(self, dwell, cycles):
+        assert self.pass_gaps(dwell, cycles) == []
+
+    def test_legs_chained_from_the_first_altitude_fail(self, monkeypatch):
+        """Every leg of a cycle pass timed from the pass's first altitude,
+        not from the previous cycle's waypoint: the pass shapes part, and
+        the event tape fails at width 256, the cycle pass's, but passes at
+        criterion 11's wide scales, which run the pair pass."""
+        self.plant(monkeypatch, "_cycle_pass", "np.abs(altitude[1:] - altitude[:-1])",
+                   "np.abs(altitude[1:] - altitude[:1])")
+        assert self.pass_gaps((2.0, 6.0), simulator._CYCLES) != []
+        narrow = check_event_tape(NET, self.CASES, 256, 100, 10, 1.0, 4)
+        assert not narrow.passed and "3-cycle" in narrow.detail, narrow.detail
+        for n, steps, stride in ((1000, 100, 10), (5000, 40, 40)):
+            wide = check_event_tape(NET, self.CASES, n, steps, stride, 1.0, 4)
+            assert wide.passed and "1-cycle" in wide.detail, wide.detail
 
     def test_one_300_step_call_matches_the_time_stepped_reference(self):
         """Events placed among 300 step ends at once, and 300 interferers
