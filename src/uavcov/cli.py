@@ -31,6 +31,7 @@ from .scenario import (
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    sweep_type,
 )
 
 COVERAGE_CSV_HEADER = "# uavcov coverage-table v1"
@@ -186,32 +187,20 @@ def cmd_validate(args) -> int:
 
 def _set_by_dotted_path(doc: dict, dotted: str, value):
     """Set one number or flag of a scenario document from a swept string,
-    typed by the field; a table (the band table, the threshold grid) is not
-    sweepable."""
-    parts = dotted.split(".")
-    node = doc
-    for key in parts[:-1]:
-        if not isinstance(node, dict) or key not in node:
-            raise ConfigurationError(f"unknown scenario field {dotted!r}")
-        node = node[key]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigurationError(f"unknown scenario field {dotted!r}")
-    # Of the fields that may be null, the stay override holds a float and
-    # the band table a table: neither is typed by a null current value.
-    caster = float if dotted == "mobility.stay_probability_override" else type(node[leaf])
-    if caster not in (bool, int, float):
-        raise ConfigurationError(f"{dotted} is not sweepable: it holds a table, not a number")
+    typed by the scenario table; a table (the band table, the threshold
+    grid) is not sweepable."""
+    caster = sweep_type(dotted)
+    section, leaf = dotted.split(".")  # every number and flag lies in a section
     if caster is bool:
         flag = value.lower()
         if flag not in ("true", "false", "1", "0"):
             raise ConfigurationError(
                 f"cannot set {dotted} to {value!r}: expected true, false, 1 or 0"
             )
-        node[leaf] = flag in ("true", "1")
+        doc[section][leaf] = flag in ("true", "1")
         return
     try:
-        node[leaf] = caster(value)
+        doc[section][leaf] = caster(value)
     except ValueError:
         raise ConfigurationError(
             f"cannot set {dotted} to {value!r}: expected {caster.__name__}"

@@ -1,7 +1,8 @@
 """Scenario documents: JSON serialization of a complete run description.
 
 Field names carry their units (``_m`` meters, ``_s`` seconds, ``_mps``
-meters/second, ``_db`` decibels).  Parsing and serialization round-trip
+meters/second, ``_db`` decibels).  One table (``_TABLE``) holds the format:
+parsing, serialization and `sweep --param` follow it, the two round-trip
 exactly, and scenario-level validation happens before any computation.
 """
 
@@ -11,12 +12,12 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .config import FadingConfig, MobilityConfig, NetworkConfig
 from .errors import ConfigurationError, UnsupportedGeometryError
 
-__all__ = ["SimParams", "Scenario", "scenario_from_dict", "scenario_to_dict",
+__all__ = ["SimParams", "Scenario", "scenario_from_dict", "scenario_to_dict", "sweep_type",
            "load_scenario", "dump_scenario", "atomic_write_text"]
 
 
@@ -82,17 +83,6 @@ class Scenario:
         return self._psi_linear
 
 
-_REQUIRED = object()
-
-
-def _field(section: dict, section_name: str, key: str, default=_REQUIRED):
-    if key in section:
-        return section[key]
-    if default is not _REQUIRED:
-        return default
-    raise ConfigurationError(f"scenario is missing field {section_name}.{key}")
-
-
 def _integral(value, name: str) -> int:
     """An integral JSON number as int; bools, fractions and strings are rejected."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -113,127 +103,140 @@ def _real(value, name: str) -> float:
     raise ConfigurationError(f"{name} must be a number, got {value!r}")
 
 
-def _real_field(section: dict, section_name: str, key: str, default=_REQUIRED) -> float:
-    return _real(_field(section, section_name, key, default), f"{section_name}.{key}")
-
-
-def _int_field(section: dict, section_name: str, key: str, default=_REQUIRED) -> int:
-    return _integral(_field(section, section_name, key, default), f"{section_name}.{key}")
-
-
-def _bool_field(section: dict, section_name: str, key: str, default=_REQUIRED) -> bool:
-    value = _field(section, section_name, key, default)
+def _flag(value, name: str) -> bool:
+    """A JSON boolean; 0, 1, strings and null are rejected."""
     if not isinstance(value, bool):
-        raise ConfigurationError(
-            f"{section_name}.{key} must be true or false, got {value!r}"
-        )
+        raise ConfigurationError(f"{name} must be true or false, got {value!r}")
     return value
+
+
+def _bands(value, name: str) -> tuple:
+    """The band table: (low edge, high edge, integral shape) per band."""
+    return tuple((_real(lo, f"{name}[{i}] edge"), _real(hi, f"{name}[{i}] edge"),
+                  _integral(m, f"{name}[{i}] shape")) for i, (lo, hi, m) in enumerate(value))
+
+
+def _grid(value, name: str) -> tuple:
+    return tuple(_real(v, f"{name} value") for v in value)
+
+
+def _reject_unknown(keys, known, where: str) -> None:
+    """Raise ConfigurationError for the first of keys not in known, naming
+    the closest known key where there is one."""
+    for key in keys:
+        if key not in known:
+            import difflib  # on the error path only: its import takes about 1 ms
+
+            close = difflib.get_close_matches(key, list(known), n=1)
+            hint = f" (did you mean {where}{close[0]}?)" if close else ""
+            raise ConfigurationError(f"unknown scenario field {where}{key}{hint}")
+
+
+def _read(doc, section: str = ""):
+    """The dataclass that `section` of the table builds from the JSON object
+    doc.  A missing key leaves its field's default (a missing section reads
+    as {}), null is read only where that default is null, and an unknown
+    key is an error."""
+    cls, keys = _TABLE[section]
+    where = f"{section}." if section else ""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{section or 'scenario document'} must be a JSON object")
+    retired = _RETIRED_SIM_KEYS if section == "sim" else ()
+    _reject_unknown([key for key in doc if key not in retired], keys, where)
+    defaults = {f.name: f.default for f in fields(cls)}
+    values = {}
+    for key, (attr, read) in keys.items():
+        value = doc.get(key, {} if read is _read else MISSING)
+        if value is MISSING:
+            if defaults[attr] is MISSING:
+                raise ConfigurationError(f"scenario is missing field {where}{key}")
+        elif value is not None or defaults[attr] is not None:
+            values[attr] = read(value, where + key)
+    return _fold_retired(doc, cls(**values)) if retired else cls(**values)
+
+
+def _fold_retired(doc: dict, sim: SimParams) -> SimParams:
+    """sim as the retired keys of its section doc amend it."""
+    rule = doc.get("boundary_rule", "stay")
+    if rule != "stay":
+        raise ConfigurationError(f"sim.boundary_rule must be \"stay\", got {rule!r}")
+    replications = _integral(doc.get("replications", 1), "sim.replications")
+    if replications < 1:
+        raise ConfigurationError(f"sim.replications must be >= 1, got {replications}")
+    return replace(sim, chains=sim.chains * replications)
+
+
+# The document format.  Each section names the dataclass it builds, and each
+# JSON key the field it fills and the reader of its value; the top level ("")
+# holds the sections, read by _read, and the threshold grid.
+_TABLE = {
+    "": (Scenario, {
+        "network": ("network", _read), "fading": ("fading", _read),
+        "mobility": ("mobility", _read), "psi_grid_db": ("psi_grid_db", _grid),
+        "sim": ("sim", _read)}),
+    "network": (NetworkConfig, {
+        "radius_m": ("radius", _real), "height_m": ("height", _real),
+        "serving_altitude_m": ("serving_altitude", _real),
+        "n_interferers": ("n_interferers", _integral),
+        "path_loss_exponent": ("path_loss_exponent", _real)}),
+    "fading": (FadingConfig, {
+        "serving_m": ("serving_m", _integral), "interferer_m": ("interferer_m", _integral),
+        "altitude_dependent": ("altitude_dependent", _flag), "bands": ("bands", _bands)}),
+    "mobility": (MobilityConfig, {
+        "speed_min_mps": ("speed_min", _real), "speed_max_mps": ("speed_max", _real),
+        "dwell_min_s": ("dwell_min", _real), "dwell_max_s": ("dwell_max", _real),
+        "hop_range_m": ("hop_range", _real),
+        "stay_probability_override": ("stay_probability_override", _real)}),
+    "sim": (SimParams, {
+        "n_snapshots": ("n_snapshots", _integral), "dt_s": ("dt", _real),
+        "stride": ("stride", _integral), "seed": ("seed", _integral),
+        "chains": ("chains", _integral)}),
+}
+# Keys of older documents, still read beside the table (_fold_retired):
+# sim.warmup_steps is ignored, since campaigns start in the stationary law;
+# sim.boundary_rule must be "stay"; and sim.replications sets of the chains
+# run as one set of their product.
+_RETIRED_SIM_KEYS = ("warmup_steps", "boundary_rule", "replications")
+_SWEPT_TYPES = {_real: float, _integral: int, _flag: bool}
+
+
+def _json(value):
+    """A field's value as JSON data: tuples as lists."""
+    return [_json(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _write(obj, section: str = "") -> dict:
+    """The JSON object of `section` of the table that obj, its dataclass, fills."""
+    return {key: _write(getattr(obj, attr), key) if read is _read else _json(getattr(obj, attr))
+            for key, (attr, read) in _TABLE[section][1].items()}
+
+
+def sweep_type(dotted: str) -> type:
+    """float, int or bool: the type of the field a dotted name
+    (`network.n_interferers`) names.  A name outside the table, or a table
+    (a section, the band table, the threshold grid), raises ConfigurationError."""
+    section, _, key = dotted.rpartition(".")
+    keys = _TABLE[section][1] if section in _TABLE else {}
+    _reject_unknown([key], keys, f"{section}." if section else "")
+    if keys[key][1] not in _SWEPT_TYPES:
+        raise ConfigurationError(f"{dotted} is not sweepable: it holds a table, not a number")
+    return _SWEPT_TYPES[keys[key][1]]
 
 
 def scenario_from_dict(doc: dict, source: str = "scenario") -> Scenario:
     """The scenario a parsed document describes.  A field of the wrong type
-    or form raises ConfigurationError, naming `source`."""
+    or form, or a key outside the format, raises ConfigurationError, naming
+    `source` for a malformed value."""
     try:
-        return _scenario_from_dict(doc)
+        return _read(doc)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigurationError):
             raise
         raise ConfigurationError(f"{source} is malformed: {exc}") from exc
 
 
-def _scenario_from_dict(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ConfigurationError("scenario document must be a JSON object")
-    for section in ("network", "fading", "mobility", "sim"):
-        if section in doc and not isinstance(doc[section], dict):
-            raise ConfigurationError(f"scenario section {section!r} must be an object")
-    net_doc = doc.get("network", {})
-    fad_doc = doc.get("fading", {})
-    mob_doc = doc.get("mobility", {})
-    sim_doc = doc.get("sim", {})
-
-    network = NetworkConfig(
-        radius=_real_field(net_doc, "network", "radius_m"),
-        height=_real_field(net_doc, "network", "height_m"),
-        serving_altitude=_real_field(net_doc, "network", "serving_altitude_m"),
-        n_interferers=_int_field(net_doc, "network", "n_interferers"),
-        path_loss_exponent=_real_field(net_doc, "network", "path_loss_exponent", 2.0),
-    )
-    bands = _field(fad_doc, "fading", "bands", None)
-    fading = FadingConfig(
-        serving_m=_int_field(fad_doc, "fading", "serving_m", 1),
-        interferer_m=_int_field(fad_doc, "fading", "interferer_m", 1),
-        altitude_dependent=_bool_field(fad_doc, "fading", "altitude_dependent", False),
-        bands=None if bands is None else tuple(
-            (_real(lo, f"fading.bands[{i}] edge"), _real(hi, f"fading.bands[{i}] edge"),
-             _integral(m, f"fading.bands[{i}] shape"))
-            for i, (lo, hi, m) in enumerate(bands)
-        ),
-    )
-    override = _field(mob_doc, "mobility", "stay_probability_override", None)
-    mobility = MobilityConfig(
-        speed_min=_real_field(mob_doc, "mobility", "speed_min_mps"),
-        speed_max=_real_field(mob_doc, "mobility", "speed_max_mps"),
-        dwell_min=_real_field(mob_doc, "mobility", "dwell_min_s"),
-        dwell_max=_real_field(mob_doc, "mobility", "dwell_max_s"),
-        hop_range=_real_field(mob_doc, "mobility", "hop_range_m"),
-        stay_probability_override=None if override is None else _real(
-            override, "mobility.stay_probability_override"),
-    )
-    # sim.warmup_steps is no longer read: campaigns start in the stationary law
-    rule = _field(sim_doc, "sim", "boundary_rule", "stay")
-    if rule != "stay":
-        raise ConfigurationError(f"sim.boundary_rule must be \"stay\", got {rule!r}")
-    # an older document's sim.replications ran that many sets of its chains
-    replications = _int_field(sim_doc, "sim", "replications", 1)
-    if replications < 1:
-        raise ConfigurationError(f"sim.replications must be >= 1, got {replications}")
-    sim = SimParams(
-        n_snapshots=_int_field(sim_doc, "sim", "n_snapshots", 200_000),
-        dt=_real_field(sim_doc, "sim", "dt_s", 1.0),
-        stride=_int_field(sim_doc, "sim", "stride", 10),
-        seed=_int_field(sim_doc, "sim", "seed", 1),
-        chains=_int_field(sim_doc, "sim", "chains", 128) * replications,
-    )
-    psi = _field(doc, "scenario", "psi_grid_db")
-    return Scenario(network, fading, mobility,
-                    tuple(_real(v, "psi_grid_db value") for v in psi), sim)
-
-
 def scenario_to_dict(sc: Scenario) -> dict:
-    return {
-        "network": {
-            "radius_m": sc.network.radius,
-            "height_m": sc.network.height,
-            "serving_altitude_m": sc.network.serving_altitude,
-            "n_interferers": sc.network.n_interferers,
-            "path_loss_exponent": sc.network.path_loss_exponent,
-        },
-        "fading": {
-            "serving_m": sc.fading.serving_m,
-            "interferer_m": sc.fading.interferer_m,
-            "altitude_dependent": sc.fading.altitude_dependent,
-            "bands": None
-            if sc.fading.bands is None
-            else [list(b) for b in sc.fading.bands],
-        },
-        "mobility": {
-            "speed_min_mps": sc.mobility.speed_min,
-            "speed_max_mps": sc.mobility.speed_max,
-            "dwell_min_s": sc.mobility.dwell_min,
-            "dwell_max_s": sc.mobility.dwell_max,
-            "hop_range_m": sc.mobility.hop_range,
-            "stay_probability_override": sc.mobility.stay_probability_override,
-        },
-        "psi_grid_db": list(sc.psi_grid_db),
-        "sim": {
-            "n_snapshots": sc.sim.n_snapshots,
-            "dt_s": sc.sim.dt,
-            "stride": sc.sim.stride,
-            "seed": sc.sim.seed,
-            "chains": sc.sim.chains,
-        },
-    }
+    return _write(sc)
 
 
 def load_scenario(path: str) -> Scenario:

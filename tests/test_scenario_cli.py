@@ -1,6 +1,7 @@
 import argparse
 import ast
 import copy
+import importlib.util
 import itertools
 import json
 import math
@@ -79,6 +80,59 @@ class TestScenarioDocument:
         del doc["network"]["radius_m"]
         with pytest.raises(ConfigurationError, match="network.radius_m"):
             scenario_from_dict(doc)
+
+    def test_missing_grid_names_the_grid(self):
+        doc = scenario_to_dict(small_scenario())
+        del doc["psi_grid_db"]
+        with pytest.raises(ConfigurationError) as info:
+            scenario_from_dict(doc)
+        assert str(info.value) == "scenario is missing field psi_grid_db"
+
+    @pytest.mark.parametrize("section,key,message", [
+        ("", "psi_grid", "psi_grid (did you mean psi_grid_db?)"),
+        ("", "mobilty", "mobilty (did you mean mobility?)"),
+        ("network", "radius", "network.radius (did you mean network.radius_m?)"),
+        ("network", "wingspan", "network.wingspan"),
+        ("fading", "serving_shape", "fading.serving_shape (did you mean fading.serving_m?)"),
+        ("mobility", "hop_range", "mobility.hop_range (did you mean mobility.hop_range_m?)"),
+        ("sim", "snapshots", "sim.snapshots (did you mean sim.n_snapshots?)"),
+    ])
+    def test_unknown_key_is_input_error(self, section, key, message, tmp_path, capsys):
+        """A key outside the format is refused, naming it and, where one is
+        close, the known key it may misspell, before anything is written."""
+        doc = json.loads(BASELINE.read_text())
+        (doc[section] if section else doc)[key] = 3
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "cov.csv"
+        assert main(["analyze", "--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: unknown scenario field {message}\n"
+        assert not out.exists()
+
+    def test_required_keys_alone_load_the_dataclass_defaults(self):
+        """A document with only the keys that have no default loads every
+        other field at its dataclass's own default, and the reader writes
+        none of those defaults itself."""
+        doc = {
+            "network": {"radius_m": 40.0, "height_m": 30.0, "serving_altitude_m": 10.0,
+                        "n_interferers": 2},
+            "mobility": {"speed_min_mps": 0.2, "speed_max_mps": 10.0, "dwell_min_s": 2.0,
+                         "dwell_max_s": 6.0, "hop_range_m": 10.0},
+            "psi_grid_db": [0.0],
+        }
+        sc = scenario_from_dict(doc)
+        assert sc.network == NetworkConfig(40.0, 30.0, 10.0, 2)
+        assert sc.network.path_loss_exponent == 2.0
+        assert sc.fading == FadingConfig()
+        assert sc.mobility.stay_probability_override is None
+        assert sc.sim == SimParams()
+        source = ast.parse(Path(uavcov.scenario.__file__).read_text())
+        reader = [node for node in source.body
+                  if not (isinstance(node, ast.ClassDef) and node.name == "SimParams")]
+        literals = {(type(node.value), node.value) for part in reader for node in ast.walk(part)
+                    if isinstance(node, ast.Constant)}
+        defaults = {(int, 200_000), (int, 128), (int, 10), (float, 1.0), (float, 2.0)}
+        assert not literals & defaults
 
     def test_empty_threshold_grid_rejected_before_computation(self):
         doc = scenario_to_dict(small_scenario())
@@ -865,6 +919,44 @@ def test_validate_on_the_edge_grid_prints_its_checks_or_an_input_error(tmp_path,
     assert {0, 1} <= set(codes)
 
 class TestSweepCommand:
+    # every number and flag of the format, each with a value the small scenario accepts
+    SWEPT = {
+        "network.radius_m": "40", "network.height_m": "30", "network.serving_altitude_m": "10",
+        "network.n_interferers": "2", "network.path_loss_exponent": "2",
+        "fading.serving_m": "1", "fading.interferer_m": "1", "fading.altitude_dependent": "false",
+        "mobility.speed_min_mps": "0.2", "mobility.speed_max_mps": "10",
+        "mobility.dwell_min_s": "2", "mobility.dwell_max_s": "6", "mobility.hop_range_m": "10",
+        "mobility.stay_probability_override": "0.5",
+        "sim.n_snapshots": "20000", "sim.dt_s": "1", "sim.stride": "10", "sim.seed": "3",
+        "sim.chains": "32",
+    }
+
+    def test_every_number_and_flag_sweeps(self, scenario_path, tmp_path, capsys):
+        """Every field but the two tables is sweepable; the tables are
+        refused by name, and a name outside the format as unknown."""
+        doc = scenario_to_dict(small_scenario())
+        leaves = {f"{name}.{key}" for name, section in doc.items() if isinstance(section, dict)
+                  for key in section}
+        assert leaves - set(self.SWEPT) == {"fading.bands"}
+        out = tmp_path / "s.csv"
+
+        def sweep(param, value):
+            return main(["sweep", "--scenario", scenario_path, "--out", str(out),
+                         "--param", param, "--values", value, "--psi-db=0"])
+
+        for param, value in self.SWEPT.items():
+            assert sweep(param, value) == 0, (param, capsys.readouterr().err)
+            rows = out.read_text().splitlines()[2:]
+            assert [row.split(",")[:2] for row in rows] == [[param, value]]
+        out.unlink()
+        for param in ("fading.bands", "psi_grid_db"):
+            assert sweep(param, "1") == 2
+            assert capsys.readouterr().err.startswith(f"error: {param} is not sweepable")
+        for param in ("network.wingspan", "sim.warmup_steps", "radius_m", "network.radius_m.low"):
+            assert sweep(param, "1") == 2
+            assert capsys.readouterr().err.startswith(f"error: unknown scenario field {param}")
+        assert not out.exists()
+
     def test_sweep_over_interferer_count(self, scenario_path, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--scenario", scenario_path, "--out", str(out),
@@ -934,6 +1026,41 @@ def test_init_writes_loadable_template(tmp_path):
     assert main(["init", "--out", str(out)]) == 0
     sc = load_scenario(str(out))
     assert sc.network.radius == 40.0
+
+
+def test_shipped_and_generated_documents_load(tmp_path, monkeypatch):
+    """The documents in use load unchanged: each shipped scenario is written
+    back byte for byte, `init`'s template loads, and every document the
+    benchmark generates loads to the scenario its values describe, with
+    its retired sim keys folded."""
+    for shipped in sorted(BASELINE.parent.glob("*.json")):
+        dump_scenario(load_scenario(str(shipped)), str(tmp_path / "again.json"))
+        assert (tmp_path / "again.json").read_bytes() == shipped.read_bytes(), shipped.name
+    assert main(["init", "--out", str(tmp_path / "template.json")]) == 0
+    assert load_scenario(str(tmp_path / "template.json")).sim == SimParams()
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", BASELINE.parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS:
+        for round_index in (0, 1):
+            for unit in workloads.round_units(workload, 1, round_index):
+                doc = unit.scenario
+                net, fad, mob, sim = (doc[k] for k in ("network", "fading", "mobility", "sim"))
+                expected = Scenario(
+                    NetworkConfig(net["radius_m"], net["height_m"], net["serving_altitude_m"],
+                                  net["n_interferers"], net["path_loss_exponent"]),
+                    FadingConfig(fad["serving_m"], fad["interferer_m"],
+                                 fad["altitude_dependent"], fad["bands"]),
+                    MobilityConfig(mob["speed_min_mps"], mob["speed_max_mps"],
+                                   mob["dwell_min_s"], mob["dwell_max_s"], mob["hop_range_m"],
+                                   mob["stay_probability_override"]),
+                    tuple(doc["psi_grid_db"]),
+                    SimParams(sim["n_snapshots"], sim["dt_s"], sim["stride"], sim["seed"],
+                              sim["chains"] * sim["replications"]),
+                )
+                assert repr(scenario_from_dict(doc)) == repr(expected), (workload, unit.slot)
 
 
 def test_cli_import_leaves_out_the_validation_suite(tmp_path):
