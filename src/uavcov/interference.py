@@ -34,7 +34,9 @@ ladder's lowest rung, its bottom, so a call builds each distinct bottom's
 edges once and one table of its distinct panels' nodes.  The thresholds of
 one bottom share every node, so they go through the arithmetic together,
 as grids of rows by nodes (all derivative orders in one array) of up to a
-fixed number of node values, each row summing its own nodes.
+fixed number of node values, each row summing its own nodes.  The rows,
+sorted by bottom once, pass in blocks of whole grids, and each block takes
+its error test and final scaling at once.
 scaled_phase_jets is the one evaluator of the phase factors and
 laplace_jets the one evaluator of L_I and its jets; nothing evaluates them
 one threshold at a time.
@@ -71,12 +73,17 @@ __all__ = ["scaled_phase_jets", "laplace_jets"]
 # alone.  A full grid peaks at 33-48 bytes per node value beyond the output,
 # the index of the rows by bottom and the panel table, at most about 0.4 MB
 # (measured with tracemalloc at (exponent, m, order) = (2, 1, 0), (2, 3, 3)
-# and (4, 6, 9)).
+# and (4, 6, 9)).  A block takes whole grids, in the rows' order by bottom,
+# up to _BLOCK_VALUES coefficients (rows x 2 phases x orders); a grid above
+# it goes alone.  From 2,000 to 20,000 thresholds at those three points, the
+# peak grows by 0.15-0.23 MB with blocks of 1024 coefficients, most of it
+# the index of the rows (0.14 MB), and by up to 0.6 MB with blocks of 8192.
 _GL_NODES = 12
 _GL_RTOL = 1e-10
 _PANELS_PER_STEEPNESS = 12
 _GRADING = 2
 _NODE_BUDGET = 8192
+_BLOCK_VALUES = 1024
 
 
 def _legendre(n: int, x: float) -> tuple[float, float]:
@@ -190,10 +197,16 @@ def scaled_phase_jets(s, m: int, order: int, net: NetworkConfig):
     built by a single _panel_nodes call.  The rows of one bottom share all
     their nodes, so they go through the arithmetic as (rows, order + 1,
     nodes) grids of at most _NODE_BUDGET node values (a row above it goes
-    alone), each taking that bottom's table columns once (_grid_sums).  A
-    row sums its own nodes by contiguous reductions, in the same order
-    whatever rows share its call or its grid, so its value is bit for bit
-    the one it has alone.
+    alone), each bottom taking its table columns once (_grid_sums).  The
+    rows are sorted by bottom once and pass in blocks of whole grids
+    (_blocks): a block gathers its thresholds once, its grids sum into
+    contiguous slices of it, and it takes the error test, the failures, the
+    scaling back and the bound below at once, then goes into coeffs in one
+    scatter.  Beyond its output the call holds the panel table, one index
+    per row, and one block and one grid at a time.  A row sums its own
+    nodes by contiguous reductions, in the same order whatever rows share
+    its call, its grid or its block, so its value is bit for bit the one it
+    has alone.
 
     Each panel is integrated with n = _GL_NODES and with 2n nodes; the 2n
     value is kept and their difference is its error estimate.  failures[i]
@@ -223,28 +236,66 @@ def scaled_phase_jets(s, m: int, order: int, net: NetworkConfig):
     m_w_alpha_top = m * w_alpha_top
     table = _panel_nodes(panels, m, w_alpha_top, net)
     ratios = np.array([[(m + k - 1) / k] for k in range(1, order + 1)])
+    widths = [table.shape[1] * len(cols) for cols in columns]
+    taken = -1
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for j, cols in enumerate(columns):
-            rows = by_bottom[bounds[j]:bounds[j + 1]]
-            # Bottom j's nodes: its panels' n-rule nodes, then their 2n-rule ones.
-            nodes = table.take(cols, axis=2).reshape(4, -1)
-            most = max(1, _NODE_BUDGET // ((order + 1) * nodes.shape[1]))
-            for start in range(0, rows.size, most):
-                _grid_sums(rows[start:start + most], s, m, ratios, m_w_alpha_top, nodes, coeffs,
-                           failures)
-        # The sums are relative to t^m at the top of the support (see
-        # _grid_sums): scale them back, _NODE_BUDGET rows at a time.
-        # Phi = E_W[t^m] <= 1 exactly: t lies in [0, 1] and the pdf
-        # integrates to 1.  Rounding in the weights and node values (g up to
-        # 1 + 6 ulp) can put it a few ulp above 1 at vanishing s, which a
-        # million interferers raise beyond the coverage's round-off clamp; so
-        # it is bounded by 1.
-        for start in range(0, s.size, _NODE_BUDGET):
-            block = coeffs[start:start + _NODE_BUDGET]
-            block *= ((m_w_alpha_top / (m_w_alpha_top + s[start:start + _NODE_BUDGET])) ** m
-                      )[:, None, None]
-            np.minimum(block[:, :, 0], 1.0, out=block[:, :, 0])
+        for block in _blocks(bounds, widths, order):
+            first = block[0][0]
+            rows = by_bottom[first:block[-1][1]]
+            s_rows = s[rows]
+            sums = np.empty((rows.size, 2, order + 1, 3))
+            for start, stop, j in block:
+                if j != taken:  # bottom j's nodes: its n-rule nodes, then its 2n-rule ones
+                    nodes, taken = table.take(columns[j], axis=2).reshape(4, -1), j
+                _grid_sums(s_rows[start - first:stop - first], m, ratios, m_w_alpha_top, nodes,
+                           sums[start - first:stop - first])
+            coarse, fine = sums[..., 0], sums[..., 1] + sums[..., 2]
+            err = np.abs(fine - coarse)
+            good = err <= _GL_RTOL * fine  # NaN counts as bad
+            if not good.all():
+                for i, p, k in zip(*np.nonzero(~good)):
+                    row = int(rows[i])
+                    if failures[row] is None:
+                        rel = err[i, p, k] / fine[i, p, k] if fine[i, p, k] else math.inf
+                        t_top_m = (m_w_alpha_top / (m_w_alpha_top + s_rows[i])) ** m
+                        failures[row] = NumericalError(
+                            f"Gauss-Legendre estimate {rel:.2e} above {_GL_RTOL:g} relative "
+                            f"for phase={PHASES[p]}, s={s_rows[i]:.17g}, m={m}, derivative "
+                            f"order k={k}",
+                            partial=float(fine[i, p, k] * t_top_m),
+                            error_bound=float(err[i, p, k] * t_top_m),
+                        )
+            # The sums are relative to t^m at the top of the support (see
+            # _grid_sums): scale them back.  Phi = E_W[t^m] <= 1 exactly: t
+            # lies in [0, 1] and the pdf integrates to 1.  Rounding in the
+            # weights and node values (g up to 1 + 6 ulp) can put it a few
+            # ulp above 1 at vanishing s, which a million interferers raise
+            # beyond the coverage's round-off clamp; so it is bounded by 1.
+            fine *= ((m_w_alpha_top / (m_w_alpha_top + s_rows)) ** m)[:, None, None]
+            np.minimum(fine[:, :, 0], 1.0, out=fine[:, :, 0])
+            coeffs[rows] = fine
     return coeffs, failures
+
+
+def _blocks(bounds: list[int], widths: list[int], order: int):
+    """scaled_phase_jets' grids, in blocks of whole grids: each block a list
+    of (start, stop, j), the grid of positions start:stop of the rows sorted
+    by ladder bottom, all of bottom j.  A grid takes a bottom's rows up to
+    _NODE_BUDGET node values at widths[j] nodes per order and row (a row
+    above it goes alone); a block takes grids up to _BLOCK_VALUES
+    coefficients, 2 (order + 1) per row (a grid above it goes alone)."""
+    most_rows = max(1, _BLOCK_VALUES // (2 * (order + 1)))
+    block = []
+    for j, width in enumerate(widths):
+        most = max(1, _NODE_BUDGET // ((order + 1) * width))
+        for start in range(bounds[j], bounds[j + 1], most):
+            stop = min(start + most, bounds[j + 1])
+            if block and stop - block[0][0] > most_rows:
+                yield block
+                block = []
+            block.append((start, stop, j))
+    if block:
+        yield block
 
 
 def _panel_nodes(panels, m: int, w_alpha_top: float, net: NetworkConfig):
@@ -285,54 +336,36 @@ def _panel_nodes(panels, m: int, w_alpha_top: float, net: NetworkConfig):
     return out.transpose(0, 2, 1).copy()
 
 
-def _grid_sums(rows, s: np.ndarray, m: int, ratios, m_w_alpha_top: float, nodes, coeffs,
-               failures):
-    """scaled_phase_jets' sums relative to t_top^m into coeffs[rows], and
-    failures[rows], for rows of one ladder bottom, given its nodes (the
-    table rows of _panel_nodes, the n-rule's nodes before the 2n-rule's).
-    The rows and the orders k = 0..len(ratios) form one (rows, orders,
-    nodes) grid; order k is order k - 1 times u ratios[k - 1], with
-    u = s / (m w^alpha + s) and ratios[k - 1] = (m + k - 1) / k.
+def _grid_sums(s, m: int, ratios, m_w_alpha_top: float, nodes, out) -> None:
+    """scaled_phase_jets' sums relative to t_top^m, for the thresholds s of
+    one ladder bottom, given its nodes (the table rows of _panel_nodes, the
+    n-rule's nodes before the 2n-rule's), into out (len(s), 2, orders, 3):
+    each phase's and order's sum over the n-rule's nodes, then over each
+    half of the 2n-rule's.  The rows and the orders k = 0..len(ratios) form
+    one (rows, orders, nodes) grid; order k is order k - 1 times
+    u ratios[k - 1], with u = s / (m w^alpha + s) and ratios[k - 1] =
+    (m + k - 1) / k.
 
     t^m is taken relative to its value at the top of the support, where it
     is largest: the sums then keep their digits at any s, and only the
     final product with t_top^m may underflow (to a coefficient of 0).  Runs
     with floating-point warnings off: an infinite s gives NaN here, and a
     vanishing s with a steep exponent can overflow or divide by 0 next to
-    w = 0 (inf or NaN); the error test reports either as the row's failure.
+    w = 0 (inf or NaN); scaled_phase_jets' error test reports either as the
+    row's failure.
     """
     m_w_alpha, w_rel, density = nodes[0], nodes[1], nodes[2:]
-    block = w_rel.size // 3
-    s_rows = s[rows]
-    denom_top = m_w_alpha_top + s_rows
-    grid = np.empty((rows.size, ratios.size + 1, w_rel.size))
-    denom = m_w_alpha + s_rows[:, None]
-    g = np.divide(denom_top[:, None], denom, out=grid[:, 0])
+    third = w_rel.size // 3
+    grid = np.empty((s.size, ratios.size + 1, w_rel.size))
+    denom = m_w_alpha + s[:, None]
+    g = np.divide((m_w_alpha_top + s)[:, None], denom, out=grid[:, 0])
     g *= w_rel
     g **= m
     if ratios.size:
-        np.divide(s_rows[:, None, None] * ratios, denom[:, None], out=grid[:, 1:])
+        np.divide(s[:, None, None] * ratios, denom[:, None], out=grid[:, 1:])
         for k in range(1, ratios.size + 1):
             grid[:, k] *= grid[:, k - 1]
-    # Sums over the three blocks of n nodes: the n-rule's, then the 2n-rule's two halves.
-    sums = (grid[:, None] * density[:, None]).reshape(rows.size, 2, -1, 3, block).sum(axis=-1)
-    coarse, fine = sums[..., 0], sums[..., 1] + sums[..., 2]
-    coeffs[rows] = fine
-    err = np.abs(fine - coarse)
-    good = err <= _GL_RTOL * fine  # NaN counts as bad
-    if good.all():
-        return
-    for i, p, k in zip(*np.nonzero(~good)):
-        row = int(rows[i])
-        if failures[row] is None:
-            rel = err[i, p, k] / fine[i, p, k] if fine[i, p, k] else math.inf
-            t_top_m = (m_w_alpha_top / denom_top[i]) ** m
-            failures[row] = NumericalError(
-                f"Gauss-Legendre estimate {rel:.2e} above {_GL_RTOL:g} relative for "
-                f"phase={PHASES[p]}, s={s_rows[i]:.17g}, m={m}, derivative order k={k}",
-                partial=float(fine[i, p, k] * t_top_m),
-                error_bound=float(err[i, p, k] * t_top_m),
-            )
+    (grid[:, None] * density[:, None]).reshape(s.size, 2, -1, 3, third).sum(axis=-1, out=out)
 
 
 def _series_power(a: np.ndarray, n: int) -> np.ndarray:

@@ -8,10 +8,10 @@ exactly, and scenario-level validation happens before any computation.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
-import tempfile
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .config import FadingConfig, MobilityConfig, NetworkConfig
@@ -54,23 +54,27 @@ class Scenario:
     _psi_linear: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grid = tuple(float(v) for v in self.psi_grid_db)
+        grid = tuple(map(float, self.psi_grid_db))
         if not grid:
             raise ConfigurationError("psi_grid_db must be non-empty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        # b <= a, not a < b: a NaN fails the finite-threshold test below instead
+        if any(map(float.__le__, grid[1:], grid)):
             raise ConfigurationError("psi_grid_db must be strictly increasing")
         object.__setattr__(self, "psi_grid_db", grid)
-        linear = []
-        for db in grid:
-            try:
-                linear.append(10.0 ** (db / 10.0))
-            except OverflowError:
-                linear.append(math.inf)
-            if not math.isfinite(linear[-1]):
-                raise ConfigurationError(
-                    f"psi_grid_db value {db!r} dB has no finite linear threshold"
-                )
-        object.__setattr__(self, "_psi_linear", tuple(linear))
+        try:
+            linear = tuple([10.0 ** (db / 10.0) for db in grid])
+        except OverflowError:
+            linear = None
+        if linear is None or not all(map(math.isfinite, linear)):
+            for db in grid:  # value by value, to name the first without one
+                try:
+                    finite = math.isfinite(10.0 ** (db / 10.0))
+                except OverflowError:
+                    finite = False
+                if not finite:
+                    raise ConfigurationError(
+                        f"psi_grid_db value {db!r} dB has no finite linear threshold")
+        object.__setattr__(self, "_psi_linear", linear)
         if not self.network.height < self.network.radius:
             raise UnsupportedGeometryError(
                 "scenario geometry unsupported: the piecewise distance laws and "
@@ -117,6 +121,14 @@ def _bands(value, name: str) -> tuple:
 
 
 def _grid(value, name: str) -> tuple:
+    """The threshold grid as floats, each value read as _real reads it: one
+    type test and one conversion for the whole list, and value by value
+    only to name the first that is not a number."""
+    try:
+        if set(map(type, value)) <= {int, float}:
+            return tuple(map(float, value))
+    except (TypeError, OverflowError):
+        pass
     return tuple(_real(v, f"{name} value") for v in value)
 
 
@@ -143,7 +155,7 @@ def _read(doc, section: str = ""):
         raise ConfigurationError(f"{section or 'scenario document'} must be a JSON object")
     retired = _RETIRED_SIM_KEYS if section == "sim" else ()
     _reject_unknown([key for key in doc if key not in retired], keys, where)
-    defaults = {f.name: f.default for f in fields(cls)}
+    defaults = _DEFAULTS[section]
     values = {}
     for key, (attr, read) in keys.items():
         value = doc.get(key, {} if read is _read else MISSING)
@@ -163,7 +175,7 @@ def _fold_retired(doc: dict, sim: SimParams) -> SimParams:
     replications = _integral(doc.get("replications", 1), "sim.replications")
     if replications < 1:
         raise ConfigurationError(f"sim.replications must be >= 1, got {replications}")
-    return replace(sim, chains=sim.chains * replications)
+    return sim if replications == 1 else replace(sim, chains=sim.chains * replications)
 
 
 # The document format.  Each section names the dataclass it builds, and each
@@ -197,6 +209,9 @@ _TABLE = {
 # sim.boundary_rule must be "stay"; and sim.replications sets of the chains
 # run as one set of their product.
 _RETIRED_SIM_KEYS = ("warmup_steps", "boundary_rule", "replications")
+# Each section's field defaults (MISSING where a field has none), by field name.
+_DEFAULTS = {section: {f.name: f.default for f in fields(cls)}
+             for section, (cls, _) in _TABLE.items()}
 _SWEPT_TYPES = {_real: float, _integral: int, _flag: bool}
 
 
@@ -255,13 +270,22 @@ def dump_scenario(sc: Scenario, path: str) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temporary file in the target directory, then rename; an
-    OSError on the way raises ConfigurationError and leaves no temporary file."""
+    """Write via a new temporary file in the target directory, then rename,
+    so the output gets the mode of any new file (0o666 less the umask); an
+    OSError on the way raises ConfigurationError and leaves no temporary
+    file.  The temporary is .tmp-<pid>-<n>.part, at the first n free."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        for n in itertools.count():
+            try:
+                fh = open(os.path.join(directory, f".tmp-{os.getpid()}-{n}.part"), "x",
+                          encoding="utf-8", newline="\n")
+                break
+            except FileExistsError:
+                pass
+        with fh:
+            tmp = fh.name
             fh.write(text)
         os.replace(tmp, path)
     except BaseException as exc:

@@ -611,18 +611,23 @@ def test_failing_row_leaves_the_other_rows(monkeypatch):
 
 def _recorded_grids(monkeypatch, s_values, m, order, net):
     """One kernel call with its _panel_nodes calls and its grids recorded:
-    (coeffs, tables, grids), each grid as (rows, node values per row)."""
+    (coeffs, tables, grids), each grid as (rows, node values per row).  A
+    grid is handed its thresholds alone, so each of them is read back as the
+    first row of that threshold that no earlier grid took."""
     tables, grids = [], []
     panel_nodes, grid_sums = interference._panel_nodes, interference._grid_sums
+    untaken = {}
+    for i, s in enumerate(np.asarray(s_values, dtype=float).tolist()):
+        untaken.setdefault(s, []).append(i)
 
     def counting_nodes(*args):
         tables.append(args)
         return panel_nodes(*args)
 
-    def recording_grid(rows, s, m, ratios, *rest):
-        nodes = rest[1]
-        grids.append((rows.tolist(), (ratios.size + 1) * nodes.shape[1]))
-        return grid_sums(rows, s, m, ratios, *rest)
+    def recording_grid(s, m, ratios, m_w_alpha_top, nodes, out):
+        grids.append(([untaken[v].pop(0) for v in s.tolist()],
+                      (ratios.size + 1) * nodes.shape[1]))
+        return grid_sums(s, m, ratios, m_w_alpha_top, nodes, out)
 
     monkeypatch.setattr(interference, "_panel_nodes", counting_nodes)
     monkeypatch.setattr(interference, "_grid_sums", recording_grid)
@@ -671,6 +676,46 @@ def test_rows_of_one_bottom_over_several_grids_equal_their_threshold_alone(monke
     _, _, grids = _recorded_grids(monkeypatch, s_values, 3, 4, net)
     assert len(grids) > 3
     assert validation.kernel_rows_apart(s_values, 3, 4, net) == []
+
+
+@pytest.mark.parametrize("alpha, order", [(2.0, 0), (2.0, 13), (7.5, 0), (7.5, 13)])
+def test_rows_do_not_depend_on_the_blocks(monkeypatch, alpha, order):
+    """The kernel's grids go through its error test and scale-back in
+    blocks of whole grids.  Blocks of one grid each, and blocks that cut a
+    ladder bottom's grids apart, give the bytes and failure texts of the
+    default call, and every row is the kernel at its threshold alone."""
+    net, m = net_with(M=8, alpha=alpha), 3
+    s_values = np.random.default_rng(5).permutation(np.concatenate([
+        np.logspace(-4, 10, 29), np.linspace(50.0, 50.5, 40),
+        [0.0, 1e-300, math.inf, math.nan, -1.0]]))
+
+    def texts(failures):
+        return [None if f is None else f"{type(f).__name__}: {f}" for f in failures]
+
+    expected, expected_failures = scaled_phase_jets(s_values, m, order, net)
+    assert any(isinstance(f, NumericalError) for f in expected_failures)
+    blocks = interference._blocks
+    for rows_per_block in (None, 7):  # None: one grid per block
+        seen = []
+
+        def recording_blocks(*args):
+            for block in blocks(*args):
+                seen.append(block)
+                yield block
+
+        monkeypatch.setattr(interference, "_BLOCK_VALUES",
+                            1 if rows_per_block is None else 2 * (order + 1) * rows_per_block)
+        monkeypatch.setattr(interference, "_blocks", recording_blocks)
+        coeffs, failures = scaled_phase_jets(s_values, m, order, net)
+        bottoms = [{j for _, _, j in block} for block in seen]
+        if rows_per_block is None:
+            assert all(len(block) == 1 for block in seen), seen
+        else:
+            assert any(len(block) > 1 for block in seen), seen
+        assert any(a & b for a, b in itertools.pairwise(bottoms)), seen  # a bottom cut apart
+        assert coeffs.tobytes() == expected.tobytes()
+        assert texts(failures) == texts(expected_failures)
+        assert validation.kernel_rows_apart(s_values, m, order, net) == []
 
 
 def test_threshold_with_vanishing_s_over_m_fails_its_row_alone():

@@ -140,6 +140,40 @@ class TestScenarioDocument:
         with pytest.raises(ConfigurationError, match="non-empty"):
             scenario_from_dict(doc)
 
+    def test_grid_of_ints_and_floats_loads_as_floats(self):
+        doc = scenario_to_dict(small_scenario())
+        doc["psi_grid_db"] = [-20, -10.0, 0, 10]
+        sc = scenario_from_dict(doc)
+        assert repr(sc) == repr(small_scenario())
+        assert sc.psi_grid_linear() == small_scenario().psi_grid_linear()
+        assert all(type(v) is float for v in sc.psi_grid_db + sc.psi_grid_linear())
+
+    def test_first_threshold_past_the_float_range_is_named(self):
+        doc = scenario_to_dict(small_scenario())
+        doc["psi_grid_db"] = [0.0, 4000.0, 5000.0]
+        with pytest.raises(ConfigurationError) as info:
+            scenario_from_dict(doc)
+        assert str(info.value) == "psi_grid_db value 4000.0 dB has no finite linear threshold"
+
+    @pytest.mark.parametrize("grid", [[0.0, math.nan], [math.nan, 0.0]])
+    def test_nan_threshold_has_no_finite_linear_value(self, grid):
+        """NaN is not out of order (no comparison holds): it is refused as a
+        threshold without a linear value."""
+        doc = scenario_to_dict(small_scenario())
+        doc["psi_grid_db"] = grid
+        with pytest.raises(ConfigurationError) as info:
+            scenario_from_dict(doc)
+        assert str(info.value) == "psi_grid_db value nan dB has no finite linear threshold"
+
+    @pytest.mark.parametrize("grid, bad", [([0.0, True], "True"), (["-5", 0.0], "'-5'"),
+                                           ([1, 2.0, "3"], "'3'")])
+    def test_grid_of_numbers_and_others_names_the_first_other(self, grid, bad):
+        doc = scenario_to_dict(small_scenario())
+        doc["psi_grid_db"] = grid
+        with pytest.raises(ConfigurationError) as info:
+            scenario_from_dict(doc)
+        assert str(info.value) == f"psi_grid_db value must be a number, got {bad}"
+
     def test_decreasing_grid_rejected(self):
         doc = scenario_to_dict(small_scenario())
         doc["psi_grid_db"] = [0.0, -10.0]
@@ -293,6 +327,31 @@ class TestAnalyzeCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: cannot write output ")
         assert list(tmp_path.rglob(".tmp-*.part")) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+    def test_outputs_get_the_mode_of_a_new_file(self, scenario_path, tmp_path, umask):
+        """The CSV and JSON tables are created as any new file is, with mode
+        0o666 less the umask, not as a private temporary."""
+        out_csv, out_json = tmp_path / "cov.csv", tmp_path / "cov.json"
+        old = os.umask(umask)
+        try:
+            code = main(["analyze", "--scenario", scenario_path, "--out", str(out_csv),
+                         "--json", str(out_json)])
+        finally:
+            os.umask(old)
+        assert code == 0
+        for out in (out_csv, out_json):
+            assert out.stat().st_mode & 0o777 == 0o666 & ~umask, out.name
+
+    def test_stale_temporary_does_not_block_a_write(self, tmp_path):
+        """A temporary left by an earlier process of the same id is kept as
+        it is, and the write takes the next free name."""
+        stale = tmp_path / f".tmp-{os.getpid()}-0.part"
+        stale.write_text("stale")
+        uavcov.scenario.atomic_write_text(str(tmp_path / "out.txt"), "fresh\n")
+        assert (tmp_path / "out.txt").read_text() == "fresh\n"
+        assert stale.read_text() == "stale"
+        assert list(tmp_path.glob(".tmp-*.part")) == [stale]
 
     def test_unreadable_scenario_is_input_error(self, tmp_path, capsys):
         code = main(["analyze", "--scenario", str(tmp_path / "nope.json"),
